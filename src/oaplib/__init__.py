@@ -29,7 +29,7 @@ from .problems import (GeneratedProblem, ProblemSpec, gen_convdiff2d,
 from .reductions import (KrylovState, RecurrenceCoefficients, StepOutcome,
                          advance, bidiag_step, bidiagonalize, tridiag_step,
                          tridiagonalize)
-from .solvers import (CycleResult, OapState, SolveOptions, SolveReport,
+from .solvers import (CycleResult, SolveOptions, SolveReport,
                       c_update_bidiag, c_update_tridiag, init_from_row,
                       init_from_vector, oap_cycle_bidiag, oap_cycle_tridiag,
                       orthogonality_lost, roap_solve)
@@ -40,8 +40,8 @@ __all__ = [
     "ApState", "BlockPartition", "CsrMatrix", "CycleResult", "DenseMatrix",
     "DegenerateSeed", "DimensionMismatch", "EmptySubspace",
     "GeneratedProblem", "KrylovState", "LinearOperator", "MatrixMarketError",
-    "NonFiniteVector", "NumericalOverflow", "OapError", "OapState",
-    "ProblemSpec", "RecurrenceCoefficients", "SolveOptions", "SolveReport",
+    "NonFiniteVector", "NumericalOverflow", "OapError", "ProblemSpec",
+    "RecurrenceCoefficients", "SolveOptions", "SolveReport",
     "StepOutcome", "advance", "ap_init", "ap_solve", "ap_sweep", "as_vector",
     "backend_name", "bidiag_step", "bidiagonalize", "c_update_bidiag",
     "c_update_tridiag", "dot", "gen_convdiff2d", "gen_poisson_lshape",

@@ -64,7 +64,7 @@ def run_case(problem, solver, opts, blocks=2):
                 result = oap_cycle_bidiag(A, b, v1, c1, opts)
             x, restarts, inner = result.x_partial, 1, result.inner_steps
             if norm2(b - A.apply(x)) / norm2(b) > opts.tol:
-                termination = "max-restarts"
+                termination = result.stop_cause  # no restarts to run out of
         elif solver == "ap":
             partition = BlockPartition.equal_blocks(A.nrows, blocks)
             x, report = ap_solve(A, b, partition, tol=opts.tol, max_sweeps=5000)

@@ -16,7 +16,7 @@ classical reorthogonalization; they exist for testing and analysis, the
 solvers use only the rolling window.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,18 +167,10 @@ def bidiag_step(A, s, tau_break=TAU_BREAK_DEFAULT, _u_basis=None, _v_basis=None)
 
 
 def advance(s, outcome):
-    """State after accepting a step's outcome."""
-    if s.mode == TRIDIAGONAL:
-        return replace(
-            s, k=s.k + 1,
-            v_prev=s.v_curr, v_curr=outcome.next_v,
-            u_prev=s.u_curr, u_curr=outcome.next_u,
-            beta_prev=outcome.beta, gamma_prev=outcome.gamma)
-    return replace(
-        s, k=s.k + 1,
-        v_prev=s.v_curr, v_curr=outcome.next_v,
-        u_prev=s.u_curr, u_curr=outcome.next_u,
-        beta_prev=outcome.beta)
+    """State after accepting a step's outcome (bidiagonal steps report
+    gamma = 0, so one constructor serves both modes)."""
+    return KrylovState(s.k + 1, s.mode, s.v_curr, outcome.next_v,
+                       s.u_curr, outcome.next_u, outcome.beta, outcome.gamma)
 
 
 def _run_reduction(A, state, step_fn, steps, reorthogonalize, tau_break,

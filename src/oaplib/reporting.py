@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 CSV_COLUMNS = ("problem", "n", "solver", "restarts", "inner_iters",
-               "relres", "relerr", "time_ms")
+               "relres", "relerr", "termination", "time_ms")
 
 
 @dataclass
@@ -40,7 +40,7 @@ def records_to_csv(records):
         writer.writerow([
             r.problem, r.n, r.solver, r.restarts, r.inner_iters,
             _fmt(r.relres), "" if r.relerr is None else _fmt(r.relerr),
-            _fmt(r.time_ms),
+            r.termination, _fmt(r.time_ms),
         ])
     return buf.getvalue()
 
@@ -60,7 +60,7 @@ def read_records_csv(text):
             restarts=int(row[3]), inner_iters=int(row[4]),
             relres=float(row[5]),
             relerr=None if row[6] == "" else float(row[6]),
-            time_ms=float(row[7])))
+            termination=row[7], time_ms=float(row[8])))
     return out
 
 

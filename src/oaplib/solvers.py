@@ -84,21 +84,12 @@ class SolveReport:
     breakdown_events: int = 0
 
 
-@dataclass
-class OapState:
-    """Accumulated approximation and the two live projection
-    coefficients, alongside the recurrence window."""
-
-    x_approx: np.ndarray
-    c_prev: float
-    c_curr: float
-    krylov: KrylovState
-
-
 class CycleResult(NamedTuple):
     x_partial: np.ndarray
     inner_steps: int
-    stop_cause: str  # "orthogonality" | "breakdown" | "exhausted"
+    # "orthogonality" | "breakdown" | "exhausted" | "divergence" (the
+    # residual guard tripped; x_partial is the best evaluated prefix)
+    stop_cause: str
 
 
 def init_from_vector(A, rhs, w, break_tol=TAU_BREAK_DEFAULT):
@@ -204,98 +195,66 @@ class _DivergenceGuard:
         self.pending_c = c_next
 
 
-def oap_cycle_tridiag(A, rhs, v1, u1, c1, opts=None, reorthogonalize=False):
-    """One projection cycle over the two-sided engine.
+def _cycle(A, rhs, krylov, c1, opts):
+    """One projection cycle from the window ``krylov`` and seed c1 v1.
 
     Starts from x_1 = c1 v1 and keeps extending while the new direction
     stays orthogonal to the running approximation and neither recurrence
-    breaks down.  Returns the accumulated partial solution.
+    breaks down.  The engine (``krylov.mode``) picks the step, which u
+    enters b'u, the coefficient update and which norms mean breakdown.
+    Returns the accumulated partial solution.
     """
     opts = opts or SolveOptions()
     max_inner, _ = _resolved(opts, A.ncols)
     thresh = opts.break_tol * A.frobenius_norm()
+    two_sided = krylov.mode == TRIDIAGONAL
+    step = tridiag_step if two_sided else bidiag_step
 
-    state = OapState(c1 * v1, 0.0, c1, KrylovState.start(TRIDIAGONAL, v1, u1))
+    x = c1 * krylov.v_curr
+    c_prev, c_curr = 0.0, c1
     guard = _DivergenceGuard(rhs, c1)
-    v_cols = [v1] if reorthogonalize else None
-    u_cols = [u1] if reorthogonalize else None
-
     steps = 0
     cause = "exhausted"
     for k in range(1, max_inner + 1):
         steps = k
-        kry = state.krylov
-        u_basis = np.column_stack(u_cols) if reorthogonalize else None
-        v_basis = np.column_stack(v_cols) if reorthogonalize else None
-        out = tridiag_step(A, kry, opts.break_tol,
-                           _u_basis=u_basis, _v_basis=v_basis)
-        if guard.diverged(state.x_approx, out.av):
-            return CycleResult(guard.best_x, steps, "orthogonality")
-        if out.beta <= thresh:  # no v_{k+1}: nothing left to accumulate
+        out = step(A, krylov, opts.break_tol)
+        if guard.diverged(x, out.av):
+            return CycleResult(guard.best_x, steps, "divergence")
+        # no v_{k+1} (or, bidiagonal, no u_k): nothing left to accumulate
+        if out.beta <= thresh or (not two_sided and out.alpha <= thresh):
             cause = "breakdown"
             break
-        b_dot_u = dot(rhs, kry.u_curr)
-        c_next = c_update_tridiag(b_dot_u, out.alpha, out.beta,
-                                  kry.gamma_prev, state.c_curr, state.c_prev)
+        if two_sided:
+            c_next = c_update_tridiag(dot(rhs, krylov.u_curr), out.alpha,
+                                      out.beta, krylov.gamma_prev,
+                                      c_curr, c_prev)
+        else:  # u_k carries the step's own index
+            c_next = c_update_bidiag(dot(rhs, out.next_u), out.alpha,
+                                     out.beta, c_curr)
         if not np.isfinite(c_next):
             raise NumericalOverflow(f"non-finite coefficient at step {k}", step=k)
-        if orthogonality_lost(state.x_approx, out.next_v, opts.orth_tol):
+        if orthogonality_lost(x, out.next_v, opts.orth_tol):
             cause = "orthogonality"
             break
-        state.x_approx = state.x_approx + c_next * out.next_v
-        state.c_prev, state.c_curr = state.c_curr, c_next
+        x = x + c_next * out.next_v
+        c_prev, c_curr = c_curr, c_next
         guard.accepted(c_next)
-        if out.gamma <= thresh:  # u side exhausted; accepted update stands
+        if two_sided and out.gamma <= thresh:  # u side exhausted; update stands
             cause = "breakdown"
             break
-        state.krylov = advance(kry, out)
-        if reorthogonalize:
-            v_cols.append(out.next_v)
-            u_cols.append(out.next_u)
-    return CycleResult(state.x_approx, steps, cause)
+        krylov = advance(krylov, out)
+    return CycleResult(x, steps, cause)
 
 
-def oap_cycle_bidiag(A, rhs, v1, c1, opts=None, reorthogonalize=False):
+def oap_cycle_tridiag(A, rhs, v1, u1, c1, opts=None):
+    """One projection cycle over the two-sided engine, from x_1 = c1 v1;
+    ``CycleResult.stop_cause`` says why it stopped."""
+    return _cycle(A, rhs, KrylovState.start(TRIDIAGONAL, v1, u1), c1, opts)
+
+
+def oap_cycle_bidiag(A, rhs, v1, c1, opts=None):
     """One projection cycle over the bidiagonal engine (no u1 needed)."""
-    opts = opts or SolveOptions()
-    max_inner, _ = _resolved(opts, A.ncols)
-    thresh = opts.break_tol * A.frobenius_norm()
-
-    state = OapState(c1 * v1, 0.0, c1, KrylovState.start(BIDIAGONAL, v1))
-    guard = _DivergenceGuard(rhs, c1)
-    v_cols = [v1] if reorthogonalize else None
-    u_cols = [] if reorthogonalize else None
-
-    steps = 0
-    cause = "exhausted"
-    for k in range(1, max_inner + 1):
-        steps = k
-        kry = state.krylov
-        u_basis = (np.column_stack(u_cols)
-                   if reorthogonalize and u_cols else None)
-        v_basis = np.column_stack(v_cols) if reorthogonalize else None
-        out = bidiag_step(A, kry, opts.break_tol,
-                          _u_basis=u_basis, _v_basis=v_basis)
-        if guard.diverged(state.x_approx, out.av):
-            return CycleResult(guard.best_x, steps, "orthogonality")
-        if out.alpha <= thresh or out.beta <= thresh:
-            cause = "breakdown"
-            break
-        b_dot_u = dot(rhs, out.next_u)  # u_k carries the step's own index
-        c_next = c_update_bidiag(b_dot_u, out.alpha, out.beta, state.c_curr)
-        if not np.isfinite(c_next):
-            raise NumericalOverflow(f"non-finite coefficient at step {k}", step=k)
-        if orthogonality_lost(state.x_approx, out.next_v, opts.orth_tol):
-            cause = "orthogonality"
-            break
-        state.x_approx = state.x_approx + c_next * out.next_v
-        state.c_prev, state.c_curr = state.c_curr, c_next
-        guard.accepted(c_next)
-        state.krylov = advance(kry, out)
-        if reorthogonalize:
-            v_cols.append(out.next_v)
-            u_cols.append(out.next_u)
-    return CycleResult(state.x_approx, steps, cause)
+    return _cycle(A, rhs, KrylovState.start(BIDIAGONAL, v1), c1, opts)
 
 
 def roap_solve(A, b, variant="roap2", opts=None):

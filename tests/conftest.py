@@ -3,12 +3,16 @@
 The oracles here deliberately avoid the package's own recurrence code:
 reductions are re-derived with explicit full Gram-Schmidt on dense
 arrays, projections with normal equations, so agreement is meaningful.
+``exact_cycle`` is the exception: it runs the package's coefficient
+updates over its reorthogonalized reductions, so tests can check those
+updates with orthogonality taken out of the picture.
 """
 
 import numpy as np
 import pytest
 
-from oaplib import CsrMatrix, DenseMatrix
+from oaplib import (CsrMatrix, DenseMatrix, bidiagonalize, c_update_bidiag,
+                    c_update_tridiag, dot, tridiagonalize)
 
 
 def random_wellcond(rng, n, cond=100.0):
@@ -98,6 +102,33 @@ def oracle_golub_kahan(A, v1, steps):
             break
         V.append(q / beta)
     return alphas, betas, np.column_stack(V), np.column_stack(U) if U else None
+
+
+def exact_cycle(A, rhs, v1, c1, steps, engine):
+    """A projection cycle with exact orthogonality, for checking the
+    coefficient recurrences: the reorthogonalized full-basis reduction
+    (``engine`` "tridiagonal" with u1 = v1, or "bidiagonal") followed
+    by the library's ``c_update_tridiag``/``c_update_bidiag``.
+
+    Returns ``(cs, V, coeffs)``: cs[k] is the coefficient of V[:, k],
+    one per basis vector the reduction produced.
+    """
+    if engine == "tridiagonal":
+        coeffs, V, U, _ = tridiagonalize(A, v1, v1.copy(), steps,
+                                         reorthogonalize=True)
+    else:
+        coeffs, V, U, _ = bidiagonalize(A, v1, steps, reorthogonalize=True)
+    cs, c_prev = [c1], 0.0
+    for k in range(V.shape[1] - 1):
+        if engine == "tridiagonal":
+            g_prev = 0.0 if k == 0 else coeffs.gammas[k - 1]
+            cs.append(c_update_tridiag(dot(rhs, U[:, k]), coeffs.alphas[k],
+                                       coeffs.betas[k], g_prev, cs[-1], c_prev))
+        else:
+            cs.append(c_update_bidiag(dot(rhs, U[:, k]), coeffs.alphas[k],
+                                      coeffs.betas[k], cs[-1]))
+        c_prev = cs[-2]
+    return np.array(cs), V, coeffs
 
 
 def oracle_projection(W, l):

@@ -25,15 +25,14 @@ import numpy as np
 import pytest
 
 import oaplib.solvers
-from oaplib import (DenseMatrix, SolveOptions, bidiagonalize, c_update_bidiag,
-                    c_update_tridiag, ap_init, ap_sweep, BlockPartition,
-                    dot, gen_convdiff2d, gen_poisson_lshape, gen_random_dense,
-                    gen_tridiag_unsym, init_from_vector, norm2,
-                    oap_cycle_bidiag, oap_cycle_tridiag, project_onto,
-                    roap_solve, tridiagonalize)
+from oaplib import (DenseMatrix, SolveOptions, bidiagonalize, ap_init,
+                    ap_sweep, BlockPartition, dot, gen_convdiff2d,
+                    gen_poisson_lshape, gen_random_dense, gen_tridiag_unsym,
+                    init_from_vector, norm2, project_onto, roap_solve,
+                    tridiagonalize)
 
-from conftest import (constructed_problem, gram_defect, oracle_projection,
-                      random_sparse, random_wellcond)
+from conftest import (constructed_problem, exact_cycle, gram_defect,
+                      oracle_projection, random_sparse, random_wellcond)
 
 EXAMPLE4_SEED = 1234
 
@@ -141,25 +140,11 @@ def test_acceptance_03_coefficient_fidelity():
         floor = 1e-9 * norm2(x_true)
         rounding = eps * A.frobenius_norm() * norm2(x_true)
         branches = []
-
-        coeffs, V, U, _ = tridiagonalize(A, v1, v1.copy(), 14,
-                                         reorthogonalize=True)
-        cs, c_prev = [c1], 0.0
-        for k in range(len(coeffs.betas)):
-            g_prev = 0.0 if k == 0 else coeffs.gammas[k - 1]
-            cs.append(c_update_tridiag(dot(b, U[:, k]), coeffs.alphas[k],
-                                       coeffs.betas[k], g_prev, cs[-1], c_prev))
-            c_prev = cs[-2]
-        branches.append(("tridiagonal", cs, V, recurrence_amplification(
-            coeffs.alphas, coeffs.betas, coeffs.gammas)))
-
-        coeffs, V, U, _ = bidiagonalize(A, v1, 14, reorthogonalize=True)
-        cs = [c1]
-        for k in range(len(coeffs.betas)):
-            cs.append(c_update_bidiag(dot(b, U[:, k]), coeffs.alphas[k],
-                                      coeffs.betas[k], cs[-1]))
-        branches.append(("bidiagonal", cs, V, recurrence_amplification(
-            coeffs.alphas, coeffs.betas)))
+        for name in ("tridiagonal", "bidiagonal"):
+            cs, V, coeffs = exact_cycle(A, b, v1, c1, 14, name)
+            gammas = coeffs.gammas if name == "tridiagonal" else None
+            branches.append((name, cs, V, recurrence_amplification(
+                coeffs.alphas, coeffs.betas, gammas)))
 
         for name, cs, V, amplification in branches:
             # the seed c_1 is a single division: only the floor applies
@@ -183,16 +168,12 @@ def test_acceptance_04_exact_solve_at_desk_scale():
         x_true = rng.standard_normal(n)
         b = A.apply(x_true)
         v1, c1 = init_from_vector(A, b, b)
-        for name, run in (
-            ("tridiagonal", lambda: oap_cycle_tridiag(
-                A, b, v1, v1.copy(), c1, reorthogonalize=True)),
-            ("bidiagonal", lambda: oap_cycle_bidiag(
-                A, b, v1, c1, reorthogonalize=True)),
-        ):
-            result = run()
-            relres = norm2(b - A.apply(result.x_partial)) / norm2(b)
-            if relres > 1e-9 or result.inner_steps > n:
-                failures.append((trial, name, relres, result.inner_steps))
+        for name in ("tridiagonal", "bidiagonal"):
+            # the cycle's default budget of n - 1 steps
+            cs, V, coeffs = exact_cycle(A, b, v1, c1, n - 1, name)
+            relres = norm2(b - A.apply(V @ cs)) / norm2(b)
+            if relres > 1e-9 or len(coeffs.betas) > n:
+                failures.append((trial, name, relres, len(coeffs.betas)))
     check(4, "one reorthogonalized cycle solves exactly at small scale",
           failures)
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oaplib import CsrMatrix, gen_convdiff2d, read_matrix_market
+from oaplib import (CsrMatrix, gen_convdiff2d, init_from_vector,
+                    oap_cycle_bidiag, oap_cycle_tridiag, read_matrix_market)
 from oaplib.cli import main, run_case
 from oaplib.reporting import read_records_csv
 from oaplib.solvers import SolveOptions
@@ -104,6 +105,24 @@ class TestSolve:
                      "--max-restarts", "1", "--tol", "1e-12"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("solver", ["oap2", "oap3"])
+    def test_single_cycle_miss_reports_stop_cause(self, capsys, solver):
+        # one cycle, no restarts: a miss is labelled by why the cycle
+        # stopped, never "max-restarts"
+        problem = gen_convdiff2d(9, 10)
+        v1, c1 = init_from_vector(problem.A, problem.b, problem.b)
+        if solver == "oap3":
+            cycle = oap_cycle_tridiag(problem.A, problem.b, v1, v1.copy(), c1)
+        else:
+            cycle = oap_cycle_bidiag(problem.A, problem.b, v1, c1)
+        code = main(["solve", "--family", "convdiff2d", "--nx", "9",
+                     "--ny", "10", "--solver", solver])
+        rec = read_records_csv(capsys.readouterr().out)[0]
+        assert code == 2
+        assert rec.relres > 1e-6
+        assert rec.termination == cycle.stop_cause == "orthogonality"
+        assert (rec.restarts, rec.inner_iters) == (1, cycle.inner_steps)
 
     def test_missing_inputs_exit_code(self, capsys):
         assert main(["solve"]) == 1

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import oaplib
 import oaplib._kernels_py as py_kernels
 from oaplib import backend_name
 
@@ -27,7 +28,11 @@ def test_backend_reports_a_known_name():
 
 
 def _backend_in_subprocess(value):
+    # the child imports the same oaplib as this process, installed or not
+    src = os.path.dirname(os.path.dirname(oaplib.__file__))
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     if value is None:
         env.pop("OAPLIB_BACKEND", None)
     else:

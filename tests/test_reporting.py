@@ -8,12 +8,17 @@ def sample_records():
     return [
         RunRecord("convdiff2d", 90, "roap2", 3, 129, 5.914e-08, None, 12.5),
         RunRecord("convdiff2d", 90, "roap3", 4, 234, 5.24e-08, 1.5e-9, 20.0),
+        RunRecord("random-dense", 300, "roap2", 300, 9000, 4.4e-05, 0.02,
+                  80.5, "max-restarts"),
+        RunRecord("tridiag-unsym", 3, "roap3", 0, 0, float("inf"), None,
+                  0.25, "error: NonFiniteVector"),
     ]
 
 
 def test_empty_list_gives_header_only_csv():
     text = records_to_csv([])
-    assert text == "problem,n,solver,restarts,inner_iters,relres,relerr,time_ms\n"
+    assert text == ("problem,n,solver,restarts,inner_iters,relres,relerr,"
+                    "termination,time_ms\n")
 
 
 def test_markdown_two_rows():
@@ -35,7 +40,9 @@ def test_csv_roundtrip_identical():
         assert a.inner_iters == b.inner_iters
         assert a.relres == b.relres
         assert a.relerr == b.relerr
+        assert a.termination == b.termination
         assert a.time_ms == b.time_ms
+    assert [r.converged for r in back] == [True, True, False, False]
 
 
 def test_reject_foreign_header():

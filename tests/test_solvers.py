@@ -4,11 +4,11 @@ import pytest
 import oaplib.solvers as solvers_mod
 from oaplib import (CsrMatrix, DegenerateSeed, DenseMatrix, SolveOptions,
                     c_update_bidiag, c_update_tridiag, gen_convdiff2d,
-                    gen_random_dense, gen_tridiag_unsym, init_from_row,
-                    init_from_vector, norm2, oap_cycle_bidiag,
+                    gen_poisson_lshape, gen_random_dense, gen_tridiag_unsym,
+                    init_from_row, init_from_vector, norm2, oap_cycle_bidiag,
                     oap_cycle_tridiag, orthogonality_lost, roap_solve)
 
-from conftest import constructed_problem, random_wellcond
+from conftest import constructed_problem, exact_cycle, random_wellcond
 
 
 def diag23():
@@ -83,39 +83,25 @@ class TestCoefficientUpdates:
         assert c_update_bidiag(10.0, 2.0, 4.0, 3.0) == 1.0
 
     def test_tridiag_tracks_true_coefficients(self, rng):
-        from oaplib import tridiagonalize
         dense = random_wellcond(rng, 15)
         A = DenseMatrix(dense)
         x_true = rng.standard_normal(15)
         b = A.apply(x_true)
         v1, c1 = init_from_vector(A, b, b)
-        coeffs, V, U, _ = tridiagonalize(A, v1, v1.copy(), 11,
-                                         reorthogonalize=True)
-        cs = [c1]
-        c_prev = 0.0
-        for k in range(10):
-            c_next = c_update_tridiag(
-                float(np.dot(b, U[:, k])), coeffs.alphas[k], coeffs.betas[k],
-                0.0 if k == 0 else coeffs.gammas[k - 1], cs[-1], c_prev)
-            c_prev = cs[-1]
-            cs.append(c_next)
+        cs, V, _ = exact_cycle(A, b, v1, c1, 10, "tridiagonal")
+        assert len(cs) == 11
         for k, c in enumerate(cs):
             want = float(np.dot(x_true, V[:, k]))
             assert abs(c - want) <= 1e-10 * norm2(x_true)
 
     def test_bidiag_tracks_true_coefficients(self, rng):
-        from oaplib import bidiagonalize
         dense = random_wellcond(rng, 15)
         A = DenseMatrix(dense)
         x_true = rng.standard_normal(15)
         b = A.apply(x_true)
         v1, c1 = init_from_vector(A, b, b)
-        coeffs, V, U, _ = bidiagonalize(A, v1, 11, reorthogonalize=True)
-        cs = [c1]
-        for k in range(10):
-            cs.append(c_update_bidiag(float(np.dot(b, U[:, k])),
-                                      coeffs.alphas[k], coeffs.betas[k],
-                                      cs[-1]))
+        cs, V, _ = exact_cycle(A, b, v1, c1, 10, "bidiagonal")
+        assert len(cs) == 11
         for k, c in enumerate(cs):
             want = float(np.dot(x_true, V[:, k]))
             assert abs(c - want) <= 1e-10 * norm2(x_true)
@@ -162,10 +148,11 @@ class TestCycleTridiag:
         x_true = rng.standard_normal(n)
         b = A.apply(x_true)
         v1, c1 = init_from_vector(A, b, b)
-        res = oap_cycle_tridiag(A, b, v1, v1.copy(), c1, reorthogonalize=True)
-        assert res.inner_steps <= n - 1
-        assert norm2(res.x_partial - x_true) <= 1e-9 * norm2(x_true)
-        assert norm2(b - A.apply(res.x_partial)) <= 1e-10 * norm2(b)
+        cs, V, coeffs = exact_cycle(A, b, v1, c1, n - 1, "tridiagonal")
+        x = V @ cs
+        assert len(coeffs.betas) <= n - 1
+        assert norm2(x - x_true) <= 1e-9 * norm2(x_true)
+        assert norm2(b - A.apply(x)) <= 1e-10 * norm2(b)
 
 
 class TestCycleBidiag:
@@ -193,9 +180,11 @@ class TestCycleBidiag:
         x_true = rng.standard_normal(n)
         b = A.apply(x_true)
         v1, c1 = init_from_vector(A, b, b)
-        res = oap_cycle_bidiag(A, b, v1, c1, reorthogonalize=True)
-        assert norm2(res.x_partial - x_true) <= 1e-9 * norm2(x_true)
-        assert norm2(b - A.apply(res.x_partial)) <= 1e-10 * norm2(b)
+        cs, V, coeffs = exact_cycle(A, b, v1, c1, n - 1, "bidiagonal")
+        x = V @ cs
+        assert len(coeffs.betas) <= n - 1
+        assert norm2(x - x_true) <= 1e-9 * norm2(x_true)
+        assert norm2(b - A.apply(x)) <= 1e-10 * norm2(b)
 
     def test_detector_contract_at_acceptance_time(self, rng, monkeypatch):
         calls = []
@@ -293,6 +282,31 @@ class TestRoap:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             roap_solve(CsrMatrix.identity(2), np.ones(2), "roap9")
+
+    def test_guard_trip_reports_divergence(self, monkeypatch):
+        # poisson-lshape m9 under roap3: the second cycle's tracked
+        # residual runs away, and the cycle must say so rather than
+        # blame orthogonality
+        trips, cycles = [], []
+        diverged = solvers_mod._DivergenceGuard.diverged
+        cycle = solvers_mod.oap_cycle_tridiag
+
+        def spy_guard(guard, x, av):
+            trips.append(diverged(guard, x, av))
+            return trips[-1]
+
+        def spy_cycle(*args, **kwargs):
+            start = len(trips)
+            result = cycle(*args, **kwargs)
+            cycles.append((any(trips[start:]), result.stop_cause))
+            return result
+
+        monkeypatch.setattr(solvers_mod._DivergenceGuard, "diverged", spy_guard)
+        monkeypatch.setattr(solvers_mod, "oap_cycle_tridiag", spy_cycle)
+        problem = gen_poisson_lshape(9)
+        _, report = roap_solve(problem.A, problem.b, "roap3")
+        assert report.termination == "converged"
+        assert cycles == [(False, "orthogonality"), (True, "divergence")]
 
     @pytest.mark.parametrize("variant", ["roap2", "roap3"])
     def test_error_norms_decrease_at_restart_boundaries(self, variant):
