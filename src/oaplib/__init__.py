@@ -10,18 +10,16 @@ Library layout:
 * :mod:`oaplib.problems`   - benchmark problem generators
 * :mod:`oaplib.cli`        - ``oap`` command line
 
-The CSR kernels run on a compiled extension when available; set
-``OAPLIB_BACKEND=python`` to force the NumPy fallback (see
-:func:`backend_name`).
+``CsrMatrix`` computes ``A v`` and ``A' u`` with NumPy alone;
+:func:`backend_name` names that implementation for benchmark records.
 """
 
-from ._backend import backend_name
 from .ap import ApState, BlockPartition, ap_init, ap_solve, ap_sweep, project_onto
 from .errors import (DegenerateSeed, DimensionMismatch, EmptySubspace,
                      MatrixMarketError, NonFiniteVector, NumericalOverflow,
                      OapError)
-from .linalg import (CsrMatrix, DenseMatrix, LinearOperator, as_vector, dot,
-                     norm2)
+from .linalg import (CsrMatrix, DenseMatrix, LinearOperator, as_vector,
+                     backend_name, dot, norm2)
 from .mmio import read_matrix_market, write_matrix_market
 from .problems import (GeneratedProblem, ProblemSpec, gen_convdiff2d,
                        gen_poisson_lshape, gen_random_dense,

@@ -7,8 +7,12 @@ marked read-only so concurrent read access is safe.  All arithmetic is
 
 import numpy as np
 
-from . import _backend
 from .errors import DimensionMismatch, NonFiniteVector
+
+
+def backend_name():
+    """Name of the CSR kernel implementation; the only one is NumPy."""
+    return "python"
 
 
 def as_vector(x, name="vector"):
@@ -167,14 +171,19 @@ class CsrMatrix(LinearOperator):
         return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
 
     def apply(self, v):
+        # np.bincount keeps the per-row sums in C; the row ids cost nnz ints
         v = self._check_apply(v, self.ncols, "apply")
-        return _backend.csr_matvec(self.row_offsets, self.col_indices,
-                                   self.values, v)
+        rows = np.repeat(np.arange(self.nrows, dtype=np.int64),
+                         np.diff(self.row_offsets))
+        return np.bincount(rows, weights=self.values * v[self.col_indices],
+                           minlength=self.nrows)
 
     def apply_transpose(self, u):
+        # row scatter: no transpose is materialized
         u = self._check_apply(u, self.nrows, "apply_transpose")
-        return _backend.csr_matvec_transpose(self.row_offsets, self.col_indices,
-                                             self.values, u, self.ncols)
+        scaled = self.values * np.repeat(u, np.diff(self.row_offsets))
+        return np.bincount(self.col_indices, weights=scaled,
+                           minlength=self.ncols)
 
     def row(self, i):
         out = np.zeros(self.ncols)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch,
-                    NonFiniteVector, as_vector, dot, gen_tridiag_unsym,
-                    norm2)
+                    NonFiniteVector, as_vector, backend_name, dot,
+                    gen_tridiag_unsym, norm2)
 
 from conftest import random_sparse
 
@@ -23,6 +23,20 @@ class TestApply:
     def test_dense_column_readoff(self):
         A = DenseMatrix([[1.0, 1.0], [0.0, 1.0]])
         np.testing.assert_array_equal(A.apply([1.0, 0.0]), [1.0, 0.0])
+
+    def test_empty_rows_and_columns(self):
+        # row 1 empty; column 0 never referenced by the transpose scatter
+        A = CsrMatrix(3, 3, [0, 1, 1, 2], [1, 2], [4.0, 9.0])
+        x = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(A.apply(x), [8.0, 0.0, 27.0])
+        np.testing.assert_array_equal(A.apply_transpose(x), [0.0, 4.0, 27.0])
+        # 4x5: the trailing row and column are empty, so both outputs
+        # get their full length only from the kernels' minlength
+        A = CsrMatrix(4, 5, [0, 2, 2, 4, 4], [0, 2, 1, 3], [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(A.apply([1.0, 2.0, 3.0, 4.0, 5.0]),
+                                      [7.0, 0.0, 22.0, 0.0])
+        np.testing.assert_array_equal(A.apply_transpose([1.0, 2.0, 3.0, 4.0]),
+                                      [1.0, 9.0, 2.0, 12.0, 0.0])
 
     def test_dimension_mismatch(self):
         A = CsrMatrix.identity(3)
@@ -148,3 +162,7 @@ class TestRepresentationEquivalence:
         for i in (0, 4, 8):
             np.testing.assert_array_equal(A.row(i), D[i])
         np.testing.assert_array_equal(A.rows_dense(2, 5), D[2:5])
+
+
+def test_implementation_name_is_python():
+    assert backend_name() == "python"
