@@ -14,7 +14,8 @@ Library layout:
 :func:`backend_name` names that implementation for benchmark records.
 """
 
-from .ap import ApState, BlockPartition, ap_init, ap_solve, ap_sweep, project_onto
+from .ap import (ApBlock, ApState, BlockPartition, ap_factor, ap_init,
+                 ap_solve, ap_sweep, project_onto)
 from .errors import (DegenerateSeed, DimensionMismatch, EmptySubspace,
                      MatrixMarketError, NonFiniteVector, NumericalOverflow,
                      OapError)
@@ -35,12 +36,13 @@ from .solvers import (CycleResult, SolveOptions, SolveReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApState", "BlockPartition", "CsrMatrix", "CycleResult", "DenseMatrix",
-    "DegenerateSeed", "DimensionMismatch", "EmptySubspace",
+    "ApBlock", "ApState", "BlockPartition", "CsrMatrix", "CycleResult",
+    "DenseMatrix", "DegenerateSeed", "DimensionMismatch", "EmptySubspace",
     "GeneratedProblem", "KrylovState", "LinearOperator", "MatrixMarketError",
     "NonFiniteVector", "NumericalOverflow", "OapError", "ProblemSpec",
     "RecurrenceCoefficients", "SolveOptions", "SolveReport",
-    "StepOutcome", "advance", "ap_init", "ap_solve", "ap_sweep", "as_vector",
+    "StepOutcome", "advance", "ap_factor", "ap_init", "ap_solve", "ap_sweep",
+    "as_vector",
     "backend_name", "bidiag_step", "bidiagonalize", "c_update_bidiag",
     "c_update_tridiag", "dot", "gen_convdiff2d", "gen_poisson_lshape",
     "gen_random_dense", "gen_tridiag_unsym", "init_from_row",

@@ -3,15 +3,18 @@
 Splits the rows of A into contiguous blocks and repeatedly projects
 the unknown solution onto the subspace spanned by the previous
 projection and one block of rows, using only inner products that are
-computable from the right-hand side.  QR is the projection backbone;
-rank-deficient columns are filtered before solving.
+computable from the right-hand side.  Each block is factored once per
+solve: a rank-filtered thin QR Q_B R_B = A_B' fixes z_B = Q_B'x =
+R_B^-T b_B.  A block step is then two GEMVs (q = Q_B'p and Q_B q) and a
+rank-one update along p_perp = p - Q_B q, whose inner product with x is
+c - q'z_B.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeed, EmptySubspace
+from .errors import DegenerateSeed, DimensionMismatch, EmptySubspace
 from .linalg import as_vector, dot, norm2
 from .reductions import TAU_BREAK_DEFAULT
 from .solvers import SolveReport
@@ -72,6 +75,27 @@ def ap_init(A, b, break_tol=TAU_BREAK_DEFAULT):
     return ApState(alpha * atb, alpha * dot(b, b))
 
 
+def _filtered_qr(W, l, drop_at, lstsq):
+    """Thin QR of W and y = R^-T l, so that Q y projects x when l = W'x.
+
+    With ``lstsq`` the subspace (generically) fills the whole space and
+    R may be trapezoidal; l = W'x keeps the system consistent, so a
+    least-squares solve recovers Q'x.  Otherwise, while some R diagonal
+    is at or below ``drop_at``, the QR is redone without those columns
+    and their l entries; Q may end with no columns.
+    """
+    if lstsq:
+        Q, R = np.linalg.qr(W)
+        return Q, np.linalg.lstsq(R.T, l, rcond=None)[0]
+    while True:
+        Q, R = np.linalg.qr(W)
+        keep = np.abs(np.diag(R)) > drop_at
+        if keep.all():
+            return Q, np.linalg.solve(R.T, l)
+        W = W[:, keep]
+        l = l[keep]
+
+
 def project_onto(w_columns, l, rank_tol=RANK_TOL):
     """Orthogonal projection of the unknown x onto ran(W) from l = W'x.
 
@@ -87,38 +111,72 @@ def project_onto(w_columns, l, rank_tol=RANK_TOL):
     l = np.asarray(l, dtype=np.float64).ravel()
     if W.shape[1] != len(l):
         raise ValueError(f"W has {W.shape[1]} columns but l has {len(l)} entries")
-    drop_at = rank_tol * float(np.linalg.norm(W))
-
-    if W.shape[1] > W.shape[0]:
-        # more columns than rows: the subspace (generically) fills the
-        # whole space and R is trapezoidal; l = W'x keeps the system
-        # consistent, so a least-squares solve recovers Q'x
-        Q, R = np.linalg.qr(W)
-        y = np.linalg.lstsq(R.T, l, rcond=None)[0]
-        return Q @ y, float(np.dot(y, y))
-
-    while True:
-        if W.shape[1] == 0:
-            raise EmptySubspace("rank filtering removed every column")
-        Q, R = np.linalg.qr(W)
-        diag = np.abs(np.diag(R))
-        keep = diag > drop_at
-        if keep.all():
-            break
-        W = W[:, keep]
-        l = l[keep]
-    y = np.linalg.solve(R.T, l)
+    Q, y = _filtered_qr(W, l, rank_tol * float(np.linalg.norm(W)),
+                        lstsq=W.shape[1] > W.shape[0])
+    if Q.shape[1] == 0:
+        raise EmptySubspace("rank filtering removed every column")
     return Q @ y, float(np.dot(y, y))
 
 
-def ap_sweep(A, b, partition, state):
-    """One pass over all blocks, threading the projection through."""
+@dataclass
+class ApBlock:
+    """One row block, factored for every sweep of a solve.
+
+    ``Q`` is an orthonormal basis of ran(A_B') left by rank filtering,
+    ``z = Q'x``, ``u = Q z`` the projection of x onto ran(A_B'),
+    ``zz = ||z||^2`` and ``fro2 = ||A_B||_F^2``.
+    """
+
+    Q: np.ndarray
+    z: np.ndarray
+    u: np.ndarray
+    zz: float
+    fro2: float
+
+
+def ap_factor(A, b, partition):
+    """Factor each block of ``partition`` once.
+
+    Rows are dropped, or a least-squares solve taken, as
+    :func:`project_onto` would for W = [p, A_B']: the latter when the
+    block has at least as many rows as A has columns.  Raises
+    DimensionMismatch unless the partition ends at row ``A.nrows`` and
+    b has ``A.nrows`` entries.
+    """
     b = np.asarray(b, dtype=np.float64)
-    p, c = state.p, state.c
+    if partition.bounds[-1] != A.nrows or len(b) != A.nrows:
+        raise DimensionMismatch(
+            f"partition covers {partition.bounds[-1]} rows and b has "
+            f"{len(b)} entries, but A has {A.nrows} rows"
+        )
+    blocks = []
     for start, stop in partition.blocks():
-        W = np.column_stack([p, A.rows_dense(start, stop).T])
-        l = np.concatenate(([c], b[start:stop]))
-        p, c = project_onto(W, l)
+        W = A.rows_dense(start, stop).T
+        fro = float(np.linalg.norm(W))
+        Q, z = _filtered_qr(W, b[start:stop], RANK_TOL * fro,
+                            lstsq=stop - start >= A.ncols)
+        blocks.append(ApBlock(Q, z, Q @ z, float(np.dot(z, z)), fro * fro))
+    return blocks
+
+
+def ap_sweep(blocks, state):
+    """One pass over the factored blocks, threading the projection through.
+
+    Each step projects x onto span{p} + ran(A_B') = ran(Q) + span{p_perp}.
+    p_perp is dropped when its norm is at most RANK_TOL times the
+    Frobenius norm of [p, A_B'], the drop rule of :func:`project_onto`.
+    """
+    p, c = state.p, state.c
+    for blk in blocks:
+        q = blk.Q.T @ p
+        perp = p - blk.Q @ q
+        perp2 = float(np.dot(perp, perp))
+        if perp2 > RANK_TOL ** 2 * (float(np.dot(p, p)) + blk.fro2):
+            t = (c - float(np.dot(q, blk.z))) / perp2
+            p = blk.u + t * perp
+            c = blk.zz + t * t * perp2
+        else:
+            p, c = blk.u.copy(), blk.zz  # later sweeps reuse blk.u
     return ApState(p, c)
 
 
@@ -131,6 +189,7 @@ def ap_solve(A, b, partition=None, tol=1e-6, max_sweeps=1000):
     b = as_vector(b, "b")
     if partition is None:
         partition = BlockPartition.equal_blocks(A.nrows, 1)
+    blocks = ap_factor(A, b, partition)
     report = SolveReport()
     bnorm = norm2(b)
     if bnorm == 0.0:
@@ -142,7 +201,7 @@ def ap_solve(A, b, partition=None, tol=1e-6, max_sweeps=1000):
     relres = 1.0
     report.residual_history.append(relres)
     while relres > tol and report.restarts < max_sweeps:
-        state = ap_sweep(A, b, partition, state)
+        state = ap_sweep(blocks, state)
         relres = norm2(b - A.apply(state.p)) / bnorm
         report.restarts += 1
         report.inner_iterations.append(partition.nblocks)

@@ -192,10 +192,13 @@ class CsrMatrix(LinearOperator):
         return out
 
     def rows_dense(self, start, stop):
+        # one scatter; rows hold no duplicate columns, so no entry is summed
+        offsets = self.row_offsets[start:stop + 1]
+        rows = np.repeat(np.arange(stop - start, dtype=np.int64),
+                         np.diff(offsets))
         out = np.zeros((stop - start, self.ncols))
-        for k, i in enumerate(range(start, stop)):
-            lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-            out[k, self.col_indices[lo:hi]] = self.values[lo:hi]
+        lo, hi = offsets[0], offsets[-1]
+        out[rows, self.col_indices[lo:hi]] = self.values[lo:hi]
         return out
 
     def to_dense(self):

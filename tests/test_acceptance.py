@@ -25,8 +25,8 @@ import numpy as np
 import pytest
 
 import oaplib.solvers
-from oaplib import (DenseMatrix, SolveOptions, bidiagonalize, ap_init,
-                    ap_sweep, BlockPartition, dot, gen_convdiff2d,
+from oaplib import (DenseMatrix, SolveOptions, bidiagonalize, ap_factor,
+                    ap_init, ap_sweep, BlockPartition, dot, gen_convdiff2d,
                     gen_poisson_lshape, gen_random_dense, gen_tridiag_unsym,
                     init_from_vector, norm2, project_onto, roap_solve,
                     tridiagonalize)
@@ -374,8 +374,8 @@ def test_acceptance_10_accumulated_projection_baseline():
             if abs(c_new - dot(x_true, p_new)) > slack:
                 failures.append((trial, "consistency", start))
             p, c = p_new, c_new
-        one_block = ap_sweep(A, b, BlockPartition.equal_blocks(n, 1),
-                             ap_init(A, b))
+        one_block = ap_sweep(
+            ap_factor(A, b, BlockPartition.equal_blocks(n, 1)), ap_init(A, b))
         if norm2(one_block.p - x_true) > 1e-10 * norm2(x_true):
             failures.append((trial, "single-block-recovery"))
     check(10, "block projection baseline invariants", failures)

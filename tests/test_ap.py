@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oaplib import (BlockPartition, CsrMatrix, DegenerateSeed, DenseMatrix,
-                    EmptySubspace, ap_init, ap_solve, ap_sweep,
-                    gen_convdiff2d, norm2, project_onto)
+                    DimensionMismatch, EmptySubspace, ap_factor, ap_init,
+                    ap_solve, ap_sweep, gen_convdiff2d, norm2, project_onto)
 
 from conftest import constructed_problem, oracle_projection
 
@@ -81,22 +81,24 @@ class TestProjectOnto:
 class TestApSweep:
     def test_single_block_solves_exactly(self, rng):
         A, b, x_true = constructed_problem(rng, 6)
-        state = ap_sweep(A, b, BlockPartition.equal_blocks(6, 1), ap_init(A, b))
+        blocks = ap_factor(A, b, BlockPartition.equal_blocks(6, 1))
+        state = ap_sweep(blocks, ap_init(A, b))
         assert norm2(state.p - x_true) <= 1e-10 * norm2(x_true)
 
     def test_identity_exact_after_first_sweep(self, rng):
         A = CsrMatrix.identity(6)
         x_true = rng.standard_normal(6)
         for k in (1, 2, 3):
-            state = ap_sweep(A, x_true, BlockPartition.equal_blocks(6, k),
-                             ap_init(A, x_true))
+            blocks = ap_factor(A, x_true, BlockPartition.equal_blocks(6, k))
+            state = ap_sweep(blocks, ap_init(A, x_true))
             assert norm2(state.p - x_true) <= 1e-12 * norm2(x_true)
 
     def test_two_blocks_strictly_reduce_error(self, rng):
         A, b, x_true = constructed_problem(rng, 4)
         state = ap_init(A, b)
         before = norm2(x_true - state.p)
-        state = ap_sweep(A, b, BlockPartition.equal_blocks(4, 2), state)
+        state = ap_sweep(ap_factor(A, b, BlockPartition.equal_blocks(4, 2)),
+                         state)
         assert norm2(x_true - state.p) < before
 
     def test_projection_growth_and_consistency_within_sweep(self, rng):
@@ -115,8 +117,37 @@ class TestApSweep:
             slack = 1e-10 * norm2(x_true) * max(norm2(p_new), 1.0)
             assert abs(c_new - np.dot(x_true, p_new)) <= slack
             p, c = p_new, c_new
-        final = ap_sweep(A, b, partition, state)
+        final = ap_sweep(ap_factor(A, b, partition), state)
         np.testing.assert_allclose(final.p, p, rtol=1e-13, atol=1e-13)
+
+    def test_rank_deficient_block_matches_project_onto_replay(self, rng):
+        M = rng.standard_normal((8, 8))
+        M[2] = M[0]  # repeated row inside block [0, 4); b stays consistent
+        A = DenseMatrix(M)
+        b = A.apply(rng.standard_normal(8))
+        partition = BlockPartition.equal_blocks(8, 2)
+        blocks = ap_factor(A, b, partition)
+        assert [blk.Q.shape[1] for blk in blocks] == [3, 4]
+        state = ap_init(A, b)
+        p, c = state.p, state.c
+        for start, stop in partition.blocks():
+            W = np.column_stack([p, A.rows_dense(start, stop).T])
+            p, c = project_onto(W, np.concatenate(([c], b[start:stop])))
+        swept = ap_sweep(blocks, state)
+        assert norm2(swept.p - p) <= 1e-12 * norm2(p)
+        assert swept.c == pytest.approx(c, rel=1e-12)
+
+    def test_perp_dropped_when_p_lies_in_block_row_space(self, rng):
+        # one block of an underdetermined system: the seed alpha A'b is
+        # already in ran(A'), so the step keeps only the block projection
+        A = DenseMatrix(rng.standard_normal((4, 7)))
+        b = rng.standard_normal(4)
+        (blk,) = ap_factor(A, b, BlockPartition.equal_blocks(4, 1))
+        state = ap_sweep([blk], ap_init(A, b))
+        np.testing.assert_array_equal(state.p, blk.u)
+        assert state.c == blk.zz
+        x_min = np.linalg.pinv(A.to_dense()) @ b
+        assert norm2(state.p - x_min) <= 1e-12 * norm2(x_min)
 
 
 class TestApSolve:
@@ -148,6 +179,28 @@ class TestApSolve:
                              tol=1e-6, max_sweeps=5000)
         assert report.termination == "converged"
         assert norm2(problem.b - problem.A.apply(x)) <= 1e-6 * norm2(problem.b)
+
+    def test_factors_each_block_once(self, monkeypatch):
+        problem = gen_convdiff2d(9, 10)
+        calls = []
+        rows_dense = CsrMatrix.rows_dense
+
+        def spy(self, start, stop):
+            calls.append((start, stop))
+            return rows_dense(self, start, stop)
+
+        monkeypatch.setattr(CsrMatrix, "rows_dense", spy)
+        partition = BlockPartition.equal_blocks(90, 4)
+        x, report = ap_solve(problem.A, problem.b, partition)
+        assert report.restarts > 1
+        assert calls == list(partition.blocks())
+
+    @pytest.mark.parametrize("bounds", [[0, 30, 60], [0, 60, 100]],
+                             ids=["short", "long"])
+    def test_partition_must_cover_rows(self, bounds):
+        problem = gen_convdiff2d(9, 10)
+        with pytest.raises(DimensionMismatch):
+            ap_solve(problem.A, problem.b, BlockPartition(bounds))
 
 
 class TestBlockPartition:

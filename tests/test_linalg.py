@@ -163,6 +163,15 @@ class TestRepresentationEquivalence:
             np.testing.assert_array_equal(A.row(i), D[i])
         np.testing.assert_array_equal(A.rows_dense(2, 5), D[2:5])
 
+    def test_rows_dense_matches_row_loop(self):
+        # 6x4 with empty rows 0, 3 and 5
+        A = CsrMatrix(6, 4, [0, 0, 2, 3, 3, 5, 5], [0, 3, 1, 2, 3],
+                      [1.0, -2.0, 3.0, 4.0, 5.0])
+        for start in range(6):
+            for stop in range(start + 1, 7):
+                want = np.stack([A.row(i) for i in range(start, stop)])
+                np.testing.assert_array_equal(A.rows_dense(start, stop), want)
+
 
 def test_implementation_name_is_python():
     assert backend_name() == "python"
