@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateSeed, DimensionMismatch, EmptySubspace
 from .linalg import as_vector, dot, norm2
-from .reductions import TAU_BREAK_DEFAULT
+from .reductions import breakdown_floor
 from .solvers import SolveReport
 
 RANK_TOL = 1e-12
@@ -61,7 +61,7 @@ class ApState:
     c: float
 
 
-def ap_init(A, b, break_tol=TAU_BREAK_DEFAULT):
+def ap_init(A, b):
     """Initial projection p = alpha A'b with alpha = ||b||^2/||A'b||^2.
 
     Then c = x'p = alpha b'(Ax) = alpha ||b||^2 without knowing x.
@@ -69,7 +69,7 @@ def ap_init(A, b, break_tol=TAU_BREAK_DEFAULT):
     b = as_vector(b, "b")
     atb = A.apply_transpose(b)
     nrm2_atb = dot(atb, atb)
-    if nrm2_atb <= (break_tol * A.frobenius_norm()) ** 2:
+    if nrm2_atb <= breakdown_floor(A) ** 2:
         raise DegenerateSeed("A'b is numerically zero")
     alpha = dot(b, b) / nrm2_atb
     return ApState(alpha * atb, alpha * dot(b, b))

@@ -57,7 +57,7 @@ def run_case(problem, solver, opts, blocks=2):
             termination = report.termination
         elif solver in ("oap2", "oap3"):
             # single projection cycle seeded from b
-            v1, c1 = init_from_vector(A, b, b, opts.break_tol)
+            v1, c1 = init_from_vector(A, b, b)
             if solver == "oap3":
                 result = oap_cycle_tridiag(A, b, v1, v1.copy(), c1, opts)
             else:
@@ -67,7 +67,8 @@ def run_case(problem, solver, opts, blocks=2):
                 termination = result.stop_cause  # no restarts to run out of
         elif solver == "ap":
             partition = BlockPartition.equal_blocks(A.nrows, blocks)
-            x, report = ap_solve(A, b, partition, tol=opts.tol, max_sweeps=5000)
+            sweeps = 5000 if opts.max_restarts is None else opts.max_restarts
+            x, report = ap_solve(A, b, partition, tol=opts.tol, max_sweeps=sweeps)
             restarts, inner = report.restarts, sum(report.inner_iterations)
             termination = report.termination
         else:
@@ -131,12 +132,10 @@ def _add_output_flags(p):
 
 
 def _emit(records, args):
-    text = emit_report(records, args.format, None)
     if args.out == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(emit_report(records, args.format))
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        emit_report(records, args.format, args.out)
 
 
 def _cmd_gen(args):

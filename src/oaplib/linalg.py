@@ -103,18 +103,16 @@ class CsrMatrix(LinearOperator):
 
     ``row_offsets`` has length nrows+1 with ``row_offsets[0] == 0``;
     within each row the column indices are strictly increasing (which
-    also rules out duplicates).
+    also rules out duplicates).  Construction checks all of this.
     """
 
-    def __init__(self, nrows, ncols, row_offsets, col_indices, values,
-                 validate=True):
+    def __init__(self, nrows, ncols, row_offsets, col_indices, values):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         self.row_offsets = _readonly(np.ascontiguousarray(row_offsets, dtype=np.int64))
         self.col_indices = _readonly(np.ascontiguousarray(col_indices, dtype=np.int64))
         self.values = _readonly(np.ascontiguousarray(values, dtype=np.float64))
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         off, cols, vals = self.row_offsets, self.col_indices, self.values

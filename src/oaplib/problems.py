@@ -157,11 +157,11 @@ def lshape_m_for(n_target):
         m += 1
 
 
-def gen_tridiag_unsym(n, solution_profile=PROFILE_EXP1):
+def gen_tridiag_unsym(n):
     """Tridiagonal bands (sub, main, super) = (-1, 2, -1.1).
 
-    The right-hand side is constructed from the sampled solution, so
-    the true solution is known.
+    The right-hand side is constructed from the ``exp1`` solution
+    profile, so the true solution is known.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -175,18 +175,19 @@ def gen_tridiag_unsym(n, solution_profile=PROFILE_EXP1):
             cols.append(i + 1); vals.append(-1.1)
         offsets.append(len(cols))
     A = CsrMatrix(n, n, np.array(offsets), np.array(cols), np.array(vals))
-    x_true = sample_solution(solution_profile, n)
+    x_true = sample_solution(PROFILE_EXP1, n)
     return GeneratedProblem(A, A.apply(x_true), x_true, f"tridiag-unsym-{n}",
                             "tridiag-unsym")
 
 
-def gen_random_dense(n, seed, solution_profile=PROFILE_EXP3):
-    """Dense n x n with i.i.d. uniform(0,1) entries from PCG64(seed)."""
+def gen_random_dense(n, seed):
+    """Dense n x n with i.i.d. uniform(0,1) entries from PCG64(seed);
+    the right-hand side is constructed from the ``exp3`` profile."""
     if n < 1:
         raise ValueError("need n >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     A = DenseMatrix(rng.random((n, n)))
-    x_true = sample_solution(solution_profile, n)
+    x_true = sample_solution(PROFILE_EXP3, n)
     return GeneratedProblem(A, A.apply(x_true), x_true,
                             f"random-dense-{n}-s{seed}", "random-dense")
 
@@ -204,7 +205,6 @@ class ProblemSpec:
     p2: float = 1.0
     p3: float = 0.0
     seed: int = 0
-    solution_profile: str = ""
     constructed: bool = False
 
     def generate(self):
@@ -214,9 +214,7 @@ class ProblemSpec:
         if self.family == "poisson-lshape":
             return gen_poisson_lshape(self.m)
         if self.family == "tridiag-unsym":
-            return gen_tridiag_unsym(
-                self.n, self.solution_profile or PROFILE_EXP1)
+            return gen_tridiag_unsym(self.n)
         if self.family == "random-dense":
-            return gen_random_dense(
-                self.n, self.seed, self.solution_profile or PROFILE_EXP3)
+            return gen_random_dense(self.n, self.seed)
         raise ValueError(f"unknown family {self.family!r}")

@@ -9,8 +9,8 @@ window:
 * ``bidiag_step`` - Golub-Kahan-style reduction with T upper bidiagonal;
   note the index offset: step k produces u_k (same index) and v_{k+1}.
 
-Near-zero recurrence norms are reported as breakdown (relative to the
-operator's Frobenius norm), never raised: callers restart or stop.  The
+A recurrence norm at or below :func:`breakdown_floor` is a breakdown,
+flagged per side and never raised: callers restart or stop.  The
 full-reduction drivers keep complete bases and support twice-repeated
 classical reorthogonalization; they exist for testing and analysis, the
 solvers use only the rolling window.
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NumericalOverflow
 from .linalg import as_vector, norm2
 
-TAU_BREAK_DEFAULT = 1e-13
+TAU_BREAK = 1e-13
 
 TRIDIAGONAL = "tridiagonal"
 BIDIAGONAL = "bidiagonal"
@@ -74,18 +74,26 @@ class KrylovState:
 
 @dataclass
 class StepOutcome:
-    """One step's products.  A broken side reports the zero vector as
-    its next basis vector; the scalar is the norm as computed, before
-    thresholding.  ``av`` is A v_k, exposed so callers can track
-    residuals of accumulated combinations without extra matvecs."""
+    """One step's products.  A side whose norm (u: gamma, or alpha when
+    bidiagonal; v: beta) is at most :func:`breakdown_floor` sets its
+    flag and reports the zero vector as its next basis vector; the
+    scalar is the norm as computed.  ``av`` is A v_k, exposed so callers
+    can track residuals of accumulated combinations without extra
+    matvecs."""
 
     next_v: np.ndarray
     next_u: np.ndarray
     alpha: float
     beta: float
     gamma: float
-    breakdown: str  # "none" | "u-side" | "v-side"
+    u_broken: bool
+    v_broken: bool
     av: np.ndarray = None
+
+
+def breakdown_floor(A):
+    """Norm at or below which a recurrence vector or seed is zero."""
+    return TAU_BREAK * A.frobenius_norm()
 
 
 def _check_unit(v, name):
@@ -108,15 +116,14 @@ def _reproject(w, basis):
     return w
 
 
-def tridiag_step(A, s, tau_break=TAU_BREAK_DEFAULT, _u_basis=None, _v_basis=None):
+def tridiag_step(A, s, _u_basis=None, _v_basis=None):
     """Advance the two-sided reduction by one step.
 
     Returns the new directions and scalars; see the module docstring
     for the recurrences.  ``_u_basis``/``_v_basis`` enable the drivers'
     reorthogonalized mode and are not part of the public contract.
     """
-    scale = A.frobenius_norm()
-    thresh = tau_break * scale
+    floor = breakdown_floor(A)
 
     av = A.apply(s.v_curr)
     alpha = _require_finite(float(np.dot(s.u_curr, av)), s.k, "alpha")
@@ -126,7 +133,7 @@ def tridiag_step(A, s, tau_break=TAU_BREAK_DEFAULT, _u_basis=None, _v_basis=None
     if _u_basis is not None:
         w = _reproject(w, _u_basis)
     gamma = _require_finite(norm2(w), s.k, "gamma")
-    u_broken = gamma <= thresh
+    u_broken = gamma <= floor
     next_u = np.zeros_like(w) if u_broken else w / gamma
 
     q = A.apply_transpose(s.u_curr) - alpha * s.v_curr
@@ -135,35 +142,33 @@ def tridiag_step(A, s, tau_break=TAU_BREAK_DEFAULT, _u_basis=None, _v_basis=None
     if _v_basis is not None:
         q = _reproject(q, _v_basis)
     beta = _require_finite(norm2(q), s.k, "beta")
-    v_broken = beta <= thresh
+    v_broken = beta <= floor
     next_v = np.zeros_like(q) if v_broken else q / beta
 
-    breakdown = "u-side" if u_broken else ("v-side" if v_broken else "none")
-    return StepOutcome(next_v, next_u, alpha, beta, gamma, breakdown, av)
+    return StepOutcome(next_v, next_u, alpha, beta, gamma, u_broken,
+                       v_broken, av)
 
 
-def bidiag_step(A, s, tau_break=TAU_BREAK_DEFAULT, _u_basis=None, _v_basis=None):
+def bidiag_step(A, s, _u_basis=None, _v_basis=None):
     """Advance the bidiagonal reduction by one step (produces u_k, v_{k+1})."""
-    scale = A.frobenius_norm()
-    thresh = tau_break * scale
+    floor = breakdown_floor(A)
 
     av = A.apply(s.v_curr)
     w = av if s.beta_prev == 0.0 else av - s.beta_prev * s.u_curr
     if _u_basis is not None:
         w = _reproject(w, _u_basis)
     alpha = _require_finite(norm2(w), s.k, "alpha")
-    u_broken = alpha <= thresh
+    u_broken = alpha <= floor
     u_k = np.zeros_like(w) if u_broken else w / alpha
 
     q = A.apply_transpose(u_k) - alpha * s.v_curr
     if _v_basis is not None:
         q = _reproject(q, _v_basis)
     beta = _require_finite(norm2(q), s.k, "beta")
-    v_broken = beta <= thresh
+    v_broken = beta <= floor
     next_v = np.zeros_like(q) if v_broken else q / beta
 
-    breakdown = "u-side" if u_broken else ("v-side" if v_broken else "none")
-    return StepOutcome(next_v, u_k, alpha, beta, 0.0, breakdown, av)
+    return StepOutcome(next_v, u_k, alpha, beta, 0.0, u_broken, v_broken, av)
 
 
 def advance(s, outcome):
@@ -173,9 +178,8 @@ def advance(s, outcome):
                        s.u_curr, outcome.next_u, outcome.beta, outcome.gamma)
 
 
-def _run_reduction(A, state, step_fn, steps, reorthogonalize, tau_break,
+def _run_reduction(A, state, step_fn, steps, reorthogonalize,
                    u_has_same_index):
-    thresh = tau_break * A.frobenius_norm()
     v_cols = [state.v_curr]
     u_cols = [] if u_has_same_index else [state.u_curr]
     alphas, betas, gammas = [], [], []
@@ -187,21 +191,18 @@ def _run_reduction(A, state, step_fn, steps, reorthogonalize, tau_break,
             if u_cols:
                 u_basis = np.column_stack(u_cols)
             v_basis = np.column_stack(v_cols)
-        out = step_fn(A, state, tau_break, _u_basis=u_basis, _v_basis=v_basis)
+        out = step_fn(A, state, _u_basis=u_basis, _v_basis=v_basis)
         alphas.append(out.alpha)
         gammas.append(out.gamma)
         betas.append(out.beta)
-        if out.breakdown != "none":
-            # keep whichever side the breaking step still produced
+        # a breaking step still contributes the side it produced
+        if not out.u_broken:
+            u_cols.append(out.next_u)
+        if not out.v_broken:
+            v_cols.append(out.next_v)
+        if out.u_broken or out.v_broken:
             breakdown_step = state.k
-            u_norm = out.alpha if u_has_same_index else out.gamma
-            if u_norm > thresh:
-                u_cols.append(out.next_u)
-            if out.beta > thresh:
-                v_cols.append(out.next_v)
             break
-        u_cols.append(out.next_u)
-        v_cols.append(out.next_v)
         state = advance(state, out)
 
     coeffs = RecurrenceCoefficients(
@@ -212,8 +213,7 @@ def _run_reduction(A, state, step_fn, steps, reorthogonalize, tau_break,
     return coeffs, V, U, breakdown_step
 
 
-def tridiagonalize(A, v1, u1, steps, reorthogonalize=False,
-                   tau_break=TAU_BREAK_DEFAULT):
+def tridiagonalize(A, v1, u1, steps, reorthogonalize=False):
     """Run up to ``steps`` two-sided reduction steps keeping full bases.
 
     Returns ``(coeffs, V, U, breakdown_step)``; ``breakdown_step`` is
@@ -223,12 +223,11 @@ def tridiagonalize(A, v1, u1, steps, reorthogonalize=False,
     """
     state = KrylovState.start(TRIDIAGONAL, v1, u1)
     return _run_reduction(A, state, tridiag_step, steps, reorthogonalize,
-                          tau_break, u_has_same_index=False)
+                          u_has_same_index=False)
 
 
-def bidiagonalize(A, v1, steps, reorthogonalize=False,
-                  tau_break=TAU_BREAK_DEFAULT):
+def bidiagonalize(A, v1, steps, reorthogonalize=False):
     """Bidiagonal counterpart of :func:`tridiagonalize` (no u1 needed)."""
     state = KrylovState.start(BIDIAGONAL, v1)
     return _run_reduction(A, state, bidiag_step, steps, reorthogonalize,
-                          tau_break, u_has_same_index=True)
+                          u_has_same_index=True)

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DegenerateSeed, NumericalOverflow
 from .linalg import as_vector, dot, norm2
-from .reductions import (BIDIAGONAL, TAU_BREAK_DEFAULT, TRIDIAGONAL,
-                         KrylovState, advance, bidiag_step, tridiag_step)
+from .reductions import (BIDIAGONAL, TRIDIAGONAL, KrylovState, advance,
+                         bidiag_step, breakdown_floor, tridiag_step)
 
 TOL_DEFAULT = 1e-6
 ORTH_TOL_DEFAULT = 1e-8
@@ -45,12 +45,11 @@ class SolveOptions:
     """Knobs shared by all solvers.
 
     ``max_restarts`` and ``max_inner`` default to n and n-1 at solve
-    time when left as None.
+    time when left as None.  Breakdown is ``reductions.breakdown_floor``.
     """
 
     tol: float = TOL_DEFAULT
     orth_tol: float = ORTH_TOL_DEFAULT
-    break_tol: float = TAU_BREAK_DEFAULT
     max_restarts: Optional[int] = None
     max_inner: Optional[int] = None
     rhs_mode: str = CYCLE_RESIDUAL
@@ -60,8 +59,6 @@ class SolveOptions:
             raise ValueError("tol must be positive")
         if not 0 < self.orth_tol < 1:
             raise ValueError("orth_tol must lie in (0, 1)")
-        if self.break_tol <= 0:
-            raise ValueError("break_tol must be positive")
         if self.max_inner is not None and self.max_inner < 1:
             raise ValueError("max_inner must be >= 1")
         if self.rhs_mode not in (CYCLE_RESIDUAL, ORIGINAL_B):
@@ -92,26 +89,32 @@ class CycleResult(NamedTuple):
     stop_cause: str
 
 
-def init_from_vector(A, rhs, w, break_tol=TAU_BREAK_DEFAULT):
+def _seed_norm(A, v, what):
+    """||v|| of a seed; raises NumericalOverflow if it is not finite and
+    DegenerateSeed if it is at most ``breakdown_floor(A)``."""
+    nrm = norm2(v)
+    if not np.isfinite(nrm):
+        raise NumericalOverflow(f"norm of {what} overflowed")
+    if nrm <= breakdown_floor(A):
+        raise DegenerateSeed(f"{what} is numerically zero")
+    return nrm
+
+
+def init_from_vector(A, rhs, w):
     """Seed from any direction w: v1 = A'w (normalized), c1 = t * rhs'w.
 
     If rhs = A x, then c1 equals x'v1 exactly in exact arithmetic.
     """
     w = as_vector(w, "w")
     atw = A.apply_transpose(w)
-    nrm = norm2(atw)
-    if nrm <= break_tol * A.frobenius_norm():
-        raise DegenerateSeed("A'w is numerically zero")
-    t = 1.0 / nrm
+    t = 1.0 / _seed_norm(A, atw, "A'w")
     return t * atw, t * dot(as_vector(rhs, "rhs"), w)
 
 
-def init_from_row(A, rhs, i, break_tol=TAU_BREAK_DEFAULT):
+def init_from_row(A, rhs, i):
     """Seed from row i of A: v1 = A_i'/||A_i||, c1 = rhs_i/||A_i||."""
     row = A.row(i)
-    nrm = norm2(row)
-    if nrm <= break_tol * A.frobenius_norm():
-        raise DegenerateSeed(f"row {i} is numerically zero")
+    nrm = _seed_norm(A, row, f"row {i}")
     rhs = as_vector(rhs, "rhs")
     return row / nrm, float(rhs[i]) / nrm
 
@@ -201,12 +204,11 @@ def _cycle(A, rhs, krylov, c1, opts):
     Starts from x_1 = c1 v1 and keeps extending while the new direction
     stays orthogonal to the running approximation and neither recurrence
     breaks down.  The engine (``krylov.mode``) picks the step, which u
-    enters b'u, the coefficient update and which norms mean breakdown.
-    Returns the accumulated partial solution.
+    enters b'u, the coefficient update and which broken side stops the
+    cycle before accepting the step.  Returns the partial solution.
     """
     opts = opts or SolveOptions()
     max_inner, _ = _resolved(opts, A.ncols)
-    thresh = opts.break_tol * A.frobenius_norm()
     two_sided = krylov.mode == TRIDIAGONAL
     step = tridiag_step if two_sided else bidiag_step
 
@@ -217,11 +219,11 @@ def _cycle(A, rhs, krylov, c1, opts):
     cause = "exhausted"
     for k in range(1, max_inner + 1):
         steps = k
-        out = step(A, krylov, opts.break_tol)
+        out = step(A, krylov)
         if guard.diverged(x, out.av):
             return CycleResult(guard.best_x, steps, "divergence")
         # no v_{k+1} (or, bidiagonal, no u_k): nothing left to accumulate
-        if out.beta <= thresh or (not two_sided and out.alpha <= thresh):
+        if out.v_broken or (not two_sided and out.u_broken):
             cause = "breakdown"
             break
         if two_sided:
@@ -239,7 +241,7 @@ def _cycle(A, rhs, krylov, c1, opts):
         x = x + c_next * out.next_v
         c_prev, c_curr = c_curr, c_next
         guard.accepted(c_next)
-        if two_sided and out.gamma <= thresh:  # u side exhausted; update stands
+        if out.u_broken:  # two-sided: u side exhausted; update stands
             cause = "breakdown"
             break
         krylov = advance(krylov, out)
@@ -297,7 +299,7 @@ def roap_solve(A, b, variant="roap2", opts=None):
             break
         try:
             rhs = r if opts.rhs_mode == CYCLE_RESIDUAL else b
-            v1, c1 = init_from_vector(A, rhs, r, opts.break_tol)
+            v1, c1 = init_from_vector(A, rhs, r)
         except DegenerateSeed:
             report.termination = "stagnation"  # singular operator surfaces here
             break

@@ -50,6 +50,14 @@ class TestRunCase:
         assert not rec.converged
         assert rec.relres == float("inf")
 
+    def test_seed_overflow_recorded(self):
+        from oaplib.problems import GeneratedProblem
+        A = gen_convdiff2d(4, 4).A
+        problem = GeneratedProblem(A, np.full(16, 1e160), None, "huge-rhs")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rec = run_case(problem, "roap2", SolveOptions())
+        assert rec.termination == "error: NumericalOverflow"
+
 
 class TestGen:
     def test_writes_matrix_market_files(self, tmp_path, capsys):
@@ -141,6 +149,15 @@ class TestSolve:
         rec = read_records_csv(capsys.readouterr().out)[0]
         assert rec.solver == "ap"
         assert rec.relres <= 1e-6
+
+    def test_ap_solver_honours_max_restarts(self, capsys):
+        # unbounded, this case takes 53 sweeps
+        code = main(["solve", "--family", "convdiff2d", "--nx", "9",
+                     "--ny", "10", "--solver", "ap", "--max-restarts", "3"])
+        rec = read_records_csv(capsys.readouterr().out)[0]
+        assert code == 2
+        assert rec.restarts == 3
+        assert rec.termination == "max-restarts"
 
 
 class TestBench:

@@ -22,7 +22,8 @@ class TestTridiagStep:
         out = tridiag_step(A, s)
         assert out.alpha == 1.0
         assert out.gamma == 0.0
-        assert out.breakdown == "u-side"
+        assert out.beta == 0.0
+        assert out.u_broken and out.v_broken
         assert not out.next_u.any()
 
     def test_swap_matrix_against_oracle(self):
@@ -48,7 +49,7 @@ class TestTridiagStep:
         s = KrylovState.start("tridiagonal", v1, v1.copy())
         for _ in range(9):
             out = tridiag_step(A, s)
-            if out.breakdown != "none":
+            if out.u_broken or out.v_broken:
                 break
             assert np.linalg.norm(out.next_u - out.next_v) <= 1e-10
             assert out.gamma == pytest.approx(out.beta, rel=1e-12)
@@ -62,7 +63,7 @@ class TestTridiagStep:
             with pytest.raises(NumericalOverflow) as err:
                 for _ in range(3):
                     out = tridiag_step(A, s)
-                    if out.breakdown != "none":
+                    if out.u_broken or out.v_broken:
                         break
                     s = advance(s, out)
         assert err.value.step is not None
@@ -76,7 +77,7 @@ class TestBidiagStep:
         assert out.alpha == 1.0
         np.testing.assert_array_equal(out.next_u, e(0, 2))
         assert out.beta == 0.0
-        assert out.breakdown == "v-side"
+        assert out.v_broken and not out.u_broken
 
     def test_upper_triangular_example_against_oracle(self):
         A = DenseMatrix([[1.0, 1.0], [0.0, 1.0]])
@@ -99,7 +100,7 @@ class TestBidiagStep:
         U, V = [], [v1]
         for _ in range(6):
             out = bidiag_step(A, s)
-            assert out.breakdown == "none"
+            assert not (out.u_broken or out.v_broken)
             U.append(out.next_u)
             V.append(out.next_v)
             s = advance(s, out)
@@ -220,7 +221,7 @@ class TestRecurrenceInvariants:
         s = KrylovState.start("tridiagonal", v1, u1)
         for _ in range(20):
             out = tridiag_step(A, s)
-            if out.breakdown != "none":
+            if out.u_broken or out.v_broken:
                 break
             resid = (A.apply(s.v_curr) - out.gamma * out.next_u
                      - out.alpha * s.u_curr - s.beta_prev * s.u_prev)
@@ -236,7 +237,7 @@ class TestRecurrenceInvariants:
         s = KrylovState.start("bidiagonal", v1)
         for _ in range(20):
             out = bidiag_step(A, s)
-            if out.breakdown != "none":
+            if out.u_broken or out.v_broken:
                 break
             resid = (A.apply(s.v_curr) - out.alpha * out.next_u
                      - s.beta_prev * s.u_curr)

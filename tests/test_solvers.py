@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import oaplib.solvers as solvers_mod
-from oaplib import (CsrMatrix, DegenerateSeed, DenseMatrix, SolveOptions,
+from oaplib import (CsrMatrix, DegenerateSeed, DenseMatrix,
+                    NumericalOverflow, SolveOptions,
                     c_update_bidiag, c_update_tridiag, gen_convdiff2d,
                     gen_poisson_lshape, gen_random_dense, gen_tridiag_unsym,
                     init_from_row, init_from_vector, norm2, oap_cycle_bidiag,
@@ -43,6 +44,14 @@ class TestInitFromVector:
         with pytest.raises(DegenerateSeed):
             init_from_vector(A, np.ones(2), np.array([0.0, 1.0]))
 
+    def test_overflowing_seed_raises_numerical_overflow(self):
+        # ||A'w|| overflows; dividing by it would give v1 = 0, c1 = nan
+        A = gen_convdiff2d(4, 4).A
+        b = np.full(16, 1e160)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericalOverflow):
+                init_from_vector(A, b, b)
+
 
 class TestInitFromRow:
     def test_diagonal(self):
@@ -61,6 +70,13 @@ class TestInitFromRow:
         A = CsrMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(DegenerateSeed):
             init_from_row(A, np.ones(2), 1)
+
+    def test_overflowing_row_raises_numerical_overflow(self):
+        # finite entries, infinite norm: not a numerically zero row
+        A = DenseMatrix([[1e160, 1e160]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericalOverflow):
+                init_from_row(A, np.ones(1), 0)
 
     def test_seed_consistency_random(self, rng):
         A, b, x_true = constructed_problem(rng, 9)
