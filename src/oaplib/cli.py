@@ -154,17 +154,23 @@ def _cmd_gen(args):
     return 0
 
 
+def _read_vector(path, length):
+    v = mmio.read_matrix_market(path)
+    if isinstance(v, LinearOperator) or len(v) != length:
+        raise OapError(f"{path} does not hold a vector of length {length}")
+    return v
+
+
 def _cmd_solve(args):
     if args.matrix is not None:
+        if args.rhs is None:
+            raise OapError("solve --matrix needs --rhs")
         A = mmio.read_matrix_market(args.matrix)
         if not isinstance(A, LinearOperator):
             raise OapError(f"{args.matrix} does not hold a matrix")
-        b = mmio.read_matrix_market(args.rhs)
-        if isinstance(b, LinearOperator):
-            raise OapError(f"{args.rhs} does not hold a vector")
-        x_true = None
-        if args.truth is not None:
-            x_true = mmio.read_matrix_market(args.truth)
+        b = _read_vector(args.rhs, A.nrows)
+        x_true = (None if args.truth is None
+                  else _read_vector(args.truth, A.ncols))
         label = args.matrix.rsplit("/", 1)[-1].removesuffix(".mtx")
         problem = GeneratedProblem(A, b, x_true, label)
     elif args.family is not None:

@@ -67,26 +67,28 @@ class LinearOperator:
     def apply_transpose(self, u):
         raise NotImplementedError
 
-    def row(self, i):
-        """Row ``i`` densified to a length-``ncols`` vector."""
-        raise NotImplementedError
-
     def rows_dense(self, start, stop):
         """Rows ``start:stop`` as a dense (stop-start) x ncols array."""
         raise NotImplementedError
 
+    def row(self, i):
+        """Row ``i`` densified to a length-``ncols`` vector."""
+        return self.rows_dense(i, i + 1)[0]
+
     def to_dense(self):
-        raise NotImplementedError
+        """The whole operator as a dense nrows x ncols array."""
+        return self.rows_dense(0, self.nrows)
 
     def frobenius_norm(self):
         """Frobenius norm, computed once and cached (breakdown scale)."""
         cached = getattr(self, "_fro", None)
         if cached is None:
-            cached = self._fro = float(np.linalg.norm(self._value_array()))
+            cached = self._fro = float(np.linalg.norm(self.values))
         return cached
 
-    def _value_array(self):
-        raise NotImplementedError
+    def _check_rows(self, start, stop):
+        if not 0 <= start <= stop <= self.nrows:
+            raise IndexError(f"rows {start}:{stop} not within 0:{self.nrows}")
 
     def _check_apply(self, v, length, name):
         v = np.ascontiguousarray(v, dtype=np.float64)
@@ -183,14 +185,9 @@ class CsrMatrix(LinearOperator):
         return np.bincount(self.col_indices, weights=scaled,
                            minlength=self.ncols)
 
-    def row(self, i):
-        out = np.zeros(self.ncols)
-        lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-        out[self.col_indices[lo:hi]] = self.values[lo:hi]
-        return out
-
     def rows_dense(self, start, stop):
         # one scatter; rows hold no duplicate columns, so no entry is summed
+        self._check_rows(start, stop)
         offsets = self.row_offsets[start:stop + 1]
         rows = np.repeat(np.arange(stop - start, dtype=np.int64),
                          np.diff(offsets))
@@ -198,12 +195,6 @@ class CsrMatrix(LinearOperator):
         lo, hi = offsets[0], offsets[-1]
         out[rows, self.col_indices[lo:hi]] = self.values[lo:hi]
         return out
-
-    def to_dense(self):
-        return self.rows_dense(0, self.nrows)
-
-    def _value_array(self):
-        return self.values
 
     def __repr__(self):
         return f"CsrMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -229,17 +220,9 @@ class DenseMatrix(LinearOperator):
         u = self._check_apply(u, self.nrows, "apply_transpose")
         return self.values.T @ u
 
-    def row(self, i):
-        return self.values[i].copy()
-
     def rows_dense(self, start, stop):
+        self._check_rows(start, stop)
         return self.values[start:stop].copy()
-
-    def to_dense(self):
-        return self.values.copy()
-
-    def _value_array(self):
-        return self.values
 
     def __repr__(self):
         return f"DenseMatrix({self.nrows}x{self.ncols})"

@@ -15,10 +15,6 @@ from .linalg import CsrMatrix, DenseMatrix, as_vector
 _BANNER = "%%MatrixMarket"
 
 
-def _fmt(x):
-    return format(x, ".17g")
-
-
 def write_matrix_market(path, payload):
     """Write a CsrMatrix, DenseMatrix, or 1-D vector to ``path``."""
     if isinstance(payload, CsrMatrix):
@@ -34,23 +30,19 @@ def _write_coordinate(path, m):
     with open(path, "w") as fh:
         fh.write(f"{_BANNER} matrix coordinate real general\n")
         fh.write(f"{m.nrows} {m.ncols} {m.nnz}\n")
-        for i in range(m.nrows):
-            lo, hi = m.row_offsets[i], m.row_offsets[i + 1]
-            for j in range(lo, hi):
-                fh.write(f"{i + 1} {m.col_indices[j] + 1} {_fmt(m.values[j])}\n")
+        rows = np.repeat(np.arange(1, m.nrows + 1), np.diff(m.row_offsets))
+        fh.writelines(f"{i} {j} {v:.17g}\n" for i, j, v in zip(
+            rows.tolist(), (m.col_indices + 1).tolist(), m.values.tolist()))
 
 
 def _write_array(path, values):
     if not np.all(np.isfinite(values)):
         raise NonFiniteVector("refusing to write non-finite values")
-    nrows, ncols = values.shape
     with open(path, "w") as fh:
         fh.write(f"{_BANNER} matrix array real general\n")
-        fh.write(f"{nrows} {ncols}\n")
+        fh.write(f"{values.shape[0]} {values.shape[1]}\n")
         # array format is column-major
-        for j in range(ncols):
-            for i in range(nrows):
-                fh.write(f"{_fmt(values[i, j])}\n")
+        fh.writelines(f"{v:.17g}\n" for v in values.T.ravel().tolist())
 
 
 def read_matrix_market(path):

@@ -9,7 +9,9 @@
 * ``random-dense``   - uniform(0,1) entries from a seeded PCG64 stream,
   right-hand side built from a known solution.
 
-All generators are pure functions of their parameters.
+The three stencil families share one whole-array assembler,
+``_stencil_matrix``.  All generators are pure functions of their
+parameters.
 """
 
 from dataclasses import dataclass
@@ -57,6 +59,25 @@ def sample_solution(profile, n):
     raise ValueError(f"unknown profile {profile!r}")
 
 
+def _stencil_matrix(index, stencil):
+    """CSR matrix of a constant stencil on a grid of node numbers.
+
+    ``index[j, i]`` numbers node (i, j) row-major, -1 off the domain.
+    ``stencil`` lists ``((di, dj), value)``, coupling node (i, j) to
+    (i + di, j + dj), in increasing order of the neighbour's number (the
+    CSR validation checks it); neighbours off the domain are dropped.
+    """
+    ny, nx = index.shape
+    padded = np.pad(index, 1, constant_values=-1)
+    nodes = index >= 0
+    nbrs = np.stack([padded[1 + dj:1 + dj + ny, 1 + di:1 + di + nx][nodes]
+                     for (di, dj), _ in stencil], axis=1)
+    present = nbrs >= 0
+    vals = np.broadcast_to([v for _, v in stencil], nbrs.shape)[present]
+    offsets = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
+    return CsrMatrix(len(nbrs), len(nbrs), offsets, nbrs[present], vals)
+
+
 def gen_convdiff2d(nx, ny, p1=1.0, p2=1.0, p3=0.0, constructed=False):
     """Convection-diffusion operator on an nx-by-ny interior grid.
 
@@ -75,39 +96,14 @@ def gen_convdiff2d(nx, ny, p1=1.0, p2=1.0, p3=0.0, constructed=False):
     south = -1.0 / hy**2 - p2 / (2 * hy)
 
     n = nx * ny
-    offsets = [0]
-    cols, vals = [], []
-    for j in range(ny):
-        for i in range(nx):
-            k = j * nx + i
-            if j > 0:
-                cols.append(k - nx); vals.append(south)
-            if i > 0:
-                cols.append(k - 1); vals.append(west)
-            cols.append(k); vals.append(diag)
-            if i < nx - 1:
-                cols.append(k + 1); vals.append(east)
-            if j < ny - 1:
-                cols.append(k + nx); vals.append(north)
-            offsets.append(len(cols))
-    A = CsrMatrix(n, n, np.array(offsets), np.array(cols), np.array(vals))
+    A = _stencil_matrix(np.arange(n).reshape(ny, nx),
+                        (((0, -1), south), ((-1, 0), west), ((0, 0), diag),
+                         ((1, 0), east), ((0, 1), north)))
     label = f"convdiff2d-{nx}x{ny}"
     if constructed:
         x_true = np.ones(n)
         return GeneratedProblem(A, A.apply(x_true), x_true, label, "convdiff2d")
     return GeneratedProblem(A, np.ones(n), None, label, "convdiff2d")
-
-
-def _lshape_nodes(m):
-    # interior lattice points of [0,1]x[0,1/2] union [0,1/2]x[0,1]
-    # at spacing h = 1/(2m), ordered lexicographically (rows of
-    # constant y, x fastest)
-    nodes = []
-    for j in range(1, 2 * m):
-        for i in range(1, 2 * m):
-            if j < m or i < m:
-                nodes.append((i, j))
-    return nodes
 
 
 def gen_poisson_lshape(m):
@@ -119,22 +115,16 @@ def gen_poisson_lshape(m):
     if m < 3:
         raise ValueError("need m >= 3")
     h = 1.0 / (2 * m)
-    nodes = _lshape_nodes(m)
-    index = {p: k for k, p in enumerate(nodes)}
-    n = len(nodes)
-    offsets = [0]
-    cols, vals = [], []
-    for (i, j) in nodes:
-        entries = [(index[(i, j)], 4.0 / h**2)]
-        for di, dj in ((0, -1), (-1, 0), (1, 0), (0, 1)):
-            q = (i + di, j + dj)
-            if q in index:
-                entries.append((index[q], -1.0 / h**2))
-        entries.sort()
-        for c, v in entries:
-            cols.append(c); vals.append(v)
-        offsets.append(len(cols))
-    A = CsrMatrix(n, n, np.array(offsets), np.array(cols), np.array(vals))
+    # interior lattice points of [0,1]x[0,1/2] union [0,1/2]x[0,1]:
+    # the (2m-1)^2 square grid less its quadrant x, y >= 1/2
+    n = lshape_size(m)
+    index = np.zeros((2 * m - 1, 2 * m - 1), dtype=np.int64)
+    index[m - 1:, m - 1:] = -1
+    index[index == 0] = np.arange(n)
+    off = -1.0 / h**2
+    A = _stencil_matrix(index, (((0, -1), off), ((-1, 0), off),
+                                ((0, 0), 4.0 / h**2), ((1, 0), off),
+                                ((0, 1), off)))
     return GeneratedProblem(A, np.ones(n), None, f"poisson-lshape-m{m}",
                             "poisson-lshape")
 
@@ -165,16 +155,8 @@ def gen_tridiag_unsym(n):
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    offsets = [0]
-    cols, vals = [], []
-    for i in range(n):
-        if i > 0:
-            cols.append(i - 1); vals.append(-1.0)
-        cols.append(i); vals.append(2.0)
-        if i < n - 1:
-            cols.append(i + 1); vals.append(-1.1)
-        offsets.append(len(cols))
-    A = CsrMatrix(n, n, np.array(offsets), np.array(cols), np.array(vals))
+    A = _stencil_matrix(np.arange(n).reshape(1, n),
+                        (((-1, 0), -1.0), ((0, 0), 2.0), ((1, 0), -1.1)))
     x_true = sample_solution(PROFILE_EXP1, n)
     return GeneratedProblem(A, A.apply(x_true), x_true, f"tridiag-unsym-{n}",
                             "tridiag-unsym")

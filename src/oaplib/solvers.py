@@ -59,6 +59,8 @@ class SolveOptions:
             raise ValueError("tol must be positive")
         if not 0 < self.orth_tol < 1:
             raise ValueError("orth_tol must lie in (0, 1)")
+        if self.max_restarts is not None and self.max_restarts < 0:
+            raise ValueError("max_restarts must be >= 0")
         if self.max_inner is not None and self.max_inner < 1:
             raise ValueError("max_inner must be >= 1")
         if self.rhs_mode not in (CYCLE_RESIDUAL, ORIGINAL_B):

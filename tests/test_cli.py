@@ -137,6 +137,38 @@ class TestSolve:
         assert main(["solve", "--matrix", "/no/such/file.mtx",
                      "--rhs", "/no/such/b.mtx"]) == 1
 
+    def test_matrix_without_rhs_is_usage_error(self, tmp_path, capsys):
+        prefix = tmp_path / "cd"
+        main(["gen", "--family", "convdiff2d", "--nx", "3", "--ny", "3",
+              str(prefix)])
+        capsys.readouterr()
+        assert main(["solve", "--matrix", f"{prefix}.mtx"]) == 1
+        assert capsys.readouterr().err == "oap: error: solve --matrix needs --rhs\n"
+
+    @pytest.mark.parametrize("rhs, truth, bad", [
+        ("cd_b.mtx", "cd.mtx", "cd.mtx"),            # a matrix as the solution
+        ("cd_b.mtx", "short_b.mtx", "short_b.mtx"),  # 4 entries, 9 unknowns
+        ("short_b.mtx", "cd_b.mtx", "short_b.mtx"),  # 4 entries, 9 equations
+    ])
+    def test_bad_vector_file_is_usage_error(self, tmp_path, capsys, rhs, truth,
+                                            bad):
+        main(["gen", "--family", "convdiff2d", "--nx", "3", "--ny", "3",
+              str(tmp_path / "cd")])
+        main(["gen", "--family", "convdiff2d", "--nx", "2", "--ny", "2",
+              str(tmp_path / "short")])
+        capsys.readouterr()
+        code = main(["solve", "--matrix", str(tmp_path / "cd.mtx"),
+                     "--rhs", str(tmp_path / rhs), "--truth", str(tmp_path / truth)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"oap: error: {tmp_path / bad} does not hold a vector of length 9\n")
+
+    def test_negative_max_restarts_is_usage_error(self, capsys):
+        code = main(["solve", "--family", "convdiff2d", "--nx", "4",
+                     "--ny", "4", "--max-restarts", "-1"])
+        assert code == 1
+        assert "max_restarts must be >= 0" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["solve", "--solver", "gmres"])

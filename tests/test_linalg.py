@@ -166,6 +166,19 @@ class TestRepresentationEquivalence:
             np.testing.assert_array_equal(A.row(i), D[i])
         np.testing.assert_array_equal(A.rows_dense(2, 5), D[2:5])
 
+    @pytest.mark.parametrize("kind", ["csr", "dense"])
+    def test_row_indices_checked(self, rng, kind):
+        A = random_sparse(rng, 9)
+        if kind == "dense":
+            A = DenseMatrix(A.to_dense())
+        for i in (-1, 9):
+            with pytest.raises(IndexError):
+                A.row(i)
+        for start, stop in ((-1, 2), (5, 12), (4, 3), (9, 10)):
+            with pytest.raises(IndexError):
+                A.rows_dense(start, stop)
+        assert A.rows_dense(9, 9).shape == (0, 9)
+
     def test_rows_dense_matches_row_loop(self):
         # 6x4 with empty rows 0, 3 and 5
         A = CsrMatrix(6, 4, [0, 0, 2, 3, 3, 5, 5], [0, 3, 1, 2, 3],

@@ -115,3 +115,37 @@ def test_empty_matrix_roundtrip(tmp_path):
     back = read_matrix_market(path)
     assert back.shape == (2, 3)
     assert back.nnz == 0
+
+
+class TestWriterGoldenText:
+    """The writer's exact bytes: 1-based indices, 17 significant digits,
+    array data column-major."""
+
+    def test_coordinate_with_empty_rows(self, tmp_path):
+        # rows 0, 2 and 4 (leading, middle, trailing) hold no entry
+        A = CsrMatrix(5, 3, [0, 0, 2, 2, 3, 3], [0, 2, 1], [1.5, 0.1, -2.0])
+        path = tmp_path / "a.mtx"
+        write_matrix_market(path, A)
+        assert path.read_bytes() == (
+            b"%%MatrixMarket matrix coordinate real general\n"
+            b"5 3 3\n"
+            b"2 1 1.5\n"
+            b"2 3 0.10000000000000001\n"
+            b"4 2 -2\n")
+
+    def test_dense_is_column_major(self, tmp_path):
+        D = DenseMatrix([[1.0, 2.0, 1.0 / 3.0], [4.0, -5.5, 1e22]])
+        path = tmp_path / "d.mtx"
+        write_matrix_market(path, D)
+        assert path.read_bytes() == (
+            b"%%MatrixMarket matrix array real general\n"
+            b"2 3\n"
+            b"1\n4\n2\n-5.5\n0.33333333333333331\n1e+22\n")
+
+    def test_vector_is_one_column(self, tmp_path):
+        path = tmp_path / "v.mtx"
+        write_matrix_market(path, np.array([0.1, -3.0, 1e-300]))
+        assert path.read_bytes() == (
+            b"%%MatrixMarket matrix array real general\n"
+            b"3 1\n"
+            b"0.10000000000000001\n-3\n1e-300\n")

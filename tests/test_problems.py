@@ -5,7 +5,7 @@ import scipy.linalg
 from oaplib import (ProblemSpec, gen_convdiff2d, gen_poisson_lshape,
                     gen_random_dense, gen_tridiag_unsym, norm2,
                     sample_solution)
-from oaplib.problems import lshape_m_for, lshape_size
+from oaplib.problems import _stencil_matrix, lshape_m_for, lshape_size
 
 
 def reachable_from_zero(A):
@@ -113,6 +113,65 @@ class TestTridiagUnsym:
     def test_constructed_solution(self):
         p = gen_tridiag_unsym(50)
         assert norm2(p.A.apply(p.x_true) - p.b) <= 1e-12 * norm2(p.b)
+
+
+class TestEntryByEntry:
+    """Each stencil operator equals a dense matrix filled one entry at
+    a time from its generator's docstring.  Non-square grids and unequal
+    convection terms catch a swap of the x and y directions."""
+
+    @pytest.mark.parametrize("nx, ny", [(3, 5), (5, 3)])
+    def test_convdiff_nonsquare_with_convection(self, nx, ny):
+        p1, p2, p3 = 0.7, -1.9, 2.3
+        hx, hy = 1.0 / (nx + 1), 1.0 / (ny + 1)
+        want = np.zeros((nx * ny, nx * ny))
+        for j in range(ny):
+            for i in range(nx):
+                k = j * nx + i  # lexicographic, x fastest
+                want[k, k] = 2 / hx**2 + 2 / hy**2 + p3
+                if i + 1 < nx:
+                    want[k, k + 1] = -1 / hx**2 + p1 / (2 * hx)   # east
+                if i > 0:
+                    want[k, k - 1] = -1 / hx**2 - p1 / (2 * hx)   # west
+                if j + 1 < ny:
+                    want[k, k + nx] = -1 / hy**2 + p2 / (2 * hy)  # north
+                if j > 0:
+                    want[k, k - nx] = -1 / hy**2 - p2 / (2 * hy)  # south
+        got = gen_convdiff2d(nx, ny, p1, p2, p3).A.to_dense()
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_lshape(self, m):
+        h = 1.0 / (2 * m)
+        # lattice points (i h, j h) inside the L, rows of constant y
+        nodes = [(i, j) for j in range(1, 2 * m) for i in range(1, 2 * m)
+                 if i < m or j < m]
+        number = {node: k for k, node in enumerate(nodes)}
+        want = np.zeros((len(nodes), len(nodes)))
+        for (i, j), k in number.items():
+            want[k, k] = 4 / h**2
+            for q in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+                if q in number:
+                    want[k, number[q]] = -1 / h**2
+        assert len(nodes) == lshape_size(m)
+        np.testing.assert_array_equal(gen_poisson_lshape(m).A.to_dense(), want)
+
+    def test_tridiag(self):
+        n = 5
+        want = np.zeros((n, n))
+        for i in range(n):
+            want[i, i] = 2.0
+            if i > 0:
+                want[i, i - 1] = -1.0
+            if i + 1 < n:
+                want[i, i + 1] = -1.1
+        np.testing.assert_array_equal(gen_tridiag_unsym(n).A.to_dense(), want)
+
+    def test_misordered_stencil_is_rejected(self):
+        # east listed before the node itself: columns decrease in a row
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _stencil_matrix(np.arange(6).reshape(2, 3),
+                            (((1, 0), -1.0), ((0, 0), 2.0)))
 
 
 class TestRandomDense:

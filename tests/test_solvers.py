@@ -78,6 +78,13 @@ class TestInitFromRow:
             with pytest.raises(NumericalOverflow):
                 init_from_row(A, np.ones(1), 0)
 
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_row_out_of_range(self, i):
+        # -1 must not wrap to the last row or read as an empty row
+        for A in (diag23(), DenseMatrix(np.diag([2.0, 3.0]))):
+            with pytest.raises(IndexError):
+                init_from_row(A, np.ones(2), i)
+
     def test_seed_consistency_random(self, rng):
         A, b, x_true = constructed_problem(rng, 9)
         for i in (0, 4, 8):
@@ -353,6 +360,11 @@ class TestSolveOptionsValidation:
     def test_bad_max_inner(self):
         with pytest.raises(ValueError):
             SolveOptions(max_inner=0)
+
+    def test_rejects_negative_max_restarts(self):
+        with pytest.raises(ValueError, match="max_restarts"):
+            SolveOptions(max_restarts=-1)
+        assert SolveOptions(max_restarts=0).max_restarts == 0
 
     def test_bad_rhs_mode(self):
         with pytest.raises(ValueError):
