@@ -10,7 +10,7 @@ Library layout:
 * :mod:`oaplib.problems`   - benchmark problem generators
 * :mod:`oaplib.cli`        - ``oap`` command line
 
-``CsrMatrix`` computes ``A v`` and ``A' u`` with NumPy alone;
+``CsrMatrix`` computes ``A v`` and ``A' u`` through ``scipy.sparse``;
 :func:`backend_name` names that implementation for benchmark records.
 """
 

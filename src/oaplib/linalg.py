@@ -2,8 +2,12 @@
 
 Both operator classes are immutable after construction; their arrays are
 marked read-only so concurrent read access is safe.  All arithmetic is
-64-bit floating point.
+64-bit floating point.  ``CsrMatrix`` computes its products through a
+``scipy.sparse`` view that shares those read-only arrays (no copy).
 """
+
+import math
+from functools import cached_property
 
 import numpy as np
 
@@ -11,8 +15,8 @@ from .errors import DimensionMismatch, NonFiniteVector
 
 
 def backend_name():
-    """Name of the CSR kernel implementation; the only one is NumPy."""
-    return "python"
+    """Name of the CSR kernel implementation; the only one is scipy.sparse."""
+    return "scipy"
 
 
 def as_vector(x, name="vector"):
@@ -41,6 +45,18 @@ def dot(u, v):
 def norm2(v):
     """Euclidean norm."""
     return float(np.linalg.norm(np.asarray(v, dtype=np.float64)))
+
+
+# Unchecked forms of dot/norm2 for the inner steps, whose operands are
+# float64 vectors of matching length by construction.  They round as the
+# public ones do (np.linalg.norm is sqrt(x.dot(x)) for a vector).
+
+def _dot(u, v):
+    return float(u @ v)
+
+
+def _norm(v):
+    return math.sqrt(v @ v)
 
 
 def _readonly(a):
@@ -170,20 +186,28 @@ class CsrMatrix(LinearOperator):
         idx = np.arange(n, dtype=np.int64)
         return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
 
+    # Built on first use, not at construction, and the transpose apart
+    # from the product: the generators and the Matrix Market reader build
+    # operators that see one ``A v`` or none, and a module-level import
+    # of scipy.sparse would slow ``import oaplib`` for every caller.
+    @cached_property
+    def _scipy(self):
+        import scipy.sparse
+        return scipy.sparse.csr_array(
+            (self.values, self.col_indices, self.row_offsets),
+            shape=self.shape, copy=False)
+
+    @cached_property
+    def _scipy_t(self):
+        return self._scipy.T  # a csc_array over the same three arrays
+
     def apply(self, v):
-        # np.bincount keeps the per-row sums in C; the row ids cost nnz ints
         v = self._check_apply(v, self.ncols, "apply")
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64),
-                         np.diff(self.row_offsets))
-        return np.bincount(rows, weights=self.values * v[self.col_indices],
-                           minlength=self.nrows)
+        return self._scipy @ v
 
     def apply_transpose(self, u):
-        # row scatter: no transpose is materialized
         u = self._check_apply(u, self.nrows, "apply_transpose")
-        scaled = self.values * np.repeat(u, np.diff(self.row_offsets))
-        return np.bincount(self.col_indices, weights=scaled,
-                           minlength=self.ncols)
+        return self._scipy_t @ u
 
     def rows_dense(self, start, stop):
         # one scatter; rows hold no duplicate columns, so no entry is summed

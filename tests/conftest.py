@@ -131,6 +131,22 @@ def exact_cycle(A, rhs, v1, c1, steps, engine):
     return np.array(cs), V, coeffs
 
 
+def bincount_apply(A, v):
+    """A v for a CsrMatrix by NumPy gather and ``np.bincount``: each row
+    sum accumulates its products left to right from zero, as a CSR
+    kernel does, so the result is the reference bit for bit."""
+    rows = np.repeat(np.arange(A.nrows, dtype=np.int64), np.diff(A.row_offsets))
+    return np.bincount(rows, weights=A.values * v[A.col_indices],
+                       minlength=A.nrows)
+
+
+def bincount_apply_transpose(A, u):
+    """A' u for a CsrMatrix by row scatter; entries reach each output in
+    row-major order, as a column-by-column CSC kernel adds them."""
+    scaled = A.values * np.repeat(u, np.diff(A.row_offsets))
+    return np.bincount(A.col_indices, weights=scaled, minlength=A.ncols)
+
+
 def oracle_projection(W, l):
     """Normal-equations projection: p = W (W'W)^-1 l, c = l'(W'W)^-1 l."""
     G = W.T @ W

@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse
 
+import oaplib
 from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch,
                     NonFiniteVector, as_vector, backend_name, dot,
-                    gen_tridiag_unsym, norm2)
+                    gen_convdiff2d, gen_tridiag_unsym, norm2)
+from oaplib.linalg import _dot, _norm
 
-from conftest import random_sparse
+from conftest import (bincount_apply, bincount_apply_transpose,
+                      random_sparse)
 
 
 class TestApply:
@@ -189,5 +197,82 @@ class TestRepresentationEquivalence:
                 np.testing.assert_array_equal(A.rows_dense(start, stop), want)
 
 
-def test_implementation_name_is_python():
-    assert backend_name() == "python"
+class TestScipyKernels:
+    """The products run through a lazily built scipy.sparse view; the
+    NumPy ``bincount`` kernels in conftest are their reference."""
+
+    @staticmethod
+    def operators():
+        # the 4x5 operator has an empty trailing row and column
+        return [CsrMatrix(4, 5, [0, 2, 2, 4, 4], [0, 2, 1, 3],
+                          [1.0, 2.0, 3.0, 4.0]),
+                gen_convdiff2d(19, 19).A, gen_convdiff2d(60, 60).A]
+
+    def test_bit_identical_to_bincount_kernels(self, rng):
+        for A in self.operators():
+            for _ in range(3):
+                v = rng.standard_normal(A.ncols)
+                u = rng.standard_normal(A.nrows)
+                assert A.apply(v).tobytes() == bincount_apply(A, v).tobytes()
+                assert (A.apply_transpose(u).tobytes()
+                        == bincount_apply_transpose(A, u).tobytes())
+
+    def test_view_shares_the_operator_arrays(self):
+        A = self.operators()[1]
+        A.apply_transpose(np.ones(A.nrows))
+        for view in (A._scipy, A._scipy_t):
+            assert np.shares_memory(view.data, A.values)
+            assert np.shares_memory(view.indices, A.col_indices)
+            assert np.shares_memory(view.indptr, A.row_offsets)
+            assert view.indices.dtype == view.indptr.dtype == np.int64
+
+    def test_construction_builds_no_view(self):
+        A = self.operators()[0]
+        assert "_scipy" not in vars(A) and "_scipy_t" not in vars(A)
+        A.apply(np.ones(A.ncols))
+        assert "_scipy" in vars(A) and "_scipy_t" not in vars(A)
+        A.apply_transpose(np.ones(A.nrows))
+        assert "_scipy_t" in vars(A)
+
+    def test_view_built_once_per_operator(self, monkeypatch):
+        A = gen_convdiff2d(9, 10).A
+        calls = []
+        real = scipy.sparse.csr_array
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse, "csr_array", spy)
+        for _ in range(3):
+            A.apply(np.ones(A.ncols))
+        for _ in range(2):
+            A.apply_transpose(np.ones(A.nrows))
+        assert len(calls) == 1
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    src = os.path.dirname(os.path.dirname(oaplib.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import oaplib; "
+            "print('scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
+def test_unchecked_helpers_round_like_public_ones():
+    # the inner steps call _dot/_norm; solve outputs stay bit-identical
+    # only while these agree with dot/norm2 to the last bit
+    rng = np.random.Generator(np.random.PCG64(8))
+    vectors = [np.zeros(7)]
+    for _ in range(2000):
+        n = int(rng.integers(1, 5001))
+        vectors.append(10.0 ** rng.uniform(-150, 150) * rng.standard_normal(n))
+    for v in vectors:
+        u = 10.0 ** rng.uniform(-150, 150) * rng.standard_normal(len(v))
+        assert np.float64(_norm(v)).tobytes() == np.float64(norm2(v)).tobytes()
+        assert np.float64(_dot(u, v)).tobytes() == np.float64(dot(u, v)).tobytes()
+
+
+def test_implementation_name_is_scipy():
+    assert backend_name() == "scipy"
