@@ -43,20 +43,13 @@ def dot(u, v):
 
 
 def norm2(v):
-    """Euclidean norm."""
-    return float(np.linalg.norm(np.asarray(v, dtype=np.float64)))
+    """Euclidean norm of the flattened array.
 
-
-# Unchecked forms of dot/norm2 for the inner steps, whose operands are
-# float64 vectors of matching length by construction.  They round as the
-# public ones do (np.linalg.norm is sqrt(x.dot(x)) for a vector).
-
-def _dot(u, v):
-    return float(u @ v)
-
-
-def _norm(v):
-    return math.sqrt(v @ v)
+    The same sum of squares ``np.linalg.norm`` forms, without its
+    dispatch on ``ord`` and ``axis``; the inner steps call it every step.
+    """
+    v = np.asarray(v, dtype=np.float64).ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def _readonly(a):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalOverflow
-from .linalg import _dot, _norm, as_vector, norm2
+from .linalg import as_vector, norm2
 
 TAU_BREAK = 1e-13
 
@@ -126,13 +126,13 @@ def tridiag_step(A, s, _u_basis=None, _v_basis=None):
     floor = breakdown_floor(A)
 
     av = A.apply(s.v_curr)
-    alpha = _require_finite(_dot(s.u_curr, av), s.k, "alpha")
+    alpha = _require_finite(float(np.dot(s.u_curr, av)), s.k, "alpha")
     w = av - alpha * s.u_curr
     if s.beta_prev != 0.0:
         w -= s.beta_prev * s.u_prev
     if _u_basis is not None:
         w = _reproject(w, _u_basis)
-    gamma = _require_finite(_norm(w), s.k, "gamma")
+    gamma = _require_finite(norm2(w), s.k, "gamma")
     u_broken = gamma <= floor
     next_u = np.zeros_like(w) if u_broken else w / gamma
 
@@ -141,7 +141,7 @@ def tridiag_step(A, s, _u_basis=None, _v_basis=None):
         q -= s.gamma_prev * s.v_prev
     if _v_basis is not None:
         q = _reproject(q, _v_basis)
-    beta = _require_finite(_norm(q), s.k, "beta")
+    beta = _require_finite(norm2(q), s.k, "beta")
     v_broken = beta <= floor
     next_v = np.zeros_like(q) if v_broken else q / beta
 
@@ -157,14 +157,14 @@ def bidiag_step(A, s, _u_basis=None, _v_basis=None):
     w = av if s.beta_prev == 0.0 else av - s.beta_prev * s.u_curr
     if _u_basis is not None:
         w = _reproject(w, _u_basis)
-    alpha = _require_finite(_norm(w), s.k, "alpha")
+    alpha = _require_finite(norm2(w), s.k, "alpha")
     u_broken = alpha <= floor
     u_k = np.zeros_like(w) if u_broken else w / alpha
 
     q = A.apply_transpose(u_k) - alpha * s.v_curr
     if _v_basis is not None:
         q = _reproject(q, _v_basis)
-    beta = _require_finite(_norm(q), s.k, "beta")
+    beta = _require_finite(norm2(q), s.k, "beta")
     v_broken = beta <= floor
     next_v = np.zeros_like(q) if v_broken else q / beta
 

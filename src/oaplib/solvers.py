@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateSeed, NumericalOverflow
-from .linalg import _dot, _norm, as_vector, dot, norm2
+from .linalg import as_vector, dot, norm2
 from .reductions import (BIDIAGONAL, TRIDIAGONAL, KrylovState, advance,
                          bidiag_step, breakdown_floor, tridiag_step)
 
@@ -152,14 +152,12 @@ def orthogonality_lost(x, v_next, orth_tol=ORTH_TOL_DEFAULT):
     orthogonal to the accumulated approximation.
 
     Works on |cos| of the angle rather than the angle itself; the zero
-    vector never triggers, so the first step always passes.  It runs
-    once per inner step, so ``x`` and ``v_next`` must already be float64
-    arrays of one length: they are not checked.
+    vector never triggers, so the first step always passes.
     """
-    xn = _norm(x)
+    xn = norm2(x)
     if xn == 0.0:
         return False
-    return abs(_dot(x, v_next)) / xn > orth_tol
+    return abs(dot(x, v_next)) / xn > orth_tol
 
 
 def _resolved(opts, n):
@@ -183,7 +181,7 @@ class _DivergenceGuard:
 
     def __init__(self, rhs, c1):
         self.rhs = rhs
-        self.scale = _norm(rhs)
+        self.scale = norm2(rhs)
         self.ax = None
         self.pending_c = c1
         self.best_x = np.zeros_like(rhs)
@@ -192,7 +190,7 @@ class _DivergenceGuard:
     def diverged(self, x_current, av):
         term = self.pending_c * av
         self.ax = term if self.ax is None else self.ax + term
-        res = _norm(self.rhs - self.ax)
+        res = norm2(self.rhs - self.ax)
         if res < self.best_res:
             self.best_res = res
             self.best_x = x_current.copy()
@@ -231,11 +229,11 @@ def _cycle(A, rhs, krylov, c1, opts):
             cause = "breakdown"
             break
         if two_sided:
-            c_next = c_update_tridiag(_dot(rhs, krylov.u_curr), out.alpha,
+            c_next = c_update_tridiag(dot(rhs, krylov.u_curr), out.alpha,
                                       out.beta, krylov.gamma_prev,
                                       c_curr, c_prev)
         else:  # u_k carries the step's own index
-            c_next = c_update_bidiag(_dot(rhs, out.next_u), out.alpha,
+            c_next = c_update_bidiag(dot(rhs, out.next_u), out.alpha,
                                      out.beta, c_curr)
         if not np.isfinite(c_next):
             raise NumericalOverflow(f"non-finite coefficient at step {k}", step=k)

@@ -10,7 +10,6 @@ import oaplib
 from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch,
                     NonFiniteVector, as_vector, backend_name, dot,
                     gen_convdiff2d, gen_tridiag_unsym, norm2)
-from oaplib.linalg import _dot, _norm
 
 from conftest import (bincount_apply, bincount_apply_transpose,
                       random_sparse)
@@ -260,18 +259,19 @@ def test_import_leaves_scipy_sparse_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_unchecked_helpers_round_like_public_ones():
-    # the inner steps call _dot/_norm; solve outputs stay bit-identical
-    # only while these agree with dot/norm2 to the last bit
+def test_norm2_rounds_like_numpy_norm():
+    # norm2 forms np.linalg.norm's sum of squares itself; solve outputs
+    # stay bit-identical only while the two agree to the last bit
     rng = np.random.Generator(np.random.PCG64(8))
-    vectors = [np.zeros(7)]
+    arrays = [np.zeros(7), np.arange(12.0).reshape(3, 4),
+              np.asfortranarray(rng.standard_normal((5, 3))),
+              rng.standard_normal(40)[::3]]
     for _ in range(2000):
         n = int(rng.integers(1, 5001))
-        vectors.append(10.0 ** rng.uniform(-150, 150) * rng.standard_normal(n))
-    for v in vectors:
-        u = 10.0 ** rng.uniform(-150, 150) * rng.standard_normal(len(v))
-        assert np.float64(_norm(v)).tobytes() == np.float64(norm2(v)).tobytes()
-        assert np.float64(_dot(u, v)).tobytes() == np.float64(dot(u, v)).tobytes()
+        arrays.append(10.0 ** rng.uniform(-150, 150) * rng.standard_normal(n))
+    for v in arrays:
+        assert (np.float64(norm2(v)).tobytes()
+                == np.float64(np.linalg.norm(v)).tobytes())
 
 
 def test_implementation_name_is_scipy():

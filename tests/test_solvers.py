@@ -196,6 +196,14 @@ class TestCycleBidiag:
         np.testing.assert_allclose(res.x_partial, [1.0, 1.0], atol=1e-12)
         assert res.inner_steps == 2
 
+    @pytest.mark.parametrize("rhs", [[2.0, 3.0], np.array([2, 3])])
+    def test_rhs_as_list_or_integer_array(self, rhs):
+        A = diag23()
+        v1, c1 = init_from_vector(A, rhs, rhs)
+        for res in (oap_cycle_bidiag(A, rhs, v1, c1),
+                    oap_cycle_tridiag(A, rhs, v1, v1.copy(), c1)):
+            np.testing.assert_allclose(res.x_partial, [1.0, 1.0], atol=1e-12)
+
     @pytest.mark.parametrize("n", [12, 20, 30])
     def test_exact_solve_with_reorthogonalized_kernel(self, rng, n):
         dense = random_wellcond(rng, n)
