@@ -186,6 +186,10 @@ def ap_solve(A, b, partition=None, tol=1e-6, max_sweeps=1000):
     ``partition`` defaults to a single block (direct projection).
     Returns ``(x, SolveReport)`` with one history entry per sweep.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_sweeps < 0:
+        raise ValueError("max_sweeps must be >= 0")
     b = as_vector(b, "b")
     if partition is None:
         partition = BlockPartition.equal_blocks(A.nrows, 1)

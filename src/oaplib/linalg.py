@@ -158,6 +158,10 @@ class CsrMatrix(LinearOperator):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
+        if not len(rows) == len(cols) == len(values):
+            raise ValueError("rows, cols and values differ in length")
+        if len(rows) and (rows.min() < 0 or rows.max() >= nrows):
+            raise ValueError("row index out of range")
         order = np.lexsort((cols, rows))
         rows, cols, values = rows[order], cols[order], values[order]
         if len(rows) > 1 and np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)):

@@ -4,8 +4,11 @@ Sparse matrices round-trip through ``coordinate real general``, dense
 matrices and vectors through ``array real general`` (a vector is an
 n x 1 array).  Files are 1-based per the format; indices are converted
 at this boundary.  Values are written with 17 significant digits so a
-write/read round trip is bit-exact for float64.
+write/read round trip is bit-exact for float64.  Either layout's data
+go through one ``np.loadtxt`` call; a bad line is reported by number.
 """
+
+import warnings
 
 import numpy as np
 
@@ -13,6 +16,10 @@ from .errors import MatrixMarketError, NonFiniteVector
 from .linalg import CsrMatrix, DenseMatrix, as_vector
 
 _BANNER = "%%MatrixMarket"
+# A data line is one entry; the dtype fixes its columns and their types.
+_ENTRY = {"array": np.dtype([("value", np.float64)]),
+          "coordinate": np.dtype([("row", np.int64), ("col", np.int64),
+                                  ("value", np.float64)])}
 
 
 def write_matrix_market(path, payload):
@@ -51,111 +58,103 @@ def read_matrix_market(path):
     An array file with one column is returned as a vector.
     """
     with open(path) as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise MatrixMarketError("empty file", lineno=1)
+        header = fh.readline()
+        if not header:
+            raise MatrixMarketError("empty file", lineno=1)
+        tokens = header.split()
+        if len(tokens) != 5 or tokens[0] != _BANNER:
+            raise MatrixMarketError(
+                f"malformed header {header.strip()!r}", lineno=1)
+        _, obj, layout, field, symmetry = (t.lower() for t in tokens)
+        if ((obj, field, symmetry) != ("matrix", "real", "general")
+                or layout not in _ENTRY):
+            raise MatrixMarketError(
+                f"unsupported {header.strip()!r}: only real general "
+                "matrices, coordinate or array", lineno=1)
 
-    header = lines[0].split()
-    if len(header) != 5 or header[0] != _BANNER:
-        raise MatrixMarketError(
-            f"malformed header {lines[0].strip()!r}", lineno=1)
-    _, obj, layout, field, symmetry = (t.lower() for t in header)
-    if obj != "matrix":
-        raise MatrixMarketError(f"unsupported object {obj!r}", lineno=1)
-    if layout not in ("coordinate", "array"):
-        raise MatrixMarketError(f"unsupported format {layout!r}", lineno=1)
-    if field != "real":
-        raise MatrixMarketError(f"non-real field {field!r}", lineno=1)
-    if symmetry != "general":
-        raise MatrixMarketError(f"unsupported symmetry {symmetry!r}", lineno=1)
-
-    # skip comments / blank lines up to the size line
-    k = 1
-    while k < len(lines) and (lines[k].startswith("%") or not lines[k].strip()):
-        k += 1
-    if k == len(lines):
-        raise MatrixMarketError("missing size line", lineno=len(lines))
+        # skip comments / blank lines up to the size line
+        size_lineno = 1
+        for size_lineno, line in enumerate(fh, 2):
+            if line.strip() and not line.startswith("%"):
+                break
+        else:
+            raise MatrixMarketError("missing size line", lineno=size_lineno)
+        nrows, ncols, *nnz = _split_size(
+            line, size_lineno, 3 if layout == "coordinate" else 2)
+        count = nnz[0] if nnz else nrows * ncols
+        entries = _parse(
+            (line for line in fh if not line.startswith("%")), layout)
+    if _fault(entries, nrows, ncols, count) or len(entries) < count:
+        _locate(path, size_lineno, layout, nrows, ncols, count)
 
     if layout == "coordinate":
-        return _read_coordinate(lines, k)
-    return _read_array(lines, k)
-
-
-def _split_size(line, lineno, want):
-    parts = line.split()
-    if len(parts) != want:
-        raise MatrixMarketError(
-            f"size line needs {want} integers, got {line.strip()!r}",
-            lineno=lineno)
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise MatrixMarketError(
-            f"size line not integral: {line.strip()!r}", lineno=lineno) from None
-
-
-def _data_lines(lines, start):
-    for offset, raw in enumerate(lines[start:]):
-        if raw.startswith("%") or not raw.strip():
-            continue
-        yield start + offset + 1, raw  # 1-based line number
-
-
-def _read_coordinate(lines, k):
-    nrows, ncols, nnz = _split_size(lines[k], k + 1, 3)
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
-    count = 0
-    for lineno, raw in _data_lines(lines, k + 1):
-        if count >= nnz:
-            raise MatrixMarketError("more entries than announced", lineno=lineno)
-        parts = raw.split()
-        if len(parts) != 3:
-            raise MatrixMarketError(
-                f"expected 'row col value', got {raw.strip()!r}", lineno=lineno)
         try:
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise MatrixMarketError(
-                f"unparsable entry {raw.strip()!r}", lineno=lineno) from None
-        if not (1 <= i <= nrows and 1 <= j <= ncols):
-            raise MatrixMarketError(
-                f"index ({i}, {j}) outside {nrows}x{ncols}", lineno=lineno)
-        if not np.isfinite(v):
-            raise MatrixMarketError(f"non-finite value {parts[2]!r}", lineno=lineno)
-        rows[count], cols[count], vals[count] = i - 1, j - 1, v
-        count += 1
-    if count != nnz:
-        raise MatrixMarketError(
-            f"announced {nnz} entries, found {count}", lineno=len(lines))
-    try:
-        return CsrMatrix.from_coo(nrows, ncols, rows, cols, vals)
-    except ValueError as exc:
-        raise MatrixMarketError(str(exc)) from exc
-
-
-def _read_array(lines, k):
-    nrows, ncols = _split_size(lines[k], k + 1, 2)
-    total = nrows * ncols
-    flat = np.empty(total, dtype=np.float64)
-    count = 0
-    for lineno, raw in _data_lines(lines, k + 1):
-        if count >= total:
-            raise MatrixMarketError("more entries than announced", lineno=lineno)
-        try:
-            v = float(raw)
-        except ValueError:
-            raise MatrixMarketError(
-                f"unparsable value {raw.strip()!r}", lineno=lineno) from None
-        if not np.isfinite(v):
-            raise MatrixMarketError(f"non-finite value {raw.strip()!r}", lineno=lineno)
-        flat[count] = v
-        count += 1
-    if count != total:
-        raise MatrixMarketError(
-            f"announced {total} values, found {count}", lineno=len(lines))
-    values = flat.reshape((ncols, nrows)).T  # stored column-major
+            return CsrMatrix.from_coo(nrows, ncols, entries["row"] - 1,
+                                      entries["col"] - 1, entries["value"])
+        except ValueError as exc:
+            raise MatrixMarketError(str(exc)) from exc
+    values = entries["value"].reshape((ncols, nrows)).T  # stored column-major
     if ncols == 1:
         return values[:, 0].copy()
     return DenseMatrix(values)
+
+
+def _split_size(line, lineno, want):
+    try:
+        sizes = [int(p) for p in line.split()]
+    except ValueError:
+        sizes = []
+    if len(sizes) != want or min(sizes) < 0:
+        raise MatrixMarketError(
+            f"size line needs {want} integers >= 0, got {line.strip()!r}",
+            lineno=lineno)
+    return sizes
+
+
+def _parse(lines, layout):
+    """Parse data lines (no ``%`` lines; blank ones are skipped), or None."""
+    with warnings.catch_warnings():
+        # nnz = 0 and a 0 x n array are valid files with no data
+        warnings.filterwarnings(
+            "ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(lines, dtype=_ENTRY[layout], comments=None,
+                              ndmin=1)
+        except ValueError:
+            return None
+
+
+def _fault(entries, nrows, ncols, room):
+    """Why parsed ``entries`` do not fit ``room`` more slots, or None."""
+    if entries is None:
+        return "unparsable entry"
+    if len(entries) > room:
+        return "more entries than announced"
+    if "row" in entries.dtype.names:
+        rows, cols = entries["row"], entries["col"]
+        if np.any((rows < 1) | (rows > nrows) | (cols < 1) | (cols > ncols)):
+            return f"index outside {nrows}x{ncols}"
+    if not np.all(np.isfinite(entries["value"])):
+        return "non-finite value"
+    return None
+
+
+def _locate(path, size_lineno, layout, nrows, ncols, count):
+    """Raise at the first data line that fails ``_parse`` or ``_fault``.
+
+    Runs only after a whole-array check failed.  If no line fails, an
+    entry is missing, and the error names the file's last line.
+    """
+    found, lineno = 0, size_lineno
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if lineno <= size_lineno or line.startswith("%"):
+                continue
+            entry = _parse([line], layout)
+            fault = _fault(entry, nrows, ncols, count - found)
+            if fault:
+                raise MatrixMarketError(f"{fault}: {line.strip()!r}",
+                                        lineno=lineno)
+            found += len(entry)
+    raise MatrixMarketError(f"announced {count} entries, found {found}",
+                            lineno=lineno)

@@ -55,7 +55,7 @@ class SolveOptions:
     rhs_mode: str = CYCLE_RESIDUAL
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if not 0 < self.orth_tol < 1:
             raise ValueError("orth_tol must lie in (0, 1)")

@@ -166,6 +166,19 @@ class TestApSolve:
         assert report.termination == "converged"
         assert report.final_relres <= 1e-12
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"tol": float("nan")}, "tol must be positive"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"max_sweeps": -1}, "max_sweeps must be >= 0"),
+    ])
+    def test_rejects_bad_budget(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ap_solve(CsrMatrix.identity(3), np.ones(3), **kwargs)
+
+    def test_zero_max_sweeps_runs_no_sweep(self):
+        x, report = ap_solve(CsrMatrix.identity(3), np.ones(3), max_sweeps=0)
+        assert report.restarts == 0 and report.termination == "max-restarts"
+
     def test_zero_rhs(self):
         A = CsrMatrix.identity(3)
         x, report = ap_solve(A, np.zeros(3))

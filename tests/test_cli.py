@@ -169,6 +169,12 @@ class TestSolve:
         assert code == 1
         assert "max_restarts must be >= 0" in capsys.readouterr().err
 
+    def test_nan_tol_is_usage_error(self, capsys):
+        code = main(["solve", "--family", "convdiff2d", "--nx", "4",
+                     "--ny", "4", "--tol", "nan"])
+        assert code == 1
+        assert "tol must be positive" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["solve", "--solver", "gmres"])

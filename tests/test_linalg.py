@@ -132,6 +132,19 @@ class TestCsrValidation:
         with pytest.raises(ValueError):
             CsrMatrix.from_coo(2, 2, [0, 0], [1, 1], [1.0, 2.0])
 
+    def test_from_coo_negative_row(self):
+        # np.add.at would wrap -2 to row 0 and place the entry in row 1
+        with pytest.raises(ValueError, match="row index out of range"):
+            CsrMatrix.from_coo(2, 2, [-2], [0], [1.0])
+
+    def test_from_coo_row_past_end(self):
+        with pytest.raises(ValueError, match="row index out of range"):
+            CsrMatrix.from_coo(2, 2, [2], [0], [1.0])
+
+    def test_from_coo_lengths_differ(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            CsrMatrix.from_coo(2, 2, [0, 1], [0], [1.0])
+
     def test_empty_rows_allowed(self):
         A = CsrMatrix(3, 3, [0, 1, 1, 2], [0, 2], [5.0, 7.0])
         np.testing.assert_array_equal(A.apply([1.0, 1.0, 1.0]), [5.0, 0.0, 7.0])

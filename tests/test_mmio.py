@@ -76,6 +76,10 @@ def test_array_is_column_major(tmp_path):
     np.testing.assert_array_equal(m.values, [[1.0, 3.0], [2.0, 4.0]])
 
 
+_COO = "%%MatrixMarket matrix coordinate real general\n"
+_ARRAY = "%%MatrixMarket matrix array real general\n"
+
+
 @pytest.mark.parametrize("content,lineno", [
     ("%%MatrixMarket tensor coordinate real general\n1 1 0\n", 1),
     ("%%MatrixMarket matrix coordinate complex general\n1 1 0\n", 1),
@@ -84,6 +88,38 @@ def test_array_is_column_major(tmp_path):
     ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", 3),
     ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n", 3),
     ("%%MatrixMarket matrix array real general\n2 1\n1.0\nbogus\n", 4),
+    # negative counts on the size line
+    ("%%MatrixMarket matrix array real general\n-2 3\n", 2),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 -1\n", 2),
+    ("%%MatrixMarket matrix coordinate real general\n-2 2 0\n", 2),
+    # an empty file; no size line
+    ("", 1),
+    (_COO + "% only comments\n\n", 3),
+    # a bad entry after comment and blank lines inside the data section
+    (_COO + "3 3 3\n1 1 1\n% mid\n\n   \n2 2 x\n3 3 1\n", 7),
+    # '%' starts a comment only in the first column
+    (_COO + "1 1 1\n1 1 1.0 % c\n", 3),
+    (_COO + "2 2 1\n  % c\n1 1 1\n", 3),
+    # integer indices within the size line's bounds, finite values
+    (_COO + "2 2 1\n1.0 1 1\n", 3),
+    (_COO + "2 2 1\n1 1e0 1\n", 3),
+    (_COO + "2 2 1\n1 1\n", 3),
+    (_COO + "2 2 2\n1 1 1\n1 0 1\n", 4),
+    (_COO + "2 2 2\n1 1 1\n1 3 1\n", 4),
+    (_COO + "2 2 2\n1 1 1\n2 2 nan\n", 4),
+    (_COO + "2 2 1\n1 1 1e400\n", 3),
+    (_ARRAY + "2 1\n1\ninf\n", 4),
+    # one entry too many: the first extra entry, even if it is garbage
+    (_COO + "2 2 1\n1 1 1\n% c\n2 2 1\n", 5),
+    (_COO + "2 2 1\n1 1 1\nfoo\n", 4),
+    (_COO + "2 3 0\n1 1 1\n", 3),
+    (_ARRAY + "1 1\n1\n2\n", 4),
+    # one entry too few: the file's last line
+    (_COO + "2 2 3\n1 1 1\n2 2 1\n% end\n\n", 6),
+    (_ARRAY + "2 2\n1\n2\n3", 5),
+    # an array line holds one value
+    (_ARRAY + "2 1\n1 2\n3\n", 3),
+    (_ARRAY + "2 1\n1\n2 3\n", 4),
 ])
 def test_parse_errors_carry_line_numbers(tmp_path, content, lineno):
     path = tmp_path / "bad.mtx"
@@ -91,6 +127,29 @@ def test_parse_errors_carry_line_numbers(tmp_path, content, lineno):
     with pytest.raises(MatrixMarketError) as err:
         read_matrix_market(path)
     assert err.value.lineno == lineno
+
+
+def test_duplicate_entry_rejected(tmp_path):
+    path = tmp_path / "dup.mtx"
+    path.write_text(_COO + "2 2 2\n1 1 1\n1 1 2\n")
+    with pytest.raises(MatrixMarketError, match="duplicate"):
+        read_matrix_market(path)
+
+
+def test_reader_accepts_layout_variants(tmp_path):
+    path = tmp_path / "ok.mtx"
+    path.write_text("%%MatrixMarket MATRIX Coordinate REAL General\r\n"
+                    "% c\r\n\r\n3\t2 3\r\n\r\n +1\t1  -2.5  \r\n"
+                    "% c\r\n3 2 .5\r\n2 1 1E1")
+    np.testing.assert_array_equal(read_matrix_market(path).to_dense(),
+                                  [[-2.5, 0.0], [10.0, 0.0], [0.0, 0.5]])
+
+
+def test_zero_by_one_array_is_empty_vector(tmp_path):
+    path = tmp_path / "e.mtx"
+    path.write_text(_ARRAY + "0 1\n")
+    back = read_matrix_market(path)
+    assert isinstance(back, np.ndarray) and back.shape == (0,)
 
 
 def test_entry_count_mismatch(tmp_path):

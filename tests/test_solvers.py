@@ -361,6 +361,10 @@ class TestSolveOptionsValidation:
         with pytest.raises(ValueError):
             SolveOptions(tol=0.0)
 
+    def test_nan_tol(self):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            SolveOptions(tol=float("nan"))
+
     def test_bad_orth_tol(self):
         with pytest.raises(ValueError):
             SolveOptions(orth_tol=1.5)
