@@ -59,7 +59,7 @@ def run_case(problem, solver, opts, blocks=2):
             # single projection cycle seeded from b
             v1, c1 = init_from_vector(A, b, b)
             if solver == "oap3":
-                result = oap_cycle_tridiag(A, b, v1, v1.copy(), c1, opts)
+                result = oap_cycle_tridiag(A, b, v1, c1, opts)
             else:
                 result = oap_cycle_bidiag(A, b, v1, c1, opts)
             x, restarts, inner = result.x_partial, 1, result.inner_steps

@@ -28,7 +28,7 @@ def as_vector(x, name="vector"):
     v = np.ascontiguousarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteVector(f"{name} contains non-finite entries")
     return v
 

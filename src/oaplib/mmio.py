@@ -100,8 +100,8 @@ def read_matrix_market(path):
 
 
 def _split_size(line, lineno, want):
-    try:
-        sizes = [int(p) for p in line.split()]
+    try:  # the data lines' int64 rule: no "1_0", no non-ASCII digits
+        sizes = np.loadtxt([line], np.int64, comments=None, ndmin=1).tolist()
     except ValueError:
         sizes = []
     if len(sizes) != want or min(sizes) < 0:

@@ -11,8 +11,8 @@ window:
 
 A recurrence norm at or below :func:`breakdown_floor` is a breakdown,
 flagged per side and never raised: callers restart or stop.  The
-full-reduction drivers keep complete bases and support twice-repeated
-classical reorthogonalization; they exist for testing and analysis, the
+full-reduction drivers keep complete bases and can re-project each step's
+new vectors twice against them; they exist for testing and analysis, the
 solvers use only the rolling window.
 """
 
@@ -109,19 +109,11 @@ def _require_finite(x, step, what):
     return x
 
 
-def _reproject(w, basis):
-    # twice-repeated classical projection against the stored basis
-    for _ in range(2):
-        w = w - basis @ (basis.T @ w)
-    return w
-
-
-def tridiag_step(A, s, _u_basis=None, _v_basis=None):
+def tridiag_step(A, s):
     """Advance the two-sided reduction by one step.
 
     Returns the new directions and scalars; see the module docstring
-    for the recurrences.  ``_u_basis``/``_v_basis`` enable the drivers'
-    reorthogonalized mode and are not part of the public contract.
+    for the recurrences.
     """
     floor = breakdown_floor(A)
 
@@ -130,8 +122,6 @@ def tridiag_step(A, s, _u_basis=None, _v_basis=None):
     w = av - alpha * s.u_curr
     if s.beta_prev != 0.0:
         w -= s.beta_prev * s.u_prev
-    if _u_basis is not None:
-        w = _reproject(w, _u_basis)
     gamma = _require_finite(norm2(w), s.k, "gamma")
     u_broken = gamma <= floor
     next_u = np.zeros_like(w) if u_broken else w / gamma
@@ -139,8 +129,6 @@ def tridiag_step(A, s, _u_basis=None, _v_basis=None):
     q = A.apply_transpose(s.u_curr) - alpha * s.v_curr
     if s.gamma_prev != 0.0:
         q -= s.gamma_prev * s.v_prev
-    if _v_basis is not None:
-        q = _reproject(q, _v_basis)
     beta = _require_finite(norm2(q), s.k, "beta")
     v_broken = beta <= floor
     next_v = np.zeros_like(q) if v_broken else q / beta
@@ -149,21 +137,17 @@ def tridiag_step(A, s, _u_basis=None, _v_basis=None):
                        v_broken, av)
 
 
-def bidiag_step(A, s, _u_basis=None, _v_basis=None):
+def bidiag_step(A, s):
     """Advance the bidiagonal reduction by one step (produces u_k, v_{k+1})."""
     floor = breakdown_floor(A)
 
     av = A.apply(s.v_curr)
     w = av if s.beta_prev == 0.0 else av - s.beta_prev * s.u_curr
-    if _u_basis is not None:
-        w = _reproject(w, _u_basis)
     alpha = _require_finite(norm2(w), s.k, "alpha")
     u_broken = alpha <= floor
     u_k = np.zeros_like(w) if u_broken else w / alpha
 
     q = A.apply_transpose(u_k) - alpha * s.v_curr
-    if _v_basis is not None:
-        q = _reproject(q, _v_basis)
     beta = _require_finite(norm2(q), s.k, "beta")
     v_broken = beta <= floor
     next_v = np.zeros_like(q) if v_broken else q / beta
@@ -178,20 +162,39 @@ def advance(s, outcome):
                        s.u_curr, outcome.next_u, outcome.beta, outcome.gamma)
 
 
-def _run_reduction(A, state, step_fn, steps, reorthogonalize,
-                   u_has_same_index):
+def _reproject(A, unit, norm, cols):
+    """A step's new unit vector re-projected twice against ``cols``, and
+    the step's norm rescaled by the length it kept (0 for a broken side's
+    zero vector); returns ``(vector, norm, broken)``."""
+    kept = 1.0
+    if cols:
+        basis = np.column_stack(cols)
+        for _ in range(2):
+            unit = unit - basis @ (basis.T @ unit)
+        kept = norm2(unit)
+    norm *= kept
+    if norm <= breakdown_floor(A):
+        return np.zeros_like(unit), norm, True
+    return unit / kept, norm, False
+
+
+def _run_reduction(A, state, steps, reorthogonalize):
+    two_sided = state.mode == TRIDIAGONAL
+    step = tridiag_step if two_sided else bidiag_step
     v_cols = [state.v_curr]
-    u_cols = [] if u_has_same_index else [state.u_curr]
+    u_cols = [state.u_curr] if two_sided else []  # bidiagonal: u_k at step k
     alphas, betas, gammas = [], [], []
     breakdown_step = None
 
     for _ in range(steps):
-        u_basis = v_basis = None
+        out = step(A, state)
         if reorthogonalize:
-            if u_cols:
-                u_basis = np.column_stack(u_cols)
-            v_basis = np.column_stack(v_cols)
-        out = step_fn(A, state, _u_basis=u_basis, _v_basis=v_basis)
+            u_norm = out.gamma if two_sided else out.alpha
+            next_u, u_norm, u_broken = _reproject(A, out.next_u, u_norm, u_cols)
+            next_v, beta, v_broken = _reproject(A, out.next_v, out.beta, v_cols)
+            alpha, gamma = (out.alpha, u_norm) if two_sided else (u_norm, 0.0)
+            out = StepOutcome(next_v, next_u, alpha, beta, gamma, u_broken,
+                              v_broken, out.av)
         alphas.append(out.alpha)
         gammas.append(out.gamma)
         betas.append(out.beta)
@@ -207,7 +210,7 @@ def _run_reduction(A, state, step_fn, steps, reorthogonalize,
 
     coeffs = RecurrenceCoefficients(
         np.array(alphas), np.array(betas),
-        np.array([]) if u_has_same_index else np.array(gammas))
+        np.array(gammas) if two_sided else np.array([]))
     V = np.column_stack(v_cols)
     U = np.column_stack(u_cols) if u_cols else np.zeros((len(state.v_curr), 0))
     return coeffs, V, U, breakdown_step
@@ -217,17 +220,14 @@ def tridiagonalize(A, v1, u1, steps, reorthogonalize=False):
     """Run up to ``steps`` two-sided reduction steps keeping full bases.
 
     Returns ``(coeffs, V, U, breakdown_step)``; ``breakdown_step`` is
-    None if every step completed.  With ``reorthogonalize`` each new
-    direction is re-projected against all previous ones twice before
-    normalization.
+    None if every step completed.  ``reorthogonalize`` re-projects each
+    step's new directions twice against all previous ones (norms rescaled).
     """
-    state = KrylovState.start(TRIDIAGONAL, v1, u1)
-    return _run_reduction(A, state, tridiag_step, steps, reorthogonalize,
-                          u_has_same_index=False)
+    return _run_reduction(A, KrylovState.start(TRIDIAGONAL, v1, u1), steps,
+                          reorthogonalize)
 
 
 def bidiagonalize(A, v1, steps, reorthogonalize=False):
     """Bidiagonal counterpart of :func:`tridiagonalize` (no u1 needed)."""
-    state = KrylovState.start(BIDIAGONAL, v1)
-    return _run_reduction(A, state, bidiag_step, steps, reorthogonalize,
-                          u_has_same_index=True)
+    return _run_reduction(A, KrylovState.start(BIDIAGONAL, v1), steps,
+                          reorthogonalize)

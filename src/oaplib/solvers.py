@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateSeed, NumericalOverflow
+from .errors import DegenerateSeed, DimensionMismatch, NumericalOverflow
 from .linalg import as_vector, dot, norm2
 from .reductions import (BIDIAGONAL, TRIDIAGONAL, KrylovState, advance,
                          bidiag_step, breakdown_floor, tridiag_step)
@@ -102,6 +102,13 @@ def _seed_norm(A, v, what):
     return nrm
 
 
+def _as_rhs(A, rhs, name):
+    rhs = as_vector(rhs, name)
+    if len(rhs) != A.nrows:
+        raise DimensionMismatch(f"{name} has {len(rhs)} entries, not {A.nrows}")
+    return rhs
+
+
 def init_from_vector(A, rhs, w):
     """Seed from any direction w: v1 = A'w (normalized), c1 = t * rhs'w.
 
@@ -115,9 +122,9 @@ def init_from_vector(A, rhs, w):
 
 def init_from_row(A, rhs, i):
     """Seed from row i of A: v1 = A_i'/||A_i||, c1 = rhs_i/||A_i||."""
+    rhs = _as_rhs(A, rhs, "rhs")
     row = A.row(i)
     nrm = _seed_norm(A, row, f"row {i}")
-    rhs = as_vector(rhs, "rhs")
     return row / nrm, float(rhs[i]) / nrm
 
 
@@ -158,12 +165,6 @@ def orthogonality_lost(x, v_next, orth_tol=ORTH_TOL_DEFAULT):
     if xn == 0.0:
         return False
     return abs(dot(x, v_next)) / xn > orth_tol
-
-
-def _resolved(opts, n):
-    max_inner = opts.max_inner if opts.max_inner is not None else max(n - 1, 1)
-    max_restarts = opts.max_restarts if opts.max_restarts is not None else n
-    return max_inner, max_restarts
 
 
 class _DivergenceGuard:
@@ -210,20 +211,19 @@ def _cycle(A, rhs, krylov, c1, opts):
     cycle before accepting the step.  Returns the partial solution.
     """
     opts = opts or SolveOptions()
-    max_inner, _ = _resolved(opts, A.ncols)
+    rhs = _as_rhs(A, rhs, "rhs")
+    max_inner = opts.max_inner or max(A.ncols - 1, 1)
     two_sided = krylov.mode == TRIDIAGONAL
     step = tridiag_step if two_sided else bidiag_step
 
     x = c1 * krylov.v_curr
     c_prev, c_curr = 0.0, c1
     guard = _DivergenceGuard(rhs, c1)
-    steps = 0
     cause = "exhausted"
-    for k in range(1, max_inner + 1):
-        steps = k
+    for k in range(1, max_inner + 1):  # max_inner >= 1, so k is bound
         out = step(A, krylov)
         if guard.diverged(x, out.av):
-            return CycleResult(guard.best_x, steps, "divergence")
+            return CycleResult(guard.best_x, k, "divergence")
         # no v_{k+1} (or, bidiagonal, no u_k): nothing left to accumulate
         if out.v_broken or (not two_sided and out.u_broken):
             cause = "breakdown"
@@ -247,13 +247,13 @@ def _cycle(A, rhs, krylov, c1, opts):
             cause = "breakdown"
             break
         krylov = advance(krylov, out)
-    return CycleResult(x, steps, cause)
+    return CycleResult(x, k, cause)
 
 
-def oap_cycle_tridiag(A, rhs, v1, u1, c1, opts=None):
-    """One projection cycle over the two-sided engine, from x_1 = c1 v1;
-    ``CycleResult.stop_cause`` says why it stopped."""
-    return _cycle(A, rhs, KrylovState.start(TRIDIAGONAL, v1, u1), c1, opts)
+def oap_cycle_tridiag(A, rhs, v1, c1, opts=None):
+    """One projection cycle over the two-sided engine (u1 = v1), from
+    x_1 = c1 v1; ``CycleResult.stop_cause`` says why it stopped."""
+    return _cycle(A, rhs, KrylovState.start(TRIDIAGONAL, v1, v1), c1, opts)
 
 
 def oap_cycle_bidiag(A, rhs, v1, c1, opts=None):
@@ -273,9 +273,9 @@ def roap_solve(A, b, variant="roap2", opts=None):
     if variant not in ("roap2", "roap3"):
         raise ValueError(f"unknown variant {variant!r}")
     opts = opts or SolveOptions()
-    b = as_vector(b, "b")
+    b = _as_rhs(A, b, "b")
     n = A.ncols
-    _, max_restarts = _resolved(opts, n)
+    max_restarts = n if opts.max_restarts is None else opts.max_restarts
 
     report = SolveReport()
     bnorm = norm2(b)
@@ -306,7 +306,7 @@ def roap_solve(A, b, variant="roap2", opts=None):
             report.termination = "stagnation"  # singular operator surfaces here
             break
         if variant == "roap3":
-            result = oap_cycle_tridiag(A, rhs, v1, v1.copy(), c1, opts)
+            result = oap_cycle_tridiag(A, rhs, v1, c1, opts)
         else:
             result = oap_cycle_bidiag(A, rhs, v1, c1, opts)
         x = x + result.x_partial

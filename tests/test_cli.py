@@ -121,7 +121,7 @@ class TestSolve:
         problem = gen_convdiff2d(9, 10)
         v1, c1 = init_from_vector(problem.A, problem.b, problem.b)
         if solver == "oap3":
-            cycle = oap_cycle_tridiag(problem.A, problem.b, v1, v1.copy(), c1)
+            cycle = oap_cycle_tridiag(problem.A, problem.b, v1, c1)
         else:
             cycle = oap_cycle_bidiag(problem.A, problem.b, v1, c1)
         code = main(["solve", "--family", "convdiff2d", "--nx", "9",

@@ -92,6 +92,9 @@ _ARRAY = "%%MatrixMarket matrix array real general\n"
     ("%%MatrixMarket matrix array real general\n-2 3\n", 2),
     ("%%MatrixMarket matrix coordinate real general\n2 2 -1\n", 2),
     ("%%MatrixMarket matrix coordinate real general\n-2 2 0\n", 2),
+    # size-line integers follow the data lines' rule
+    (_COO + "1_0 2 0\n", 2),
+    (_COO + "\u0661 2 0\n", 2),
     # an empty file; no size line
     ("", 1),
     (_COO + "% only comments\n\n", 3),
@@ -143,6 +146,12 @@ def test_reader_accepts_layout_variants(tmp_path):
                     "% c\r\n3 2 .5\r\n2 1 1E1")
     np.testing.assert_array_equal(read_matrix_market(path).to_dense(),
                                   [[-2.5, 0.0], [10.0, 0.0], [0.0, 0.5]])
+
+
+def test_size_line_accepts_plus_sign(tmp_path):
+    path = tmp_path / "plus.mtx"
+    path.write_text(_COO + "+2 2 0\n")
+    assert read_matrix_market(path).shape == (2, 2)
 
 
 def test_zero_by_one_array_is_empty_vector(tmp_path):

@@ -209,6 +209,34 @@ class TestBidiagonalizeDriver:
         np.testing.assert_allclose(coeffs.betas, o_betas, atol=1e-10)
 
 
+class TestDriverBreakdown:
+    """The drivers stop at the step whose new directions would leave the
+    Krylov space, with and without reorthogonalization."""
+
+    @pytest.mark.parametrize("reorthogonalize", [False, True])
+    def test_three_eigenvalues_break_at_step_three(self, reorthogonalize):
+        A = DenseMatrix(np.diag([1.0, 2.0, 3.0] * 3))
+        v1 = np.ones(9) / 3.0
+        tri = tridiagonalize(A, v1, v1.copy(), 8, reorthogonalize)
+        bi = bidiagonalize(A, v1, 8, reorthogonalize)
+        assert tri[3] == bi[3] == 3
+
+    # at cond 1e6 the bidiagonal step's own beta_20 is above the floor;
+    # only the re-projected one is not
+    @pytest.mark.parametrize("cond", [1e2, 1e6])
+    def test_full_space_breaks_at_step_n(self, rng, cond):
+        A = DenseMatrix(random_wellcond(rng, 20, cond))
+        v1 = rng.standard_normal(20)
+        v1 /= np.linalg.norm(v1)
+        u1 = rng.standard_normal(20)
+        u1 /= np.linalg.norm(u1)
+        for _, V, U, broke in (
+                tridiagonalize(A, v1, u1, 20, reorthogonalize=True),
+                bidiagonalize(A, v1, 20, reorthogonalize=True)):
+            assert broke == 20
+            assert V.shape == U.shape == (20, 20)
+
+
 class TestRecurrenceInvariants:
     def test_tridiagonal_step_residual(self, rng):
         dense = random_wellcond(rng, 25)

@@ -3,7 +3,7 @@ import pytest
 
 import oaplib.solvers as solvers_mod
 from oaplib import (CsrMatrix, DegenerateSeed, DenseMatrix,
-                    NumericalOverflow, SolveOptions,
+                    DimensionMismatch, NumericalOverflow, SolveOptions,
                     c_update_bidiag, c_update_tridiag, gen_convdiff2d,
                     gen_poisson_lshape, gen_random_dense, gen_tridiag_unsym,
                     init_from_row, init_from_vector, norm2, oap_cycle_bidiag,
@@ -148,7 +148,7 @@ class TestCycleTridiag:
         A = CsrMatrix.identity(5)
         b = rng.standard_normal(5)
         v1, c1 = init_from_vector(A, b, b)
-        res = oap_cycle_tridiag(A, b, v1, v1.copy(), c1)
+        res = oap_cycle_tridiag(A, b, v1, c1)
         np.testing.assert_allclose(res.x_partial, b, rtol=1e-14)
         assert res.inner_steps == 1
         assert res.stop_cause == "breakdown"
@@ -158,8 +158,7 @@ class TestCycleTridiag:
         A = diag23()
         rhs = np.array([2.0, 3.0])
         v1, c1 = init_from_vector(A, rhs, rhs)
-        res = oap_cycle_tridiag(A, rhs, v1, v1.copy(), c1,
-                                SolveOptions(max_inner=2))
+        res = oap_cycle_tridiag(A, rhs, v1, c1, SolveOptions(max_inner=2))
         np.testing.assert_allclose(res.x_partial, [1.0, 1.0], atol=1e-12)
         assert res.inner_steps == 2
         assert res.stop_cause == "breakdown"
@@ -201,7 +200,7 @@ class TestCycleBidiag:
         A = diag23()
         v1, c1 = init_from_vector(A, rhs, rhs)
         for res in (oap_cycle_bidiag(A, rhs, v1, c1),
-                    oap_cycle_tridiag(A, rhs, v1, v1.copy(), c1)):
+                    oap_cycle_tridiag(A, rhs, v1, c1)):
             np.testing.assert_allclose(res.x_partial, [1.0, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("n", [12, 20, 30])
@@ -354,6 +353,33 @@ class TestRoap:
             errs.append(norm2(x - problem.x_true))
         for before, after in zip(errs, errs[1:]):
             assert after <= before * (1 + 1e-8)
+
+
+class TestRhsLength:
+    """Every solver entry rejects a right-hand side whose length is not
+    A's row count."""
+
+    @pytest.mark.parametrize("variant", ["roap2", "roap3"])
+    @pytest.mark.parametrize("b", [np.zeros(5), np.ones(5)], ids=["zero", "one"])
+    def test_roap_solve(self, variant, b):
+        with pytest.raises(DimensionMismatch):
+            roap_solve(CsrMatrix.identity(3), b, variant)
+
+    @pytest.mark.parametrize("rhs,i", [(np.ones(5), 0), (np.ones(1), 1)])
+    def test_init_from_row(self, rhs, i):
+        with pytest.raises(DimensionMismatch):
+            init_from_row(diag23(), rhs, i)
+
+    def test_init_from_vector(self):
+        with pytest.raises(DimensionMismatch):
+            init_from_vector(diag23(), np.ones(3), np.ones(2))
+
+    @pytest.mark.parametrize("cycle", [oap_cycle_bidiag, oap_cycle_tridiag])
+    def test_cycles(self, cycle):
+        A = diag23()
+        v1, c1 = init_from_vector(A, np.ones(2), np.ones(2))
+        with pytest.raises(DimensionMismatch):
+            cycle(A, np.ones(3), v1, c1)
 
 
 class TestSolveOptionsValidation:
