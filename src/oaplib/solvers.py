@@ -178,6 +178,9 @@ class _DivergenceGuard:
     explodes past ``DIVERGENCE_FACTOR`` times the seed scale, the cycle
     is abandoned and the best evaluated prefix (possibly the zero
     vector) returned instead.
+
+    ``best_x`` holds the caller's vector by reference, so the caller must
+    rebind its running sum rather than update it in place.
     """
 
     def __init__(self, rhs, c1):
@@ -185,7 +188,7 @@ class _DivergenceGuard:
         self.scale = norm2(rhs)
         self.ax = None
         self.pending_c = c1
-        self.best_x = np.zeros_like(rhs)
+        self.best_x = None  # None: no prefix beat the zero vector
         self.best_res = self.scale
 
     def diverged(self, x_current, av):
@@ -194,8 +197,12 @@ class _DivergenceGuard:
         res = norm2(self.rhs - self.ax)
         if res < self.best_res:
             self.best_res = res
-            self.best_x = x_current.copy()
+            self.best_x = x_current
         return res > DIVERGENCE_FACTOR * self.scale
+
+    def best_prefix(self):
+        """The best evaluated prefix, or the zero vector if none beat it."""
+        return np.zeros_like(self.rhs) if self.best_x is None else self.best_x
 
     def accepted(self, c_next):
         self.pending_c = c_next
@@ -223,7 +230,7 @@ def _cycle(A, rhs, krylov, c1, opts):
     for k in range(1, max_inner + 1):  # max_inner >= 1, so k is bound
         out = step(A, krylov)
         if guard.diverged(x, out.av):
-            return CycleResult(guard.best_x, k, "divergence")
+            return CycleResult(guard.best_prefix(), k, "divergence")
         # no v_{k+1} (or, bidiagonal, no u_k): nothing left to accumulate
         if out.v_broken or (not two_sided and out.u_broken):
             cause = "breakdown"
