@@ -12,7 +12,7 @@ window:
 A recurrence norm at or below :func:`breakdown_floor` is a breakdown,
 flagged per side and never raised: callers restart or stop.  The
 full-reduction drivers keep complete bases and can re-project each step's
-new vectors twice against them; they exist for testing and analysis, the
+new vectors against them; they exist for testing and analysis, the
 solvers use only the rolling window.
 """
 
@@ -163,14 +163,20 @@ def advance(s, outcome):
 
 
 def _reproject(A, unit, norm, cols):
-    """A step's new unit vector re-projected twice against ``cols``, and
-    the step's norm rescaled by the length it kept (0 for a broken side's
-    zero vector); returns ``(vector, norm, broken)``."""
+    """A step's new unit vector re-projected once against ``cols``
+    (classical Gram-Schmidt), and the step's norm rescaled by the length
+    it kept (0 for a broken side's zero vector); returns
+    ``(vector, norm, broken)``.
+
+    One pass suffices: the recurrence has already orthogonalized the new
+    vector against its neighbours, so the projection removes only
+    rounding-sized components, and a second pass leaves the Gram defect
+    where one pass left it.
+    """
     kept = 1.0
     if cols:
         basis = np.column_stack(cols)
-        for _ in range(2):
-            unit = unit - basis @ (basis.T @ unit)
+        unit = unit - basis @ (basis.T @ unit)
         kept = norm2(unit)
     norm *= kept
     if norm <= breakdown_floor(A):
@@ -221,7 +227,7 @@ def tridiagonalize(A, v1, u1, steps, reorthogonalize=False):
 
     Returns ``(coeffs, V, U, breakdown_step)``; ``breakdown_step`` is
     None if every step completed.  ``reorthogonalize`` re-projects each
-    step's new directions twice against all previous ones (norms rescaled).
+    step's new directions against all previous ones (norms rescaled).
     """
     return _run_reduction(A, KrylovState.start(TRIDIAGONAL, v1, u1), steps,
                           reorthogonalize)
