@@ -110,14 +110,12 @@ def _spec_from_args(args):
 
 
 def _solve_options(args):
-    return SolveOptions(tol=args.tol, orth_tol=args.orth_tol,
-                        max_restarts=args.max_restarts,
+    return SolveOptions(tol=args.tol, max_restarts=args.max_restarts,
                         max_inner=args.max_inner, rhs_mode=args.rhs_mode)
 
 
 def _add_solver_flags(p):
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--orth-tol", type=float, default=1e-8)
     p.add_argument("--max-restarts", type=int, default=None)
     p.add_argument("--max-inner", type=int, default=None)
     p.add_argument("--rhs-mode", choices=(CYCLE_RESIDUAL, ORIGINAL_B),

@@ -8,6 +8,14 @@ running approximation and each new direction detects loss of
 orthogonality; the restarted drivers then restart on the residual
 equation.
 
+The angle test restarts on lost semiorthogonality (Simon 1984), not on
+a fixed angle.  x = sum_j c_j v_j, so |cos(x, v)| is at most
+max_j |v_j'v| * ||c||_1 / ||c||_2: a basis still orthogonal to
+sqrt(eps) may show a cosine up to sqrt(k) times larger after k terms.
+The cycle therefore allows sqrt(eps) * ||c||_1 / ||c||_2 (see
+``orthogonality_threshold``), which is sqrt(eps) at k = 1 and never
+more than sqrt(k eps).
+
 Restarting on the residual keeps every cycle's coefficients consistent
 (the cycle solves A e = r, so inner products use r).  The
 ``original-b`` mode instead keeps the original right-hand side inside
@@ -16,6 +24,7 @@ inconsistent after the first restart and diverges on most problems,
 so it exists for comparison only.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -27,7 +36,7 @@ from .reductions import (BIDIAGONAL, TRIDIAGONAL, KrylovState, advance,
                          bidiag_step, breakdown_floor, tridiag_step)
 
 TOL_DEFAULT = 1e-6
-ORTH_TOL_DEFAULT = 1e-8
+SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 # A cycle whose tracked residual exceeds this multiple of the seed
 # scale has lost orthogonality in a way the angle test cannot see (the
@@ -45,11 +54,12 @@ class SolveOptions:
     """Knobs shared by all solvers.
 
     ``max_restarts`` and ``max_inner`` default to n and n-1 at solve
-    time when left as None.  Breakdown is ``reductions.breakdown_floor``.
+    time when left as None.  Breakdown is ``reductions.breakdown_floor``;
+    the orthogonality threshold follows from each cycle's own
+    coefficients (``orthogonality_threshold``), so neither is an option.
     """
 
     tol: float = TOL_DEFAULT
-    orth_tol: float = ORTH_TOL_DEFAULT
     max_restarts: Optional[int] = None
     max_inner: Optional[int] = None
     rhs_mode: str = CYCLE_RESIDUAL
@@ -57,8 +67,6 @@ class SolveOptions:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not 0 < self.orth_tol < 1:
-            raise ValueError("orth_tol must lie in (0, 1)")
         if self.max_restarts is not None and self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
         if self.max_inner is not None and self.max_inner < 1:
@@ -154,9 +162,22 @@ def c_update_bidiag(b_dot_u, alpha, beta, c_curr):
     return (b_dot_u - alpha * c_curr) / beta
 
 
-def orthogonality_lost(x, v_next, orth_tol=ORTH_TOL_DEFAULT):
+def orthogonality_threshold(abs_sum, sq_sum):
+    """The |cos| a semiorthogonal basis can show against x = sum c_j v_j:
+    sqrt(eps) * ||c||_1 / ||c||_2, from ``abs_sum`` = sum |c_j| and
+    ``sq_sum`` = sum c_j^2.
+
+    With k coefficients the ratio lies in [1, sqrt(k)], so the threshold
+    lies in [sqrt(eps), sqrt(k eps)] and needs no cap.  With no nonzero
+    coefficient x is zero, which never triggers; sqrt(eps) is returned.
+    """
+    return SQRT_EPS * abs_sum / math.sqrt(sq_sum) if sq_sum > 0.0 else SQRT_EPS
+
+
+def orthogonality_lost(x, v_next, threshold):
     """True when the new (unit) direction is no longer numerically
-    orthogonal to the accumulated approximation.
+    orthogonal to the accumulated approximation: |cos(x, v_next)|
+    exceeds ``threshold``.
 
     Works on |cos| of the angle rather than the angle itself; the zero
     vector never triggers, so the first step always passes.
@@ -164,7 +185,7 @@ def orthogonality_lost(x, v_next, orth_tol=ORTH_TOL_DEFAULT):
     xn = norm2(x)
     if xn == 0.0:
         return False
-    return abs(dot(x, v_next)) / xn > orth_tol
+    return abs(dot(x, v_next)) / xn > threshold
 
 
 class _DivergenceGuard:
@@ -213,9 +234,12 @@ def _cycle(A, rhs, krylov, c1, opts):
 
     Starts from x_1 = c1 v1 and keeps extending while the new direction
     stays orthogonal to the running approximation and neither recurrence
-    breaks down.  The engine (``krylov.mode``) picks the step, which u
-    enters b'u, the coefficient update and which broken side stops the
-    cycle before accepting the step.  Returns the partial solution.
+    breaks down.  "Orthogonal" is |cos| within
+    ``orthogonality_threshold`` of the coefficients already in x, kept
+    as the running sums of |c_j| and c_j^2.  The engine
+    (``krylov.mode``) picks the step, which u enters b'u, the
+    coefficient update and which broken side stops the cycle before
+    accepting the step.  Returns the partial solution.
     """
     opts = opts or SolveOptions()
     rhs = _as_rhs(A, rhs, "rhs")
@@ -225,6 +249,7 @@ def _cycle(A, rhs, krylov, c1, opts):
 
     x = c1 * krylov.v_curr
     c_prev, c_curr = 0.0, c1
+    c_abs, c_sq = abs(c1), c1 * c1
     guard = _DivergenceGuard(rhs, c1)
     cause = "exhausted"
     for k in range(1, max_inner + 1):  # max_inner >= 1, so k is bound
@@ -244,11 +269,14 @@ def _cycle(A, rhs, krylov, c1, opts):
                                      out.beta, c_curr)
         if not np.isfinite(c_next):
             raise NumericalOverflow(f"non-finite coefficient at step {k}", step=k)
-        if orthogonality_lost(x, out.next_v, opts.orth_tol):
+        if orthogonality_lost(x, out.next_v,
+                              orthogonality_threshold(c_abs, c_sq)):
             cause = "orthogonality"
             break
         x = x + c_next * out.next_v
         c_prev, c_curr = c_curr, c_next
+        c_abs += abs(c_next)
+        c_sq += c_next * c_next
         guard.accepted(c_next)
         if out.u_broken:  # two-sided: u side exhausted; update stands
             cause = "breakdown"

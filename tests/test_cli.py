@@ -175,9 +175,15 @@ class TestSolve:
         assert code == 1
         assert "tol must be positive" in capsys.readouterr().err
 
-    def test_usage_error_exit_code(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["--solver", "gmres"],
+        # the orthogonality threshold follows from the coefficients
+        ["--family", "convdiff2d", "--nx", "4", "--ny", "4",
+         "--orth-tol", "1e-8"],
+    ])
+    def test_usage_error_exit_code(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
-            main(["solve", "--solver", "gmres"])
+            main(["solve", *argv])
         assert err.value.code == 1
 
     def test_ap_solver_with_blocks(self, capsys):

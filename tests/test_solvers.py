@@ -8,6 +8,7 @@ from oaplib import (CsrMatrix, DegenerateSeed, DenseMatrix,
                     gen_poisson_lshape, gen_random_dense, gen_tridiag_unsym,
                     init_from_row, init_from_vector, norm2, oap_cycle_bidiag,
                     oap_cycle_tridiag, orthogonality_lost, roap_solve)
+from oaplib.solvers import SQRT_EPS, orthogonality_threshold
 
 from conftest import constructed_problem, exact_cycle, random_wellcond
 
@@ -143,6 +144,40 @@ class TestOrthogonalityDetector:
         assert not orthogonality_lost(np.zeros(2), np.array([1.0, 0.0]), 1e-8)
 
 
+class TestOrthogonalityThreshold:
+    @staticmethod
+    def threshold(coeffs):
+        coeffs = np.asarray(coeffs, dtype=float)
+        return orthogonality_threshold(float(np.abs(coeffs).sum()),
+                                       float((coeffs * coeffs).sum()))
+
+    def test_sqrt_eps(self):
+        assert SQRT_EPS == np.sqrt(np.finfo(float).eps)
+
+    @pytest.mark.parametrize("c", [1.0, -2.5, 3e-150, 7e140])
+    def test_one_coefficient_gives_sqrt_eps(self, c):
+        assert self.threshold([c]) == pytest.approx(SQRT_EPS, rel=1e-15)
+
+    @pytest.mark.parametrize("k", [2, 10, 1000])
+    @pytest.mark.parametrize("c", [1.0, -0.3])
+    def test_equal_coefficients_give_sqrt_k_eps(self, k, c):
+        assert self.threshold([c] * k) == pytest.approx(np.sqrt(k) * SQRT_EPS,
+                                                        rel=1e-12)
+
+    def test_bounded_by_sqrt_k_eps(self, rng):
+        # ||c||_1 / ||c||_2 lies in [1, sqrt(k)]: no cap is needed
+        for k in (1, 3, 50, 2000):
+            for coeffs in (rng.standard_normal(k),
+                           np.geomspace(1.0, 1e-12, k),
+                           np.r_[1.0, np.zeros(k - 1)]):
+                t = self.threshold(coeffs)
+                assert SQRT_EPS * (1 - 1e-15) <= t
+                assert t <= np.sqrt(k) * SQRT_EPS * (1 + 1e-12)
+
+    def test_no_coefficient_gives_sqrt_eps(self):
+        assert orthogonality_threshold(0.0, 0.0) == SQRT_EPS
+
+
 class TestCycleTridiag:
     def test_identity_solved_by_seed_projection(self, rng):
         A = CsrMatrix.identity(5)
@@ -216,22 +251,46 @@ class TestCycleBidiag:
         assert norm2(x - x_true) <= 1e-9 * norm2(x_true)
         assert norm2(b - A.apply(x)) <= 1e-10 * norm2(b)
 
-    def test_detector_contract_at_acceptance_time(self, rng, monkeypatch):
-        calls = []
-        real = solvers_mod.orthogonality_lost
+    @pytest.mark.parametrize("variant", ["roap2", "roap3"])
+    def test_detector_contract_at_acceptance_time(self, monkeypatch, variant):
+        """Every accepted step passed |cos| <= the threshold the cycle
+        handed the detector, and that threshold is sqrt(eps) ||c||_1 /
+        ||c||_2 over the coefficients already in x.  |c_j| is recovered
+        independently as ||x_j - x_{j-1}|| (v_j has unit norm)."""
+        cycles = []
+        real_lost = solvers_mod.orthogonality_lost
 
-        def spy(x, v_next, tol):
-            lost = real(x, v_next, tol)
-            calls.append((norm2(x), abs(float(np.dot(x, v_next))), tol, lost))
+        def lost_spy(x, v_next, threshold):
+            lost = real_lost(x, v_next, threshold)
+            cycles[-1].append((x, abs(float(np.dot(x, v_next))), threshold,
+                               lost))
             return lost
 
-        monkeypatch.setattr(solvers_mod, "orthogonality_lost", spy)
+        def cycle_spy(real):
+            def run(*args):
+                cycles.append([])
+                return real(*args)
+            return run
+
+        monkeypatch.setattr(solvers_mod, "orthogonality_lost", lost_spy)
+        for name in ("oap_cycle_bidiag", "oap_cycle_tridiag"):
+            monkeypatch.setattr(solvers_mod, name,
+                                cycle_spy(getattr(solvers_mod, name)))
         problem = gen_convdiff2d(9, 10)
-        x, report = roap_solve(problem.A, problem.b, "roap2")
-        accepted = [c for c in calls if not c[3]]
-        assert accepted
-        for xn, d, tol, _ in accepted:
-            assert xn == 0.0 or d <= tol * xn
+        roap_solve(problem.A, problem.b, variant)
+        outcomes = {lost for cycle in cycles for *_, lost in cycle}
+        assert outcomes == {False, True}
+        for cycle in cycles:
+            x_prev = np.zeros(problem.n)
+            abs_sum = sq_sum = 0.0
+            for x, d, threshold, lost in cycle:
+                c = norm2(x - x_prev)
+                x_prev = x
+                abs_sum, sq_sum = abs_sum + c, sq_sum + c * c
+                assert threshold == pytest.approx(
+                    SQRT_EPS * abs_sum / np.sqrt(sq_sum), rel=1e-9)
+                if not lost:
+                    assert d <= threshold * norm2(x)
 
 
 class TestRoap:
@@ -253,6 +312,15 @@ class TestRoap:
         assert report.termination == "converged"
         assert report.final_relres <= 1e-6
         # recomputed from scratch, not trusted from the report
+        assert norm2(problem.b - problem.A.apply(x)) <= 1e-6 * norm2(problem.b)
+
+    def test_convdiff_45_restarts_only_on_lost_semiorthogonality(self):
+        # a fixed |cos| cut at 1e-8 restarts this solve on a basis that is
+        # still semiorthogonal, and it ends in stagnation near relres 1e-3
+        problem = gen_convdiff2d(45, 45)  # n = 2025
+        x, report = roap_solve(problem.A, problem.b, "roap2")
+        assert report.termination == "converged"
+        assert report.restarts <= 10
         assert norm2(problem.b - problem.A.apply(x)) <= 1e-6 * norm2(problem.b)
 
     @pytest.mark.parametrize("variant", ["roap2", "roap3"])
@@ -390,10 +458,6 @@ class TestSolveOptionsValidation:
     def test_nan_tol(self):
         with pytest.raises(ValueError, match="tol must be positive"):
             SolveOptions(tol=float("nan"))
-
-    def test_bad_orth_tol(self):
-        with pytest.raises(ValueError):
-            SolveOptions(orth_tol=1.5)
 
     def test_bad_max_inner(self):
         with pytest.raises(ValueError):
