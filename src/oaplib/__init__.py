@@ -29,9 +29,9 @@ from .reductions import (KrylovState, RecurrenceCoefficients, StepOutcome,
                          advance, bidiag_step, bidiagonalize, tridiag_step,
                          tridiagonalize)
 from .solvers import (CycleResult, SolveOptions, SolveReport,
-                      c_update_bidiag, c_update_tridiag, init_from_row,
-                      init_from_vector, oap_cycle_bidiag, oap_cycle_tridiag,
-                      orthogonality_lost, roap_solve)
+                      c_update_bidiag, c_update_tridiag, init_from_vector,
+                      oap_cycle_bidiag, oap_cycle_tridiag, orthogonality_lost,
+                      roap_solve)
 
 __version__ = "0.1.0"
 
@@ -45,9 +45,8 @@ __all__ = [
     "as_vector",
     "backend_name", "bidiag_step", "bidiagonalize", "c_update_bidiag",
     "c_update_tridiag", "dot", "gen_convdiff2d", "gen_poisson_lshape",
-    "gen_random_dense", "gen_tridiag_unsym", "init_from_row",
-    "init_from_vector", "norm2", "oap_cycle_bidiag", "oap_cycle_tridiag",
-    "orthogonality_lost", "project_onto", "read_matrix_market", "roap_solve",
-    "sample_solution", "tridiag_step", "tridiagonalize",
-    "write_matrix_market",
+    "gen_random_dense", "gen_tridiag_unsym", "init_from_vector", "norm2",
+    "oap_cycle_bidiag", "oap_cycle_tridiag", "orthogonality_lost",
+    "project_onto", "read_matrix_market", "roap_solve", "sample_solution",
+    "tridiag_step", "tridiagonalize", "write_matrix_market",
 ]

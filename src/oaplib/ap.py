@@ -207,9 +207,7 @@ def ap_solve(A, b, partition=None, tol=1e-6, max_sweeps=1000):
     while relres > tol and report.restarts < max_sweeps:
         state = ap_sweep(blocks, state)
         relres = norm2(b - A.apply(state.p)) / bnorm
-        report.restarts += 1
         report.inner_iterations.append(partition.nblocks)
         report.residual_history.append(relres)
     report.termination = "converged" if relres <= tol else "max-restarts"
-    report.final_relres = report.residual_history[-1]
     return state.p, report

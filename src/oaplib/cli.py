@@ -9,8 +9,7 @@ suite.  Exit codes: 0 all converged, 2 some case failed to converge,
 import argparse
 import sys
 import time
-
-import numpy as np
+from dataclasses import replace
 
 from . import mmio
 from .ap import BlockPartition, ap_solve
@@ -18,9 +17,7 @@ from .errors import OapError
 from .linalg import LinearOperator, norm2
 from .problems import GeneratedProblem, ProblemSpec, lshape_m_for
 from .reporting import RunRecord, emit_report
-from .solvers import (CYCLE_RESIDUAL, ORIGINAL_B, SolveOptions,
-                      oap_cycle_bidiag, oap_cycle_tridiag, init_from_vector,
-                      roap_solve)
+from .solvers import SolveOptions, roap_solve
 
 SOLVERS = ("roap2", "roap3", "oap2", "oap3", "ap")
 
@@ -44,33 +41,23 @@ def run_case(problem, solver, opts, blocks=2):
     """Execute ``solver`` on ``problem`` and measure it from scratch.
 
     The reported residual is recomputed from the returned solution,
-    never taken from solver-internal state.  Solver failures are
-    recorded in the termination field instead of raised.
+    never taken from solver-internal state; a zero b (or x_true) makes
+    it absolute.  Solver failures are recorded in the termination field
+    instead of raised.
     """
     A, b = problem.A, problem.b
     t0 = time.perf_counter()
-    termination = "converged"
     try:
         if solver in ("roap2", "roap3"):
             x, report = roap_solve(A, b, solver, opts)
-            restarts, inner = report.restarts, sum(report.inner_iterations)
-            termination = report.termination
         elif solver in ("oap2", "oap3"):
-            # single projection cycle seeded from b
-            v1, c1 = init_from_vector(A, b, b)
-            if solver == "oap3":
-                result = oap_cycle_tridiag(A, b, v1, c1, opts)
-            else:
-                result = oap_cycle_bidiag(A, b, v1, c1, opts)
-            x, restarts, inner = result.x_partial, 1, result.inner_steps
-            if norm2(b - A.apply(x)) / norm2(b) > opts.tol:
-                termination = result.stop_cause  # no restarts to run out of
+            # one roap cycle seeded from b
+            x, report = roap_solve(A, b, "r" + solver,
+                                   replace(opts, max_restarts=1))
         elif solver == "ap":
             partition = BlockPartition.equal_blocks(A.nrows, blocks)
             sweeps = 5000 if opts.max_restarts is None else opts.max_restarts
             x, report = ap_solve(A, b, partition, tol=opts.tol, max_sweeps=sweeps)
-            restarts, inner = report.restarts, sum(report.inner_iterations)
-            termination = report.termination
         else:
             raise ValueError(f"unknown solver {solver!r}")
     except OapError as exc:
@@ -79,13 +66,21 @@ def run_case(problem, solver, opts, blocks=2):
                          float("inf"), None, elapsed_ms,
                          f"error: {type(exc).__name__}")
     elapsed_ms = (time.perf_counter() - t0) * 1e3
+    restarts, inner = report.restarts, sum(report.inner_iterations)
+    termination = report.termination
+    if solver in ("oap2", "oap3") and termination == "max-restarts":
+        termination = report.stop_causes[-1]  # no restarts to run out of
 
-    relres = norm2(b - A.apply(x)) / norm2(b)
+    relres = _relative(norm2(b - A.apply(x)), norm2(b))
     relerr = None
     if problem.x_true is not None:
-        relerr = norm2(x - problem.x_true) / norm2(problem.x_true)
+        relerr = _relative(norm2(x - problem.x_true), norm2(problem.x_true))
     return RunRecord(problem.family, problem.n, solver, restarts, inner,
                      relres, relerr, elapsed_ms, termination)
+
+
+def _relative(err, scale):
+    return err / scale if scale else err
 
 
 def _add_problem_flags(p):
@@ -111,15 +106,13 @@ def _spec_from_args(args):
 
 def _solve_options(args):
     return SolveOptions(tol=args.tol, max_restarts=args.max_restarts,
-                        max_inner=args.max_inner, rhs_mode=args.rhs_mode)
+                        max_inner=args.max_inner)
 
 
 def _add_solver_flags(p):
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-restarts", type=int, default=None)
     p.add_argument("--max-inner", type=int, default=None)
-    p.add_argument("--rhs-mode", choices=(CYCLE_RESIDUAL, ORIGINAL_B),
-                   default=CYCLE_RESIDUAL)
     p.add_argument("--blocks", type=int, default=2,
                    help="row blocks for the ap solver")
 

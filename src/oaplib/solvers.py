@@ -5,8 +5,8 @@ the unknown solution is computable, then extends it with one of the
 short-recurrence engines while updating the coefficients c_k = x'v_k
 from right-hand-side inner products alone.  The angle between the
 running approximation and each new direction detects loss of
-orthogonality; the restarted drivers then restart on the residual
-equation.
+orthogonality; ``roap_solve`` then restarts on the residual equation
+(with a budget of one cycle it is the unrestarted OAP method).
 
 The angle test restarts on lost semiorthogonality (Simon 1984), not on
 a fixed angle.  x = sum_j c_j v_j, so |cos(x, v)| is at most
@@ -16,12 +16,8 @@ The cycle therefore allows sqrt(eps) * ||c||_1 / ||c||_2 (see
 ``orthogonality_threshold``), which is sqrt(eps) at k = 1 and never
 more than sqrt(k eps).
 
-Restarting on the residual keeps every cycle's coefficients consistent
-(the cycle solves A e = r, so inner products use r).  The
-``original-b`` mode instead keeps the original right-hand side inside
-every cycle; it reproduces a published formulation verbatim but is
-inconsistent after the first restart and diverges on most problems,
-so it exists for comparison only.
+Restarting on the residual keeps every cycle's coefficients consistent:
+the cycle solves A e = r, so its seed and inner products use r.
 """
 
 import math
@@ -45,13 +41,11 @@ SQRT_EPS = math.sqrt(np.finfo(float).eps)
 # evaluated prefix returned.  Legitimate cycles wander below ~10x.
 DIVERGENCE_FACTOR = 100.0
 
-CYCLE_RESIDUAL = "cycle-residual"
-ORIGINAL_B = "original-b"
-
 
 @dataclass
 class SolveOptions:
-    """Knobs shared by all solvers.
+    """Options of the projection cycles and ``roap_solve`` (``ap_solve``
+    takes its own ``tol`` and ``max_sweeps``).
 
     ``max_restarts`` and ``max_inner`` default to n and n-1 at solve
     time when left as None.  Breakdown is ``reductions.breakdown_floor``;
@@ -62,7 +56,6 @@ class SolveOptions:
     tol: float = TOL_DEFAULT
     max_restarts: Optional[int] = None
     max_inner: Optional[int] = None
-    rhs_mode: str = CYCLE_RESIDUAL
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -71,24 +64,36 @@ class SolveOptions:
             raise ValueError("max_restarts must be >= 0")
         if self.max_inner is not None and self.max_inner < 1:
             raise ValueError("max_inner must be >= 1")
-        if self.rhs_mode not in (CYCLE_RESIDUAL, ORIGINAL_B):
-            raise ValueError(f"unknown rhs_mode {self.rhs_mode!r}")
 
 
 @dataclass
 class SolveReport:
     """Outcome bookkeeping for one solve.
 
-    ``residual_history`` holds the relative residual before any work
-    and after each restart; the last entry equals ``final_relres``.
+    Stored: ``termination``; ``inner_iterations``, the inner steps of
+    each cycle (``ap``: blocks per sweep); ``residual_history``, the
+    relative residual before any work and after each cycle or sweep;
+    and ``stop_causes``, each cycle's ``CycleResult.stop_cause`` (empty
+    for ``ap``).  Derived from them, read-only: ``restarts``,
+    ``final_relres`` (the last history entry) and ``breakdown_events``.
     """
 
     termination: str = ""  # "converged" | "max-restarts" | "stagnation"
-    restarts: int = 0
     inner_iterations: list = field(default_factory=list)
-    final_relres: float = 0.0
     residual_history: list = field(default_factory=list)
-    breakdown_events: int = 0
+    stop_causes: list = field(default_factory=list)
+
+    @property
+    def restarts(self):
+        return len(self.inner_iterations)
+
+    @property
+    def final_relres(self):
+        return self.residual_history[-1]
+
+    @property
+    def breakdown_events(self):
+        return self.stop_causes.count("breakdown")
 
 
 class CycleResult(NamedTuple):
@@ -120,20 +125,13 @@ def _as_rhs(A, rhs, name):
 def init_from_vector(A, rhs, w):
     """Seed from any direction w: v1 = A'w (normalized), c1 = t * rhs'w.
 
-    If rhs = A x, then c1 equals x'v1 exactly in exact arithmetic.
+    If rhs = A x, then c1 equals x'v1 exactly in exact arithmetic.  The
+    unit vector w = e_i seeds from row i of A.
     """
     w = as_vector(w, "w")
     atw = A.apply_transpose(w)
     t = 1.0 / _seed_norm(A, atw, "A'w")
     return t * atw, t * dot(as_vector(rhs, "rhs"), w)
-
-
-def init_from_row(A, rhs, i):
-    """Seed from row i of A: v1 = A_i'/||A_i||, c1 = rhs_i/||A_i||."""
-    rhs = _as_rhs(A, rhs, "rhs")
-    row = A.row(i)
-    nrm = _seed_norm(A, row, f"row {i}")
-    return row / nrm, float(rhs[i]) / nrm
 
 
 def c_update_tridiag(b_dot_u, alpha, beta, gamma_prev, c_curr, c_prev):
@@ -335,25 +333,20 @@ def roap_solve(A, b, variant="roap2", opts=None):
             report.termination = "stagnation"
             break
         try:
-            rhs = r if opts.rhs_mode == CYCLE_RESIDUAL else b
-            v1, c1 = init_from_vector(A, rhs, r)
+            v1, c1 = init_from_vector(A, r, r)
         except DegenerateSeed:
             report.termination = "stagnation"  # singular operator surfaces here
             break
         if variant == "roap3":
-            result = oap_cycle_tridiag(A, rhs, v1, c1, opts)
+            result = oap_cycle_tridiag(A, r, v1, c1, opts)
         else:
-            result = oap_cycle_bidiag(A, rhs, v1, c1, opts)
+            result = oap_cycle_bidiag(A, r, v1, c1, opts)
         x = x + result.x_partial
         r = b - A.apply(x)
         new_relres = norm2(r) / bnorm
-        report.restarts += 1
         report.inner_iterations.append(result.inner_steps)
         report.residual_history.append(new_relres)
-        if result.stop_cause == "breakdown":
-            report.breakdown_events += 1
+        report.stop_causes.append(result.stop_cause)
         no_decrease = no_decrease + 1 if new_relres > relres * (1 - 1e-12) else 0
         relres = new_relres
-
-    report.final_relres = report.residual_history[-1]
     return x, report

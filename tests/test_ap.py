@@ -157,6 +157,7 @@ class TestApSolve:
         x, report = ap_solve(A, b, BlockPartition.equal_blocks(5, 2))
         assert report.termination == "converged"
         assert report.restarts == 1
+        assert report.stop_causes == []  # sweeps are not cycles
         np.testing.assert_allclose(x, b, rtol=1e-12)
 
     def test_diagonal_two_blocks(self):

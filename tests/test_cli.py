@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from oaplib import (CsrMatrix, gen_convdiff2d, init_from_vector,
-                    oap_cycle_bidiag, oap_cycle_tridiag, read_matrix_market)
-from oaplib.cli import main, run_case
+from oaplib import (CsrMatrix, gen_convdiff2d, init_from_vector, norm2,
+                    oap_cycle_bidiag, oap_cycle_tridiag, read_matrix_market,
+                    roap_solve, write_matrix_market)
+from oaplib.cli import SOLVERS, main, run_case
 from oaplib.reporting import read_records_csv
 from oaplib.solvers import SolveOptions
 
@@ -49,6 +50,17 @@ class TestRunCase:
         assert rec.termination == "error: NonFiniteVector"
         assert not rec.converged
         assert rec.relres == float("inf")
+
+    @pytest.mark.parametrize("solver", ["oap2", "oap3", "roap2"])
+    def test_degenerate_seed_stagnates(self, solver):
+        # A'b = 0: no seed exists, so no cycle runs, for one cycle or many
+        from oaplib.problems import GeneratedProblem
+        A = CsrMatrix.from_dense(np.diag([1.0, 0.0]))
+        problem = GeneratedProblem(A, np.array([0.0, 1.0]), None, "null-rhs")
+        rec = run_case(problem, solver, SolveOptions())
+        assert rec.termination == "stagnation"
+        assert (rec.restarts, rec.inner_iters) == (0, 0)
+        assert rec.relres == 1.0
 
     def test_seed_overflow_recorded(self):
         from oaplib.problems import GeneratedProblem
@@ -180,11 +192,44 @@ class TestSolve:
         # the orthogonality threshold follows from the coefficients
         ["--family", "convdiff2d", "--nx", "4", "--ny", "4",
          "--orth-tol", "1e-8"],
+        # every restart cycles on the residual
+        ["--family", "convdiff2d", "--nx", "4", "--ny", "4",
+         "--rhs-mode", "original-b"],
     ])
     def test_usage_error_exit_code(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
             main(["solve", *argv])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_zero_rhs_converges(self, tmp_path, capsys, solver):
+        # a zero b and x_true make relres and relerr absolute: 0 for x = 0
+        main(["gen", "--family", "convdiff2d", "--nx", "3", "--ny", "3",
+              str(tmp_path / "cd")])
+        write_matrix_market(tmp_path / "zero.mtx", np.zeros(9))
+        capsys.readouterr()
+        code = main(["solve", "--matrix", str(tmp_path / "cd.mtx"),
+                     "--rhs", str(tmp_path / "zero.mtx"),
+                     "--truth", str(tmp_path / "zero.mtx"), "--solver", solver])
+        rec = read_records_csv(capsys.readouterr().out)[0]
+        assert code == 0
+        assert rec.termination == "converged"
+        assert (rec.restarts, rec.relres, rec.relerr) == (0, 0.0, 0.0)
+
+    def test_zero_truth_gives_absolute_error(self, tmp_path, capsys):
+        prefix = tmp_path / "cd"
+        main(["gen", "--family", "convdiff2d", "--nx", "3", "--ny", "3",
+              str(prefix)])
+        write_matrix_market(tmp_path / "zero.mtx", np.zeros(9))
+        capsys.readouterr()
+        code = main(["solve", "--matrix", f"{prefix}.mtx",
+                     "--rhs", f"{prefix}_b.mtx",
+                     "--truth", str(tmp_path / "zero.mtx")])
+        rec = read_records_csv(capsys.readouterr().out)[0]
+        x, _ = roap_solve(read_matrix_market(f"{prefix}.mtx"),
+                          read_matrix_market(f"{prefix}_b.mtx"), "roap2")
+        assert code == 0
+        assert rec.relerr == pytest.approx(norm2(x), rel=1e-12)
 
     def test_ap_solver_with_blocks(self, capsys):
         code = main(["solve", "--family", "convdiff2d", "--nx", "4",

@@ -1,0 +1,71 @@
+"""Print a SHA-256 digest of every solve in a fixed set, to show that a
+refactor leaves the solvers' outputs bit-identical.
+
+Cases: the pinned ``oap bench`` suite with random-dense 300 at seeds
+1234..1241, plus convdiff 60x60, under ``roap2`` and ``roap3`` (default
+options) and ``ap`` (two blocks, 5000 sweeps, as ``oap bench`` runs it).
+Each line gives the termination, restarts, total inner steps and one
+SHA-256 over the little-endian bytes of the final x, the residual
+history and the inner step counts; the last line is one digest over all
+of them.  Compare the last line between two commits on one machine:
+``norm2`` sums through BLAS, whose order may differ between CPU kernels.
+
+    PYTHONPATH=src python tools/solve_digest.py
+"""
+
+import hashlib
+
+import numpy as np
+
+from oaplib import BlockPartition, ap_solve, roap_solve
+from oaplib.cli import EXAMPLE1_GRIDS, EXAMPLE2_TARGETS, EXAMPLE3_N, EXAMPLE4_N
+from oaplib.problems import (gen_convdiff2d, gen_poisson_lshape,
+                             gen_random_dense, gen_tridiag_unsym, lshape_m_for)
+
+SEEDS = range(1234, 1242)
+AP_BLOCKS = 2
+AP_MAX_SWEEPS = 5000
+
+
+def problems():
+    for nx, ny in EXAMPLE1_GRIDS:
+        yield gen_convdiff2d(nx, ny)
+    for target in EXAMPLE2_TARGETS:
+        yield gen_poisson_lshape(lshape_m_for(target))
+    yield gen_tridiag_unsym(EXAMPLE3_N)
+    for seed in SEEDS:
+        yield gen_random_dense(EXAMPLE4_N, seed)
+    yield gen_convdiff2d(60, 60)
+
+
+def solve(problem, solver):
+    if solver == "ap":
+        partition = BlockPartition.equal_blocks(problem.A.nrows, AP_BLOCKS)
+        return ap_solve(problem.A, problem.b, partition,
+                        max_sweeps=AP_MAX_SWEEPS)
+    return roap_solve(problem.A, problem.b, solver)
+
+
+def digest(x, report):
+    h = hashlib.sha256()
+    h.update(np.asarray(x, dtype="<f8").tobytes())
+    h.update(np.asarray(report.residual_history, dtype="<f8").tobytes())
+    h.update(np.asarray(report.inner_iterations, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+def main():
+    overall = hashlib.sha256()
+    for problem in problems():
+        for solver in ("roap2", "roap3", "ap"):
+            x, report = solve(problem, solver)
+            line = (f"{problem.label} {solver} {report.termination} "
+                    f"{report.restarts} {sum(report.inner_iterations)} "
+                    f"{digest(x, report)}")
+            print(line, flush=True)
+            overall.update(line.encode() + b"\n")
+    print(f"overall {overall.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
