@@ -28,10 +28,9 @@ from .problems import (GeneratedProblem, ProblemSpec, gen_convdiff2d,
 from .reductions import (KrylovState, RecurrenceCoefficients, StepOutcome,
                          advance, bidiag_step, bidiagonalize, tridiag_step,
                          tridiagonalize)
-from .solvers import (CycleResult, SolveOptions, SolveReport,
-                      c_update_bidiag, c_update_tridiag, init_from_vector,
-                      oap_cycle_bidiag, oap_cycle_tridiag, orthogonality_lost,
-                      roap_solve)
+from .solvers import (CycleResult, SolveReport, c_update_bidiag,
+                      c_update_tridiag, init_from_vector, oap_cycle_bidiag,
+                      oap_cycle_tridiag, orthogonality_lost, roap_solve)
 
 __version__ = "0.1.0"
 
@@ -40,9 +39,8 @@ __all__ = [
     "DenseMatrix", "DegenerateSeed", "DimensionMismatch", "EmptySubspace",
     "GeneratedProblem", "KrylovState", "LinearOperator", "MatrixMarketError",
     "NonFiniteVector", "NumericalOverflow", "OapError", "ProblemSpec",
-    "RecurrenceCoefficients", "SolveOptions", "SolveReport",
-    "StepOutcome", "advance", "ap_factor", "ap_init", "ap_solve", "ap_sweep",
-    "as_vector",
+    "RecurrenceCoefficients", "SolveReport", "StepOutcome", "advance",
+    "ap_factor", "ap_init", "ap_solve", "ap_sweep", "as_vector",
     "backend_name", "bidiag_step", "bidiagonalize", "c_update_bidiag",
     "c_update_tridiag", "dot", "gen_convdiff2d", "gen_poisson_lshape",
     "gen_random_dense", "gen_tridiag_unsym", "init_from_vector", "norm2",

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateSeed, DimensionMismatch, EmptySubspace
 from .linalg import as_vector, dot, norm2
 from .reductions import breakdown_floor
-from .solvers import SolveReport
+from .solvers import SolveReport, check_budget
 
 RANK_TOL = 1e-12
 
@@ -134,21 +134,25 @@ class ApBlock:
     fro2: float
 
 
+def _check_cover(A, b, partition):
+    """Raise DimensionMismatch unless partition and b cover A's rows."""
+    if partition.bounds[-1] != A.nrows or len(b) != A.nrows:
+        raise DimensionMismatch(
+            f"partition covers {partition.bounds[-1]} rows and b has "
+            f"{len(b)} entries, but A has {A.nrows} rows"
+        )
+
+
 def ap_factor(A, b, partition):
     """Factor each block of ``partition`` once.
 
     Rows are dropped, or a least-squares solve taken, as
     :func:`project_onto` would for W = [p, A_B']: the latter when the
     block has at least as many rows as A has columns.  Raises
-    DimensionMismatch unless the partition ends at row ``A.nrows`` and
-    b has ``A.nrows`` entries.
+    DimensionMismatch as :func:`_check_cover` does.
     """
     b = np.asarray(b, dtype=np.float64)
-    if partition.bounds[-1] != A.nrows or len(b) != A.nrows:
-        raise DimensionMismatch(
-            f"partition covers {partition.bounds[-1]} rows and b has "
-            f"{len(b)} entries, but A has {A.nrows} rows"
-        )
+    _check_cover(A, b, partition)
     blocks = []
     for start, stop in partition.blocks():
         W = A.rows_dense(start, stop).T
@@ -184,16 +188,14 @@ def ap_solve(A, b, partition=None, tol=1e-6, max_sweeps=1000):
     """Iterate sweeps until the relative residual meets ``tol``.
 
     ``partition`` defaults to a single block (direct projection).
-    Returns ``(x, SolveReport)`` with one history entry per sweep.
+    Returns ``(x, SolveReport)`` with one history entry per sweep.  A
+    zero b returns x = 0 before any block is factored.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_sweeps < 0:
-        raise ValueError("max_sweeps must be >= 0")
+    check_budget(tol, max_sweeps, "max_sweeps")
     b = as_vector(b, "b")
     if partition is None:
         partition = BlockPartition.equal_blocks(A.nrows, 1)
-    blocks = ap_factor(A, b, partition)
+    _check_cover(A, b, partition)
     report = SolveReport()
     bnorm = norm2(b)
     if bnorm == 0.0:
@@ -201,6 +203,7 @@ def ap_solve(A, b, partition=None, tol=1e-6, max_sweeps=1000):
         report.residual_history = [0.0]
         return np.zeros(A.ncols), report
 
+    blocks = ap_factor(A, b, partition)
     state = ap_init(A, b)
     relres = 1.0
     report.residual_history.append(relres)

@@ -9,15 +9,14 @@ suite.  Exit codes: 0 all converged, 2 some case failed to converge,
 import argparse
 import sys
 import time
-from dataclasses import replace
 
 from . import mmio
 from .ap import BlockPartition, ap_solve
 from .errors import OapError
 from .linalg import LinearOperator, norm2
-from .problems import GeneratedProblem, ProblemSpec, lshape_m_for
+from .problems import FAMILIES, GeneratedProblem, ProblemSpec, lshape_m_for
 from .reporting import RunRecord, emit_report
-from .solvers import SolveOptions, roap_solve
+from .solvers import TOL_DEFAULT, check_budget, roap_solve
 
 SOLVERS = ("roap2", "roap3", "oap2", "oap3", "ap")
 
@@ -30,6 +29,11 @@ EXAMPLE4_SEED = 1234
 
 
 class _Parser(argparse.ArgumentParser):
+    # a flag a subcommand does not register is an error, never taken as
+    # an abbreviation (``bench --m`` as --max-restarts)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits 2 on usage errors; the CLI contract reserves 2 for
     # non-convergence, so remap
     def error(self, message):
@@ -37,27 +41,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def run_case(problem, solver, opts, blocks=2):
+def run_case(problem, solver, tol=TOL_DEFAULT, max_restarts=None, blocks=2):
     """Execute ``solver`` on ``problem`` and measure it from scratch.
 
-    The reported residual is recomputed from the returned solution,
-    never taken from solver-internal state; a zero b (or x_true) makes
-    it absolute.  Solver failures are recorded in the termination field
-    instead of raised.
+    ``oap2``/``oap3`` are ``roap_solve`` with ``max_restarts=1``; ``ap``
+    takes ``max_restarts`` as its sweep budget (None: 5000) over
+    ``blocks`` row blocks.  The reported residual is recomputed from the
+    returned solution, never taken from solver-internal state; a zero b
+    (or x_true) makes it absolute.  Solver failures are recorded in the
+    termination field instead of raised.
     """
     A, b = problem.A, problem.b
     t0 = time.perf_counter()
     try:
         if solver in ("roap2", "roap3"):
-            x, report = roap_solve(A, b, solver, opts)
+            x, report = roap_solve(A, b, solver, tol, max_restarts)
         elif solver in ("oap2", "oap3"):
             # one roap cycle seeded from b
-            x, report = roap_solve(A, b, "r" + solver,
-                                   replace(opts, max_restarts=1))
+            x, report = roap_solve(A, b, "r" + solver, tol, 1)
         elif solver == "ap":
             partition = BlockPartition.equal_blocks(A.nrows, blocks)
-            sweeps = 5000 if opts.max_restarts is None else opts.max_restarts
-            x, report = ap_solve(A, b, partition, tol=opts.tol, max_sweeps=sweeps)
+            sweeps = 5000 if max_restarts is None else max_restarts
+            x, report = ap_solve(A, b, partition, tol=tol, max_sweeps=sweeps)
         else:
             raise ValueError(f"unknown solver {solver!r}")
     except OapError as exc:
@@ -83,17 +88,22 @@ def _relative(err, scale):
     return err / scale if scale else err
 
 
-def _add_problem_flags(p):
-    p.add_argument("--family", choices=("convdiff2d", "poisson-lshape",
-                                        "tridiag-unsym", "random-dense"))
-    p.add_argument("--nx", type=int, default=9)
-    p.add_argument("--ny", type=int, default=10)
-    p.add_argument("--m", type=int, default=9, help="L-shape grid parameter")
-    p.add_argument("--n", type=int, default=300)
+def _add_suite_flags(p):
+    # the problem flags ``bench`` reads: convdiff coefficients and the
+    # random-dense seed
     p.add_argument("--p1", type=float, default=1.0)
     p.add_argument("--p2", type=float, default=1.0)
     p.add_argument("--p3", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=EXAMPLE4_SEED)
+
+
+def _add_problem_flags(p):
+    p.add_argument("--family", choices=FAMILIES)
+    p.add_argument("--nx", type=int, default=9)
+    p.add_argument("--ny", type=int, default=10)
+    p.add_argument("--m", type=int, default=9, help="L-shape grid parameter")
+    p.add_argument("--n", type=int, default=300)
+    _add_suite_flags(p)
     p.add_argument("--constructed", action="store_true",
                    help="build b from a known solution where supported")
 
@@ -104,15 +114,9 @@ def _spec_from_args(args):
                        seed=args.seed, constructed=args.constructed)
 
 
-def _solve_options(args):
-    return SolveOptions(tol=args.tol, max_restarts=args.max_restarts,
-                        max_inner=args.max_inner)
-
-
 def _add_solver_flags(p):
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=TOL_DEFAULT)
     p.add_argument("--max-restarts", type=int, default=None)
-    p.add_argument("--max-inner", type=int, default=None)
     p.add_argument("--blocks", type=int, default=2,
                    help="row blocks for the ap solver")
 
@@ -168,7 +172,8 @@ def _cmd_solve(args):
         problem = _spec_from_args(args).generate()
     else:
         raise OapError("solve needs either --matrix/--rhs or --family")
-    record = run_case(problem, args.solver, _solve_options(args), args.blocks)
+    record = run_case(problem, args.solver, args.tol, args.max_restarts,
+                      args.blocks)
     _emit([record], args)
     return 0 if record.converged else 2
 
@@ -190,12 +195,12 @@ def _bench_problems(args):
 
 
 def _cmd_bench(args):
-    opts = _solve_options(args)
     records = []
     for spec in _bench_problems(args):
         problem = spec.generate()
         for solver in args.solvers:
-            records.append(run_case(problem, solver, opts, args.blocks))
+            records.append(run_case(problem, solver, args.tol,
+                                    args.max_restarts, args.blocks))
     records.sort(key=lambda r: (r.problem, r.n, r.solver))
     _emit(records, args)
     return 0 if all(r.converged for r in records) else 2
@@ -225,7 +230,7 @@ def build_parser():
                          choices=(1, 2, 3, 4), default=[1, 2, 3, 4])
     p_bench.add_argument("--solvers", nargs="+", choices=SOLVERS,
                          default=["roap2", "roap3"])
-    _add_problem_flags(p_bench)
+    _add_suite_flags(p_bench)
     _add_solver_flags(p_bench)
     _add_output_flags(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
@@ -236,6 +241,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command in ("solve", "bench"):  # before any problem is built
+            check_budget(args.tol, args.max_restarts, "max_restarts")
         return args.func(args)
     except (OapError, OSError, ValueError) as exc:
         print(f"oap: error: {exc}", file=sys.stderr)

@@ -80,10 +80,6 @@ class LinearOperator:
         """Rows ``start:stop`` as a dense (stop-start) x ncols array."""
         raise NotImplementedError
 
-    def row(self, i):
-        """Row ``i`` densified to a length-``ncols`` vector."""
-        return self.rows_dense(i, i + 1)[0]
-
     def to_dense(self):
         """The whole operator as a dense nrows x ncols array."""
         return self.rows_dense(0, self.nrows)

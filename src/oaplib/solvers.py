@@ -8,6 +8,12 @@ running approximation and each new direction detects loss of
 orthogonality; ``roap_solve`` then restarts on the residual equation
 (with a budget of one cycle it is the unrestarted OAP method).
 
+A cycle takes at most n - 1 steps.  With v1 these are n orthonormal
+directions, which span the whole space, so in exact arithmetic one
+cycle recovers x; the cap follows from the method and is no option.
+The solvers take only ``tol`` and a budget, as keywords, and check
+both with ``check_budget``.
+
 The angle test restarts on lost semiorthogonality (Simon 1984), not on
 a fixed angle.  x = sum_j c_j v_j, so |cos(x, v)| is at most
 max_j |v_j'v| * ||c||_1 / ||c||_2: a basis still orthogonal to
@@ -22,7 +28,7 @@ the cycle solves A e = r, so its seed and inner products use r.
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,28 +48,13 @@ SQRT_EPS = math.sqrt(np.finfo(float).eps)
 DIVERGENCE_FACTOR = 100.0
 
 
-@dataclass
-class SolveOptions:
-    """Options of the projection cycles and ``roap_solve`` (``ap_solve``
-    takes its own ``tol`` and ``max_sweeps``).
-
-    ``max_restarts`` and ``max_inner`` default to n and n-1 at solve
-    time when left as None.  Breakdown is ``reductions.breakdown_floor``;
-    the orthogonality threshold follows from each cycle's own
-    coefficients (``orthogonality_threshold``), so neither is an option.
-    """
-
-    tol: float = TOL_DEFAULT
-    max_restarts: Optional[int] = None
-    max_inner: Optional[int] = None
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_restarts is not None and self.max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
-        if self.max_inner is not None and self.max_inner < 1:
-            raise ValueError("max_inner must be >= 1")
+def check_budget(tol, budget, name):
+    """The one rule of ``roap_solve``, ``ap_solve`` and the CLI: ``tol`` > 0,
+    and the budget ``name`` None (the solver's default) or >= 0."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if budget is not None and budget < 0:
+        raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -227,21 +218,21 @@ class _DivergenceGuard:
         self.pending_c = c_next
 
 
-def _cycle(A, rhs, krylov, c1, opts):
+def _cycle(A, rhs, krylov, c1):
     """One projection cycle from the window ``krylov`` and seed c1 v1.
 
     Starts from x_1 = c1 v1 and keeps extending while the new direction
     stays orthogonal to the running approximation and neither recurrence
-    breaks down.  "Orthogonal" is |cos| within
-    ``orthogonality_threshold`` of the coefficients already in x, kept
-    as the running sums of |c_j| and c_j^2.  The engine
+    breaks down, for at most n - 1 steps: by then x has n orthonormal
+    directions, the whole space, and the cycle is "exhausted".
+    "Orthogonal" is |cos| within ``orthogonality_threshold`` of the
+    coefficients already in x, kept as the running sums of |c_j| and
+    c_j^2.  The engine
     (``krylov.mode``) picks the step, which u enters b'u, the
     coefficient update and which broken side stops the cycle before
     accepting the step.  Returns the partial solution.
     """
-    opts = opts or SolveOptions()
     rhs = _as_rhs(A, rhs, "rhs")
-    max_inner = opts.max_inner or max(A.ncols - 1, 1)
     two_sided = krylov.mode == TRIDIAGONAL
     step = tridiag_step if two_sided else bidiag_step
 
@@ -250,7 +241,7 @@ def _cycle(A, rhs, krylov, c1, opts):
     c_abs, c_sq = abs(c1), c1 * c1
     guard = _DivergenceGuard(rhs, c1)
     cause = "exhausted"
-    for k in range(1, max_inner + 1):  # max_inner >= 1, so k is bound
+    for k in range(1, max(A.ncols - 1, 1) + 1):  # >= 1 step, so k is bound
         out = step(A, krylov)
         if guard.diverged(x, out.av):
             return CycleResult(guard.best_prefix(), k, "divergence")
@@ -283,32 +274,34 @@ def _cycle(A, rhs, krylov, c1, opts):
     return CycleResult(x, k, cause)
 
 
-def oap_cycle_tridiag(A, rhs, v1, c1, opts=None):
+def oap_cycle_tridiag(A, rhs, v1, c1):
     """One projection cycle over the two-sided engine (u1 = v1), from
     x_1 = c1 v1; ``CycleResult.stop_cause`` says why it stopped."""
-    return _cycle(A, rhs, KrylovState.start(TRIDIAGONAL, v1, v1), c1, opts)
+    return _cycle(A, rhs, KrylovState.start(TRIDIAGONAL, v1, v1), c1)
 
 
-def oap_cycle_bidiag(A, rhs, v1, c1, opts=None):
+def oap_cycle_bidiag(A, rhs, v1, c1):
     """One projection cycle over the bidiagonal engine (no u1 needed)."""
-    return _cycle(A, rhs, KrylovState.start(BIDIAGONAL, v1), c1, opts)
+    return _cycle(A, rhs, KrylovState.start(BIDIAGONAL, v1), c1)
 
 
-def roap_solve(A, b, variant="roap2", opts=None):
+def roap_solve(A, b, variant="roap2", tol=TOL_DEFAULT, max_restarts=None):
     """Restarted solver: run cycles on the residual equation until the
-    relative residual meets ``opts.tol``.
+    relative residual meets ``tol``.
 
     ``variant`` selects the engine: ``roap2`` bidiagonal, ``roap3``
     two-sided.  Returns ``(x, SolveReport)``.  Stagnation (three
     consecutive restarts without meaningful decrease) and the restart
-    budget bound the run on singular or hopeless systems.
+    budget ``max_restarts`` (None: n) bound the run on singular or
+    hopeless systems; ``max_restarts=1`` is the unrestarted OAP method.
     """
     if variant not in ("roap2", "roap3"):
         raise ValueError(f"unknown variant {variant!r}")
-    opts = opts or SolveOptions()
+    check_budget(tol, max_restarts, "max_restarts")
     b = _as_rhs(A, b, "b")
     n = A.ncols
-    max_restarts = n if opts.max_restarts is None else opts.max_restarts
+    if max_restarts is None:
+        max_restarts = n
 
     report = SolveReport()
     bnorm = norm2(b)
@@ -323,7 +316,7 @@ def roap_solve(A, b, variant="roap2", opts=None):
     report.residual_history.append(relres)
     no_decrease = 0
     while True:
-        if relres <= opts.tol:
+        if relres <= tol:
             report.termination = "converged"
             break
         if report.restarts >= max_restarts:
@@ -338,9 +331,9 @@ def roap_solve(A, b, variant="roap2", opts=None):
             report.termination = "stagnation"  # singular operator surfaces here
             break
         if variant == "roap3":
-            result = oap_cycle_tridiag(A, r, v1, c1, opts)
+            result = oap_cycle_tridiag(A, r, v1, c1)
         else:
-            result = oap_cycle_bidiag(A, r, v1, c1, opts)
+            result = oap_cycle_bidiag(A, r, v1, c1)
         x = x + result.x_partial
         r = b - A.apply(x)
         new_relres = norm2(r) / bnorm

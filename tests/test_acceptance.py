@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import oaplib.solvers
-from oaplib import (DenseMatrix, SolveOptions, bidiagonalize, ap_factor,
+from oaplib import (DenseMatrix, bidiagonalize, ap_factor,
                     ap_init, ap_sweep, BlockPartition, dot, gen_convdiff2d,
                     gen_poisson_lshape, gen_random_dense, gen_tridiag_unsym,
                     init_from_vector, norm2, project_onto, roap_solve,
@@ -178,11 +178,11 @@ def test_acceptance_04_exact_solve_at_desk_scale():
           failures)
 
 
-# Solver options of the reproduction runs, keyed by example number;
-# None keeps the library defaults.
-REPRODUCTION_OPTIONS = {1: None, 2: None,
-                        3: SolveOptions(max_restarts=30),
-                        4: SolveOptions(max_restarts=300)}
+# roap_solve keywords of the reproduction runs, keyed by example
+# number; an empty dict keeps the library defaults.
+REPRODUCTION_OPTIONS = {1: {}, 2: {},
+                        3: {"max_restarts": 30},
+                        4: {"max_restarts": 300}}
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +197,7 @@ def reproduction_runs():
         problem = gen_convdiff2d(nx, ny)
         for variant in ("roap2", "roap3"):
             x, report = roap_solve(problem.A, problem.b, variant,
-                                   REPRODUCTION_OPTIONS[1])
+                                   **REPRODUCTION_OPTIONS[1])
             relres = norm2(problem.b - problem.A.apply(x)) / norm2(problem.b)
             runs[1].append((problem, variant, x, report, relres))
     timings[1] = time.perf_counter() - t0
@@ -208,7 +208,7 @@ def reproduction_runs():
         problem = gen_poisson_lshape(m)
         for variant in ("roap2", "roap3"):
             x, report = roap_solve(problem.A, problem.b, variant,
-                                   REPRODUCTION_OPTIONS[2])
+                                   **REPRODUCTION_OPTIONS[2])
             relres = norm2(problem.b - problem.A.apply(x)) / norm2(problem.b)
             runs[2].append((problem, variant, x, report, relres))
     timings[2] = time.perf_counter() - t0
@@ -218,7 +218,7 @@ def reproduction_runs():
     problem = gen_tridiag_unsym(600)
     for variant in ("roap2", "roap3"):
         x, report = roap_solve(problem.A, problem.b, variant,
-                               REPRODUCTION_OPTIONS[3])
+                               **REPRODUCTION_OPTIONS[3])
         relres = norm2(problem.b - problem.A.apply(x)) / norm2(problem.b)
         runs[3].append((problem, variant, x, report, relres))
     timings[3] = time.perf_counter() - t0
@@ -228,7 +228,7 @@ def reproduction_runs():
     problem = gen_random_dense(300, EXAMPLE4_SEED)
     for variant in ("roap2", "roap3"):
         x, report = roap_solve(problem.A, problem.b, variant,
-                               REPRODUCTION_OPTIONS[4])
+                               **REPRODUCTION_OPTIONS[4])
         relres = norm2(problem.b - problem.A.apply(x)) / norm2(problem.b)
         runs[4].append((problem, variant, x, report, relres))
     timings[4] = time.perf_counter() - t0
@@ -286,7 +286,7 @@ def test_acceptance_08_random_dense(reproduction_runs):
           failures, f"{timings[4]:.2f}s")
 
 
-def boundary_iterates(problem, variant, opts):
+def boundary_iterates(problem, variant, options):
     """Re-run one solve and return ``(x, report, iterates)``, where
     ``iterates`` holds the approximation before any work and after each
     restart.
@@ -308,7 +308,7 @@ def boundary_iterates(problem, variant, opts):
         for name in ("oap_cycle_bidiag", "oap_cycle_tridiag"):
             mp.setattr(oaplib.solvers, name,
                        capturing(getattr(oaplib.solvers, name)))
-        x, report = roap_solve(problem.A, problem.b, variant, opts)
+        x, report = roap_solve(problem.A, problem.b, variant, **options)
     iterates = [np.zeros(problem.A.ncols)]
     for partial in partials:
         iterates.append(iterates[-1] + partial)

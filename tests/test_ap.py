@@ -194,8 +194,8 @@ class TestApSolve:
         assert report.termination == "converged"
         assert norm2(problem.b - problem.A.apply(x)) <= 1e-6 * norm2(problem.b)
 
-    def test_factors_each_block_once(self, monkeypatch):
-        problem = gen_convdiff2d(9, 10)
+    @staticmethod
+    def _spy_rows_dense(monkeypatch):
         calls = []
         rows_dense = CsrMatrix.rows_dense
 
@@ -204,17 +204,33 @@ class TestApSolve:
             return rows_dense(self, start, stop)
 
         monkeypatch.setattr(CsrMatrix, "rows_dense", spy)
+        return calls
+
+    def test_factors_each_block_once(self, monkeypatch):
+        problem = gen_convdiff2d(9, 10)
+        calls = self._spy_rows_dense(monkeypatch)
         partition = BlockPartition.equal_blocks(90, 4)
         x, report = ap_solve(problem.A, problem.b, partition)
         assert report.restarts > 1
         assert calls == list(partition.blocks())
 
+    def test_zero_rhs_factors_no_block(self, monkeypatch):
+        problem = gen_convdiff2d(9, 10)
+        calls = self._spy_rows_dense(monkeypatch)
+        x, report = ap_solve(problem.A, np.zeros(90),
+                             BlockPartition.equal_blocks(90, 4))
+        assert report.termination == "converged"
+        np.testing.assert_array_equal(x, np.zeros(90))
+        assert calls == []
+
     @pytest.mark.parametrize("bounds", [[0, 30, 60], [0, 60, 100]],
                              ids=["short", "long"])
-    def test_partition_must_cover_rows(self, bounds):
+    @pytest.mark.parametrize("zero_b", [False, True], ids=["b", "zero-b"])
+    def test_partition_must_cover_rows(self, bounds, zero_b):
         problem = gen_convdiff2d(9, 10)
+        b = np.zeros(90) if zero_b else problem.b
         with pytest.raises(DimensionMismatch):
-            ap_solve(problem.A, problem.b, BlockPartition(bounds))
+            ap_solve(problem.A, b, BlockPartition(bounds))
 
 
 class TestBlockPartition:

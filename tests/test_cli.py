@@ -5,8 +5,15 @@ from oaplib import (CsrMatrix, gen_convdiff2d, init_from_vector, norm2,
                     oap_cycle_bidiag, oap_cycle_tridiag, read_matrix_market,
                     roap_solve, write_matrix_market)
 from oaplib.cli import SOLVERS, main, run_case
+from oaplib.problems import ProblemSpec
 from oaplib.reporting import read_records_csv
-from oaplib.solvers import SolveOptions
+
+
+# solve and bench up to their solver flag
+BUDGET_COMMANDS = [
+    ["solve", "--family", "convdiff2d", "--nx", "4", "--ny", "4", "--solver"],
+    ["bench", "--examples", "1", "--solvers"],
+]
 
 
 class TestRunCase:
@@ -14,8 +21,7 @@ class TestRunCase:
         from oaplib.problems import GeneratedProblem
         A = CsrMatrix.identity(6)
         b = np.arange(1.0, 7.0)
-        rec = run_case(GeneratedProblem(A, b, None, "eye"), "roap2",
-                       SolveOptions())
+        rec = run_case(GeneratedProblem(A, b, None, "eye"), "roap2")
         assert rec.converged
         assert rec.relres <= 1e-15
         assert rec.restarts == 1
@@ -25,20 +31,19 @@ class TestRunCase:
         from oaplib.problems import GeneratedProblem
         A = CsrMatrix.identity(6)
         b = np.arange(1.0, 7.0)
-        rec = run_case(GeneratedProblem(A, b, None, "eye"), solver,
-                       SolveOptions())
+        rec = run_case(GeneratedProblem(A, b, None, "eye"), solver)
         assert rec.converged
         assert rec.relres <= 1e-12
 
     def test_relres_recomputed_from_scratch(self):
         problem = gen_convdiff2d(9, 10)
-        rec = run_case(problem, "roap2", SolveOptions())
+        rec = run_case(problem, "roap2")
         x, report = __import__("oaplib").roap_solve(problem.A, problem.b, "roap2")
         assert abs(rec.relres - report.final_relres) <= 1e-12
 
     def test_relerr_reported_when_truth_known(self):
         problem = gen_convdiff2d(4, 4, constructed=True)
-        rec = run_case(problem, "roap2", SolveOptions())
+        rec = run_case(problem, "roap2")
         assert rec.relerr is not None and rec.relerr < 1e-5
 
     def test_solver_failure_recorded_not_raised(self):
@@ -46,7 +51,7 @@ class TestRunCase:
         A = CsrMatrix.identity(3)
         b = np.array([1.0, np.nan, 1.0])
         problem = GeneratedProblem(A, b, None, "bad-rhs")
-        rec = run_case(problem, "roap3", SolveOptions())
+        rec = run_case(problem, "roap3")
         assert rec.termination == "error: NonFiniteVector"
         assert not rec.converged
         assert rec.relres == float("inf")
@@ -57,7 +62,7 @@ class TestRunCase:
         from oaplib.problems import GeneratedProblem
         A = CsrMatrix.from_dense(np.diag([1.0, 0.0]))
         problem = GeneratedProblem(A, np.array([0.0, 1.0]), None, "null-rhs")
-        rec = run_case(problem, solver, SolveOptions())
+        rec = run_case(problem, solver)
         assert rec.termination == "stagnation"
         assert (rec.restarts, rec.inner_iters) == (0, 0)
         assert rec.relres == 1.0
@@ -67,7 +72,7 @@ class TestRunCase:
         A = gen_convdiff2d(4, 4).A
         problem = GeneratedProblem(A, np.full(16, 1e160), None, "huge-rhs")
         with pytest.warns(RuntimeWarning, match="overflow"):
-            rec = run_case(problem, "roap2", SolveOptions())
+            rec = run_case(problem, "roap2")
         assert rec.termination == "error: NumericalOverflow"
 
 
@@ -175,17 +180,34 @@ class TestSolve:
         assert capsys.readouterr().err == (
             f"oap: error: {tmp_path / bad} does not hold a vector of length 9\n")
 
-    def test_negative_max_restarts_is_usage_error(self, capsys):
-        code = main(["solve", "--family", "convdiff2d", "--nx", "4",
-                     "--ny", "4", "--max-restarts", "-1"])
-        assert code == 1
-        assert "max_restarts must be >= 0" in capsys.readouterr().err
+    @staticmethod
+    def _usage_error(monkeypatch, capsys, argv):
+        # the budget is checked once, before any problem is built, with
+        # the same message for every solver (oap2/oap3 never pass
+        # max_restarts on)
+        def no_problem(spec):
+            raise AssertionError("problem built before the budget check")
 
-    def test_nan_tol_is_usage_error(self, capsys):
-        code = main(["solve", "--family", "convdiff2d", "--nx", "4",
-                     "--ny", "4", "--tol", "nan"])
-        assert code == 1
-        assert "tol must be positive" in capsys.readouterr().err
+        monkeypatch.setattr(ProblemSpec, "generate", no_problem)
+        assert main(argv) == 1
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("command", BUDGET_COMMANDS, ids=["solve", "bench"])
+    def test_negative_max_restarts_is_usage_error(self, capsys, monkeypatch,
+                                                  command, solver):
+        err = self._usage_error(monkeypatch, capsys,
+                                [*command, solver, "--max-restarts", "-1"])
+        assert err == "oap: error: max_restarts must be >= 0\n"
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("command", BUDGET_COMMANDS, ids=["solve", "bench"])
+    @pytest.mark.parametrize("tol", ["nan", "0"])
+    def test_nan_tol_is_usage_error(self, capsys, monkeypatch, command, solver,
+                                    tol):
+        err = self._usage_error(monkeypatch, capsys,
+                                [*command, solver, "--tol", tol])
+        assert err == "oap: error: tol must be positive\n"
 
     @pytest.mark.parametrize("argv", [
         ["--solver", "gmres"],
@@ -195,6 +217,9 @@ class TestSolve:
         # every restart cycles on the residual
         ["--family", "convdiff2d", "--nx", "4", "--ny", "4",
          "--rhs-mode", "original-b"],
+        # a cycle takes at most n - 1 steps, the whole space
+        ["--family", "convdiff2d", "--nx", "4", "--ny", "4",
+         "--max-inner", "3"],
     ])
     def test_usage_error_exit_code(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
@@ -278,3 +303,14 @@ class TestBench:
                     for line in text.splitlines()]
 
         assert strip_time(a.read_text()) == strip_time(b.read_text())
+
+    @pytest.mark.parametrize("flag", [
+        ["--family", "random-dense"], ["--nx", "50"], ["--ny", "50"],
+        ["--m", "5"], ["--n", "40"], ["--constructed"], ["--max-inner", "3"],
+    ], ids=lambda flag: flag[0])
+    def test_flags_bench_never_reads_are_usage_errors(self, capsys, flag):
+        # the suite fixes its own sizes; only --p1/--p2/--p3 and --seed
+        # reach its problems
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--examples", "3", *flag])
+        assert err.value.code == 1

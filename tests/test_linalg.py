@@ -183,7 +183,7 @@ class TestRepresentationEquivalence:
         A = random_sparse(rng, 9)
         D = A.to_dense()
         for i in (0, 4, 8):
-            np.testing.assert_array_equal(A.row(i), D[i])
+            np.testing.assert_array_equal(A.rows_dense(i, i + 1), D[i:i + 1])
         np.testing.assert_array_equal(A.rows_dense(2, 5), D[2:5])
 
     @pytest.mark.parametrize("kind", ["csr", "dense"])
@@ -191,22 +191,26 @@ class TestRepresentationEquivalence:
         A = random_sparse(rng, 9)
         if kind == "dense":
             A = DenseMatrix(A.to_dense())
-        for i in (-1, 9):
-            with pytest.raises(IndexError):
-                A.row(i)
+        # (-1, 2) and (9, 10) reach the rows -1 and 9
         for start, stop in ((-1, 2), (5, 12), (4, 3), (9, 10)):
             with pytest.raises(IndexError):
                 A.rows_dense(start, stop)
         assert A.rows_dense(9, 9).shape == (0, 9)
 
-    def test_rows_dense_matches_row_loop(self):
+    def test_rows_dense_matches_dense_literal(self):
         # 6x4 with empty rows 0, 3 and 5
         A = CsrMatrix(6, 4, [0, 0, 2, 3, 3, 5, 5], [0, 3, 1, 2, 3],
                       [1.0, -2.0, 3.0, 4.0, 5.0])
+        D = np.array([[0.0, 0.0, 0.0, 0.0],
+                      [1.0, 0.0, 0.0, -2.0],
+                      [0.0, 3.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 4.0, 5.0],
+                      [0.0, 0.0, 0.0, 0.0]])
         for start in range(6):
             for stop in range(start + 1, 7):
-                want = np.stack([A.row(i) for i in range(start, stop)])
-                np.testing.assert_array_equal(A.rows_dense(start, stop), want)
+                np.testing.assert_array_equal(A.rows_dense(start, stop),
+                                              D[start:stop])
 
 
 class TestScipyKernels:

@@ -3,7 +3,7 @@ import pytest
 
 import oaplib.solvers as solvers_mod
 from oaplib import (CsrMatrix, DegenerateSeed, DenseMatrix,
-                    DimensionMismatch, NumericalOverflow, SolveOptions,
+                    DimensionMismatch, NumericalOverflow, ap_solve,
                     c_update_bidiag, c_update_tridiag, gen_convdiff2d,
                     gen_poisson_lshape, gen_random_dense, gen_tridiag_unsym,
                     init_from_vector, norm2, oap_cycle_bidiag,
@@ -163,14 +163,15 @@ class TestCycleTridiag:
         assert res.stop_cause == "breakdown"
         assert norm2(b - A.apply(res.x_partial)) <= 1e-14 * norm2(b)
 
-    def test_diagonal_exact_after_two_steps(self):
+    def test_diagonal_exact_after_one_step(self):
+        # n - 1 = 1 step: v1 and v2 span the whole space
         A = diag23()
         rhs = np.array([2.0, 3.0])
         v1, c1 = init_from_vector(A, rhs, rhs)
-        res = oap_cycle_tridiag(A, rhs, v1, c1, SolveOptions(max_inner=2))
+        res = oap_cycle_tridiag(A, rhs, v1, c1)
         np.testing.assert_allclose(res.x_partial, [1.0, 1.0], atol=1e-12)
-        assert res.inner_steps == 2
-        assert res.stop_cause == "breakdown"
+        assert res.inner_steps == 1
+        assert res.stop_cause == "exhausted"
 
     @pytest.mark.parametrize("n", [12, 20, 30])
     def test_exact_solve_with_reorthogonalized_kernel(self, rng, n):
@@ -196,13 +197,14 @@ class TestCycleBidiag:
         assert res.inner_steps == 1
         assert res.stop_cause == "breakdown"
 
-    def test_diagonal_exact_after_two_steps(self):
+    def test_diagonal_exact_after_one_step(self):
         A = diag23()
         rhs = np.array([2.0, 3.0])
         v1, c1 = init_from_vector(A, rhs, rhs)
-        res = oap_cycle_bidiag(A, rhs, v1, c1, SolveOptions(max_inner=2))
+        res = oap_cycle_bidiag(A, rhs, v1, c1)
         np.testing.assert_allclose(res.x_partial, [1.0, 1.0], atol=1e-12)
-        assert res.inner_steps == 2
+        assert res.inner_steps == 1
+        assert res.stop_cause == "exhausted"
 
     @pytest.mark.parametrize("rhs", [[2.0, 3.0], np.array([2, 3])])
     def test_rhs_as_list_or_integer_array(self, rhs):
@@ -303,8 +305,7 @@ class TestRoap:
     @pytest.mark.parametrize("variant", ["roap2", "roap3"])
     def test_ill_conditioned_tridiagonal(self, variant):
         problem = gen_tridiag_unsym(600)
-        opts = SolveOptions(max_restarts=30)
-        x, report = roap_solve(problem.A, problem.b, variant, opts)
+        x, report = roap_solve(problem.A, problem.b, variant, max_restarts=30)
         assert report.termination == "converged"
         assert report.restarts <= 30
         relerr = norm2(x - problem.x_true) / norm2(problem.x_true)
@@ -320,23 +321,30 @@ class TestRoap:
     def test_singular_operator_stagnates(self):
         A = CsrMatrix.from_dense(np.diag([1.0, 0.0]))
         x, report = roap_solve(A, np.array([1.0, 1.0]), "roap2",
-                               SolveOptions(max_restarts=50))
+                               max_restarts=50)
         assert report.termination == "stagnation"
         assert report.restarts < 50
 
     def test_restart_budget(self):
         problem = gen_random_dense(60, seed=5)
-        opts = SolveOptions(max_restarts=2, tol=1e-14)
-        x, report = roap_solve(problem.A, problem.b, "roap2", opts)
+        x, report = roap_solve(problem.A, problem.b, "roap2", tol=1e-14,
+                               max_restarts=2)
         assert report.termination in ("max-restarts", "converged")
         assert report.restarts <= 2
 
-    def test_inner_step_budget(self):
-        problem = gen_convdiff2d(9, 10)
-        opts = SolveOptions(max_inner=5)
-        x, report = roap_solve(problem.A, problem.b, "roap2", opts)
-        assert report.inner_iterations
-        assert max(report.inner_iterations) <= 5
+    @pytest.mark.parametrize("variant", ["roap2", "roap3"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_one_cycle_of_n_minus_1_steps(self, rng, variant, n):
+        # n - 1 steps give n orthonormal directions, the whole space: a
+        # well-conditioned system is solved by one exhausted cycle
+        A = DenseMatrix(rng.standard_normal((n, n)) + n * np.eye(n))
+        x_true = rng.standard_normal(n)
+        b = A.apply(x_true)
+        x, report = roap_solve(A, b, variant)
+        assert report.termination == "converged"
+        assert report.inner_iterations == [n - 1]
+        assert report.stop_causes == ["exhausted"]
+        assert norm2(x - x_true) <= 1e-10 * norm2(x_true)
 
     def test_history_bookkeeping(self):
         problem = gen_convdiff2d(9, 10)
@@ -387,8 +395,7 @@ class TestRoap:
         assert full_report.termination == "converged"
         errs = [norm2(problem.x_true)]
         for k in range(1, full_report.restarts + 1):
-            x, _ = roap_solve(problem.A, problem.b, variant,
-                              SolveOptions(max_restarts=k))
+            x, _ = roap_solve(problem.A, problem.b, variant, max_restarts=k)
             errs.append(norm2(x - problem.x_true))
         for before, after in zip(errs, errs[1:]):
             assert after <= before * (1 + 1e-8)
@@ -404,6 +411,11 @@ class TestRhsLength:
         with pytest.raises(DimensionMismatch):
             roap_solve(CsrMatrix.identity(3), b, variant)
 
+    @pytest.mark.parametrize("b", [np.zeros(5), np.ones(5)], ids=["zero", "one"])
+    def test_ap_solve(self, b):
+        with pytest.raises(DimensionMismatch):
+            ap_solve(CsrMatrix.identity(3), b)
+
     def test_init_from_vector(self):
         with pytest.raises(DimensionMismatch):
             init_from_vector(diag23(), np.ones(3), np.ones(2))
@@ -416,20 +428,25 @@ class TestRhsLength:
             cycle(A, np.ones(3), v1, c1)
 
 
-class TestSolveOptionsValidation:
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            SolveOptions(tol=0.0)
+class TestRoapBudget:
+    @pytest.mark.parametrize("variant", ["roap2", "roap3"])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_bad_tol(self, variant, tol):
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            roap_solve(CsrMatrix.identity(3), np.ones(3), variant, tol=tol)
 
-    def test_nan_tol(self):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            SolveOptions(tol=float("nan"))
+    @pytest.mark.parametrize("variant", ["roap2", "roap3"])
+    def test_rejects_negative_max_restarts(self, variant):
+        with pytest.raises(ValueError, match="^max_restarts must be >= 0$"):
+            roap_solve(CsrMatrix.identity(3), np.ones(3), variant,
+                       max_restarts=-1)
 
-    def test_bad_max_inner(self):
-        with pytest.raises(ValueError):
-            SolveOptions(max_inner=0)
-
-    def test_rejects_negative_max_restarts(self):
-        with pytest.raises(ValueError, match="max_restarts"):
-            SolveOptions(max_restarts=-1)
-        assert SolveOptions(max_restarts=0).max_restarts == 0
+    @pytest.mark.parametrize("variant", ["roap2", "roap3"])
+    def test_zero_restarts_runs_no_cycle(self, variant):
+        b = np.ones(3)
+        x, report = roap_solve(CsrMatrix.identity(3), b, variant,
+                               max_restarts=0)
+        assert report.termination == "max-restarts"
+        assert report.restarts == 0
+        assert report.residual_history == [1.0]
+        np.testing.assert_array_equal(x, np.zeros(3))
