@@ -243,6 +243,8 @@ def main(argv=None):
     try:
         if args.command in ("solve", "bench"):  # before any problem is built
             check_budget(args.tol, args.max_restarts, "max_restarts")
+            if args.blocks < 1:
+                raise ValueError("blocks must be >= 1")
         return args.func(args)
     except (OapError, OSError, ValueError) as exc:
         print(f"oap: error: {exc}", file=sys.stderr)

@@ -2,8 +2,12 @@
 
 Both operator classes are immutable after construction; their arrays are
 marked read-only so concurrent read access is safe.  All arithmetic is
-64-bit floating point.  ``CsrMatrix`` computes its products through a
-``scipy.sparse`` view that shares those read-only arrays (no copy).
+64-bit floating point.  ``CsrMatrix`` keeps int64 indices and computes
+its products through two ``scipy.sparse`` CSR views built on first use:
+one of A that shares ``values`` and copies the indices to int32 where
+``scipy.sparse.get_index_dtype`` allows it, and a stored transpose (its
+own values and indices, 16 nnz + 8 n bytes with int32 indices for both
+views), so that A'u is a row gather rather than a column scatter.
 """
 
 import math
@@ -55,6 +59,13 @@ def norm2(v):
 def _readonly(a):
     a.flags.writeable = False
     return a
+
+
+def _index_dtype(maxval):
+    """The index dtype ``scipy.sparse`` picks for indices up to ``maxval``:
+    int32 where that rule allows it, int64 otherwise."""
+    import scipy.sparse
+    return scipy.sparse.get_index_dtype(maxval=maxval)
 
 
 class LinearOperator:
@@ -186,13 +197,23 @@ class CsrMatrix(LinearOperator):
     @cached_property
     def _scipy(self):
         import scipy.sparse
+        idx = _index_dtype(max(self.nnz, self.nrows, self.ncols))
         return scipy.sparse.csr_array(
-            (self.values, self.col_indices, self.row_offsets),
+            (self.values,
+             _readonly(self.col_indices.astype(idx, copy=False)),
+             _readonly(self.row_offsets.astype(idx, copy=False))),
             shape=self.shape, copy=False)
 
     @cached_property
     def _scipy_t(self):
-        return self._scipy.T  # a csc_array over the same three arrays
+        # A' as CSR with sorted indices: row c holds column c of A in row
+        # order, so the gather adds each output's terms from zero in the
+        # order a scatter over A's rows would
+        t = self._scipy.T.tocsr()
+        t.sort_indices()
+        for a in (t.data, t.indices, t.indptr):
+            _readonly(a)
+        return t
 
     def apply(self, v):
         v = self._check_apply(v, self.ncols, "apply")

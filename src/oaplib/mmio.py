@@ -4,8 +4,10 @@ Sparse matrices round-trip through ``coordinate real general``, dense
 matrices and vectors through ``array real general`` (a vector is an
 n x 1 array).  Files are 1-based per the format; indices are converted
 at this boundary.  Values are written with 17 significant digits so a
-write/read round trip is bit-exact for float64.  Either layout's data
-go through one ``np.loadtxt`` call; a bad line is reported by number.
+write/read round trip is bit-exact for float64, formatted in blocks of
+``_CHUNK`` entries so that no list of a whole file's numbers is built.
+Either layout's data go through one ``np.loadtxt`` call; a bad line is
+reported by number.
 """
 
 import warnings
@@ -16,6 +18,7 @@ from .errors import MatrixMarketError, NonFiniteVector
 from .linalg import CsrMatrix, DenseMatrix, as_vector
 
 _BANNER = "%%MatrixMarket"
+_CHUNK = 8192  # entries formatted per write
 # A data line is one entry; the dtype fixes its columns and their types.
 _ENTRY = {"array": np.dtype([("value", np.float64)]),
           "coordinate": np.dtype([("row", np.int64), ("col", np.int64),
@@ -38,8 +41,11 @@ def _write_coordinate(path, m):
         fh.write(f"{_BANNER} matrix coordinate real general\n")
         fh.write(f"{m.nrows} {m.ncols} {m.nnz}\n")
         rows = np.repeat(np.arange(1, m.nrows + 1), np.diff(m.row_offsets))
-        fh.writelines(f"{i} {j} {v:.17g}\n" for i, j, v in zip(
-            rows.tolist(), (m.col_indices + 1).tolist(), m.values.tolist()))
+        for lo in range(0, m.nnz, _CHUNK):
+            hi = lo + _CHUNK
+            fh.writelines(f"{i} {j} {v:.17g}\n" for i, j, v in zip(
+                rows[lo:hi].tolist(), (m.col_indices[lo:hi] + 1).tolist(),
+                m.values[lo:hi].tolist()))
 
 
 def _write_array(path, values):
@@ -48,8 +54,9 @@ def _write_array(path, values):
     with open(path, "w") as fh:
         fh.write(f"{_BANNER} matrix array real general\n")
         fh.write(f"{values.shape[0]} {values.shape[1]}\n")
-        # array format is column-major
-        fh.writelines(f"{v:.17g}\n" for v in values.T.ravel().tolist())
+        flat = values.ravel(order="F")  # array format is column-major
+        for lo in range(0, len(flat), _CHUNK):
+            fh.writelines(f"{v:.17g}\n" for v in flat[lo:lo + _CHUNK].tolist())
 
 
 def read_matrix_market(path):

@@ -16,6 +16,7 @@ new vectors against them; they exist for testing and analysis, the
 solvers use only the rolling window.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,11 +104,16 @@ def _check_unit(v, name):
     return v
 
 
-def _require_finite(x, step, what):
-    if not np.isfinite(x):
-        raise NumericalOverflow(f"non-finite {what} at step {step}", step=step)
-    return x
+def _overflow(what, step):
+    return NumericalOverflow(f"non-finite {what} at step {step}", step=step)
 
+
+# The steps below evaluate the recurrences of the module docstring in
+# the order written there, each product and difference rounded once as
+# ``av - alpha * u_k`` would round it, but into as few arrays as possible:
+# w is built in one new array and divided in place into the next u, and
+# the fresh A'u from the operator becomes the next v in place.  No step
+# writes into the state's vectors or into ``av``, which callers read.
 
 def tridiag_step(A, s):
     """Advance the two-sided reduction by one step.
@@ -118,20 +124,29 @@ def tridiag_step(A, s):
     floor = breakdown_floor(A)
 
     av = A.apply(s.v_curr)
-    alpha = _require_finite(float(np.dot(s.u_curr, av)), s.k, "alpha")
-    w = av - alpha * s.u_curr
+    alpha = float(s.u_curr.dot(av))
+    if not math.isfinite(alpha):
+        raise _overflow("alpha", s.k)
+    w = np.multiply(s.u_curr, alpha)
+    np.subtract(av, w, out=w)
     if s.beta_prev != 0.0:
-        w -= s.beta_prev * s.u_prev
-    gamma = _require_finite(norm2(w), s.k, "gamma")
+        np.subtract(w, np.multiply(s.u_prev, s.beta_prev), out=w)
+    gamma = math.sqrt(w.dot(w))
+    if not math.isfinite(gamma):
+        raise _overflow("gamma", s.k)
     u_broken = gamma <= floor
-    next_u = np.zeros_like(w) if u_broken else w / gamma
+    next_u = np.zeros_like(w) if u_broken else np.divide(w, gamma, out=w)
 
-    q = A.apply_transpose(s.u_curr) - alpha * s.v_curr
+    q = A.apply_transpose(s.u_curr)
+    t = np.multiply(s.v_curr, alpha)
+    np.subtract(q, t, out=q)
     if s.gamma_prev != 0.0:
-        q -= s.gamma_prev * s.v_prev
-    beta = _require_finite(norm2(q), s.k, "beta")
+        np.subtract(q, np.multiply(s.v_prev, s.gamma_prev, out=t), out=q)
+    beta = math.sqrt(q.dot(q))
+    if not math.isfinite(beta):
+        raise _overflow("beta", s.k)
     v_broken = beta <= floor
-    next_v = np.zeros_like(q) if v_broken else q / beta
+    next_v = np.zeros_like(q) if v_broken else np.divide(q, beta, out=q)
 
     return StepOutcome(next_v, next_u, alpha, beta, gamma, u_broken,
                        v_broken, av)
@@ -142,15 +157,27 @@ def bidiag_step(A, s):
     floor = breakdown_floor(A)
 
     av = A.apply(s.v_curr)
-    w = av if s.beta_prev == 0.0 else av - s.beta_prev * s.u_curr
-    alpha = _require_finite(norm2(w), s.k, "alpha")
+    if s.beta_prev == 0.0:
+        w = av  # step 1: av itself, so u_k is a new array
+    else:
+        w = np.multiply(s.u_curr, s.beta_prev)
+        np.subtract(av, w, out=w)
+    alpha = math.sqrt(w.dot(w))
+    if not math.isfinite(alpha):
+        raise _overflow("alpha", s.k)
     u_broken = alpha <= floor
-    u_k = np.zeros_like(w) if u_broken else w / alpha
+    if u_broken:
+        u_k = np.zeros_like(w)
+    else:
+        u_k = np.divide(w, alpha, out=None if w is av else w)
 
-    q = A.apply_transpose(u_k) - alpha * s.v_curr
-    beta = _require_finite(norm2(q), s.k, "beta")
+    q = A.apply_transpose(u_k)
+    np.subtract(q, np.multiply(s.v_curr, alpha), out=q)
+    beta = math.sqrt(q.dot(q))
+    if not math.isfinite(beta):
+        raise _overflow("beta", s.k)
     v_broken = beta <= floor
-    next_v = np.zeros_like(q) if v_broken else q / beta
+    next_v = np.zeros_like(q) if v_broken else np.divide(q, beta, out=q)
 
     return StepOutcome(next_v, u_k, alpha, beta, 0.0, u_broken, v_broken, av)
 

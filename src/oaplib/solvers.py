@@ -171,10 +171,8 @@ def orthogonality_lost(x, v_next, threshold):
     Works on |cos| of the angle rather than the angle itself; the zero
     vector never triggers, so the first step always passes.
     """
-    xn = norm2(x)
-    if xn == 0.0:
-        return False
-    return abs(dot(x, v_next)) / xn > threshold
+    xn = math.sqrt(x.dot(x))
+    return xn != 0.0 and abs(x.dot(v_next)) / xn > threshold
 
 
 class _DivergenceGuard:
@@ -190,21 +188,26 @@ class _DivergenceGuard:
     vector) returned instead.
 
     ``best_x`` holds the caller's vector by reference, so the caller must
-    rebind its running sum rather than update it in place.
+    rebind its running sum rather than update it in place.  ``scratch``
+    is free between calls to ``diverged``; the cycle uses it too.
     """
 
     def __init__(self, rhs, c1):
         self.rhs = rhs
         self.scale = norm2(rhs)
-        self.ax = None
+        # 0 + c v rounds to c v but for the sign of a zero, which no
+        # norm sees, so the sum starts at zero
+        self.ax = np.zeros_like(rhs)
+        self.scratch = np.empty_like(rhs)
         self.pending_c = c1
         self.best_x = None  # None: no prefix beat the zero vector
         self.best_res = self.scale
 
     def diverged(self, x_current, av):
-        term = self.pending_c * av
-        self.ax = term if self.ax is None else self.ax + term
-        res = norm2(self.rhs - self.ax)
+        ax, scratch = self.ax, self.scratch
+        np.add(ax, np.multiply(av, self.pending_c, out=scratch), out=ax)
+        np.subtract(self.rhs, ax, out=scratch)
+        res = math.sqrt(scratch.dot(scratch))
         if res < self.best_res:
             self.best_res = res
             self.best_x = x_current
@@ -250,19 +253,20 @@ def _cycle(A, rhs, krylov, c1):
             cause = "breakdown"
             break
         if two_sided:
-            c_next = c_update_tridiag(dot(rhs, krylov.u_curr), out.alpha,
+            c_next = c_update_tridiag(rhs.dot(krylov.u_curr), out.alpha,
                                       out.beta, krylov.gamma_prev,
                                       c_curr, c_prev)
         else:  # u_k carries the step's own index
-            c_next = c_update_bidiag(dot(rhs, out.next_u), out.alpha,
+            c_next = c_update_bidiag(rhs.dot(out.next_u), out.alpha,
                                      out.beta, c_curr)
-        if not np.isfinite(c_next):
+        if not math.isfinite(c_next):
             raise NumericalOverflow(f"non-finite coefficient at step {k}", step=k)
         if orthogonality_lost(x, out.next_v,
                               orthogonality_threshold(c_abs, c_sq)):
             cause = "orthogonality"
             break
-        x = x + c_next * out.next_v
+        # a new x, not x += ...: the guard may hold the old one
+        x = x + np.multiply(out.next_v, c_next, out=guard.scratch)
         c_prev, c_curr = c_curr, c_next
         c_abs += abs(c_next)
         c_sq += c_next * c_next

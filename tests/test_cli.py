@@ -209,6 +209,16 @@ class TestSolve:
                                 [*command, solver, "--tol", tol])
         assert err == "oap: error: tol must be positive\n"
 
+    @pytest.mark.parametrize("solver", ["roap2", "ap"])
+    @pytest.mark.parametrize("command", BUDGET_COMMANDS, ids=["solve", "bench"])
+    @pytest.mark.parametrize("blocks", ["0", "-1"])
+    def test_blocks_below_one_is_usage_error(self, capsys, monkeypatch,
+                                             command, solver, blocks):
+        # checked for every solver, though only ap reads it
+        err = self._usage_error(monkeypatch, capsys,
+                                [*command, solver, "--blocks", blocks])
+        assert err == "oap: error: blocks must be >= 1\n"
+
     @pytest.mark.parametrize("argv", [
         ["--solver", "gmres"],
         # the orthogonality threshold follows from the coefficients

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oaplib import (CsrMatrix, DenseMatrix, MatrixMarketError,
-                    read_matrix_market, write_matrix_market)
+                    gen_convdiff2d, read_matrix_market, write_matrix_market)
+from oaplib import mmio
 
 from conftest import random_sparse
 
@@ -217,3 +218,51 @@ class TestWriterGoldenText:
             b"%%MatrixMarket matrix array real general\n"
             b"3 1\n"
             b"0.10000000000000001\n-3\n1e-300\n")
+
+
+class TestChunkedWriters:
+    """The writers format ``_CHUNK`` entries at a time; the bytes must be
+    those of one line per entry written in a single pass."""
+
+    @staticmethod
+    def reference_coordinate(A):
+        lines = ["%%MatrixMarket matrix coordinate real general",
+                 f"{A.nrows} {A.ncols} {A.nnz}"]
+        for i in range(A.nrows):
+            for k in range(A.row_offsets[i], A.row_offsets[i + 1]):
+                lines.append(f"{i + 1} {A.col_indices[k] + 1} "
+                             f"{float(A.values[k]):.17g}")
+        return ("\n".join(lines) + "\n").encode()
+
+    @staticmethod
+    def reference_array(D):
+        lines = ["%%MatrixMarket matrix array real general",
+                 f"{D.shape[0]} {D.shape[1]}"]
+        for j in range(D.shape[1]):
+            lines += [f"{float(v):.17g}" for v in D[:, j]]
+        return ("\n".join(lines) + "\n").encode()
+
+    @staticmethod
+    def coordinate_cases(rng):
+        exact = CsrMatrix.from_dense(
+            rng.standard_normal((2 * mmio._CHUNK // 128, 128)))
+        assert exact.nnz == 2 * mmio._CHUNK
+        several = gen_convdiff2d(60, 60).A
+        assert several.nnz == 17760
+        return [CsrMatrix(3, 4, [0, 0, 0, 0], [], []), exact, several]
+
+    def test_coordinate_bytes_match_reference(self, tmp_path, rng):
+        for A in self.coordinate_cases(rng):
+            path = tmp_path / "a.mtx"
+            write_matrix_market(path, A)
+            assert path.read_bytes() == self.reference_coordinate(A)
+
+    def test_array_bytes_match_reference(self, tmp_path, rng):
+        chunk = mmio._CHUNK
+        for D in (np.zeros((0, 1)), rng.standard_normal((chunk, 1)),
+                  rng.standard_normal((2 * chunk + 5, 1)),
+                  rng.standard_normal((chunk // 2 + 3, 5))):
+            path = tmp_path / "d.mtx"
+            write_matrix_market(
+                path, D[:, 0] if D.shape[1] == 1 else DenseMatrix(D))
+            assert path.read_bytes() == self.reference_array(D)

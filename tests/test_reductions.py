@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import oaplib.reductions as reductions
 from oaplib import (CsrMatrix, DenseMatrix, KrylovState, NumericalOverflow,
-                    advance, bidiag_step, bidiagonalize, tridiag_step,
-                    tridiagonalize)
+                    advance, bidiag_step, bidiagonalize, gen_convdiff2d,
+                    tridiag_step, tridiagonalize)
+from oaplib.reductions import (BIDIAGONAL, TRIDIAGONAL, StepOutcome,
+                               breakdown_floor)
 
 from conftest import (gram_defect, oracle_golub_kahan, oracle_two_sided,
                       random_wellcond)
@@ -318,3 +321,108 @@ class TestStateValidation:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             KrylovState.start("diagonal", np.array([1.0, 0.0]))
+
+
+def fresh_tridiag_step(A, s):
+    """``tridiag_step`` with a new array for every intermediate result
+    (overflow checks left out)."""
+    floor = breakdown_floor(A)
+    av = A.apply(s.v_curr)
+    alpha = float(np.dot(s.u_curr, av))
+    w = av - alpha * s.u_curr
+    if s.beta_prev != 0.0:
+        w = w - s.beta_prev * s.u_prev
+    gamma = float(np.linalg.norm(w))
+    next_u = np.zeros_like(w) if gamma <= floor else w / gamma
+    q = A.apply_transpose(s.u_curr) - alpha * s.v_curr
+    if s.gamma_prev != 0.0:
+        q = q - s.gamma_prev * s.v_prev
+    beta = float(np.linalg.norm(q))
+    next_v = np.zeros_like(q) if beta <= floor else q / beta
+    return StepOutcome(next_v, next_u, alpha, beta, gamma, gamma <= floor,
+                       beta <= floor, av)
+
+
+def fresh_bidiag_step(A, s):
+    """``bidiag_step`` with a new array for every intermediate result."""
+    floor = breakdown_floor(A)
+    av = A.apply(s.v_curr)
+    w = av if s.beta_prev == 0.0 else av - s.beta_prev * s.u_curr
+    alpha = float(np.linalg.norm(w))
+    u_k = np.zeros_like(w) if alpha <= floor else w / alpha
+    q = A.apply_transpose(u_k) - alpha * s.v_curr
+    beta = float(np.linalg.norm(q))
+    next_v = np.zeros_like(q) if beta <= floor else q / beta
+    return StepOutcome(next_v, u_k, alpha, beta, 0.0, alpha <= floor,
+                       beta <= floor, av)
+
+
+STEPS = {TRIDIAGONAL: (tridiag_step, fresh_tridiag_step),
+         BIDIAGONAL: (bidiag_step, fresh_bidiag_step)}
+WINDOW = ("v_prev", "v_curr", "u_prev", "u_curr")
+
+
+class TestInPlaceSteps:
+    """The steps build their results in place inside new arrays; they
+    must write into none of their inputs and round like a step that
+    allocates every intermediate."""
+
+    @staticmethod
+    def operators(rng):
+        return [gen_convdiff2d(9, 10).A, DenseMatrix(random_wellcond(rng, 12))]
+
+    @staticmethod
+    def unit(rng, n):
+        v = rng.standard_normal(n)
+        return v / np.linalg.norm(v)
+
+    @pytest.mark.parametrize("mode", [TRIDIAGONAL, BIDIAGONAL])
+    def test_step_writes_into_no_input_and_rounds_as_fresh(self, rng, mode):
+        step, fresh = STEPS[mode]
+        for A in self.operators(rng):
+            v1 = self.unit(rng, A.ncols)
+            s = KrylovState.start(mode, v1, v1)
+            for k in range(1, 6):  # step 1 has no beta_prev or gamma_prev
+                saved = {name: getattr(s, name).copy() for name in WINDOW}
+                av = A.apply(s.v_curr)
+                out = step(A, s)
+                ref = fresh(A, s)
+                for name in WINDOW:
+                    assert getattr(s, name).tobytes() == saved[name].tobytes()
+                assert out.av.tobytes() == av.tobytes()
+                inputs = [getattr(s, name) for name in WINDOW] + [out.av]
+                for new in (out.next_u, out.next_v):
+                    assert not any(np.shares_memory(new, old) for old in inputs)
+                assert not np.shares_memory(out.next_u, out.next_v)
+                assert out.next_u.tobytes() == ref.next_u.tobytes()
+                assert out.next_v.tobytes() == ref.next_v.tobytes()
+                assert ((out.alpha, out.beta, out.gamma)
+                        == (ref.alpha, ref.beta, ref.gamma))
+                assert not (out.u_broken or out.v_broken), k
+                s = advance(s, out)
+
+    @pytest.mark.parametrize("reorthogonalize", [False, True])
+    def test_driver_bases_match_fresh_array_run(self, rng, monkeypatch,
+                                                reorthogonalize):
+        A = gen_convdiff2d(9, 10).A
+        v1, u1 = self.unit(rng, A.ncols), self.unit(rng, A.nrows)
+
+        def run():
+            return (tridiagonalize(A, v1, u1, 40, reorthogonalize),
+                    bidiagonalize(A, v1, 40, reorthogonalize))
+
+        got = run()
+        for mode, (_, fresh) in STEPS.items():
+            name = "tridiag_step" if mode == TRIDIAGONAL else "bidiag_step"
+            monkeypatch.setattr(reductions, name, fresh)
+        ref = run()
+        for (coeffs, V, U, broke), (r_coeffs, r_V, r_U, r_broke) in zip(got, ref):
+            assert broke == r_broke
+            assert V.shape == r_V.shape == (A.ncols, 41)
+            for field in ("alphas", "betas", "gammas"):
+                assert (getattr(coeffs, field).tobytes()
+                        == getattr(r_coeffs, field).tobytes())
+            # column by column: an aliased step would overwrite stored ones
+            for M, r_M in ((V, r_V), (U, r_U)):
+                for j in range(M.shape[1]):
+                    assert M[:, j].tobytes() == r_M[:, j].tobytes()

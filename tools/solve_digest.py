@@ -3,7 +3,9 @@ refactor leaves the solvers' outputs bit-identical.
 
 Cases: the pinned ``oap bench`` suite with random-dense 300 at seeds
 1234..1241, plus convdiff 60x60, under ``roap2`` and ``roap3`` (default
-options) and ``ap`` (two blocks, 5000 sweeps, as ``oap bench`` runs it).
+options) and ``ap`` (two blocks, 5000 sweeps, as ``oap bench`` runs it);
+then convdiff 200x200 under ``roap2`` alone (~3 s), whose cycles end
+where the divergence guard returns the best prefix.
 Each line gives the termination, restarts, total inner steps and one
 SHA-256 over the little-endian bytes of the final x, the residual
 history and the inner step counts; the last line is one digest over all
@@ -27,15 +29,20 @@ AP_BLOCKS = 2
 AP_MAX_SWEEPS = 5000
 
 
-def problems():
+SOLVERS = ("roap2", "roap3", "ap")
+
+
+def cases():
+    """(problem, solvers) pairs in digest order."""
     for nx, ny in EXAMPLE1_GRIDS:
-        yield gen_convdiff2d(nx, ny)
+        yield gen_convdiff2d(nx, ny), SOLVERS
     for target in EXAMPLE2_TARGETS:
-        yield gen_poisson_lshape(lshape_m_for(target))
-    yield gen_tridiag_unsym(EXAMPLE3_N)
+        yield gen_poisson_lshape(lshape_m_for(target)), SOLVERS
+    yield gen_tridiag_unsym(EXAMPLE3_N), SOLVERS
     for seed in SEEDS:
-        yield gen_random_dense(EXAMPLE4_N, seed)
-    yield gen_convdiff2d(60, 60)
+        yield gen_random_dense(EXAMPLE4_N, seed), SOLVERS
+    yield gen_convdiff2d(60, 60), SOLVERS
+    yield gen_convdiff2d(200, 200), ("roap2",)
 
 
 def solve(problem, solver):
@@ -56,8 +63,8 @@ def digest(x, report):
 
 def main():
     overall = hashlib.sha256()
-    for problem in problems():
-        for solver in ("roap2", "roap3", "ap"):
+    for problem, solvers in cases():
+        for solver in solvers:
             x, report = solve(problem, solver)
             line = (f"{problem.label} {solver} {report.termination} "
                     f"{report.restarts} {sum(report.inner_iterations)} "
