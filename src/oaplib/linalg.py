@@ -4,10 +4,9 @@ Both operator classes are immutable after construction; their arrays are
 marked read-only so concurrent read access is safe.  All arithmetic is
 64-bit floating point.  ``CsrMatrix`` keeps int64 indices and computes
 its products through two ``scipy.sparse`` CSR views built on first use:
-one of A that shares ``values`` and copies the indices to int32 where
-``scipy.sparse.get_index_dtype`` allows it, and a stored transpose (its
-own values and indices, 16 nnz + 8 n bytes with int32 indices for both
-views), so that A'u is a row gather rather than a column scatter.
+one of A that shares the operator's read-only arrays (no copy), and a
+stored transpose with its own arrays (16 nnz + 8 n bytes), so that A'u
+is a row gather rather than a column scatter.
 """
 
 import math
@@ -61,13 +60,6 @@ def _readonly(a):
     return a
 
 
-def _index_dtype(maxval):
-    """The index dtype ``scipy.sparse`` picks for indices up to ``maxval``:
-    int32 where that rule allows it, int64 otherwise."""
-    import scipy.sparse
-    return scipy.sparse.get_index_dtype(maxval=maxval)
-
-
 class LinearOperator:
     """Square-or-rectangular real matrix supporting y = A x and z = A' u.
 
@@ -82,9 +74,12 @@ class LinearOperator:
         return (self.nrows, self.ncols)
 
     def apply(self, v):
+        """A v as a new array."""
         raise NotImplementedError
 
     def apply_transpose(self, u):
+        """A' u as a new, writable array that shares memory with no other
+        array: the reduction steps turn it into their next v in place."""
         raise NotImplementedError
 
     def rows_dense(self, start, stop):
@@ -197,11 +192,8 @@ class CsrMatrix(LinearOperator):
     @cached_property
     def _scipy(self):
         import scipy.sparse
-        idx = _index_dtype(max(self.nnz, self.nrows, self.ncols))
         return scipy.sparse.csr_array(
-            (self.values,
-             _readonly(self.col_indices.astype(idx, copy=False)),
-             _readonly(self.row_offsets.astype(idx, copy=False))),
+            (self.values, self.col_indices, self.row_offsets),
             shape=self.shape, copy=False)
 
     @cached_property

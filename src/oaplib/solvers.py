@@ -188,8 +188,7 @@ class _DivergenceGuard:
     vector) returned instead.
 
     ``best_x`` holds the caller's vector by reference, so the caller must
-    rebind its running sum rather than update it in place.  ``scratch``
-    is free between calls to ``diverged``; the cycle uses it too.
+    rebind its running sum rather than update it in place.
     """
 
     def __init__(self, rhs, c1):
@@ -240,6 +239,7 @@ def _cycle(A, rhs, krylov, c1):
     step = tridiag_step if two_sided else bidiag_step
 
     x = c1 * krylov.v_curr
+    cv = np.empty_like(x)  # c v for each accepted step
     c_prev, c_curr = 0.0, c1
     c_abs, c_sq = abs(c1), c1 * c1
     guard = _DivergenceGuard(rhs, c1)
@@ -266,7 +266,7 @@ def _cycle(A, rhs, krylov, c1):
             cause = "orthogonality"
             break
         # a new x, not x += ...: the guard may hold the old one
-        x = x + np.multiply(out.next_v, c_next, out=guard.scratch)
+        x = x + np.multiply(out.next_v, c_next, out=cv)
         c_prev, c_curr = c_curr, c_next
         c_abs += abs(c_next)
         c_sq += c_next * c_next

@@ -117,6 +117,21 @@ class TestSolve:
         assert records[0].relres <= 1e-6
         assert records[0].n == 90
 
+    def test_solve_rectangular_from_files(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        A = CsrMatrix.from_dense(rng.standard_normal((6, 4)))
+        x_true = rng.standard_normal(4)
+        write_matrix_market(tmp_path / "A.mtx", A)
+        write_matrix_market(tmp_path / "b.mtx", A.apply(x_true))
+        write_matrix_market(tmp_path / "x.mtx", x_true)
+        code = main(["solve", "--matrix", str(tmp_path / "A.mtx"),
+                     "--rhs", str(tmp_path / "b.mtx"),
+                     "--truth", str(tmp_path / "x.mtx"), "--solver", "roap2"])
+        rec = read_records_csv(capsys.readouterr().out)[0]
+        assert code == 0
+        assert rec.termination == "converged"
+        assert rec.relerr <= 1e-9
+
     def test_solve_from_family(self, capsys):
         code = main(["solve", "--family", "tridiag-unsym", "--n", "200",
                      "--solver", "roap3"])

@@ -11,8 +11,6 @@ from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch,
                     NonFiniteVector, as_vector, backend_name, dot,
                     gen_convdiff2d, gen_tridiag_unsym, norm2)
 
-from oaplib.linalg import _index_dtype
-
 from conftest import (bincount_apply, bincount_apply_transpose,
                       random_sparse)
 
@@ -235,24 +233,22 @@ class TestScipyKernels:
                 assert (A.apply_transpose(u).tobytes()
                         == bincount_apply_transpose(A, u).tobytes())
 
-    def test_views_use_int32_indices_and_a_sorted_csr_transpose(self):
+    def test_view_shares_the_operator_arrays(self):
         A = self.operators()[1]
         A.apply_transpose(np.ones(A.nrows))
-        assert np.shares_memory(A._scipy.data, A.values)
-        for view in (A._scipy, A._scipy_t):
-            assert view.format == "csr"
-            assert view.indices.dtype == view.indptr.dtype == np.int32
+        view = A._scipy
+        assert view.format == "csr"
+        for mine, theirs in ((A.values, view.data),
+                             (A.col_indices, view.indices),
+                             (A.row_offsets, view.indptr)):
+            assert np.shares_memory(mine, theirs)
         t = A._scipy_t
+        assert t.format == "csr"
         assert t.shape == (A.ncols, A.nrows)
         for c in range(A.ncols):
             assert np.all(np.diff(t.indices[t.indptr[c]:t.indptr[c + 1]]) > 0)
-        # the operator keeps its own int64 arrays
-        assert A.col_indices.dtype == A.row_offsets.dtype == np.int64
-
-    def test_index_dtype_falls_back_to_int64_past_int32(self):
-        top = np.iinfo(np.int32).max
-        assert _index_dtype(top) == np.int32
-        assert _index_dtype(top + 1) == np.int64
+        for a in (t.data, t.indices, t.indptr):
+            assert not a.flags.writeable
 
     def test_construction_builds_no_view(self):
         A = self.operators()[0]

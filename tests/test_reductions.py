@@ -426,3 +426,21 @@ class TestInPlaceSteps:
             for M, r_M in ((V, r_V), (U, r_U)):
                 for j in range(M.shape[1]):
                     assert M[:, j].tobytes() == r_M[:, j].tobytes()
+
+    @pytest.mark.parametrize("mode", [TRIDIAGONAL, BIDIAGONAL])
+    def test_read_only_transpose_product_is_refused(self, rng, monkeypatch,
+                                                    mode):
+        # apply_transpose must return a writable array; a read-only one
+        # is an error, not a result computed from a stale vector
+        A = gen_convdiff2d(9, 10).A
+        plain = A.apply_transpose
+
+        def read_only(u):
+            q = plain(u)
+            q.flags.writeable = False
+            return q
+
+        monkeypatch.setattr(A, "apply_transpose", read_only)
+        v1 = self.unit(rng, A.ncols)
+        with pytest.raises(ValueError, match="read-only"):
+            STEPS[mode][0](A, KrylovState.start(mode, v1, v1))

@@ -401,6 +401,27 @@ class TestRoap:
             assert after <= before * (1 + 1e-8)
 
 
+class TestRectangularBidiag:
+    """The bidiagonal engine needs no square operator: b has A's row
+    count and x its column count."""
+
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("kind", [DenseMatrix, CsrMatrix.from_dense])
+    def test_consistent_system(self, rng, shape, kind):
+        A = kind(rng.standard_normal(shape))
+        b = A.apply(rng.standard_normal(shape[1]))
+        v1, c1 = init_from_vector(A, b, b)
+        res = oap_cycle_bidiag(A, b, v1, c1)
+        # an accepted step moves x off the seed's c1 v1 and cuts the residual
+        assert res.inner_steps >= 2
+        assert res.x_partial.shape == (shape[1],)
+        seed_res = norm2(b - A.apply(c1 * v1))
+        assert norm2(b - A.apply(res.x_partial)) < 1e-3 * seed_res
+        x, report = roap_solve(A, b, "roap2")
+        assert report.termination == "converged"
+        assert norm2(b - A.apply(x)) <= 1e-10 * norm2(b)
+
+
 class TestRhsLength:
     """Every solver entry rejects a right-hand side whose length is not
     A's row count."""
