@@ -10,8 +10,10 @@ Library layout:
 * :mod:`oaplib.problems`   - benchmark problem generators
 * :mod:`oaplib.cli`        - ``oap`` command line
 
-``CsrMatrix`` computes ``A v`` and ``A' u`` through ``scipy.sparse``;
-:func:`backend_name` names that implementation for benchmark records.
+``CsrMatrix`` computes ``A v`` and ``A' u`` with scipy's compiled
+``csr_matvec`` kernel (``scipy.sparse._sparsetools``), imported on the
+first product; :func:`backend_name` names that implementation for
+benchmark records.
 """
 
 from .ap import (ApBlock, ApState, BlockPartition, ap_factor, ap_init,

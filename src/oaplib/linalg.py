@@ -3,14 +3,16 @@
 Both operator classes are immutable after construction; their arrays are
 marked read-only so concurrent read access is safe.  All arithmetic is
 64-bit floating point.  ``CsrMatrix`` keeps int64 indices and computes
-its products through two ``scipy.sparse`` CSR views built on first use:
-one of A that shares the operator's read-only arrays (no copy), and a
-stored transpose with its own arrays (16 nnz + 8 n bytes), so that A'u
-is a row gather rather than a column scatter.
+each product with one call of scipy's compiled ``csr_matvec`` kernel
+(``scipy.sparse._sparsetools``, the call ``csr_array @ x`` ends in, so
+the bits are the same, without its ~15 Python calls of dispatch).
+``A v`` reads the operator's own arrays.  ``A' u`` reads a stored
+transpose, built on first use by the compiled ``csr_tocsc`` (16 nnz +
+8 n bytes), so that it is a row gather rather than a column scatter.
 """
 
+import functools
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +22,14 @@ from .errors import DimensionMismatch, NonFiniteVector
 def backend_name():
     """Name of the CSR kernel implementation; the only one is scipy.sparse."""
     return "scipy"
+
+
+@functools.cache
+def _sparsetools():
+    """scipy's compiled sparse kernels, imported on the first product:
+    a module-level import would load scipy.sparse on ``import oaplib``."""
+    from scipy.sparse import _sparsetools
+    return _sparsetools
 
 
 def as_vector(x, name="vector"):
@@ -185,35 +195,35 @@ class CsrMatrix(LinearOperator):
         idx = np.arange(n, dtype=np.int64)
         return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
 
-    # Built on first use, not at construction, and the transpose apart
-    # from the product: the generators and the Matrix Market reader build
-    # operators that see one ``A v`` or none, and a module-level import
-    # of scipy.sparse would slow ``import oaplib`` for every caller.
-    @cached_property
-    def _scipy(self):
-        import scipy.sparse
-        return scipy.sparse.csr_array(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=self.shape, copy=False)
+    # Built on first use, not at construction: the generators and the
+    # Matrix Market reader build operators that see one ``A v`` or none.
+    @functools.cached_property
+    def _transpose(self):
+        # A' as CSR (A as CSC) with sorted indices: row c holds column c of
+        # A in row order, so the gather adds each output's terms from zero
+        # in the order a scatter over A's rows would
+        offsets = np.empty(self.ncols + 1, dtype=np.int64)
+        indices = np.empty(self.nnz, dtype=np.int64)
+        values = np.empty(self.nnz)
+        _sparsetools().csr_tocsc(self.nrows, self.ncols, self.row_offsets,
+                                 self.col_indices, self.values,
+                                 offsets, indices, values)
+        return _readonly(offsets), _readonly(indices), _readonly(values)
 
-    @cached_property
-    def _scipy_t(self):
-        # A' as CSR with sorted indices: row c holds column c of A in row
-        # order, so the gather adds each output's terms from zero in the
-        # order a scatter over A's rows would
-        t = self._scipy.T.tocsr()
-        t.sort_indices()
-        for a in (t.data, t.indices, t.indptr):
-            _readonly(a)
-        return t
-
+    # The kernel reads x unchecked: ``_check_apply`` is its length guard.
     def apply(self, v):
         v = self._check_apply(v, self.ncols, "apply")
-        return self._scipy @ v
+        out = np.zeros(self.nrows)
+        _sparsetools().csr_matvec(self.nrows, self.ncols, self.row_offsets,
+                                  self.col_indices, self.values, v, out)
+        return out
 
     def apply_transpose(self, u):
         u = self._check_apply(u, self.nrows, "apply_transpose")
-        return self._scipy_t @ u
+        out = np.zeros(self.ncols)
+        _sparsetools().csr_matvec(self.ncols, self.nrows, *self._transpose,
+                                  u, out)
+        return out
 
     def rows_dense(self, start, stop):
         # one scatter; rows hold no duplicate columns, so no entry is summed

@@ -5,9 +5,11 @@ matrices and vectors through ``array real general`` (a vector is an
 n x 1 array).  Files are 1-based per the format; indices are converted
 at this boundary.  Values are written with 17 significant digits so a
 write/read round trip is bit-exact for float64, formatted in blocks of
-``_CHUNK`` entries so that no list of a whole file's numbers is built.
-Either layout's data go through one ``np.loadtxt`` call; a bad line is
-reported by number.
+``_CHUNK`` entries, one ``%`` call per block, so that no list of a
+whole file's numbers is built.  Either layout's data go through one
+``np.loadtxt`` call on the open file; only data with ``%`` comment lines
+or a bad entry are parsed again from a filtered line generator, and a
+bad line is reported by number.
 """
 
 import warnings
@@ -42,10 +44,12 @@ def _write_coordinate(path, m):
         fh.write(f"{m.nrows} {m.ncols} {m.nnz}\n")
         rows = np.repeat(np.arange(1, m.nrows + 1), np.diff(m.row_offsets))
         for lo in range(0, m.nnz, _CHUNK):
-            hi = lo + _CHUNK
-            fh.writelines(f"{i} {j} {v:.17g}\n" for i, j, v in zip(
-                rows[lo:hi].tolist(), (m.col_indices[lo:hi] + 1).tolist(),
-                m.values[lo:hi].tolist()))
+            hi = min(lo + _CHUNK, m.nnz)
+            fields = [None] * (3 * (hi - lo))  # i j v, entry after entry
+            fields[0::3] = rows[lo:hi].tolist()
+            fields[1::3] = (m.col_indices[lo:hi] + 1).tolist()
+            fields[2::3] = m.values[lo:hi].tolist()
+            fh.write("%d %d %.17g\n" * (hi - lo) % tuple(fields))
 
 
 def _write_array(path, values):
@@ -56,7 +60,8 @@ def _write_array(path, values):
         fh.write(f"{values.shape[0]} {values.shape[1]}\n")
         flat = values.ravel(order="F")  # array format is column-major
         for lo in range(0, len(flat), _CHUNK):
-            fh.writelines(f"{v:.17g}\n" for v in flat[lo:lo + _CHUNK].tolist())
+            chunk = tuple(flat[lo:lo + _CHUNK].tolist())
+            fh.write("%.17g\n" * len(chunk) % chunk)
 
 
 def read_matrix_market(path):
@@ -79,18 +84,24 @@ def read_matrix_market(path):
                 f"unsupported {header.strip()!r}: only real general "
                 "matrices, coordinate or array", lineno=1)
 
-        # skip comments / blank lines up to the size line
-        size_lineno = 1
-        for size_lineno, line in enumerate(fh, 2):
-            if line.strip() and not line.startswith("%"):
-                break
-        else:
-            raise MatrixMarketError("missing size line", lineno=size_lineno)
+        # skip comments / blank lines up to the size line; readline, not
+        # iteration, so that tell() still works
+        size_lineno, line = 1, ""
+        while not line.strip() or line.startswith("%"):
+            line = fh.readline()
+            if not line:
+                raise MatrixMarketError("missing size line",
+                                        lineno=size_lineno)
+            size_lineno += 1
         nrows, ncols, *nnz = _split_size(
             line, size_lineno, 3 if layout == "coordinate" else 2)
         count = nnz[0] if nnz else nrows * ncols
-        entries = _parse(
-            (line for line in fh if not line.startswith("%")), layout)
+        data_start = fh.tell()
+        entries = _parse(fh, layout)  # the open file: no Python per line
+        if entries is None:  # a % line or a bad entry: parse the lines
+            fh.seek(data_start)  # again with the % lines filtered out
+            entries = _parse(
+                (line for line in fh if not line.startswith("%")), layout)
     if _fault(entries, nrows, ncols, count) or len(entries) < count:
         _locate(path, size_lineno, layout, nrows, ncols, count)
 
@@ -119,7 +130,8 @@ def _split_size(line, lineno, want):
 
 
 def _parse(lines, layout):
-    """Parse data lines (no ``%`` lines; blank ones are skipped), or None."""
+    """Parse data lines (an open file or an iterable of lines; blank ones
+    are skipped), or None; a ``%`` line is data here, so it fails."""
     with warnings.catch_warnings():
         # nnz = 0 and a 0 x n array are valid files with no data
         warnings.filterwarnings(

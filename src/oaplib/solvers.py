@@ -280,7 +280,11 @@ def _cycle(A, rhs, krylov, c1):
 
 def oap_cycle_tridiag(A, rhs, v1, c1):
     """One projection cycle over the two-sided engine (u1 = v1), from
-    x_1 = c1 v1; ``CycleResult.stop_cause`` says why it stopped."""
+    x_1 = c1 v1; ``CycleResult.stop_cause`` says why it stopped.  u1 = v1
+    gives u and v one length, so A must be square."""
+    if A.nrows != A.ncols:
+        raise DimensionMismatch(f"the two-sided engine needs a square "
+                                f"operator, A is {A.nrows}x{A.ncols}")
     return _cycle(A, rhs, KrylovState.start(TRIDIAGONAL, v1, v1), c1)
 
 
@@ -294,10 +298,11 @@ def roap_solve(A, b, variant="roap2", tol=TOL_DEFAULT, max_restarts=None):
     relative residual meets ``tol``.
 
     ``variant`` selects the engine: ``roap2`` bidiagonal, ``roap3``
-    two-sided.  Returns ``(x, SolveReport)``.  Stagnation (three
-    consecutive restarts without meaningful decrease) and the restart
-    budget ``max_restarts`` (None: n) bound the run on singular or
-    hopeless systems; ``max_restarts=1`` is the unrestarted OAP method.
+    two-sided (square A only).  Returns ``(x, SolveReport)``.
+    Stagnation (three consecutive restarts without meaningful decrease)
+    and the restart budget ``max_restarts`` (None: n) bound the run on
+    singular or hopeless systems; ``max_restarts=1`` is the unrestarted
+    OAP method.
     """
     if variant not in ("roap2", "roap3"):
         raise ValueError(f"unknown variant {variant!r}")

@@ -132,6 +132,20 @@ class TestSolve:
         assert rec.termination == "converged"
         assert rec.relerr <= 1e-9
 
+    @pytest.mark.parametrize("solver", ["roap3", "oap3"])
+    def test_solve_rectangular_two_sided_is_refused(self, tmp_path, capsys,
+                                                    solver):
+        # the 6x4 system of test_solve_rectangular_from_files
+        rng = np.random.default_rng(5)
+        A = CsrMatrix.from_dense(rng.standard_normal((6, 4)))
+        write_matrix_market(tmp_path / "A.mtx", A)
+        write_matrix_market(tmp_path / "b.mtx", A.apply(rng.standard_normal(4)))
+        code = main(["solve", "--matrix", str(tmp_path / "A.mtx"),
+                     "--rhs", str(tmp_path / "b.mtx"), "--solver", solver])
+        rec = read_records_csv(capsys.readouterr().out)[0]
+        assert code == 2
+        assert rec.termination == "error: DimensionMismatch"
+
     def test_solve_from_family(self, capsys):
         code = main(["solve", "--family", "tridiag-unsym", "--n", "200",
                      "--solver", "roap3"])

@@ -7,12 +7,39 @@ import pytest
 import scipy.sparse
 
 import oaplib
+import oaplib.linalg
 from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch,
                     NonFiniteVector, as_vector, backend_name, dot,
                     gen_convdiff2d, gen_tridiag_unsym, norm2)
 
 from conftest import (bincount_apply, bincount_apply_transpose,
                       random_sparse)
+
+
+class KernelSpy:
+    """Stands in for scipy's ``_sparsetools``: records each kernel call
+    and, while ``run`` is set, runs the real kernel on its arguments."""
+
+    def __init__(self, real):
+        self.real = real
+        self.calls = []
+        self.run = True
+
+    def __getattr__(self, name):
+        kernel = getattr(self.real, name)
+
+        def spy(*args):
+            self.calls.append((name, args))
+            if self.run:
+                kernel(*args)
+        return spy
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    spy = KernelSpy(oaplib.linalg._sparsetools())
+    monkeypatch.setattr(oaplib.linalg, "_sparsetools", lambda: spy)
+    return spy
 
 
 class TestApply:
@@ -45,10 +72,20 @@ class TestApply:
         np.testing.assert_array_equal(A.apply_transpose([1.0, 2.0, 3.0, 4.0]),
                                       [1.0, 9.0, 2.0, 12.0, 0.0])
 
-    def test_dimension_mismatch(self):
-        A = CsrMatrix.identity(3)
+    # the kernel reads x unchecked, so no bad vector may reach it
+    @pytest.mark.parametrize("bad", ["short", "long", "2-D", "empty"])
+    @pytest.mark.parametrize("product", ["apply", "apply_transpose"])
+    def test_dimension_mismatch(self, kernels, product, bad):
+        A = CsrMatrix(4, 5, [0, 2, 2, 4, 4], [0, 2, 1, 3], [1.0, 2.0, 3.0, 4.0])
+        n = A.ncols if product == "apply" else A.nrows
+        x = {"short": np.ones(n - 1), "long": np.ones(n + 1),
+             "2-D": np.ones((1, n)), "empty": np.ones(0)}[bad]
+        A._transpose  # built up front: any call recorded below is a product
+        kernels.calls.clear()
+        kernels.run = False  # a product that slipped through reads no memory
         with pytest.raises(DimensionMismatch):
-            A.apply(np.ones(4))
+            getattr(A, product)(x)
+        assert kernels.calls == []
 
 
 class TestApplyTranspose:
@@ -214,8 +251,9 @@ class TestRepresentationEquivalence:
 
 
 class TestScipyKernels:
-    """The products run through a lazily built scipy.sparse view; the
-    NumPy ``bincount`` kernels in conftest are their reference."""
+    """The products call scipy's compiled ``csr_matvec``, ``A' u`` on a
+    transpose built on first use; the NumPy ``bincount`` kernels in
+    conftest are their reference."""
 
     @staticmethod
     def operators():
@@ -233,46 +271,65 @@ class TestScipyKernels:
                 assert (A.apply_transpose(u).tobytes()
                         == bincount_apply_transpose(A, u).tobytes())
 
-    def test_view_shares_the_operator_arrays(self):
+    @pytest.mark.parametrize("layout", ["strided", "int", "list"])
+    @pytest.mark.parametrize("product", ["apply", "apply_transpose"])
+    def test_coerced_input_matches_contiguous_float64(self, rng, product,
+                                                      layout):
+        for A in self.operators():
+            n = A.ncols if product == "apply" else A.nrows
+            x = (rng.integers(-9, 10, n) if layout == "int"
+                 else rng.standard_normal(n))
+            given = {"strided": np.repeat(x, 2)[::2], "int": x,
+                     "list": x.tolist()}[layout]
+            want = getattr(A, product)(np.array(x, dtype=np.float64))
+            assert getattr(A, product)(given).tobytes() == want.tobytes()
+
+    def test_products_read_the_operator_arrays(self, kernels):
         A = self.operators()[1]
-        A.apply_transpose(np.ones(A.nrows))
-        view = A._scipy
-        assert view.format == "csr"
-        for mine, theirs in ((A.values, view.data),
-                             (A.col_indices, view.indices),
-                             (A.row_offsets, view.indptr)):
-            assert np.shares_memory(mine, theirs)
-        t = A._scipy_t
-        assert t.format == "csr"
-        assert t.shape == (A.ncols, A.nrows)
-        for c in range(A.ncols):
-            assert np.all(np.diff(t.indices[t.indptr[c]:t.indptr[c + 1]]) > 0)
-        for a in (t.data, t.indices, t.indptr):
-            assert not a.flags.writeable
-
-    def test_construction_builds_no_view(self):
-        A = self.operators()[0]
-        assert "_scipy" not in vars(A) and "_scipy_t" not in vars(A)
         A.apply(np.ones(A.ncols))
-        assert "_scipy" in vars(A) and "_scipy_t" not in vars(A)
         A.apply_transpose(np.ones(A.nrows))
-        assert "_scipy_t" in vars(A)
+        (name, av), (name_t, atu) = [c for c in kernels.calls
+                                     if c[0] != "csr_tocsc"]
+        assert (name, name_t) == ("csr_matvec", "csr_matvec")
+        assert av[:2] == (A.nrows, A.ncols) and atu[:2] == (A.ncols, A.nrows)
+        # the arrays themselves, not copies
+        for got, want in zip(av[2:5], (A.row_offsets, A.col_indices, A.values)):
+            assert got is want
+        for got, want in zip(atu[2:5], A._transpose):
+            assert got is want
 
-    def test_view_built_once_per_operator(self, monkeypatch):
+    def test_construction_and_av_build_no_transpose(self):
+        A = self.operators()[0]
+        assert "_transpose" not in vars(A)
+        A.apply(np.ones(A.ncols))
+        assert "_transpose" not in vars(A)
+        A.apply_transpose(np.ones(A.nrows))
+        assert "_transpose" in vars(A)
+
+    def test_transpose_built_once_per_operator(self, kernels):
         A = gen_convdiff2d(9, 10).A
-        calls = []
-        real = scipy.sparse.csr_array
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse, "csr_array", spy)
         for _ in range(3):
             A.apply(np.ones(A.ncols))
         for _ in range(2):
             A.apply_transpose(np.ones(A.nrows))
-        assert len(calls) == 1
+        names = [name for name, _ in kernels.calls]
+        assert names.count("csr_tocsc") == 1
+        assert names.index("csr_tocsc") == 3  # on the first A'u
+
+    def test_transpose_matches_scipy(self):
+        for A in self.operators() + [CsrMatrix(3, 4, [0, 0, 0, 0], [], [])]:
+            offsets, indices, values = A._transpose
+            for a, dtype in ((offsets, np.int64), (indices, np.int64),
+                             (values, np.float64)):
+                assert a.dtype == dtype and not a.flags.writeable
+            for c in range(A.ncols):
+                assert np.all(np.diff(indices[offsets[c]:offsets[c + 1]]) > 0)
+            want = scipy.sparse.csr_array(
+                (A.values, A.col_indices, A.row_offsets), shape=A.shape).T.tocsr()
+            want.sort_indices()
+            assert offsets.tobytes() == want.indptr.astype(np.int64).tobytes()
+            assert indices.tobytes() == want.indices.astype(np.int64).tobytes()
+            assert values.tobytes() == want.data.tobytes()
 
 
 def test_import_leaves_scipy_sparse_unloaded():

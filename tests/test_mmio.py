@@ -266,3 +266,48 @@ class TestChunkedWriters:
             write_matrix_market(
                 path, D[:, 0] if D.shape[1] == 1 else DenseMatrix(D))
             assert path.read_bytes() == self.reference_array(D)
+
+
+class TestReaderPaths:
+    """The reader parses the open file in one ``np.loadtxt`` call and
+    falls back to a line filter only when ``%`` lines (or a bad entry)
+    sit in the data section; both paths must give the same arrays."""
+
+    @staticmethod
+    def variants(text):
+        header, size, *data = text.splitlines(keepends=True)
+        commented = "".join(("% note\n" if k % 50 == 0 else "") + line
+                            for k, line in enumerate(data))
+        blank = "".join(line + ("\n   \t\n" if k % 40 == 0 else "")
+                        for k, line in enumerate(data))
+        return {"plain": (text, 1),
+                "comments": (header + size + commented + "% end\n", 2),
+                "blank-crlf": ((header + size + "\n" + blank)
+                               .replace("\n", "\r\n"), 1)}
+
+    @staticmethod
+    def arrays(m):
+        if isinstance(m, CsrMatrix):
+            return [m.row_offsets, m.col_indices, m.values]
+        return [np.asarray(getattr(m, "values", m))]
+
+    @pytest.mark.parametrize("payload", ["coordinate", "array", "vector"])
+    def test_every_variant_reads_the_same_arrays(self, tmp_path, rng,
+                                                 monkeypatch, payload):
+        m = {"coordinate": gen_convdiff2d(9, 11).A,
+             "array": DenseMatrix(rng.standard_normal((30, 7))),
+             "vector": rng.standard_normal(200)}[payload]
+        write_matrix_market(tmp_path / "m.mtx", m)
+        text = (tmp_path / "m.mtx").read_text()
+        want = [a.tobytes() for a in self.arrays(m)]
+        parses = []
+        real = mmio._parse
+        monkeypatch.setattr(mmio, "_parse",
+                            lambda *a: parses.append(a) or real(*a))
+        for name, (content, calls) in self.variants(text).items():
+            path = tmp_path / f"{name}.mtx"
+            path.write_bytes(content.encode())
+            parses.clear()
+            got = read_matrix_market(path)
+            assert [a.tobytes() for a in self.arrays(got)] == want, name
+            assert len(parses) == calls, name  # 2: the line filter ran

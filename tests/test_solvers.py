@@ -422,6 +422,29 @@ class TestRectangularBidiag:
         assert norm2(b - A.apply(x)) <= 1e-10 * norm2(b)
 
 
+class TestRectangularTwoSided:
+    """The two-sided engine starts with u1 = v1, so it needs a square A:
+    a non-square one is refused, naming its shape, before any step."""
+
+    @pytest.mark.parametrize("entry", ["roap_solve", "oap_cycle_tridiag"])
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("kind", [DenseMatrix, CsrMatrix.from_dense])
+    def test_refused_before_the_first_step(self, rng, monkeypatch, entry,
+                                           shape, kind):
+        A = kind(rng.standard_normal(shape))
+        b = A.apply(rng.standard_normal(shape[1]))
+        steps = []
+        monkeypatch.setattr(solvers_mod, "tridiag_step",
+                            lambda *a: steps.append(a))
+        with pytest.raises(DimensionMismatch, match=f"{shape[0]}x{shape[1]}"):
+            if entry == "roap_solve":
+                roap_solve(A, b, "roap3")
+            else:
+                v1, c1 = init_from_vector(A, b, b)
+                oap_cycle_tridiag(A, b, v1, c1)
+        assert steps == []
+
+
 class TestRhsLength:
     """Every solver entry rejects a right-hand side whose length is not
     A's row count."""
