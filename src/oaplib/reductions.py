@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalOverflow
+from .errors import DimensionMismatch, NumericalOverflow
 from .linalg import as_vector, norm2
 
 TAU_BREAK = 1e-13
@@ -95,6 +95,14 @@ class StepOutcome:
 def breakdown_floor(A):
     """Norm at or below which a recurrence vector or seed is zero."""
     return TAU_BREAK * A.frobenius_norm()
+
+
+def check_square(A):
+    """Raise ``DimensionMismatch`` unless A is square: the two-sided
+    engine builds u and v in one space (u1 = v1 in the cycle)."""
+    if A.nrows != A.ncols:
+        raise DimensionMismatch(f"the two-sided engine needs a square "
+                                f"operator, A is {A.nrows}x{A.ncols}")
 
 
 def _check_unit(v, name):
@@ -255,7 +263,9 @@ def tridiagonalize(A, v1, u1, steps, reorthogonalize=False):
     Returns ``(coeffs, V, U, breakdown_step)``; ``breakdown_step`` is
     None if every step completed.  ``reorthogonalize`` re-projects each
     step's new directions against all previous ones (norms rescaled).
+    A must be square (``check_square``).
     """
+    check_square(A)
     return _run_reduction(A, KrylovState.start(TRIDIAGONAL, v1, u1), steps,
                           reorthogonalize)
 

@@ -35,7 +35,8 @@ import numpy as np
 from .errors import DegenerateSeed, DimensionMismatch, NumericalOverflow
 from .linalg import as_vector, dot, norm2
 from .reductions import (BIDIAGONAL, TRIDIAGONAL, KrylovState, advance,
-                         bidiag_step, breakdown_floor, tridiag_step)
+                         bidiag_step, breakdown_floor, check_square,
+                         tridiag_step)
 
 TOL_DEFAULT = 1e-6
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -67,6 +68,12 @@ class SolveReport:
     and ``stop_causes``, each cycle's ``CycleResult.stop_cause`` (empty
     for ``ap``).  Derived from them, read-only: ``restarts``,
     ``final_relres`` (the last history entry) and ``breakdown_events``.
+
+    ``termination`` is the first of these to hold, checked in this order
+    before each cycle or sweep: "converged" (relres <= ``tol``),
+    "max-restarts" (the budget is spent) and, for ``roap``, "stagnation"
+    (three restarts in a row without a residual decrease, a cycle that
+    returned the zero vector, or no seed: A'r is numerically zero).
     """
 
     termination: str = ""  # "converged" | "max-restarts" | "stagnation"
@@ -282,9 +289,7 @@ def oap_cycle_tridiag(A, rhs, v1, c1):
     """One projection cycle over the two-sided engine (u1 = v1), from
     x_1 = c1 v1; ``CycleResult.stop_cause`` says why it stopped.  u1 = v1
     gives u and v one length, so A must be square."""
-    if A.nrows != A.ncols:
-        raise DimensionMismatch(f"the two-sided engine needs a square "
-                                f"operator, A is {A.nrows}x{A.ncols}")
+    check_square(A)
     return _cycle(A, rhs, KrylovState.start(TRIDIAGONAL, v1, v1), c1)
 
 
@@ -299,10 +304,14 @@ def roap_solve(A, b, variant="roap2", tol=TOL_DEFAULT, max_restarts=None):
 
     ``variant`` selects the engine: ``roap2`` bidiagonal, ``roap3``
     two-sided (square A only).  Returns ``(x, SolveReport)``.
-    Stagnation (three consecutive restarts without meaningful decrease)
-    and the restart budget ``max_restarts`` (None: n) bound the run on
-    singular or hopeless systems; ``max_restarts=1`` is the unrestarted
-    OAP method.
+    The restart budget ``max_restarts`` (None: n) and stagnation bound
+    the run on singular or hopeless systems; ``max_restarts=1`` is the
+    unrestarted OAP method.  Stagnation is three consecutive restarts
+    without meaningful decrease, or one cycle that returns exactly the
+    zero vector: it leaves x and r as they were, so every later cycle
+    would replay it.  Before each cycle the loop checks ``tol``, then
+    the budget, then stagnation, so a zero cycle that used the last
+    restart ends in ``max-restarts``.
     """
     if variant not in ("roap2", "roap3"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -324,6 +333,7 @@ def roap_solve(A, b, variant="roap2", tol=TOL_DEFAULT, max_restarts=None):
     relres = 1.0
     report.residual_history.append(relres)
     no_decrease = 0
+    zero_cycle = False
     while True:
         if relres <= tol:
             report.termination = "converged"
@@ -331,7 +341,7 @@ def roap_solve(A, b, variant="roap2", tol=TOL_DEFAULT, max_restarts=None):
         if report.restarts >= max_restarts:
             report.termination = "max-restarts"
             break
-        if no_decrease >= 3:
+        if no_decrease >= 3 or zero_cycle:
             report.termination = "stagnation"
             break
         try:
@@ -351,4 +361,8 @@ def roap_solve(A, b, variant="roap2", tol=TOL_DEFAULT, max_restarts=None):
         report.stop_causes.append(result.stop_cause)
         no_decrease = no_decrease + 1 if new_relres > relres * (1 - 1e-12) else 0
         relres = new_relres
+        # a zero x_partial leaves x and r, and so every later cycle, as
+        # they were; tested exactly, since x'x underflows to 0 once every
+        # entry is below ~1e-162
+        zero_cycle = not result.x_partial.any()
     return x, report

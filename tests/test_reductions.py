@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import oaplib.reductions as reductions
-from oaplib import (CsrMatrix, DenseMatrix, KrylovState, NumericalOverflow,
-                    advance, bidiag_step, bidiagonalize, gen_convdiff2d,
-                    tridiag_step, tridiagonalize)
+from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch, KrylovState,
+                    NumericalOverflow, advance, bidiag_step, bidiagonalize,
+                    gen_convdiff2d, tridiag_step, tridiagonalize)
 from oaplib.reductions import (BIDIAGONAL, TRIDIAGONAL, StepOutcome,
                                breakdown_floor)
 
@@ -175,6 +175,27 @@ class TestTridiagonalizeDriver:
         np.testing.assert_allclose(coeffs.gammas, o_gammas, atol=1e-10)
         np.testing.assert_allclose(V, oV, atol=1e-9)
         np.testing.assert_allclose(U, oU, atol=1e-9)
+
+    @pytest.mark.parametrize("u1_len", ["cols", "rows"])
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("kind", [DenseMatrix, CsrMatrix.from_dense])
+    def test_non_square_refused_before_the_first_step(self, rng, monkeypatch,
+                                                      kind, shape, u1_len):
+        # u1 = v1 (A's column count) or a u1 of A's row count: either way
+        # the two-sided engine has no square A to work on
+        A = kind(rng.standard_normal(shape))
+        v1 = e(0, shape[1])
+        u1 = v1 if u1_len == "cols" else e(0, shape[0])
+        steps = []
+
+        def spy_step(A, s):
+            steps.append(s.k)
+            return tridiag_step(A, s)
+
+        monkeypatch.setattr(reductions, "tridiag_step", spy_step)
+        with pytest.raises(DimensionMismatch, match=f"{shape[0]}x{shape[1]}"):
+            tridiagonalize(A, v1, u1, 3)
+        assert steps == []
 
 
 class TestBidiagonalizeDriver:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oaplib.solvers as solvers_mod
-from oaplib import (CsrMatrix, DegenerateSeed, DenseMatrix,
+from oaplib import (CsrMatrix, CycleResult, DegenerateSeed, DenseMatrix,
                     DimensionMismatch, NumericalOverflow, ap_solve,
                     c_update_bidiag, c_update_tridiag, gen_convdiff2d,
                     gen_poisson_lshape, gen_random_dense, gen_tridiag_unsym,
@@ -399,6 +399,79 @@ class TestRoap:
             errs.append(norm2(x - problem.x_true))
         for before, after in zip(errs, errs[1:]):
             assert after <= before * (1 + 1e-8)
+
+
+class TestZeroCycle:
+    """A cycle whose x_partial is exactly zero leaves x and r, and so
+    every later cycle, unchanged: the solve ends there."""
+
+    @staticmethod
+    def spy_cycle(monkeypatch, x_partial):
+        calls = []
+
+        def spy(A, rhs, v1, c1):
+            calls.append(rhs)
+            return CycleResult(np.full(A.ncols, x_partial), 5, "divergence")
+
+        monkeypatch.setattr(solvers_mod, "oap_cycle_bidiag", spy)
+        return calls
+
+    def test_zero_cycle_ends_in_stagnation(self, monkeypatch):
+        calls = self.spy_cycle(monkeypatch, 0.0)
+        problem = gen_convdiff2d(9, 10)
+        x, report = roap_solve(problem.A, problem.b, "roap2")
+        assert len(calls) == 1
+        assert report.termination == "stagnation"
+        assert report.inner_iterations == [5]
+        assert report.stop_causes == ["divergence"]
+        assert report.residual_history == [1.0, 1.0]
+        np.testing.assert_array_equal(x, np.zeros(problem.A.ncols))
+
+    def test_budget_is_checked_before_stagnation(self, monkeypatch):
+        calls = self.spy_cycle(monkeypatch, 0.0)
+        problem = gen_convdiff2d(9, 10)
+        _, report = roap_solve(problem.A, problem.b, "roap2", max_restarts=1)
+        assert len(calls) == 1
+        assert report.termination == "max-restarts"
+        assert report.restarts == 1
+
+    def test_tiny_nonzero_cycle_is_not_zero(self, monkeypatch):
+        # 1e-170 squares to 0, so sqrt(x'x) would call this cycle zero;
+        # it changed x, so the solve runs on to the three-restart rule
+        calls = self.spy_cycle(monkeypatch, 1e-170)
+        problem = gen_convdiff2d(9, 10)
+        x, report = roap_solve(problem.A, problem.b, "roap2")
+        assert x.dot(x) == 0.0 and x.any()
+        assert len(calls) == 3
+        assert report.termination == "stagnation"
+        assert report.residual_history == [1.0] * 4
+
+    def test_zero_cycle_replays_itself(self):
+        # the state the default solve reaches after 61 restarts: its next
+        # cycle returns the zero vector, and so does the one after it
+        problem = gen_random_dense(300, seed=1235)
+        A, b = problem.A, problem.b
+        x, report = roap_solve(A, b, "roap2", max_restarts=61)
+        assert report.termination == "max-restarts"
+        r = b - A.apply(x)
+        v1, c1 = init_from_vector(A, r, r)
+        first = oap_cycle_bidiag(A, r, v1, c1)
+        second = oap_cycle_bidiag(A, r, v1, c1)
+        assert not first.x_partial.any()
+        assert first.x_partial.tobytes() == second.x_partial.tobytes()
+        assert first.inner_steps == second.inner_steps
+        assert first.stop_cause == second.stop_cause
+
+    def test_stops_at_the_first_zero_cycle(self):
+        # the three-restart rule alone would replay this solve's zero
+        # cycle twice and, at a budget of 64, run out of restarts
+        problem = gen_random_dense(300, seed=1235)
+        x_default, default = roap_solve(problem.A, problem.b, "roap2")
+        x, report = roap_solve(problem.A, problem.b, "roap2", max_restarts=64)
+        assert report.termination == default.termination == "stagnation"
+        assert report.restarts == default.restarts == 62
+        assert x.tobytes() == x_default.tobytes()
+        assert len(report.residual_history) == report.restarts + 1
 
 
 class TestRectangularBidiag:

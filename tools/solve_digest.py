@@ -1,16 +1,20 @@
-"""Print a SHA-256 digest of every solve in a fixed set, to show that a
+"""Print SHA-256 digests of every solve in a fixed set, to show that a
 refactor leaves the solvers' outputs bit-identical.
 
 Cases: the pinned ``oap bench`` suite with random-dense 300 at seeds
 1234..1241, plus convdiff 60x60, under ``roap2`` and ``roap3`` (default
 options) and ``ap`` (two blocks, 5000 sweeps, as ``oap bench`` runs it);
-then convdiff 200x200 under ``roap2`` alone (~3 s), whose cycles end
-where the divergence guard returns the best prefix.
-Each line gives the termination, restarts, total inner steps and one
-SHA-256 over the little-endian bytes of the final x, the residual
-history and the inner step counts; the last line is one digest over all
-of them.  Compare the last line between two commits on one machine:
-``norm2`` sums through BLAS, whose order may differ between CPU kernels.
+then convdiff 200x200 under ``roap2`` alone (~1 s): its one cycle ends
+where the divergence guard returns the zero vector, which ends the solve.
+Each line gives the termination, restarts, total inner steps and two
+SHA-256 digests over little-endian bytes: the first over the final x,
+the residual history and the inner step counts, the second over x and
+the termination alone.  A change that moves only the report's counts
+(say, a solve that stops earlier on the same x) changes the first and
+keeps the second.  The last two lines are one digest over all lines and
+one over the second digests alone.  Compare them between two commits on
+one machine: ``norm2`` sums through BLAS, whose order may differ between
+CPU kernels.
 
     PYTHONPATH=src python tools/solve_digest.py
 """
@@ -61,17 +65,28 @@ def digest(x, report):
     return h.hexdigest()
 
 
+def solution_digest(x, report):
+    h = hashlib.sha256()
+    h.update(np.asarray(x, dtype="<f8").tobytes())
+    h.update(report.termination.encode())
+    return h.hexdigest()
+
+
 def main():
     overall = hashlib.sha256()
+    overall_x = hashlib.sha256()
     for problem, solvers in cases():
         for solver in solvers:
             x, report = solve(problem, solver)
+            x_digest = solution_digest(x, report)
             line = (f"{problem.label} {solver} {report.termination} "
                     f"{report.restarts} {sum(report.inner_iterations)} "
-                    f"{digest(x, report)}")
+                    f"{digest(x, report)} {x_digest}")
             print(line, flush=True)
             overall.update(line.encode() + b"\n")
+            overall_x.update(x_digest.encode() + b"\n")
     print(f"overall {overall.hexdigest()}")
+    print(f"overall-x {overall_x.hexdigest()}")
 
 
 if __name__ == "__main__":
