@@ -184,14 +184,17 @@ def ap_sweep(blocks, state):
     return ApState(p, c)
 
 
-def ap_solve(A, b, partition=None, tol=1e-6, max_sweeps=1000):
+def ap_solve(A, b, partition=None, tol=1e-6, max_sweeps=None):
     """Iterate sweeps until the relative residual meets ``tol``.
 
-    ``partition`` defaults to a single block (direct projection).
-    Returns ``(x, SolveReport)`` with one history entry per sweep.  A
-    zero b returns x = 0 before any block is factored.
+    ``partition`` defaults to a single block (direct projection), and
+    the sweep budget ``max_sweeps`` (None) to 1000 sweeps.  Returns
+    ``(x, SolveReport)`` with one history entry per sweep.  A zero b
+    returns x = 0 before any block is factored.
     """
     check_budget(tol, max_sweeps, "max_sweeps")
+    if max_sweeps is None:
+        max_sweeps = 1000
     b = as_vector(b, "b")
     if partition is None:
         partition = BlockPartition.equal_blocks(A.nrows, 1)

@@ -10,10 +10,10 @@ window:
   note the index offset: step k produces u_k (same index) and v_{k+1}.
 
 A recurrence norm at or below :func:`breakdown_floor` is a breakdown,
-flagged per side and never raised: callers restart or stop.  The
-full-reduction drivers keep complete bases and can re-project each step's
-new vectors against them; they exist for testing and analysis, the
-solvers use only the rolling window.
+flagged per side and never raised: callers restart or stop.  No code
+here keeps a basis: the solvers hold only the window, and the full-basis
+reference runs (with optional re-projection) live with the tests in
+``tests/conftest.py``.
 """
 
 import math
@@ -21,24 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalOverflow
+from .errors import NumericalOverflow
 from .linalg import as_vector, norm2
 
 TAU_BREAK = 1e-13
 
 TRIDIAGONAL = "tridiagonal"
 BIDIAGONAL = "bidiagonal"
-
-
-@dataclass
-class RecurrenceCoefficients:
-    """Scalar bands of the reduced matrix: diagonal ``alphas``,
-    superdiagonal ``betas``, subdiagonal ``gammas`` (empty in
-    bidiagonal mode, where the diagonal itself is a norm)."""
-
-    alphas: np.ndarray
-    betas: np.ndarray
-    gammas: np.ndarray
 
 
 @dataclass
@@ -95,14 +84,6 @@ class StepOutcome:
 def breakdown_floor(A):
     """Norm at or below which a recurrence vector or seed is zero."""
     return TAU_BREAK * A.frobenius_norm()
-
-
-def check_square(A):
-    """Raise ``DimensionMismatch`` unless A is square: the two-sided
-    engine builds u and v in one space (u1 = v1 in the cycle)."""
-    if A.nrows != A.ncols:
-        raise DimensionMismatch(f"the two-sided engine needs a square "
-                                f"operator, A is {A.nrows}x{A.ncols}")
 
 
 def _check_unit(v, name):
@@ -195,82 +176,3 @@ def advance(s, outcome):
     gamma = 0, so one constructor serves both modes)."""
     return KrylovState(s.k + 1, s.mode, s.v_curr, outcome.next_v,
                        s.u_curr, outcome.next_u, outcome.beta, outcome.gamma)
-
-
-def _reproject(A, unit, norm, cols):
-    """A step's new unit vector re-projected once against ``cols``
-    (classical Gram-Schmidt), and the step's norm rescaled by the length
-    it kept (0 for a broken side's zero vector); returns
-    ``(vector, norm, broken)``.
-
-    One pass suffices: the recurrence has already orthogonalized the new
-    vector against its neighbours, so the projection removes only
-    rounding-sized components, and a second pass leaves the Gram defect
-    where one pass left it.
-    """
-    kept = 1.0
-    if cols:
-        basis = np.column_stack(cols)
-        unit = unit - basis @ (basis.T @ unit)
-        kept = norm2(unit)
-    norm *= kept
-    if norm <= breakdown_floor(A):
-        return np.zeros_like(unit), norm, True
-    return unit / kept, norm, False
-
-
-def _run_reduction(A, state, steps, reorthogonalize):
-    two_sided = state.mode == TRIDIAGONAL
-    step = tridiag_step if two_sided else bidiag_step
-    v_cols = [state.v_curr]
-    u_cols = [state.u_curr] if two_sided else []  # bidiagonal: u_k at step k
-    alphas, betas, gammas = [], [], []
-    breakdown_step = None
-
-    for _ in range(steps):
-        out = step(A, state)
-        if reorthogonalize:
-            u_norm = out.gamma if two_sided else out.alpha
-            next_u, u_norm, u_broken = _reproject(A, out.next_u, u_norm, u_cols)
-            next_v, beta, v_broken = _reproject(A, out.next_v, out.beta, v_cols)
-            alpha, gamma = (out.alpha, u_norm) if two_sided else (u_norm, 0.0)
-            out = StepOutcome(next_v, next_u, alpha, beta, gamma, u_broken,
-                              v_broken, out.av)
-        alphas.append(out.alpha)
-        gammas.append(out.gamma)
-        betas.append(out.beta)
-        # a breaking step still contributes the side it produced
-        if not out.u_broken:
-            u_cols.append(out.next_u)
-        if not out.v_broken:
-            v_cols.append(out.next_v)
-        if out.u_broken or out.v_broken:
-            breakdown_step = state.k
-            break
-        state = advance(state, out)
-
-    coeffs = RecurrenceCoefficients(
-        np.array(alphas), np.array(betas),
-        np.array(gammas) if two_sided else np.array([]))
-    V = np.column_stack(v_cols)
-    U = np.column_stack(u_cols) if u_cols else np.zeros((len(state.v_curr), 0))
-    return coeffs, V, U, breakdown_step
-
-
-def tridiagonalize(A, v1, u1, steps, reorthogonalize=False):
-    """Run up to ``steps`` two-sided reduction steps keeping full bases.
-
-    Returns ``(coeffs, V, U, breakdown_step)``; ``breakdown_step`` is
-    None if every step completed.  ``reorthogonalize`` re-projects each
-    step's new directions against all previous ones (norms rescaled).
-    A must be square (``check_square``).
-    """
-    check_square(A)
-    return _run_reduction(A, KrylovState.start(TRIDIAGONAL, v1, u1), steps,
-                          reorthogonalize)
-
-
-def bidiagonalize(A, v1, steps, reorthogonalize=False):
-    """Bidiagonal counterpart of :func:`tridiagonalize` (no u1 needed)."""
-    return _run_reduction(A, KrylovState.start(BIDIAGONAL, v1), steps,
-                          reorthogonalize)

@@ -35,8 +35,7 @@ import numpy as np
 from .errors import DegenerateSeed, DimensionMismatch, NumericalOverflow
 from .linalg import as_vector, dot, norm2
 from .reductions import (BIDIAGONAL, TRIDIAGONAL, KrylovState, advance,
-                         bidiag_step, breakdown_floor, check_square,
-                         tridiag_step)
+                         bidiag_step, breakdown_floor, tridiag_step)
 
 TOL_DEFAULT = 1e-6
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -182,51 +181,6 @@ def orthogonality_lost(x, v_next, threshold):
     return xn != 0.0 and abs(x.dot(v_next)) / xn > threshold
 
 
-class _DivergenceGuard:
-    """Tracks the residual of the accumulated combination using the
-    A v_k products the steps already computed (each is one step late:
-    A x_k completes when A v_k arrives).
-
-    The angle detector is blind when one drifting coefficient dominates
-    the accumulated vector, so runaway coefficient growth must be
-    caught through the residual it produces.  When the tracked residual
-    explodes past ``DIVERGENCE_FACTOR`` times the seed scale, the cycle
-    is abandoned and the best evaluated prefix (possibly the zero
-    vector) returned instead.
-
-    ``best_x`` holds the caller's vector by reference, so the caller must
-    rebind its running sum rather than update it in place.
-    """
-
-    def __init__(self, rhs, c1):
-        self.rhs = rhs
-        self.scale = norm2(rhs)
-        # 0 + c v rounds to c v but for the sign of a zero, which no
-        # norm sees, so the sum starts at zero
-        self.ax = np.zeros_like(rhs)
-        self.scratch = np.empty_like(rhs)
-        self.pending_c = c1
-        self.best_x = None  # None: no prefix beat the zero vector
-        self.best_res = self.scale
-
-    def diverged(self, x_current, av):
-        ax, scratch = self.ax, self.scratch
-        np.add(ax, np.multiply(av, self.pending_c, out=scratch), out=ax)
-        np.subtract(self.rhs, ax, out=scratch)
-        res = math.sqrt(scratch.dot(scratch))
-        if res < self.best_res:
-            self.best_res = res
-            self.best_x = x_current
-        return res > DIVERGENCE_FACTOR * self.scale
-
-    def best_prefix(self):
-        """The best evaluated prefix, or the zero vector if none beat it."""
-        return np.zeros_like(self.rhs) if self.best_x is None else self.best_x
-
-    def accepted(self, c_next):
-        self.pending_c = c_next
-
-
 def _cycle(A, rhs, krylov, c1):
     """One projection cycle from the window ``krylov`` and seed c1 v1.
 
@@ -240,6 +194,12 @@ def _cycle(A, rhs, krylov, c1):
     (``krylov.mode``) picks the step, which u enters b'u, the
     coefficient update and which broken side stops the cycle before
     accepting the step.  Returns the partial solution.
+
+    The cycle also tracks the residual rhs - A x_k from the A v_k
+    products the steps already computed (each one step late: A x_k
+    completes when A v_k arrives).  Past ``DIVERGENCE_FACTOR`` times
+    ||rhs|| it stops with "divergence" and returns the evaluated prefix
+    with the smallest residual, the zero vector if none beat it.
     """
     rhs = _as_rhs(A, rhs, "rhs")
     two_sided = krylov.mode == TRIDIAGONAL
@@ -249,12 +209,22 @@ def _cycle(A, rhs, krylov, c1):
     cv = np.empty_like(x)  # c v for each accepted step
     c_prev, c_curr = 0.0, c1
     c_abs, c_sq = abs(c1), c1 * c1
-    guard = _DivergenceGuard(rhs, c1)
+    scale = norm2(rhs)
+    # 0 + c A v rounds to c A v but for the sign of a zero, which no
+    # norm sees, so A x starts at zero
+    ax = np.zeros_like(rhs)
+    res = np.empty_like(rhs)
+    best_x, best_res = np.zeros_like(x), scale
     cause = "exhausted"
     for k in range(1, max(A.ncols - 1, 1) + 1):  # >= 1 step, so k is bound
         out = step(A, krylov)
-        if guard.diverged(x, out.av):
-            return CycleResult(guard.best_prefix(), k, "divergence")
+        np.add(ax, np.multiply(out.av, c_curr, out=res), out=ax)  # A x_k
+        np.subtract(rhs, ax, out=res)
+        res_norm = math.sqrt(res.dot(res))
+        if res_norm < best_res:
+            best_x, best_res = x, res_norm
+        if res_norm > DIVERGENCE_FACTOR * scale:
+            return CycleResult(best_x, k, "divergence")
         # no v_{k+1} (or, bidiagonal, no u_k): nothing left to accumulate
         if out.v_broken or (not two_sided and out.u_broken):
             cause = "breakdown"
@@ -272,12 +242,11 @@ def _cycle(A, rhs, krylov, c1):
                               orthogonality_threshold(c_abs, c_sq)):
             cause = "orthogonality"
             break
-        # a new x, not x += ...: the guard may hold the old one
+        # a new x, not x += ...: best_x may hold the old one
         x = x + np.multiply(out.next_v, c_next, out=cv)
         c_prev, c_curr = c_curr, c_next
         c_abs += abs(c_next)
         c_sq += c_next * c_next
-        guard.accepted(c_next)
         if out.u_broken:  # two-sided: u side exhausted; update stands
             cause = "breakdown"
             break
@@ -289,7 +258,9 @@ def oap_cycle_tridiag(A, rhs, v1, c1):
     """One projection cycle over the two-sided engine (u1 = v1), from
     x_1 = c1 v1; ``CycleResult.stop_cause`` says why it stopped.  u1 = v1
     gives u and v one length, so A must be square."""
-    check_square(A)
+    if A.nrows != A.ncols:
+        raise DimensionMismatch(f"the two-sided engine needs a square "
+                                f"operator, A is {A.nrows}x{A.ncols}")
     return _cycle(A, rhs, KrylovState.start(TRIDIAGONAL, v1, v1), c1)
 
 

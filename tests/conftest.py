@@ -3,16 +3,20 @@
 The oracles here deliberately avoid the package's own recurrence code:
 reductions are re-derived with explicit full Gram-Schmidt on dense
 arrays, projections with normal equations, so agreement is meaningful.
-``exact_cycle`` is the exception: it runs the package's coefficient
-updates over its reorthogonalized reductions, so tests can check those
-updates with orthogonality taken out of the picture.
+``full_reduction`` and ``exact_cycle`` are the exceptions: they run the
+package's steps, keeping the full bases the library never stores, and
+``exact_cycle`` its coefficient updates over re-projected bases, so
+tests can check those updates with orthogonality taken out of the
+picture.
 """
 
 import numpy as np
 import pytest
 
-from oaplib import (CsrMatrix, DenseMatrix, bidiagonalize, c_update_bidiag,
-                    c_update_tridiag, dot, tridiagonalize)
+import oaplib.reductions as reductions
+from oaplib import (CsrMatrix, DenseMatrix, KrylovState, StepOutcome,
+                    advance, c_update_bidiag, c_update_tridiag, dot, norm2)
+from oaplib.reductions import TRIDIAGONAL, breakdown_floor
 
 
 def random_wellcond(rng, n, cond=100.0):
@@ -104,31 +108,101 @@ def oracle_golub_kahan(A, v1, steps):
     return alphas, betas, np.column_stack(V), np.column_stack(U) if U else None
 
 
+def _reproject(A, unit, norm, cols):
+    """A step's new unit vector re-projected once against ``cols``
+    (classical Gram-Schmidt), and the step's norm rescaled by the length
+    it kept (0 for a broken side's zero vector); returns
+    ``(vector, norm, broken)``.
+
+    One pass suffices: the recurrence has already orthogonalized the new
+    vector against its neighbours, so the projection removes only
+    rounding-sized components, and a second pass leaves the Gram defect
+    where one pass left it.
+    """
+    kept = 1.0
+    if cols:
+        basis = np.column_stack(cols)
+        unit = unit - basis @ (basis.T @ unit)
+        kept = norm2(unit)
+    norm *= kept
+    if norm <= breakdown_floor(A):
+        return np.zeros_like(unit), norm, True
+    return unit / kept, norm, False
+
+
+def full_reduction(A, state, steps, reorthogonalize=False):
+    """Up to ``steps`` of the library's reduction from the ``KrylovState``
+    ``state``, keeping the full bases.
+
+    The step is looked up on ``oaplib.reductions`` when the run starts,
+    so a test that patches ``reductions.tridiag_step`` or ``bidiag_step``
+    drives it.  ``reorthogonalize`` re-projects each step's new vectors
+    once against the stored bases and rescales the step's norms; the
+    breakdown rule applies to the rescaled norms.
+
+    Returns ``(alphas, betas, gammas, V, U, breakdown_step)``: the bands
+    of the reduced matrix (``gammas`` empty when bidiagonal), the bases
+    as columns (V holds one more than the completed steps, as does U when
+    two-sided; bidiagonal U holds u_k from step k), and the step that
+    broke down, None if every step completed.  A breaking step still
+    contributes the side it produced.
+    """
+    two_sided = state.mode == TRIDIAGONAL
+    step = reductions.tridiag_step if two_sided else reductions.bidiag_step
+    v_cols = [state.v_curr]
+    u_cols = [state.u_curr] if two_sided else []
+    alphas, betas, gammas = [], [], []
+    breakdown_step = None
+    for _ in range(steps):
+        out = step(A, state)
+        if reorthogonalize:
+            u_norm = out.gamma if two_sided else out.alpha
+            next_u, u_norm, u_broken = _reproject(A, out.next_u, u_norm, u_cols)
+            next_v, beta, v_broken = _reproject(A, out.next_v, out.beta, v_cols)
+            alpha, gamma = (out.alpha, u_norm) if two_sided else (u_norm, 0.0)
+            out = StepOutcome(next_v, next_u, alpha, beta, gamma, u_broken,
+                              v_broken, out.av)
+        alphas.append(out.alpha)
+        betas.append(out.beta)
+        gammas.append(out.gamma)
+        if not out.u_broken:
+            u_cols.append(out.next_u)
+        if not out.v_broken:
+            v_cols.append(out.next_v)
+        if out.u_broken or out.v_broken:
+            breakdown_step = state.k
+            break
+        state = advance(state, out)
+    U = np.column_stack(u_cols) if u_cols else np.zeros((A.nrows, 0))
+    return (np.array(alphas), np.array(betas),
+            np.array(gammas if two_sided else []), np.column_stack(v_cols),
+            U, breakdown_step)
+
+
 def exact_cycle(A, rhs, v1, c1, steps, engine):
     """A projection cycle with exact orthogonality, for checking the
-    coefficient recurrences: the reorthogonalized full-basis reduction
+    coefficient recurrences: the re-projected ``full_reduction``
     (``engine`` "tridiagonal" with u1 = v1, or "bidiagonal") followed
     by the library's ``c_update_tridiag``/``c_update_bidiag``.
 
-    Returns ``(cs, V, coeffs)``: cs[k] is the coefficient of V[:, k],
-    one per basis vector the reduction produced.
+    Returns ``(cs, V, alphas, betas, gammas)``: cs[k] is the coefficient
+    of V[:, k], one per basis vector the reduction produced, and the
+    bands are the reduction's.
     """
-    if engine == "tridiagonal":
-        coeffs, V, U, _ = tridiagonalize(A, v1, v1.copy(), steps,
-                                         reorthogonalize=True)
-    else:
-        coeffs, V, U, _ = bidiagonalize(A, v1, steps, reorthogonalize=True)
+    state = KrylovState.start(engine, v1, v1.copy())
+    alphas, betas, gammas, V, U, _ = full_reduction(A, state, steps,
+                                                    reorthogonalize=True)
     cs, c_prev = [c1], 0.0
     for k in range(V.shape[1] - 1):
-        if engine == "tridiagonal":
-            g_prev = 0.0 if k == 0 else coeffs.gammas[k - 1]
-            cs.append(c_update_tridiag(dot(rhs, U[:, k]), coeffs.alphas[k],
-                                       coeffs.betas[k], g_prev, cs[-1], c_prev))
+        if engine == TRIDIAGONAL:
+            g_prev = 0.0 if k == 0 else gammas[k - 1]
+            cs.append(c_update_tridiag(dot(rhs, U[:, k]), alphas[k],
+                                       betas[k], g_prev, cs[-1], c_prev))
         else:
-            cs.append(c_update_bidiag(dot(rhs, U[:, k]), coeffs.alphas[k],
-                                      coeffs.betas[k], cs[-1]))
+            cs.append(c_update_bidiag(dot(rhs, U[:, k]), alphas[k],
+                                      betas[k], cs[-1]))
         c_prev = cs[-2]
-    return np.array(cs), V, coeffs
+    return np.array(cs), V, alphas, betas, gammas
 
 
 def bincount_apply(A, v):

@@ -25,14 +25,14 @@ import numpy as np
 import pytest
 
 import oaplib.solvers
-from oaplib import (DenseMatrix, bidiagonalize, ap_factor,
-                    ap_init, ap_sweep, BlockPartition, dot, gen_convdiff2d,
-                    gen_poisson_lshape, gen_random_dense, gen_tridiag_unsym,
-                    init_from_vector, norm2, project_onto, roap_solve,
-                    tridiagonalize)
+from oaplib import (DenseMatrix, KrylovState, ap_factor, ap_init, ap_sweep,
+                    BlockPartition, dot, gen_convdiff2d, gen_poisson_lshape,
+                    gen_random_dense, gen_tridiag_unsym, init_from_vector,
+                    norm2, project_onto, roap_solve)
 
-from conftest import (constructed_problem, exact_cycle, gram_defect,
-                      oracle_projection, random_sparse, random_wellcond)
+from conftest import (constructed_problem, exact_cycle, full_reduction,
+                      gram_defect, oracle_projection, random_sparse,
+                      random_wellcond)
 
 EXAMPLE4_SEED = 1234
 
@@ -63,10 +63,12 @@ def reduction_instances():
         dense = random_wellcond(rng, 20, cond)
         A = DenseMatrix(dense)
         v1, u1 = unit(rng, 20), unit(rng, 20)
-        tri_orth = tridiagonalize(A, v1, u1, 19, reorthogonalize=True)
-        bi_orth = bidiagonalize(A, v1, 19, reorthogonalize=True)
-        tri_raw = tridiagonalize(A, v1, u1, 5)
-        bi_raw = bidiagonalize(A, v1, 5)
+        tri, bi = (KrylovState.start("tridiagonal", v1, u1),
+                   KrylovState.start("bidiagonal", v1))
+        tri_orth = full_reduction(A, tri, 19, reorthogonalize=True)
+        bi_orth = full_reduction(A, bi, 19, reorthogonalize=True)
+        tri_raw = full_reduction(A, tri, 5)
+        bi_raw = full_reduction(A, bi, 5)
         out.append((trial, dense, tri_orth, bi_orth, tri_raw, bi_raw))
     return out, time.perf_counter() - t0
 
@@ -75,11 +77,11 @@ def test_acceptance_01_orthonormality(reduction_instances):
     instances, elapsed = reduction_instances
     failures = []
     for trial, dense, tri_orth, bi_orth, tri_raw, bi_raw in instances:
-        for name, (_, V, U, _) in (("tri", tri_orth), ("bi", bi_orth)):
+        for name, (*_, V, U, _) in (("tri", tri_orth), ("bi", bi_orth)):
             dv, du = gram_defect(V), gram_defect(U)
             if dv > 1e-10 or du > 1e-10:
                 failures.append((trial, name, "reorth", dv, du))
-        for name, (_, V, U, _) in (("tri", tri_raw), ("bi", bi_raw)):
+        for name, (*_, V, U, _) in (("tri", tri_raw), ("bi", bi_raw)):
             dv, du = gram_defect(V), gram_defect(U)
             if dv > 1e-8 or du > 1e-8:
                 failures.append((trial, name, "raw5", dv, du))
@@ -93,12 +95,12 @@ def test_acceptance_02_reduction_form(reduction_instances):
     instances, _ = reduction_instances
     failures = []
     for trial, dense, tri_orth, bi_orth, _, _ in instances:
-        _, V, U, _ = tri_orth
+        *_, V, U, _ = tri_orth
         T = U.T @ dense @ V
         off = np.max(np.abs(T - np.triu(np.tril(T, 1), -1)))
         if off > 1e-10:
             failures.append((trial, "tridiagonal", off))
-        _, V, U, _ = bi_orth
+        *_, V, U, _ = bi_orth
         B = U.T @ dense @ V
         off = np.max(np.abs(B - np.triu(np.tril(B, 1))))
         if off > 1e-10:
@@ -141,10 +143,11 @@ def test_acceptance_03_coefficient_fidelity():
         rounding = eps * A.frobenius_norm() * norm2(x_true)
         branches = []
         for name in ("tridiagonal", "bidiagonal"):
-            cs, V, coeffs = exact_cycle(A, b, v1, c1, 14, name)
-            gammas = coeffs.gammas if name == "tridiagonal" else None
+            cs, V, alphas, betas, gammas = exact_cycle(A, b, v1, c1, 14, name)
+            if name == "bidiagonal":
+                gammas = None
             branches.append((name, cs, V, recurrence_amplification(
-                coeffs.alphas, coeffs.betas, gammas)))
+                alphas, betas, gammas)))
 
         for name, cs, V, amplification in branches:
             # the seed c_1 is a single division: only the floor applies
@@ -170,10 +173,10 @@ def test_acceptance_04_exact_solve_at_desk_scale():
         v1, c1 = init_from_vector(A, b, b)
         for name in ("tridiagonal", "bidiagonal"):
             # the cycle's default budget of n - 1 steps
-            cs, V, coeffs = exact_cycle(A, b, v1, c1, n - 1, name)
+            cs, V, _, betas, _ = exact_cycle(A, b, v1, c1, n - 1, name)
             relres = norm2(b - A.apply(V @ cs)) / norm2(b)
-            if relres > 1e-9 or len(coeffs.betas) > n:
-                failures.append((trial, name, relres, len(coeffs.betas)))
+            if relres > 1e-9 or len(betas) > n:
+                failures.append((trial, name, relres, len(betas)))
     check(4, "one reorthogonalized cycle solves exactly at small scale",
           failures)
 

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 import oaplib.reductions as reductions
-from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch, KrylovState,
-                    NumericalOverflow, advance, bidiag_step, bidiagonalize,
-                    gen_convdiff2d, tridiag_step, tridiagonalize)
+from oaplib import (CsrMatrix, DenseMatrix, KrylovState, NumericalOverflow,
+                    advance, bidiag_step, gen_convdiff2d, tridiag_step)
 from oaplib.reductions import (BIDIAGONAL, TRIDIAGONAL, StepOutcome,
                                breakdown_floor)
 
-from conftest import (gram_defect, oracle_golub_kahan, oracle_two_sided,
-                      random_wellcond)
+from conftest import (full_reduction, gram_defect, oracle_golub_kahan,
+                      oracle_two_sided, random_wellcond)
 
 
 def e(i, n):
@@ -114,11 +113,23 @@ class TestBidiagStep:
         assert np.max(np.abs(off)) <= 1e-10
 
 
-class TestTridiagonalizeDriver:
+def two_sided(A, v1, u1, steps, reorthogonalize=False):
+    return full_reduction(A, KrylovState.start(TRIDIAGONAL, v1, u1), steps,
+                          reorthogonalize)
+
+
+def bidiagonal(A, v1, steps, reorthogonalize=False):
+    return full_reduction(A, KrylovState.start(BIDIAGONAL, v1), steps,
+                          reorthogonalize)
+
+
+class TestTwoSidedFullBasis:
+    """Many two-sided steps, their bases kept by ``full_reduction``."""
+
     def test_orthonormal_bases_with_reorthogonalization(self, rng):
         A = DenseMatrix(random_wellcond(rng, 20))
         v1, u1 = e(0, 20), e(0, 20)
-        coeffs, V, U, broke = tridiagonalize(A, v1, u1, 19, reorthogonalize=True)
+        *_, V, U, broke = two_sided(A, v1, u1, 19, reorthogonalize=True)
         assert broke is None
         assert gram_defect(V) <= 1e-12
         assert gram_defect(U) <= 1e-12
@@ -127,39 +138,18 @@ class TestTridiagonalizeDriver:
         dense = random_wellcond(rng, 20)
         A = DenseMatrix(dense)
         v1, u1 = e(0, 20), e(0, 20)
-        coeffs, V, U, _ = tridiagonalize(A, v1, u1, 19, reorthogonalize=True)
+        alphas, betas, gammas, V, U, _ = two_sided(A, v1, u1, 19,
+                                                   reorthogonalize=True)
         T = U.T @ dense @ V
         off_band = T - np.triu(np.tril(T, 1), -1)
         assert np.max(np.abs(off_band)) <= 1e-10
         # band entries match the recurrence scalars
-        steps = len(coeffs.alphas)
-        np.testing.assert_allclose(np.diag(T)[:steps], coeffs.alphas, atol=1e-10)
-        np.testing.assert_allclose(np.diag(T, 1)[:len(coeffs.betas)],
-                                   coeffs.betas, atol=1e-10)
-        np.testing.assert_allclose(np.diag(T, -1)[:len(coeffs.gammas)],
-                                   coeffs.gammas, atol=1e-10)
-
-    def test_identity_breakdown_at_first_step(self):
-        A = CsrMatrix.identity(5)
-        coeffs, V, U, broke = tridiagonalize(A, e(0, 5), e(0, 5), 4)
-        assert broke == 1
-
-    def test_driver_matches_stepwise_engine(self, rng):
-        A = DenseMatrix(random_wellcond(rng, 12))
-        v1 = rng.standard_normal(12)
-        v1 /= np.linalg.norm(v1)
-        u1 = rng.standard_normal(12)
-        u1 /= np.linalg.norm(u1)
-        coeffs, V, U, _ = tridiagonalize(A, v1, u1, 8)
-        s = KrylovState.start("tridiagonal", v1, u1)
-        for k in range(8):
-            out = tridiag_step(A, s)
-            assert out.alpha == coeffs.alphas[k]
-            assert out.beta == coeffs.betas[k]
-            assert out.gamma == coeffs.gammas[k]
-            np.testing.assert_array_equal(out.next_v, V[:, k + 1])
-            np.testing.assert_array_equal(out.next_u, U[:, k + 1])
-            s = advance(s, out)
+        np.testing.assert_allclose(np.diag(T)[:len(alphas)], alphas,
+                                   atol=1e-10)
+        np.testing.assert_allclose(np.diag(T, 1)[:len(betas)], betas,
+                                   atol=1e-10)
+        np.testing.assert_allclose(np.diag(T, -1)[:len(gammas)], gammas,
+                                   atol=1e-10)
 
     def test_agrees_with_full_gram_schmidt_oracle(self, rng):
         dense = random_wellcond(rng, 15)
@@ -167,49 +157,30 @@ class TestTridiagonalizeDriver:
         v1 /= np.linalg.norm(v1)
         u1 = rng.standard_normal(15)
         u1 /= np.linalg.norm(u1)
-        coeffs, V, U, _ = tridiagonalize(DenseMatrix(dense), v1, u1, 10,
-                                         reorthogonalize=True)
+        alphas, betas, gammas, V, U, _ = two_sided(
+            DenseMatrix(dense), v1, u1, 10, reorthogonalize=True)
         o_alphas, o_betas, o_gammas, oV, oU = oracle_two_sided(dense, v1, u1, 10)
-        np.testing.assert_allclose(coeffs.alphas, o_alphas, atol=1e-10)
-        np.testing.assert_allclose(coeffs.betas, o_betas, atol=1e-10)
-        np.testing.assert_allclose(coeffs.gammas, o_gammas, atol=1e-10)
+        np.testing.assert_allclose(alphas, o_alphas, atol=1e-10)
+        np.testing.assert_allclose(betas, o_betas, atol=1e-10)
+        np.testing.assert_allclose(gammas, o_gammas, atol=1e-10)
         np.testing.assert_allclose(V, oV, atol=1e-9)
         np.testing.assert_allclose(U, oU, atol=1e-9)
 
-    @pytest.mark.parametrize("u1_len", ["cols", "rows"])
-    @pytest.mark.parametrize("shape", [(6, 4), (4, 6)], ids=["tall", "wide"])
-    @pytest.mark.parametrize("kind", [DenseMatrix, CsrMatrix.from_dense])
-    def test_non_square_refused_before_the_first_step(self, rng, monkeypatch,
-                                                      kind, shape, u1_len):
-        # u1 = v1 (A's column count) or a u1 of A's row count: either way
-        # the two-sided engine has no square A to work on
-        A = kind(rng.standard_normal(shape))
-        v1 = e(0, shape[1])
-        u1 = v1 if u1_len == "cols" else e(0, shape[0])
-        steps = []
 
-        def spy_step(A, s):
-            steps.append(s.k)
-            return tridiag_step(A, s)
+class TestBidiagonalFullBasis:
+    """Many bidiagonal steps, their bases kept by ``full_reduction``."""
 
-        monkeypatch.setattr(reductions, "tridiag_step", spy_step)
-        with pytest.raises(DimensionMismatch, match=f"{shape[0]}x{shape[1]}"):
-            tridiagonalize(A, v1, u1, 3)
-        assert steps == []
-
-
-class TestBidiagonalizeDriver:
     def test_orthonormal_bases_with_reorthogonalization(self, rng):
         A = DenseMatrix(random_wellcond(rng, 20))
-        coeffs, V, U, broke = bidiagonalize(A, e(0, 20), 19, reorthogonalize=True)
+        *_, V, U, broke = bidiagonal(A, e(0, 20), 19, reorthogonalize=True)
         assert broke is None
         assert gram_defect(V) <= 1e-12
         assert gram_defect(U) <= 1e-12
 
     def test_reduction_is_upper_bidiagonal(self, rng):
         dense = random_wellcond(rng, 20)
-        coeffs, V, U, _ = bidiagonalize(DenseMatrix(dense), e(0, 20), 19,
-                                        reorthogonalize=True)
+        *_, V, U, _ = bidiagonal(DenseMatrix(dense), e(0, 20), 19,
+                                 reorthogonalize=True)
         T = U.T @ dense @ V
         off = T - np.triu(np.tril(T, 1))
         assert np.max(np.abs(off)) <= 1e-10
@@ -218,32 +189,32 @@ class TestBidiagonalizeDriver:
         q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
         v1 = rng.standard_normal(9)
         v1 /= np.linalg.norm(v1)
-        coeffs, V, U, broke = bidiagonalize(DenseMatrix(q), v1, 8)
-        assert len(coeffs.alphas) >= 1
-        np.testing.assert_allclose(coeffs.alphas, 1.0, atol=1e-12)
+        alphas, *_ = bidiagonal(DenseMatrix(q), v1, 8)
+        assert len(alphas) >= 1
+        np.testing.assert_allclose(alphas, 1.0, atol=1e-12)
 
     def test_agrees_with_golub_kahan_oracle(self, rng):
         dense = random_wellcond(rng, 15)
         v1 = rng.standard_normal(15)
         v1 /= np.linalg.norm(v1)
-        coeffs, V, U, _ = bidiagonalize(DenseMatrix(dense), v1, 10,
-                                        reorthogonalize=True)
+        alphas, betas, *_ = bidiagonal(DenseMatrix(dense), v1, 10,
+                                       reorthogonalize=True)
         o_alphas, o_betas, oV, oU = oracle_golub_kahan(dense, v1, 10)
-        np.testing.assert_allclose(coeffs.alphas, o_alphas, atol=1e-10)
-        np.testing.assert_allclose(coeffs.betas, o_betas, atol=1e-10)
+        np.testing.assert_allclose(alphas, o_alphas, atol=1e-10)
+        np.testing.assert_allclose(betas, o_betas, atol=1e-10)
 
 
-class TestDriverBreakdown:
-    """The drivers stop at the step whose new directions would leave the
+class TestFullBasisBreakdown:
+    """A run stops at the step whose new directions would leave the
     Krylov space, with and without reorthogonalization."""
 
     @pytest.mark.parametrize("reorthogonalize", [False, True])
     def test_three_eigenvalues_break_at_step_three(self, reorthogonalize):
         A = DenseMatrix(np.diag([1.0, 2.0, 3.0] * 3))
         v1 = np.ones(9) / 3.0
-        tri = tridiagonalize(A, v1, v1.copy(), 8, reorthogonalize)
-        bi = bidiagonalize(A, v1, 8, reorthogonalize)
-        assert tri[3] == bi[3] == 3
+        tri = two_sided(A, v1, v1.copy(), 8, reorthogonalize)
+        bi = bidiagonal(A, v1, 8, reorthogonalize)
+        assert tri[-1] == bi[-1] == 3
 
     # at cond 1e6 the bidiagonal step's own beta_20 is above the floor;
     # only the re-projected one is not
@@ -254,9 +225,9 @@ class TestDriverBreakdown:
         v1 /= np.linalg.norm(v1)
         u1 = rng.standard_normal(20)
         u1 /= np.linalg.norm(u1)
-        for _, V, U, broke in (
-                tridiagonalize(A, v1, u1, 20, reorthogonalize=True),
-                bidiagonalize(A, v1, 20, reorthogonalize=True)):
+        for *_, V, U, broke in (
+                two_sided(A, v1, u1, 20, reorthogonalize=True),
+                bidiagonal(A, v1, 20, reorthogonalize=True)):
             assert broke == 20
             assert V.shape == U.shape == (20, 20)
 
@@ -303,10 +274,10 @@ class TestRecurrenceInvariants:
         v1 /= np.linalg.norm(v1)
         u1 = rng.standard_normal(n)
         u1 /= np.linalg.norm(u1)
-        _, V, U, _ = tridiagonalize(A, v1, u1, n - 1, reorthogonalize=True)
+        *_, V, U, _ = two_sided(A, v1, u1, n - 1, reorthogonalize=True)
         assert gram_defect(V) <= 1e-10
         assert gram_defect(U) <= 1e-10
-        _, V2, U2, _ = bidiagonalize(A, v1, n - 1, reorthogonalize=True)
+        *_, V2, U2, _ = bidiagonal(A, v1, n - 1, reorthogonalize=True)
         assert gram_defect(V2) <= 1e-10
         assert gram_defect(U2) <= 1e-10
 
@@ -316,7 +287,7 @@ class TestRecurrenceInvariants:
         v1 /= np.linalg.norm(v1)
         u1 = rng.standard_normal(50)
         u1 /= np.linalg.norm(u1)
-        _, V, U, _ = tridiagonalize(A, v1, u1, 5)
+        *_, V, U, _ = two_sided(A, v1, u1, 5)
         assert gram_defect(V) <= 1e-8
         assert gram_defect(U) <= 1e-8
 
@@ -325,7 +296,7 @@ class TestRecurrenceInvariants:
         A = DenseMatrix(M + M.T)
         v1 = rng.standard_normal(14)
         v1 /= np.linalg.norm(v1)
-        _, V, U, _ = tridiagonalize(A, v1, v1.copy(), 13)
+        *_, V, U, _ = two_sided(A, v1, v1.copy(), 13)
         assert np.max(np.abs(V - U)) <= 1e-10
 
 
@@ -429,20 +400,27 @@ class TestInPlaceSteps:
         v1, u1 = self.unit(rng, A.ncols), self.unit(rng, A.nrows)
 
         def run():
-            return (tridiagonalize(A, v1, u1, 40, reorthogonalize),
-                    bidiagonalize(A, v1, 40, reorthogonalize))
+            return (two_sided(A, v1, u1, 40, reorthogonalize),
+                    bidiagonal(A, v1, 40, reorthogonalize))
 
         got = run()
+        calls = {}
         for mode, (_, fresh) in STEPS.items():
             name = "tridiag_step" if mode == TRIDIAGONAL else "bidiag_step"
-            monkeypatch.setattr(reductions, name, fresh)
+
+            def counted(A, s, fresh=fresh, mode=mode):
+                calls[mode] = calls.get(mode, 0) + 1
+                return fresh(A, s)
+
+            monkeypatch.setattr(reductions, name, counted)
         ref = run()
-        for (coeffs, V, U, broke), (r_coeffs, r_V, r_U, r_broke) in zip(got, ref):
-            assert broke == r_broke
-            assert V.shape == r_V.shape == (A.ncols, 41)
-            for field in ("alphas", "betas", "gammas"):
-                assert (getattr(coeffs, field).tobytes()
-                        == getattr(r_coeffs, field).tobytes())
+        assert calls == {TRIDIAGONAL: 40, BIDIAGONAL: 40}
+        for *_, V, U, broke in (*got, *ref):
+            assert broke is None
+            assert V.shape == (A.ncols, 41)
+        for (*bands, V, U, _), (*r_bands, r_V, r_U, _) in zip(got, ref):
+            for band, r_band in zip(bands, r_bands):
+                assert band.tobytes() == r_band.tobytes()
             # column by column: an aliased step would overwrite stored ones
             for M, r_M in ((V, r_V), (U, r_U)):
                 for j in range(M.shape[1]):
