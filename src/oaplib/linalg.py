@@ -2,13 +2,17 @@
 
 Both operator classes are immutable after construction; their arrays are
 marked read-only so concurrent read access is safe.  All arithmetic is
-64-bit floating point.  ``CsrMatrix`` keeps int64 indices and computes
-each product with one call of scipy's compiled ``csr_matvec`` kernel
-(``scipy.sparse._sparsetools``, the call ``csr_array @ x`` ends in, so
-the bits are the same, without its ~15 Python calls of dispatch).
-``A v`` reads the operator's own arrays.  ``A' u`` reads a stored
-transpose, built on first use by the compiled ``csr_tocsc`` (16 nnz +
-8 n bytes), so that it is a row gather rather than a column scatter.
+64-bit floating point.  ``CsrMatrix`` checks its indices as int64 and
+then keeps them as int32, its only index arrays, so a product reads 12
+bytes per nonzero rather than 16; an operator with more than 2**31 - 1
+rows, columns or nonzeros is refused before anything is narrowed.  It
+computes each product with one call of scipy's compiled ``csr_matvec``
+kernel (``scipy.sparse._sparsetools``, the call ``csr_array @ x`` ends
+in, so the bits are the same, without its ~15 Python calls of
+dispatch).  ``A v`` reads the operator's own arrays.  ``A' u`` reads a
+stored transpose, built on first use by the compiled ``csr_tocsc`` (12
+nnz + 4 n bytes), so that it is a row gather rather than a column
+scatter.
 """
 
 import functools
@@ -70,6 +74,18 @@ def _readonly(a):
     return a
 
 
+_INDEX_MAX = int(np.iinfo(np.int32).max)  # largest size an int32 index holds
+
+
+def _check_sizes(nrows, ncols, nnz):
+    """Refuse sizes that int32 indices and offsets cannot hold, before
+    any size-dependent array is built."""
+    for name, size in (("nrows", nrows), ("ncols", ncols), ("nnz", nnz)):
+        if size > _INDEX_MAX:
+            raise ValueError(f"{name} = {size} exceeds the int32 index "
+                             f"limit {_INDEX_MAX}")
+
+
 class LinearOperator:
     """Square-or-rectangular real matrix supporting y = A x and z = A' u.
 
@@ -126,19 +142,26 @@ class CsrMatrix(LinearOperator):
 
     ``row_offsets`` has length nrows+1 with ``row_offsets[0] == 0``;
     within each row the column indices are strictly increasing (which
-    also rules out duplicates).  Construction checks all of this.
+    also rules out duplicates).  Construction checks all of this on the
+    indices read as int64, and only then stores ``row_offsets``,
+    ``col_indices`` and, later, the transpose's indices as int32.
     """
 
     def __init__(self, nrows, ncols, row_offsets, col_indices, values):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
-        self.row_offsets = _readonly(np.ascontiguousarray(row_offsets, dtype=np.int64))
-        self.col_indices = _readonly(np.ascontiguousarray(col_indices, dtype=np.int64))
-        self.values = _readonly(np.ascontiguousarray(values, dtype=np.float64))
-        self._validate()
+        vals = np.ascontiguousarray(values, dtype=np.float64)
+        _check_sizes(self.nrows, self.ncols, len(vals))
+        off = np.ascontiguousarray(row_offsets, dtype=np.int64)
+        cols = np.ascontiguousarray(col_indices, dtype=np.int64)
+        self._validate(off, cols, vals)
+        # every offset lies in 0..nnz and every index in 0..ncols-1 now,
+        # so narrowing changes no value
+        self.row_offsets = _readonly(off.astype(np.int32))
+        self.col_indices = _readonly(cols.astype(np.int32))
+        self.values = _readonly(vals)
 
-    def _validate(self):
-        off, cols, vals = self.row_offsets, self.col_indices, self.values
+    def _validate(self, off, cols, vals):
         if self.nrows < 0 or self.ncols < 0:
             raise ValueError("negative dimensions")
         if off.shape != (self.nrows + 1,):
@@ -166,21 +189,27 @@ class CsrMatrix(LinearOperator):
 
     @classmethod
     def from_coo(cls, nrows, ncols, rows, cols, values):
-        """Build from unordered triplets; duplicates are rejected."""
+        """Build from unordered triplets; duplicates are rejected.
+
+        Triplets already in strictly increasing row-major order, as the
+        Matrix Market writer and ``from_dense`` produce them, are taken
+        as they are; any other order is sorted first.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
         if not len(rows) == len(cols) == len(values):
             raise ValueError("rows, cols and values differ in length")
+        _check_sizes(int(nrows), int(ncols), len(values))
         if len(rows) and (rows.min() < 0 or rows.max() >= nrows):
             raise ValueError("row index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        if len(rows) > 1 and np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)):
-            raise ValueError("duplicate (row, col) entries")
+        if not _strictly_row_major(rows, cols):
+            order = np.lexsort((cols, rows))
+            rows, cols, values = rows[order], cols[order], values[order]
+            if np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)):
+                raise ValueError("duplicate (row, col) entries")
         offsets = np.zeros(nrows + 1, dtype=np.int64)
-        np.add.at(offsets, rows + 1, 1)
-        np.cumsum(offsets, out=offsets)
+        np.cumsum(np.bincount(rows, minlength=nrows), out=offsets[1:])
         return cls(nrows, ncols, offsets, cols, values)
 
     @classmethod
@@ -202,8 +231,8 @@ class CsrMatrix(LinearOperator):
         # A' as CSR (A as CSC) with sorted indices: row c holds column c of
         # A in row order, so the gather adds each output's terms from zero
         # in the order a scatter over A's rows would
-        offsets = np.empty(self.ncols + 1, dtype=np.int64)
-        indices = np.empty(self.nnz, dtype=np.int64)
+        offsets = np.empty(self.ncols + 1, dtype=np.int32)
+        indices = np.empty(self.nnz, dtype=np.int32)
         values = np.empty(self.nnz)
         _sparsetools().csr_tocsc(self.nrows, self.ncols, self.row_offsets,
                                  self.col_indices, self.values,
@@ -238,6 +267,15 @@ class CsrMatrix(LinearOperator):
 
     def __repr__(self):
         return f"CsrMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
+
+
+def _strictly_row_major(rows, cols):
+    """Whether each (row, col) pair follows the one before it in strictly
+    increasing row-major order, which also rules out duplicates.  A
+    function of its own, so that its temporaries are freed before the
+    caller builds the matrix."""
+    dr = np.diff(rows)
+    return bool(np.all((dr > 0) | ((dr == 0) & (np.diff(cols) > 0))))
 
 
 class DenseMatrix(LinearOperator):

@@ -9,7 +9,11 @@ write/read round trip is bit-exact for float64, formatted in blocks of
 whole file's numbers is built.  Either layout's data go through one
 ``np.loadtxt`` call on the open file; only data with ``%`` comment lines
 or a bad entry are parsed again from a filtered line generator, and a
-bad line is reported by number.
+bad line is reported by number.  Indices are parsed as int64 and reach
+``CsrMatrix``'s int32 only through its checks, so an index or size that
+int32 cannot hold is an error, never a wrapped value.  The coordinate
+writer emits entries in row-major order, which ``CsrMatrix.from_coo``
+takes without sorting.
 """
 
 import warnings

@@ -10,7 +10,8 @@ import oaplib
 import oaplib.linalg
 from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch,
                     NonFiniteVector, as_vector, backend_name, dot,
-                    gen_convdiff2d, gen_tridiag_unsym, norm2)
+                    gen_convdiff2d, gen_poisson_lshape, gen_tridiag_unsym,
+                    norm2, read_matrix_market, write_matrix_market)
 
 from conftest import (bincount_apply, bincount_apply_transpose,
                       random_sparse)
@@ -187,6 +188,101 @@ class TestCsrValidation:
         np.testing.assert_array_equal(A.apply([1.0, 1.0, 1.0]), [5.0, 0.0, 7.0])
 
 
+def coo_of(A):
+    """(rows, cols, values) of ``A``'s entries in row-major order."""
+    rows = np.repeat(np.arange(A.nrows), np.diff(A.row_offsets))
+    return rows, A.col_indices.astype(np.int64), A.values.copy()
+
+
+def read_back(A, tmp_path):
+    path = tmp_path / "a.mtx"
+    write_matrix_market(path, A)
+    return read_matrix_market(path)
+
+
+class TestInt32Indices:
+    """Indices are checked as given and only then stored as int32."""
+
+    def test_index_past_int32_is_refused_not_wrapped(self):
+        # narrowed first, 2**32 + 1 would read as column 1 of 4
+        with pytest.raises(ValueError, match="column index out of range"):
+            CsrMatrix(2, 4, [0, 1, 1], [2**32 + 1], [1.0])
+
+    def test_offset_past_int32_is_refused_not_wrapped(self):
+        # narrowed first, the middle offset would read as 1
+        with pytest.raises(ValueError, match="non-decreasing"):
+            CsrMatrix(2, 2, [0, 2**32 + 1, 1], [0], [1.0])
+
+    def test_ncols_past_int32_is_refused(self):
+        # only ncols: a missed check on nrows would allocate nrows offsets
+        with pytest.raises(ValueError, match="ncols"):
+            CsrMatrix(2, 2**31, [0, 0, 0], [], [])
+        with pytest.raises(ValueError, match="ncols"):
+            CsrMatrix.from_coo(2, 2**31, [], [], [])
+
+    def test_largest_int32_column_is_kept_exactly(self):
+        A = CsrMatrix(1, 2**31 - 1, [0, 1], [2**31 - 2], [3.0])
+        assert A.col_indices.dtype == np.int32
+        assert A.col_indices.tolist() == [2**31 - 2]
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_caller_index_arrays_are_copied(self, dtype):
+        off = np.array([0, 1, 2], dtype=dtype)
+        cols = np.array([1, 0], dtype=dtype)
+        A = CsrMatrix(2, 2, off, cols, [1.0, 2.0])
+        assert off.flags.writeable and cols.flags.writeable
+        assert not np.shares_memory(A.col_indices, cols)
+        assert not np.shares_memory(A.row_offsets, off)
+
+    CONSTRUCTIONS = {
+        "constructor": lambda _: CsrMatrix(
+            3, 4, [0, 2, 2, 3], [0, 3, 1], [1.0, 2.0, 3.0]),
+        "from_coo sorted": lambda _: CsrMatrix.from_coo(
+            3, 4, [0, 0, 2], [0, 3, 1], [1.0, 2.0, 3.0]),
+        "from_coo shuffled": lambda _: CsrMatrix.from_coo(
+            3, 4, [2, 0, 0], [1, 3, 0], [3.0, 2.0, 1.0]),
+        "from_dense": lambda _: CsrMatrix.from_dense(
+            [[1.0, 0.0, 0.0, 2.0], [0.0] * 4, [0.0, 3.0, 0.0, 0.0]]),
+        "identity": lambda _: CsrMatrix.identity(5),
+        "convdiff2d": lambda _: gen_convdiff2d(4, 3).A,
+        "poisson-lshape": lambda _: gen_poisson_lshape(4).A,
+        "tridiag-unsym": lambda _: gen_tridiag_unsym(6).A,
+        "read_matrix_market": lambda tmp: read_back(gen_convdiff2d(4, 3).A,
+                                                    tmp),
+    }
+
+    @pytest.mark.parametrize("path", CONSTRUCTIONS)
+    def test_every_construction_path_stores_int32(self, path, tmp_path):
+        A = self.CONSTRUCTIONS[path](tmp_path)
+        offsets, indices, _ = A._transpose
+        for a in (A.row_offsets, A.col_indices, offsets, indices):
+            assert a.dtype == np.int32 and not a.flags.writeable
+
+    def test_sorted_triplets_with_a_duplicate_are_refused(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            CsrMatrix.from_coo(2, 3, [0, 0, 1], [1, 1, 2], [1.0, 2.0, 3.0])
+
+    def test_shuffled_triplets_give_the_same_arrays(self, rng, monkeypatch):
+        A = gen_convdiff2d(19, 19).A
+        rows, cols, values = coo_of(A)
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort",
+                            lambda keys: sorts.append(1) or lexsort(keys))
+        in_order = CsrMatrix.from_coo(A.nrows, A.ncols, rows, cols, values)
+        assert not sorts  # row-major triplets are taken as they are
+        perm = rng.permutation(A.nnz)
+        shuffled = CsrMatrix.from_coo(A.nrows, A.ncols, rows[perm], cols[perm],
+                                      values[perm])
+        assert sorts == [1]
+        for B in (in_order, shuffled):
+            for got, want in ((B.row_offsets, A.row_offsets),
+                              (B.col_indices, A.col_indices),
+                              (B.values, A.values)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
 class TestRepresentationEquivalence:
     def test_csr_vs_dense_apply(self, rng):
         for _ in range(5):
@@ -319,7 +415,7 @@ class TestScipyKernels:
     def test_transpose_matches_scipy(self):
         for A in self.operators() + [CsrMatrix(3, 4, [0, 0, 0, 0], [], [])]:
             offsets, indices, values = A._transpose
-            for a, dtype in ((offsets, np.int64), (indices, np.int64),
+            for a, dtype in ((offsets, np.int32), (indices, np.int32),
                              (values, np.float64)):
                 assert a.dtype == dtype and not a.flags.writeable
             for c in range(A.ncols):
@@ -327,8 +423,8 @@ class TestScipyKernels:
             want = scipy.sparse.csr_array(
                 (A.values, A.col_indices, A.row_offsets), shape=A.shape).T.tocsr()
             want.sort_indices()
-            assert offsets.tobytes() == want.indptr.astype(np.int64).tobytes()
-            assert indices.tobytes() == want.indices.astype(np.int64).tobytes()
+            assert offsets.tobytes() == want.indptr.astype(np.int32).tobytes()
+            assert indices.tobytes() == want.indices.astype(np.int32).tobytes()
             assert values.tobytes() == want.data.tobytes()
 
 

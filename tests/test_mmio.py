@@ -133,6 +133,15 @@ def test_parse_errors_carry_line_numbers(tmp_path, content, lineno):
     assert err.value.lineno == lineno
 
 
+def test_size_past_int32_rejected(tmp_path):
+    path = tmp_path / "wide.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "2 3000000000 1\n"
+                    "1 1 1.0\n")
+    with pytest.raises(MatrixMarketError, match="ncols"):
+        read_matrix_market(path)
+
+
 def test_duplicate_entry_rejected(tmp_path):
     path = tmp_path / "dup.mtx"
     path.write_text(_COO + "2 2 2\n1 1 1\n1 1 2\n")
