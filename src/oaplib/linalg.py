@@ -144,13 +144,18 @@ class CsrMatrix(LinearOperator):
     within each row the column indices are strictly increasing (which
     also rules out duplicates).  Construction checks all of this on the
     indices read as int64, and only then stores ``row_offsets``,
-    ``col_indices`` and, later, the transpose's indices as int32.
+    ``col_indices`` and, later, the transpose's indices as int32.  The
+    stored arrays are the operator's own: a caller's ``values`` array is
+    copied, not shared and marked read-only.
     """
 
     def __init__(self, nrows, ncols, row_offsets, col_indices, values):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         vals = np.ascontiguousarray(values, dtype=np.float64)
+        if (isinstance(values, np.ndarray)
+                and np.may_share_memory(vals, values)):
+            vals = vals.copy()  # the caller's array stays theirs, writable
         _check_sizes(self.nrows, self.ncols, len(vals))
         off = np.ascontiguousarray(row_offsets, dtype=np.int64)
         cols = np.ascontiguousarray(col_indices, dtype=np.int64)

@@ -4,18 +4,25 @@ Sparse matrices round-trip through ``coordinate real general``, dense
 matrices and vectors through ``array real general`` (a vector is an
 n x 1 array).  Files are 1-based per the format; indices are converted
 at this boundary.  Values are written with 17 significant digits so a
-write/read round trip is bit-exact for float64, formatted in blocks of
-``_CHUNK`` entries, one ``%`` call per block, so that no list of a
-whole file's numbers is built.  Either layout's data go through one
+write/read round trip is bit-exact for float64.  The writers render
+blocks of ``_CHUNK`` entries, each as one NUL-padded uint8 matrix with a
+row per line, and write a block with one call once its NULs are
+dropped; the bytes are those of one line ``%d %d %.17g`` or ``%.17g``
+per entry.  Each distinct value of a block, told apart by bit pattern
+so that -0.0 keeps its sign, is formatted once.  Indices are looked up
+in a table of the digits of 0..max(nrows, ncols), built once per file,
+or converted directly when the file holds fewer entries than that
+table would hold numbers.  Either layout's data go through one
 ``np.loadtxt`` call on the open file; only data with ``%`` comment lines
 or a bad entry are parsed again from a filtered line generator, and a
-bad line is reported by number.  Indices are parsed as int64 and reach
-``CsrMatrix``'s int32 only through its checks, so an index or size that
-int32 cannot hold is an error, never a wrapped value.  The coordinate
-writer emits entries in row-major order, which ``CsrMatrix.from_coo``
-takes without sorting.
+bad line is reported by number.  Indices are parsed as int64, made
+0-based in place, and reach ``CsrMatrix``'s int32 only through its
+checks, so an index or size that int32 cannot hold is an error, never
+a wrapped value.  The coordinate writer emits entries in row-major
+order, which ``CsrMatrix.from_coo`` takes without sorting.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -24,7 +31,8 @@ from .errors import MatrixMarketError, NonFiniteVector
 from .linalg import CsrMatrix, DenseMatrix, as_vector
 
 _BANNER = "%%MatrixMarket"
-_CHUNK = 8192  # entries formatted per write
+_CHUNK = 8192  # entries rendered per write
+_VALUE_WIDTH = 24  # the longest %.17g of a float64: -2.2250738585072014e-308
 # A data line is one entry; the dtype fixes its columns and their types.
 _ENTRY = {"array": np.dtype([("value", np.float64)]),
           "coordinate": np.dtype([("row", np.int64), ("col", np.int64),
@@ -43,29 +51,72 @@ def write_matrix_market(path, payload):
 
 
 def _write_coordinate(path, m):
-    with open(path, "w") as fh:
-        fh.write(f"{_BANNER} matrix coordinate real general\n")
-        fh.write(f"{m.nrows} {m.ncols} {m.nnz}\n")
-        rows = np.repeat(np.arange(1, m.nrows + 1), np.diff(m.row_offsets))
+    top = max(m.nrows, m.ncols)
+    width = len(str(top))
+    if top <= m.nnz:  # indices repeat: convert 0..top once, then look up
+        table = _digits(np.arange(top + 1), width)
+        digits = functools.partial(np.take, table, axis=0)
+    else:  # a table would hold more numbers than the file
+        digits = functools.partial(_digits, width=width)
+    with open(path, "wb") as fh:
+        fh.write(f"{_BANNER} matrix coordinate real general\n"
+                 f"{m.nrows} {m.ncols} {m.nnz}\n".encode())
         for lo in range(0, m.nnz, _CHUNK):
             hi = min(lo + _CHUNK, m.nnz)
-            fields = [None] * (3 * (hi - lo))  # i j v, entry after entry
-            fields[0::3] = rows[lo:hi].tolist()
-            fields[1::3] = (m.col_indices[lo:hi] + 1).tolist()
-            fields[2::3] = m.values[lo:hi].tolist()
-            fh.write("%d %d %.17g\n" * (hi - lo) % tuple(fields))
+            # 1-based row of each entry: the number of row starts <= it
+            rows = np.searchsorted(m.row_offsets, np.arange(lo, hi), "right")
+            fh.write(_render([digits(rows), digits(m.col_indices[lo:hi] + 1),
+                              _value_text(m.values[lo:hi])]))
 
 
 def _write_array(path, values):
     if not np.all(np.isfinite(values)):
         raise NonFiniteVector("refusing to write non-finite values")
-    with open(path, "w") as fh:
-        fh.write(f"{_BANNER} matrix array real general\n")
-        fh.write(f"{values.shape[0]} {values.shape[1]}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{_BANNER} matrix array real general\n"
+                 f"{values.shape[0]} {values.shape[1]}\n".encode())
         flat = values.ravel(order="F")  # array format is column-major
         for lo in range(0, len(flat), _CHUNK):
-            chunk = tuple(flat[lo:lo + _CHUNK].tolist())
-            fh.write("%.17g\n" * len(chunk) % chunk)
+            fh.write(_render([_value_text(flat[lo:lo + _CHUNK])]))
+
+
+def _digits(numbers, width):
+    """Decimal digits of non-negative ``numbers`` as uint8 rows of
+    ``width`` bytes, right-aligned and NUL-padded on the left."""
+    out = np.zeros((len(numbers), width), np.uint8)
+    q = np.array(numbers, dtype=np.int64)
+    out[:, -1] = q % 10 + ord("0")
+    for col in range(width - 2, -1, -1):  # one column at a time
+        q //= 10
+        out[:, col] = np.where(q, q % 10 + ord("0"), 0)
+    return out
+
+
+def _value_text(values):
+    """``%.17g`` of each of ``values`` as uint8 rows, NUL-padded on the
+    right.  Each distinct value is formatted once; distinct by bit
+    pattern, so that -0.0 and 0.0 keep their own text."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = (f"%-{_VALUE_WIDTH}.17g" * len(bits)  # space-padded
+            % tuple(bits.view(np.float64).tolist())).encode()
+    table = np.frombuffer(text, np.uint8).reshape(len(bits), _VALUE_WIDTH)
+    table = np.where(table == ord(" "), 0, table)
+    table = table[:, :np.count_nonzero(table.any(axis=0))]  # longest text
+    return np.take(table, inverse, axis=0)
+
+
+def _render(fields):
+    """The lines whose fields are the rows of the uint8 matrices
+    ``fields``, as bytes: fields joined by a space, NULs dropped."""
+    line = np.empty((len(fields[0]), sum(f.shape[1] + 1 for f in fields)),
+                    np.uint8)
+    at = 0
+    for f in fields:
+        line[:, at:at + f.shape[1]] = f
+        at += f.shape[1] + 1
+        line[:, at - 1] = ord(" ")
+    line[:, -1] = ord("\n")
+    return line.tobytes().translate(None, b"\0")
 
 
 def read_matrix_market(path):
@@ -110,9 +161,12 @@ def read_matrix_market(path):
         _locate(path, size_lineno, layout, nrows, ncols, count)
 
     if layout == "coordinate":
+        rows, cols = entries["row"], entries["col"]
+        rows -= 1  # to 0-based in place, not as two int64 copies
+        cols -= 1
         try:
-            return CsrMatrix.from_coo(nrows, ncols, entries["row"] - 1,
-                                      entries["col"] - 1, entries["value"])
+            return CsrMatrix.from_coo(nrows, ncols, rows, cols,
+                                      entries["value"])
         except ValueError as exc:
             raise MatrixMarketError(str(exc)) from exc
     values = entries["value"].reshape((ncols, nrows)).T  # stored column-major

@@ -234,6 +234,15 @@ class TestInt32Indices:
         assert not np.shares_memory(A.col_indices, cols)
         assert not np.shares_memory(A.row_offsets, off)
 
+    @pytest.mark.parametrize("view", [False, True])
+    def test_caller_values_array_stays_the_callers(self, view):
+        base = np.array([0.0, 1.0, 2.0])
+        vals = base[1:] if view else np.array([1.0, 2.0])
+        A = CsrMatrix(2, 2, [0, 1, 2], [0, 1], vals)
+        vals[0] = 5.0  # raised when the array itself was stored
+        assert A.values.tolist() == [1.0, 2.0]
+        assert not A.values.flags.writeable
+
     CONSTRUCTIONS = {
         "constructor": lambda _: CsrMatrix(
             3, 4, [0, 2, 2, 3], [0, 3, 1], [1.0, 2.0, 3.0]),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,18 @@ class TestChunkedWriters:
             lines += [f"{float(v):.17g}" for v in D[:, j]]
         return ("\n".join(lines) + "\n").encode()
 
+    @classmethod
+    def assert_coordinate_bytes(cls, tmp_path, A):
+        write_matrix_market(tmp_path / "a.mtx", A)
+        assert (tmp_path / "a.mtx").read_bytes() == cls.reference_coordinate(A)
+
+    @classmethod
+    def assert_array_bytes(cls, tmp_path, D):
+        """``D`` as written: a vector if it has one column, else dense."""
+        write_matrix_market(tmp_path / "d.mtx",
+                            D[:, 0] if D.shape[1] == 1 else DenseMatrix(D))
+        assert (tmp_path / "d.mtx").read_bytes() == cls.reference_array(D)
+
     @staticmethod
     def coordinate_cases(rng):
         exact = CsrMatrix.from_dense(
@@ -262,19 +276,109 @@ class TestChunkedWriters:
 
     def test_coordinate_bytes_match_reference(self, tmp_path, rng):
         for A in self.coordinate_cases(rng):
-            path = tmp_path / "a.mtx"
-            write_matrix_market(path, A)
-            assert path.read_bytes() == self.reference_coordinate(A)
+            self.assert_coordinate_bytes(tmp_path, A)
 
     def test_array_bytes_match_reference(self, tmp_path, rng):
         chunk = mmio._CHUNK
         for D in (np.zeros((0, 1)), rng.standard_normal((chunk, 1)),
                   rng.standard_normal((2 * chunk + 5, 1)),
                   rng.standard_normal((chunk // 2 + 3, 5))):
-            path = tmp_path / "d.mtx"
-            write_matrix_market(
-                path, D[:, 0] if D.shape[1] == 1 else DenseMatrix(D))
-            assert path.read_bytes() == self.reference_array(D)
+            self.assert_array_bytes(tmp_path, D)
+
+    # -0.0 beside 0.0, the smallest subnormal, the longest %.17g text,
+    # the largest integer %.17g prints without an exponent, and 1e308
+    EDGE_VALUES = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e16,
+                   1e308, 0.0, -0.0, 1e17, -1.0]
+
+    def test_edge_values_in_one_chunk(self, tmp_path):
+        v = np.array(self.EDGE_VALUES)
+        A = CsrMatrix(1, len(v), [0, len(v)], np.arange(len(v)), v)
+        self.assert_coordinate_bytes(tmp_path, A)
+        text = (tmp_path / "a.mtx").read_bytes()
+        assert b"1 1 -0\n1 2 0\n" in text
+        assert b" -2.2250738585072014e-308\n" in text
+        self.assert_array_bytes(tmp_path, v.reshape(-1, 1))
+        self.assert_array_bytes(tmp_path, v.reshape(2, 5))
+
+    @pytest.mark.parametrize("size", [10, 11, 100, 101, 10000, 10001])
+    def test_index_widths(self, tmp_path, size):
+        # row and column numbers up to size - 2, size - 1 and size: each
+        # width change, 9 -> 10, 99 -> 100 and 9999 -> 10000, is crossed
+        # with the largest number first at and then past it
+        picks = [size - 3, size - 2, size - 1]
+        self.assert_coordinate_bytes(  # as many entries as numbers: table
+            tmp_path, CsrMatrix.identity(size))
+        # fewer entries than numbers: converted directly
+        self.assert_coordinate_bytes(
+            tmp_path, CsrMatrix(1, size, [0, 3], picks, [1.0, -0.0, 2.5]))
+        self.assert_coordinate_bytes(
+            tmp_path, CsrMatrix.from_coo(size, 1, picks, [0, 0, 0],
+                                         [1.0, -0.0, 2.5]))
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_chunk_boundaries(self, tmp_path, rng, delta):
+        nnz = mmio._CHUNK + delta
+        v = rng.standard_normal(nnz)
+        v[::97] = 1.0  # repeated values beside distinct ones
+        self.assert_coordinate_bytes(
+            tmp_path, CsrMatrix(1, nnz, [0, nnz], np.arange(nnz), v))
+        self.assert_coordinate_bytes(
+            tmp_path, CsrMatrix(nnz, 1, np.arange(nnz + 1), np.zeros(nnz), v))
+        self.assert_array_bytes(tmp_path, v.reshape(-1, 1))
+        self.assert_array_bytes(tmp_path, v.reshape(1, -1))
+
+    def test_empty_payloads(self, tmp_path):
+        for A in (CsrMatrix(0, 0, [0], [], []), CsrMatrix(0, 5, [0], [], []),
+                  CsrMatrix(4, 0, [0, 0, 0, 0, 0], [], [])):
+            self.assert_coordinate_bytes(tmp_path, A)
+        for D in (np.zeros((0, 1)), np.zeros((0, 3)), np.zeros((3, 0))):
+            self.assert_array_bytes(tmp_path, D)
+
+
+def traced_peak(fn, *args):
+    """The most memory tracemalloc saw allocated during ``fn(*args)``,
+    above what was allocated when it began.  Tracing that was already on
+    stays on."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestMemory:
+    """Writing and reading hold memory of the order of one block and of
+    the result, not of a whole file's text.  Peaks by tracemalloc, which
+    counts Python objects and NumPy data, for convdiff 200x200's A
+    (199,200 entries, a 3.99 MB file)."""
+
+    MB = 1024 * 1024
+
+    def test_write_holds_blocks_not_the_file(self, tmp_path):
+        # 1.42 MB measured; a byte matrix of the whole file is ~7.4 MB
+        A = gen_convdiff2d(200, 200).A
+        assert traced_peak(write_matrix_market, tmp_path / "a.mtx", A) \
+            < 4 * self.MB
+
+    def test_write_builds_no_table_wider_than_the_entries(self, tmp_path):
+        # a digit table of 0..10**7 would take 76 MB
+        A = CsrMatrix(2, 10**7, [0, 1, 2], [0, 10**7 - 1], [1.0, 2.0])
+        assert traced_peak(write_matrix_market, tmp_path / "a.mtx", A) \
+            < 0.1 * self.MB
+        TestChunkedWriters.assert_coordinate_bytes(tmp_path, A)
+
+    def test_read_shifts_indices_in_place(self, tmp_path):
+        # 10.98 MB measured; 12.51 MB when the 0-based indices were made
+        # as int64 copies of the parsed ones
+        write_matrix_market(tmp_path / "a.mtx", gen_convdiff2d(200, 200).A)
+        assert traced_peak(read_matrix_market, tmp_path / "a.mtx") \
+            < 12 * self.MB
 
 
 class TestReaderPaths:
