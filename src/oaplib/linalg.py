@@ -1,18 +1,38 @@
 """Linear operators (CSR sparse and row-major dense) and vector primitives.
 
 Both operator classes are immutable after construction; their arrays are
-marked read-only so concurrent read access is safe.  All arithmetic is
-64-bit floating point.  ``CsrMatrix`` checks its indices as int64 and
-then keeps them as int32, its only index arrays, so a product reads 12
-bytes per nonzero rather than 16; an operator with more than 2**31 - 1
-rows, columns or nonzeros is refused before anything is narrowed.  It
-computes each product with one call of scipy's compiled ``csr_matvec``
-kernel (``scipy.sparse._sparsetools``, the call ``csr_array @ x`` ends
-in, so the bits are the same, without its ~15 Python calls of
-dispatch).  ``A v`` reads the operator's own arrays.  ``A' u`` reads a
-stored transpose, built on first use by the compiled ``csr_tocsc`` (12
-nnz + 4 n bytes), so that it is a row gather rather than a column
-scatter.
+marked read-only so concurrent read access is safe.  A caller's
+``values`` array is copied, never shared, so it stays the caller's and
+writable; only the library's own constructors, which drop their array,
+hand it over without the copy (``LinearOperator._adopt``).  All
+arithmetic is 64-bit floating point.  ``CsrMatrix`` checks its indices
+as int64 and then keeps them as int32, its only index arrays; an
+operator with more than 2**31 - 1 rows, columns or nonzeros is refused
+before anything is narrowed.
+
+``CsrMatrix`` computes each product with one call of a compiled kernel
+of scipy's (``scipy.sparse._sparsetools``, without the ~15 Python calls
+of ``@`` dispatch).  Which kernel is picked on the first ``A' u``, from
+the operator's structure alone:
+
+* banded: when the d distinct diagonals, padding and in-band zeros
+  included, read no more bytes than the CSR arrays
+  (8 d max(nrows, ncols) <= 12 nnz), read-only diagonal (DIA) arrays of
+  A and of A' are built, offsets ascending, and both products run
+  through ``dia_matvec``, which streams each diagonal with no index
+  gather;
+* otherwise ``A v`` keeps ``csr_matvec`` over the operator's own arrays
+  (12 bytes per nonzero), and ``A' u`` runs ``csr_matvec`` over a stored
+  transpose that the compiled ``csr_tocsc`` builds (12 nnz + 4 n bytes),
+  so that it is a row gather rather than a column scatter.
+
+Until the first ``A' u``, ``A v`` runs ``csr_matvec``, so an operator
+that sees one ``A v`` or none builds nothing.  Both kernels add each
+output's terms into a zeroed output in ascending column order, and the
+DIA terms CSR lacks are in-band zeros times finite entries of x, exact
+zeros, so the two layouts give the same bits.  The product contract:
+vectors are finite.  A DIA product also multiplies its in-band zero slots, so an
+inf or NaN in x can reach rows that the CSR product leaves finite.
 """
 
 import functools
@@ -77,6 +97,15 @@ def _readonly(a):
 _INDEX_MAX = int(np.iinfo(np.int32).max)  # largest size an int32 index holds
 
 
+def _unshared(values):
+    """``values`` as a contiguous float64 array that shares no memory with
+    the caller's array, which stays theirs and writable."""
+    vals = np.ascontiguousarray(values, dtype=np.float64)
+    if isinstance(values, np.ndarray) and np.may_share_memory(vals, values):
+        vals = vals.copy()
+    return vals
+
+
 def _check_sizes(nrows, ncols, nnz):
     """Refuse sizes that int32 indices and offsets cannot hold, before
     any size-dependent array is built."""
@@ -98,6 +127,16 @@ class LinearOperator:
     @property
     def shape(self):
         return (self.nrows, self.ncols)
+
+    @classmethod
+    def _adopt(cls, *args):
+        """The operator over arrays its caller gives up: the library's own
+        constructors, which drop their array once the operator holds it.
+        A contiguous float64 ``values`` array is stored and made read-only
+        without the copy that ``__init__`` makes of a caller's array."""
+        op = cls.__new__(cls)
+        op._store(*args)
+        return op
 
     def apply(self, v):
         """A v as a new array."""
@@ -144,18 +183,18 @@ class CsrMatrix(LinearOperator):
     within each row the column indices are strictly increasing (which
     also rules out duplicates).  Construction checks all of this on the
     indices read as int64, and only then stores ``row_offsets``,
-    ``col_indices`` and, later, the transpose's indices as int32.  The
-    stored arrays are the operator's own: a caller's ``values`` array is
-    copied, not shared and marked read-only.
+    ``col_indices`` and, later, the product layout's indices as int32.
+    The stored arrays are the operator's own: a caller's ``values`` array
+    is copied, not shared and marked read-only.
     """
 
     def __init__(self, nrows, ncols, row_offsets, col_indices, values):
+        self._store(nrows, ncols, row_offsets, col_indices, _unshared(values))
+
+    def _store(self, nrows, ncols, row_offsets, col_indices, values):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         vals = np.ascontiguousarray(values, dtype=np.float64)
-        if (isinstance(values, np.ndarray)
-                and np.may_share_memory(vals, values)):
-            vals = vals.copy()  # the caller's array stays theirs, writable
         _check_sizes(self.nrows, self.ncols, len(vals))
         off = np.ascontiguousarray(row_offsets, dtype=np.int64)
         cols = np.ascontiguousarray(col_indices, dtype=np.int64)
@@ -200,6 +239,12 @@ class CsrMatrix(LinearOperator):
         Matrix Market writer and ``from_dense`` produce them, are taken
         as they are; any other order is sorted first.
         """
+        return cls._from_coo(nrows, ncols, rows, cols, values, adopt=False)
+
+    @classmethod
+    def _from_coo(cls, nrows, ncols, rows, cols, values, adopt):
+        """``from_coo``; ``adopt`` says that the caller gives ``values`` up
+        (see ``_adopt``)."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
@@ -211,28 +256,50 @@ class CsrMatrix(LinearOperator):
         if not _strictly_row_major(rows, cols):
             order = np.lexsort((cols, rows))
             rows, cols, values = rows[order], cols[order], values[order]
+            adopt = True  # the sorted copy is this call's own
             if np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)):
                 raise ValueError("duplicate (row, col) entries")
         offsets = np.zeros(nrows + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=nrows), out=offsets[1:])
-        return cls(nrows, ncols, offsets, cols, values)
+        build = cls._adopt if adopt else cls
+        return build(nrows, ncols, offsets, cols, values)
 
     @classmethod
     def from_dense(cls, array):
         array = np.asarray(array, dtype=np.float64)
         rows, cols = np.nonzero(array)
-        return cls.from_coo(array.shape[0], array.shape[1], rows, cols,
-                            array[rows, cols])
+        return cls._from_coo(array.shape[0], array.shape[1], rows, cols,
+                             array[rows, cols], adopt=True)
 
     @classmethod
     def identity(cls, n):
         idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
+        return cls._adopt(n, n, np.arange(n + 1, dtype=np.int64), idx,
+                          np.ones(n))
 
-    # Built on first use, not at construction: the generators and the
-    # Matrix Market reader build operators that see one ``A v`` or none.
+    # Kernel and arguments before x and y of each product, looked up once
+    # per operator.  The layout is picked on the first A'u, not at
+    # construction: the generators and the Matrix Market reader build
+    # operators that see one ``A v`` or none.
     @functools.cached_property
-    def _transpose(self):
+    def _av(self):
+        return _sparsetools().csr_matvec, (self.nrows, self.ncols,
+                                           self.row_offsets, self.col_indices,
+                                           self.values)
+
+    @functools.cached_property
+    def _atu(self):
+        """A'u's kernel and arguments; a banded operator also moves
+        ``_av`` to its DIA arrays."""
+        dia = self._diagonals()
+        if dia is not None:
+            offsets, data, offsets_t, data_t = dia
+            d = len(offsets)
+            kernel = _sparsetools().dia_matvec
+            self._av = kernel, (self.nrows, self.ncols, d, self.ncols,
+                                offsets, data)
+            return kernel, (self.ncols, self.nrows, d, self.nrows, offsets_t,
+                            data_t)
         # A' as CSR (A as CSC) with sorted indices: row c holds column c of
         # A in row order, so the gather adds each output's terms from zero
         # in the order a scatter over A's rows would
@@ -242,21 +309,60 @@ class CsrMatrix(LinearOperator):
         _sparsetools().csr_tocsc(self.nrows, self.ncols, self.row_offsets,
                                  self.col_indices, self.values,
                                  offsets, indices, values)
-        return _readonly(offsets), _readonly(indices), _readonly(values)
+        return _sparsetools().csr_matvec, (self.ncols, self.nrows,
+                                           _readonly(offsets),
+                                           _readonly(indices),
+                                           _readonly(values))
 
-    # The kernel reads x unchecked: ``_check_apply`` is its length guard.
+    def _diagonals(self):
+        """Read-only DIA arrays ``(offsets, data, offsets_t, data_t)`` of A
+        and A', or None when they would read more bytes per product than
+        the CSR arrays: 8 d max(nrows, ncols) > 12 nnz for d distinct
+        diagonals.  Offsets ascend; ``data[i, c]`` holds A[c - k, c] for
+        offset k = ``offsets[i]``, zero where A has no entry, as
+        ``dia_matvec`` reads it."""
+        n, m, nnz = self.nrows, self.ncols, self.nnz
+        width = 8 * max(n, m)  # bytes per diagonal
+        if nnz and width > 12 * nnz:  # one diagonal already reads more
+            return None
+        # col - row + n lies in 1..n+m-1; int32 unless that overflows
+        index = np.int32 if n + m <= _INDEX_MAX else np.int64
+        diag = self.col_indices - np.repeat(np.arange(n, dtype=index),
+                                            np.diff(self.row_offsets))
+        diag += n
+        counts = np.bincount(diag)  # at most n + m <= 3 nnz counts
+        present = np.flatnonzero(counts)
+        d = len(present)
+        if width * d > 12 * nnz:
+            return None
+        start = np.zeros(len(counts), dtype=np.int64)  # first flat slot
+        start[present] = np.arange(d) * m
+        flat = start[diag]
+        flat += self.col_indices
+        data = np.zeros((d, m))
+        np.put(data, flat, self.values)
+        offsets = (present - n).astype(np.int32)
+        # A' has diagonal -k of A's k, shifted to A's row index
+        data_t = np.zeros((d, n))
+        for i, k in enumerate(offsets.tolist()):
+            lo, hi = max(k, 0), min(n + k, m)  # A's columns on diagonal k
+            data_t[d - 1 - i, lo - k:hi - k] = data[i, lo:hi]
+        return (_readonly(offsets), _readonly(data),
+                _readonly(-offsets[::-1]), _readonly(data_t))
+
+    # The kernels read x unchecked: ``_check_apply`` is their length guard.
     def apply(self, v):
         v = self._check_apply(v, self.ncols, "apply")
         out = np.zeros(self.nrows)
-        _sparsetools().csr_matvec(self.nrows, self.ncols, self.row_offsets,
-                                  self.col_indices, self.values, v, out)
+        kernel, args = self._av
+        kernel(*args, v, out)
         return out
 
     def apply_transpose(self, u):
         u = self._check_apply(u, self.nrows, "apply_transpose")
         out = np.zeros(self.ncols)
-        _sparsetools().csr_matvec(self.ncols, self.nrows, *self._transpose,
-                                  u, out)
+        kernel, args = self._atu
+        kernel(*args, u, out)
         return out
 
     def rows_dense(self, start, stop):
@@ -284,9 +390,13 @@ def _strictly_row_major(rows, cols):
 
 
 class DenseMatrix(LinearOperator):
-    """Row-major dense matrix."""
+    """Row-major dense matrix; a caller's ``values`` array is copied, not
+    shared and marked read-only."""
 
     def __init__(self, values):
+        self._store(_unshared(values))
+
+    def _store(self, values):
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError(f"dense values must be 2-D, got shape {values.shape}")

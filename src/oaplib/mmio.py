@@ -165,14 +165,14 @@ def read_matrix_market(path):
         rows -= 1  # to 0-based in place, not as two int64 copies
         cols -= 1
         try:
-            return CsrMatrix.from_coo(nrows, ncols, rows, cols,
-                                      entries["value"])
+            return CsrMatrix._from_coo(nrows, ncols, rows, cols,
+                                       entries["value"], adopt=True)
         except ValueError as exc:
             raise MatrixMarketError(str(exc)) from exc
     values = entries["value"].reshape((ncols, nrows)).T  # stored column-major
     if ncols == 1:
         return values[:, 0].copy()
-    return DenseMatrix(values)
+    return DenseMatrix._adopt(values)
 
 
 def _split_size(line, lineno, want):

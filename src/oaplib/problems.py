@@ -75,7 +75,8 @@ def _stencil_matrix(index, stencil):
     present = nbrs >= 0
     vals = np.broadcast_to([v for _, v in stencil], nbrs.shape)[present]
     offsets = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
-    return CsrMatrix(len(nbrs), len(nbrs), offsets, nbrs[present], vals)
+    return CsrMatrix._adopt(len(nbrs), len(nbrs), offsets, nbrs[present],
+                            vals)
 
 
 def gen_convdiff2d(nx, ny, p1=1.0, p2=1.0, p3=0.0, constructed=False):
@@ -168,7 +169,7 @@ def gen_random_dense(n, seed):
     if n < 1:
         raise ValueError("need n >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    A = DenseMatrix(rng.random((n, n)))
+    A = DenseMatrix._adopt(rng.random((n, n)))
     x_true = sample_solution(PROFILE_EXP3, n)
     return GeneratedProblem(A, A.apply(x_true), x_true,
                             f"random-dense-{n}-s{seed}", "random-dense")

@@ -101,11 +101,13 @@ def _overflow(what, step):
 # the order written there, each product and difference rounded once as
 # ``av - alpha * u_k`` would round it, but into as few arrays as possible:
 # w is built in one new array and divided in place into the next u, and
-# the fresh A'u from the operator becomes the next v in place.  No step
+# the fresh A'u from the operator becomes the next v in place; the
+# two-sided step forms its scaled vectors in one scratch array.  No step
 # writes into the state's vectors or into ``av``, which callers read.
 
 def tridiag_step(A, s):
-    """Advance the two-sided reduction by one step.
+    """Advance the two-sided reduction by one step on a square A (which
+    ``oap_cycle_tridiag`` checks: u and v share one scratch array).
 
     Returns the new directions and scalars; see the module docstring
     for the recurrences.
@@ -118,8 +120,10 @@ def tridiag_step(A, s):
         raise _overflow("alpha", s.k)
     w = np.multiply(s.u_curr, alpha)
     np.subtract(av, w, out=w)
+    # the step's one scratch array, for each scaled vector it subtracts
+    t = np.multiply(s.u_prev, s.beta_prev)
     if s.beta_prev != 0.0:
-        np.subtract(w, np.multiply(s.u_prev, s.beta_prev), out=w)
+        np.subtract(w, t, out=w)
     gamma = math.sqrt(w.dot(w))
     if not math.isfinite(gamma):
         raise _overflow("gamma", s.k)
@@ -127,8 +131,7 @@ def tridiag_step(A, s):
     next_u = np.zeros_like(w) if u_broken else np.divide(w, gamma, out=w)
 
     q = A.apply_transpose(s.u_curr)
-    t = np.multiply(s.v_curr, alpha)
-    np.subtract(q, t, out=q)
+    np.subtract(q, np.multiply(s.v_curr, alpha, out=t), out=q)
     if s.gamma_prev != 0.0:
         np.subtract(q, np.multiply(s.v_prev, s.gamma_prev, out=t), out=q)
     beta = math.sqrt(q.dot(q))

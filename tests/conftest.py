@@ -10,6 +10,8 @@ tests can check those updates with orthogonality taken out of the
 picture.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,23 @@ def oracle_projection(W, l):
     G = W.T @ W
     y = np.linalg.solve(G, l)
     return W @ y, float(l @ y)
+
+
+def traced_peak(fn, *args):
+    """The most memory tracemalloc saw allocated during ``fn(*args)``,
+    above what was allocated when it began.  Tracing that was already on
+    stays on."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 @pytest.fixture

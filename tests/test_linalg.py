@@ -10,11 +10,12 @@ import oaplib
 import oaplib.linalg
 from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch,
                     NonFiniteVector, as_vector, backend_name, dot,
-                    gen_convdiff2d, gen_poisson_lshape, gen_tridiag_unsym,
-                    norm2, read_matrix_market, write_matrix_market)
+                    gen_convdiff2d, gen_poisson_lshape, gen_random_dense,
+                    gen_tridiag_unsym, norm2, read_matrix_market,
+                    write_matrix_market)
 
 from conftest import (bincount_apply, bincount_apply_transpose,
-                      random_sparse)
+                      random_sparse, traced_peak)
 
 
 class KernelSpy:
@@ -33,6 +34,7 @@ class KernelSpy:
             self.calls.append((name, args))
             if self.run:
                 kernel(*args)
+        spy.__name__ = name
         return spy
 
 
@@ -81,7 +83,7 @@ class TestApply:
         n = A.ncols if product == "apply" else A.nrows
         x = {"short": np.ones(n - 1), "long": np.ones(n + 1),
              "2-D": np.ones((1, n)), "empty": np.ones(0)}[bad]
-        A._transpose  # built up front: any call recorded below is a product
+        A._atu  # layout picked up front: any call recorded below is a product
         kernels.calls.clear()
         kernels.run = False  # a product that slipped through reads no memory
         with pytest.raises(DimensionMismatch):
@@ -263,9 +265,14 @@ class TestInt32Indices:
     @pytest.mark.parametrize("path", CONSTRUCTIONS)
     def test_every_construction_path_stores_int32(self, path, tmp_path):
         A = self.CONSTRUCTIONS[path](tmp_path)
-        offsets, indices, _ = A._transpose
-        for a in (A.row_offsets, A.col_indices, offsets, indices):
+        A._atu  # picks the layout: CSR transpose or DIA offsets
+        stored = [a for _, args in (A._av, A._atu) for a in args
+                  if isinstance(a, np.ndarray)]
+        indices = [a for a in stored if a.dtype != np.float64]
+        assert len(indices) == (2 if kernel_of(A._atu) == DIA else 4)
+        for a in [A.row_offsets, A.col_indices] + indices:
             assert a.dtype == np.int32 and not a.flags.writeable
+        assert not any(a.flags.writeable for a in stored)
 
     def test_sorted_triplets_with_a_duplicate_are_refused(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -355,26 +362,129 @@ class TestRepresentationEquivalence:
                                               D[start:stop])
 
 
+CSR, DIA = "csr_matvec", "dia_matvec"
+
+
+def kernel_of(product):
+    """Name of the kernel in a product's stored (kernel, arguments)."""
+    return product[0].__name__
+
+
+def banded(nrows, ncols, offsets, seed=3):
+    """Dense array with random entries on the given diagonals; every 7th
+    slot of the array is zeroed, so the band holds zeros."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dense = np.zeros((nrows, ncols))
+    for k in offsets:
+        i = np.arange(max(0, -k), min(nrows, ncols - k))
+        dense[i, i + k] = rng.uniform(1.0, 2.0, len(i)) * rng.choice([-1, 1],
+                                                                    len(i))
+    dense.flat[::7] = 0.0
+    return dense
+
+
+def three_band(entries):
+    """6x6 with the given slots of the main, super- and first sub-diagonal
+    filled: three diagonals, so DIA reads 8 * 3 * 6 = 144 bytes."""
+    dense = np.zeros((6, 6))
+    rows, cols = zip(*entries)
+    dense[rows, cols] = np.arange(1.0, len(entries) + 1)
+    return CsrMatrix.from_dense(dense)
+
+
+def empty_row_and_column():
+    dense = banded(30, 30, (-1, 0, 1))
+    dense[3, :] = 0.0
+    dense[:, 5] = 0.0
+    return CsrMatrix.from_dense(dense)
+
+
+AT_RULE = [(i, i) for i in range(6)] + [(i, i + 1) for i in range(5)] + [(1, 0)]
+
+# name -> (operator, the kernel its layout picks)
+OPERATORS = {
+    # grid-row ends leave zeros in the +-1 diagonals
+    "convdiff 7x5": (lambda: gen_convdiff2d(7, 5).A, DIA),
+    "convdiff 60x60": (lambda: gen_convdiff2d(60, 60).A, DIA),
+    "poisson-lshape m9": (lambda: gen_poisson_lshape(9).A, DIA),  # d = 7
+    "poisson-lshape m5": (lambda: gen_poisson_lshape(5).A, CSR),  # d = 7
+    "tridiag-unsym 6": (lambda: gen_tridiag_unsym(6).A, DIA),
+    "identity 5": (lambda: CsrMatrix.identity(5), DIA),
+    # roap2 takes rectangular A: both shapes of one band
+    "banded 40x44": (lambda: CsrMatrix.from_dense(banded(40, 44, range(-3, 4))),
+                     DIA),
+    "banded 44x40": (lambda: CsrMatrix.from_dense(
+        banded(40, 44, range(-3, 4)).T), DIA),
+    "banded, empty row and column": (empty_row_and_column, DIA),
+    "4x5, empty trailing row and column": (lambda: CsrMatrix(
+        4, 5, [0, 2, 2, 4, 4], [0, 2, 1, 3], [1.0, 2.0, 3.0, 4.0]), CSR),
+    "scattered 7x11": (lambda: CsrMatrix.from_dense(
+        np.where(np.arange(77).reshape(7, 11) % 4 == 1,
+                 np.arange(77.0).reshape(7, 11), 0.0)), CSR),
+    "nnz 0, 3x4": (lambda: CsrMatrix(3, 4, [0, 0, 0, 0], [], []), DIA),
+    "nnz 0, 0x3": (lambda: CsrMatrix(0, 3, [0], [], []), DIA),
+    "nnz 0, 3x0": (lambda: CsrMatrix(3, 0, [0, 0, 0, 0], [], []), DIA),
+    # 12 entries on 3 diagonals: 144 = 12 * 12 bytes, DIA just within
+    "at the byte rule": (lambda: three_band(AT_RULE), DIA),
+    # one entry fewer: 144 > 12 * 11, DIA just past it
+    "one entry past the byte rule": (lambda: three_band(AT_RULE[1:]), CSR),
+}
+
+
+def build(name):
+    return OPERATORS[name][0]()
+
+
+def no_diagonals(monkeypatch):
+    """Every operator keeps the CSR layout."""
+    monkeypatch.setattr(CsrMatrix, "_diagonals", lambda self: None)
+
+
+def counted_diagonals(monkeypatch):
+    """A list that gains an entry each time a DIA layout is considered."""
+    built = []
+    diagonals = CsrMatrix._diagonals
+    monkeypatch.setattr(CsrMatrix, "_diagonals",
+                        lambda self: built.append(1) or diagonals(self))
+    return built
+
+
+def assert_same_args(got, want):
+    """The kernel read exactly these sizes and these stored arrays."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g is w if isinstance(w, np.ndarray) else g == w
+
+
 class TestScipyKernels:
-    """The products call scipy's compiled ``csr_matvec``, ``A' u`` on a
-    transpose built on first use; the NumPy ``bincount`` kernels in
-    conftest are their reference."""
+    """Each operator picks its product layout on the first A'u: DIA
+    arrays and ``dia_matvec`` for both products when they read no more
+    bytes than CSR, else ``csr_matvec`` and a CSR transpose.  The NumPy
+    ``bincount`` kernels in conftest are the reference of both."""
 
     @staticmethod
     def operators():
-        # the 4x5 operator has an empty trailing row and column
-        return [CsrMatrix(4, 5, [0, 2, 2, 4, 4], [0, 2, 1, 3],
-                          [1.0, 2.0, 3.0, 4.0]),
+        return [build("4x5, empty trailing row and column"),
                 gen_convdiff2d(19, 19).A, gen_convdiff2d(60, 60).A]
 
-    def test_bit_identical_to_bincount_kernels(self, rng):
-        for A in self.operators():
-            for _ in range(3):
-                v = rng.standard_normal(A.ncols)
-                u = rng.standard_normal(A.nrows)
-                assert A.apply(v).tobytes() == bincount_apply(A, v).tobytes()
-                assert (A.apply_transpose(u).tobytes()
-                        == bincount_apply_transpose(A, u).tobytes())
+    @pytest.mark.parametrize("layout", ["picked", "csr"])
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_bit_identical_to_bincount_kernels(self, rng, monkeypatch, name,
+                                               layout):
+        kernel = OPERATORS[name][1]
+        if layout == "csr":
+            no_diagonals(monkeypatch)
+            kernel = CSR
+        A = build(name)
+        for _ in range(3):
+            v = rng.standard_normal(A.ncols)
+            u = rng.standard_normal(A.nrows)
+            av = bincount_apply(A, v).tobytes()
+            assert A.apply(v).tobytes() == av  # CSR before the first A'u
+            assert (A.apply_transpose(u).tobytes()
+                    == bincount_apply_transpose(A, u).tobytes())
+            assert A.apply(v).tobytes() == av
+        assert (kernel_of(A._av), kernel_of(A._atu)) == (kernel, kernel)
 
     @pytest.mark.parametrize("layout", ["strided", "int", "list"])
     @pytest.mark.parametrize("product", ["apply", "apply_transpose"])
@@ -389,41 +499,100 @@ class TestScipyKernels:
             want = getattr(A, product)(np.array(x, dtype=np.float64))
             assert getattr(A, product)(given).tobytes() == want.tobytes()
 
-    def test_products_read_the_operator_arrays(self, kernels):
-        A = self.operators()[1]
+    @pytest.mark.parametrize("name", ["scattered 7x11", "convdiff 7x5",
+                                      "banded 40x44"])
+    def test_products_read_the_layout_arrays(self, kernels, name):
+        A = build(name)
+        csr = (A.nrows, A.ncols, A.row_offsets, A.col_indices, A.values)
         A.apply(np.ones(A.ncols))
         A.apply_transpose(np.ones(A.nrows))
-        (name, av), (name_t, atu) = [c for c in kernels.calls
-                                     if c[0] != "csr_tocsc"]
-        assert (name, name_t) == ("csr_matvec", "csr_matvec")
-        assert av[:2] == (A.nrows, A.ncols) and atu[:2] == (A.ncols, A.nrows)
-        # the arrays themselves, not copies
-        for got, want in zip(av[2:5], (A.row_offsets, A.col_indices, A.values)):
-            assert got is want
-        for got, want in zip(atu[2:5], A._transpose):
-            assert got is want
-
-    def test_construction_and_av_build_no_transpose(self):
-        A = self.operators()[0]
-        assert "_transpose" not in vars(A)
         A.apply(np.ones(A.ncols))
-        assert "_transpose" not in vars(A)
-        A.apply_transpose(np.ones(A.nrows))
-        assert "_transpose" in vars(A)
+        (n1, av1), (n2, atu), (n3, av2) = [c for c in kernels.calls
+                                          if c[0] != "csr_tocsc"]
+        kernel = OPERATORS[name][1]
+        assert (n1, n2, n3) == (CSR, kernel, kernel)
+        # the stored arrays themselves, not copies; x and y follow them
+        assert_same_args(av1[:5], csr)
+        assert_same_args(atu[:-2], A._atu[1])
+        assert_same_args(av2[:-2], A._av[1])
+        if kernel == CSR:
+            assert_same_args(av2[:-2], csr)
+            assert atu[:2] == (A.ncols, A.nrows)
+        else:
+            d = len(A._av[1][4])
+            assert av2[:4] == (A.nrows, A.ncols, d, A.ncols)
+            assert atu[:4] == (A.ncols, A.nrows, d, A.nrows)
 
-    def test_transpose_built_once_per_operator(self, kernels):
-        A = gen_convdiff2d(9, 10).A
+    @pytest.mark.parametrize("name", ["convdiff 7x5", "banded 40x44",
+                                      "banded 44x40", "poisson-lshape m9",
+                                      "banded, empty row and column"])
+    def test_dia_arrays_match_scipy(self, name):
+        A = build(name)
+        A._atu
+        for (_, args), B in ((A._av, A), (A._atu, None)):
+            offsets, data = args[4:6]
+            assert offsets.dtype == np.int32 and data.dtype == np.float64
+            assert not (offsets.flags.writeable or data.flags.writeable)
+            assert np.all(np.diff(offsets) > 0)
+            csr = scipy.sparse.csr_array(
+                (A.values, A.col_indices, A.row_offsets), shape=A.shape)
+            want = (csr if B is A else csr.T).todia()
+            assert offsets.tolist() == want.offsets.tolist()
+            width = want.data.shape[1]  # scipy's ends at the last column used
+            assert data[:, :width].tobytes() == want.data.tobytes()
+            assert not data[:, width:].any()
+            assert data.shape == (len(offsets), args[1])
+
+    @pytest.mark.parametrize("name", ["scattered 7x11", "convdiff 7x5"])
+    def test_construction_and_av_build_nothing(self, kernels, monkeypatch,
+                                               name):
+        built = counted_diagonals(monkeypatch)
+        A = build(name)
+        A.apply(np.ones(A.ncols))
+        assert [c[0] for c in kernels.calls] == [CSR]
+        assert "_atu" not in vars(A) and not built
+        A.apply_transpose(np.ones(A.nrows))
+        assert "_atu" in vars(A) and built == [1]
+
+    def test_generators_and_reader_build_nothing(self, tmp_path, monkeypatch):
+        built = counted_diagonals(monkeypatch)
+        problems = [gen_convdiff2d(5, 4, constructed=True),
+                    gen_tridiag_unsym(7), gen_poisson_lshape(4)]
+        write_matrix_market(tmp_path / "a.mtx", problems[0].A)
+        for A in [p.A for p in problems] + [
+                read_matrix_market(tmp_path / "a.mtx")]:
+            assert "_atu" not in vars(A) and kernel_of(A._av) == CSR
+        assert not built
+
+    @pytest.mark.parametrize("name", ["scattered 7x11", "convdiff 7x5"])
+    def test_layout_picked_once_per_operator(self, kernels, monkeypatch,
+                                             name):
+        built = counted_diagonals(monkeypatch)
+        A = build(name)
         for _ in range(3):
             A.apply(np.ones(A.ncols))
         for _ in range(2):
             A.apply_transpose(np.ones(A.nrows))
+        A.apply(np.ones(A.ncols))
         names = [name for name, _ in kernels.calls]
-        assert names.count("csr_tocsc") == 1
-        assert names.index("csr_tocsc") == 3  # on the first A'u
+        if OPERATORS[name][1] == CSR:  # the transpose on the first A'u
+            assert names == [CSR] * 3 + ["csr_tocsc"] + [CSR] * 3
+        else:
+            assert names == [CSR] * 3 + [DIA] * 3
+        assert built == [1]
 
-    def test_transpose_matches_scipy(self):
+    def test_wide_sparse_operator_counts_no_diagonals(self):
+        # one diagonal of 10**7 slots would read 8e7 bytes against CSR's
+        # 12, so the rule refuses before a count over 10**7 diagonals
+        A = CsrMatrix(1, 10**7, [0, 1], [10**7 - 1], [1.0])
+        assert A._diagonals() is None
+        assert traced_peak(A._diagonals) < 10**5
+
+    def test_transpose_matches_scipy(self, monkeypatch):
+        no_diagonals(monkeypatch)
         for A in self.operators() + [CsrMatrix(3, 4, [0, 0, 0, 0], [], [])]:
-            offsets, indices, values = A._transpose
+            _, (ncols, nrows, offsets, indices, values) = A._atu
+            assert (kernel_of(A._atu), ncols, nrows) == (CSR, A.ncols, A.nrows)
             for a, dtype in ((offsets, np.int32), (indices, np.int32),
                              (values, np.float64)):
                 assert a.dtype == dtype and not a.flags.writeable
@@ -435,6 +604,55 @@ class TestScipyKernels:
             assert offsets.tobytes() == want.indptr.astype(np.int32).tobytes()
             assert indices.tobytes() == want.indices.astype(np.int32).tobytes()
             assert values.tobytes() == want.data.tobytes()
+
+
+class TestOwnership:
+    """A caller's array stays the caller's; the library's own
+    constructors hand theirs over without a copy."""
+
+    @pytest.mark.parametrize("view", [False, True])
+    def test_dense_caller_array_stays_the_callers(self, view):
+        a = np.arange(12.0).reshape(4, 3)[1:] if view else np.eye(2)
+        want = a.copy()
+        D = DenseMatrix(a)
+        a[0, 0] = 3.0  # raised when the array itself was stored
+        assert D.values.tobytes() == want.tobytes()
+        assert a.flags.writeable and not D.values.flags.writeable
+
+    def test_adopted_arrays_are_stored_as_given(self):
+        vals = np.array([1.0, 2.0])
+        A = CsrMatrix._adopt(2, 2, [0, 1, 2], [0, 1], vals)
+        dense = np.eye(2)
+        D = DenseMatrix._adopt(dense)
+        assert A.values is vals and D.values is dense
+        assert not (vals.flags.writeable or dense.flags.writeable)
+
+    LIBRARY_PATHS = {
+        "gen_random_dense": lambda tmp: gen_random_dense(6, 1).A,
+        "stencil generator": lambda tmp: gen_convdiff2d(4, 3).A,
+        "from_coo shuffled": lambda tmp: CsrMatrix.from_coo(
+            3, 4, [2, 0, 0], [1, 3, 0], [3.0, 2.0, 1.0]),
+        "from_dense": lambda tmp: CsrMatrix.from_dense(np.eye(3)),
+        "identity": lambda tmp: CsrMatrix.identity(4),
+        "read coordinate": lambda tmp: read_matrix_market(tmp / "a.mtx"),
+        "read array": lambda tmp: read_matrix_market(tmp / "d.mtx"),
+    }
+
+    @pytest.mark.parametrize("path", LIBRARY_PATHS)
+    def test_library_paths_skip_the_copy(self, path, tmp_path, monkeypatch):
+        write_matrix_market(tmp_path / "a.mtx", gen_convdiff2d(4, 3).A)
+        write_matrix_market(tmp_path / "d.mtx", DenseMatrix(np.eye(3)))
+        copies = []
+        unshared = oaplib.linalg._unshared
+        monkeypatch.setattr(oaplib.linalg, "_unshared",
+                            lambda values: copies.append(1) or unshared(values))
+        A = self.LIBRARY_PATHS[path](tmp_path)
+        assert not A.values.flags.writeable
+        assert copies == []
+        # the public constructors still go through the copy
+        CsrMatrix.from_coo(2, 2, [0, 1], [0, 1], np.ones(2))
+        DenseMatrix(np.eye(2))
+        assert copies == [1, 1]
 
 
 def test_import_leaves_scipy_sparse_unloaded():

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from oaplib import (CsrMatrix, DenseMatrix, MatrixMarketError,
                     gen_convdiff2d, read_matrix_market, write_matrix_market)
 from oaplib import mmio
 
-from conftest import random_sparse
+from conftest import random_sparse, traced_peak
 
 
 def test_identity_roundtrip(tmp_path):
@@ -333,23 +331,6 @@ class TestChunkedWriters:
             self.assert_coordinate_bytes(tmp_path, A)
         for D in (np.zeros((0, 1)), np.zeros((0, 3)), np.zeros((3, 0))):
             self.assert_array_bytes(tmp_path, D)
-
-
-def traced_peak(fn, *args):
-    """The most memory tracemalloc saw allocated during ``fn(*args)``,
-    above what was allocated when it began.  Tracing that was already on
-    stays on."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
 
 
 class TestMemory:

@@ -13,8 +13,11 @@ the termination alone.  A change that moves only the report's counts
 (say, a solve that stops earlier on the same x) changes the first and
 keeps the second.  The last two lines are one digest over all lines and
 one over the second digests alone.  Compare them between two commits on
-one machine: ``norm2`` sums through BLAS, whose order may differ between
-CPU kernels.
+one machine and under the same ``OPENBLAS_NUM_THREADS``: ``norm2`` and
+the steps' dot products sum through BLAS ``ddot``, whose order may
+differ between CPU kernels, and OpenBLAS splits a ``ddot`` of more than
+10,000 entries across its threads and adds the partial sums, so the
+convdiff 200x200 solve (n = 40,000) also depends on the thread count.
 
     PYTHONPATH=src python tools/solve_digest.py
 """
