@@ -4,8 +4,9 @@ Library layout:
 
 * :mod:`oaplib.linalg`     - CSR/dense operators and vector primitives
 * :mod:`oaplib.mmio`       - Matrix Market interchange
-* :mod:`oaplib.reductions` - tridiagonal / bidiagonal reduction steps
-                             over a two-vector window (no stored basis)
+* :mod:`oaplib.reductions` - tridiagonal / bidiagonal reduction steps,
+                             plain functions of arrays and scalars
+                             (no stored basis)
 * :mod:`oaplib.solvers`    - projection cycles and restarted drivers
 * :mod:`oaplib.ap`         - block accumulated-projection baseline
 * :mod:`oaplib.problems`   - benchmark problem generators
@@ -28,8 +29,7 @@ from .mmio import read_matrix_market, write_matrix_market
 from .problems import (GeneratedProblem, ProblemSpec, gen_convdiff2d,
                        gen_poisson_lshape, gen_random_dense,
                        gen_tridiag_unsym, sample_solution)
-from .reductions import (KrylovState, StepOutcome, advance, bidiag_step,
-                         tridiag_step)
+from .reductions import bidiag_step, tridiag_step
 from .solvers import (CycleResult, SolveReport, c_update_bidiag,
                       c_update_tridiag, init_from_vector, oap_cycle_bidiag,
                       oap_cycle_tridiag, orthogonality_lost, roap_solve)
@@ -39,9 +39,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ApBlock", "ApState", "BlockPartition", "CsrMatrix", "CycleResult",
     "DenseMatrix", "DegenerateSeed", "DimensionMismatch", "EmptySubspace",
-    "GeneratedProblem", "KrylovState", "LinearOperator",
+    "GeneratedProblem", "LinearOperator",
     "MatrixMarketError", "NonFiniteVector", "NumericalOverflow", "OapError",
-    "ProblemSpec", "SolveReport", "StepOutcome", "advance", "ap_factor",
+    "ProblemSpec", "SolveReport", "ap_factor",
     "ap_init", "ap_solve", "ap_sweep", "as_vector", "backend_name",
     "bidiag_step", "c_update_bidiag", "c_update_tridiag", "dot",
     "gen_convdiff2d", "gen_poisson_lshape", "gen_random_dense",

@@ -45,25 +45,6 @@ def records_to_csv(records):
     return buf.getvalue()
 
 
-def read_records_csv(text):
-    """Parse records written by :func:`records_to_csv`."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    out = []
-    for row in reader:
-        if not row:
-            continue
-        out.append(RunRecord(
-            problem=row[0], n=int(row[1]), solver=row[2],
-            restarts=int(row[3]), inner_iters=int(row[4]),
-            relres=float(row[5]),
-            relerr=None if row[6] == "" else float(row[6]),
-            termination=row[7], time_ms=float(row[8])))
-    return out
-
-
 def records_to_markdown(records):
     """Pivot tables per problem family: n as rows, solvers as columns,
     one table for relative residuals and one for restart counts."""

@@ -3,10 +3,13 @@
 A single cycle seeds a unit direction v1 whose inner product c1 with
 the unknown solution is computable, then extends it with one of the
 short-recurrence engines while updating the coefficients c_k = x'v_k
-from right-hand-side inner products alone.  The angle between the
-running approximation and each new direction detects loss of
-orthogonality; ``roap_solve`` then restarts on the residual equation
-(with a budget of one cycle it is the unrestarted OAP method).
+from right-hand-side inner products alone.  The cycle keeps the
+engine's two-vector window, its trailing norms and the breakdown floor
+as plain locals and calls ``tridiag_step`` or ``bidiag_step`` once per
+step, so a step builds arrays but no state object.  The
+angle between the running approximation and each new direction detects
+loss of orthogonality; ``roap_solve`` then restarts on the residual
+equation (with a budget of one cycle it is the unrestarted OAP method).
 
 A cycle takes at most n - 1 steps.  With v1 these are n orthonormal
 directions, which span the whole space, so in exact arithmetic one
@@ -34,8 +37,7 @@ import numpy as np
 
 from .errors import DegenerateSeed, DimensionMismatch, NumericalOverflow
 from .linalg import as_vector, dot, norm2
-from .reductions import (BIDIAGONAL, TRIDIAGONAL, KrylovState, advance,
-                         bidiag_step, breakdown_floor, tridiag_step)
+from .reductions import bidiag_step, breakdown_floor, tridiag_step
 
 TOL_DEFAULT = 1e-6
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -181,8 +183,19 @@ def orthogonality_lost(x, v_next, threshold):
     return xn != 0.0 and abs(x.dot(v_next)) / xn > threshold
 
 
-def _cycle(A, rhs, krylov, c1):
-    """One projection cycle from the window ``krylov`` and seed c1 v1.
+def _check_seed(A, v1):
+    """v1 as a vector of A's column count and unit Euclidean norm."""
+    v1 = as_vector(v1, "v1")
+    if len(v1) != A.ncols:
+        raise DimensionMismatch(f"v1 has {len(v1)} entries, not {A.ncols}")
+    if abs(norm2(v1) - 1.0) > 1e-12:
+        raise ValueError("v1 must have unit Euclidean norm")
+    return v1
+
+
+def _cycle(A, rhs, v1, c1, two_sided):
+    """One projection cycle from the seed c1 v1, over the two-sided
+    engine (u1 = v1) or the bidiagonal one.
 
     Starts from x_1 = c1 v1 and keeps extending while the new direction
     stays orthogonal to the running approximation and neither recurrence
@@ -190,10 +203,13 @@ def _cycle(A, rhs, krylov, c1):
     directions, the whole space, and the cycle is "exhausted".
     "Orthogonal" is |cos| within ``orthogonality_threshold`` of the
     coefficients already in x, kept as the running sums of |c_j| and
-    c_j^2.  The engine
-    (``krylov.mode``) picks the step, which u enters b'u, the
-    coefficient update and which broken side stops the cycle before
-    accepting the step.  Returns the partial solution.
+    c_j^2.  The window ``v_prev, v, u_prev, u`` and the trailing norms
+    ``beta, gamma`` are locals; the breakdown floor is taken once.  A
+    step without v_{k+1} stops the cycle before accepting it.  The
+    two-sided coefficient update reads b'u_k from the window, the
+    bidiagonal one b'u_k from the step (the index offset of
+    ``oaplib.reductions``); a two-sided step without u_{k+1} stops the
+    cycle after its update.  Returns the partial solution.
 
     The cycle also tracks the residual rhs - A x_k from the A v_k
     products the steps already computed (each one step late: A x_k
@@ -202,10 +218,12 @@ def _cycle(A, rhs, krylov, c1):
     with the smallest residual, the zero vector if none beat it.
     """
     rhs = _as_rhs(A, rhs, "rhs")
-    two_sided = krylov.mode == TRIDIAGONAL
-    step = tridiag_step if two_sided else bidiag_step
+    floor = breakdown_floor(A)
+    v_prev = u_prev = None
+    v, u = v1, (v1 if two_sided else None)
+    beta = gamma = 0.0
 
-    x = c1 * krylov.v_curr
+    x = c1 * v1
     cv = np.empty_like(x)  # c v for each accepted step
     c_prev, c_curr = 0.0, c1
     c_abs, c_sq = abs(c1), c1 * c1
@@ -217,56 +235,61 @@ def _cycle(A, rhs, krylov, c1):
     best_x, best_res = np.zeros_like(x), scale
     cause = "exhausted"
     for k in range(1, max(A.ncols - 1, 1) + 1):  # >= 1 step, so k is bound
-        out = step(A, krylov)
-        np.add(ax, np.multiply(out.av, c_curr, out=res), out=ax)  # A x_k
+        if two_sided:
+            av, alpha, beta_k, gamma_k, next_v, next_u = tridiag_step(
+                A, k, floor, v_prev, v, u_prev, u, beta, gamma)
+        else:  # u holds u_{k-1}; the step returns u_k
+            av, alpha, beta_k, gamma_k, next_v, next_u = bidiag_step(
+                A, k, floor, v, u, beta)
+        np.add(ax, np.multiply(av, c_curr, out=res), out=ax)  # A x_k
         np.subtract(rhs, ax, out=res)
         res_norm = math.sqrt(res.dot(res))
         if res_norm < best_res:
             best_x, best_res = x, res_norm
         if res_norm > DIVERGENCE_FACTOR * scale:
             return CycleResult(best_x, k, "divergence")
-        # no v_{k+1} (or, bidiagonal, no u_k): nothing left to accumulate
-        if out.v_broken or (not two_sided and out.u_broken):
+        # no v_{k+1} (a bidiagonal step without u_k has none either):
+        # nothing left to accumulate
+        if next_v is None:
             cause = "breakdown"
             break
         if two_sided:
-            c_next = c_update_tridiag(rhs.dot(krylov.u_curr), out.alpha,
-                                      out.beta, krylov.gamma_prev,
+            c_next = c_update_tridiag(rhs.dot(u), alpha, beta_k, gamma,
                                       c_curr, c_prev)
-        else:  # u_k carries the step's own index
-            c_next = c_update_bidiag(rhs.dot(out.next_u), out.alpha,
-                                     out.beta, c_curr)
+        else:
+            c_next = c_update_bidiag(rhs.dot(next_u), alpha, beta_k, c_curr)
         if not math.isfinite(c_next):
             raise NumericalOverflow(f"non-finite coefficient at step {k}", step=k)
-        if orthogonality_lost(x, out.next_v,
-                              orthogonality_threshold(c_abs, c_sq)):
+        if orthogonality_lost(x, next_v, orthogonality_threshold(c_abs, c_sq)):
             cause = "orthogonality"
             break
         # a new x, not x += ...: best_x may hold the old one
-        x = x + np.multiply(out.next_v, c_next, out=cv)
+        x = x + np.multiply(next_v, c_next, out=cv)
         c_prev, c_curr = c_curr, c_next
         c_abs += abs(c_next)
         c_sq += c_next * c_next
-        if out.u_broken:  # two-sided: u side exhausted; update stands
+        if next_u is None:  # two-sided: u side exhausted; update stands
             cause = "breakdown"
             break
-        krylov = advance(krylov, out)
+        v_prev, v, u_prev, u = v, next_v, u, next_u
+        beta, gamma = beta_k, gamma_k
     return CycleResult(x, k, cause)
 
 
 def oap_cycle_tridiag(A, rhs, v1, c1):
     """One projection cycle over the two-sided engine (u1 = v1), from
-    x_1 = c1 v1; ``CycleResult.stop_cause`` says why it stopped.  u1 = v1
-    gives u and v one length, so A must be square."""
+    x_1 = c1 v1, for a unit v1 of A's column count;
+    ``CycleResult.stop_cause`` says why it stopped.  u1 = v1 gives u and
+    v one length, so A must be square."""
     if A.nrows != A.ncols:
         raise DimensionMismatch(f"the two-sided engine needs a square "
                                 f"operator, A is {A.nrows}x{A.ncols}")
-    return _cycle(A, rhs, KrylovState.start(TRIDIAGONAL, v1, v1), c1)
+    return _cycle(A, rhs, _check_seed(A, v1), c1, True)
 
 
 def oap_cycle_bidiag(A, rhs, v1, c1):
     """One projection cycle over the bidiagonal engine (no u1 needed)."""
-    return _cycle(A, rhs, KrylovState.start(BIDIAGONAL, v1), c1)
+    return _cycle(A, rhs, _check_seed(A, v1), c1, False)
 
 
 def roap_solve(A, b, variant="roap2", tol=TOL_DEFAULT, max_restarts=None):

@@ -7,18 +7,21 @@ arrays, projections with normal equations, so agreement is meaningful.
 package's steps, keeping the full bases the library never stores, and
 ``exact_cycle`` its coefficient updates over re-projected bases, so
 tests can check those updates with orthogonality taken out of the
-picture.
+picture.  ``read_records_csv`` parses the CLI's CSV back into records.
 """
 
+import csv
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oaplib.reductions as reductions
-from oaplib import (CsrMatrix, DenseMatrix, KrylovState, StepOutcome,
-                    advance, c_update_bidiag, c_update_tridiag, dot, norm2)
-from oaplib.reductions import TRIDIAGONAL, breakdown_floor
+from oaplib import (CsrMatrix, DenseMatrix, c_update_bidiag, c_update_tridiag,
+                    dot, norm2)
+from oaplib.reductions import breakdown_floor
+from oaplib.reporting import CSV_COLUMNS, RunRecord
 
 
 def random_wellcond(rng, n, cond=100.0):
@@ -113,34 +116,71 @@ def oracle_golub_kahan(A, v1, steps):
 def _reproject(A, unit, norm, cols):
     """A step's new unit vector re-projected once against ``cols``
     (classical Gram-Schmidt), and the step's norm rescaled by the length
-    it kept (0 for a broken side's zero vector); returns
-    ``(vector, norm, broken)``.
+    it kept; returns ``(vector, norm)``, the vector None when the
+    rescaled norm is at or below the floor.  A broken side (``unit``
+    None) passes through.
 
     One pass suffices: the recurrence has already orthogonalized the new
     vector against its neighbours, so the projection removes only
     rounding-sized components, and a second pass leaves the Gram defect
     where one pass left it.
     """
+    if unit is None:
+        return None, norm
     kept = 1.0
     if cols:
         basis = np.column_stack(cols)
         unit = unit - basis @ (basis.T @ unit)
         kept = norm2(unit)
     norm *= kept
-    if norm <= breakdown_floor(A):
-        return np.zeros_like(unit), norm, True
-    return unit / kept, norm, False
+    return (None if norm <= breakdown_floor(A) else unit / kept), norm
 
 
-def full_reduction(A, state, steps, reorthogonalize=False):
-    """Up to ``steps`` of the library's reduction from the ``KrylovState``
-    ``state``, keeping the full bases.
+def window_step(A, k, floor, window, two_sided, step=None):
+    """Step k of the library's two-sided or bidiagonal reduction (or
+    ``step``, which takes the same arguments) on ``window`` =
+    ``(v_prev, v, u_prev, u, beta_prev, gamma_prev)``, the cycle's
+    locals: the two-sided step reads all of it, the bidiagonal step v, u
+    (u_{k-1}) and beta_prev.  The library step is looked up on
+    ``oaplib.reductions`` at each call, so a test that patches it there
+    drives it."""
+    v_prev, v, u_prev, u, beta, gamma = window
+    if two_sided:
+        return (step or reductions.tridiag_step)(A, k, floor, v_prev, v,
+                                                 u_prev, u, beta, gamma)
+    return (step or reductions.bidiag_step)(A, k, floor, v, u, beta)
 
-    The step is looked up on ``oaplib.reductions`` when the run starts,
-    so a test that patches ``reductions.tridiag_step`` or ``bidiag_step``
-    drives it.  ``reorthogonalize`` re-projects each step's new vectors
-    once against the stored bases and rescales the step's norms; the
-    breakdown rule applies to the rescaled norms.
+
+def reduction_steps(A, v1, u1, steps, adjust=None):
+    """Up to ``steps`` of the library's reduction from the unit v1, over
+    the two-sided engine from u1 or, when u1 is None, the bidiagonal
+    one, with the window rolled as the cycle rolls it.
+
+    Yields ``(k, window, out)``: the window step k read and its tuple
+    ``(av, alpha, beta, gamma, next_v, next_u)``, passed through
+    ``adjust`` first when one is given.  Stops after the first step that
+    returns None for a next vector.
+    """
+    two_sided = u1 is not None
+    floor = breakdown_floor(A)
+    window = (None, v1, None, u1, 0.0, 0.0)
+    for k in range(1, steps + 1):
+        out = window_step(A, k, floor, window, two_sided)
+        if adjust is not None:
+            out = adjust(out)
+        yield k, window, out
+        _, _, beta, gamma, next_v, next_u = out
+        if next_v is None or next_u is None:
+            return
+        window = (window[1], next_v, window[3], next_u, beta, gamma)
+
+
+def full_reduction(A, v1, u1, steps, reorthogonalize=False):
+    """Up to ``steps`` of ``reduction_steps`` (two-sided from u1, or
+    bidiagonal when u1 is None), keeping the full bases.
+    ``reorthogonalize`` re-projects each step's new vectors once against
+    the stored bases and rescales the step's norms; the breakdown rule
+    applies to the rescaled norms.
 
     Returns ``(alphas, betas, gammas, V, U, breakdown_step)``: the bands
     of the reduced matrix (``gammas`` empty when bidiagonal), the bases
@@ -149,32 +189,31 @@ def full_reduction(A, state, steps, reorthogonalize=False):
     broke down, None if every step completed.  A breaking step still
     contributes the side it produced.
     """
-    two_sided = state.mode == TRIDIAGONAL
-    step = reductions.tridiag_step if two_sided else reductions.bidiag_step
-    v_cols = [state.v_curr]
-    u_cols = [state.u_curr] if two_sided else []
+    two_sided = u1 is not None
+    v_cols = [v1]
+    u_cols = [u1] if two_sided else []
+
+    def reproject(out):
+        av, alpha, beta, gamma, next_v, next_u = out
+        u_norm = gamma if two_sided else alpha
+        next_u, u_norm = _reproject(A, next_u, u_norm, u_cols)
+        next_v, beta = _reproject(A, next_v, beta, v_cols)
+        alpha, gamma = (alpha, u_norm) if two_sided else (u_norm, gamma)
+        return av, alpha, beta, gamma, next_v, next_u
+
     alphas, betas, gammas = [], [], []
     breakdown_step = None
-    for _ in range(steps):
-        out = step(A, state)
-        if reorthogonalize:
-            u_norm = out.gamma if two_sided else out.alpha
-            next_u, u_norm, u_broken = _reproject(A, out.next_u, u_norm, u_cols)
-            next_v, beta, v_broken = _reproject(A, out.next_v, out.beta, v_cols)
-            alpha, gamma = (out.alpha, u_norm) if two_sided else (u_norm, 0.0)
-            out = StepOutcome(next_v, next_u, alpha, beta, gamma, u_broken,
-                              v_broken, out.av)
-        alphas.append(out.alpha)
-        betas.append(out.beta)
-        gammas.append(out.gamma)
-        if not out.u_broken:
-            u_cols.append(out.next_u)
-        if not out.v_broken:
-            v_cols.append(out.next_v)
-        if out.u_broken or out.v_broken:
-            breakdown_step = state.k
-            break
-        state = advance(state, out)
+    for k, _, (_, alpha, beta, gamma, next_v, next_u) in reduction_steps(
+            A, v1, u1, steps, reproject if reorthogonalize else None):
+        alphas.append(alpha)
+        betas.append(beta)
+        gammas.append(gamma)
+        if next_u is not None:
+            u_cols.append(next_u)
+        if next_v is not None:
+            v_cols.append(next_v)
+        if next_u is None or next_v is None:
+            breakdown_step = k
     U = np.column_stack(u_cols) if u_cols else np.zeros((A.nrows, 0))
     return (np.array(alphas), np.array(betas),
             np.array(gammas if two_sided else []), np.column_stack(v_cols),
@@ -191,12 +230,12 @@ def exact_cycle(A, rhs, v1, c1, steps, engine):
     of V[:, k], one per basis vector the reduction produced, and the
     bands are the reduction's.
     """
-    state = KrylovState.start(engine, v1, v1.copy())
-    alphas, betas, gammas, V, U, _ = full_reduction(A, state, steps,
-                                                    reorthogonalize=True)
+    two_sided = engine == "tridiagonal"
+    alphas, betas, gammas, V, U, _ = full_reduction(
+        A, v1, v1.copy() if two_sided else None, steps, reorthogonalize=True)
     cs, c_prev = [c1], 0.0
     for k in range(V.shape[1] - 1):
-        if engine == TRIDIAGONAL:
+        if two_sided:
             g_prev = 0.0 if k == 0 else gammas[k - 1]
             cs.append(c_update_tridiag(dot(rhs, U[:, k]), alphas[k],
                                        betas[k], g_prev, cs[-1], c_prev))
@@ -205,6 +244,25 @@ def exact_cycle(A, rhs, v1, c1, steps, engine):
                                       betas[k], cs[-1]))
         c_prev = cs[-2]
     return np.array(cs), V, alphas, betas, gammas
+
+
+def read_records_csv(text):
+    """Parse records written by ``oaplib.reporting.records_to_csv``."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if tuple(header) != CSV_COLUMNS:
+        raise ValueError(f"unexpected CSV header {header!r}")
+    out = []
+    for row in reader:
+        if not row:
+            continue
+        out.append(RunRecord(
+            problem=row[0], n=int(row[1]), solver=row[2],
+            restarts=int(row[3]), inner_iters=int(row[4]),
+            relres=float(row[5]),
+            relerr=None if row[6] == "" else float(row[6]),
+            termination=row[7], time_ms=float(row[8])))
+    return out
 
 
 def bincount_apply(A, v):

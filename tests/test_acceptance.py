@@ -25,8 +25,8 @@ import numpy as np
 import pytest
 
 import oaplib.solvers
-from oaplib import (DenseMatrix, KrylovState, ap_factor, ap_init, ap_sweep,
-                    BlockPartition, dot, gen_convdiff2d, gen_poisson_lshape,
+from oaplib import (DenseMatrix, ap_factor, ap_init, ap_sweep, BlockPartition,
+                    dot, gen_convdiff2d, gen_poisson_lshape,
                     gen_random_dense, gen_tridiag_unsym, init_from_vector,
                     norm2, project_onto, roap_solve)
 
@@ -63,12 +63,10 @@ def reduction_instances():
         dense = random_wellcond(rng, 20, cond)
         A = DenseMatrix(dense)
         v1, u1 = unit(rng, 20), unit(rng, 20)
-        tri, bi = (KrylovState.start("tridiagonal", v1, u1),
-                   KrylovState.start("bidiagonal", v1))
-        tri_orth = full_reduction(A, tri, 19, reorthogonalize=True)
-        bi_orth = full_reduction(A, bi, 19, reorthogonalize=True)
-        tri_raw = full_reduction(A, tri, 5)
-        bi_raw = full_reduction(A, bi, 5)
+        tri_orth = full_reduction(A, v1, u1, 19, reorthogonalize=True)
+        bi_orth = full_reduction(A, v1, None, 19, reorthogonalize=True)
+        tri_raw = full_reduction(A, v1, u1, 5)
+        bi_raw = full_reduction(A, v1, None, 5)
         out.append((trial, dense, tri_orth, bi_orth, tri_raw, bi_raw))
     return out, time.perf_counter() - t0
 

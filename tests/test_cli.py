@@ -6,7 +6,8 @@ from oaplib import (CsrMatrix, gen_convdiff2d, init_from_vector, norm2,
                     roap_solve, write_matrix_market)
 from oaplib.cli import SOLVERS, main, run_case
 from oaplib.problems import ProblemSpec
-from oaplib.reporting import read_records_csv
+
+from conftest import read_records_csv
 
 
 # solve and bench up to their solver flag

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 import oaplib.reductions as reductions
-from oaplib import (CsrMatrix, DenseMatrix, KrylovState, NumericalOverflow,
-                    advance, bidiag_step, gen_convdiff2d, tridiag_step)
-from oaplib.reductions import (BIDIAGONAL, TRIDIAGONAL, StepOutcome,
-                               breakdown_floor)
+from oaplib import (CsrMatrix, DenseMatrix, NumericalOverflow, bidiag_step,
+                    gen_convdiff2d, tridiag_step)
+from oaplib.reductions import breakdown_floor
 
 from conftest import (full_reduction, gram_defect, oracle_golub_kahan,
-                      oracle_two_sided, random_wellcond)
+                      oracle_two_sided, random_wellcond, reduction_steps,
+                      window_step)
 
 
 def e(i, n):
@@ -20,107 +20,107 @@ def e(i, n):
 class TestTridiagStep:
     def test_identity_breaks_down_immediately(self):
         A = CsrMatrix.identity(3)
-        s = KrylovState.start("tridiagonal", e(0, 3), e(0, 3))
-        out = tridiag_step(A, s)
-        assert out.alpha == 1.0
-        assert out.gamma == 0.0
-        assert out.beta == 0.0
-        assert out.u_broken and out.v_broken
-        assert not out.next_u.any()
+        av, alpha, beta, gamma, next_v, next_u = tridiag_step(
+            A, 1, breakdown_floor(A), None, e(0, 3), None, e(0, 3), 0.0, 0.0)
+        assert alpha == 1.0
+        assert gamma == 0.0
+        assert beta == 0.0
+        assert next_u is None and next_v is None
+        np.testing.assert_array_equal(av, e(0, 3))
 
     def test_swap_matrix_against_oracle(self):
         A = DenseMatrix([[0.0, 1.0], [1.0, 0.0]])
-        s = KrylovState.start("tridiagonal", e(0, 2), e(0, 2))
-        out = tridiag_step(A, s)
-        assert out.alpha == 0.0
-        assert out.gamma == 1.0
-        assert out.beta == 1.0
-        np.testing.assert_array_equal(out.next_u, e(1, 2))
-        np.testing.assert_array_equal(out.next_v, e(1, 2))
+        _, alpha, beta, gamma, next_v, next_u = tridiag_step(
+            A, 1, breakdown_floor(A), None, e(0, 2), None, e(0, 2), 0.0, 0.0)
+        assert alpha == 0.0
+        assert gamma == 1.0
+        assert beta == 1.0
+        np.testing.assert_array_equal(next_u, e(1, 2))
+        np.testing.assert_array_equal(next_v, e(1, 2))
         alphas, betas, gammas, V, U = oracle_two_sided(
             A.to_dense(), e(0, 2), e(0, 2), 1)
-        assert alphas[0] == out.alpha
-        assert gammas[0] == pytest.approx(out.gamma, abs=1e-15)
-        assert betas[0] == pytest.approx(out.beta, abs=1e-15)
+        assert alphas[0] == alpha
+        assert gammas[0] == pytest.approx(gamma, abs=1e-15)
+        assert betas[0] == pytest.approx(beta, abs=1e-15)
 
     def test_symmetric_start_collapses_sides(self, rng):
         M = rng.standard_normal((10, 10))
         A = DenseMatrix(M + M.T)
         v1 = rng.standard_normal(10)
         v1 /= np.linalg.norm(v1)
-        s = KrylovState.start("tridiagonal", v1, v1.copy())
-        for _ in range(9):
-            out = tridiag_step(A, s)
-            if out.u_broken or out.v_broken:
+        for _, _, (_, _, beta, gamma, next_v, next_u) in reduction_steps(
+                A, v1, v1.copy(), 9):
+            if next_u is None or next_v is None:
                 break
-            assert np.linalg.norm(out.next_u - out.next_v) <= 1e-10
-            assert out.gamma == pytest.approx(out.beta, rel=1e-12)
-            s = advance(s, out)
+            assert np.linalg.norm(next_u - next_v) <= 1e-10
+            assert gamma == pytest.approx(beta, rel=1e-12)
 
     def test_overflow_raises_with_step_index(self, rng):
         A = DenseMatrix(rng.standard_normal((4, 4)) * 1e307)
         v1 = e(0, 4)
-        s = KrylovState.start("tridiagonal", v1, v1.copy())
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(NumericalOverflow) as err:
-                for _ in range(3):
-                    out = tridiag_step(A, s)
-                    if out.u_broken or out.v_broken:
-                        break
-                    s = advance(s, out)
+                for _ in reduction_steps(A, v1, v1.copy(), 3):
+                    pass
         assert err.value.step is not None
 
 
 class TestBidiagStep:
     def test_identity_v_side_breakdown(self):
         A = CsrMatrix.identity(2)
-        s = KrylovState.start("bidiagonal", e(0, 2))
-        out = bidiag_step(A, s)
-        assert out.alpha == 1.0
-        np.testing.assert_array_equal(out.next_u, e(0, 2))
-        assert out.beta == 0.0
-        assert out.v_broken and not out.u_broken
+        _, alpha, beta, _, next_v, next_u = bidiag_step(
+            A, 1, breakdown_floor(A), e(0, 2), None, 0.0)
+        assert alpha == 1.0
+        np.testing.assert_array_equal(next_u, e(0, 2))
+        assert beta == 0.0
+        assert next_v is None
+
+    def test_u_side_breakdown_returns_before_the_transpose_product(
+            self, monkeypatch):
+        # v_1 in the null space of A: A v_1 = 0, so there is no u_1, and
+        # without u_1 no A'u_1 and no v_2
+        A = DenseMatrix(np.diag([1.0, 0.0]))
+        transposes = []
+        monkeypatch.setattr(A, "apply_transpose", transposes.append)
+        av, alpha, beta, gamma, next_v, next_u = bidiag_step(
+            A, 1, breakdown_floor(A), e(1, 2), None, 0.0)
+        assert transposes == []
+        assert alpha == beta == gamma == 0.0
+        assert next_v is None and next_u is None
+        np.testing.assert_array_equal(av, np.zeros(2))
 
     def test_upper_triangular_example_against_oracle(self):
         A = DenseMatrix([[1.0, 1.0], [0.0, 1.0]])
-        s = KrylovState.start("bidiagonal", e(0, 2))
-        out = bidiag_step(A, s)
-        assert out.alpha == 1.0
-        np.testing.assert_array_equal(out.next_u, e(0, 2))
-        assert out.beta == 1.0
-        np.testing.assert_array_equal(out.next_v, e(1, 2))
+        _, alpha, beta, _, next_v, next_u = bidiag_step(
+            A, 1, breakdown_floor(A), e(0, 2), None, 0.0)
+        assert alpha == 1.0
+        np.testing.assert_array_equal(next_u, e(0, 2))
+        assert beta == 1.0
+        np.testing.assert_array_equal(next_v, e(1, 2))
         alphas, betas, V, U = oracle_golub_kahan(A.to_dense(), e(0, 2), 1)
-        assert alphas[0] == out.alpha
-        assert betas[0] == pytest.approx(out.beta, abs=1e-15)
+        assert alphas[0] == alpha
+        assert betas[0] == pytest.approx(beta, abs=1e-15)
 
     def test_reduced_block_is_upper_bidiagonal(self, rng):
         dense = random_wellcond(rng, 12, cond=10.0)
         A = DenseMatrix(dense)
         v1 = rng.standard_normal(12)
         v1 /= np.linalg.norm(v1)
-        s = KrylovState.start("bidiagonal", v1)
-        U, V = [], [v1]
-        for _ in range(6):
-            out = bidiag_step(A, s)
-            assert not (out.u_broken or out.v_broken)
-            U.append(out.next_u)
-            V.append(out.next_v)
-            s = advance(s, out)
-        Um = np.column_stack(U)          # u_1..u_6
-        Vm = np.column_stack(V[:6])      # v_1..v_6
+        *_, V, U, broke = full_reduction(A, v1, None, 6)
+        assert broke is None
+        Um = U                  # u_1..u_6
+        Vm = V[:, :6]           # v_1..v_6
         T = Um.T @ dense @ Vm
         off = T - np.triu(np.tril(T, 1))  # outside diagonal+superdiagonal
         assert np.max(np.abs(off)) <= 1e-10
 
 
 def two_sided(A, v1, u1, steps, reorthogonalize=False):
-    return full_reduction(A, KrylovState.start(TRIDIAGONAL, v1, u1), steps,
-                          reorthogonalize)
+    return full_reduction(A, v1, u1, steps, reorthogonalize)
 
 
 def bidiagonal(A, v1, steps, reorthogonalize=False):
-    return full_reduction(A, KrylovState.start(BIDIAGONAL, v1), steps,
-                          reorthogonalize)
+    return full_reduction(A, v1, None, steps, reorthogonalize)
 
 
 class TestTwoSidedFullBasis:
@@ -241,15 +241,15 @@ class TestRecurrenceInvariants:
         v1 /= np.linalg.norm(v1)
         u1 = rng.standard_normal(25)
         u1 /= np.linalg.norm(u1)
-        s = KrylovState.start("tridiagonal", v1, u1)
-        for _ in range(20):
-            out = tridiag_step(A, s)
-            if out.u_broken or out.v_broken:
+        for k, window, out in reduction_steps(A, v1, u1, 20):
+            _, v, u_prev, u, beta_prev, _ = window
+            _, alpha, _, gamma, next_v, next_u = out
+            if next_u is None or next_v is None:
                 break
-            resid = (A.apply(s.v_curr) - out.gamma * out.next_u
-                     - out.alpha * s.u_curr - s.beta_prev * s.u_prev)
+            resid = A.apply(v) - gamma * next_u - alpha * u
+            if k > 1:
+                resid -= beta_prev * u_prev
             assert np.linalg.norm(resid) <= bound
-            s = advance(s, out)
 
     def test_bidiagonal_step_residual(self, rng):
         dense = random_wellcond(rng, 25)
@@ -257,15 +257,15 @@ class TestRecurrenceInvariants:
         bound = 1e-12 * A.frobenius_norm()
         v1 = rng.standard_normal(25)
         v1 /= np.linalg.norm(v1)
-        s = KrylovState.start("bidiagonal", v1)
-        for _ in range(20):
-            out = bidiag_step(A, s)
-            if out.u_broken or out.v_broken:
+        for k, window, out in reduction_steps(A, v1, None, 20):
+            _, v, _, u_prev, beta_prev, _ = window
+            _, alpha, _, _, next_v, u = out
+            if u is None or next_v is None:
                 break
-            resid = (A.apply(s.v_curr) - out.alpha * out.next_u
-                     - s.beta_prev * s.u_curr)
+            resid = A.apply(v) - alpha * u
+            if k > 1:
+                resid -= beta_prev * u_prev
             assert np.linalg.norm(resid) <= bound
-            s = advance(s, out)
 
     @pytest.mark.parametrize("n", [10, 20, 30])
     def test_reorthogonalized_gram_bound_small_sizes(self, rng, n):
@@ -300,58 +300,44 @@ class TestRecurrenceInvariants:
         assert np.max(np.abs(V - U)) <= 1e-10
 
 
-class TestStateValidation:
-    def test_non_unit_start_rejected(self):
-        with pytest.raises(ValueError):
-            KrylovState.start("tridiagonal", np.array([1.0, 1.0]),
-                              np.array([1.0, 0.0]))
-
-    def test_tridiagonal_needs_u1(self):
-        with pytest.raises(ValueError):
-            KrylovState.start("tridiagonal", np.array([1.0, 0.0]))
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            KrylovState.start("diagonal", np.array([1.0, 0.0]))
-
-
-def fresh_tridiag_step(A, s):
+def fresh_tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev,
+                       gamma_prev):
     """``tridiag_step`` with a new array for every intermediate result
     (overflow checks left out)."""
-    floor = breakdown_floor(A)
-    av = A.apply(s.v_curr)
-    alpha = float(np.dot(s.u_curr, av))
-    w = av - alpha * s.u_curr
-    if s.beta_prev != 0.0:
-        w = w - s.beta_prev * s.u_prev
+    av = A.apply(v)
+    alpha = float(np.dot(u, av))
+    w = av - alpha * u
+    if beta_prev != 0.0:
+        w = w - beta_prev * u_prev
     gamma = float(np.linalg.norm(w))
-    next_u = np.zeros_like(w) if gamma <= floor else w / gamma
-    q = A.apply_transpose(s.u_curr) - alpha * s.v_curr
-    if s.gamma_prev != 0.0:
-        q = q - s.gamma_prev * s.v_prev
+    next_u = None if gamma <= floor else w / gamma
+    q = A.apply_transpose(u) - alpha * v
+    if gamma_prev != 0.0:
+        q = q - gamma_prev * v_prev
     beta = float(np.linalg.norm(q))
-    next_v = np.zeros_like(q) if beta <= floor else q / beta
-    return StepOutcome(next_v, next_u, alpha, beta, gamma, gamma <= floor,
-                       beta <= floor, av)
+    next_v = None if beta <= floor else q / beta
+    return av, alpha, beta, gamma, next_v, next_u
 
 
-def fresh_bidiag_step(A, s):
+def fresh_bidiag_step(A, k, floor, v, u_prev, beta_prev):
     """``bidiag_step`` with a new array for every intermediate result."""
-    floor = breakdown_floor(A)
-    av = A.apply(s.v_curr)
-    w = av if s.beta_prev == 0.0 else av - s.beta_prev * s.u_curr
+    av = A.apply(v)
+    w = av if beta_prev == 0.0 else av - beta_prev * u_prev
     alpha = float(np.linalg.norm(w))
-    u_k = np.zeros_like(w) if alpha <= floor else w / alpha
-    q = A.apply_transpose(u_k) - alpha * s.v_curr
+    if alpha <= floor:
+        return av, alpha, 0.0, 0.0, None, None
+    u = w / alpha
+    q = A.apply_transpose(u) - alpha * v
     beta = float(np.linalg.norm(q))
-    next_v = np.zeros_like(q) if beta <= floor else q / beta
-    return StepOutcome(next_v, u_k, alpha, beta, 0.0, alpha <= floor,
-                       beta <= floor, av)
+    next_v = None if beta <= floor else q / beta
+    return av, alpha, beta, 0.0, next_v, u
 
 
-STEPS = {TRIDIAGONAL: (tridiag_step, fresh_tridiag_step),
-         BIDIAGONAL: (bidiag_step, fresh_bidiag_step)}
-WINDOW = ("v_prev", "v_curr", "u_prev", "u_curr")
+# keyed by two_sided
+STEPS = {True: (tridiag_step, fresh_tridiag_step),
+         False: (bidiag_step, fresh_bidiag_step)}
+ENGINES = pytest.mark.parametrize("two_sided", [True, False],
+                                  ids=["tridiagonal", "bidiagonal"])
 
 
 class TestInPlaceSteps:
@@ -368,30 +354,34 @@ class TestInPlaceSteps:
         v = rng.standard_normal(n)
         return v / np.linalg.norm(v)
 
-    @pytest.mark.parametrize("mode", [TRIDIAGONAL, BIDIAGONAL])
-    def test_step_writes_into_no_input_and_rounds_as_fresh(self, rng, mode):
-        step, fresh = STEPS[mode]
+    @ENGINES
+    def test_step_writes_into_no_input_and_rounds_as_fresh(self, rng,
+                                                           two_sided):
+        step, fresh = STEPS[two_sided]
         for A in self.operators(rng):
+            floor = breakdown_floor(A)
             v1 = self.unit(rng, A.ncols)
-            s = KrylovState.start(mode, v1, v1)
-            for k in range(1, 6):  # step 1 has no beta_prev or gamma_prev
-                saved = {name: getattr(s, name).copy() for name in WINDOW}
-                av = A.apply(s.v_curr)
-                out = step(A, s)
-                ref = fresh(A, s)
-                for name in WINDOW:
-                    assert getattr(s, name).tobytes() == saved[name].tobytes()
-                assert out.av.tobytes() == av.tobytes()
-                inputs = [getattr(s, name) for name in WINDOW] + [out.av]
-                for new in (out.next_u, out.next_v):
-                    assert not any(np.shares_memory(new, old) for old in inputs)
-                assert not np.shares_memory(out.next_u, out.next_v)
-                assert out.next_u.tobytes() == ref.next_u.tobytes()
-                assert out.next_v.tobytes() == ref.next_v.tobytes()
-                assert ((out.alpha, out.beta, out.gamma)
-                        == (ref.alpha, ref.beta, ref.gamma))
-                assert not (out.u_broken or out.v_broken), k
-                s = advance(s, out)
+            # step 1 has no beta_prev or gamma_prev
+            window = (None, v1, None, v1 if two_sided else None, 0.0, 0.0)
+            for k in range(1, 6):
+                inputs = [a for a in window[:4] if a is not None]
+                saved = [a.copy() for a in inputs]
+                av = A.apply(window[1])
+                out = window_step(A, k, floor, window, two_sided, step)
+                ref = window_step(A, k, floor, window, two_sided, fresh)
+                for a, before in zip(inputs, saved):
+                    assert a.tobytes() == before.tobytes()
+                assert out[0].tobytes() == av.tobytes()
+                next_v, next_u = out[4:]
+                assert next_v is not None and next_u is not None, k
+                for new in (next_u, next_v):
+                    assert not any(np.shares_memory(new, old)
+                                   for old in inputs + [out[0]])
+                assert not np.shares_memory(next_u, next_v)
+                assert next_u.tobytes() == ref[5].tobytes()
+                assert next_v.tobytes() == ref[4].tobytes()
+                assert out[1:4] == ref[1:4]
+                window = (window[1], next_v, window[3], next_u, *out[2:4])
 
     @pytest.mark.parametrize("reorthogonalize", [False, True])
     def test_driver_bases_match_fresh_array_run(self, rng, monkeypatch,
@@ -405,16 +395,14 @@ class TestInPlaceSteps:
 
         got = run()
         calls = {}
-        for mode, (_, fresh) in STEPS.items():
-            name = "tridiag_step" if mode == TRIDIAGONAL else "bidiag_step"
+        for engine, (step, fresh) in STEPS.items():
+            def counted(*args, fresh=fresh, engine=engine):
+                calls[engine] = calls.get(engine, 0) + 1
+                return fresh(*args)
 
-            def counted(A, s, fresh=fresh, mode=mode):
-                calls[mode] = calls.get(mode, 0) + 1
-                return fresh(A, s)
-
-            monkeypatch.setattr(reductions, name, counted)
+            monkeypatch.setattr(reductions, step.__name__, counted)
         ref = run()
-        assert calls == {TRIDIAGONAL: 40, BIDIAGONAL: 40}
+        assert calls == {True: 40, False: 40}
         for *_, V, U, broke in (*got, *ref):
             assert broke is None
             assert V.shape == (A.ncols, 41)
@@ -426,9 +414,9 @@ class TestInPlaceSteps:
                 for j in range(M.shape[1]):
                     assert M[:, j].tobytes() == r_M[:, j].tobytes()
 
-    @pytest.mark.parametrize("mode", [TRIDIAGONAL, BIDIAGONAL])
+    @ENGINES
     def test_read_only_transpose_product_is_refused(self, rng, monkeypatch,
-                                                    mode):
+                                                    two_sided):
         # apply_transpose must return a writable array; a read-only one
         # is an error, not a result computed from a stale vector
         A = gen_convdiff2d(9, 10).A
@@ -441,5 +429,7 @@ class TestInPlaceSteps:
 
         monkeypatch.setattr(A, "apply_transpose", read_only)
         v1 = self.unit(rng, A.ncols)
+        window = (None, v1, None, v1 if two_sided else None, 0.0, 0.0)
         with pytest.raises(ValueError, match="read-only"):
-            STEPS[mode][0](A, KrylovState.start(mode, v1, v1))
+            window_step(A, 1, breakdown_floor(A), window, two_sided,
+                        STEPS[two_sided][0])

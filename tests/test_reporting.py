@@ -1,7 +1,9 @@
 import pytest
 
-from oaplib.reporting import (RunRecord, emit_report, read_records_csv,
-                              records_to_csv, records_to_markdown)
+from oaplib.reporting import (RunRecord, emit_report, records_to_csv,
+                              records_to_markdown)
+
+from conftest import read_records_csv
 
 
 def sample_records():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -296,9 +294,9 @@ class TestMinimalErrorIterate:
         name = "tridiag_step" if variant == "roap3" else "bidiag_step"
         step = getattr(solvers_mod, name)
 
-        def stop_at_k(A, s):  # no v_{k+1}: the cycle keeps v_1 .. v_k
-            out = step(A, s)
-            return dataclasses.replace(out, v_broken=True) if s.k == k else out
+        def stop_at_k(A, k_step, *rest):  # no v_{k+1}: keeps v_1 .. v_k
+            out = step(A, k_step, *rest)
+            return (*out[:4], None, out[5]) if k_step == k else out
 
         monkeypatch.setattr(solvers_mod, name, stop_at_k)
         for A, x_true in self.systems(symmetric=variant == "roap3"):
@@ -602,6 +600,66 @@ class TestRhsLength:
         v1, c1 = init_from_vector(A, np.ones(2), np.ones(2))
         with pytest.raises(DimensionMismatch):
             cycle(A, np.ones(3), v1, c1)
+
+
+class TestCycleSeed:
+    """Both cycle entries take a unit v1 of A's column count, checked
+    before any step, and the cycle reads the breakdown floor once."""
+
+    @pytest.mark.parametrize("cycle", [oap_cycle_bidiag, oap_cycle_tridiag])
+    def test_non_unit_v1_refused(self, monkeypatch, cycle):
+        steps = []
+        for name in ("bidiag_step", "tridiag_step"):
+            monkeypatch.setattr(solvers_mod, name, lambda *a: steps.append(a))
+        with pytest.raises(ValueError, match="unit Euclidean norm"):
+            cycle(diag23(), np.ones(2), np.array([1.0, 1.0]), 1.0)
+        assert steps == []
+
+    @pytest.mark.parametrize("cycle", [oap_cycle_bidiag, oap_cycle_tridiag])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_wrong_length_v1_refused(self, cycle, n):
+        v1 = np.zeros(n)
+        v1[0] = 1.0
+        with pytest.raises(DimensionMismatch, match="v1"):
+            cycle(diag23(), np.ones(2), v1, 1.0)
+
+    def test_bidiagonal_u_breakdown_ends_the_cycle(self, monkeypatch):
+        # v1 in the null space of A: the first step has no u_1, returns
+        # None for both next vectors, and the cycle keeps x_1 = c1 v1
+        A = DenseMatrix(np.diag([1.0, 0.0]))
+        outs = []
+        step = solvers_mod.bidiag_step
+
+        def spy(*args):
+            outs.append(step(*args))
+            return outs[-1]
+
+        monkeypatch.setattr(solvers_mod, "bidiag_step", spy)
+        res = oap_cycle_bidiag(A, np.array([1.0, 2.0]), np.array([0.0, 1.0]),
+                               0.5)
+        assert [out[4:] for out in outs] == [(None, None)]
+        assert res.stop_cause == "breakdown"
+        assert res.inner_steps == 1
+        np.testing.assert_array_equal(res.x_partial, [0.0, 0.5])
+
+    @pytest.mark.parametrize("variant", ["roap2", "roap3"])
+    def test_floor_read_per_cycle_not_per_step(self, monkeypatch, variant):
+        # one Frobenius norm for the seed's check and one for the cycle's
+        # floor: the reads grow with cycles, not with steps
+        problem = gen_convdiff2d(9, 10)
+        A = problem.A
+        reads = []
+        norm = A.frobenius_norm
+
+        def spy():
+            reads.append(1)
+            return norm()
+
+        monkeypatch.setattr(A, "frobenius_norm", spy)
+        _, report = roap_solve(A, problem.b, variant)
+        assert report.restarts > 1
+        assert sum(report.inner_iterations) > 10 * report.restarts
+        assert len(reads) <= 2 * report.restarts
 
 
 class TestRoapBudget:

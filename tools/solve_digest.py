@@ -12,8 +12,10 @@ the residual history and the inner step counts, the second over x and
 the termination alone.  A change that moves only the report's counts
 (say, a solve that stops earlier on the same x) changes the first and
 keeps the second.  The last two lines are one digest over all lines and
-one over the second digests alone.  Compare them between two commits on
-one machine and under the same ``OPENBLAS_NUM_THREADS``: ``norm2`` and
+one over the second digests alone; the header line, which names the
+``OPENBLAS_NUM_THREADS`` setting (its value or ``unset``), enters
+neither.  Compare them between two commits on one machine and under the
+same ``OPENBLAS_NUM_THREADS``: ``norm2`` and
 the steps' dot products sum through BLAS ``ddot``, whose order may
 differ between CPU kernels, and OpenBLAS splits a ``ddot`` of more than
 10,000 entries across its threads and adds the partial sums, so the
@@ -23,6 +25,7 @@ convdiff 200x200 solve (n = 40,000) also depends on the thread count.
 """
 
 import hashlib
+import os
 
 import numpy as np
 
@@ -76,6 +79,8 @@ def solution_digest(x, report):
 
 
 def main():
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    print(f"OPENBLAS_NUM_THREADS {threads}", flush=True)
     overall = hashlib.sha256()
     overall_x = hashlib.sha256()
     for problem, solvers in cases():
