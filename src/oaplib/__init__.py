@@ -13,9 +13,10 @@ Library layout:
 * :mod:`oaplib.cli`        - ``oap`` command line
 
 ``CsrMatrix`` computes ``A v`` and ``A' u`` with scipy's compiled
-``csr_matvec`` kernel, or ``dia_matvec`` for a banded operator
-(``scipy.sparse._sparsetools``), imported on the first product;
-:func:`backend_name` names that implementation for benchmark records.
+``csr_matvec`` and ``csc_matvec`` kernels, or ``dia_matvec`` for a
+banded operator (``scipy.sparse._sparsetools``), imported on the first
+product; :func:`backend_name` names that implementation for benchmark
+records.
 """
 
 from .ap import (ApBlock, ApState, BlockPartition, ap_factor, ap_init,

@@ -71,8 +71,9 @@ def ap_init(A, b):
     nrm2_atb = dot(atb, atb)
     if nrm2_atb <= breakdown_floor(A) ** 2:
         raise DegenerateSeed("A'b is numerically zero")
-    alpha = dot(b, b) / nrm2_atb
-    return ApState(alpha * atb, alpha * dot(b, b))
+    bb = dot(b, b)
+    alpha = bb / nrm2_atb
+    return ApState(alpha * atb, alpha * bb)
 
 
 def _filtered_qr(W, l, drop_at, lstsq):
@@ -96,11 +97,11 @@ def _filtered_qr(W, l, drop_at, lstsq):
         l = l[keep]
 
 
-def project_onto(w_columns, l, rank_tol=RANK_TOL):
+def project_onto(w_columns, l):
     """Orthogonal projection of the unknown x onto ran(W) from l = W'x.
 
     Thin QR of W gives p = Q (R^-T l) and c = ||R^-T l||^2.  Columns
-    whose R diagonal falls below ``rank_tol`` times the Frobenius norm
+    whose R diagonal falls below ``RANK_TOL`` times the Frobenius norm
     of the original W are dropped together with their l entries.
     """
     W = np.asarray(w_columns, dtype=np.float64)
@@ -111,7 +112,7 @@ def project_onto(w_columns, l, rank_tol=RANK_TOL):
     l = np.asarray(l, dtype=np.float64).ravel()
     if W.shape[1] != len(l):
         raise ValueError(f"W has {W.shape[1]} columns but l has {len(l)} entries")
-    Q, y = _filtered_qr(W, l, rank_tol * float(np.linalg.norm(W)),
+    Q, y = _filtered_qr(W, l, RANK_TOL * float(np.linalg.norm(W)),
                         lstsq=W.shape[1] > W.shape[0])
     if Q.shape[1] == 0:
         raise EmptySubspace("rank filtering removed every column")
@@ -188,13 +189,13 @@ def ap_solve(A, b, partition=None, tol=1e-6, max_sweeps=None):
     """Iterate sweeps until the relative residual meets ``tol``.
 
     ``partition`` defaults to a single block (direct projection), and
-    the sweep budget ``max_sweeps`` (None) to 1000 sweeps.  Returns
+    the sweep budget ``max_sweeps`` (None) to 5000 sweeps.  Returns
     ``(x, SolveReport)`` with one history entry per sweep.  A zero b
     returns x = 0 before any block is factored.
     """
     check_budget(tol, max_sweeps, "max_sweeps")
     if max_sweeps is None:
-        max_sweeps = 1000
+        max_sweeps = 5000
     b = as_vector(b, "b")
     if partition is None:
         partition = BlockPartition.equal_blocks(A.nrows, 1)

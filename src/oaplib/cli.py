@@ -45,11 +45,12 @@ def run_case(problem, solver, tol=TOL_DEFAULT, max_restarts=None, blocks=2):
     """Execute ``solver`` on ``problem`` and measure it from scratch.
 
     ``oap2``/``oap3`` are ``roap_solve`` with ``max_restarts=1``; ``ap``
-    takes ``max_restarts`` as its sweep budget (None: 5000) over
-    ``blocks`` row blocks.  The reported residual is recomputed from the
-    returned solution, never taken from solver-internal state; a zero b
-    (or x_true) makes it absolute.  Solver failures are recorded in the
-    termination field instead of raised.
+    takes ``max_restarts`` as its sweep budget (None: ``ap_solve``'s
+    5000) over ``blocks`` row blocks.  The reported residual is
+    recomputed from the returned solution, never taken from
+    solver-internal state; a zero b (or x_true) makes it absolute.
+    Solver failures are recorded in the termination field instead of
+    raised.
     """
     A, b = problem.A, problem.b
     t0 = time.perf_counter()
@@ -61,8 +62,8 @@ def run_case(problem, solver, tol=TOL_DEFAULT, max_restarts=None, blocks=2):
             x, report = roap_solve(A, b, "r" + solver, tol, 1)
         elif solver == "ap":
             partition = BlockPartition.equal_blocks(A.nrows, blocks)
-            sweeps = 5000 if max_restarts is None else max_restarts
-            x, report = ap_solve(A, b, partition, tol=tol, max_sweeps=sweeps)
+            x, report = ap_solve(A, b, partition, tol=tol,
+                                 max_sweeps=max_restarts)
         else:
             raise ValueError(f"unknown solver {solver!r}")
     except OapError as exc:

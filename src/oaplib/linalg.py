@@ -12,8 +12,9 @@ before anything is narrowed.
 
 ``CsrMatrix`` computes each product with one call of a compiled kernel
 of scipy's (``scipy.sparse._sparsetools``, without the ~15 Python calls
-of ``@`` dispatch).  Which kernel is picked on the first ``A' u``, from
-the operator's structure alone:
+of ``@`` dispatch).  The operator picks one of two layouts for both
+products on its first product of either kind, from its structure alone,
+so an operator that sees no product builds nothing:
 
 * banded: when the d distinct diagonals, padding and in-band zeros
   included, read no more bytes than the CSR arrays
@@ -21,18 +22,17 @@ the operator's structure alone:
   A and of A' are built, offsets ascending, and both products run
   through ``dia_matvec``, which streams each diagonal with no index
   gather;
-* otherwise ``A v`` keeps ``csr_matvec`` over the operator's own arrays
-  (12 bytes per nonzero), and ``A' u`` runs ``csr_matvec`` over a stored
-  transpose that the compiled ``csr_tocsc`` builds (12 nnz + 4 n bytes),
-  so that it is a row gather rather than a column scatter.
+* otherwise both products read the operator's own CSR arrays (12 bytes
+  per nonzero): ``A v`` through ``csr_matvec``, and ``A' u`` through
+  ``csc_matvec``, since A's CSR arrays are A' in CSC form.
 
-Until the first ``A' u``, ``A v`` runs ``csr_matvec``, so an operator
-that sees one ``A v`` or none builds nothing.  Both kernels add each
-output's terms into a zeroed output in ascending column order, and the
-DIA terms CSR lacks are in-band zeros times finite entries of x, exact
-zeros, so the two layouts give the same bits.  The product contract:
-vectors are finite.  A DIA product also multiplies its in-band zero slots, so an
-inf or NaN in x can reach rows that the CSR product leaves finite.
+Every kernel adds each output's terms into a zeroed output in ascending
+column order of the matrix it multiplies (A's rows, for ``A' u``), and
+the DIA terms CSR lacks are in-band zeros times finite entries of x,
+exact zeros, so the two layouts give the same bits.  The product
+contract: vectors are finite.  A DIA product also multiplies its in-band
+zero slots, so an inf or NaN in x can reach rows that the CSR product
+leaves finite.
 """
 
 import functools
@@ -277,42 +277,25 @@ class CsrMatrix(LinearOperator):
         return cls._adopt(n, n, np.arange(n + 1, dtype=np.int64), idx,
                           np.ones(n))
 
-    # Kernel and arguments before x and y of each product, looked up once
-    # per operator.  The layout is picked on the first A'u, not at
-    # construction: the generators and the Matrix Market reader build
-    # operators that see one ``A v`` or none.
+    # The (A v, A'u) pair of kernels, each with its arguments before x
+    # and y, picked on the first product, not at construction: the
+    # Matrix Market reader builds operators that see no product.
     @functools.cached_property
-    def _av(self):
-        return _sparsetools().csr_matvec, (self.nrows, self.ncols,
-                                           self.row_offsets, self.col_indices,
-                                           self.values)
-
-    @functools.cached_property
-    def _atu(self):
-        """A'u's kernel and arguments; a banded operator also moves
-        ``_av`` to its DIA arrays."""
+    def _products(self):
+        kernels = _sparsetools()
         dia = self._diagonals()
         if dia is not None:
             offsets, data, offsets_t, data_t = dia
             d = len(offsets)
-            kernel = _sparsetools().dia_matvec
-            self._av = kernel, (self.nrows, self.ncols, d, self.ncols,
-                                offsets, data)
-            return kernel, (self.ncols, self.nrows, d, self.nrows, offsets_t,
-                            data_t)
-        # A' as CSR (A as CSC) with sorted indices: row c holds column c of
-        # A in row order, so the gather adds each output's terms from zero
-        # in the order a scatter over A's rows would
-        offsets = np.empty(self.ncols + 1, dtype=np.int32)
-        indices = np.empty(self.nnz, dtype=np.int32)
-        values = np.empty(self.nnz)
-        _sparsetools().csr_tocsc(self.nrows, self.ncols, self.row_offsets,
-                                 self.col_indices, self.values,
-                                 offsets, indices, values)
-        return _sparsetools().csr_matvec, (self.ncols, self.nrows,
-                                           _readonly(offsets),
-                                           _readonly(indices),
-                                           _readonly(values))
+            return ((kernels.dia_matvec, (self.nrows, self.ncols, d,
+                                          self.ncols, offsets, data)),
+                    (kernels.dia_matvec, (self.ncols, self.nrows, d,
+                                          self.nrows, offsets_t, data_t)))
+        # A's CSR arrays are A' in CSC form: the scatter adds each output's
+        # terms from zero in A's row order
+        csr = (self.row_offsets, self.col_indices, self.values)
+        return ((kernels.csr_matvec, (self.nrows, self.ncols, *csr)),
+                (kernels.csc_matvec, (self.ncols, self.nrows, *csr)))
 
     def _diagonals(self):
         """Read-only DIA arrays ``(offsets, data, offsets_t, data_t)`` of A
@@ -354,14 +337,14 @@ class CsrMatrix(LinearOperator):
     def apply(self, v):
         v = self._check_apply(v, self.ncols, "apply")
         out = np.zeros(self.nrows)
-        kernel, args = self._av
+        kernel, args = self._products[0]
         kernel(*args, v, out)
         return out
 
     def apply_transpose(self, u):
         u = self._check_apply(u, self.nrows, "apply_transpose")
         out = np.zeros(self.ncols)
-        kernel, args = self._atu
+        kernel, args = self._products[1]
         kernel(*args, u, out)
         return out
 

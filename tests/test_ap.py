@@ -180,18 +180,19 @@ class TestApSolve:
         x, report = ap_solve(CsrMatrix.identity(3), np.ones(3), max_sweeps=0)
         assert report.restarts == 0 and report.termination == "max-restarts"
 
-    def test_none_max_sweeps_is_the_default_of_1000(self):
-        # check_budget documents None as the solver's default; a tol no
-        # rounded residual meets spends the whole budget
+    def test_none_max_sweeps_is_the_default_of_5000(self):
+        # check_budget documents None as the solver's default, the budget
+        # the CLI and the benchmark run; a tol no rounded residual meets
+        # spends the whole budget
         rng = np.random.default_rng(5)
         A = DenseMatrix(rng.standard_normal((6, 6)) + 6.0 * np.eye(6))
         b = rng.standard_normal(6)
         partition = BlockPartition.equal_blocks(6, 2)
         x, report = ap_solve(A, b, partition, tol=1e-300, max_sweeps=None)
-        assert report.restarts == 1000
+        assert report.restarts == 5000
         assert report.termination == "max-restarts"
-        x_1000, _ = ap_solve(A, b, partition, tol=1e-300, max_sweeps=1000)
-        assert x.tobytes() == x_1000.tobytes()
+        x_5000, _ = ap_solve(A, b, partition, tol=1e-300, max_sweeps=5000)
+        assert x.tobytes() == x_5000.tobytes()
 
     def test_zero_rhs(self):
         A = CsrMatrix.identity(3)

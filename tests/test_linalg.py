@@ -83,7 +83,7 @@ class TestApply:
         n = A.ncols if product == "apply" else A.nrows
         x = {"short": np.ones(n - 1), "long": np.ones(n + 1),
              "2-D": np.ones((1, n)), "empty": np.ones(0)}[bad]
-        A._atu  # layout picked up front: any call recorded below is a product
+        A._products  # layout picked up front: a call recorded below is a product
         kernels.calls.clear()
         kernels.run = False  # a product that slipped through reads no memory
         with pytest.raises(DimensionMismatch):
@@ -265,11 +265,12 @@ class TestInt32Indices:
     @pytest.mark.parametrize("path", CONSTRUCTIONS)
     def test_every_construction_path_stores_int32(self, path, tmp_path):
         A = self.CONSTRUCTIONS[path](tmp_path)
-        A._atu  # picks the layout: CSR transpose or DIA offsets
-        stored = [a for _, args in (A._av, A._atu) for a in args
+        A._products  # picks the layout: CSR arrays or DIA offsets
+        stored = [a for _, args in A._products for a in args
                   if isinstance(a, np.ndarray)]
         indices = [a for a in stored if a.dtype != np.float64]
-        assert len(indices) == (2 if kernel_of(A._atu) == DIA else 4)
+        # DIA: the offsets of A and A'; CSR: A's own two, read by both
+        assert len(indices) == (2 if kernels_of(A) == DIA else 4)
         for a in [A.row_offsets, A.col_indices] + indices:
             assert a.dtype == np.int32 and not a.flags.writeable
         assert not any(a.flags.writeable for a in stored)
@@ -362,12 +363,14 @@ class TestRepresentationEquivalence:
                                               D[start:stop])
 
 
-CSR, DIA = "csr_matvec", "dia_matvec"
+# the (A v, A'u) kernels of each layout
+CSR = ("csr_matvec", "csc_matvec")
+DIA = ("dia_matvec", "dia_matvec")
 
 
-def kernel_of(product):
-    """Name of the kernel in a product's stored (kernel, arguments)."""
-    return product[0].__name__
+def kernels_of(A):
+    """Names of the (A v, A'u) kernels that ``A`` picked."""
+    return tuple(kernel.__name__ for kernel, _ in A._products)
 
 
 def banded(nrows, ncols, offsets, seed=3):
@@ -401,7 +404,7 @@ def empty_row_and_column():
 
 AT_RULE = [(i, i) for i in range(6)] + [(i, i + 1) for i in range(5)] + [(1, 0)]
 
-# name -> (operator, the kernel its layout picks)
+# name -> (operator, the layout it picks)
 OPERATORS = {
     # grid-row ends leave zeros in the +-1 diagonals
     "convdiff 7x5": (lambda: gen_convdiff2d(7, 5).A, DIA),
@@ -457,10 +460,11 @@ def assert_same_args(got, want):
 
 
 class TestScipyKernels:
-    """Each operator picks its product layout on the first A'u: DIA
-    arrays and ``dia_matvec`` for both products when they read no more
-    bytes than CSR, else ``csr_matvec`` and a CSR transpose.  The NumPy
-    ``bincount`` kernels in conftest are the reference of both."""
+    """Each operator picks its product layout on its first product of
+    either kind: DIA arrays and ``dia_matvec`` for both products when
+    they read no more bytes than CSR, else its own CSR arrays through
+    ``csr_matvec`` and ``csc_matvec``.  The NumPy ``bincount`` kernels
+    in conftest are the reference of both."""
 
     @staticmethod
     def operators():
@@ -471,20 +475,19 @@ class TestScipyKernels:
     @pytest.mark.parametrize("name", OPERATORS)
     def test_bit_identical_to_bincount_kernels(self, rng, monkeypatch, name,
                                                layout):
-        kernel = OPERATORS[name][1]
+        want = OPERATORS[name][1]
         if layout == "csr":
             no_diagonals(monkeypatch)
-            kernel = CSR
+            want = CSR
         A = build(name)
         for _ in range(3):
             v = rng.standard_normal(A.ncols)
             u = rng.standard_normal(A.nrows)
-            av = bincount_apply(A, v).tobytes()
-            assert A.apply(v).tobytes() == av  # CSR before the first A'u
-            assert (A.apply_transpose(u).tobytes()
-                    == bincount_apply_transpose(A, u).tobytes())
-            assert A.apply(v).tobytes() == av
-        assert (kernel_of(A._av), kernel_of(A._atu)) == (kernel, kernel)
+            atu = bincount_apply_transpose(A, u).tobytes()
+            assert A.apply_transpose(u).tobytes() == atu
+            assert A.apply(v).tobytes() == bincount_apply(A, v).tobytes()
+            assert A.apply_transpose(u).tobytes() == atu
+        assert kernels_of(A) == want
 
     @pytest.mark.parametrize("layout", ["strided", "int", "list"])
     @pytest.mark.parametrize("product", ["apply", "apply_transpose"])
@@ -503,33 +506,55 @@ class TestScipyKernels:
                                       "banded 40x44"])
     def test_products_read_the_layout_arrays(self, kernels, name):
         A = build(name)
-        csr = (A.nrows, A.ncols, A.row_offsets, A.col_indices, A.values)
         A.apply(np.ones(A.ncols))
         A.apply_transpose(np.ones(A.nrows))
         A.apply(np.ones(A.ncols))
-        (n1, av1), (n2, atu), (n3, av2) = [c for c in kernels.calls
-                                          if c[0] != "csr_tocsc"]
-        kernel = OPERATORS[name][1]
-        assert (n1, n2, n3) == (CSR, kernel, kernel)
+        (n1, av1), (n2, atu), (n3, av2) = kernels.calls
+        layout = OPERATORS[name][1]
+        assert (n1, n2, n3) == (layout[0], layout[1], layout[0])
+        (_, av_args), (_, atu_args) = A._products
         # the stored arrays themselves, not copies; x and y follow them
-        assert_same_args(av1[:5], csr)
-        assert_same_args(atu[:-2], A._atu[1])
-        assert_same_args(av2[:-2], A._av[1])
-        if kernel == CSR:
-            assert_same_args(av2[:-2], csr)
-            assert atu[:2] == (A.ncols, A.nrows)
+        assert_same_args(av1[:-2], av_args)
+        assert_same_args(atu[:-2], atu_args)
+        assert_same_args(av2[:-2], av_args)
+        if layout == CSR:
+            csr = (A.row_offsets, A.col_indices, A.values)
+            assert_same_args(av_args, (A.nrows, A.ncols) + csr)
+            assert_same_args(atu_args, (A.ncols, A.nrows) + csr)
         else:
-            d = len(A._av[1][4])
-            assert av2[:4] == (A.nrows, A.ncols, d, A.ncols)
-            assert atu[:4] == (A.ncols, A.nrows, d, A.nrows)
+            d = len(av_args[4])
+            assert av_args[:4] == (A.nrows, A.ncols, d, A.ncols)
+            assert atu_args[:4] == (A.ncols, A.nrows, d, A.nrows)
+
+    @pytest.mark.parametrize("name", ["scattered 7x11", "poisson-lshape m5"])
+    def test_first_transpose_product_reads_the_operators_own_arrays(
+            self, monkeypatch, name):
+        A = build(name)
+        # scipy's kernels are loaded, and the count of diagonals that
+        # refuses DIA (it has temporaries of its own) is made, before the
+        # measure
+        kernels = oaplib.linalg._sparsetools()
+        dia = A._diagonals()
+        assert dia is None
+        monkeypatch.setattr(A, "_diagonals", lambda: dia)
+        u = np.ones(A.nrows)
+        first = traced_peak(A.apply_transpose, u)
+        later = traced_peak(A.apply_transpose, u)
+        # beyond its output, the first A'u allocates only the kernel
+        # pair's few tuples: no array, no copy of A
+        assert first <= later + 512
+        # what each product passes (test_products_read_the_layout_arrays)
+        kernel, args = A._products[1]
+        assert kernel is kernels.csc_matvec
+        assert_same_args(args, (A.ncols, A.nrows, A.row_offsets,
+                                A.col_indices, A.values))
 
     @pytest.mark.parametrize("name", ["convdiff 7x5", "banded 40x44",
                                       "banded 44x40", "poisson-lshape m9",
                                       "banded, empty row and column"])
     def test_dia_arrays_match_scipy(self, name):
         A = build(name)
-        A._atu
-        for (_, args), B in ((A._av, A), (A._atu, None)):
+        for (_, args), B in zip(A._products, (A, None)):
             offsets, data = args[4:6]
             assert offsets.dtype == np.int32 and data.dtype == np.float64
             assert not (offsets.flags.writeable or data.flags.writeable)
@@ -543,26 +568,31 @@ class TestScipyKernels:
             assert not data[:, width:].any()
             assert data.shape == (len(offsets), args[1])
 
+    @pytest.mark.parametrize("first", ["apply", "apply_transpose"])
     @pytest.mark.parametrize("name", ["scattered 7x11", "convdiff 7x5"])
-    def test_construction_and_av_build_nothing(self, kernels, monkeypatch,
-                                               name):
+    def test_first_product_of_either_kind_picks_the_layout(
+            self, kernels, monkeypatch, name, first):
         built = counted_diagonals(monkeypatch)
         A = build(name)
-        A.apply(np.ones(A.ncols))
-        assert [c[0] for c in kernels.calls] == [CSR]
-        assert "_atu" not in vars(A) and not built
-        A.apply_transpose(np.ones(A.nrows))
-        assert "_atu" in vars(A) and built == [1]
+        assert "_products" not in vars(A) and not built
+        getattr(A, first)(np.ones(A.ncols if first == "apply" else A.nrows))
+        assert "_products" in vars(A) and built == [1]
+        layout = OPERATORS[name][1]
+        assert [c[0] for c in kernels.calls] == [
+            layout[0] if first == "apply" else layout[1]]
 
     def test_generators_and_reader_build_nothing(self, tmp_path, monkeypatch):
         built = counted_diagonals(monkeypatch)
-        problems = [gen_convdiff2d(5, 4, constructed=True),
-                    gen_tridiag_unsym(7), gen_poisson_lshape(4)]
-        write_matrix_market(tmp_path / "a.mtx", problems[0].A)
-        for A in [p.A for p in problems] + [
-                read_matrix_market(tmp_path / "a.mtx")]:
-            assert "_atu" not in vars(A) and kernel_of(A._av) == CSR
+        write_matrix_market(tmp_path / "a.mtx", gen_convdiff2d(5, 4).A)
+        for A in (gen_convdiff2d(5, 4).A, gen_poisson_lshape(4).A,
+                  read_matrix_market(tmp_path / "a.mtx")):
+            assert "_products" not in vars(A)
         assert not built
+        # a generator that forms b = A x_true picks on that one A v
+        for problem in (gen_convdiff2d(5, 4, constructed=True),
+                        gen_tridiag_unsym(7)):
+            assert kernels_of(problem.A) == DIA
+        assert built == [1, 1]
 
     @pytest.mark.parametrize("name", ["scattered 7x11", "convdiff 7x5"])
     def test_layout_picked_once_per_operator(self, kernels, monkeypatch,
@@ -574,11 +604,9 @@ class TestScipyKernels:
         for _ in range(2):
             A.apply_transpose(np.ones(A.nrows))
         A.apply(np.ones(A.ncols))
+        av, atu = OPERATORS[name][1]
         names = [name for name, _ in kernels.calls]
-        if OPERATORS[name][1] == CSR:  # the transpose on the first A'u
-            assert names == [CSR] * 3 + ["csr_tocsc"] + [CSR] * 3
-        else:
-            assert names == [CSR] * 3 + [DIA] * 3
+        assert names == [av] * 3 + [atu] * 2 + [av]
         assert built == [1]
 
     def test_wide_sparse_operator_counts_no_diagonals(self):
@@ -587,23 +615,6 @@ class TestScipyKernels:
         A = CsrMatrix(1, 10**7, [0, 1], [10**7 - 1], [1.0])
         assert A._diagonals() is None
         assert traced_peak(A._diagonals) < 10**5
-
-    def test_transpose_matches_scipy(self, monkeypatch):
-        no_diagonals(monkeypatch)
-        for A in self.operators() + [CsrMatrix(3, 4, [0, 0, 0, 0], [], [])]:
-            _, (ncols, nrows, offsets, indices, values) = A._atu
-            assert (kernel_of(A._atu), ncols, nrows) == (CSR, A.ncols, A.nrows)
-            for a, dtype in ((offsets, np.int32), (indices, np.int32),
-                             (values, np.float64)):
-                assert a.dtype == dtype and not a.flags.writeable
-            for c in range(A.ncols):
-                assert np.all(np.diff(indices[offsets[c]:offsets[c + 1]]) > 0)
-            want = scipy.sparse.csr_array(
-                (A.values, A.col_indices, A.row_offsets), shape=A.shape).T.tocsr()
-            want.sort_indices()
-            assert offsets.tobytes() == want.indptr.astype(np.int32).tobytes()
-            assert indices.tobytes() == want.indices.astype(np.int32).tobytes()
-            assert values.tobytes() == want.data.tobytes()
 
 
 class TestOwnership:

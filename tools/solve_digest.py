@@ -6,15 +6,21 @@ Cases: the pinned ``oap bench`` suite with random-dense 300 at seeds
 options) and ``ap`` (two blocks, 5000 sweeps, as ``oap bench`` runs it);
 then convdiff 200x200 under ``roap2`` alone (~1 s): its one cycle ends
 where the divergence guard returns the zero vector, which ends the solve.
+Every sparse operator there multiplies through DIA arrays, so two
+non-banded cases follow under all three solvers: poisson-lshape m5 and
+convdiff 30x30 with its unknowns renumbered by a seeded permutation;
+their operators multiply through CSR (``csr_matvec`` and ``csc_matvec``).
 Each line gives the termination, restarts, total inner steps and two
 SHA-256 digests over little-endian bytes: the first over the final x,
 the residual history and the inner step counts, the second over x and
 the termination alone.  A change that moves only the report's counts
 (say, a solve that stops earlier on the same x) changes the first and
-keeps the second.  The last two lines are one digest over all lines and
-one over the second digests alone; the header line, which names the
-``OPENBLAS_NUM_THREADS`` setting (its value or ``unset``), enters
-neither.  Compare them between two commits on one machine and under the
+keeps the second.  The last three lines are ``overall``, one digest
+over the lines before the CSR cases; ``overall-x``, one over those
+lines' second digests alone; and ``overall-csr``, one over the CSR
+cases' lines.  The header line, which names the
+``OPENBLAS_NUM_THREADS`` setting (its value or ``unset``), enters none
+of them.  Compare them between two commits on one machine and under the
 same ``OPENBLAS_NUM_THREADS``: ``norm2`` and
 the steps' dot products sum through BLAS ``ddot``, whose order may
 differ between CPU kernels, and OpenBLAS splits a ``ddot`` of more than
@@ -29,12 +35,14 @@ import os
 
 import numpy as np
 
-from oaplib import BlockPartition, ap_solve, roap_solve
+from oaplib import (BlockPartition, CsrMatrix, GeneratedProblem, ap_solve,
+                    roap_solve)
 from oaplib.cli import EXAMPLE1_GRIDS, EXAMPLE2_TARGETS, EXAMPLE3_N, EXAMPLE4_N
 from oaplib.problems import (gen_convdiff2d, gen_poisson_lshape,
                              gen_random_dense, gen_tridiag_unsym, lshape_m_for)
 
 SEEDS = range(1234, 1242)
+RENUMBER_SEED = 30
 AP_BLOCKS = 2
 AP_MAX_SWEEPS = 5000
 
@@ -53,6 +61,27 @@ def cases():
         yield gen_random_dense(EXAMPLE4_N, seed), SOLVERS
     yield gen_convdiff2d(60, 60), SOLVERS
     yield gen_convdiff2d(200, 200), ("roap2",)
+
+
+def renumbered(problem, seed):
+    """``problem`` with its unknowns renumbered by a seeded permutation
+    P, built through ``CsrMatrix.from_coo``: P A P' x' = P b with
+    x' = P x.  Its band is scattered, so no DIA layout is taken."""
+    A = problem.A
+    perm = np.random.Generator(np.random.PCG64(seed)).permutation(A.nrows)
+    new = np.argsort(perm)  # the new number of each unknown
+    rows = np.repeat(np.arange(A.nrows), np.diff(A.row_offsets))
+    B = CsrMatrix.from_coo(A.nrows, A.ncols, new[rows], new[A.col_indices],
+                           A.values)
+    return GeneratedProblem(B, problem.b[perm], None,
+                            f"{problem.label}-renumbered-s{seed}",
+                            problem.family)
+
+
+def csr_cases():
+    """(problem, solvers) pairs whose operators multiply through CSR."""
+    yield gen_poisson_lshape(5), SOLVERS
+    yield renumbered(gen_convdiff2d(30, 30), RENUMBER_SEED), SOLVERS
 
 
 def solve(problem, solver):
@@ -78,12 +107,9 @@ def solution_digest(x, report):
     return h.hexdigest()
 
 
-def main():
-    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    print(f"OPENBLAS_NUM_THREADS {threads}", flush=True)
-    overall = hashlib.sha256()
-    overall_x = hashlib.sha256()
-    for problem, solvers in cases():
+def lines(cases):
+    """(line, second digest) of each solve of ``cases``, printed as it ends."""
+    for problem, solvers in cases:
         for solver in solvers:
             x, report = solve(problem, solver)
             x_digest = solution_digest(x, report)
@@ -91,10 +117,23 @@ def main():
                     f"{report.restarts} {sum(report.inner_iterations)} "
                     f"{digest(x, report)} {x_digest}")
             print(line, flush=True)
-            overall.update(line.encode() + b"\n")
-            overall_x.update(x_digest.encode() + b"\n")
+            yield line, x_digest
+
+
+def main():
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    print(f"OPENBLAS_NUM_THREADS {threads}", flush=True)
+    overall = hashlib.sha256()
+    overall_x = hashlib.sha256()
+    for line, x_digest in lines(cases()):
+        overall.update(line.encode() + b"\n")
+        overall_x.update(x_digest.encode() + b"\n")
+    overall_csr = hashlib.sha256()
+    for line, _ in lines(csr_cases()):
+        overall_csr.update(line.encode() + b"\n")
     print(f"overall {overall.hexdigest()}")
     print(f"overall-x {overall_x.hexdigest()}")
+    print(f"overall-csr {overall_csr.hexdigest()}")
 
 
 if __name__ == "__main__":
