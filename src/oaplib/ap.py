@@ -8,6 +8,11 @@ solve: a rank-filtered thin QR Q_B R_B = A_B' fixes z_B = Q_B'x =
 R_B^-T b_B.  A block step is then two GEMVs (q = Q_B'p and Q_B q) and a
 rank-one update along p_perp = p - Q_B q, whose inner product with x is
 c - q'z_B.
+
+``ap_solve`` holds numpy's OpenBLAS to one thread, process-wide, for the
+whole solve, factors included, and restores the caller's count
+(``linalg``), so its QR, GEMVs and dot products round the same way under
+any ``OPENBLAS_NUM_THREADS``.
 """
 
 from dataclasses import dataclass
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeed, DimensionMismatch, EmptySubspace
-from .linalg import as_vector, dot, norm2
+from .linalg import _one_blas_thread, as_vector, dot, norm2
 from .reductions import breakdown_floor
 from .solvers import SolveReport, check_budget
 
@@ -185,6 +190,7 @@ def ap_sweep(blocks, state):
     return ApState(p, c)
 
 
+@_one_blas_thread
 def ap_solve(A, b, partition=None, tol=1e-6, max_sweeps=None):
     """Iterate sweeps until the relative residual meets ``tol``.
 

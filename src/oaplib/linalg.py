@@ -33,10 +33,21 @@ exact zeros, so the two layouts give the same bits.  The product
 contract: vectors are finite.  A DIA product also multiplies its in-band
 zero slots, so an inf or NaN in x can reach rows that the CSR product
 leaves finite.
+
+The solve drivers run under ``_one_blas_thread``: numpy's OpenBLAS works
+on the calling thread for the whole solve, and the caller's thread count
+comes back on return and on raise.  The count is process-wide, so while
+any solve runs every BLAS call in the process is on one thread; the
+first solve in saves the count and the last one out restores it.  The
+switch binds numpy's private ``scipy_openblas`` thread symbols on the
+first solve (like ``_sparsetools``, not on import) and does nothing
+where numpy's BLAS has none.
 """
 
+import contextlib
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -54,6 +65,62 @@ def _sparsetools():
     a module-level import would load scipy.sparse on ``import oaplib``."""
     from scipy.sparse import _sparsetools
     return _sparsetools
+
+
+@functools.cache
+def _blas_threads():
+    """``(get, set)`` of the thread count of numpy's OpenBLAS, bound on the
+    first solve, or None where numpy's BLAS exports no such symbols.  The
+    lookup on numpy's extension module also searches the libraries it
+    links, scipy_openblas among them."""
+    import ctypes
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    try:
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    put.argtypes, put.restype = (ctypes.c_int,), None
+    return get, put
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Holds numpy's OpenBLAS to the calling thread while any solve runs,
+    as a decorator of the solve drivers or a ``with`` block.
+
+    A second thread would change the order in which ``ddot`` adds the
+    partial sums of more than 10,000 entries, and with it a solve's
+    rounding; an idle OpenBLAS worker also spin-waits beside the solve's
+    own NumPy passes.  The count is process-wide (a second thread sees
+    the count a first one set), so the first solve to enter saves the
+    caller's count and sets it to 1, and the last to leave restores it,
+    on return or raise."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = None
+
+    def __enter__(self):
+        handle = _blas_threads()
+        if handle is not None:
+            with self._lock:
+                if self._depth == 0:
+                    self._saved = handle[0]()
+                    handle[1](1)
+                self._depth += 1
+
+    def __exit__(self, *exc):
+        handle = _blas_threads()
+        if handle is not None:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    handle[1](self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 def as_vector(x, name="vector"):
@@ -306,8 +373,18 @@ class CsrMatrix(LinearOperator):
         ``dia_matvec`` reads it."""
         n, m, nnz = self.nrows, self.ncols, self.nnz
         width = 8 * max(n, m)  # bytes per diagonal
-        if nnz and width > 12 * nnz:  # one diagonal already reads more
-            return None
+        if nnz:
+            limit = 12 * nnz // width  # the most diagonals the rule allows
+            # a block of entries has no more distinct diagonals than the
+            # whole, so a first block with more than the limit refuses
+            # before the whole count: at most 8 entries per allowed one
+            head = min(nnz, 8 * (limit + 1))
+            rows = np.searchsorted(self.row_offsets,  # both int32: no copy
+                                   np.arange(head, dtype=np.int32),
+                                   side="right") - 1
+            if (limit == 0 or
+                    len(np.unique(self.col_indices[:head] - rows)) > limit):
+                return None
         # col - row + n lies in 1..n+m-1; int32 unless that overflows
         index = np.int32 if n + m <= _INDEX_MAX else np.int64
         diag = self.col_indices - np.repeat(np.arange(n, dtype=index),

@@ -27,6 +27,12 @@ more than sqrt(k eps).
 
 Restarting on the residual keeps every cycle's coefficients consistent:
 the cycle solves A e = r, so its seed and inner products use r.
+
+``roap_solve`` holds numpy's OpenBLAS to one thread, process-wide, for
+the whole solve and restores the caller's count (``linalg``): a ``ddot``
+of more than 10,000 entries otherwise adds its partial sums in an order
+that depends on the thread count, and a restarted solve can turn that
+rounding into another outcome.
 """
 
 import math
@@ -36,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSeed, DimensionMismatch, NumericalOverflow
-from .linalg import as_vector, dot, norm2
+from .linalg import _one_blas_thread, as_vector, dot, norm2
 from .reductions import bidiag_step, breakdown_floor, tridiag_step
 
 TOL_DEFAULT = 1e-6
@@ -292,6 +298,7 @@ def oap_cycle_bidiag(A, rhs, v1, c1):
     return _cycle(A, rhs, _check_seed(A, v1), c1, False)
 
 
+@_one_blas_thread
 def roap_solve(A, b, variant="roap2", tol=TOL_DEFAULT, max_restarts=None):
     """Restarted solver: run cycles on the residual equation until the
     relative residual meets ``tol``.

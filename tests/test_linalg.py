@@ -402,6 +402,24 @@ def empty_row_and_column():
     return CsrMatrix.from_dense(dense)
 
 
+def striped(nrows, per_row, seed, banded_rows=0):
+    """nrows x nrows with one entry per row in each of ``per_row`` column
+    stripes, at a random column: scattered diagonals.  The first
+    ``banded_rows`` rows hold the tridiagonal band instead."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    width = nrows // per_row
+    cols = rng.integers(0, width, (nrows, per_row)) + np.arange(per_row) * width
+    rows = np.repeat(np.arange(nrows), per_row)
+    keep = rows >= banded_rows
+    i = np.arange(banded_rows)
+    band = np.stack([i - 1, i, i + 1], axis=1)
+    inside = (band >= 0) & (band < nrows)
+    rows = np.concatenate([np.repeat(i, 3)[inside.ravel()], rows[keep]])
+    cols = np.concatenate([band[inside], cols.ravel()[keep]])
+    return CsrMatrix.from_coo(nrows, nrows, rows, cols,
+                              rng.standard_normal(len(rows)))
+
+
 AT_RULE = [(i, i) for i in range(6)] + [(i, i + 1) for i in range(5)] + [(1, 0)]
 
 # name -> (operator, the layout it picks)
@@ -548,6 +566,26 @@ class TestScipyKernels:
         assert kernel is kernels.csc_matvec
         assert_same_args(args, (A.ncols, A.nrows, A.row_offsets,
                                 A.col_indices, A.values))
+
+    def test_scattered_operator_refused_on_its_first_entries(self):
+        # 100,000 entries on ~100,000 diagonals, where the rule allows 7:
+        # the first 64 entries already show more than 7, so the refusal
+        # builds no entry-long diagonal index (400,000 bytes) and no count
+        # over the 40,000 diagonals
+        A = striped(20_000, 5, seed=11)
+        assert traced_peak(A._diagonals) <= 16_384
+        assert A._diagonals() is None
+        assert kernels_of(A) == CSR
+
+    def test_banded_first_entries_still_count_the_whole(self):
+        # the first half of the rows is tridiagonal, so the first block
+        # passes and the whole count refuses
+        A = striped(2000, 3, seed=12, banded_rows=1000)
+        limit = 12 * A.nnz // (8 * A.nrows)
+        head = A.col_indices[:8 * (limit + 1)]
+        assert head.max() < 8 * (limit + 1)  # the first block is banded
+        assert A._diagonals() is None
+        assert kernels_of(A) == CSR
 
     @pytest.mark.parametrize("name", ["convdiff 7x5", "banded 40x44",
                                       "banded 44x40", "poisson-lshape m9",

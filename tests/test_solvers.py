@@ -1,13 +1,17 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import oaplib.solvers as solvers_mod
-from oaplib import (CsrMatrix, CycleResult, DegenerateSeed, DenseMatrix,
-                    DimensionMismatch, NumericalOverflow, ap_solve,
+from oaplib import (BlockPartition, CsrMatrix, CycleResult, DegenerateSeed,
+                    DenseMatrix, DimensionMismatch, NumericalOverflow, ap_solve,
                     c_update_bidiag, c_update_tridiag, gen_convdiff2d,
                     gen_poisson_lshape, gen_random_dense, gen_tridiag_unsym,
                     init_from_vector, norm2, oap_cycle_bidiag,
                     oap_cycle_tridiag, orthogonality_lost, roap_solve)
+from oaplib.linalg import _blas_threads
 from oaplib.solvers import SQRT_EPS, orthogonality_threshold
 
 from conftest import constructed_problem, exact_cycle, random_wellcond
@@ -684,3 +688,179 @@ class TestRoapBudget:
         assert report.restarts == 0
         assert report.residual_history == [1.0]
         np.testing.assert_array_equal(x, np.zeros(3))
+
+
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS thread count as ``(get, set)``; the process's
+    count is restored afterwards."""
+    handle = _blas_threads()
+    assert handle is not None  # the real switch runs here, not a no-op
+    get, put = handle
+    saved = get()
+    yield get, put
+    put(saved)
+
+
+def count_products(monkeypatch, A, seen, first=None):
+    """Record the OpenBLAS thread count on each product of ``A``; the
+    first product calls ``first()`` before it reads the count."""
+    get = _blas_threads()[0]
+    for name in ("apply", "apply_transpose"):
+        product = getattr(A, name)
+
+        def spy(v, product=product):
+            if first is not None and not seen:
+                first()
+            seen.append(get())
+            return product(v)
+
+        monkeypatch.setattr(A, name, spy)
+
+
+def solve_with(solver, A, b, **kwargs):
+    if solver == "ap":
+        return ap_solve(A, b, BlockPartition.equal_blocks(A.nrows, 2),
+                        **kwargs)
+    return roap_solve(A, b, solver, **kwargs)
+
+
+class TestOneBlasThread:
+    """A solve holds numpy's OpenBLAS to the calling thread for its whole
+    body and gives the caller's count back, on return and on raise."""
+
+    def test_handle_binds_numpys_openblas(self, blas):
+        get, put = blas
+        for count in (1, 2):
+            put(count)
+            assert get() == count
+
+    @pytest.mark.parametrize("solver", ["roap2", "roap3", "ap"])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_products_run_on_one_thread_and_the_count_comes_back(
+            self, blas, monkeypatch, solver, count):
+        get, put = blas
+        problem = gen_convdiff2d(9, 10)
+        seen = []
+        count_products(monkeypatch, problem.A, seen)
+        put(count)
+        _, report = solve_with(solver, problem.A, problem.b)
+        assert report.termination == "converged"
+        assert get() == count
+        assert len(seen) > 10 and set(seen) == {1}
+
+    @pytest.mark.parametrize("solver", ["roap3", "ap"])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_count_comes_back_after_a_raise(self, blas, monkeypatch, rng,
+                                            solver, count):
+        # each raises after its one product: roap3 refuses the rectangular
+        # operator after the seed's A'r, and ap's seed A'b is zero
+        get, put = blas
+        if solver == "roap3":
+            A = CsrMatrix.from_dense(rng.standard_normal((6, 4)))
+            b, error = A.apply(np.ones(4)), DimensionMismatch
+        else:
+            A = CsrMatrix.from_dense(np.diag([1.0, 0.0]))
+            b, error = np.array([0.0, 1.0]), DegenerateSeed
+        seen = []
+        count_products(monkeypatch, A, seen)
+        put(count)
+        with pytest.raises(error):
+            if solver == "roap3":
+                roap_solve(A, b, "roap3")
+            else:
+                ap_solve(A, b)
+        assert get() == count
+        assert seen == [1]
+
+    def test_concurrent_solves_keep_the_callers_count(self, blas,
+                                                      monkeypatch):
+        # both solves are inside at once; the first one out must leave
+        # the other on one thread, and the last one out restores 2
+        get, put = blas
+        put(2)
+        barrier = threading.Barrier(2, timeout=30)
+        first_out = threading.Event()
+        problems = [gen_convdiff2d(9, 10), gen_convdiff2d(9, 10)]
+        seen = [[], []]
+        count_products(monkeypatch, problems[0].A, seen[0], barrier.wait)
+        count_products(monkeypatch, problems[1].A, seen[1],
+                       lambda: (barrier.wait(), first_out.wait(30)))
+        errors = []
+
+        def run(i):
+            try:
+                solve_with("roap2", problems[i].A, problems[i].b)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+            finally:
+                if i == 0:
+                    first_out.set()
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(seen[0]) > 10 and len(seen[1]) > 10
+        assert set(seen[0]) == set(seen[1]) == {1}
+        assert get() == 2
+
+    def test_stress_many_threads_short_switch_interval(self, blas,
+                                                        monkeypatch):
+        # more threads than cores, each entering and leaving solves while
+        # the others run: a lost update of the shared depth would leave a
+        # product on two threads or the caller's count unrestored
+        get, put = blas
+        put(2)
+        problems = [gen_convdiff2d(5, 6) for _ in range(4)]
+        seen = [[] for _ in problems]
+        for problem, counts in zip(problems, seen):
+            count_products(monkeypatch, problem.A, counts)
+        errors = []
+
+        def run(problem):
+            try:
+                for variant in ("roap2", "roap3") * 3:
+                    solve_with(variant, problem.A, problem.b)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(p,))
+                       for p in problems]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert all(len(counts) > 60 and set(counts) == {1}
+                   for counts in seen)
+        assert get() == 2
+
+    @pytest.mark.parametrize("case", ["tridiag-unsym-20000-roap2",
+                                      "poisson-lshape-m14-ap"])
+    def test_outcome_does_not_depend_on_the_callers_count(self, blas, case):
+        # at n = 20,000 OpenBLAS splits a ddot across its threads, and
+        # LAPACK's QR threads too: each solve here changed with the count
+        _, put = blas
+        if case.endswith("roap2"):
+            problem, solver = gen_tridiag_unsym(20_000), "roap2"
+            kwargs = {"max_restarts": 1}
+        else:
+            problem, solver = gen_poisson_lshape(14), "ap"
+            kwargs = {"max_sweeps": 5000}
+        outcomes = []
+        for count in (1, 2):
+            put(count)
+            x, report = solve_with(solver, problem.A, problem.b, **kwargs)
+            outcomes.append((x.tobytes(), report.termination,
+                             report.restarts, report.inner_iterations))
+        assert outcomes[0] == outcomes[1]

@@ -20,12 +20,10 @@ over the lines before the CSR cases; ``overall-x``, one over those
 lines' second digests alone; and ``overall-csr``, one over the CSR
 cases' lines.  The header line, which names the
 ``OPENBLAS_NUM_THREADS`` setting (its value or ``unset``), enters none
-of them.  Compare them between two commits on one machine and under the
-same ``OPENBLAS_NUM_THREADS``: ``norm2`` and
-the steps' dot products sum through BLAS ``ddot``, whose order may
-differ between CPU kernels, and OpenBLAS splits a ``ddot`` of more than
-10,000 entries across its threads and adds the partial sums, so the
-convdiff 200x200 solve (n = 40,000) also depends on the thread count.
+of them.  Compare them between two commits on one machine: ``norm2``
+and the steps' dot products sum through BLAS ``ddot``, whose order may
+differ between CPU kernels.  The thread count does not enter: each
+solve runs OpenBLAS on one thread and gives the caller's count back.
 
     PYTHONPATH=src python tools/solve_digest.py
 """
