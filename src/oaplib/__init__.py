@@ -19,8 +19,8 @@ product; :func:`backend_name` names that implementation for benchmark
 records.
 """
 
-from .ap import (ApBlock, ApState, BlockPartition, ap_factor, ap_init,
-                 ap_solve, ap_sweep, project_onto)
+from .ap import (BlockPartition, ap_factor, ap_init, ap_solve, ap_sweep,
+                 project_onto)
 from .errors import (DegenerateSeed, DimensionMismatch, EmptySubspace,
                      MatrixMarketError, NonFiniteVector, NumericalOverflow,
                      OapError)
@@ -38,7 +38,7 @@ from .solvers import (CycleResult, SolveReport, c_update_bidiag,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApBlock", "ApState", "BlockPartition", "CsrMatrix", "CycleResult",
+    "BlockPartition", "CsrMatrix", "CycleResult",
     "DenseMatrix", "DegenerateSeed", "DimensionMismatch", "EmptySubspace",
     "GeneratedProblem", "LinearOperator",
     "MatrixMarketError", "NonFiniteVector", "NumericalOverflow", "OapError",

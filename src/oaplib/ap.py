@@ -7,7 +7,7 @@ computable from the right-hand side.  Each block is factored once per
 solve: a rank-filtered thin QR Q_B R_B = A_B' fixes z_B = Q_B'x =
 R_B^-T b_B.  A block step is then two GEMVs (q = Q_B'p and Q_B q) and a
 rank-one update along p_perp = p - Q_B q, whose inner product with x is
-c - q'z_B.
+c - q'z_B.  Steps pass the pair (p, c), c = x'p, and blocks are tuples.
 
 ``ap_solve`` holds numpy's OpenBLAS to one thread, process-wide, for the
 whole solve, factors included, and restores the caller's count
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeed, DimensionMismatch, EmptySubspace
-from .linalg import _one_blas_thread, as_vector, dot, norm2
+from .linalg import _one_blas_thread, as_vector, norm2
 from .reductions import breakdown_floor
 from .solvers import SolveReport, check_budget
 
@@ -34,7 +34,11 @@ class BlockPartition:
     bounds: np.ndarray
 
     def __post_init__(self):
-        self.bounds = np.asarray(self.bounds, dtype=np.int64)
+        bounds = np.asarray(self.bounds)
+        whole = np.isfinite(bounds) & (np.floor(bounds) == bounds)
+        if bounds.ndim != 1 or not whole.all():
+            raise ValueError("partition bounds must be 1-D whole numbers")
+        self.bounds = bounds.astype(np.int64)
         if len(self.bounds) < 2 or self.bounds[0] != 0:
             raise ValueError("partition must start at row 0")
         if np.any(np.diff(self.bounds) <= 0):
@@ -45,40 +49,26 @@ class BlockPartition:
         """k equal-size blocks; remainder rows go to the last block."""
         if not 1 <= k <= nrows:
             raise ValueError(f"need 1 <= k <= {nrows}, got {k}")
-        size = nrows // k
-        bounds = [i * size for i in range(k)] + [nrows]
-        return cls(np.array(bounds))
-
-    @property
-    def nblocks(self):
-        return len(self.bounds) - 1
+        return cls([i * (nrows // k) for i in range(k)] + [nrows])
 
     def blocks(self):
-        for i in range(self.nblocks):
-            yield int(self.bounds[i]), int(self.bounds[i + 1])
-
-
-@dataclass
-class ApState:
-    """Current projection of the solution and its inner product with it."""
-
-    p: np.ndarray
-    c: float
+        bounds = self.bounds.tolist()
+        return zip(bounds[:-1], bounds[1:])
 
 
 def ap_init(A, b):
-    """Initial projection p = alpha A'b with alpha = ||b||^2/||A'b||^2.
+    """Initial projection (p, c): p = alpha A'b, alpha = ||b||^2/||A'b||^2.
 
     Then c = x'p = alpha b'(Ax) = alpha ||b||^2 without knowing x.
     """
     b = as_vector(b, "b")
     atb = A.apply_transpose(b)
-    nrm2_atb = dot(atb, atb)
+    nrm2_atb = atb.dot(atb)
     if nrm2_atb <= breakdown_floor(A) ** 2:
         raise DegenerateSeed("A'b is numerically zero")
-    bb = dot(b, b)
+    bb = b.dot(b)
     alpha = bb / nrm2_atb
-    return ApState(alpha * atb, alpha * bb)
+    return alpha * atb, alpha * bb
 
 
 def _filtered_qr(W, l, drop_at, lstsq):
@@ -124,22 +114,6 @@ def project_onto(w_columns, l):
     return Q @ y, float(np.dot(y, y))
 
 
-@dataclass
-class ApBlock:
-    """One row block, factored for every sweep of a solve.
-
-    ``Q`` is an orthonormal basis of ran(A_B') left by rank filtering,
-    ``z = Q'x``, ``u = Q z`` the projection of x onto ran(A_B'),
-    ``zz = ||z||^2`` and ``fro2 = ||A_B||_F^2``.
-    """
-
-    Q: np.ndarray
-    z: np.ndarray
-    u: np.ndarray
-    zz: float
-    fro2: float
-
-
 def _check_cover(A, b, partition):
     """Raise DimensionMismatch unless partition and b cover A's rows."""
     if partition.bounds[-1] != A.nrows or len(b) != A.nrows:
@@ -150,8 +124,11 @@ def _check_cover(A, b, partition):
 
 
 def ap_factor(A, b, partition):
-    """Factor each block of ``partition`` once.
+    """Factor each block of ``partition`` once, for every sweep of a solve.
 
+    Returns one tuple (Q, z, u, zz, fro2) per block: Q is an orthonormal
+    basis of ran(A_B') left by rank filtering, z = Q'x, u = Q z the
+    projection of x onto ran(A_B'), zz = ||z||^2 and fro2 = ||A_B||_F^2.
     Rows are dropped, or a least-squares solve taken, as
     :func:`project_onto` would for W = [p, A_B']: the latter when the
     block has at least as many rows as A has columns.  Raises
@@ -165,29 +142,28 @@ def ap_factor(A, b, partition):
         fro = float(np.linalg.norm(W))
         Q, z = _filtered_qr(W, b[start:stop], RANK_TOL * fro,
                             lstsq=stop - start >= A.ncols)
-        blocks.append(ApBlock(Q, z, Q @ z, float(np.dot(z, z)), fro * fro))
+        blocks.append((Q, z, Q @ z, float(np.dot(z, z)), fro * fro))
     return blocks
 
 
-def ap_sweep(blocks, state):
-    """One pass over the factored blocks, threading the projection through.
+def ap_sweep(blocks, p, c):
+    """One pass over the factored blocks, threading (p, c) through.
 
     Each step projects x onto span{p} + ran(A_B') = ran(Q) + span{p_perp}.
     p_perp is dropped when its norm is at most RANK_TOL times the
     Frobenius norm of [p, A_B'], the drop rule of :func:`project_onto`.
     """
-    p, c = state.p, state.c
-    for blk in blocks:
-        q = blk.Q.T @ p
-        perp = p - blk.Q @ q
+    for Q, z, u, zz, fro2 in blocks:
+        q = Q.T @ p
+        perp = p - Q @ q
         perp2 = float(np.dot(perp, perp))
-        if perp2 > RANK_TOL ** 2 * (float(np.dot(p, p)) + blk.fro2):
-            t = (c - float(np.dot(q, blk.z))) / perp2
-            p = blk.u + t * perp
-            c = blk.zz + t * t * perp2
+        if perp2 > RANK_TOL ** 2 * (float(np.dot(p, p)) + fro2):
+            t = (c - float(np.dot(q, z))) / perp2
+            p = u + t * perp
+            c = zz + t * t * perp2
         else:
-            p, c = blk.u.copy(), blk.zz  # later sweeps reuse blk.u
-    return ApState(p, c)
+            p, c = u.copy(), zz  # later sweeps reuse u
+    return p, c
 
 
 @_one_blas_thread
@@ -206,21 +182,19 @@ def ap_solve(A, b, partition=None, tol=1e-6, max_sweeps=None):
     if partition is None:
         partition = BlockPartition.equal_blocks(A.nrows, 1)
     _check_cover(A, b, partition)
-    report = SolveReport()
     bnorm = norm2(b)
     if bnorm == 0.0:
-        report.termination = "converged"
-        report.residual_history = [0.0]
-        return np.zeros(A.ncols), report
+        return np.zeros(A.ncols), SolveReport("converged",
+                                              residual_history=[0.0])
 
     blocks = ap_factor(A, b, partition)
-    state = ap_init(A, b)
+    p, c = ap_init(A, b)
     relres = 1.0
-    report.residual_history.append(relres)
+    report = SolveReport(residual_history=[relres])
     while relres > tol and report.restarts < max_sweeps:
-        state = ap_sweep(blocks, state)
-        relres = norm2(b - A.apply(state.p)) / bnorm
-        report.inner_iterations.append(partition.nblocks)
+        p, c = ap_sweep(blocks, p, c)
+        relres = norm2(b - A.apply(p)) / bnorm
+        report.inner_iterations.append(len(blocks))
         report.residual_history.append(relres)
     report.termination = "converged" if relres <= tol else "max-restarts"
-    return state.p, report
+    return p, report

@@ -179,25 +179,25 @@ def _cmd_solve(args):
     return 0 if record.converged else 2
 
 
-def _bench_problems(args):
-    specs = []
-    if 1 in args.examples:
+def bench_problems(examples=(1, 2, 3, 4), seed=EXAMPLE4_SEED, p1=1.0, p2=1.0,
+                   p3=0.0):
+    """Yield the pinned suite's ``ProblemSpec``s (``oap bench`` defaults)."""
+    if 1 in examples:
         for nx, ny in EXAMPLE1_GRIDS:
-            specs.append(ProblemSpec("convdiff2d", nx=nx, ny=ny,
-                                     p1=args.p1, p2=args.p2, p3=args.p3))
-    if 2 in args.examples:
+            yield ProblemSpec("convdiff2d", nx=nx, ny=ny, p1=p1, p2=p2, p3=p3)
+    if 2 in examples:
         for target in EXAMPLE2_TARGETS:
-            specs.append(ProblemSpec("poisson-lshape", m=lshape_m_for(target)))
-    if 3 in args.examples:
-        specs.append(ProblemSpec("tridiag-unsym", n=EXAMPLE3_N))
-    if 4 in args.examples:
-        specs.append(ProblemSpec("random-dense", n=EXAMPLE4_N, seed=args.seed))
-    return specs
+            yield ProblemSpec("poisson-lshape", m=lshape_m_for(target))
+    if 3 in examples:
+        yield ProblemSpec("tridiag-unsym", n=EXAMPLE3_N)
+    if 4 in examples:
+        yield ProblemSpec("random-dense", n=EXAMPLE4_N, seed=seed)
 
 
 def _cmd_bench(args):
     records = []
-    for spec in _bench_problems(args):
+    for spec in bench_problems(args.examples, args.seed, args.p1, args.p2,
+                               args.p3):
         problem = spec.generate()
         for solver in args.solvers:
             records.append(run_case(problem, solver, args.tol,

@@ -11,23 +11,23 @@ from conftest import constructed_problem, oracle_projection
 class TestApInit:
     def test_identity(self):
         A = CsrMatrix.identity(2)
-        state = ap_init(A, np.array([3.0, 4.0]))
-        np.testing.assert_allclose(state.p, [3.0, 4.0], rtol=1e-15)
-        assert state.c == pytest.approx(25.0, rel=1e-15)
+        p, c = ap_init(A, np.array([3.0, 4.0]))
+        np.testing.assert_allclose(p, [3.0, 4.0], rtol=1e-15)
+        assert c == pytest.approx(25.0, rel=1e-15)
 
     def test_diagonal_hand_arithmetic(self):
         A = CsrMatrix.from_dense(np.diag([2.0, 3.0]))
-        state = ap_init(A, np.array([2.0, 3.0]))  # solution (1, 1)
-        np.testing.assert_allclose(state.p, [52.0 / 97.0, 117.0 / 97.0],
+        p, c = ap_init(A, np.array([2.0, 3.0]))  # solution (1, 1)
+        np.testing.assert_allclose(p, [52.0 / 97.0, 117.0 / 97.0],
                                    rtol=1e-14)
-        assert state.c == pytest.approx(169.0 / 97.0, rel=1e-14)
-        assert state.c == pytest.approx(np.dot([1.0, 1.0], state.p), rel=1e-13)
+        assert c == pytest.approx(169.0 / 97.0, rel=1e-14)
+        assert c == pytest.approx(np.dot([1.0, 1.0], p), rel=1e-13)
 
     def test_constructed_consistency(self, rng):
         A, b, x_true = constructed_problem(rng, 8)
-        state = ap_init(A, b)
-        slack = 1e-12 * norm2(x_true) * norm2(state.p)
-        assert abs(state.c - np.dot(x_true, state.p)) <= slack
+        p, c = ap_init(A, b)
+        slack = 1e-12 * norm2(x_true) * norm2(p)
+        assert abs(c - np.dot(x_true, p)) <= slack
 
     def test_degenerate(self):
         A = CsrMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -45,9 +45,9 @@ class TestProjectOnto:
 
     def test_full_space_recovers_solution(self, rng):
         A, b, x_true = constructed_problem(rng, 7)
-        state = ap_init(A, b)
-        W = np.column_stack([state.p, A.to_dense().T])
-        l = np.concatenate(([state.c], b))
+        p0, c0 = ap_init(A, b)
+        W = np.column_stack([p0, A.to_dense().T])
+        l = np.concatenate(([c0], b))
         p, c = project_onto(W, l)
         assert norm2(p - x_true) <= 1e-10 * norm2(x_true)
 
@@ -82,31 +82,31 @@ class TestApSweep:
     def test_single_block_solves_exactly(self, rng):
         A, b, x_true = constructed_problem(rng, 6)
         blocks = ap_factor(A, b, BlockPartition.equal_blocks(6, 1))
-        state = ap_sweep(blocks, ap_init(A, b))
-        assert norm2(state.p - x_true) <= 1e-10 * norm2(x_true)
+        p, c = ap_sweep(blocks, *ap_init(A, b))
+        assert norm2(p - x_true) <= 1e-10 * norm2(x_true)
 
     def test_identity_exact_after_first_sweep(self, rng):
         A = CsrMatrix.identity(6)
         x_true = rng.standard_normal(6)
         for k in (1, 2, 3):
             blocks = ap_factor(A, x_true, BlockPartition.equal_blocks(6, k))
-            state = ap_sweep(blocks, ap_init(A, x_true))
-            assert norm2(state.p - x_true) <= 1e-12 * norm2(x_true)
+            p, c = ap_sweep(blocks, *ap_init(A, x_true))
+            assert norm2(p - x_true) <= 1e-12 * norm2(x_true)
 
     def test_two_blocks_strictly_reduce_error(self, rng):
         A, b, x_true = constructed_problem(rng, 4)
-        state = ap_init(A, b)
-        before = norm2(x_true - state.p)
-        state = ap_sweep(ap_factor(A, b, BlockPartition.equal_blocks(4, 2)),
-                         state)
-        assert norm2(x_true - state.p) < before
+        p, c = ap_init(A, b)
+        before = norm2(x_true - p)
+        p, c = ap_sweep(ap_factor(A, b, BlockPartition.equal_blocks(4, 2)),
+                        p, c)
+        assert norm2(x_true - p) < before
 
     def test_projection_growth_and_consistency_within_sweep(self, rng):
         # replay the sweep block by block to observe intermediate states
         A, b, x_true = constructed_problem(rng, 10)
         partition = BlockPartition.equal_blocks(10, 3)
-        state = ap_init(A, b)
-        p, c = state.p, state.c
+        p0, c0 = ap_init(A, b)
+        p, c = p0, c0
         for start, stop in partition.blocks():
             W = np.column_stack([p, A.rows_dense(start, stop).T])
             l = np.concatenate(([c], b[start:stop]))
@@ -117,8 +117,8 @@ class TestApSweep:
             slack = 1e-10 * norm2(x_true) * max(norm2(p_new), 1.0)
             assert abs(c_new - np.dot(x_true, p_new)) <= slack
             p, c = p_new, c_new
-        final = ap_sweep(ap_factor(A, b, partition), state)
-        np.testing.assert_allclose(final.p, p, rtol=1e-13, atol=1e-13)
+        final_p, _ = ap_sweep(ap_factor(A, b, partition), p0, c0)
+        np.testing.assert_allclose(final_p, p, rtol=1e-13, atol=1e-13)
 
     def test_rank_deficient_block_matches_project_onto_replay(self, rng):
         M = rng.standard_normal((8, 8))
@@ -127,15 +127,15 @@ class TestApSweep:
         b = A.apply(rng.standard_normal(8))
         partition = BlockPartition.equal_blocks(8, 2)
         blocks = ap_factor(A, b, partition)
-        assert [blk.Q.shape[1] for blk in blocks] == [3, 4]
-        state = ap_init(A, b)
-        p, c = state.p, state.c
+        assert [Q.shape[1] for Q, *_ in blocks] == [3, 4]
+        p0, c0 = ap_init(A, b)
+        p, c = p0, c0
         for start, stop in partition.blocks():
             W = np.column_stack([p, A.rows_dense(start, stop).T])
             p, c = project_onto(W, np.concatenate(([c], b[start:stop])))
-        swept = ap_sweep(blocks, state)
-        assert norm2(swept.p - p) <= 1e-12 * norm2(p)
-        assert swept.c == pytest.approx(c, rel=1e-12)
+        swept_p, swept_c = ap_sweep(blocks, p0, c0)
+        assert norm2(swept_p - p) <= 1e-12 * norm2(p)
+        assert swept_c == pytest.approx(c, rel=1e-12)
 
     def test_perp_dropped_when_p_lies_in_block_row_space(self, rng):
         # one block of an underdetermined system: the seed alpha A'b is
@@ -143,11 +143,26 @@ class TestApSweep:
         A = DenseMatrix(rng.standard_normal((4, 7)))
         b = rng.standard_normal(4)
         (blk,) = ap_factor(A, b, BlockPartition.equal_blocks(4, 1))
-        state = ap_sweep([blk], ap_init(A, b))
-        np.testing.assert_array_equal(state.p, blk.u)
-        assert state.c == blk.zz
+        _, _, u, zz, _ = blk
+        p, c = ap_sweep([blk], *ap_init(A, b))
+        np.testing.assert_array_equal(p, u)
+        assert c == zz
         x_min = np.linalg.pinv(A.to_dense()) @ b
-        assert norm2(state.p - x_min) <= 1e-12 * norm2(x_min)
+        assert norm2(p - x_min) <= 1e-12 * norm2(x_min)
+
+    def test_dropped_perp_returns_a_copy_of_the_block_projection(self, rng):
+        # the drop branch hands back u, which later sweeps reuse: writing
+        # into the returned p must not change the next sweep's result
+        A = DenseMatrix(rng.standard_normal((4, 7)))
+        b = rng.standard_normal(4)
+        blocks = ap_factor(A, b, BlockPartition.equal_blocks(4, 1))
+        p0, c0 = ap_init(A, b)
+        first, c_first = ap_sweep(blocks, p0.copy(), c0)
+        expected = first.tobytes()
+        first[:] = 7.0
+        again, c_again = ap_sweep(blocks, p0.copy(), c0)
+        assert again.tobytes() == expected
+        assert c_again == c_first
 
 
 class TestApSolve:
@@ -263,3 +278,16 @@ class TestBlockPartition:
             BlockPartition(np.array([0, 3, 3, 5]))
         with pytest.raises(ValueError):
             BlockPartition.equal_blocks(3, 9)
+        # a bound that is not a whole number is refused, not truncated
+        for bounds in ([0, 2.5, 5], np.array([0.0, 2.7, 5.0]),
+                       [0, float("nan"), 5], [0, float("inf")]):
+            with pytest.raises(ValueError, match="whole numbers"):
+                BlockPartition(bounds)
+        for bounds in (5, [[0, 2, 5]]):
+            with pytest.raises(ValueError, match="1-D"):
+                BlockPartition(bounds)
+
+    def test_integral_float_bounds_accepted(self):
+        part = BlockPartition(np.array([0.0, 2.0, 5.0]))
+        assert part.bounds.dtype == np.int64
+        assert list(part.blocks()) == [(0, 2), (2, 5)]

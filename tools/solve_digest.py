@@ -35,9 +35,8 @@ import numpy as np
 
 from oaplib import (BlockPartition, CsrMatrix, GeneratedProblem, ap_solve,
                     roap_solve)
-from oaplib.cli import EXAMPLE1_GRIDS, EXAMPLE2_TARGETS, EXAMPLE3_N, EXAMPLE4_N
-from oaplib.problems import (gen_convdiff2d, gen_poisson_lshape,
-                             gen_random_dense, gen_tridiag_unsym, lshape_m_for)
+from oaplib.cli import bench_problems
+from oaplib.problems import gen_convdiff2d, gen_poisson_lshape
 
 SEEDS = range(1234, 1242)
 RENUMBER_SEED = 30
@@ -50,13 +49,11 @@ SOLVERS = ("roap2", "roap3", "ap")
 
 def cases():
     """(problem, solvers) pairs in digest order."""
-    for nx, ny in EXAMPLE1_GRIDS:
-        yield gen_convdiff2d(nx, ny), SOLVERS
-    for target in EXAMPLE2_TARGETS:
-        yield gen_poisson_lshape(lshape_m_for(target)), SOLVERS
-    yield gen_tridiag_unsym(EXAMPLE3_N), SOLVERS
+    for spec in bench_problems(examples=(1, 2, 3)):
+        yield spec.generate(), SOLVERS
     for seed in SEEDS:
-        yield gen_random_dense(EXAMPLE4_N, seed), SOLVERS
+        for spec in bench_problems(examples=(4,), seed=seed):
+            yield spec.generate(), SOLVERS
     yield gen_convdiff2d(60, 60), SOLVERS
     yield gen_convdiff2d(200, 200), ("roap2",)
 

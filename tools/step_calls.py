@@ -19,21 +19,14 @@ import pstats
 import numpy as np
 
 from oaplib import roap_solve
-from oaplib.cli import (EXAMPLE1_GRIDS, EXAMPLE2_TARGETS, EXAMPLE3_N,
-                        EXAMPLE4_N, EXAMPLE4_SEED)
-from oaplib.problems import (gen_convdiff2d, gen_poisson_lshape,
-                             gen_random_dense, gen_tridiag_unsym, lshape_m_for)
+from oaplib.cli import bench_problems
 
 SOLVERS = ("roap2", "roap3")
 
 
 def problems():
-    for nx, ny in EXAMPLE1_GRIDS:
-        yield gen_convdiff2d(nx, ny)
-    for target in EXAMPLE2_TARGETS:
-        yield gen_poisson_lshape(lshape_m_for(target))
-    yield gen_tridiag_unsym(EXAMPLE3_N)
-    yield gen_random_dense(EXAMPLE4_N, EXAMPLE4_SEED)
+    for spec in bench_problems():
+        yield spec.generate()
 
 
 def main():
