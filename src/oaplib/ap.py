@@ -27,9 +27,12 @@ from .solvers import SolveReport, check_budget
 RANK_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockPartition:
-    """Contiguous row blocks given by offsets [0, b1, ..., nrows]."""
+    """Contiguous row blocks given by offsets [0, b1, ..., nrows].
+
+    Immutable once checked: the instance is frozen and ``bounds`` is the
+    partition's own read-only int64 copy."""
 
     bounds: np.ndarray
 
@@ -38,11 +41,13 @@ class BlockPartition:
         whole = np.isfinite(bounds) & (np.floor(bounds) == bounds)
         if bounds.ndim != 1 or not whole.all():
             raise ValueError("partition bounds must be 1-D whole numbers")
-        self.bounds = bounds.astype(np.int64)
-        if len(self.bounds) < 2 or self.bounds[0] != 0:
+        bounds = bounds.astype(np.int64)
+        if len(bounds) < 2 or bounds[0] != 0:
             raise ValueError("partition must start at row 0")
-        if np.any(np.diff(self.bounds) <= 0):
+        if np.any(np.diff(bounds) <= 0):
             raise ValueError("partition bounds must be strictly increasing")
+        bounds.flags.writeable = False
+        object.__setattr__(self, "bounds", bounds)
 
     @classmethod
     def equal_blocks(cls, nrows, k):

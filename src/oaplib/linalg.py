@@ -11,25 +11,29 @@ operator with more than 2**31 - 1 rows, columns or nonzeros is refused
 before anything is narrowed.
 
 ``CsrMatrix`` computes each product with one call of a compiled kernel
-of scipy's (``scipy.sparse._sparsetools``, without the ~15 Python calls
-of ``@`` dispatch).  The operator picks one of two layouts for both
-products on its first product of either kind, from its structure alone,
-so an operator that sees no product builds nothing:
+(without the ~15 Python calls of ``@`` dispatch).  The operator picks
+one of two layouts for both products on its first product of either
+kind, from its structure alone, so an operator that sees no product
+builds nothing:
 
 * banded: when the d distinct diagonals, padding and in-band zeros
   included, read no more bytes than the CSR arrays
   (8 d max(nrows, ncols) <= 12 nnz), read-only diagonal (DIA) arrays of
   A and of A' are built, offsets ascending, and both products run
-  through ``dia_matvec``, which streams each diagonal with no index
-  gather;
+  through ``oaplib._kernels.dia_matvec``, which streams each diagonal
+  with no index gather, 512 rows at a time, over C arrays made once per
+  operator;
 * otherwise both products read the operator's own CSR arrays (12 bytes
-  per nonzero): ``A v`` through ``csr_matvec``, and ``A' u`` through
-  ``csc_matvec``, since A's CSR arrays are A' in CSC form.
+  per nonzero) through scipy's kernels (``scipy.sparse._sparsetools``):
+  ``A v`` through ``csr_matvec``, and ``A' u`` through ``csc_matvec``,
+  since A's CSR arrays are A' in CSC form.
 
 Every kernel adds each output's terms into a zeroed output in ascending
-column order of the matrix it multiplies (A's rows, for ``A' u``), and
-the DIA terms CSR lacks are in-band zeros times finite entries of x,
-exact zeros, so the two layouts give the same bits.  The product
+column order of the matrix it multiplies (A's rows, for ``A' u``); the
+DIA kernel, like scipy's ``dia_matvec``, adds them diagonal by diagonal
+in ascending offset order, which is the same order.  The DIA terms CSR
+lacks are in-band zeros times finite entries of x, exact zeros, so the
+two layouts give the same bits.  The product
 contract: vectors are finite.  A DIA product also multiplies its in-band
 zero slots, so an inf or NaN in x can reach rows that the CSR product
 leaves finite.
@@ -51,11 +55,15 @@ import threading
 
 import numpy as np
 
+from . import _kernels
 from .errors import DimensionMismatch, NonFiniteVector
 
 
 def backend_name():
-    """Name of the CSR kernel implementation; the only one is scipy.sparse."""
+    """Name of the implementation of the CSR products, scipy.sparse's
+    ``csr_matvec`` and ``csc_matvec``; banded operators multiply through
+    ``oaplib._kernels`` instead.  The name stays "scipy", a key by which
+    benchmark records are compared."""
     return "scipy"
 
 
@@ -345,24 +353,26 @@ class CsrMatrix(LinearOperator):
                           np.ones(n))
 
     # The (A v, A'u) pair of kernels, each with its arguments before x
-    # and y, picked on the first product, not at construction: the
-    # Matrix Market reader builds operators that see no product.
+    # and y and the allocator of y (np.zeros for scipy's kernels, which
+    # add into y; np.empty for the DIA kernel, which writes all of it),
+    # picked on the first product, not at construction: the Matrix
+    # Market reader builds operators that see no product.
     @functools.cached_property
     def _products(self):
-        kernels = _sparsetools()
         dia = self._diagonals()
         if dia is not None:
             offsets, data, offsets_t, data_t = dia
-            d = len(offsets)
-            return ((kernels.dia_matvec, (self.nrows, self.ncols, d,
-                                          self.ncols, offsets, data)),
-                    (kernels.dia_matvec, (self.ncols, self.nrows, d,
-                                          self.nrows, offsets_t, data_t)))
+            kernel = _kernels.dia_matvec
+            return ((kernel, _kernels.dia_args(self.nrows, offsets, data),
+                     np.empty),
+                    (kernel, _kernels.dia_args(self.ncols, offsets_t, data_t),
+                     np.empty))
         # A's CSR arrays are A' in CSC form: the scatter adds each output's
         # terms from zero in A's row order
+        kernels = _sparsetools()
         csr = (self.row_offsets, self.col_indices, self.values)
-        return ((kernels.csr_matvec, (self.nrows, self.ncols, *csr)),
-                (kernels.csc_matvec, (self.ncols, self.nrows, *csr)))
+        return ((kernels.csr_matvec, (self.nrows, self.ncols, *csr), np.zeros),
+                (kernels.csc_matvec, (self.ncols, self.nrows, *csr), np.zeros))
 
     def _diagonals(self):
         """Read-only DIA arrays ``(offsets, data, offsets_t, data_t)`` of A
@@ -413,15 +423,15 @@ class CsrMatrix(LinearOperator):
     # The kernels read x unchecked: ``_check_apply`` is their length guard.
     def apply(self, v):
         v = self._check_apply(v, self.ncols, "apply")
-        out = np.zeros(self.nrows)
-        kernel, args = self._products[0]
+        kernel, args, fresh = self._products[0]
+        out = fresh(self.nrows)
         kernel(*args, v, out)
         return out
 
     def apply_transpose(self, u):
         u = self._check_apply(u, self.nrows, "apply_transpose")
-        out = np.zeros(self.ncols)
-        kernel, args = self._products[1]
+        kernel, args, fresh = self._products[1]
+        out = fresh(self.ncols)
         kernel(*args, u, out)
         return out
 

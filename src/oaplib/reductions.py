@@ -21,12 +21,19 @@ whose u side breaks down returns before A'u, with beta 0.0 and both
 next vectors None.  At step 1 the previous vectors may be None: a zero
 trailing norm means they are not read.  No code here keeps a basis; the
 full-basis reference runs live with the tests in ``tests/conftest.py``.
+
+Besides the two products, a step is one NumPy inner product (the
+two-sided step's alpha) and two calls of the compiled ``half_step``
+kernel (``oaplib._kernels``), each forming one next vector and its norm
+in one pass with the bits of the NumPy formulas it replaced, which
+``tests/test_kernels.py`` keeps as the reference.
 """
 
 import math
 
 import numpy as np
 
+from ._kernels import half_step
 from .errors import NumericalOverflow
 
 TAU_BREAK = 1e-13
@@ -41,64 +48,50 @@ def _overflow(what, step):
     return NumericalOverflow(f"non-finite {what} at step {step}", step=step)
 
 
-# The steps below evaluate the recurrences of the module docstring in
-# the order written there, each product and difference rounded once as
-# ``av - alpha * u_k`` would round it, but into as few arrays as possible:
-# w is built in one new array and divided in place into the next u, and
-# the fresh A'u from the operator becomes the next v in place; the
-# two-sided step forms its scaled vectors in one scratch array.  No step
-# writes into the window's vectors or into ``av``, which callers read.
+# Each step evaluates the recurrences of the module docstring in the
+# order written there, each half of it in one ``half_step`` kernel call
+# (``oaplib._kernels``), with the bits of NumPy's ``av - alpha * u_k``
+# and so on: w is built in one new array and divided in place into the
+# next u, and the fresh A'u from the operator becomes the next v in
+# place.  No step writes into the window's vectors or into ``av``, which
+# callers read.  The kernel refuses a window vector that is not a
+# contiguous float64 array of the right length, and a read-only A'u.
 
 def tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev, gamma_prev):
     """Step k of the two-sided reduction on a square A (which
-    ``oap_cycle_tridiag`` checks: u and v share one scratch array)."""
+    ``oap_cycle_tridiag`` checks: u and v have one length)."""
     av = A.apply(v)
     alpha = float(u.dot(av))
     if not math.isfinite(alpha):
         raise _overflow("alpha", k)
-    w = np.multiply(u, alpha)
-    np.subtract(av, w, out=w)
-    # the step's one scratch array, for each scaled vector it subtracts
-    if beta_prev != 0.0:
-        t = np.multiply(u_prev, beta_prev)
-        np.subtract(w, t, out=w)
-    else:
-        t = np.empty_like(w)
-    gamma = math.sqrt(w.dot(w))
+    w = np.empty(len(av))
+    gamma = half_step(av, u, alpha, None if beta_prev == 0.0 else u_prev,
+                      beta_prev, floor, w)
     if not math.isfinite(gamma):
         raise _overflow("gamma", k)
-    next_u = None if gamma <= floor else np.divide(w, gamma, out=w)
 
     q = A.apply_transpose(u)
-    np.subtract(q, np.multiply(v, alpha, out=t), out=q)
-    if gamma_prev != 0.0:
-        np.subtract(q, np.multiply(v_prev, gamma_prev, out=t), out=q)
-    beta = math.sqrt(q.dot(q))
+    beta = half_step(q, v, alpha, None if gamma_prev == 0.0 else v_prev,
+                     gamma_prev, floor, q)
     if not math.isfinite(beta):
         raise _overflow("beta", k)
-    next_v = None if beta <= floor else np.divide(q, beta, out=q)
-    return av, alpha, beta, gamma, next_v, next_u
+    return (av, alpha, beta, gamma, None if beta <= floor else q,
+            None if gamma <= floor else w)
 
 
 def bidiag_step(A, k, floor, v, u_prev, beta_prev):
     """Step k of the bidiagonal reduction (produces u_k, v_{k+1})."""
     av = A.apply(v)
-    if beta_prev == 0.0:
-        w = av  # step 1: av itself, so u_k is a new array
-    else:
-        w = np.multiply(u_prev, beta_prev)
-        np.subtract(av, w, out=w)
-    alpha = math.sqrt(w.dot(w))
+    u = np.empty(len(av))  # step 1 (beta_prev 0): av itself, scaled
+    alpha = half_step(av, None if beta_prev == 0.0 else u_prev, beta_prev,
+                      None, 0.0, floor, u)
     if not math.isfinite(alpha):
         raise _overflow("alpha", k)
     if alpha <= floor:  # no u_k, so no v_{k+1}
         return av, alpha, 0.0, 0.0, None, None
-    u = np.divide(w, alpha, out=None if w is av else w)
 
     q = A.apply_transpose(u)
-    np.subtract(q, np.multiply(v, alpha), out=q)
-    beta = math.sqrt(q.dot(q))
+    beta = half_step(q, v, alpha, None, 0.0, floor, q)
     if not math.isfinite(beta):
         raise _overflow("beta", k)
-    next_v = None if beta <= floor else np.divide(q, beta, out=q)
-    return av, alpha, beta, 0.0, next_v, u
+    return av, alpha, beta, 0.0, None if beta <= floor else q, u

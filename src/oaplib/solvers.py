@@ -6,9 +6,13 @@ short-recurrence engines while updating the coefficients c_k = x'v_k
 from right-hand-side inner products alone.  The cycle keeps the
 engine's two-vector window, its trailing norms and the breakdown floor
 as plain locals and calls ``tridiag_step`` or ``bidiag_step`` once per
-step, so a step builds arrays but no state object.  The
-angle between the running approximation and each new direction detects
-loss of orthogonality; ``roap_solve`` then restarts on the residual
+step, so a step builds arrays but no state object.  Its own vector work
+per step is one NumPy inner product (b'u for the coefficient) and three
+compiled kernel calls (``oaplib._kernels``): the tracked residual's
+update and norm, the angle test's two inner products, and the next x,
+each with the bits of the NumPy formulas it replaced.  The angle
+between the running approximation and each new direction detects loss
+of orthogonality; ``roap_solve`` then restarts on the residual
 equation (with a budget of one cycle it is the unrestarted OAP method).
 
 A cycle takes at most n - 1 steps.  With v1 these are n orthonormal
@@ -42,6 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSeed, DimensionMismatch, NumericalOverflow
+from ._kernels import axpy, dots, lib, vector
 from .linalg import _one_blas_thread, as_vector, dot, norm2
 from .reductions import bidiag_step, breakdown_floor, tridiag_step
 
@@ -185,8 +190,9 @@ def orthogonality_lost(x, v_next, threshold):
     Works on |cos| of the angle rather than the angle itself; the zero
     vector never triggers, so the first step always passes.
     """
-    xn = math.sqrt(x.dot(x))
-    return xn != 0.0 and abs(x.dot(v_next)) / xn > threshold
+    xx, xv = dots(x, v_next)
+    xn = math.sqrt(xx)
+    return xn != 0.0 and abs(xv) / xn > threshold
 
 
 def _check_seed(A, v1):
@@ -230,14 +236,16 @@ def _cycle(A, rhs, v1, c1, two_sided):
     beta = gamma = 0.0
 
     x = c1 * v1
-    cv = np.empty_like(x)  # c v for each accepted step
     c_prev, c_curr = 0.0, c1
     c_abs, c_sq = abs(c1), c1 * c1
     scale = norm2(rhs)
     # 0 + c A v rounds to c A v but for the sign of a zero, which no
-    # norm sees, so A x starts at zero
-    ax = np.zeros_like(rhs)
-    res = np.empty_like(rhs)
+    # norm sees, so A x starts at zero; the residual kernel reads rhs and
+    # writes ax and res through C arrays made once per cycle
+    m = len(rhs)
+    ax_c = vector(np.zeros(m), m, writable=True)
+    res_c = vector(np.empty(m), m, writable=True)
+    rhs_c = vector(rhs, m)
     best_x, best_res = np.zeros_like(x), scale
     cause = "exhausted"
     for k in range(1, max(A.ncols - 1, 1) + 1):  # >= 1 step, so k is bound
@@ -247,9 +255,9 @@ def _cycle(A, rhs, v1, c1, two_sided):
         else:  # u holds u_{k-1}; the step returns u_k
             av, alpha, beta_k, gamma_k, next_v, next_u = bidiag_step(
                 A, k, floor, v, u, beta)
-        np.add(ax, np.multiply(av, c_curr, out=res), out=ax)  # A x_k
-        np.subtract(rhs, ax, out=res)
-        res_norm = math.sqrt(res.dot(res))
+        # A x_k += c_k A v_k, res = rhs - A x_k
+        res_norm = math.sqrt(lib.oap_residual_update(
+            m, ax_c, vector(av, m), c_curr, rhs_c, res_c))
         if res_norm < best_res:
             best_x, best_res = x, res_norm
         if res_norm > DIVERGENCE_FACTOR * scale:
@@ -270,7 +278,7 @@ def _cycle(A, rhs, v1, c1, two_sided):
             cause = "orthogonality"
             break
         # a new x, not x += ...: best_x may hold the old one
-        x = x + np.multiply(next_v, c_next, out=cv)
+        x = axpy(x, c_next, next_v)
         c_prev, c_curr = c_curr, c_next
         c_abs += abs(c_next)
         c_sq += c_next * c_next

@@ -291,3 +291,20 @@ class TestBlockPartition:
         part = BlockPartition(np.array([0.0, 2.0, 5.0]))
         assert part.bounds.dtype == np.int64
         assert list(part.blocks()) == [(0, 2), (2, 5)]
+
+    def test_bounds_cannot_change_after_the_checks(self):
+        # the checks run once, at construction: neither an entry nor the
+        # field can be replaced afterwards
+        part = BlockPartition([0, 2, 4])
+        with pytest.raises(ValueError, match="read-only"):
+            part.bounds[1] = 7
+        with pytest.raises(AttributeError, match="bounds"):
+            part.bounds = [0, 2.5, 4]
+        assert list(part.blocks()) == [(0, 2), (2, 4)]
+
+    def test_bounds_are_a_copy_of_the_callers_array(self):
+        given = np.array([0, 2, 4], dtype=np.int64)
+        part = BlockPartition(given)
+        given[1] = 7
+        assert given.flags.writeable
+        assert list(part.blocks()) == [(0, 2), (2, 4)]

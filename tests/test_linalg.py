@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse
 
 import oaplib
+import oaplib._kernels
 import oaplib.linalg
 from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch,
                     NonFiniteVector, as_vector, backend_name, dot,
@@ -19,17 +20,16 @@ from conftest import (bincount_apply, bincount_apply_transpose,
 
 
 class KernelSpy:
-    """Stands in for scipy's ``_sparsetools``: records each kernel call
-    and, while ``run`` is set, runs the real kernel on its arguments."""
+    """Stands in for scipy's ``_sparsetools`` and for the DIA kernel of
+    ``oaplib._kernels``: records each kernel call and, while ``run`` is
+    set, runs the real kernel on its arguments."""
 
     def __init__(self, real):
         self.real = real
         self.calls = []
         self.run = True
 
-    def __getattr__(self, name):
-        kernel = getattr(self.real, name)
-
+    def wrap(self, name, kernel):
         def spy(*args):
             self.calls.append((name, args))
             if self.run:
@@ -37,11 +37,16 @@ class KernelSpy:
         spy.__name__ = name
         return spy
 
+    def __getattr__(self, name):
+        return self.wrap(name, getattr(self.real, name))
+
 
 @pytest.fixture
 def kernels(monkeypatch):
     spy = KernelSpy(oaplib.linalg._sparsetools())
     monkeypatch.setattr(oaplib.linalg, "_sparsetools", lambda: spy)
+    monkeypatch.setattr(oaplib._kernels, "dia_matvec",
+                        spy.wrap("dia_matvec", oaplib._kernels.dia_matvec))
     return spy
 
 
@@ -75,11 +80,13 @@ class TestApply:
         np.testing.assert_array_equal(A.apply_transpose([1.0, 2.0, 3.0, 4.0]),
                                       [1.0, 9.0, 2.0, 12.0, 0.0])
 
-    # the kernel reads x unchecked, so no bad vector may reach it
+    # the kernels read x unchecked, so no bad vector may reach them
+    @pytest.mark.parametrize("name", ["4x5, empty trailing row and column",
+                                      "banded 40x44"])
     @pytest.mark.parametrize("bad", ["short", "long", "2-D", "empty"])
     @pytest.mark.parametrize("product", ["apply", "apply_transpose"])
-    def test_dimension_mismatch(self, kernels, product, bad):
-        A = CsrMatrix(4, 5, [0, 2, 2, 4, 4], [0, 2, 1, 3], [1.0, 2.0, 3.0, 4.0])
+    def test_dimension_mismatch(self, kernels, product, bad, name):
+        A = build(name)
         n = A.ncols if product == "apply" else A.nrows
         x = {"short": np.ones(n - 1), "long": np.ones(n + 1),
              "2-D": np.ones((1, n)), "empty": np.ones(0)}[bad]
@@ -265,11 +272,21 @@ class TestInt32Indices:
     @pytest.mark.parametrize("path", CONSTRUCTIONS)
     def test_every_construction_path_stores_int32(self, path, tmp_path):
         A = self.CONSTRUCTIONS[path](tmp_path)
-        A._products  # picks the layout: CSR arrays or DIA offsets
-        stored = [a for _, args in A._products for a in args
-                  if isinstance(a, np.ndarray)]
+        # picks the layout: CSR arrays, or C arrays over the DIA arrays
+        args = [a for _, args, _ in A._products for a in args]
+        stored = [a for a in args if isinstance(a, np.ndarray)]
+        if kernels_of(A) == DIA:
+            # the offsets of A and A', as int32 C arrays over the
+            # read-only int32 arrays that _diagonals builds
+            ints = [a for a in args if is_c_array(a, "int32_t[]")]
+            offsets, _, offsets_t, _ = A._diagonals()
+            assert [bytes(c_buffer(a)) for a in ints] == [
+                offsets.tobytes(), offsets_t.tobytes()]
+            assert stored == []
+            stored = [offsets, offsets_t]
+        else:  # A's own two, read by both
+            assert len(stored) == 6
         indices = [a for a in stored if a.dtype != np.float64]
-        # DIA: the offsets of A and A'; CSR: A's own two, read by both
         assert len(indices) == (2 if kernels_of(A) == DIA else 4)
         for a in [A.row_offsets, A.col_indices] + indices:
             assert a.dtype == np.int32 and not a.flags.writeable
@@ -370,7 +387,17 @@ DIA = ("dia_matvec", "dia_matvec")
 
 def kernels_of(A):
     """Names of the (A v, A'u) kernels that ``A`` picked."""
-    return tuple(kernel.__name__ for kernel, _ in A._products)
+    return tuple(kernel.__name__ for kernel, *_ in A._products)
+
+
+def is_c_array(a, ctype):
+    ffi = oaplib._kernels.ffi
+    return isinstance(a, ffi.CData) and ffi.typeof(a) is ffi.typeof(ctype)
+
+
+def c_buffer(a):
+    """The memory of the C array ``a``, which ``ffi.from_buffer`` made."""
+    return oaplib._kernels.ffi.buffer(a)
 
 
 def banded(nrows, ncols, offsets, seed=3):
@@ -474,15 +501,20 @@ def assert_same_args(got, want):
     """The kernel read exactly these sizes and these stored arrays."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g is w if isinstance(w, np.ndarray) else g == w
+        if isinstance(w, (np.ndarray, oaplib._kernels.ffi.CData)):
+            assert g is w
+        else:
+            assert g == w
 
 
 class TestScipyKernels:
     """Each operator picks its product layout on its first product of
-    either kind: DIA arrays and ``dia_matvec`` for both products when
-    they read no more bytes than CSR, else its own CSR arrays through
-    ``csr_matvec`` and ``csc_matvec``.  The NumPy ``bincount`` kernels
-    in conftest are the reference of both."""
+    either kind: DIA arrays and the compiled ``dia_matvec`` of
+    ``oaplib._kernels`` for both products when they read no more bytes
+    than CSR, else its own CSR arrays through scipy's ``csr_matvec`` and
+    ``csc_matvec``.  The NumPy ``bincount`` kernels in conftest are the
+    reference of both, and scipy's ``todia`` and ``dia_matvec`` the
+    oracle of the DIA arrays and product (``tests/test_kernels.py``)."""
 
     @staticmethod
     def operators():
@@ -530,7 +562,7 @@ class TestScipyKernels:
         (n1, av1), (n2, atu), (n3, av2) = kernels.calls
         layout = OPERATORS[name][1]
         assert (n1, n2, n3) == (layout[0], layout[1], layout[0])
-        (_, av_args), (_, atu_args) = A._products
+        (_, av_args, _), (_, atu_args, _) = A._products
         # the stored arrays themselves, not copies; x and y follow them
         assert_same_args(av1[:-2], av_args)
         assert_same_args(atu[:-2], atu_args)
@@ -543,6 +575,9 @@ class TestScipyKernels:
             d = len(av_args[4])
             assert av_args[:4] == (A.nrows, A.ncols, d, A.ncols)
             assert atu_args[:4] == (A.ncols, A.nrows, d, A.nrows)
+            # C arrays over the DIA arrays (test_dia_arrays_match_scipy)
+            assert all(is_c_array(a, "int32_t[]") for a in (av_args[4],
+                                                           atu_args[4]))
 
     @pytest.mark.parametrize("name", ["scattered 7x11", "poisson-lshape m5"])
     def test_first_transpose_product_reads_the_operators_own_arrays(
@@ -562,7 +597,7 @@ class TestScipyKernels:
         # pair's few tuples: no array, no copy of A
         assert first <= later + 512
         # what each product passes (test_products_read_the_layout_arrays)
-        kernel, args = A._products[1]
+        kernel, args, _ = A._products[1]
         assert kernel is kernels.csc_matvec
         assert_same_args(args, (A.ncols, A.nrows, A.row_offsets,
                                 A.col_indices, A.values))
@@ -592,8 +627,14 @@ class TestScipyKernels:
                                       "banded, empty row and column"])
     def test_dia_arrays_match_scipy(self, name):
         A = build(name)
-        for (_, args), B in zip(A._products, (A, None)):
-            offsets, data = args[4:6]
+        dia = A._diagonals()
+        for (_, args, _), (offsets, data), B in zip(
+                A._products, (dia[:2], dia[2:]), (A, None)):
+            # the kernel reads C arrays over the bytes of these arrays
+            assert is_c_array(args[4], "int32_t[]")
+            assert is_c_array(args[5], "double[]")
+            assert bytes(c_buffer(args[4])) == offsets.tobytes()
+            assert bytes(c_buffer(args[5])) == data.tobytes()
             assert offsets.dtype == np.int32 and data.dtype == np.float64
             assert not (offsets.flags.writeable or data.flags.writeable)
             assert np.all(np.diff(offsets) > 0)

@@ -18,12 +18,14 @@ the termination alone.  A change that moves only the report's counts
 keeps the second.  The last three lines are ``overall``, one digest
 over the lines before the CSR cases; ``overall-x``, one over those
 lines' second digests alone; and ``overall-csr``, one over the CSR
-cases' lines.  The header line, which names the
-``OPENBLAS_NUM_THREADS`` setting (its value or ``unset``), enters none
-of them.  Compare them between two commits on one machine: ``norm2``
-and the steps' dot products sum through BLAS ``ddot``, whose order may
-differ between CPU kernels.  The thread count does not enter: each
-solve runs OpenBLAS on one thread and gives the caller's count back.
+cases' lines.  The two header lines, which name the
+``OPENBLAS_NUM_THREADS`` setting (its value or ``unset``) and the
+compiled kernel module (``oaplib._kernels``: its hashed name and its
+compiler flags), enter none of them.  Compare them between two commits
+on one machine: ``norm2`` and the compiled kernels' dot products sum
+through numpy's BLAS ``ddot``, whose order may differ between CPU
+kernels.  The thread count does not enter: each solve runs OpenBLAS on
+one thread and gives the caller's count back.
 
     PYTHONPATH=src python tools/solve_digest.py
 """
@@ -33,6 +35,7 @@ import os
 
 import numpy as np
 
+import oaplib._kernels as kernels
 from oaplib import (BlockPartition, CsrMatrix, GeneratedProblem, ap_solve,
                     roap_solve)
 from oaplib.cli import bench_problems
@@ -118,6 +121,8 @@ def lines(cases):
 def main():
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     print(f"OPENBLAS_NUM_THREADS {threads}", flush=True)
+    print(f"kernels {kernels.module_name()} {' '.join(kernels.FLAGS)}",
+          flush=True)
     overall = hashlib.sha256()
     overall_x = hashlib.sha256()
     for line, x_digest in lines(cases()):

@@ -9,6 +9,9 @@ profiled, nor is one warm-up product each way per operator, so that
 imports and per-operator set-up on first use stay out of the count.
 The count is deterministic for one interpreter and one set of
 libraries, so it compares two commits on one machine; it is not a test.
+A call of a compiled kernel counts once, and each array it takes once
+more, as the ``ffi.from_buffer`` call that hands the array to C (about
+0.2 us each): a lower count is not always a faster step.
 
     PYTHONPATH=src python tools/step_calls.py
 """
