@@ -13,10 +13,11 @@ Library layout:
 * :mod:`oaplib.cli`        - ``oap`` command line
 
 ``CsrMatrix`` computes ``A v`` and ``A' u`` with scipy's compiled
-``csr_matvec`` and ``csc_matvec`` kernels, or ``dia_matvec`` for a
-banded operator (``scipy.sparse._sparsetools``), imported on the first
-product; :func:`backend_name` names that implementation for benchmark
-records.
+``csr_matvec`` and ``csc_matvec`` kernels (``scipy.sparse._sparsetools``,
+imported on the first product), or, for a banded operator, with the
+compiled ``dia_matvec`` of ``oaplib._kernels``; every product writes
+into a caller's ``out`` array or a new one.  :func:`backend_name` names
+the CSR implementation for benchmark records.
 """
 
 from .ap import (BlockPartition, ap_factor, ap_init, ap_solve, ap_sweep,
@@ -33,7 +34,7 @@ from .problems import (GeneratedProblem, ProblemSpec, gen_convdiff2d,
 from .reductions import bidiag_step, tridiag_step
 from .solvers import (CycleResult, SolveReport, c_update_bidiag,
                       c_update_tridiag, init_from_vector, oap_cycle_bidiag,
-                      oap_cycle_tridiag, orthogonality_lost, roap_solve)
+                      oap_cycle_tridiag, roap_solve)
 
 __version__ = "0.1.0"
 
@@ -47,7 +48,7 @@ __all__ = [
     "bidiag_step", "c_update_bidiag", "c_update_tridiag", "dot",
     "gen_convdiff2d", "gen_poisson_lshape", "gen_random_dense",
     "gen_tridiag_unsym", "init_from_vector", "norm2", "oap_cycle_bidiag",
-    "oap_cycle_tridiag", "orthogonality_lost", "project_onto",
+    "oap_cycle_tridiag", "project_onto",
     "read_matrix_market", "roap_solve", "sample_solution", "tridiag_step",
     "write_matrix_market",
 ]

@@ -4,13 +4,13 @@ banded products, with the bits of the NumPy formulas they replace.
 Each kernel does in one C pass what NumPy did in one call per
 elementwise operation:
 
-* ``half_step`` - one half of a reduction step: out = (a - x s) - y t,
-  then its norm, and out divided by the norm when that is finite and
-  above the breakdown floor;
+* ``lib.oap_half_step`` - one half of a reduction step:
+  out = (a - x s) - y t, then its norm, and out divided by the norm when
+  that is finite and above the breakdown floor;
 * ``lib.oap_residual_update`` - the cycle's A x += c A v and
   res = rhs - A x, returning res'res;
-* ``dots`` - x'x and x'v for the cycle's angle test;
-* ``axpy`` - the cycle's x + c v, as a new array;
+* ``lib.oap_dots`` - x'x and x'v for the cycle's angle test;
+* ``lib.oap_axpy`` - the cycle's next x, x + c v, into another row;
 * ``dia_matvec`` - y = A x over DIA arrays, cache-blocked: every
   diagonal adds into one block of 512 rows before the next block, and
   each entry of y still receives its terms in scipy ``dia_matvec``'s
@@ -36,12 +36,16 @@ directory with ``os.replace``, under a lock file, so concurrent first
 imports build once.  A failed build, or a numpy without the ddot
 symbol, raises ImportError; there is no NumPy fallback.
 
-cffi releases the interpreter lock around each kernel call.  Every
-vector a caller hands in goes through ``vector``, which checks that it
-is a C-contiguous float64 ndarray of the expected length and, where the
-kernel writes, writable.  Two kinds skip it: the arrays the wrappers
-allocate themselves, and ``dia_matvec``'s x, which ``CsrMatrix``
-checks (``_check_apply`` is the length guard of every product kernel).
+cffi releases the interpreter lock around each kernel call.  The
+steps and the cycle call the vector kernels on C pointers into the
+cycle's blocks: ``rows`` makes a block and its rows' pointers with one
+``ffi.from_buffer`` per block, so the block's shape is the one length
+check of every row.  The one array from outside a block that a vector
+kernel reads, the cycle's right-hand side, goes through ``vector``,
+which checks that it is a C-contiguous float64 ndarray of the expected
+length (and, for an output, writable), once per cycle.
+``dia_matvec``'s x and y are the product's, which ``CsrMatrix`` checks
+(``_check_apply`` and ``_check_out`` guard every product kernel).
 """
 
 import ctypes
@@ -171,33 +175,15 @@ def _refusal(a, n):
     return DimensionMismatch(f"expected {n} entries, got shape {a.shape}")
 
 
-def half_step(a, x, s, y, t, floor, out):
-    """out = (a - x s) - y t, each term skipped when its vector is None
-    (both when x is); then norm = ||out||, and out /= norm when norm is
-    finite and above ``floor``.  Returns norm.  ``out`` may be ``a``
-    itself; x and y share no memory with it."""
-    n = len(a)
-    out_c = vector(out, n, writable=True)
-    return lib.oap_half_step(
-        n, out_c if out is a else vector(a, n),
-        ffi.NULL if x is None else vector(x, n), s,
-        ffi.NULL if y is None else vector(y, n), t, floor, out_c)
-
-
-def dots(x, v):
-    """``(x'x, x'v)`` in one call."""
-    n = len(x)
-    d = lib.oap_dots(n, vector(x, n), vector(v, n))
-    return d.xx, d.xv
-
-
-def axpy(x, c, v):
-    """x + v c as a new array."""
-    n = len(x)
-    out = np.empty(n)
-    lib.oap_axpy(n, vector(x, n), c, vector(v, n),
-                 _from_buffer(_DOUBLES, out, True))
-    return out
+def rows(count, n):
+    """A new block of ``count`` rows of n float64 entries, as one pair
+    ``(array, pointer)`` per row: the row's ndarray view and a C
+    ``double *`` to its first entry, all from one ``ffi.from_buffer`` of
+    the block.  A pointer does not keep the block alive; the row's array
+    does, so keep the pair while the pointer is in use."""
+    block = np.empty((count, n))
+    base = _from_buffer(_DOUBLES, block, True)
+    return [(block[i], base + i * n) for i in range(count)]
 
 
 def dia_args(n_row, offsets, data):

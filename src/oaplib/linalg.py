@@ -33,10 +33,18 @@ column order of the matrix it multiplies (A's rows, for ``A' u``); the
 DIA kernel, like scipy's ``dia_matvec``, adds them diagonal by diagonal
 in ascending offset order, which is the same order.  The DIA terms CSR
 lacks are in-band zeros times finite entries of x, exact zeros, so the
-two layouts give the same bits.  The product
-contract: vectors are finite.  A DIA product also multiplies its in-band
-zero slots, so an inf or NaN in x can reach rows that the CSR product
-leaves finite.
+two layouts give the same bits.  The product contract: vectors are
+finite.  A DIA product also multiplies its in-band zero slots, so an inf
+or NaN in x can reach rows that the CSR product leaves finite.
+
+Both operators write a product into the caller's ``out`` when one is
+given (the solve's cycle hands its own rows), else into a new array.
+The DIA kernel writes every entry of ``out``; scipy's kernels add into
+it, so it is zeroed first, and ``DenseMatrix`` multiplies with
+``np.matmul(..., out=out)``.  Whatever ``out`` held, the bytes are those
+of a fresh product.  An ``out`` that is not a writable C-contiguous
+float64 array of the product's length, or that overlaps the input, is
+refused before any kernel runs.
 
 The solve drivers run under ``_one_blas_thread``: numpy's OpenBLAS works
 on the calling thread for the whole solve, and the caller's thread count
@@ -213,13 +221,16 @@ class LinearOperator:
         op._store(*args)
         return op
 
-    def apply(self, v):
-        """A v as a new array."""
+    def apply(self, v, out=None):
+        """A v, written into ``out`` when one is given, else into a new
+        array; returns that array.  ``out`` must be a writable
+        C-contiguous float64 array of nrows entries that shares no memory
+        with v (``_check_out``)."""
         raise NotImplementedError
 
-    def apply_transpose(self, u):
-        """A' u as a new, writable array that shares memory with no other
-        array: the reduction steps turn it into their next v in place."""
+    def apply_transpose(self, u, out=None):
+        """A' u, as ``apply`` forms A v: into ``out`` (ncols entries) when
+        one is given, else into a new array; returns that array."""
         raise NotImplementedError
 
     def rows_dense(self, start, stop):
@@ -249,6 +260,25 @@ class LinearOperator:
                 f"vector has shape {v.shape}"
             )
         return v
+
+    def _check_out(self, out, v, length, name):
+        """Refuse an ``out`` that is not a writable C-contiguous float64
+        ndarray of ``length`` entries, or that shares memory with the
+        product's input ``v``, before any kernel runs."""
+        if not isinstance(out, np.ndarray) or out.dtype != np.float64:
+            raise TypeError(f"{name}: out must be a float64 ndarray, got "
+                            f"{getattr(out, 'dtype', type(out).__name__)}")
+        if out.shape != (length,):
+            raise DimensionMismatch(
+                f"{name}: operator is {self.nrows}x{self.ncols}, "
+                f"out has shape {out.shape}")
+        flags = out.flags
+        if not flags.c_contiguous:
+            raise ValueError(f"{name}: out must be C-contiguous")
+        if not flags.writeable:
+            raise ValueError(f"{name}: out is read-only")
+        if np.may_share_memory(out, v):
+            raise ValueError(f"{name}: out overlaps the input vector")
 
 
 class CsrMatrix(LinearOperator):
@@ -353,10 +383,10 @@ class CsrMatrix(LinearOperator):
                           np.ones(n))
 
     # The (A v, A'u) pair of kernels, each with its arguments before x
-    # and y and the allocator of y (np.zeros for scipy's kernels, which
-    # add into y; np.empty for the DIA kernel, which writes all of it),
-    # picked on the first product, not at construction: the Matrix
-    # Market reader builds operators that see no product.
+    # and y and whether it adds into y (scipy's kernels, whose y is
+    # zeroed first) or writes all of it (the DIA kernel), picked on the
+    # first product, not at construction: the Matrix Market reader
+    # builds operators that see no product.
     @functools.cached_property
     def _products(self):
         dia = self._diagonals()
@@ -364,15 +394,15 @@ class CsrMatrix(LinearOperator):
             offsets, data, offsets_t, data_t = dia
             kernel = _kernels.dia_matvec
             return ((kernel, _kernels.dia_args(self.nrows, offsets, data),
-                     np.empty),
+                     False),
                     (kernel, _kernels.dia_args(self.ncols, offsets_t, data_t),
-                     np.empty))
+                     False))
         # A's CSR arrays are A' in CSC form: the scatter adds each output's
         # terms from zero in A's row order
         kernels = _sparsetools()
         csr = (self.row_offsets, self.col_indices, self.values)
-        return ((kernels.csr_matvec, (self.nrows, self.ncols, *csr), np.zeros),
-                (kernels.csc_matvec, (self.ncols, self.nrows, *csr), np.zeros))
+        return ((kernels.csr_matvec, (self.nrows, self.ncols, *csr), True),
+                (kernels.csc_matvec, (self.ncols, self.nrows, *csr), True))
 
     def _diagonals(self):
         """Read-only DIA arrays ``(offsets, data, offsets_t, data_t)`` of A
@@ -420,18 +450,29 @@ class CsrMatrix(LinearOperator):
         return (_readonly(offsets), _readonly(data),
                 _readonly(-offsets[::-1]), _readonly(data_t))
 
-    # The kernels read x unchecked: ``_check_apply`` is their length guard.
-    def apply(self, v):
+    # The kernels read x and write y unchecked: ``_check_apply`` and
+    # ``_check_out`` are their guards.
+    def apply(self, v, out=None):
         v = self._check_apply(v, self.ncols, "apply")
-        kernel, args, fresh = self._products[0]
-        out = fresh(self.nrows)
+        kernel, args, adds = self._products[0]
+        if out is None:
+            out = np.zeros(self.nrows) if adds else np.empty(self.nrows)
+        else:
+            self._check_out(out, v, self.nrows, "apply")
+            if adds:
+                out.fill(0.0)
         kernel(*args, v, out)
         return out
 
-    def apply_transpose(self, u):
+    def apply_transpose(self, u, out=None):
         u = self._check_apply(u, self.nrows, "apply_transpose")
-        kernel, args, fresh = self._products[1]
-        out = fresh(self.ncols)
+        kernel, args, adds = self._products[1]
+        if out is None:
+            out = np.zeros(self.ncols) if adds else np.empty(self.ncols)
+        else:
+            self._check_out(out, u, self.ncols, "apply_transpose")
+            if adds:
+                out.fill(0.0)
         kernel(*args, u, out)
         return out
 
@@ -475,13 +516,17 @@ class DenseMatrix(LinearOperator):
         self.values = _readonly(values)
         self.nrows, self.ncols = values.shape
 
-    def apply(self, v):
+    def apply(self, v, out=None):
         v = self._check_apply(v, self.ncols, "apply")
-        return self.values @ v
+        if out is not None:
+            self._check_out(out, v, self.nrows, "apply")
+        return np.matmul(self.values, v, out=out)
 
-    def apply_transpose(self, u):
+    def apply_transpose(self, u, out=None):
         u = self._check_apply(u, self.nrows, "apply_transpose")
-        return self.values.T @ u
+        if out is not None:
+            self._check_out(out, u, self.ncols, "apply_transpose")
+        return np.matmul(self.values.T, u, out=out)
 
     def rows_dense(self, start, stop):
         self._check_rows(start, stop)

@@ -1,42 +1,50 @@
 """Short-recurrence reduction kernels.
 
-Two engines, each one step of plain arrays and scalars in and one tuple
-``(av, alpha, beta, gamma, next_v, next_u)`` out; the caller keeps the
-rolling two-vector window as its own locals (``solvers._cycle``):
+Two engines, each one step that reads the rolling window and writes its
+new vectors into rows the caller hands it, returning the scalars
+``(alpha, beta, gamma)``; the caller owns every vector
+(``solvers._cycle``):
 
 * ``tridiag_step`` - two-sided reduction U'AV = T with T tridiagonal;
   step k reads (v_{k-1}, v_k, u_{k-1}, u_k) and beta_{k-1}, gamma_{k-1}
   and produces alpha_k, gamma_k, u_{k+1}, beta_k, v_{k+1}.
 * ``bidiag_step`` - Golub-Kahan-style reduction with T upper bidiagonal;
   note the index offset: step k reads (v_k, u_{k-1}) and beta_{k-1} and
-  produces u_k (same index, returned as ``next_u``) and v_{k+1}; gamma
+  produces u_k (same index, written into ``next_u``) and v_{k+1}; gamma
   is 0.0.
 
-``av`` is A v_k, returned so the cycle can track residuals of
-accumulated combinations without extra products.  A recurrence norm at
-or below the floor the caller passes (:func:`breakdown_floor`, taken
-once per cycle) is a breakdown: that side's next vector is None, the
-norm is returned as computed, and nothing is raised.  A bidiagonal step
-whose u side breaks down returns before A'u, with beta 0.0 and both
-next vectors None.  At step 1 the previous vectors may be None: a zero
-trailing norm means they are not read.  No code here keeps a basis; the
+Every vector is a row pair ``(array, pointer)`` from
+``oaplib._kernels.rows``: an ndarray row of a block of the operator's
+length and a C pointer to it.  The steps trust the pairs; the cycle
+makes them to A's shape.  A step writes A v_k into ``av``, so the cycle
+can track residuals of accumulated combinations without extra products,
+and the next vectors into ``next_v`` and ``next_u``; it writes into no
+other row.
+
+A recurrence norm at or below the floor the caller passes
+(:func:`breakdown_floor`, taken once per cycle) is a breakdown: that
+side has no next vector (its row holds the undivided difference), the
+norm is returned as computed, and nothing is raised.  So v_{k+1} exists
+when beta > floor, and u_{k+1} (bidiagonal: u_k) when gamma (alpha) >
+floor.  A bidiagonal step whose u side breaks down returns before A'u,
+with beta 0.0.  At step 1 the previous rows are not read: a zero
+trailing norm means they hold nothing.  No code here keeps a basis; the
 full-basis reference runs live with the tests in ``tests/conftest.py``.
 
 Besides the two products, a step is one NumPy inner product (the
-two-sided step's alpha) and two calls of the compiled ``half_step``
-kernel (``oaplib._kernels``), each forming one next vector and its norm
-in one pass with the bits of the NumPy formulas it replaced, which
-``tests/test_kernels.py`` keeps as the reference.
+two-sided step's alpha) and two calls of the compiled ``oap_half_step``
+kernel (``oaplib._kernels``) on the rows' pointers, each forming one
+next vector and its norm in one pass with the bits of the NumPy formulas
+it replaced, which ``tests/test_kernels.py`` keeps as the reference.
 """
 
 import math
 
-import numpy as np
-
-from ._kernels import half_step
+from ._kernels import ffi, lib
 from .errors import NumericalOverflow
 
 TAU_BREAK = 1e-13
+_NULL = ffi.NULL
 
 
 def breakdown_floor(A):
@@ -49,49 +57,52 @@ def _overflow(what, step):
 
 
 # Each step evaluates the recurrences of the module docstring in the
-# order written there, each half of it in one ``half_step`` kernel call
-# (``oaplib._kernels``), with the bits of NumPy's ``av - alpha * u_k``
-# and so on: w is built in one new array and divided in place into the
-# next u, and the fresh A'u from the operator becomes the next v in
-# place.  No step writes into the window's vectors or into ``av``, which
-# callers read.  The kernel refuses a window vector that is not a
-# contiguous float64 array of the right length, and a read-only A'u.
+# order written there, each half of it in one ``oap_half_step`` call
+# over the rows' pointers, with the bits of NumPy's ``av - alpha * u_k``
+# and so on: w is formed in the next-u row and divided there, and A'u,
+# written into the next-v row by the operator, becomes the next v in
+# place.  A step writes into its three output rows and no other.
 
-def tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev, gamma_prev):
+def tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev, gamma_prev,
+                 next_v, next_u, av):
     """Step k of the two-sided reduction on a square A (which
     ``oap_cycle_tridiag`` checks: u and v have one length)."""
-    av = A.apply(v)
-    alpha = float(u.dot(av))
+    n = A.nrows
+    A.apply(v[0], av[0])
+    alpha = float(u[0].dot(av[0]))
     if not math.isfinite(alpha):
         raise _overflow("alpha", k)
-    w = np.empty(len(av))
-    gamma = half_step(av, u, alpha, None if beta_prev == 0.0 else u_prev,
-                      beta_prev, floor, w)
+    gamma = lib.oap_half_step(n, av[1], u[1], alpha,
+                              _NULL if beta_prev == 0.0 else u_prev[1],
+                              beta_prev, floor, next_u[1])
     if not math.isfinite(gamma):
         raise _overflow("gamma", k)
 
-    q = A.apply_transpose(u)
-    beta = half_step(q, v, alpha, None if gamma_prev == 0.0 else v_prev,
-                     gamma_prev, floor, q)
+    A.apply_transpose(u[0], next_v[0])
+    beta = lib.oap_half_step(n, next_v[1], v[1], alpha,
+                             _NULL if gamma_prev == 0.0 else v_prev[1],
+                             gamma_prev, floor, next_v[1])
     if not math.isfinite(beta):
         raise _overflow("beta", k)
-    return (av, alpha, beta, gamma, None if beta <= floor else q,
-            None if gamma <= floor else w)
+    return alpha, beta, gamma
 
 
-def bidiag_step(A, k, floor, v, u_prev, beta_prev):
-    """Step k of the bidiagonal reduction (produces u_k, v_{k+1})."""
-    av = A.apply(v)
-    u = np.empty(len(av))  # step 1 (beta_prev 0): av itself, scaled
-    alpha = half_step(av, None if beta_prev == 0.0 else u_prev, beta_prev,
-                      None, 0.0, floor, u)
+def bidiag_step(A, k, floor, v, u_prev, beta_prev, next_v, next_u, av):
+    """Step k of the bidiagonal reduction (produces u_k in ``next_u`` and
+    v_{k+1} in ``next_v``)."""
+    A.apply(v[0], av[0])
+    # step 1 (beta_prev 0): av itself, scaled
+    alpha = lib.oap_half_step(A.nrows, av[1],
+                              _NULL if beta_prev == 0.0 else u_prev[1],
+                              beta_prev, _NULL, 0.0, floor, next_u[1])
     if not math.isfinite(alpha):
         raise _overflow("alpha", k)
     if alpha <= floor:  # no u_k, so no v_{k+1}
-        return av, alpha, 0.0, 0.0, None, None
+        return alpha, 0.0, 0.0
 
-    q = A.apply_transpose(u)
-    beta = half_step(q, v, alpha, None, 0.0, floor, q)
+    A.apply_transpose(next_u[0], next_v[0])
+    beta = lib.oap_half_step(A.ncols, next_v[1], v[1], alpha, _NULL, 0.0,
+                             floor, next_v[1])
     if not math.isfinite(beta):
         raise _overflow("beta", k)
-    return av, alpha, beta, 0.0, None if beta <= floor else q, u
+    return alpha, beta, 0.0

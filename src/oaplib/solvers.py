@@ -3,17 +3,20 @@
 A single cycle seeds a unit direction v1 whose inner product c1 with
 the unknown solution is computable, then extends it with one of the
 short-recurrence engines while updating the coefficients c_k = x'v_k
-from right-hand-side inner products alone.  The cycle keeps the
-engine's two-vector window, its trailing norms and the breakdown floor
-as plain locals and calls ``tridiag_step`` or ``bidiag_step`` once per
-step, so a step builds arrays but no state object.  Its own vector work
-per step is one NumPy inner product (b'u for the coefficient) and three
-compiled kernel calls (``oaplib._kernels``): the tracked residual's
-update and norm, the angle test's two inner products, and the next x,
-each with the bits of the NumPy formulas it replaced.  The angle
-between the running approximation and each new direction detects loss
-of orthogonality; ``roap_solve`` then restarts on the residual
-equation (with a budget of one cycle it is the unrestarted OAP method).
+from right-hand-side inner products alone.  The cycle owns every vector
+it works on: two blocks made once per cycle, one row per vector, each
+row with a C pointer made once (``oaplib._kernels.rows``).  It keeps
+the engine's window as rows, its trailing norms and the breakdown floor
+as plain locals, and calls ``tridiag_step`` or ``bidiag_step`` once per
+step, which write into its rows, so a step allocates no array.  Its own
+vector work per step is one NumPy inner product (b'u for the
+coefficient) and three compiled kernel calls on the rows' pointers
+(``oaplib._kernels``): the tracked residual's update and norm, the
+angle test's two inner products, and the next x, each with the bits of
+the NumPy formulas it replaced.  The angle between the running
+approximation and each new direction detects loss of orthogonality;
+``roap_solve`` then restarts on the residual equation (with a budget of
+one cycle it is the unrestarted OAP method).
 
 A cycle takes at most n - 1 steps.  With v1 these are n orthonormal
 directions, which span the whole space, so in exact arithmetic one
@@ -46,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSeed, DimensionMismatch, NumericalOverflow
-from ._kernels import axpy, dots, lib, vector
+from ._kernels import lib, rows, vector
 from .linalg import _one_blas_thread, as_vector, dot, norm2
 from .reductions import bidiag_step, breakdown_floor, tridiag_step
 
@@ -182,19 +185,6 @@ def orthogonality_threshold(abs_sum, sq_sum):
     return SQRT_EPS * abs_sum / math.sqrt(sq_sum) if sq_sum > 0.0 else SQRT_EPS
 
 
-def orthogonality_lost(x, v_next, threshold):
-    """True when the new (unit) direction is no longer numerically
-    orthogonal to the accumulated approximation: |cos(x, v_next)|
-    exceeds ``threshold``.
-
-    Works on |cos| of the angle rather than the angle itself; the zero
-    vector never triggers, so the first step always passes.
-    """
-    xx, xv = dots(x, v_next)
-    xn = math.sqrt(xx)
-    return xn != 0.0 and abs(xv) / xn > threshold
-
-
 def _check_seed(A, v1):
     """v1 as a vector of A's column count and unit Euclidean norm."""
     v1 = as_vector(v1, "v1")
@@ -213,15 +203,24 @@ def _cycle(A, rhs, v1, c1, two_sided):
     stays orthogonal to the running approximation and neither recurrence
     breaks down, for at most n - 1 steps: by then x has n orthonormal
     directions, the whole space, and the cycle is "exhausted".
-    "Orthogonal" is |cos| within ``orthogonality_threshold`` of the
-    coefficients already in x, kept as the running sums of |c_j| and
-    c_j^2.  The window ``v_prev, v, u_prev, u`` and the trailing norms
-    ``beta, gamma`` are locals; the breakdown floor is taken once.  A
-    step without v_{k+1} stops the cycle before accepting it.  The
-    two-sided coefficient update reads b'u_k from the window, the
-    bidiagonal one b'u_k from the step (the index offset of
-    ``oaplib.reductions``); a two-sided step without u_{k+1} stops the
-    cycle after its update.  Returns the partial solution.
+    "Orthogonal" is |cos(x, v_{k+1})| within ``orthogonality_threshold``
+    of the coefficients already in x, kept as the running sums of |c_j|
+    and c_j^2; the zero x never fails the test.  The trailing norms
+    ``beta, gamma`` are locals, and the breakdown floor is taken once.
+    A step without v_{k+1} (a norm at or below the floor) stops the
+    cycle before accepting it.  The two-sided coefficient update reads
+    b'u_k from the window, the bidiagonal one b'u_k from the step (the
+    index offset of ``oaplib.reductions``); a two-sided step without
+    u_{k+1} stops the cycle after its update.  Returns the partial
+    solution as a new array.
+
+    The cycle's vectors are the rows of two blocks made once per cycle
+    (``oaplib._kernels.rows``), each with its C pointer: of A's column
+    count the v window (v_prev, v, next_v; the bidiagonal engine needs
+    no v_prev) and three x rows (x, the next x and one more, since the
+    best prefix may hold an old x); of A's row count the u window (u_prev,
+    u, next_u; bidiagonal: u_{k-1} and u_k), A v_k, A x_k and the
+    residual.  The window rolls by swapping rows.
 
     The cycle also tracks the residual rhs - A x_k from the A v_k
     products the steps already computed (each one step late: A x_k
@@ -231,63 +230,84 @@ def _cycle(A, rhs, v1, c1, two_sided):
     """
     rhs = _as_rhs(A, rhs, "rhs")
     floor = breakdown_floor(A)
-    v_prev = u_prev = None
-    v, u = v1, (v1 if two_sided else None)
+    n, m = A.ncols, A.nrows
+    v_rows = rows(6 if two_sided else 5, n)
+    u_rows = rows(len(v_rows), m)
+    x, x_spare, x_other, v, next_v = v_rows[:5]
+    av, ax, res, u, next_u = u_rows[:5]
+    v_prev, u_prev = (v_rows[5], u_rows[5]) if two_sided else (None, None)
+    v[0][:] = v1
+    if two_sided:
+        u[0][:] = v1
     beta = gamma = 0.0
 
-    x = c1 * v1
+    np.multiply(v1, c1, out=x[0])
     c_prev, c_curr = 0.0, c1
     c_abs, c_sq = abs(c1), c1 * c1
     scale = norm2(rhs)
     # 0 + c A v rounds to c A v but for the sign of a zero, which no
-    # norm sees, so A x starts at zero; the residual kernel reads rhs and
-    # writes ax and res through C arrays made once per cycle
-    m = len(rhs)
-    ax_c = vector(np.zeros(m), m, writable=True)
-    res_c = vector(np.empty(m), m, writable=True)
+    # norm sees, so A x starts at zero
+    ax[0].fill(0.0)
     rhs_c = vector(rhs, m)
-    best_x, best_res = np.zeros_like(x), scale
+    best, best_res = None, scale  # best None: the zero vector
     cause = "exhausted"
-    for k in range(1, max(A.ncols - 1, 1) + 1):  # >= 1 step, so k is bound
+    for k in range(1, max(n - 1, 1) + 1):  # >= 1 step, so k is bound
         if two_sided:
-            av, alpha, beta_k, gamma_k, next_v, next_u = tridiag_step(
-                A, k, floor, v_prev, v, u_prev, u, beta, gamma)
-        else:  # u holds u_{k-1}; the step returns u_k
-            av, alpha, beta_k, gamma_k, next_v, next_u = bidiag_step(
-                A, k, floor, v, u, beta)
+            alpha, beta_k, gamma_k = tridiag_step(
+                A, k, floor, v_prev, v, u_prev, u, beta, gamma,
+                next_v, next_u, av)
+        else:  # u holds u_{k-1}; the step writes u_k into next_u
+            alpha, beta_k, gamma_k = bidiag_step(
+                A, k, floor, v, u, beta, next_v, next_u, av)
         # A x_k += c_k A v_k, res = rhs - A x_k
         res_norm = math.sqrt(lib.oap_residual_update(
-            m, ax_c, vector(av, m), c_curr, rhs_c, res_c))
+            m, ax[1], av[1], c_curr, rhs_c, res[1]))
         if res_norm < best_res:
-            best_x, best_res = x, res_norm
+            best, best_res = x, res_norm
         if res_norm > DIVERGENCE_FACTOR * scale:
-            return CycleResult(best_x, k, "divergence")
+            return CycleResult(np.zeros(n) if best is None else best[0].copy(),
+                               k, "divergence")
         # no v_{k+1} (a bidiagonal step without u_k has none either):
         # nothing left to accumulate
-        if next_v is None:
+        if beta_k <= floor:
             cause = "breakdown"
             break
+        # b'u as a Python float: the updates' arithmetic then runs on
+        # floats, not NumPy scalars, with the same bits
         if two_sided:
-            c_next = c_update_tridiag(rhs.dot(u), alpha, beta_k, gamma,
-                                      c_curr, c_prev)
+            c_next = c_update_tridiag(float(rhs.dot(u[0])), alpha, beta_k,
+                                      gamma, c_curr, c_prev)
         else:
-            c_next = c_update_bidiag(rhs.dot(next_u), alpha, beta_k, c_curr)
+            c_next = c_update_bidiag(float(rhs.dot(next_u[0])), alpha,
+                                     beta_k, c_curr)
         if not math.isfinite(c_next):
             raise NumericalOverflow(f"non-finite coefficient at step {k}", step=k)
-        if orthogonality_lost(x, next_v, orthogonality_threshold(c_abs, c_sq)):
+        d = lib.oap_dots(n, x[1], next_v[1])  # x'x and x'v_{k+1}
+        x_norm = math.sqrt(d.xx)
+        if (x_norm != 0.0 and abs(d.xv) / x_norm
+                > orthogonality_threshold(c_abs, c_sq)):
             cause = "orthogonality"
             break
-        # a new x, not x += ...: best_x may hold the old one
-        x = axpy(x, c_next, next_v)
+        # the next x goes into a row that holds neither x nor the best
+        lib.oap_axpy(n, x[1], c_next, next_v[1], x_spare[1])
+        if best is x:
+            x, x_spare, x_other = x_spare, x_other, x
+        else:
+            x, x_spare = x_spare, x
         c_prev, c_curr = c_curr, c_next
         c_abs += abs(c_next)
         c_sq += c_next * c_next
-        if next_u is None:  # two-sided: u side exhausted; update stands
+        if two_sided and gamma_k <= floor:  # u side exhausted; update stands
             cause = "breakdown"
             break
-        v_prev, v, u_prev, u = v, next_v, u, next_u
+        if two_sided:
+            v_prev, v, next_v = v, next_v, v_prev
+            u_prev, u, next_u = u, next_u, u_prev
+        else:
+            v, next_v = next_v, v
+            u, next_u = next_u, u
         beta, gamma = beta_k, gamma_k
-    return CycleResult(x, k, cause)
+    return CycleResult(x[0].copy(), k, cause)
 
 
 def oap_cycle_tridiag(A, rhs, v1, c1):

@@ -20,6 +20,7 @@ import pytest
 import oaplib.reductions as reductions
 from oaplib import (CsrMatrix, DenseMatrix, c_update_bidiag, c_update_tridiag,
                     dot, norm2)
+from oaplib._kernels import rows
 from oaplib.reductions import breakdown_floor
 from oaplib.reporting import CSV_COLUMNS, RunRecord
 
@@ -139,16 +140,38 @@ def _reproject(A, unit, norm, cols):
 def window_step(A, k, floor, window, two_sided, step=None):
     """Step k of the library's two-sided or bidiagonal reduction (or
     ``step``, which takes the same arguments) on ``window`` =
-    ``(v_prev, v, u_prev, u, beta_prev, gamma_prev)``, the cycle's
-    locals: the two-sided step reads all of it, the bidiagonal step v, u
-    (u_{k-1}) and beta_prev.  The library step is looked up on
+    ``(v_prev, v, u_prev, u, beta_prev, gamma_prev)``, arrays and
+    scalars: the two-sided step reads all of it, the bidiagonal step v,
+    u (u_{k-1}) and beta_prev.  The library step is looked up on
     ``oaplib.reductions`` at each call, so a test that patches it there
-    drives it."""
+    drives it.
+
+    The step runs as the cycle runs it: the window's arrays are copied
+    into rows of new blocks (``oaplib._kernels.rows``), every other row
+    NaN, so a step that reads a row it should not leaves a NaN in its
+    results, and the step writes into three more rows.  Returns what it
+    wrote as one tuple of new arrays and scalars, ``(av, alpha, beta,
+    gamma, next_v, next_u)``, with None as the next vector of a side
+    whose norm is at or below ``floor`` (the bidiagonal step's u_k is
+    its next_u, and a bidiagonal step without u_k has neither)."""
     v_prev, v, u_prev, u, beta, gamma = window
+    v_rows, u_rows = rows(3, A.ncols), rows(4, A.nrows)
+    for (row, _), a in zip(v_rows + u_rows,
+                           (v_prev, v, None, u_prev, u, None, None)):
+        row[:] = np.nan if a is None else a
+    (v_prev, v, next_v), (u_prev, u, next_u, av) = v_rows, u_rows
     if two_sided:
-        return (step or reductions.tridiag_step)(A, k, floor, v_prev, v,
-                                                 u_prev, u, beta, gamma)
-    return (step or reductions.bidiag_step)(A, k, floor, v, u, beta)
+        alpha, beta, gamma = (step or reductions.tridiag_step)(
+            A, k, floor, v_prev, v, u_prev, u, beta, gamma, next_v, next_u,
+            av)
+        has_u = gamma > floor
+    else:
+        alpha, beta, gamma = (step or reductions.bidiag_step)(
+            A, k, floor, v, u, beta, next_v, next_u, av)
+        has_u = alpha > floor
+    return (av[0].copy(), alpha, beta, gamma,
+            next_v[0].copy() if beta > floor else None,
+            next_u[0].copy() if has_u else None)
 
 
 def reduction_steps(A, v1, u1, steps, adjust=None):

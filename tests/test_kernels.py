@@ -1,5 +1,9 @@
 """The compiled kernels of ``oaplib._kernels`` against the NumPy formulas
-they replaced, byte for byte, and their guards, build and import."""
+they replaced, byte for byte, and their guards, build and import.
+
+The library calls the vector kernels on C pointers into its cycle's
+blocks; ``half_step``, ``dots`` and ``axpy`` below call them on arrays,
+each checked by ``oaplib._kernels.vector``, for these tests."""
 
 import math
 import os
@@ -13,12 +17,12 @@ import scipy.sparse
 
 import oaplib
 import oaplib._kernels as kernels
-from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch, bidiag_step,
-                    gen_convdiff2d, orthogonality_lost, roap_solve,
-                    tridiag_step)
+from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch,
+                    gen_convdiff2d, oap_cycle_bidiag, oap_cycle_tridiag,
+                    roap_solve)
 from oaplib.reductions import breakdown_floor
 
-from conftest import random_wellcond, reduction_steps
+from conftest import random_wellcond, reduction_steps, window_step
 
 # every length below 16 and 17 (the SIMD widths and their tails), paper
 # scale (convdiff 19x19) and the large tier (convdiff 200x200)
@@ -56,6 +60,38 @@ def guarded(values, pad=8):
 
 def guards_intact(buf, n, pad=8):
     return np.isnan(buf[:pad]).all() and np.isnan(buf[pad + n:]).all()
+
+
+# --- the kernels on arrays ------------------------------------------------
+
+def half_step(a, x, s, y, t, floor, out):
+    """out = (a - x s) - y t, each term skipped when its vector is None
+    (both when x is); then norm = ||out||, and out /= norm when norm is
+    finite and above ``floor``.  Returns norm.  ``out`` may be ``a``
+    itself; x and y share no memory with it."""
+    n = len(a)
+    out_c = kernels.vector(out, n, writable=True)
+    return kernels.lib.oap_half_step(
+        n, out_c if out is a else kernels.vector(a, n),
+        kernels.ffi.NULL if x is None else kernels.vector(x, n), s,
+        kernels.ffi.NULL if y is None else kernels.vector(y, n), t, floor,
+        out_c)
+
+
+def dots(x, v):
+    """``(x'x, x'v)`` in one call."""
+    n = len(x)
+    d = kernels.lib.oap_dots(n, kernels.vector(x, n), kernels.vector(v, n))
+    return d.xx, d.xv
+
+
+def axpy(x, c, v):
+    """x + v c as a new array."""
+    n = len(x)
+    out = np.empty(n)
+    kernels.lib.oap_axpy(n, kernels.vector(x, n), c, kernels.vector(v, n),
+                         kernels.vector(out, n, writable=True))
+    return out
 
 
 # --- the NumPy formulas the kernels replaced ------------------------------
@@ -146,12 +182,12 @@ class TestSameBits:
         y = y if terms == "a - x s - y t" else None
         for floor in (0.0, 1e-300):
             out = np.empty(n)
-            norm = kernels.half_step(a, x, 0.7, y, -1.3, floor, out)
+            norm = half_step(a, x, 0.7, y, -1.3, floor, out)
             want, want_norm = numpy_half_step(a, x, 0.7, y, -1.3, floor)
             assert same(norm, want_norm) and same(out, want)
             # in place, as a step turns A'u into its next v
             inplace = a.copy()
-            norm = kernels.half_step(inplace, x, 0.7, y, -1.3, floor, inplace)
+            norm = half_step(inplace, x, 0.7, y, -1.3, floor, inplace)
             assert same(norm, want_norm) and same(inplace, want)
 
     @pytest.mark.parametrize("n", LENGTHS)
@@ -167,17 +203,17 @@ class TestSameBits:
     @pytest.mark.parametrize("n", LENGTHS)
     def test_dots_and_axpy(self, n):
         x, v = vectors(n, 2, seed=200 + n)
-        xx, xv = kernels.dots(x, v)
+        xx, xv = dots(x, v)
         assert same(xx, x.dot(x)) and same(xv, x.dot(v))
-        assert same(kernels.axpy(x, 1.7, v), x + np.multiply(v, 1.7))
+        assert same(axpy(x, 1.7, v), x + np.multiply(v, 1.7))
 
     def test_dots_of_signed_zeros(self):
         # ndarray.dot returns the lone product for one entry and 0.0 plus
         # ddot for more, so a -0.0 product survives only in the first
         for n in (1, 2, 3, 17):
             x, v = np.full(n, -0.0), np.ones(n)
-            assert same(kernels.dots(x, v), (x.dot(x), x.dot(v)))
-            assert same(kernels.dots(v, x), (v.dot(v), v.dot(x)))
+            assert same(dots(x, v), (x.dot(x), x.dot(v)))
+            assert same(dots(v, x), (v.dot(v), v.dot(x)))
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_dia_matvec_matches_scipy(self, n):
@@ -239,7 +275,7 @@ class TestBranches:
         want, norm = numpy_half_step(a, x, 0.5, None, 0.0, math.inf)
         out = np.empty(9)
         # at the floor: a breakdown, so no division
-        got = kernels.half_step(a, x, 0.5, None, 0.0, norm, out)
+        got = half_step(a, x, 0.5, None, 0.0, norm, out)
         assert same(got, norm) and same(out, want)
         assert same(out, a - x * 0.5)
 
@@ -250,7 +286,7 @@ class TestBranches:
         # inf: 1e308 - 1e308 * -10 overflows; nan: inf - inf
         s, y = (-10.0, None) if case == "inf" else (-10.0, x)
         out = np.empty(3)
-        norm = kernels.half_step(a, x, s, y, 10.0, 0.0, out)
+        norm = half_step(a, x, s, y, 10.0, 0.0, out)
         with np.errstate(over="ignore", invalid="ignore"):
             want, want_norm = numpy_half_step(a, x, s, y, 10.0, 0.0)
         assert math.isinf(norm) if case == "inf" else math.isnan(norm)
@@ -260,15 +296,16 @@ class TestBranches:
         # y is not read without x, so a stray y cannot reach NULL x
         a, y = vectors(9, 2, seed=10)
         out = np.empty(9)
-        norm = kernels.half_step(a, None, 0.5, y, 0.25, 0.0, out)
+        norm = half_step(a, None, 0.5, y, 0.25, 0.0, out)
         want, want_norm = numpy_half_step(a, None, 0.5, None, 0.0, 0.0)
         assert same(norm, want_norm) and same(out, want)
 
     def test_bidiag_u_breakdown_builds_no_v(self):
         # A v = 0: alpha is 0, at the floor, and no A'u is formed
         A = DenseMatrix(np.diag([1.0, 0.0]))
-        av, alpha, beta, gamma, next_v, next_u = bidiag_step(
-            A, 1, breakdown_floor(A), np.array([0.0, 1.0]), None, 0.0)
+        av, alpha, beta, gamma, next_v, next_u = window_step(
+            A, 1, breakdown_floor(A), (None, np.array([0.0, 1.0]), None, None,
+                                       0.0, 0.0), False)
         assert alpha == beta == gamma == 0.0
         assert next_v is None and next_u is None
 
@@ -283,43 +320,80 @@ def bad_vectors(n):
             "2-D": np.ones((n, 1))}
 
 
+def same_values(vec, kind):
+    """``vec``'s values as the malformed array ``kind`` of ``bad_vectors``
+    (its values exact in float32 and int64), or cut short or made 2-D."""
+    if kind == "float32":
+        return vec.astype(np.float32)
+    if kind == "int64":
+        return vec.astype(np.int64)
+    if kind == "strided":
+        buf = np.zeros(2 * len(vec))
+        buf[::2] = vec
+        return buf[::2]
+    return vec[:-1] if kind == "short" else vec[:, None]
+
+
 class TestGuards:
-    """A vector that is not a C-contiguous float64 array of the expected
-    length is refused before any kernel runs, and the kernels stay within
-    the vectors they are given."""
+    """The kernels read and write only rows of the blocks the cycle makes
+    (``oaplib._kernels.rows``) and vectors ``oaplib._kernels.vector`` has
+    checked: a vector that is not a C-contiguous float64 array of the
+    expected length is refused, or copied into one, before any kernel
+    runs, and the kernels stay within the vectors they are given."""
 
-    def window(self, rng, n):
-        vs = [rng.standard_normal(n) for _ in range(4)]
-        return [v / np.linalg.norm(v) for v in vs]
-
+    @pytest.mark.parametrize("cycle", [oap_cycle_bidiag, oap_cycle_tridiag])
+    @pytest.mark.parametrize("slot", ["v1", "rhs"])
     @pytest.mark.parametrize("bad", list(bad_vectors(4)))
-    @pytest.mark.parametrize("slot", range(4))
-    def test_tridiag_step_refuses(self, rng, bad, slot):
+    def test_cycle_runs_on_checked_copies(self, cycle, slot, bad):
+        # a vector of another dtype or layout runs as its contiguous
+        # float64 copy, with the same bits; another shape is refused
         A = gen_convdiff2d(4, 5).A
-        window = self.window(rng, A.ncols)
-        window[slot] = bad_vectors(A.ncols)[bad]
-        v_prev, v, u_prev, u = window
-        with pytest.raises(REFUSED):
-            tridiag_step(A, 2, breakdown_floor(A), v_prev, v, u_prev, u,
-                         0.5, 0.25)
+        v1 = np.zeros(A.ncols)
+        v1[3] = 1.0
+        rhs = np.ones(A.nrows)
+        want = cycle(A, rhs, v1, 0.5)
+        args = {"v1": v1, "rhs": rhs}
+        args[slot] = same_values(args[slot], bad)
+        if bad in ("short", "2-D"):
+            with pytest.raises(DimensionMismatch):
+                cycle(A, args["rhs"], args["v1"], 0.5)
+            return
+        got = cycle(A, args["rhs"], args["v1"], 0.5)
+        assert got.x_partial.tobytes() == want.x_partial.tobytes()
+        assert got[1:] == want[1:]
 
-    @pytest.mark.parametrize("bad", list(bad_vectors(4)))
-    @pytest.mark.parametrize("slot", range(2))
-    def test_bidiag_step_refuses(self, rng, bad, slot):
-        A = gen_convdiff2d(4, 5).A
-        window = self.window(rng, A.ncols)[:2]
-        window[slot] = bad_vectors(A.ncols)[bad]
-        v, u_prev = window
+    @pytest.mark.parametrize("bad", list(bad_vectors(4)) + ["read-only"])
+    def test_vector_refuses(self, bad):
+        n = 4
+        a = np.ones(n)
+        if bad == "read-only":
+            a.flags.writeable = False
+        else:
+            a = bad_vectors(n)[bad]
         with pytest.raises(REFUSED):
-            bidiag_step(A, 2, breakdown_floor(A), v, u_prev, 0.5)
+            kernels.vector(a, n, writable=True)
 
-    @pytest.mark.parametrize("bad", list(bad_vectors(4)))
-    @pytest.mark.parametrize("slot", range(2))
-    def test_orthogonality_lost_refuses(self, rng, bad, slot):
-        pair = self.window(rng, 20)[:2]
-        pair[slot] = bad_vectors(20)[bad]
-        with pytest.raises(REFUSED):
-            orthogonality_lost(*pair, 1e-8)
+    @pytest.mark.parametrize("count, n", [(1, 1), (3, 17), (6, 361), (5, 0)])
+    def test_each_row_pointer_addresses_its_row(self, count, n):
+        pairs = kernels.rows(count, n)
+        block = pairs[0][0].base
+        assert block.shape == (count, n)
+        for i, (row, _) in enumerate(pairs):
+            assert row.base is block and row.shape == (n,)
+            assert row.__array_interface__["data"] == \
+                block[i].__array_interface__["data"]
+            row[:] = np.arange(n) + 100.0 * i
+        for i, (row, ptr) in enumerate(pairs):
+            xx = kernels.lib.oap_dots(n, ptr, ptr).xx
+            assert same(xx, row.dot(row))
+        # copy the last row into the first through their pointers (no
+        # term, no division): only the first row changes
+        want = block.copy()
+        want[0] = want[-1]
+        kernels.lib.oap_half_step(n, pairs[-1][1], kernels.ffi.NULL, 0.0,
+                                  kernels.ffi.NULL, 0.0, math.inf,
+                                  pairs[0][1])
+        assert same(block, want)
 
     @pytest.mark.parametrize("bad", list(bad_vectors(4)) + ["read-only"])
     def test_half_step_refuses_before_writing(self, bad):
@@ -332,7 +406,7 @@ class TestGuards:
         else:
             x = bad_vectors(n)[bad]
         with pytest.raises(REFUSED):
-            kernels.half_step(a, x, 0.5, y, 0.25, 0.0, out)
+            half_step(a, x, 0.5, y, 0.25, 0.0, out)
         assert buf.tobytes() == before
 
     def test_dia_arrays_of_another_type_are_refused(self):
@@ -352,12 +426,12 @@ class TestGuards:
         # put a NaN into a result, a write past one would change a guard
         a, x, y, v = (guarded(w)[0] for w in vectors(n, 4, seed=500 + n))
         out, out_buf = guarded(np.zeros(n))
-        norm = kernels.half_step(a, x, 0.5, y, 0.25, 0.0, out)
+        norm = half_step(a, x, 0.5, y, 0.25, 0.0, out)
         want, want_norm = numpy_half_step(a, x, 0.5, y, 0.25, 0.0)
         assert same(norm, want_norm) and same(out, want)
         assert guards_intact(out_buf, n)
-        assert same(kernels.dots(x, v), (x.dot(x), x.dot(v)))
-        assert same(kernels.axpy(x, 0.5, v), x + np.multiply(v, 0.5))
+        assert same(dots(x, v), (x.dot(x), x.dot(v)))
+        assert same(axpy(x, 0.5, v), x + np.multiply(v, 0.5))
         ax, ax_buf = guarded(a)
         res, res_buf = guarded(np.zeros(n))
         want_ax, want_res, want_rr = numpy_residual_update(ax, v, 0.5, y)

@@ -771,3 +771,86 @@ def test_norm2_rounds_like_numpy_norm():
 
 def test_implementation_name_is_scipy():
     assert backend_name() == "scipy"
+
+
+# every OPERATORS entry, plus dense ones, square and rectangular
+OUT_OPERATORS = {name: make for name, (make, _) in OPERATORS.items()}
+OUT_OPERATORS.update({
+    "dense 5x5": lambda: DenseMatrix(np.arange(25.0).reshape(5, 5) % 7 - 3),
+    "dense 6x4": lambda: DenseMatrix(np.arange(24.0).reshape(6, 4) % 5 - 2),
+    "dense 4x6": lambda: DenseMatrix(np.arange(24.0).reshape(4, 6) % 5 - 2),
+})
+PRODUCTS = pytest.mark.parametrize("product", ["apply", "apply_transpose"])
+
+
+def product_sizes(A, product):
+    """(input length, output length) of ``product`` on A."""
+    return (A.ncols, A.nrows) if product == "apply" else (A.nrows, A.ncols)
+
+
+def bad_out(kind, x, length):
+    """An ``out`` of ``length`` entries (or not) that a product must refuse;
+    "overlap" shares its first entry with the last of ``x``."""
+    if kind == "overlap":
+        buf = np.ones(len(x) + length - 1)
+        buf[:len(x)] = x
+        return buf[:len(x)], buf[len(x) - 1:]
+    out = {"short": lambda: np.zeros(length - 1),
+           "long": lambda: np.zeros(length + 1),
+           "2-D": lambda: np.zeros((length, 1)),
+           "float32": lambda: np.zeros(length, dtype=np.float32),
+           "int64": lambda: np.zeros(length, dtype=np.int64),
+           "list": lambda: [0.0] * length,
+           "strided": lambda: np.zeros(2 * length)[::2],
+           "read-only": lambda: np.zeros(length)}[kind]()
+    if kind == "read-only":
+        out.flags.writeable = False
+    return x, out
+
+
+BAD_OUT = {"short": DimensionMismatch, "long": DimensionMismatch,
+           "2-D": DimensionMismatch, "float32": TypeError, "int64": TypeError,
+           "list": TypeError, "strided": ValueError, "read-only": ValueError,
+           "overlap": ValueError}
+
+
+class TestProductOutput:
+    """``apply(v, out)`` and ``apply_transpose(u, out)`` write the product
+    into ``out`` and return it, with the bytes of a fresh product whatever
+    ``out`` held; an ``out`` of the wrong length or type, read-only,
+    strided or overlapping the input is refused, naming the product,
+    before any kernel runs."""
+
+    @PRODUCTS
+    @pytest.mark.parametrize("name", OUT_OPERATORS)
+    def test_out_gets_the_fresh_products_bytes(self, rng, name, product):
+        A = OUT_OPERATORS[name]()
+        n_in, n_out = product_sizes(A, product)
+        for _ in range(2):
+            x = rng.standard_normal(n_in)
+            want = getattr(A, product)(x)
+            # NaN: a kernel that adds into out without zeroing it first
+            # leaves NaN; the second product reads a stale result
+            for out in (np.full(n_out, np.nan), want + 1.0):
+                got = getattr(A, product)(x, out)
+                assert got is out
+                assert out.tobytes() == want.tobytes()
+
+    @PRODUCTS
+    @pytest.mark.parametrize("kind", BAD_OUT)
+    @pytest.mark.parametrize("name", ["convdiff 7x5", "banded 40x44",
+                                      "scattered 7x11", "dense 6x4"])
+    def test_bad_out_is_refused_before_any_kernel(self, kernels, name,
+                                                  product, kind):
+        A = OUT_OPERATORS[name]()
+        n_in, n_out = product_sizes(A, product)
+        A.apply(np.ones(A.ncols))  # layout picked before the record
+        kernels.calls.clear()
+        kernels.run = False  # a product that slipped through writes nothing
+        x, out = bad_out(kind, np.arange(1.0, n_in + 1.0), n_out)
+        before = bytes(np.asarray(out).data) if kind != "list" else None
+        with pytest.raises(BAD_OUT[kind], match=f"^{product}: "):
+            getattr(A, product)(x, out)
+        assert kernels.calls == []
+        if before is not None:
+            assert bytes(np.asarray(out).data) == before

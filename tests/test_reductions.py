@@ -4,6 +4,7 @@ import pytest
 import oaplib.reductions as reductions
 from oaplib import (CsrMatrix, DenseMatrix, NumericalOverflow, bidiag_step,
                     gen_convdiff2d, tridiag_step)
+from oaplib._kernels import rows
 from oaplib.reductions import breakdown_floor
 
 from conftest import (full_reduction, gram_defect, oracle_golub_kahan,
@@ -17,11 +18,18 @@ def e(i, n):
     return v
 
 
+def first_step(A, v1, u1=None):
+    """Step 1 of the two-sided reduction from (v1, u1), or of the
+    bidiagonal one when u1 is None, as ``window_step`` runs it."""
+    return window_step(A, 1, breakdown_floor(A), (None, v1, None, u1, 0.0, 0.0),
+                       u1 is not None)
+
+
 class TestTridiagStep:
     def test_identity_breaks_down_immediately(self):
         A = CsrMatrix.identity(3)
-        av, alpha, beta, gamma, next_v, next_u = tridiag_step(
-            A, 1, breakdown_floor(A), None, e(0, 3), None, e(0, 3), 0.0, 0.0)
+        av, alpha, beta, gamma, next_v, next_u = first_step(A, e(0, 3),
+                                                            e(0, 3))
         assert alpha == 1.0
         assert gamma == 0.0
         assert beta == 0.0
@@ -30,8 +38,8 @@ class TestTridiagStep:
 
     def test_swap_matrix_against_oracle(self):
         A = DenseMatrix([[0.0, 1.0], [1.0, 0.0]])
-        _, alpha, beta, gamma, next_v, next_u = tridiag_step(
-            A, 1, breakdown_floor(A), None, e(0, 2), None, e(0, 2), 0.0, 0.0)
+        _, alpha, beta, gamma, next_v, next_u = first_step(A, e(0, 2),
+                                                           e(0, 2))
         assert alpha == 0.0
         assert gamma == 1.0
         assert beta == 1.0
@@ -68,8 +76,7 @@ class TestTridiagStep:
 class TestBidiagStep:
     def test_identity_v_side_breakdown(self):
         A = CsrMatrix.identity(2)
-        _, alpha, beta, _, next_v, next_u = bidiag_step(
-            A, 1, breakdown_floor(A), e(0, 2), None, 0.0)
+        _, alpha, beta, _, next_v, next_u = first_step(A, e(0, 2))
         assert alpha == 1.0
         np.testing.assert_array_equal(next_u, e(0, 2))
         assert beta == 0.0
@@ -81,9 +88,9 @@ class TestBidiagStep:
         # without u_1 no A'u_1 and no v_2
         A = DenseMatrix(np.diag([1.0, 0.0]))
         transposes = []
-        monkeypatch.setattr(A, "apply_transpose", transposes.append)
-        av, alpha, beta, gamma, next_v, next_u = bidiag_step(
-            A, 1, breakdown_floor(A), e(1, 2), None, 0.0)
+        monkeypatch.setattr(A, "apply_transpose",
+                            lambda *args: transposes.append(args))
+        av, alpha, beta, gamma, next_v, next_u = first_step(A, e(1, 2))
         assert transposes == []
         assert alpha == beta == gamma == 0.0
         assert next_v is None and next_u is None
@@ -91,8 +98,7 @@ class TestBidiagStep:
 
     def test_upper_triangular_example_against_oracle(self):
         A = DenseMatrix([[1.0, 1.0], [0.0, 1.0]])
-        _, alpha, beta, _, next_v, next_u = bidiag_step(
-            A, 1, breakdown_floor(A), e(0, 2), None, 0.0)
+        _, alpha, beta, _, next_v, next_u = first_step(A, e(0, 2))
         assert alpha == 1.0
         np.testing.assert_array_equal(next_u, e(0, 2))
         assert beta == 1.0
@@ -301,36 +307,43 @@ class TestRecurrenceInvariants:
 
 
 def fresh_tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev,
-                       gamma_prev):
+                       gamma_prev, next_v, next_u, av):
     """``tridiag_step`` with a new array for every intermediate result
-    (overflow checks left out)."""
-    av = A.apply(v)
-    alpha = float(np.dot(u, av))
-    w = av - alpha * u
+    (overflow checks left out), copied into the output rows at the end."""
+    v, u = v[0], u[0]
+    A_v = A.apply(v)
+    alpha = float(np.dot(u, A_v))
+    w = A_v - alpha * u
     if beta_prev != 0.0:
-        w = w - beta_prev * u_prev
+        w = w - beta_prev * u_prev[0]
     gamma = float(np.linalg.norm(w))
-    next_u = None if gamma <= floor else w / gamma
     q = A.apply_transpose(u) - alpha * v
     if gamma_prev != 0.0:
-        q = q - gamma_prev * v_prev
+        q = q - gamma_prev * v_prev[0]
     beta = float(np.linalg.norm(q))
-    next_v = None if beta <= floor else q / beta
-    return av, alpha, beta, gamma, next_v, next_u
+    av[0][:] = A_v
+    next_u[0][:] = w if gamma <= floor else w / gamma
+    next_v[0][:] = q if beta <= floor else q / beta
+    return alpha, beta, gamma
 
 
-def fresh_bidiag_step(A, k, floor, v, u_prev, beta_prev):
-    """``bidiag_step`` with a new array for every intermediate result."""
-    av = A.apply(v)
-    w = av if beta_prev == 0.0 else av - beta_prev * u_prev
+def fresh_bidiag_step(A, k, floor, v, u_prev, beta_prev, next_v, next_u, av):
+    """``bidiag_step`` with a new array for every intermediate result,
+    copied into the output rows at the end."""
+    v = v[0]
+    A_v = A.apply(v)
+    av[0][:] = A_v
+    w = A_v if beta_prev == 0.0 else A_v - beta_prev * u_prev[0]
     alpha = float(np.linalg.norm(w))
     if alpha <= floor:
-        return av, alpha, 0.0, 0.0, None, None
+        next_u[0][:] = w
+        return alpha, 0.0, 0.0
     u = w / alpha
     q = A.apply_transpose(u) - alpha * v
     beta = float(np.linalg.norm(q))
-    next_v = None if beta <= floor else q / beta
-    return av, alpha, beta, 0.0, next_v, u
+    next_u[0][:] = u
+    next_v[0][:] = q if beta <= floor else q / beta
+    return alpha, beta, 0.0
 
 
 # keyed by two_sided
@@ -341,9 +354,9 @@ ENGINES = pytest.mark.parametrize("two_sided", [True, False],
 
 
 class TestInPlaceSteps:
-    """The steps build their results in place inside new arrays; they
-    must write into none of their inputs and round like a step that
-    allocates every intermediate."""
+    """The steps write their results into the three output rows they are
+    handed (next v, next u, A v) and into no other row, and round like a
+    step that allocates every intermediate."""
 
     @staticmethod
     def operators(rng):
@@ -354,34 +367,55 @@ class TestInPlaceSteps:
         v = rng.standard_normal(n)
         return v / np.linalg.norm(v)
 
+    @staticmethod
+    def run(A, k, floor, window, two_sided, step):
+        """``step`` on ``window``'s arrays, loaded into the rows of two
+        blocks as the cycle lays them out (v_prev, v, next_v and one
+        more; u_prev, u, next_u, av and one more): returns the step's
+        scalars and every row's bytes before and after the step."""
+        v_rows, u_rows = rows(4, A.ncols), rows(5, A.nrows)
+        v_prev, v, u_prev, u, beta, gamma = window
+        for (row, _), a in zip(v_rows + u_rows,
+                               (v_prev, v, None, None, u_prev, u)):
+            row[:] = -7.0 if a is None else a  # -7.0: a row with no input
+        before = [row.tobytes() for row, _ in v_rows + u_rows]
+        (v_prev, v, next_v, _), (u_prev, u, next_u, av, _) = v_rows, u_rows
+        if two_sided:
+            out = step(A, k, floor, v_prev, v, u_prev, u, beta, gamma,
+                       next_v, next_u, av)
+        else:
+            out = step(A, k, floor, v, u, beta, next_v, next_u, av)
+        after = [row.tobytes() for row, _ in v_rows + u_rows]
+        return out, before, after
+
     @ENGINES
-    def test_step_writes_into_no_input_and_rounds_as_fresh(self, rng,
-                                                           two_sided):
+    def test_step_writes_only_its_output_rows_and_rounds_as_fresh(
+            self, rng, two_sided):
         step, fresh = STEPS[two_sided]
+        outputs = (2, 6, 7)  # next_v, next_u, av in v_rows + u_rows
         for A in self.operators(rng):
             floor = breakdown_floor(A)
             v1 = self.unit(rng, A.ncols)
             # step 1 has no beta_prev or gamma_prev
             window = (None, v1, None, v1 if two_sided else None, 0.0, 0.0)
             for k in range(1, 6):
-                inputs = [a for a in window[:4] if a is not None]
-                saved = [a.copy() for a in inputs]
-                av = A.apply(window[1])
-                out = window_step(A, k, floor, window, two_sided, step)
-                ref = window_step(A, k, floor, window, two_sided, fresh)
-                for a, before in zip(inputs, saved):
-                    assert a.tobytes() == before.tobytes()
-                assert out[0].tobytes() == av.tobytes()
-                next_v, next_u = out[4:]
-                assert next_v is not None and next_u is not None, k
-                for new in (next_u, next_v):
-                    assert not any(np.shares_memory(new, old)
-                                   for old in inputs + [out[0]])
-                assert not np.shares_memory(next_u, next_v)
-                assert next_u.tobytes() == ref[5].tobytes()
-                assert next_v.tobytes() == ref[4].tobytes()
-                assert out[1:4] == ref[1:4]
-                window = (window[1], next_v, window[3], next_u, *out[2:4])
+                got, before, after = self.run(A, k, floor, window, two_sided,
+                                              step)
+                ref, _, ref_after = self.run(A, k, floor, window, two_sided,
+                                             fresh)
+                assert got == ref
+                for i, (b, a, r) in enumerate(zip(before, after, ref_after)):
+                    assert a == (r if i in outputs else b), i
+                assert after[7] == A.apply(window[1]).tobytes()
+                alpha, beta, gamma = got
+                u_norm = gamma if two_sided else alpha
+                assert beta > floor and u_norm > floor, k
+                next_v, next_u = (np.frombuffer(after[i]) for i in (2, 6))
+                if two_sided:
+                    window = (window[1], next_v, window[3], next_u, beta,
+                              gamma)
+                else:  # u holds u_k, which step k + 1 reads as u_prev
+                    window = (None, next_v, None, next_u, beta, 0.0)
 
     @pytest.mark.parametrize("reorthogonalize", [False, True])
     def test_driver_bases_match_fresh_array_run(self, rng, monkeypatch,
@@ -415,21 +449,24 @@ class TestInPlaceSteps:
                     assert M[:, j].tobytes() == r_M[:, j].tobytes()
 
     @ENGINES
-    def test_read_only_transpose_product_is_refused(self, rng, monkeypatch,
-                                                    two_sided):
-        # apply_transpose must return a writable array; a read-only one
-        # is an error, not a result computed from a stale vector
+    @pytest.mark.parametrize("row", ["av", "next_v"])
+    def test_read_only_product_row_is_refused(self, rng, two_sided, row):
+        # the operator writes each product into the row it is handed; a
+        # row it cannot write is an error before its kernel runs, not a
+        # step that reads a stale row
         A = gen_convdiff2d(9, 10).A
-        plain = A.apply_transpose
-
-        def read_only(u):
-            q = plain(u)
-            q.flags.writeable = False
-            return q
-
-        monkeypatch.setattr(A, "apply_transpose", read_only)
         v1 = self.unit(rng, A.ncols)
-        window = (None, v1, None, v1 if two_sided else None, 0.0, 0.0)
-        with pytest.raises(ValueError, match="read-only"):
-            window_step(A, 1, breakdown_floor(A), window, two_sided,
-                        STEPS[two_sided][0])
+        v_rows, u_rows = rows(3, A.ncols), rows(4, A.nrows)
+        v_rows[1][0][:] = u_rows[1][0][:] = v1
+        (v_prev, v, next_v), (u_prev, u, next_u, av) = v_rows, u_rows
+        target = av if row == "av" else next_v
+        target[0][:] = 0.0
+        target[0].flags.writeable = False
+        with pytest.raises(ValueError, match="out is read-only"):
+            if two_sided:
+                tridiag_step(A, 1, breakdown_floor(A), v_prev, v, u_prev, u,
+                             0.0, 0.0, next_v, next_u, av)
+            else:
+                bidiag_step(A, 1, breakdown_floor(A), v, u, 0.0, next_v,
+                            next_u, av)
+        assert not target[0].any()

@@ -10,11 +10,12 @@ from oaplib import (BlockPartition, CsrMatrix, CycleResult, DegenerateSeed,
                     c_update_bidiag, c_update_tridiag, gen_convdiff2d,
                     gen_poisson_lshape, gen_random_dense, gen_tridiag_unsym,
                     init_from_vector, norm2, oap_cycle_bidiag,
-                    oap_cycle_tridiag, orthogonality_lost, roap_solve)
+                    oap_cycle_tridiag, roap_solve)
 from oaplib.linalg import _blas_threads
 from oaplib.solvers import SQRT_EPS, orthogonality_threshold
 
-from conftest import constructed_problem, exact_cycle, random_wellcond
+from conftest import (constructed_problem, exact_cycle, random_wellcond,
+                      traced_peak)
 
 
 def diag23():
@@ -110,16 +111,14 @@ class TestCoefficientUpdates:
 
 
 class TestOrthogonalityDetector:
-    def test_exactly_orthogonal(self):
-        assert not orthogonality_lost(np.array([1.0, 0.0]),
-                                      np.array([0.0, 1.0]), 0.5)
-
-    def test_parallel(self):
-        assert orthogonality_lost(np.array([1.0, 0.0]),
-                                  np.array([1.0, 0.0]), 1e-8)
-
-    def test_zero_approximation_never_triggers(self):
-        assert not orthogonality_lost(np.zeros(2), np.array([1.0, 0.0]), 1e-8)
+    @pytest.mark.parametrize("cycle", [oap_cycle_bidiag, oap_cycle_tridiag])
+    def test_zero_approximation_never_triggers(self, cycle):
+        # c1 = 0 makes x_1 the zero vector, whose |cos| with v_2 is 0/0:
+        # the first angle test passes rather than divide by zero
+        problem = gen_convdiff2d(9, 10)
+        v1, _ = init_from_vector(problem.A, problem.b, problem.b)
+        result = cycle(problem.A, problem.b, v1, 0.0)
+        assert result.inner_steps > 1
 
 
 class TestOrthogonalityThreshold:
@@ -233,44 +232,64 @@ class TestCycleBidiag:
 
     @pytest.mark.parametrize("variant", ["roap2", "roap3"])
     def test_detector_contract_at_acceptance_time(self, monkeypatch, variant):
-        """Every accepted step passed |cos| <= the threshold the cycle
-        handed the detector, and that threshold is sqrt(eps) ||c||_1 /
-        ||c||_2 over the coefficients already in x.  |c_j| is recovered
-        independently as ||x_j - x_{j-1}|| (v_j has unit norm)."""
+        """Every accepted step passed |cos(x, v_{k+1})| <= sqrt(eps)
+        ||c||_1 / ||c||_2 over the coefficients already in x, and a cycle
+        that stops on "orthogonality" failed that test at its last step.
+        x is replayed from each cycle's seed, the steps' new directions
+        and the coefficient updates, with the cycle's own x + v c
+        rounding, and must end as the cycle's x_partial."""
         cycles = []
-        real_lost = solvers_mod.orthogonality_lost
 
-        def lost_spy(x, v_next, threshold):
-            lost = real_lost(x, v_next, threshold)
-            cycles[-1].append((x, abs(float(np.dot(x, v_next))), threshold,
-                               lost))
-            return lost
-
-        def cycle_spy(real):
+        def spy(real, record):
             def run(*args):
-                cycles.append([])
-                return real(*args)
+                out = real(*args)
+                cycles[-1]["events"].append(record(args, out))
+                return out
             return run
 
-        monkeypatch.setattr(solvers_mod, "orthogonality_lost", lost_spy)
+        def cycle_spy(real):
+            def run(A, rhs, v1, c1):
+                cycles.append({"seed": (v1, c1), "events": []})
+                cycles[-1]["result"] = real(A, rhs, v1, c1)
+                return cycles[-1]["result"]
+            return run
+
+        for name in ("bidiag_step", "tridiag_step"):  # next_v: 3rd from last
+            monkeypatch.setattr(solvers_mod, name, spy(
+                getattr(solvers_mod, name), lambda a, out: a[-3][0].copy()))
+        for name in ("c_update_bidiag", "c_update_tridiag"):
+            monkeypatch.setattr(solvers_mod, name, spy(
+                getattr(solvers_mod, name), lambda a, out: out))
         for name in ("oap_cycle_bidiag", "oap_cycle_tridiag"):
             monkeypatch.setattr(solvers_mod, name,
                                 cycle_spy(getattr(solvers_mod, name)))
         problem = gen_convdiff2d(9, 10)
         roap_solve(problem.A, problem.b, variant)
-        outcomes = {lost for cycle in cycles for *_, lost in cycle}
-        assert outcomes == {False, True}
+        causes = [cycle["result"].stop_cause for cycle in cycles]
+        assert "orthogonality" in causes and "divergence" not in causes
+        accepted = 0
         for cycle in cycles:
-            x_prev = np.zeros(problem.n)
-            abs_sum = sq_sum = 0.0
-            for x, d, threshold, lost in cycle:
-                c = norm2(x - x_prev)
-                x_prev = x
-                abs_sum, sq_sum = abs_sum + c, sq_sum + c * c
-                assert threshold == pytest.approx(
-                    SQRT_EPS * abs_sum / np.sqrt(sq_sum), rel=1e-9)
-                if not lost:
-                    assert d <= threshold * norm2(x)
+            v1, c1 = cycle["seed"]
+            x = np.multiply(v1, c1)
+            abs_sum, sq_sum = abs(c1), c1 * c1
+            # a step's next v, then its coefficient when it has one
+            events = cycle["events"]
+            pairs = [(v, c) for v, c in zip(events, events[1:])
+                     if isinstance(v, np.ndarray) and isinstance(c, float)]
+            for i, (v, c) in enumerate(pairs):
+                threshold = SQRT_EPS * abs_sum / np.sqrt(sq_sum)
+                x_norm = np.sqrt(x.dot(x))
+                lost = x_norm != 0.0 and abs(x.dot(v)) / x_norm > threshold
+                if i == len(pairs) - 1 and cycle["result"].stop_cause == \
+                        "orthogonality":
+                    assert lost
+                    break
+                assert not lost
+                x = np.add(x, np.multiply(v, c))
+                abs_sum, sq_sum = abs_sum + abs(c), sq_sum + c * c
+                accepted += 1
+            assert x.tobytes() == cycle["result"].x_partial.tobytes()
+        assert accepted > 10 * len(cycles)
 
 
 class TestMinimalErrorIterate:
@@ -299,8 +318,8 @@ class TestMinimalErrorIterate:
         step = getattr(solvers_mod, name)
 
         def stop_at_k(A, k_step, *rest):  # no v_{k+1}: keeps v_1 .. v_k
-            out = step(A, k_step, *rest)
-            return (*out[:4], None, out[5]) if k_step == k else out
+            alpha, beta, gamma = step(A, k_step, *rest)
+            return alpha, 0.0 if k_step == k else beta, gamma
 
         monkeypatch.setattr(solvers_mod, name, stop_at_k)
         for A, x_true in self.systems(symmetric=variant == "roap3"):
@@ -641,7 +660,8 @@ class TestCycleSeed:
         monkeypatch.setattr(solvers_mod, "bidiag_step", spy)
         res = oap_cycle_bidiag(A, np.array([1.0, 2.0]), np.array([0.0, 1.0]),
                                0.5)
-        assert [out[4:] for out in outs] == [(None, None)]
+        # alpha and beta at the floor: no u_1 and no v_2
+        assert outs == [(0.0, 0.0, 0.0)]
         assert res.stop_cause == "breakdown"
         assert res.inner_steps == 1
         np.testing.assert_array_equal(res.x_partial, [0.0, 0.5])
@@ -664,6 +684,33 @@ class TestCycleSeed:
         assert report.restarts > 1
         assert sum(report.inner_iterations) > 10 * report.restarts
         assert len(reads) <= 2 * report.restarts
+
+
+class TestCycleMemory:
+    """A cycle's vectors are the rows of blocks it makes once, so what
+    it holds does not grow with its steps."""
+
+    @pytest.mark.parametrize("two_sided", [False, True],
+                             ids=["bidiag", "tridiag"])
+    def test_peak_does_not_grow_with_steps(self, monkeypatch, two_sided):
+        problem = gen_convdiff2d(60, 60)
+        A, b = problem.A, problem.b
+        v1, c1 = init_from_vector(A, b, b)  # builds the product layout
+        name = "tridiag_step" if two_sided else "bidiag_step"
+        cycle = oap_cycle_tridiag if two_sided else oap_cycle_bidiag
+        step = getattr(solvers_mod, name)
+        peaks, results = {}, []
+        for steps in (5, 500):
+            def stop_at(A, k, *rest, steps=steps):  # no v_{k+1} at step k
+                alpha, beta, gamma = step(A, k, *rest)
+                return alpha, 0.0 if k == steps else beta, gamma
+
+            monkeypatch.setattr(solvers_mod, name, stop_at)
+            peaks[steps] = traced_peak(
+                lambda: results.append(cycle(A, b, v1, c1)))
+        assert [r.inner_steps for r in results] == [5, 500]
+        assert [r.stop_cause for r in results] == ["breakdown"] * 2
+        assert abs(peaks[500] - peaks[5]) < 8 * A.ncols
 
 
 class TestRoapBudget:
@@ -709,11 +756,11 @@ def count_products(monkeypatch, A, seen, first=None):
     for name in ("apply", "apply_transpose"):
         product = getattr(A, name)
 
-        def spy(v, product=product):
+        def spy(v, out=None, product=product):
             if first is not None and not seen:
                 first()
             seen.append(get())
-            return product(v)
+            return product(v, out)
 
         monkeypatch.setattr(A, name, spy)
 
