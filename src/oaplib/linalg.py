@@ -450,30 +450,27 @@ class CsrMatrix(LinearOperator):
         return (_readonly(offsets), _readonly(data),
                 _readonly(-offsets[::-1]), _readonly(data_t))
 
-    # The kernels read x and write y unchecked: ``_check_apply`` and
-    # ``_check_out`` are their guards.
     def apply(self, v, out=None):
-        v = self._check_apply(v, self.ncols, "apply")
-        kernel, args, adds = self._products[0]
-        if out is None:
-            out = np.zeros(self.nrows) if adds else np.empty(self.nrows)
-        else:
-            self._check_out(out, v, self.nrows, "apply")
-            if adds:
-                out.fill(0.0)
-        kernel(*args, v, out)
-        return out
+        return self._product(0, v, self.ncols, self.nrows, "apply", out)
 
     def apply_transpose(self, u, out=None):
-        u = self._check_apply(u, self.nrows, "apply_transpose")
-        kernel, args, adds = self._products[1]
+        return self._product(1, u, self.nrows, self.ncols, "apply_transpose",
+                             out)
+
+    # The kernels read x and write y unchecked: ``_check_apply`` and
+    # ``_check_out`` are their guards.
+    def _product(self, index, x, in_len, out_len, name, out):
+        """The product ``_products[index]`` of x (``in_len`` entries) into
+        ``out`` (``out_len``), or into a new array when it is None."""
+        x = self._check_apply(x, in_len, name)
+        kernel, args, adds = self._products[index]
         if out is None:
-            out = np.zeros(self.ncols) if adds else np.empty(self.ncols)
+            out = np.zeros(out_len) if adds else np.empty(out_len)
         else:
-            self._check_out(out, u, self.ncols, "apply_transpose")
+            self._check_out(out, x, out_len, name)
             if adds:
                 out.fill(0.0)
-        kernel(*args, u, out)
+        kernel(*args, x, out)
         return out
 
     def rows_dense(self, start, stop):

@@ -14,9 +14,12 @@ new vectors into rows the caller hands it, returning the scalars
   is 0.0.
 
 Every vector is a row pair ``(array, pointer)`` from
-``oaplib._kernels.rows``: an ndarray row of a block of the operator's
-length and a C pointer to it.  The steps trust the pairs; the cycle
-makes them to A's shape.  A step writes A v_k into ``av``, so the cycle
+``oaplib._kernels.rows``: an ndarray row of a block and a C pointer to
+it.  Before its first product a step compares each row's shape with A's
+(u-side rows and ``av`` of A's row count, v-side rows of its column
+count) and raises ``DimensionMismatch`` on any other, writing nothing;
+a row's pointer is trusted to be its array's, as ``rows`` makes it.  A
+step writes A v_k into ``av``, so the cycle
 can track residuals of accumulated combinations without extra products,
 and the next vectors into ``next_v`` and ``next_u``; it writes into no
 other row.
@@ -41,7 +44,7 @@ it replaced, which ``tests/test_kernels.py`` keeps as the reference.
 import math
 
 from ._kernels import ffi, lib
-from .errors import NumericalOverflow
+from .errors import DimensionMismatch, NumericalOverflow
 
 TAU_BREAK = 1e-13
 _NULL = ffi.NULL
@@ -56,6 +59,12 @@ def _overflow(what, step):
     return NumericalOverflow(f"non-finite {what} at step {step}", step=step)
 
 
+def _mismatch(name, A, **rows):
+    shapes = ", ".join(f"{key} {row[0].shape}" for key, row in rows.items())
+    return DimensionMismatch(
+        f"{name}: operator is {A.nrows}x{A.ncols}, rows are {shapes}")
+
+
 # Each step evaluates the recurrences of the module docstring in the
 # order written there, each half of it in one ``oap_half_step`` call
 # over the rows' pointers, with the bits of NumPy's ``av - alpha * u_k``
@@ -67,7 +76,13 @@ def tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev, gamma_prev,
                  next_v, next_u, av):
     """Step k of the two-sided reduction on a square A (which
     ``oap_cycle_tridiag`` checks: u and v have one length)."""
-    n = A.nrows
+    n, m = A.nrows, A.ncols
+    if not (u_prev[0].shape == u[0].shape == next_u[0].shape
+            == av[0].shape == (n,)
+            and v_prev[0].shape == v[0].shape == next_v[0].shape == (m,)):
+        raise _mismatch("tridiag_step", A, v_prev=v_prev, v=v,
+                        u_prev=u_prev, u=u, next_v=next_v, next_u=next_u,
+                        av=av)
     A.apply(v[0], av[0])
     alpha = float(u[0].dot(av[0]))
     if not math.isfinite(alpha):
@@ -79,7 +94,7 @@ def tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev, gamma_prev,
         raise _overflow("gamma", k)
 
     A.apply_transpose(u[0], next_v[0])
-    beta = lib.oap_half_step(n, next_v[1], v[1], alpha,
+    beta = lib.oap_half_step(m, next_v[1], v[1], alpha,
                              _NULL if gamma_prev == 0.0 else v_prev[1],
                              gamma_prev, floor, next_v[1])
     if not math.isfinite(beta):
@@ -90,9 +105,14 @@ def tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev, gamma_prev,
 def bidiag_step(A, k, floor, v, u_prev, beta_prev, next_v, next_u, av):
     """Step k of the bidiagonal reduction (produces u_k in ``next_u`` and
     v_{k+1} in ``next_v``)."""
+    n, m = A.nrows, A.ncols
+    if not (u_prev[0].shape == next_u[0].shape == av[0].shape == (n,)
+            and v[0].shape == next_v[0].shape == (m,)):
+        raise _mismatch("bidiag_step", A, v=v, u_prev=u_prev, next_v=next_v,
+                        next_u=next_u, av=av)
     A.apply(v[0], av[0])
     # step 1 (beta_prev 0): av itself, scaled
-    alpha = lib.oap_half_step(A.nrows, av[1],
+    alpha = lib.oap_half_step(n, av[1],
                               _NULL if beta_prev == 0.0 else u_prev[1],
                               beta_prev, _NULL, 0.0, floor, next_u[1])
     if not math.isfinite(alpha):
@@ -101,7 +121,7 @@ def bidiag_step(A, k, floor, v, u_prev, beta_prev, next_v, next_u, av):
         return alpha, 0.0, 0.0
 
     A.apply_transpose(next_u[0], next_v[0])
-    beta = lib.oap_half_step(A.ncols, next_v[1], v[1], alpha, _NULL, 0.0,
+    beta = lib.oap_half_step(m, next_v[1], v[1], alpha, _NULL, 0.0,
                              floor, next_v[1])
     if not math.isfinite(beta):
         raise _overflow("beta", k)

@@ -20,7 +20,7 @@ import oaplib._kernels as kernels
 from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch,
                     gen_convdiff2d, oap_cycle_bidiag, oap_cycle_tridiag,
                     roap_solve)
-from oaplib.reductions import breakdown_floor
+from oaplib.reductions import bidiag_step, breakdown_floor, tridiag_step
 
 from conftest import random_wellcond, reduction_steps, window_step
 
@@ -334,6 +334,24 @@ def same_values(vec, kind):
     return vec[:-1] if kind == "short" else vec[:, None]
 
 
+STEP_ROWS = {"tridiag": ("v_prev", "v", "u_prev", "u", "next_v", "next_u",
+                         "av"),
+             "bidiag": ("v", "u_prev", "next_v", "next_u", "av")}
+
+
+def run_step(A, engine, pairs):
+    """Step 2 of ``engine`` on the row pairs named as in ``STEP_ROWS``,
+    with nonzero trailing norms, so that it reads every row."""
+    floor = breakdown_floor(A)
+    if engine == "tridiag":
+        return tridiag_step(A, 2, floor, *(pairs[name] for name in
+                                           ("v_prev", "v", "u_prev", "u")),
+                            0.5, 0.25, pairs["next_v"], pairs["next_u"],
+                            pairs["av"])
+    return bidiag_step(A, 2, floor, pairs["v"], pairs["u_prev"], 0.5,
+                       pairs["next_v"], pairs["next_u"], pairs["av"])
+
+
 class TestGuards:
     """The kernels read and write only rows of the blocks the cycle makes
     (``oaplib._kernels.rows``) and vectors ``oaplib._kernels.vector`` has
@@ -361,6 +379,43 @@ class TestGuards:
         got = cycle(A, args["rhs"], args["v1"], 0.5)
         assert got.x_partial.tobytes() == want.x_partial.tobytes()
         assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("length", ["short", "long"])
+    @pytest.mark.parametrize("engine, slot",
+                             [(e, s) for e, names in STEP_ROWS.items()
+                              for s in names])
+    def test_step_refuses_a_row_of_another_length(self, engine, slot,
+                                                  length):
+        # the kernels would read or write past the end of a short row's
+        # block: the step refuses it before it writes into any row
+        A = gen_convdiff2d(4, 5).A
+        n = A.nrows
+        names = STEP_ROWS[engine]
+        pairs = dict(zip(names, kernels.rows(len(names), n)))
+        pairs[slot] = kernels.rows(1, n - 1 if length == "short" else n + 1)[0]
+        for (row, _), values in zip(pairs.values(),
+                                    vectors(n + 1, len(names), seed=11)):
+            row[:] = values[:len(row)]
+        before = [row.tobytes() for row, _ in pairs.values()]
+        with pytest.raises(DimensionMismatch, match=f"{engine}_step"):
+            run_step(A, engine, pairs)
+        assert [row.tobytes() for row, _ in pairs.values()] == before
+
+    def test_bidiag_step_rows_follow_the_sides(self, rng):
+        # rectangular A: the u-side rows and av have A's row count, the
+        # v-side rows its column count; the other way round is refused
+        A = DenseMatrix(random_wellcond(rng, 6)[:, :4])
+        names = STEP_ROWS["bidiag"]
+        sides = {"v": 4, "u_prev": 6, "next_v": 4, "next_u": 6, "av": 6}
+        pairs = {name: kernels.rows(1, sides[name])[0] for name in names}
+        pairs["v"][0][:] = np.eye(4)[0]
+        pairs["u_prev"][0][:] = 1.0 / math.sqrt(6)
+        alpha, beta, _ = run_step(A, "bidiag", pairs)
+        assert alpha > 0.0 and beta > 0.0
+        swapped = {name: kernels.rows(1, 10 - sides[name])[0]
+                   for name in names}
+        with pytest.raises(DimensionMismatch):
+            run_step(A, "bidiag", swapped)
 
     @pytest.mark.parametrize("bad", list(bad_vectors(4)) + ["read-only"])
     def test_vector_refuses(self, bad):
