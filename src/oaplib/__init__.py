@@ -12,12 +12,15 @@ Library layout:
 * :mod:`oaplib.problems`   - benchmark problem generators
 * :mod:`oaplib.cli`        - ``oap`` command line
 
-``CsrMatrix`` computes ``A v`` and ``A' u`` with scipy's compiled
-``csr_matvec`` and ``csc_matvec`` kernels (``scipy.sparse._sparsetools``,
-imported on the first product), or, for a banded operator, with the
-compiled ``dia_matvec`` of ``oaplib._kernels``; every product writes
-into a caller's ``out`` array or a new one.  :func:`backend_name` names
-the CSR implementation for benchmark records.
+Every product of a ``CsrMatrix`` or ``DenseMatrix`` is one compiled
+call over the operator's C descriptor (``oaplib._kernels``): DIA
+arrays for a banded operator, else its own CSR arrays, or the dense
+row-major block, with the bits of scipy's ``csr_matvec``,
+``csc_matvec`` and ``dia_matvec`` and of ``np.matmul``.  Each reduction
+step is one compiled call over the same descriptor, products included;
+scipy is not imported at run time.  Every product writes into a
+caller's ``out`` array or a new one.  :func:`backend_name` is the key
+under which benchmark records compare.
 """
 
 from .ap import (BlockPartition, ap_factor, ap_init, ap_solve, ap_sweep,

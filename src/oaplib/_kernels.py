@@ -1,27 +1,39 @@
-"""Compiled vector kernels under the reduction steps, the cycle and the
-banded products, with the bits of the NumPy formulas they replace.
+"""Compiled kernels under the operators' products, the reduction steps
+and the cycle, with the bits of the NumPy and scipy formulas they
+replace.
 
-Each kernel does in one C pass what NumPy did in one call per
-elementwise operation:
+Each operator has one C descriptor, ``oap_operator_t``, which its first
+product builds (``banded``, ``csr`` or ``dense`` below) over arrays the
+operator owns, and every product of it is one call of
+``lib.oap_product`` over that descriptor:
 
-* ``lib.oap_half_step`` - one half of a reduction step:
-  out = (a - x s) - y t, then its norm, and out divided by the norm when
-  that is finite and above the breakdown floor;
-* ``lib.oap_residual_update`` - the cycle's A x += c A v and
-  res = rhs - A x, returning res'res;
-* ``lib.oap_dots`` - x'x and x'v for the cycle's angle test;
-* ``lib.oap_axpy`` - the cycle's next x, x + c v, into another row;
-* ``dia_matvec`` - y = A x over DIA arrays, cache-blocked: every
-  diagonal adds into one block of 512 rows before the next block, and
-  each entry of y still receives its terms in scipy ``dia_matvec``'s
-  order.
+* banded: DIA arrays of A and of A', cache-blocked: every diagonal adds
+  into one block of 512 rows before the next block, and each entry of y
+  still receives its terms in scipy ``dia_matvec``'s order;
+* CSR: A's own arrays, each y[r] of A v from +0.0 over its row in
+  ascending column order, A'u scattered row by row into a zeroed y, as
+  scipy's ``csr_matvec`` and ``csc_matvec`` add them;
+* dense: the row-major block, through the ``cblas_dgemv`` that
+  ``np.matmul`` calls, with its arguments, and ``np.matmul``'s own loops
+  for a one-entry input or output.
+
+Over the descriptor, one call makes a whole reduction step
+(``lib.oap_tridiag_step``, ``lib.oap_bidiag_step``): A v, alpha, the
+u-side half step, A'u and the v-side half step, stopping where
+``oaplib.reductions`` documents.  The cycle's own vector work is
+``lib.oap_residual_update`` (A x += c A v, res = rhs - A x, res'res),
+``lib.oap_dots`` (x'x and x'v) and ``lib.oap_axpy`` (x + c v).  A half
+step, ``lib.oap_half_step``, forms out = (a - x s) - y t, its norm, and
+out divided by the norm when that is finite and above the breakdown
+floor.
 
 The bits are NumPy's: each product and difference rounds once (the C
 source is compiled with ``-ffp-contract=off`` and without
-``-ffast-math``), and every inner product calls the ``cblas_ddot`` that
-``ndarray.dot`` calls, numpy's ``scipy_cblas_ddot64_``, looked up on
+``-ffast-math``), every inner product calls the ``cblas_ddot`` that
+``ndarray.dot`` calls, numpy's ``scipy_cblas_ddot64_``, and a dense
+product the ``cblas_dgemv``, ``scipy_cblas_dgemv64_``, both looked up on
 numpy's extension module as ``linalg._blas_threads`` looks up the
-thread symbols.  The NumPy formulas are the reference in
+thread symbols.  The NumPy and scipy formulas are the reference in
 ``tests/test_kernels.py``.
 
 The C source (``_kernels.c``, declared in ``_kernels.h``) is built from
@@ -33,19 +45,21 @@ flags, the host CPU's flags and cffi's version: a changed source or
 another CPU builds a new module rather than loading a stale one.  The
 build writes under a temporary name and moves the module into this
 directory with ``os.replace``, under a lock file, so concurrent first
-imports build once.  A failed build, or a numpy without the ddot
-symbol, raises ImportError; there is no NumPy fallback.
+imports build once; then it removes the directory's other
+``_kernels_*`` modules (a process that loaded one keeps its mapping).
+A failed build, or a numpy without the BLAS symbols, raises
+ImportError; there is no NumPy fallback.
 
-cffi releases the interpreter lock around each kernel call.  The
-steps and the cycle call the vector kernels on C pointers into the
-cycle's blocks: ``rows`` makes a block and its rows' pointers with one
+cffi releases the interpreter lock around each kernel call.  The steps
+and the cycle call the kernels on C pointers into the cycle's blocks:
+``rows`` makes a block and its rows' pointers with one
 ``ffi.from_buffer`` per block, so the block's shape is the one length
 check of every row.  The one array from outside a block that a vector
 kernel reads, the cycle's right-hand side, goes through ``vector``,
 which checks that it is a C-contiguous float64 ndarray of the expected
-length (and, for an output, writable), once per cycle.
-``dia_matvec``'s x and y are the product's, which ``CsrMatrix`` checks
-(``_check_apply`` and ``_check_out`` guard every product kernel).
+length (and, for an output, writable), once per cycle.  ``product``'s x
+and y are the operator's, which ``LinearOperator`` checks
+(``_check_apply`` and ``_check_out`` guard every product).
 """
 
 import ctypes
@@ -71,6 +85,7 @@ _BUILDER = os.path.join(_HERE, "_kernels_build.py")
 # fused multiply-adds, so every operation rounds as NumPy's loops do
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off")
 DDOT = "scipy_cblas_ddot64_"
+DGEMV = "scipy_cblas_dgemv64_"
 _SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
 
 
@@ -101,8 +116,9 @@ def module_name():
 def _build(source, module, dest):
     """Compile ``source``, declared in this package's ``_kernels.h``,
     into the extension module ``oaplib.<module>`` in the directory
-    ``dest``, in a subprocess; returns the module's path.  Raises
-    ImportError carrying the compiler's stderr."""
+    ``dest``, in a subprocess, and remove the other ``_kernels_*``
+    modules there; returns the module's path.  Raises ImportError
+    carrying the compiler's stderr, having removed nothing."""
     target = os.path.join(dest, module + _SUFFIX)
     # the flags are the interpreter's own and FLAGS: a CFLAGS such as
     # -ffast-math would change the bits without changing the name
@@ -116,6 +132,11 @@ def _build(source, module, dest):
     if run.returncode != 0:
         raise ImportError(f"building oaplib.{module} from {source} failed:\n"
                           f"{run.stderr}")
+    # the modules of older sources; a process that loaded one keeps it
+    for name in os.listdir(dest):
+        if (name.startswith("_kernels_") and name.endswith(_SUFFIX)
+                and name != os.path.basename(target)):
+            os.remove(os.path.join(dest, name))
     return target
 
 
@@ -132,21 +153,22 @@ def _load():
     return importlib.import_module(f"oaplib.{module}")
 
 
-def _ddot_address():
-    """Address of numpy's ``cblas_ddot``; the lookup on numpy's extension
-    module also searches the libraries it links, scipy_openblas among
-    them."""
+def _blas_address(symbol):
+    """Address of numpy's BLAS function ``symbol``; the lookup on numpy's
+    extension module also searches the libraries it links,
+    scipy_openblas among them."""
     try:
-        ddot = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), DDOT)
+        fn = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), symbol)
     except AttributeError:
-        raise ImportError(f"numpy's BLAS exports no {DDOT}: the kernels "
-                          f"would not round as ndarray.dot does") from None
-    return ctypes.cast(ddot, ctypes.c_void_p).value
+        raise ImportError(f"numpy's BLAS exports no {symbol}: the kernels "
+                          f"would not round as ndarray.dot and np.matmul "
+                          f"do") from None
+    return ffi.cast("void *", ctypes.cast(fn, ctypes.c_void_p).value)
 
 
 _module = _load()
 ffi, lib = _module.ffi, _module.lib
-lib.oap_set_ddot(ffi.cast("void *", _ddot_address()))
+lib.oap_set_blas(_blas_address(DDOT), _blas_address(DGEMV))
 
 _F64 = np.dtype(np.float64)
 _DOUBLES = ffi.typeof("double[]")
@@ -186,23 +208,70 @@ def rows(count, n):
     return [(block[i], base + i * n) for i in range(count)]
 
 
-def dia_args(n_row, offsets, data):
-    """scipy ``dia_matvec``'s arguments before x and y for an operator of
-    n_row rows with DIA arrays ``offsets`` (int32) and ``data`` (float64,
-    one row of n_col slots per offset), the arrays as C arrays: made once
-    per operator, each keeps its array alive."""
-    d, n_col = data.shape
-    if offsets.dtype != np.int32 or data.dtype != _F64 or len(offsets) != d:
-        raise TypeError("DIA arrays must be int32 offsets and a float64 "
-                        "row of data per offset")
-    return (n_row, n_col, d, n_col, _from_buffer(_INTS, offsets),
-            _from_buffer(_DOUBLES, data))
+def _descriptor(layout, nrows, ncols):
+    """A new ``oap_operator_t`` of ``layout``, its pointers NULL."""
+    op = ffi.new("oap_operator_t *")
+    op.layout, op.nrows, op.ncols = layout, nrows, ncols
+    return op
 
 
-def dia_matvec(n_row, n_col, n_diags, L, offsets, data, x, y):
-    """y = A x over the DIA arrays of ``dia_args``, with scipy
-    ``dia_matvec``'s arguments and sums.  Unlike scipy's, it writes every
-    entry of y rather than adding into it.  The caller checks that x has
-    n_col entries and y n_row."""
-    lib.oap_dia_matvec(n_row, n_col, n_diags, L, offsets, data,
-                       _from_buffer(_DOUBLES, x), _from_buffer(_DOUBLES, y, True))
+def _c_array(a, ctype, dtype, shape):
+    """A C pointer into ``a``, refusing an array of another dtype or
+    shape (a pointer into it would reinterpret its bytes) and, through
+    ``ffi.from_buffer``, a non-contiguous one.  The pointer does not keep
+    ``a`` alive."""
+    if not isinstance(a, np.ndarray) or a.dtype != dtype or a.shape != shape:
+        raise TypeError(f"expected a {np.dtype(dtype)} array of shape "
+                        f"{shape}, got {getattr(a, 'dtype', type(a))} "
+                        f"{getattr(a, 'shape', '')}")
+    return _from_buffer(ctype, a)
+
+
+def banded(nrows, ncols, offsets, data, offsets_t, data_t):
+    """The descriptor of an nrows x ncols operator over its DIA arrays:
+    int32 ``offsets`` ascending and float64 ``data`` with one row of
+    ncols slots per offset, and the same of A' (``offsets_t``, ``data_t``
+    with nrows slots), as ``CsrMatrix._diagonals`` builds them.  The
+    descriptor keeps the four arrays alive: ``ffi.gc`` holds its
+    destructor, which does nothing but refer to them, as long as the
+    returned pointer lives."""
+    d = len(offsets)
+    arrays = (offsets, data, offsets_t, data_t)
+    op = ffi.gc(_descriptor(lib.OAP_BANDED, nrows, ncols),
+                lambda _, arrays=arrays: None)
+    op.n_diags = d
+    op.offsets = _c_array(offsets, _INTS, np.int32, (d,))
+    op.data = _c_array(data, _DOUBLES, _F64, (d, ncols))
+    op.offsets_t = _c_array(offsets_t, _INTS, np.int32, (d,))
+    op.data_t = _c_array(data_t, _DOUBLES, _F64, (d, nrows))
+    return op
+
+
+def csr(nrows, ncols, row_offsets, col_indices, values):
+    """The descriptor of an nrows x ncols operator over its CSR arrays
+    (int32 indices, float64 values), which the operator has checked.  It
+    does not keep them alive: they are the operator's own, immutable
+    arrays, and the descriptor is used only through its operator."""
+    nnz = len(values)
+    op = _descriptor(lib.OAP_CSR, nrows, ncols)
+    op.row_offsets = _c_array(row_offsets, _INTS, np.int32, (nrows + 1,))
+    op.col_indices = _c_array(col_indices, _INTS, np.int32, (nnz,))
+    op.values = _c_array(values, _DOUBLES, _F64, (nnz,))
+    return op
+
+
+def dense(values):
+    """The descriptor of a dense operator over its row-major float64
+    block ``values``, which it does not keep alive (as ``csr``)."""
+    nrows, ncols = values.shape
+    op = _descriptor(lib.OAP_DENSE, nrows, ncols)
+    op.values = _c_array(values, _DOUBLES, _F64, (nrows, ncols))
+    return op
+
+
+def product(op, transpose, x, y):
+    """y = A x (``transpose`` 0) or A'x (1) over the descriptor ``op``.
+    The caller checks that x and y are C-contiguous float64 arrays of the
+    product's lengths, y writable and apart from x."""
+    lib.oap_product(op, transpose, _from_buffer(_DOUBLES, x),
+                    _from_buffer(_DOUBLES, y, True))

@@ -10,41 +10,42 @@ as int64 and then keeps them as int32, its only index arrays; an
 operator with more than 2**31 - 1 rows, columns or nonzeros is refused
 before anything is narrowed.
 
-``CsrMatrix`` computes each product with one call of a compiled kernel
-(without the ~15 Python calls of ``@`` dispatch).  The operator picks
-one of two layouts for both products on its first product of either
-kind, from its structure alone, so an operator that sees no product
-builds nothing:
+Every product, of either operator, is one call of the compiled
+``oap_product`` (``oaplib._kernels``) over the operator's C descriptor,
+``_operator``, which its first product of either kind builds, so an
+operator that sees no product builds nothing.  The reduction steps
+(``oaplib.reductions``) run their products over the same descriptor,
+inside one compiled call per step.  A ``CsrMatrix`` picks its layout
+from its structure alone:
 
 * banded: when the d distinct diagonals, padding and in-band zeros
   included, read no more bytes than the CSR arrays
   (8 d max(nrows, ncols) <= 12 nnz), read-only diagonal (DIA) arrays of
-  A and of A' are built, offsets ascending, and both products run
-  through ``oaplib._kernels.dia_matvec``, which streams each diagonal
-  with no index gather, 512 rows at a time, over C arrays made once per
-  operator;
+  A and of A' are built, offsets ascending, and both products stream
+  each diagonal with no index gather, 512 rows at a time;
 * otherwise both products read the operator's own CSR arrays (12 bytes
-  per nonzero) through scipy's kernels (``scipy.sparse._sparsetools``):
-  ``A v`` through ``csr_matvec``, and ``A' u`` through ``csc_matvec``,
+  per nonzero): ``A v`` row by row, and ``A' u`` by scattering A's rows,
   since A's CSR arrays are A' in CSC form.
 
-Every kernel adds each output's terms into a zeroed output in ascending
-column order of the matrix it multiplies (A's rows, for ``A' u``); the
-DIA kernel, like scipy's ``dia_matvec``, adds them diagonal by diagonal
-in ascending offset order, which is the same order.  The DIA terms CSR
-lacks are in-band zeros times finite entries of x, exact zeros, so the
-two layouts give the same bits.  The product contract: vectors are
-finite.  A DIA product also multiplies its in-band zero slots, so an inf
-or NaN in x can reach rows that the CSR product leaves finite.
+Each output's terms are added into +0.0 in ascending column order of
+the matrix multiplied (A's rows, for ``A' u``), as scipy's
+``csr_matvec`` and ``csc_matvec`` add them; the DIA kernel, like
+scipy's ``dia_matvec``, adds them diagonal by diagonal in ascending
+offset order, which is the same order.  The DIA terms CSR lacks are
+in-band zeros times finite entries of x, exact zeros, so the two layouts
+give the same bits.  The product contract: vectors are finite.  A DIA
+product also multiplies its in-band zero slots, so an inf or NaN in x
+can reach rows that the CSR product leaves finite.  A ``DenseMatrix``
+multiplies with the bits of ``np.matmul``: its descriptor is the
+row-major block, which the kernel hands to numpy's own ``cblas_dgemv``
+with the arguments ``np.matmul`` passes.
 
 Both operators write a product into the caller's ``out`` when one is
-given (the solve's cycle hands its own rows), else into a new array.
-The DIA kernel writes every entry of ``out``; scipy's kernels add into
-it, so it is zeroed first, and ``DenseMatrix`` multiplies with
-``np.matmul(..., out=out)``.  Whatever ``out`` held, the bytes are those
-of a fresh product.  An ``out`` that is not a writable C-contiguous
-float64 array of the product's length, or that overlaps the input, is
-refused before any kernel runs.
+given, else into a new array.  Every kernel writes every entry of its
+output, so whatever ``out`` held, the bytes are those of a fresh
+product.  An ``out`` that is not a writable C-contiguous float64 array
+of the product's length, or that overlaps the input, is refused before
+any kernel runs.
 
 The solve drivers run under ``_one_blas_thread``: numpy's OpenBLAS works
 on the calling thread for the whole solve, and the caller's thread count
@@ -52,8 +53,8 @@ comes back on return and on raise.  The count is process-wide, so while
 any solve runs every BLAS call in the process is on one thread; the
 first solve in saves the count and the last one out restores it.  The
 switch binds numpy's private ``scipy_openblas`` thread symbols on the
-first solve (like ``_sparsetools``, not on import) and does nothing
-where numpy's BLAS has none.
+first solve, not on import, and does nothing where numpy's BLAS has
+none.
 """
 
 import contextlib
@@ -68,19 +69,12 @@ from .errors import DimensionMismatch, NonFiniteVector
 
 
 def backend_name():
-    """Name of the implementation of the CSR products, scipy.sparse's
-    ``csr_matvec`` and ``csc_matvec``; banded operators multiply through
-    ``oaplib._kernels`` instead.  The name stays "scipy", a key by which
-    benchmark records are compared."""
+    """"scipy": the name under which benchmark records compare
+    (``perfbench/envinfo.py`` keys them on it).  It once named scipy's
+    ``csr_matvec`` and ``csc_matvec``; the products now run in
+    ``oaplib._kernels``, with the same bits, and the name stays so that
+    records before and after compare."""
     return "scipy"
-
-
-@functools.cache
-def _sparsetools():
-    """scipy's compiled sparse kernels, imported on the first product:
-    a module-level import would load scipy.sparse on ``import oaplib``."""
-    from scipy.sparse import _sparsetools
-    return _sparsetools
 
 
 @functools.cache
@@ -221,17 +215,37 @@ class LinearOperator:
         op._store(*args)
         return op
 
+    @property
+    def _operator(self):
+        """The C descriptor of both products (``oaplib._kernels``), built
+        on the first product of either kind and kept."""
+        raise NotImplementedError
+
     def apply(self, v, out=None):
         """A v, written into ``out`` when one is given, else into a new
         array; returns that array.  ``out`` must be a writable
         C-contiguous float64 array of nrows entries that shares no memory
         with v (``_check_out``)."""
-        raise NotImplementedError
+        return self._product(0, v, self.ncols, self.nrows, "apply", out)
 
     def apply_transpose(self, u, out=None):
         """A' u, as ``apply`` forms A v: into ``out`` (ncols entries) when
         one is given, else into a new array; returns that array."""
-        raise NotImplementedError
+        return self._product(1, u, self.nrows, self.ncols, "apply_transpose",
+                             out)
+
+    # The kernel reads x and writes out unchecked: ``_check_apply`` and
+    # ``_check_out`` are its guards.
+    def _product(self, transpose, x, in_len, out_len, name, out):
+        """A x (``transpose`` 0) or A'x (1) of x (``in_len`` entries) into
+        ``out`` (``out_len``), or into a new array when it is None."""
+        x = self._check_apply(x, in_len, name)
+        if out is None:
+            out = np.empty(out_len)
+        else:
+            self._check_out(out, x, out_len, name)
+        _kernels.product(self._operator, transpose, x, out)
+        return out
 
     def rows_dense(self, start, stop):
         """Rows ``start:stop`` as a dense (stop-start) x ncols array."""
@@ -382,34 +396,24 @@ class CsrMatrix(LinearOperator):
         return cls._adopt(n, n, np.arange(n + 1, dtype=np.int64), idx,
                           np.ones(n))
 
-    # The (A v, A'u) pair of kernels, each with its arguments before x
-    # and y and whether it adds into y (scipy's kernels, whose y is
-    # zeroed first) or writes all of it (the DIA kernel), picked on the
-    # first product, not at construction: the Matrix Market reader
-    # builds operators that see no product.
+    # picked on the first product, not at construction: the Matrix
+    # Market reader builds operators that see no product
     @functools.cached_property
-    def _products(self):
+    def _operator(self):
+        """The DIA descriptor when ``_diagonals`` builds one, else the CSR
+        one over the operator's own arrays."""
         dia = self._diagonals()
         if dia is not None:
-            offsets, data, offsets_t, data_t = dia
-            kernel = _kernels.dia_matvec
-            return ((kernel, _kernels.dia_args(self.nrows, offsets, data),
-                     False),
-                    (kernel, _kernels.dia_args(self.ncols, offsets_t, data_t),
-                     False))
-        # A's CSR arrays are A' in CSC form: the scatter adds each output's
-        # terms from zero in A's row order
-        kernels = _sparsetools()
-        csr = (self.row_offsets, self.col_indices, self.values)
-        return ((kernels.csr_matvec, (self.nrows, self.ncols, *csr), True),
-                (kernels.csc_matvec, (self.ncols, self.nrows, *csr), True))
+            return _kernels.banded(self.nrows, self.ncols, *dia)
+        return _kernels.csr(self.nrows, self.ncols, self.row_offsets,
+                            self.col_indices, self.values)
 
     def _diagonals(self):
         """Read-only DIA arrays ``(offsets, data, offsets_t, data_t)`` of A
         and A', or None when they would read more bytes per product than
         the CSR arrays: 8 d max(nrows, ncols) > 12 nnz for d distinct
         diagonals.  Offsets ascend; ``data[i, c]`` holds A[c - k, c] for
-        offset k = ``offsets[i]``, zero where A has no entry, as
+        offset k = ``offsets[i]``, zero where A has no entry, as scipy's
         ``dia_matvec`` reads it."""
         n, m, nnz = self.nrows, self.ncols, self.nnz
         width = 8 * max(n, m)  # bytes per diagonal
@@ -450,28 +454,9 @@ class CsrMatrix(LinearOperator):
         return (_readonly(offsets), _readonly(data),
                 _readonly(-offsets[::-1]), _readonly(data_t))
 
-    def apply(self, v, out=None):
-        return self._product(0, v, self.ncols, self.nrows, "apply", out)
-
-    def apply_transpose(self, u, out=None):
-        return self._product(1, u, self.nrows, self.ncols, "apply_transpose",
-                             out)
-
-    # The kernels read x and write y unchecked: ``_check_apply`` and
-    # ``_check_out`` are their guards.
-    def _product(self, index, x, in_len, out_len, name, out):
-        """The product ``_products[index]`` of x (``in_len`` entries) into
-        ``out`` (``out_len``), or into a new array when it is None."""
-        x = self._check_apply(x, in_len, name)
-        kernel, args, adds = self._products[index]
-        if out is None:
-            out = np.zeros(out_len) if adds else np.empty(out_len)
-        else:
-            self._check_out(out, x, out_len, name)
-            if adds:
-                out.fill(0.0)
-        kernel(*args, x, out)
-        return out
+    # in the class's own namespace, where the benchmark's tracer wraps them
+    apply = LinearOperator.apply
+    apply_transpose = LinearOperator.apply_transpose
 
     def rows_dense(self, start, stop):
         # one scatter; rows hold no duplicate columns, so no entry is summed
@@ -513,17 +498,12 @@ class DenseMatrix(LinearOperator):
         self.values = _readonly(values)
         self.nrows, self.ncols = values.shape
 
-    def apply(self, v, out=None):
-        v = self._check_apply(v, self.ncols, "apply")
-        if out is not None:
-            self._check_out(out, v, self.nrows, "apply")
-        return np.matmul(self.values, v, out=out)
+    @functools.cached_property
+    def _operator(self):
+        return _kernels.dense(self.values)
 
-    def apply_transpose(self, u, out=None):
-        u = self._check_apply(u, self.nrows, "apply_transpose")
-        if out is not None:
-            self._check_out(out, u, self.ncols, "apply_transpose")
-        return np.matmul(self.values.T, u, out=out)
+    apply = LinearOperator.apply
+    apply_transpose = LinearOperator.apply_transpose
 
     def rows_dense(self, start, stop):
         self._check_rows(start, stop)

@@ -15,13 +15,15 @@ new vectors into rows the caller hands it, returning the scalars
 
 Every vector is a row pair ``(array, pointer)`` from
 ``oaplib._kernels.rows``: an ndarray row of a block and a C pointer to
-it.  Before its first product a step compares each row's shape with A's
-(u-side rows and ``av`` of A's row count, v-side rows of its column
-count) and raises ``DimensionMismatch`` on any other, writing nothing;
-a row's pointer is trusted to be its array's, as ``rows`` makes it.  A
-step writes A v_k into ``av``, so the cycle
-can track residuals of accumulated combinations without extra products,
-and the next vectors into ``next_v`` and ``next_u``; it writes into no
+it.  Before it writes anything a step compares each row's shape with
+A's (u-side rows and ``av`` of A's row count, v-side rows of its column
+count) and raises ``DimensionMismatch`` on any other; it raises
+ValueError, also writing nothing, for an output row (``next_v``,
+``next_u``, ``av``) that is read-only or that overlaps another output
+row or an input row.  A row's pointer is trusted to be its array's, as
+``rows`` makes it.  A step writes A v_k into ``av``, so the cycle can
+track residuals of accumulated combinations without extra products, and
+the next vectors into ``next_v`` and ``next_u``; it writes into no
 other row.
 
 A recurrence norm at or below the floor the caller passes
@@ -30,24 +32,24 @@ side has no next vector (its row holds the undivided difference), the
 norm is returned as computed, and nothing is raised.  So v_{k+1} exists
 when beta > floor, and u_{k+1} (bidiagonal: u_k) when gamma (alpha) >
 floor.  A bidiagonal step whose u side breaks down returns before A'u,
-with beta 0.0.  At step 1 the previous rows are not read: a zero
-trailing norm means they hold nothing.  No code here keeps a basis; the
+with beta 0.0, leaving ``next_v`` as it was.  A non-finite alpha, gamma
+or beta raises ``NumericalOverflow`` at once, with the rows before it
+written.  At step 1 the previous rows are not read: a zero trailing
+norm means they hold nothing.  No code here keeps a basis; the
 full-basis reference runs live with the tests in ``tests/conftest.py``.
 
-Besides the two products, a step is one NumPy inner product (the
-two-sided step's alpha) and two calls of the compiled ``oap_half_step``
-kernel (``oaplib._kernels``) on the rows' pointers, each forming one
-next vector and its norm in one pass with the bits of the NumPy formulas
-it replaced, which ``tests/test_kernels.py`` keeps as the reference.
+Each step is one compiled call (``oaplib._kernels``) over A's C
+descriptor and the rows' pointers: A v, the two-sided step's alpha, the
+u-side half step, A'u and the v-side half step, each half step forming
+one next vector and its norm in one pass, with the bits of the step
+that called the operator's ``apply`` and ``apply_transpose`` and NumPy
+for the rest, which ``tests/conftest.py`` keeps as the reference.
 """
 
-import math
-
-from ._kernels import ffi, lib
+from ._kernels import lib
 from .errors import DimensionMismatch, NumericalOverflow
 
 TAU_BREAK = 1e-13
-_NULL = ffi.NULL
 
 
 def breakdown_floor(A):
@@ -65,12 +67,22 @@ def _mismatch(name, A, **rows):
         f"{name}: operator is {A.nrows}x{A.ncols}, rows are {shapes}")
 
 
-# Each step evaluates the recurrences of the module docstring in the
-# order written there, each half of it in one ``oap_half_step`` call
-# over the rows' pointers, with the bits of NumPy's ``av - alpha * u_k``
-# and so on: w is formed in the next-u row and divided there, and A'u,
-# written into the next-v row by the operator, becomes the next v in
-# place.  A step writes into its three output rows and no other.
+_STOPS = {lib.OAP_STOP_ALPHA: "alpha", lib.OAP_STOP_GAMMA: "gamma",
+          lib.OAP_STOP_BETA: "beta"}
+
+
+def _stopped(name, k, stop):
+    """The error of a step that the kernel stopped with ``stop``."""
+    if stop == lib.OAP_STOP_OVERLAP:
+        return ValueError(f"{name}: an output row overlaps another row")
+    return _overflow(_STOPS[stop], k)
+
+
+def _read_only(name, **rows):
+    shown = ", ".join(key for key, row in rows.items()
+                      if not row[0].flags.writeable)
+    return ValueError(f"{name}: row {shown} is read-only")
+
 
 def tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev, gamma_prev,
                  next_v, next_u, av):
@@ -83,23 +95,15 @@ def tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev, gamma_prev,
         raise _mismatch("tridiag_step", A, v_prev=v_prev, v=v,
                         u_prev=u_prev, u=u, next_v=next_v, next_u=next_u,
                         av=av)
-    A.apply(v[0], av[0])
-    alpha = float(u[0].dot(av[0]))
-    if not math.isfinite(alpha):
-        raise _overflow("alpha", k)
-    gamma = lib.oap_half_step(n, av[1], u[1], alpha,
-                              _NULL if beta_prev == 0.0 else u_prev[1],
-                              beta_prev, floor, next_u[1])
-    if not math.isfinite(gamma):
-        raise _overflow("gamma", k)
-
-    A.apply_transpose(u[0], next_v[0])
-    beta = lib.oap_half_step(m, next_v[1], v[1], alpha,
-                             _NULL if gamma_prev == 0.0 else v_prev[1],
-                             gamma_prev, floor, next_v[1])
-    if not math.isfinite(beta):
-        raise _overflow("beta", k)
-    return alpha, beta, gamma
+    if not (next_v[0].flags.writeable and next_u[0].flags.writeable
+            and av[0].flags.writeable):
+        raise _read_only("tridiag_step", next_v=next_v, next_u=next_u, av=av)
+    s = lib.oap_tridiag_step(A._operator, floor, v_prev[1], v[1], u_prev[1],
+                             u[1], beta_prev, gamma_prev, next_v[1],
+                             next_u[1], av[1])
+    if s.stop:
+        raise _stopped("tridiag_step", k, s.stop)
+    return s.alpha, s.beta, s.gamma
 
 
 def bidiag_step(A, k, floor, v, u_prev, beta_prev, next_v, next_u, av):
@@ -110,19 +114,11 @@ def bidiag_step(A, k, floor, v, u_prev, beta_prev, next_v, next_u, av):
             and v[0].shape == next_v[0].shape == (m,)):
         raise _mismatch("bidiag_step", A, v=v, u_prev=u_prev, next_v=next_v,
                         next_u=next_u, av=av)
-    A.apply(v[0], av[0])
-    # step 1 (beta_prev 0): av itself, scaled
-    alpha = lib.oap_half_step(n, av[1],
-                              _NULL if beta_prev == 0.0 else u_prev[1],
-                              beta_prev, _NULL, 0.0, floor, next_u[1])
-    if not math.isfinite(alpha):
-        raise _overflow("alpha", k)
-    if alpha <= floor:  # no u_k, so no v_{k+1}
-        return alpha, 0.0, 0.0
-
-    A.apply_transpose(next_u[0], next_v[0])
-    beta = lib.oap_half_step(m, next_v[1], v[1], alpha, _NULL, 0.0,
-                             floor, next_v[1])
-    if not math.isfinite(beta):
-        raise _overflow("beta", k)
-    return alpha, beta, 0.0
+    if not (next_v[0].flags.writeable and next_u[0].flags.writeable
+            and av[0].flags.writeable):
+        raise _read_only("bidiag_step", next_v=next_v, next_u=next_u, av=av)
+    s = lib.oap_bidiag_step(A._operator, floor, v[1], u_prev[1], beta_prev,
+                            next_v[1], next_u[1], av[1])
+    if s.stop:
+        raise _stopped("bidiag_step", k, s.stop)
+    return s.alpha, s.beta, s.gamma

@@ -8,8 +8,9 @@ it works on: two blocks made once per cycle, one row per vector, each
 row with a C pointer made once (``oaplib._kernels.rows``).  It keeps
 the engine's window as rows, its trailing norms and the breakdown floor
 as plain locals, and calls ``tridiag_step`` or ``bidiag_step`` once per
-step, which write into its rows, so a step allocates no array.  Its own
-vector work per step is one NumPy inner product (b'u for the
+step, each one compiled call over A's descriptor that makes the step's
+two products and writes into its rows, so a step allocates no array.
+Its own vector work per step is one NumPy inner product (b'u for the
 coefficient) and three compiled kernel calls on the rows' pointers
 (``oaplib._kernels``): the tracked residual's update and norm, the
 angle test's two inner products, and the next x, each with the bits of

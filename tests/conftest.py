@@ -7,19 +7,24 @@ arrays, projections with normal equations, so agreement is meaningful.
 package's steps, keeping the full bases the library never stores, and
 ``exact_cycle`` its coefficient updates over re-projected bases, so
 tests can check those updates with orthogonality taken out of the
-picture.  ``read_records_csv`` parses the CLI's CSV back into records.
+picture.  ``python_tridiag_step`` and ``python_bidiag_step`` are the
+steps as Python once formed them, from the operator's products and
+``half_step``: the reference of the compiled steps.
+``read_records_csv`` parses the CLI's CSV back into records.
 """
 
 import csv
 import io
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import oaplib._kernels as kernels
 import oaplib.reductions as reductions
-from oaplib import (CsrMatrix, DenseMatrix, c_update_bidiag, c_update_tridiag,
-                    dot, norm2)
+from oaplib import (CsrMatrix, DenseMatrix, NumericalOverflow,
+                    c_update_bidiag, c_update_tridiag, dot, norm2)
 from oaplib._kernels import rows
 from oaplib.reductions import breakdown_floor
 from oaplib.reporting import CSV_COLUMNS, RunRecord
@@ -135,6 +140,66 @@ def _reproject(A, unit, norm, cols):
         kept = norm2(unit)
     norm *= kept
     return (None if norm <= breakdown_floor(A) else unit / kept), norm
+
+
+def half_step(a, x, s, y, t, floor, out):
+    """out = (a - x s) - y t, each term skipped when its vector is None
+    (both when x is); then norm = ||out||, and out /= norm when norm is
+    finite and above ``floor``.  Returns norm.  The compiled
+    ``oap_half_step`` on arrays, each checked by
+    ``oaplib._kernels.vector``; ``out`` may be ``a`` itself, and x and y
+    share no memory with it."""
+    n = len(a)
+    out_c = kernels.vector(out, n, writable=True)
+    return kernels.lib.oap_half_step(
+        n, out_c if out is a else kernels.vector(a, n),
+        kernels.ffi.NULL if x is None else kernels.vector(x, n), s,
+        kernels.ffi.NULL if y is None else kernels.vector(y, n), t, floor,
+        out_c)
+
+
+def _overflow(what, k):
+    return NumericalOverflow(f"non-finite {what} at step {k}", step=k)
+
+
+def python_tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev,
+                        gamma_prev, next_v, next_u, av):
+    """``tridiag_step`` as Python formed it before the step became one
+    compiled call: the operator's two products into the rows, a NumPy
+    inner product and two half steps, raising where the step raises."""
+    A.apply(v[0], av[0])
+    alpha = float(u[0].dot(av[0]))
+    if not math.isfinite(alpha):
+        raise _overflow("alpha", k)
+    gamma = half_step(av[0], u[0], alpha,
+                      None if beta_prev == 0.0 else u_prev[0], beta_prev,
+                      floor, next_u[0])
+    if not math.isfinite(gamma):
+        raise _overflow("gamma", k)
+    A.apply_transpose(u[0], next_v[0])
+    beta = half_step(next_v[0], v[0], alpha,
+                     None if gamma_prev == 0.0 else v_prev[0], gamma_prev,
+                     floor, next_v[0])
+    if not math.isfinite(beta):
+        raise _overflow("beta", k)
+    return alpha, beta, gamma
+
+
+def python_bidiag_step(A, k, floor, v, u_prev, beta_prev, next_v, next_u,
+                       av):
+    """``bidiag_step`` as Python formed it (see ``python_tridiag_step``)."""
+    A.apply(v[0], av[0])
+    alpha = half_step(av[0], None if beta_prev == 0.0 else u_prev[0],
+                      beta_prev, None, 0.0, floor, next_u[0])
+    if not math.isfinite(alpha):
+        raise _overflow("alpha", k)
+    if alpha <= floor:  # no u_k, so no v_{k+1}
+        return alpha, 0.0, 0.0
+    A.apply_transpose(next_u[0], next_v[0])
+    beta = half_step(next_v[0], v[0], alpha, None, 0.0, floor, next_v[0])
+    if not math.isfinite(beta):
+        raise _overflow("beta", k)
+    return alpha, beta, 0.0
 
 
 def window_step(A, k, floor, window, two_sided, step=None):

@@ -1,9 +1,14 @@
-"""The compiled kernels of ``oaplib._kernels`` against the NumPy formulas
-they replaced, byte for byte, and their guards, build and import.
+"""The compiled kernels of ``oaplib._kernels`` against the NumPy and
+scipy formulas they replaced, byte for byte, and their guards, build and
+import.
 
 The library calls the vector kernels on C pointers into its cycle's
-blocks; ``half_step``, ``dots`` and ``axpy`` below call them on arrays,
-each checked by ``oaplib._kernels.vector``, for these tests."""
+blocks; ``half_step`` (in conftest), ``dots`` and ``axpy`` call them on
+arrays, each checked by ``oaplib._kernels.vector``, for these tests.
+The products run over operator descriptors: scipy's ``dia_matvec``,
+``csr_matvec`` and ``csc_matvec`` and ``np.matmul`` are their oracles,
+and the compiled steps are checked against the Python steps of
+conftest, which call the operator's products and ``half_step``."""
 
 import math
 import os
@@ -18,11 +23,12 @@ import scipy.sparse
 import oaplib
 import oaplib._kernels as kernels
 from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch,
-                    gen_convdiff2d, oap_cycle_bidiag, oap_cycle_tridiag,
+                    NumericalOverflow, gen_convdiff2d, oap_cycle_bidiag, oap_cycle_tridiag,
                     roap_solve)
 from oaplib.reductions import bidiag_step, breakdown_floor, tridiag_step
 
-from conftest import random_wellcond, reduction_steps, window_step
+from conftest import (half_step, python_bidiag_step, python_tridiag_step,
+                      random_wellcond, reduction_steps, window_step)
 
 # every length below 16 and 17 (the SIMD widths and their tails), paper
 # scale (convdiff 19x19) and the large tier (convdiff 200x200)
@@ -63,20 +69,6 @@ def guards_intact(buf, n, pad=8):
 
 
 # --- the kernels on arrays ------------------------------------------------
-
-def half_step(a, x, s, y, t, floor, out):
-    """out = (a - x s) - y t, each term skipped when its vector is None
-    (both when x is); then norm = ||out||, and out /= norm when norm is
-    finite and above ``floor``.  Returns norm.  ``out`` may be ``a``
-    itself; x and y share no memory with it."""
-    n = len(a)
-    out_c = kernels.vector(out, n, writable=True)
-    return kernels.lib.oap_half_step(
-        n, out_c if out is a else kernels.vector(a, n),
-        kernels.ffi.NULL if x is None else kernels.vector(x, n), s,
-        kernels.ffi.NULL if y is None else kernels.vector(y, n), t, floor,
-        out_c)
-
 
 def dots(x, v):
     """``(x'x, x'v)`` in one call."""
@@ -167,8 +159,16 @@ def scipy_dia_matvec(n_row, n_col, offsets, data, x):
     return y
 
 
-def c_dia_matvec(n_row, n_col, offsets, data, x, y):
-    kernels.dia_matvec(*kernels.dia_args(n_row, offsets, data), x, y)
+def c_dia_matvec(n_row, n_col, offsets, data, x, y, transpose=False):
+    """y = M x for the n_row x n_col M of the DIA arrays ``offsets`` and
+    ``data``, through a banded descriptor's A v, or, when ``transpose``,
+    its A'u (M is then the descriptor's A'; its A has zero diagonals)."""
+    zeros = np.zeros((len(offsets), n_row))
+    if transpose:
+        op = kernels.banded(n_col, n_row, offsets, zeros, offsets, data)
+    else:
+        op = kernels.banded(n_row, n_col, offsets, data, offsets, zeros)
+    kernels.product(op, int(transpose), x, y)
 
 
 # --- bits -----------------------------------------------------------------
@@ -215,16 +215,18 @@ class TestSameBits:
             assert same(dots(x, v), (x.dot(x), x.dot(v)))
             assert same(dots(v, x), (v.dot(v), v.dot(x)))
 
+    @pytest.mark.parametrize("transpose", [False, True], ids=["Av", "A'u"])
     @pytest.mark.parametrize("n", LENGTHS)
-    def test_dia_matvec_matches_scipy(self, n):
+    def test_dia_matvec_matches_scipy(self, n, transpose):
         for n_row, n_col in ((n, n), (n, n + 3), (n + 3, n)):
             offsets, data = dia_operator(n_row, n_col, seed=300 + n)
             (x,) = vectors(n_col, 1, seed=400 + n)
             y = np.full(n_row, np.nan)  # every entry is written
-            c_dia_matvec(n_row, n_col, offsets, data, x, y)
+            c_dia_matvec(n_row, n_col, offsets, data, x, y, transpose)
             assert same(y, scipy_dia_matvec(n_row, n_col, offsets, data, x))
 
-    def test_dia_matvec_across_blocks(self):
+    @pytest.mark.parametrize("transpose", [False, True], ids=["Av", "A'u"])
+    def test_dia_matvec_across_blocks(self, transpose):
         # diagonals far enough out to start and end inside other blocks
         # of 512 rows than their first and last entry's row
         n = 3000
@@ -233,7 +235,7 @@ class TestSameBits:
             (len(offsets), n))
         (x,) = vectors(n, 1, seed=6)
         y = np.empty(n)
-        c_dia_matvec(n, n, offsets, data, x, y)
+        c_dia_matvec(n, n, offsets, data, x, y, transpose)
         assert same(y, scipy_dia_matvec(n, n, offsets, data, x))
 
     OPERATORS = {
@@ -308,6 +310,261 @@ class TestBranches:
                                        0.0, 0.0), False)
         assert alpha == beta == gamma == 0.0
         assert next_v is None and next_u is None
+
+
+# --- products -------------------------------------------------------------
+
+def dense_block(n, m, seed):
+    """An n x m array of entries over several decades, with a few signed
+    zeros and, where it has more than one row, a row of -0.0: a product
+    whose terms are all zeros shows the sign its sum starts from."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    a = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-3, 4, (n, m))
+    a[rng.random((n, m)) < 0.1] = -0.0
+    if n > 1:
+        a[n // 2] = -0.0
+    return a
+
+
+# one-entry shapes, empty ones, and sizes on both sides of OpenBLAS's
+# dgemv blocks
+DENSE_SHAPES = ([(1, 1), (0, 0), (0, 3), (3, 0)]
+                + [(1, m) for m in (2, 3, 17, 300)]
+                + [(n, 1) for n in (2, 3, 17, 300)]
+                + [(n, m) for n in (2, 5, 63, 64, 65, 300)
+                   for m in (2, 7, 128, 257, 601)])
+
+
+class TestProducts:
+    """``oap_product`` over each layout's descriptor, against scipy's
+    kernels and ``np.matmul``, into a NaN-filled output: every entry is
+    written, with the oracle's bytes."""
+
+    @pytest.mark.parametrize("n, m", DENSE_SHAPES)
+    def test_dense_matches_matmul(self, n, m):
+        a = dense_block(n, m, seed=10 * n + m)
+        op = kernels.dense(a)
+        x, u = vectors(m, 1, seed=n)[0], vectors(n, 1, seed=m)[0]
+        x[:1] = 0.0  # with the -0.0 row, a sum of -0.0 terms
+        for transpose, vec, want in ((0, x, np.matmul(a, x)),
+                                     (1, u, np.matmul(a.T, u))):
+            into = np.full(len(want), np.nan)
+            np.matmul(a if transpose == 0 else a.T, vec, out=into)
+            assert same(into, want)  # matmul's out= changes no bit
+            y = np.full(len(want), np.nan)
+            kernels.product(op, transpose, vec, y)
+            assert same(y, want), transpose
+
+    def test_dense_one_entry_products_keep_matmuls_signed_zeros(self):
+        # matmul forms a one-entry output as 0.0 plus ddot, and a
+        # one-entry input as 0.0 plus the product: never -0.0
+        for a in (np.array([[-0.0]]), np.full((1, 3), -0.0),
+                  np.full((3, 1), -0.0)):
+            op = kernels.dense(a)
+            for transpose, vec in ((0, np.ones(a.shape[1])),
+                                   (1, np.ones(a.shape[0]))):
+                want = np.matmul(a.T if transpose else a, vec)
+                y = np.full(len(want), np.nan)
+                kernels.product(op, transpose, vec, y)
+                assert same(y, want)
+                assert not np.signbit(y).any()
+
+    def test_csr_matches_scipy(self):
+        # 200 scattered operators, entries over 10 decades, so that each
+        # sum's order shows in its rounding
+        tools = scipy.sparse._sparsetools
+        rng = np.random.Generator(np.random.PCG64(17))
+        for i in range(200):
+            n, m = (int(k) for k in rng.integers(10, 60, 2))
+            dense = np.where(rng.random((n, m)) < rng.uniform(0.05, 0.5),
+                             rng.standard_normal((n, m))
+                             * 10.0 ** rng.integers(-5, 5, (n, m)), 0.0)
+            A = CsrMatrix.from_dense(dense)
+            x = rng.standard_normal(m) * 10.0 ** rng.integers(-5, 5, m)
+            u = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
+            x[::7], u[::7] = -0.0, 0.0
+            csr = (A.row_offsets, A.col_indices, A.values)
+            op = kernels.csr(n, m, *csr)
+            want_av, want_atu = np.zeros(n), np.zeros(m)
+            tools.csr_matvec(n, m, *csr, x, want_av)
+            tools.csc_matvec(m, n, *csr, u, want_atu)
+            av, atu = np.full(n, np.nan), np.full(m, np.nan)
+            kernels.product(op, 0, x, av)
+            kernels.product(op, 1, u, atu)
+            assert same(av, want_av) and same(atu, want_atu), i
+            # the operator itself picks this layout and these bytes
+            assert A._operator.layout == kernels.lib.OAP_CSR
+            assert same(A.apply(x), want_av) and same(A.apply_transpose(u),
+                                                      want_atu)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 65])
+    def test_products_stay_in_bounds(self, n):
+        # each vector between NaN guards, for the CSR and dense layouts
+        # (the DIA kernel's are in test_kernels_stay_in_bounds)
+        m = n + 2
+        a = dense_block(n, m, seed=800 + n)
+        A = CsrMatrix.from_dense(a)
+        csr = (A.row_offsets, A.col_indices, A.values)
+        tools = scipy.sparse._sparsetools
+        for op in (kernels.csr(n, m, *csr), kernels.dense(a)):
+            for transpose, (n_in, n_out) in ((0, (m, n)), (1, (n, m))):
+                x = guarded(vectors(n_in, 1, seed=900 + n)[0])[0]
+                y, buf = guarded(np.zeros(n_out))
+                kernels.product(op, transpose, x, y)
+                want = np.zeros(n_out)
+                if op.layout == kernels.lib.OAP_DENSE:
+                    want = np.matmul(a.T if transpose else a, x)
+                elif transpose:
+                    tools.csc_matvec(m, n, *csr, x, want)
+                else:
+                    tools.csr_matvec(n, m, *csr, x, want)
+                assert same(y, want)
+                assert guards_intact(buf, n_out)
+
+
+# --- steps -----------------------------------------------------------------
+
+def operator(a, layout, monkeypatch):
+    """The array ``a`` as an operator of ``layout``: a banded or a CSR
+    ``CsrMatrix`` (the DIA layout refused), or a ``DenseMatrix``."""
+    if layout == "dense":
+        return DenseMatrix(a)
+    if layout == "csr":
+        monkeypatch.setattr(CsrMatrix, "_diagonals", lambda self: None)
+    A = CsrMatrix.from_dense(a)
+    want = kernels.lib.OAP_CSR if layout == "csr" else kernels.lib.OAP_BANDED
+    assert A._operator.layout == want
+    return A
+
+
+def banded_array(n, m, seed):
+    """n x m with random entries on 5 diagonals (DIA within the rule)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    a = np.zeros((n, m))
+    for k in (-2, -1, 0, 1, 3):
+        i = np.arange(max(0, -k), min(n, m - k))
+        a[i, i + k] = rng.standard_normal(len(i))
+    return a
+
+
+STEP_LAYOUTS = pytest.mark.parametrize("layout", ["banded", "csr", "dense"])
+
+
+def step_rows(A, window, two_sided):
+    """The window's arrays in rows of two new blocks, laid out as
+    ``TestInPlaceSteps`` lays them (v_prev, v, next_v; u_prev, u,
+    next_u, av), every row without an input NaN."""
+    v_rows, u_rows = kernels.rows(3, A.ncols), kernels.rows(4, A.nrows)
+    v_prev, v, u_prev, u = window[:4]
+    for (row, _), a in zip(v_rows + u_rows,
+                           (v_prev, v, None, u_prev, u, None, None)):
+        row[:] = np.nan if a is None else a
+    return v_rows, u_rows
+
+
+def run_steps(step, A, k, floor, window, two_sided):
+    """``step`` on the window's rows: returns its scalars, or the error
+    it raised, and the bytes of every row after it."""
+    v_rows, u_rows = step_rows(A, window, two_sided)
+    (v_prev, v, next_v), (u_prev, u, next_u, av) = v_rows, u_rows
+    beta, gamma = window[4:]
+    try:
+        if two_sided:
+            out = step(A, k, floor, v_prev, v, u_prev, u, beta, gamma,
+                       next_v, next_u, av)
+        else:
+            out = step(A, k, floor, v, u, beta, next_v, next_u, av)
+    except NumericalOverflow as exc:
+        out = (str(exc), exc.step)
+    return out, [row.tobytes() for row, _ in v_rows + u_rows]
+
+
+class TestCompiledSteps:
+    """``tridiag_step`` and ``bidiag_step``, one compiled call each,
+    against the Python steps of conftest (the operator's ``apply`` and
+    ``apply_transpose`` and the compiled half step), byte for byte: the
+    scalars, every row, and where a step stops."""
+
+    @staticmethod
+    def compare(A, k, window, two_sided, floor=None):
+        if floor is None:
+            floor = breakdown_floor(A)
+        steps = ((tridiag_step, python_tridiag_step) if two_sided
+                 else (bidiag_step, python_bidiag_step))
+        got, ref = (run_steps(step, A, k, floor, window, two_sided)
+                    for step in steps)
+        assert got == ref
+        return got
+
+    # the two-sided engine needs a square operator
+    @pytest.mark.parametrize("shape, two_sided",
+                             [((30, 30), True), ((30, 30), False),
+                              ((30, 24), False), ((24, 30), False)],
+                             ids=["tridiag", "bidiag", "bidiag tall",
+                                  "bidiag wide"])
+    @STEP_LAYOUTS
+    def test_steps_match_the_python_steps(self, monkeypatch, layout, shape,
+                                          two_sided):
+        n, m = shape
+        A = operator(banded_array(n, m, seed=n + m), layout, monkeypatch)
+        rng = np.random.Generator(np.random.PCG64(19))
+        v1 = rng.standard_normal(m)
+        v1 /= np.linalg.norm(v1)
+        steps = 0
+        for k, window, out in reduction_steps(
+                A, v1, v1 if two_sided else None, 12):
+            self.compare(A, k, window, two_sided)
+            steps += 1
+        assert steps == 12
+
+    # (array, v1, step that stops, what): each stop of each engine
+    STOPS = {
+        # 1.5e308 + 1.5e308 overflows in A v: alpha is inf
+        "tridiag alpha": (np.full((2, 2), 1.5e308), np.ones(2) / np.sqrt(2),
+                          True, "alpha"),
+        # av ~ 1e200 with u'av finite: gamma's sum of squares overflows
+        "tridiag gamma": (np.array([[1e200, 3e200], [2e200, -1e200]]),
+                          np.array([1.0, 0.0]), True, "gamma"),
+        # A v = [1e150, 0] and u = e0, so gamma is 0.0; A'u - v alpha =
+        # [0, 1e160] overflows in beta's sum of squares (the 1.0 makes
+        # the operator banded)
+        "tridiag beta": (np.array([[1e150, 1e160], [0.0, 1.0]]),
+                         np.array([1.0, 0.0]), True, "beta"),
+        "bidiag alpha": (np.array([[1e160, 0.0], [1e160, 1.0]]),
+                         np.array([1.0, 0.0]), False, "alpha"),
+        "bidiag beta": (np.array([[1e150, 1e160], [0.0, 1.0]]),
+                        np.array([1.0, 0.0]), False, "beta"),
+    }
+
+    @pytest.mark.parametrize("stop", STOPS)
+    @STEP_LAYOUTS
+    def test_a_non_finite_scalar_stops_where_the_python_step_does(
+            self, monkeypatch, layout, stop):
+        a, v1, two_sided, what = self.STOPS[stop]
+        A = operator(a, layout, monkeypatch)
+        window = (None, v1, None, v1 if two_sided else None, 0.0, 0.0)
+        # floor 0.0: the breakdown floor of the first operator overflows
+        (message, step), rows_after = self.compare(A, 1, window, two_sided,
+                                                   0.0)
+        assert message == f"non-finite {what} at step 1" and step == 1
+        # the rows after the stop are the NaN they were filled with
+        next_v = np.frombuffer(rows_after[2])
+        assert np.isnan(next_v).all() == (what != "beta")
+
+    @STEP_LAYOUTS
+    def test_bidiag_u_side_breakdown_leaves_next_v_untouched(
+            self, monkeypatch, layout):
+        # A v = 0 at step 1, and at step 2 A v = u_prev beta_prev exactly
+        a = np.diag([2.0, 0.0, 3.0])
+        A = operator(a, layout, monkeypatch)
+        for k, window in ((1, (None, np.array([0.0, 1.0, 0.0]), None, None,
+                               0.0, 0.0)),
+                          (2, (None, np.array([1.0, 0.0, 0.0]), None,
+                               np.array([1.0, 0.0, 0.0]), 2.0, 0.0))):
+            (alpha, beta, gamma), rows_after = self.compare(A, k, window,
+                                                            False)
+            assert alpha == beta == gamma == 0.0
+            assert np.isnan(np.frombuffer(rows_after[2])).all()
 
 
 # --- guards ---------------------------------------------------------------
@@ -464,16 +721,35 @@ class TestGuards:
             half_step(a, x, 0.5, y, 0.25, 0.0, out)
         assert buf.tobytes() == before
 
-    def test_dia_arrays_of_another_type_are_refused(self):
-        # C arrays over them would reinterpret their bytes
+    def test_descriptor_arrays_of_another_type_are_refused(self):
+        # C arrays over them would reinterpret their bytes or read past
+        # their end
         offsets, data = dia_operator(6, 6, seed=9)
-        for bad in ((offsets.astype(np.int64), data),
-                    (offsets, data.astype(np.float32)),
-                    (offsets[:-1], data)):
+        data_t = data.copy()
+        for bad in ((offsets.astype(np.int64), data, offsets, data_t),
+                    (offsets, data.astype(np.float32), offsets, data_t),
+                    (offsets[:-1], data, offsets, data_t),
+                    (offsets, data[:, :-1], offsets, data_t),
+                    (offsets, data, offsets, data_t[:-1]),
+                    (offsets.tolist(), data, offsets, data_t)):
             with pytest.raises(TypeError):
-                kernels.dia_args(6, *bad)
+                kernels.banded(6, 6, *bad)
         with pytest.raises(ValueError, match="contiguous"):
-            kernels.dia_args(6, offsets, np.asfortranarray(data))
+            kernels.banded(6, 6, offsets, np.asfortranarray(data), offsets,
+                           data_t)
+        A = gen_convdiff2d(3, 2).A
+        csr = (A.row_offsets, A.col_indices, A.values)
+        for i, bad in ((0, A.row_offsets.astype(np.int64)),
+                       (0, A.row_offsets[:-1]),
+                       (1, A.col_indices.astype(np.int64)),
+                       (1, A.col_indices[:-1]),
+                       (2, A.values.astype(np.float32))):
+            with pytest.raises(TypeError):
+                kernels.csr(6, 6, *csr[:i], bad, *csr[i + 1:])
+        with pytest.raises(TypeError):
+            kernels.dense(np.ones((3, 2), dtype=np.float32))
+        with pytest.raises(ValueError, match="contiguous"):
+            kernels.dense(np.asfortranarray(np.ones((3, 2))))
 
     @pytest.mark.parametrize("n", list(range(18)) + [361])
     def test_kernels_stay_in_bounds(self, n):
@@ -543,6 +819,52 @@ def test_threads_sharing_an_operator_match_sequential_solves():
         assert report == report_want
 
 
+def test_threads_making_an_operators_first_products_agree():
+    # the descriptor is built on the first product: threads that all
+    # start with a fresh operator's first product get one descriptor's
+    # bytes, whichever thread built it
+    rng = np.random.Generator(np.random.PCG64(21))
+    scattered = np.where(rng.random((60, 60)) < 0.2,
+                         rng.standard_normal((60, 60)), 0.0)
+    makers = (lambda: gen_convdiff2d(30, 30).A,
+              lambda: CsrMatrix.from_dense(scattered),
+              lambda: DenseMatrix(scattered))
+    x = rng.standard_normal(scattered.shape[1])
+    x_conv = rng.standard_normal(900)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for make in makers:
+            for _ in range(5):
+                A = make()
+                v = x_conv if A.ncols == 900 else x
+                want = (make().apply(v).tobytes(),
+                        make().apply_transpose(v).tobytes())
+                results, errors = [], []
+                barrier = threading.Barrier(4)
+
+                def run(i):
+                    try:
+                        barrier.wait(timeout=30)
+                        product = A.apply if i % 2 else A.apply_transpose
+                        results.append((i % 2, product(v).tobytes()))
+                    except Exception as exc:  # reported below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=run, args=(i,))
+                           for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(30)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == []
+                assert sorted(results) == sorted(
+                    [(0, want[1])] * 2 + [(1, want[0])] * 2)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # --- build and import -----------------------------------------------------
 
 def run_python(code):
@@ -587,6 +909,31 @@ def test_build_writes_the_module_and_no_leftovers(tmp_path, monkeypatch):
     assert os.path.dirname(path) == str(tmp_path)
     assert os.listdir(tmp_path) == [os.path.basename(path)]
     assert os.path.basename(path).startswith("_kernels_test.")
+
+
+def test_build_removes_the_modules_of_older_sources(tmp_path):
+    # modules of other hashes go once the new one is in place; other
+    # files, and modules of no kernel name, stay
+    suffix = kernels._SUFFIX
+    for name in ("_kernels_0123456789abcdef", "_kernels_fedcba9876543210"):
+        (tmp_path / (name + suffix)).write_bytes(b"stale")
+    keep = ["_kernels.c", "_kernels_build.py", "other" + suffix]
+    for name in keep:
+        (tmp_path / name).write_text("kept")
+    path = kernels._build(kernels._SOURCE, "_kernels_new", str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        keep + [os.path.basename(path)])
+
+
+def test_failed_build_removes_nothing(tmp_path):
+    stale = tmp_path / ("_kernels_0123456789abcdef" + kernels._SUFFIX)
+    stale.write_bytes(b"stale")
+    source = tmp_path / "broken.c"
+    source.write_text("this is not C\n")
+    with pytest.raises(ImportError):
+        kernels._build(str(source), "_kernels_broken", str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == ["_kernels_0123456789abcdef"
+                                            + kernels._SUFFIX, "broken.c"]
 
 
 def test_broken_source_raises_import_error_with_the_compiler_message(

@@ -19,34 +19,39 @@ from conftest import (bincount_apply, bincount_apply_transpose,
                       random_sparse, traced_peak)
 
 
-class KernelSpy:
-    """Stands in for scipy's ``_sparsetools`` and for the DIA kernel of
-    ``oaplib._kernels``: records each kernel call and, while ``run`` is
-    set, runs the real kernel on its arguments."""
+# the name of each product of each layout, as ``ProductSpy`` records it
+PRODUCT_NAMES = {("banded", 0): "dia_matvec", ("banded", 1): "dia_matvec A'",
+                 ("csr", 0): "csr_matvec", ("csr", 1): "csc_matvec",
+                 ("dense", 0): "gemv", ("dense", 1): "gemv A'"}
+
+
+def layout_name(op):
+    """"banded", "csr" or "dense": the layout of the descriptor ``op``."""
+    lib = oaplib._kernels.lib
+    return {lib.OAP_BANDED: "banded", lib.OAP_CSR: "csr",
+            lib.OAP_DENSE: "dense"}[op.layout]
+
+
+class ProductSpy:
+    """Stands in for ``oaplib._kernels.product``: records each product as
+    ``(name, descriptor)`` and, while ``run`` is set, runs the real one
+    on its arguments."""
 
     def __init__(self, real):
         self.real = real
         self.calls = []
         self.run = True
 
-    def wrap(self, name, kernel):
-        def spy(*args):
-            self.calls.append((name, args))
-            if self.run:
-                kernel(*args)
-        spy.__name__ = name
-        return spy
-
-    def __getattr__(self, name):
-        return self.wrap(name, getattr(self.real, name))
+    def __call__(self, op, transpose, x, y):
+        self.calls.append((PRODUCT_NAMES[layout_name(op), transpose], op))
+        if self.run:
+            self.real(op, transpose, x, y)
 
 
 @pytest.fixture
 def kernels(monkeypatch):
-    spy = KernelSpy(oaplib.linalg._sparsetools())
-    monkeypatch.setattr(oaplib.linalg, "_sparsetools", lambda: spy)
-    monkeypatch.setattr(oaplib._kernels, "dia_matvec",
-                        spy.wrap("dia_matvec", oaplib._kernels.dia_matvec))
+    spy = ProductSpy(oaplib._kernels.product)
+    monkeypatch.setattr(oaplib._kernels, "product", spy)
     return spy
 
 
@@ -90,7 +95,7 @@ class TestApply:
         n = A.ncols if product == "apply" else A.nrows
         x = {"short": np.ones(n - 1), "long": np.ones(n + 1),
              "2-D": np.ones((1, n)), "empty": np.ones(0)}[bad]
-        A._products  # layout picked up front: a call recorded below is a product
+        A._operator  # layout picked up front: a call recorded below is a product
         kernels.calls.clear()
         kernels.run = False  # a product that slipped through reads no memory
         with pytest.raises(DimensionMismatch):
@@ -272,22 +277,21 @@ class TestInt32Indices:
     @pytest.mark.parametrize("path", CONSTRUCTIONS)
     def test_every_construction_path_stores_int32(self, path, tmp_path):
         A = self.CONSTRUCTIONS[path](tmp_path)
-        # picks the layout: CSR arrays, or C arrays over the DIA arrays
-        args = [a for _, args, _ in A._products for a in args]
-        stored = [a for a in args if isinstance(a, np.ndarray)]
+        op = A._operator  # picks the layout: CSR arrays, or DIA arrays
         if kernels_of(A) == DIA:
-            # the offsets of A and A', as int32 C arrays over the
-            # read-only int32 arrays that _diagonals builds
-            ints = [a for a in args if is_c_array(a, "int32_t[]")]
+            # the offsets of A and A', read through the descriptor from
+            # the read-only int32 arrays that _diagonals builds
             offsets, _, offsets_t, _ = A._diagonals()
-            assert [bytes(c_buffer(a)) for a in ints] == [
+            assert [c_bytes(op.offsets, offsets), c_bytes(op.offsets_t,
+                                                          offsets_t)] == [
                 offsets.tobytes(), offsets_t.tobytes()]
-            assert stored == []
             stored = [offsets, offsets_t]
-        else:  # A's own two, read by both
-            assert len(stored) == 6
+        else:  # A's own arrays, read in place by both products
+            stored = [A.row_offsets, A.col_indices, A.values]
+            assert [address(op.row_offsets), address(op.col_indices),
+                    address(op.values)] == [data_address(a) for a in stored]
         indices = [a for a in stored if a.dtype != np.float64]
-        assert len(indices) == (2 if kernels_of(A) == DIA else 4)
+        assert len(indices) == 2
         for a in [A.row_offsets, A.col_indices] + indices:
             assert a.dtype == np.int32 and not a.flags.writeable
         assert not any(a.flags.writeable for a in stored)
@@ -380,24 +384,30 @@ class TestRepresentationEquivalence:
                                               D[start:stop])
 
 
-# the (A v, A'u) kernels of each layout
-CSR = ("csr_matvec", "csc_matvec")
-DIA = ("dia_matvec", "dia_matvec")
+# the (A v, A'u) products of each layout
+CSR = (PRODUCT_NAMES["csr", 0], PRODUCT_NAMES["csr", 1])
+DIA = (PRODUCT_NAMES["banded", 0], PRODUCT_NAMES["banded", 1])
 
 
 def kernels_of(A):
-    """Names of the (A v, A'u) kernels that ``A`` picked."""
-    return tuple(kernel.__name__ for kernel, *_ in A._products)
+    """Names of the (A v, A'u) products of the layout ``A`` picked."""
+    name = layout_name(A._operator)
+    return (PRODUCT_NAMES[name, 0], PRODUCT_NAMES[name, 1])
 
 
-def is_c_array(a, ctype):
-    ffi = oaplib._kernels.ffi
-    return isinstance(a, ffi.CData) and ffi.typeof(a) is ffi.typeof(ctype)
+def address(ptr):
+    """The address a C pointer of a descriptor holds."""
+    return int(oaplib._kernels.ffi.cast("uintptr_t", ptr))
 
 
-def c_buffer(a):
-    """The memory of the C array ``a``, which ``ffi.from_buffer`` made."""
-    return oaplib._kernels.ffi.buffer(a)
+def data_address(a):
+    return a.__array_interface__["data"][0]
+
+
+def c_bytes(ptr, like):
+    """The bytes at the C pointer ``ptr``, as many as the array ``like``
+    holds."""
+    return bytes(oaplib._kernels.ffi.buffer(ptr, like.nbytes))
 
 
 def banded(nrows, ncols, offsets, seed=3):
@@ -497,24 +507,14 @@ def counted_diagonals(monkeypatch):
     return built
 
 
-def assert_same_args(got, want):
-    """The kernel read exactly these sizes and these stored arrays."""
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        if isinstance(w, (np.ndarray, oaplib._kernels.ffi.CData)):
-            assert g is w
-        else:
-            assert g == w
-
-
-class TestScipyKernels:
+class TestProductLayouts:
     """Each operator picks its product layout on its first product of
-    either kind: DIA arrays and the compiled ``dia_matvec`` of
-    ``oaplib._kernels`` for both products when they read no more bytes
-    than CSR, else its own CSR arrays through scipy's ``csr_matvec`` and
-    ``csc_matvec``.  The NumPy ``bincount`` kernels in conftest are the
-    reference of both, and scipy's ``todia`` and ``dia_matvec`` the
-    oracle of the DIA arrays and product (``tests/test_kernels.py``)."""
+    either kind: DIA arrays for both products when they read no more
+    bytes than CSR, else its own CSR arrays; its C descriptor
+    (``oaplib._kernels``) holds them, and every product runs over it.
+    The NumPy ``bincount`` kernels in conftest are the reference of both,
+    and scipy's ``todia`` the oracle of the DIA arrays (scipy's kernels
+    are the products' oracles in ``tests/test_kernels.py``)."""
 
     @staticmethod
     def operators():
@@ -552,6 +552,14 @@ class TestScipyKernels:
             want = getattr(A, product)(np.array(x, dtype=np.float64))
             assert getattr(A, product)(given).tobytes() == want.tobytes()
 
+    @staticmethod
+    def assert_reads_own_csr_arrays(A, op):
+        """The descriptor points at A's own CSR arrays, not copies."""
+        assert (op.nrows, op.ncols) == (A.nrows, A.ncols)
+        assert [address(op.row_offsets), address(op.col_indices),
+                address(op.values)] == [data_address(a) for a in (
+                    A.row_offsets, A.col_indices, A.values)]
+
     @pytest.mark.parametrize("name", ["scattered 7x11", "convdiff 7x5",
                                       "banded 40x44"])
     def test_products_read_the_layout_arrays(self, kernels, name):
@@ -559,48 +567,40 @@ class TestScipyKernels:
         A.apply(np.ones(A.ncols))
         A.apply_transpose(np.ones(A.nrows))
         A.apply(np.ones(A.ncols))
-        (n1, av1), (n2, atu), (n3, av2) = kernels.calls
+        (n1, op1), (n2, op2), (n3, op3) = kernels.calls
         layout = OPERATORS[name][1]
         assert (n1, n2, n3) == (layout[0], layout[1], layout[0])
-        (_, av_args, _), (_, atu_args, _) = A._products
-        # the stored arrays themselves, not copies; x and y follow them
-        assert_same_args(av1[:-2], av_args)
-        assert_same_args(atu[:-2], atu_args)
-        assert_same_args(av2[:-2], av_args)
+        # one descriptor, built once, read by every product
+        assert op1 is op2 is op3 is A._operator
         if layout == CSR:
-            csr = (A.row_offsets, A.col_indices, A.values)
-            assert_same_args(av_args, (A.nrows, A.ncols) + csr)
-            assert_same_args(atu_args, (A.ncols, A.nrows) + csr)
+            self.assert_reads_own_csr_arrays(A, op1)
         else:
-            d = len(av_args[4])
-            assert av_args[:4] == (A.nrows, A.ncols, d, A.ncols)
-            assert atu_args[:4] == (A.ncols, A.nrows, d, A.nrows)
-            # C arrays over the DIA arrays (test_dia_arrays_match_scipy)
-            assert all(is_c_array(a, "int32_t[]") for a in (av_args[4],
-                                                           atu_args[4]))
+            # the DIA arrays' bytes (test_dia_arrays_match_scipy)
+            offsets, data, offsets_t, data_t = A._diagonals()
+            assert op1.n_diags == len(offsets)
+            for ptr, want in ((op1.offsets, offsets), (op1.data, data),
+                              (op1.offsets_t, offsets_t),
+                              (op1.data_t, data_t)):
+                assert c_bytes(ptr, want) == want.tobytes()
 
     @pytest.mark.parametrize("name", ["scattered 7x11", "poisson-lshape m5"])
     def test_first_transpose_product_reads_the_operators_own_arrays(
             self, monkeypatch, name):
         A = build(name)
-        # scipy's kernels are loaded, and the count of diagonals that
-        # refuses DIA (it has temporaries of its own) is made, before the
-        # measure
-        kernels = oaplib.linalg._sparsetools()
+        # the count of diagonals that refuses DIA (it has temporaries of
+        # its own) is made before the measure
         dia = A._diagonals()
         assert dia is None
         monkeypatch.setattr(A, "_diagonals", lambda: dia)
         u = np.ones(A.nrows)
         first = traced_peak(A.apply_transpose, u)
         later = traced_peak(A.apply_transpose, u)
-        # beyond its output, the first A'u allocates only the kernel
-        # pair's few tuples: no array, no copy of A
+        # beyond its output, the first A'u allocates only the
+        # descriptor and its few C arrays: no array, no copy of A
         assert first <= later + 512
-        # what each product passes (test_products_read_the_layout_arrays)
-        kernel, args, _ = A._products[1]
-        assert kernel is kernels.csc_matvec
-        assert_same_args(args, (A.ncols, A.nrows, A.row_offsets,
-                                A.col_indices, A.values))
+        # what each product reads (test_products_read_the_layout_arrays)
+        assert kernels_of(A) == CSR
+        self.assert_reads_own_csr_arrays(A, A._operator)
 
     def test_scattered_operator_refused_on_its_first_entries(self):
         # 100,000 entries on ~100,000 diagonals, where the rule allows 7:
@@ -628,13 +628,15 @@ class TestScipyKernels:
     def test_dia_arrays_match_scipy(self, name):
         A = build(name)
         dia = A._diagonals()
-        for (_, args, _), (offsets, data), B in zip(
-                A._products, (dia[:2], dia[2:]), (A, None)):
-            # the kernel reads C arrays over the bytes of these arrays
-            assert is_c_array(args[4], "int32_t[]")
-            assert is_c_array(args[5], "double[]")
-            assert bytes(c_buffer(args[4])) == offsets.tobytes()
-            assert bytes(c_buffer(args[5])) == data.tobytes()
+        op = A._operator
+        for (ptrs, slots), (offsets, data), B in zip(
+                (((op.offsets, op.data), A.ncols),
+                 ((op.offsets_t, op.data_t), A.nrows)),
+                (dia[:2], dia[2:]), (A, None)):
+            # the kernel reads the bytes of these arrays
+            assert op.n_diags == len(offsets)
+            assert c_bytes(ptrs[0], offsets) == offsets.tobytes()
+            assert c_bytes(ptrs[1], data) == data.tobytes()
             assert offsets.dtype == np.int32 and data.dtype == np.float64
             assert not (offsets.flags.writeable or data.flags.writeable)
             assert np.all(np.diff(offsets) > 0)
@@ -645,7 +647,7 @@ class TestScipyKernels:
             width = want.data.shape[1]  # scipy's ends at the last column used
             assert data[:, :width].tobytes() == want.data.tobytes()
             assert not data[:, width:].any()
-            assert data.shape == (len(offsets), args[1])
+            assert data.shape == (len(offsets), slots)
 
     @pytest.mark.parametrize("first", ["apply", "apply_transpose"])
     @pytest.mark.parametrize("name", ["scattered 7x11", "convdiff 7x5"])
@@ -653,9 +655,9 @@ class TestScipyKernels:
             self, kernels, monkeypatch, name, first):
         built = counted_diagonals(monkeypatch)
         A = build(name)
-        assert "_products" not in vars(A) and not built
+        assert "_operator" not in vars(A) and not built
         getattr(A, first)(np.ones(A.ncols if first == "apply" else A.nrows))
-        assert "_products" in vars(A) and built == [1]
+        assert "_operator" in vars(A) and built == [1]
         layout = OPERATORS[name][1]
         assert [c[0] for c in kernels.calls] == [
             layout[0] if first == "apply" else layout[1]]
@@ -665,7 +667,7 @@ class TestScipyKernels:
         write_matrix_market(tmp_path / "a.mtx", gen_convdiff2d(5, 4).A)
         for A in (gen_convdiff2d(5, 4).A, gen_poisson_lshape(4).A,
                   read_matrix_market(tmp_path / "a.mtx")):
-            assert "_products" not in vars(A)
+            assert "_operator" not in vars(A)
         assert not built
         # a generator that forms b = A x_true picks on that one A v
         for problem in (gen_convdiff2d(5, 4, constructed=True),
@@ -752,6 +754,34 @@ def test_import_leaves_scipy_sparse_unloaded():
     out = subprocess.run([sys.executable, "-c", code, src], check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_solves_load_no_scipy():
+    # every product runs in oaplib._kernels: solves over a scattered
+    # (CSR layout) operator and a dense one, both engines, import no
+    # scipy module at all
+    src = os.path.dirname(os.path.dirname(oaplib.__file__))
+    code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from oaplib import CsrMatrix, DenseMatrix, roap_solve
+rng = np.random.default_rng(3)
+dense = np.eye(40) * 8.0 + np.where(rng.random((40, 40)) < 0.1,
+                                    rng.standard_normal((40, 40)), 0.0)
+A = CsrMatrix.from_dense(dense)
+layouts = []
+for op in (A, DenseMatrix(dense)):
+    for variant in ("roap2", "roap3"):
+        _, report = roap_solve(op, np.ones(40), variant)
+        assert report.termination == "converged", report
+    layouts.append(int(op._operator.layout))
+print(layouts, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True, timeout=120)
+    lib = oaplib._kernels.lib
+    assert out.stdout.strip() == f"[{lib.OAP_CSR}, {lib.OAP_DENSE}] []"
 
 
 def test_norm2_rounds_like_numpy_norm():

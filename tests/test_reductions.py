@@ -82,19 +82,21 @@ class TestBidiagStep:
         assert beta == 0.0
         assert next_v is None
 
-    def test_u_side_breakdown_returns_before_the_transpose_product(
-            self, monkeypatch):
+    def test_u_side_breakdown_returns_before_the_transpose_product(self):
         # v_1 in the null space of A: A v_1 = 0, so there is no u_1, and
-        # without u_1 no A'u_1 and no v_2
+        # without u_1 no A'u_1 and no v_2: the next-v row keeps its fill
         A = DenseMatrix(np.diag([1.0, 0.0]))
-        transposes = []
-        monkeypatch.setattr(A, "apply_transpose",
-                            lambda *args: transposes.append(args))
-        av, alpha, beta, gamma, next_v, next_u = first_step(A, e(1, 2))
-        assert transposes == []
+        v_rows, u_rows = rows(2, 2), rows(3, 2)
+        (v, next_v), (u_prev, next_u, av) = v_rows, u_rows
+        for row, _ in v_rows + u_rows:
+            row[:] = np.nan
+        v[0][:] = e(1, 2)
+        alpha, beta, gamma = bidiag_step(A, 1, breakdown_floor(A), v, u_prev,
+                                         0.0, next_v, next_u, av)
         assert alpha == beta == gamma == 0.0
-        assert next_v is None and next_u is None
-        np.testing.assert_array_equal(av, np.zeros(2))
+        assert np.isnan(next_v[0]).all()
+        np.testing.assert_array_equal(av[0], np.zeros(2))
+        np.testing.assert_array_equal(next_u[0], np.zeros(2))
 
     def test_upper_triangular_example_against_oracle(self):
         A = DenseMatrix([[1.0, 1.0], [0.0, 1.0]])
@@ -448,25 +450,69 @@ class TestInPlaceSteps:
                 for j in range(M.shape[1]):
                     assert M[:, j].tobytes() == r_M[:, j].tobytes()
 
-    @ENGINES
-    @pytest.mark.parametrize("row", ["av", "next_v"])
-    def test_read_only_product_row_is_refused(self, rng, two_sided, row):
-        # the operator writes each product into the row it is handed; a
-        # row it cannot write is an error before its kernel runs, not a
-        # step that reads a stale row
-        A = gen_convdiff2d(9, 10).A
+    @staticmethod
+    def step_on(A, two_sided, pairs):
+        """Step 1 of the engine on the named row pairs."""
+        floor = breakdown_floor(A)
+        if two_sided:
+            return tridiag_step(A, 1, floor, pairs["v_prev"], pairs["v"],
+                                pairs["u_prev"], pairs["u"], 0.0, 0.0,
+                                pairs["next_v"], pairs["next_u"], pairs["av"])
+        return bidiag_step(A, 1, floor, pairs["v"], pairs["u_prev"], 0.0,
+                           pairs["next_v"], pairs["next_u"], pairs["av"])
+
+    def window_rows(self, rng, A):
         v1 = self.unit(rng, A.ncols)
         v_rows, u_rows = rows(3, A.ncols), rows(4, A.nrows)
         v_rows[1][0][:] = u_rows[1][0][:] = v1
-        (v_prev, v, next_v), (u_prev, u, next_u, av) = v_rows, u_rows
-        target = av if row == "av" else next_v
+        return dict(zip(("v_prev", "v", "next_v", "u_prev", "u", "next_u",
+                         "av"), v_rows + u_rows))
+
+    @ENGINES
+    @pytest.mark.parametrize("row", ["av", "next_v"])
+    def test_read_only_product_row_is_refused(self, rng, two_sided, row):
+        # the step writes each product into the row it is handed; a row
+        # it cannot write is an error before its kernel runs, not a step
+        # that reads a stale row
+        A = gen_convdiff2d(9, 10).A
+        pairs = self.window_rows(rng, A)
+        target = pairs[row]
         target[0][:] = 0.0
         target[0].flags.writeable = False
-        with pytest.raises(ValueError, match="out is read-only"):
-            if two_sided:
-                tridiag_step(A, 1, breakdown_floor(A), v_prev, v, u_prev, u,
-                             0.0, 0.0, next_v, next_u, av)
-            else:
-                bidiag_step(A, 1, breakdown_floor(A), v, u, 0.0, next_v,
-                            next_u, av)
+        name = "tridiag_step" if two_sided else "bidiag_step"
+        with pytest.raises(ValueError, match=f"{name}: row {row} is read-only"):
+            self.step_on(A, two_sided, pairs)
         assert not target[0].any()
+
+    @ENGINES
+    def test_read_only_next_u_is_refused_before_any_write(self, rng,
+                                                          two_sided):
+        A = gen_convdiff2d(9, 10).A
+        pairs = self.window_rows(rng, A)
+        pairs["next_u"][0].flags.writeable = False
+        before = [row.tobytes() for row, _ in pairs.values()]
+        with pytest.raises(ValueError, match="row next_u is read-only"):
+            self.step_on(A, two_sided, pairs)
+        assert [row.tobytes() for row, _ in pairs.values()] == before
+
+    @ENGINES
+    @pytest.mark.parametrize("output", ["next_v", "next_u", "av"])
+    def test_output_row_aliasing_another_row_is_refused(self, rng,
+                                                        two_sided, output):
+        # an output that is also an input, or another output, would be
+        # read after the step has overwritten it: refused before any write
+        A = gen_convdiff2d(9, 10).A
+        inputs = (("v_prev", "v", "u_prev", "u") if two_sided
+                  else ("v", "u_prev"))
+        same_side = (("v_prev", "v", "next_v") if output == "next_v"
+                     else ("u_prev", "u", "next_u", "av"))
+        others = [name for name in same_side if name != output
+                  and (name in inputs or name.startswith(("next", "av")))]
+        assert others
+        for other in others:
+            pairs = self.window_rows(rng, A)
+            pairs[output] = pairs[other]
+            before = [row.tobytes() for row, _ in pairs.values()]
+            with pytest.raises(ValueError, match="overlaps"):
+                self.step_on(A, two_sided, pairs)
+            assert [row.tobytes() for row, _ in pairs.values()] == before

@@ -750,19 +750,35 @@ def blas():
 
 
 def count_products(monkeypatch, A, seen, first=None):
-    """Record the OpenBLAS thread count on each product of ``A``; the
-    first product calls ``first()`` before it reads the count."""
+    """Record the OpenBLAS thread count on each product of ``A`` and in
+    each reduction step on ``A``, which makes its products in its one
+    compiled call (``solvers.bidiag_step`` and ``tridiag_step``, patched
+    where the cycle looks them up); the first record calls ``first()``
+    before it reads the count."""
     get = _blas_threads()[0]
+
+    def record():
+        if first is not None and not seen:
+            first()
+        seen.append(get())
+
     for name in ("apply", "apply_transpose"):
         product = getattr(A, name)
 
         def spy(v, out=None, product=product):
-            if first is not None and not seen:
-                first()
-            seen.append(get())
+            record()
             return product(v, out)
 
         monkeypatch.setattr(A, name, spy)
+    for name in ("bidiag_step", "tridiag_step"):
+        step = getattr(solvers_mod, name)
+
+        def step_spy(B, *args, step=step):
+            if B is A:
+                record()
+            return step(B, *args)
+
+        monkeypatch.setattr(solvers_mod, name, step_spy)
 
 
 def solve_with(solver, A, b, **kwargs):

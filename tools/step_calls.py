@@ -10,10 +10,12 @@ profiled, nor is one warm-up product each way per operator, so that
 imports and per-operator set-up on first use stay out of the count.
 The count is deterministic for one interpreter and one set of
 libraries, so it compares two commits on one machine; it is not a test.
-A call of a compiled kernel counts once, and so does each
-``ffi.from_buffer`` call that hands an array to C (about 0.2 us each;
-the banded products make two per call): a lower count is not always a
-faster step.
+A call of a compiled kernel counts once, whatever it does: an inner
+step is one compiled call, its two products included, so its count is
+its Python bookkeeping.  Each ``ffi.from_buffer`` call that hands an
+array to C counts once too (about 0.2 us each; a product outside the
+steps, the seed's and the restart's, makes two): a lower count is not
+always a faster step.
 
 Then it times each case untraced, the minimum of 5 solves, and prints
 microseconds per inner step in two groups: the six stencil problems
