@@ -13,14 +13,14 @@ Library layout:
 * :mod:`oaplib.cli`        - ``oap`` command line
 
 Every product of a ``CsrMatrix`` or ``DenseMatrix`` is one compiled
-call over the operator's C descriptor (``oaplib._kernels``): DIA
+call over the operator's C descriptor (``oaplib._kernels``): A's DIA
 arrays for a banded operator, else its own CSR arrays, or the dense
 row-major block, with the bits of scipy's ``csr_matvec``,
 ``csc_matvec`` and ``dia_matvec`` and of ``np.matmul``.  Each reduction
 step is one compiled call over the same descriptor, products included;
-scipy is not imported at run time.  Every product writes into a
-caller's ``out`` array or a new one.  :func:`backend_name` is the key
-under which benchmark records compare.
+scipy is not imported at run time.  Every product returns a new
+array.  :func:`backend_name` is the key under which benchmark records
+compare.
 """
 
 from .ap import (BlockPartition, ap_factor, ap_init, ap_solve, ap_sweep,

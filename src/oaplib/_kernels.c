@@ -143,41 +143,47 @@ void oap_axpy(int64_t n, const double *x, double c, const double *v,
 
 /* --- products ------------------------------------------------------- */
 
-/* Rows of y per block: 4 KB of y, and of each diagonal's slice of data
-   and x, stay in L1 while every diagonal adds into the block. */
+/* Entries of y per block: 4 KB of y, and of each diagonal's slice of
+   data and x, stay in L1 while every diagonal adds into the block. */
 #define DIA_BLOCK 512
 
-/* y = A x for A in scipy's DIA form: n_diags diagonals of L slots each,
-   offsets ascending, data[i L + j] = A[j - offsets[i], j]; x has n_col
-   entries and y n_row.  y is zeroed here, block by block, and each y[r]
-   then receives its terms diagonal by diagonal in ascending order, as
-   in scipy's dia_matvec, which adds one whole diagonal at a time into a
-   zeroed y: the same sums in the same order. */
+/* y = A x (transpose 0) or A'x (1) for the n_row x n_col A in scipy's
+   DIA form: n_diags diagonals of n_col slots each, offsets ascending,
+   data[i n_col + j] = A[j - offsets[i], j].  y is zeroed here, block by
+   block, and each entry then receives its terms diagonal by diagonal:
+   y[r] += A[r, r + k] x[r + k] over ascending k, as scipy's dia_matvec
+   adds them, or y[j] += A[j - k, j] x[j - k] over descending k, the
+   order and operands of scipy's dia_matvec over A', whose diagonal -k
+   is A's k.  The same sums in the same order, so the same bits. */
 static void dia_matvec(int64_t n_row, int64_t n_col, int64_t n_diags,
-                       int64_t L, const int32_t *offsets, const double *data,
-                       const double *x, double *y)
+                       const int32_t *offsets, const double *data,
+                       int transpose, const double *x, double *y)
 {
-    int64_t r0, r, i;
-    int64_t j_cap = n_col < L ? n_col : L;
+    int64_t n_out = transpose ? n_col : n_row;
+    int64_t n_in = transpose ? n_row : n_col;
+    int64_t t0, t, p;
 
-    for (r0 = 0; r0 < n_row; r0 += DIA_BLOCK) {
-        int64_t r1 = r0 + DIA_BLOCK < n_row ? r0 + DIA_BLOCK : n_row;
+    for (t0 = 0; t0 < n_out; t0 += DIA_BLOCK) {
+        int64_t t1 = t0 + DIA_BLOCK < n_out ? t0 + DIA_BLOCK : n_out;
 
-        for (r = r0; r < r1; r++)
-            y[r] = 0.0;
-        for (i = 0; i < n_diags; i++) {
+        for (t = t0; t < t1; t++)
+            y[t] = 0.0;
+        for (p = 0; p < n_diags; p++) {
+            int64_t i = transpose ? n_diags - 1 - p : p;
             int64_t k = offsets[i];
-            const double *diag = data + i * L;
-            /* rows r with 0 <= r < n_row and 0 <= r + k < min(n_col, L) */
-            int64_t lo = k < 0 ? -k : 0;
-            int64_t hi = j_cap - k < n_row ? j_cap - k : n_row;
+            /* y[t] += data[i n_col + t + s] x[t + xs] */
+            int64_t s = transpose ? 0 : k, xs = transpose ? -k : k;
+            const double *diag = data + i * n_col;
+            /* entries t with 0 <= t < n_out and 0 <= t + xs < n_in */
+            int64_t lo = xs < 0 ? -xs : 0;
+            int64_t hi = n_in - xs < n_out ? n_in - xs : n_out;
 
-            if (lo < r0)
-                lo = r0;
-            if (hi > r1)
-                hi = r1;
-            for (r = lo; r < hi; r++)
-                y[r] += diag[r + k] * x[r + k];
+            if (lo < t0)
+                lo = t0;
+            if (hi > t1)
+                hi = t1;
+            for (t = lo; t < hi; t++)
+                y[t] += diag[t + s] * x[t + xs];
         }
     }
 }
@@ -253,10 +259,7 @@ void oap_product(const oap_operator_t *op, int transpose, const double *x,
 
     switch (op->layout) {
     case OAP_BANDED:
-        if (transpose)
-            dia_matvec(m, n, op->n_diags, n, op->offsets_t, op->data_t, x, y);
-        else
-            dia_matvec(n, m, op->n_diags, m, op->offsets, op->data, x, y);
+        dia_matvec(n, m, op->n_diags, op->offsets, op->data, transpose, x, y);
         break;
     case OAP_CSR:
         if (transpose)

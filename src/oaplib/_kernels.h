@@ -13,8 +13,7 @@ enum oap_layout { OAP_BANDED, OAP_CSR, OAP_DENSE };
 /* One operator as its products read it: an nrows x ncols matrix A in
    one layout, over arrays the operator owns.
    - OAP_BANDED: n_diags diagonals of A, offsets ascending, with
-     data[i ncols + j] = A[j - offsets[i], j], and the same of A'
-     (offsets_t, data_t, nrows slots per diagonal);
+     data[i ncols + j] = A[j - offsets[i], j]; both products read them;
    - OAP_CSR: A's CSR arrays, which are A' in CSC form;
    - OAP_DENSE: values, A's nrows x ncols row-major block. */
 typedef struct {
@@ -24,8 +23,6 @@ typedef struct {
     int64_t n_diags;
     const int32_t *offsets;
     const double *data;
-    const int32_t *offsets_t;
-    const double *data_t;
     const int32_t *row_offsets;
     const int32_t *col_indices;
     const double *values;

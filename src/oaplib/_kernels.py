@@ -7,9 +7,11 @@ product builds (``banded``, ``csr`` or ``dense`` below) over arrays the
 operator owns, and every product of it is one call of
 ``lib.oap_product`` over that descriptor:
 
-* banded: DIA arrays of A and of A', cache-blocked: every diagonal adds
-  into one block of 512 rows before the next block, and each entry of y
-  still receives its terms in scipy ``dia_matvec``'s order;
+* banded: A's DIA arrays, read by both products, cache-blocked: every
+  diagonal adds into one block of 512 entries of y before the next
+  block, and each entry still receives its terms in scipy
+  ``dia_matvec``'s order (for A'u, its order over A', whose diagonal -k
+  is A's k: A's diagonals in descending offset order);
 * CSR: A's own arrays, each y[r] of A v from +0.0 over its row in
   ascending column order, A'u scattered row by row into a zeroed y, as
   scipy's ``csr_matvec`` and ``csc_matvec`` add them;
@@ -32,9 +34,9 @@ source is compiled with ``-ffp-contract=off`` and without
 ``-ffast-math``), every inner product calls the ``cblas_ddot`` that
 ``ndarray.dot`` calls, numpy's ``scipy_cblas_ddot64_``, and a dense
 product the ``cblas_dgemv``, ``scipy_cblas_dgemv64_``, both looked up on
-numpy's extension module as ``linalg._blas_threads`` looks up the
-thread symbols.  The NumPy and scipy formulas are the reference in
-``tests/test_kernels.py``.
+numpy's extension module, as are OpenBLAS's thread count symbols
+(``get_blas_threads``, ``set_blas_threads``), which the solves use.  The
+NumPy and scipy formulas are the reference in ``tests/test_kernels.py``.
 
 The C source (``_kernels.c``, declared in ``_kernels.h``) is built from
 the checkout on the first import, by cffi in API mode, in a subprocess
@@ -47,7 +49,7 @@ build writes under a temporary name and moves the module into this
 directory with ``os.replace``, under a lock file, so concurrent first
 imports build once; then it removes the directory's other
 ``_kernels_*`` modules (a process that loaded one keeps its mapping).
-A failed build, or a numpy without the BLAS symbols, raises
+A failed build, or a numpy without these BLAS symbols, raises
 ImportError; there is no NumPy fallback.
 
 cffi releases the interpreter lock around each kernel call.  The steps
@@ -58,8 +60,8 @@ check of every row.  The one array from outside a block that a vector
 kernel reads, the cycle's right-hand side, goes through ``vector``,
 which checks that it is a C-contiguous float64 ndarray of the expected
 length (and, for an output, writable), once per cycle.  ``product``'s x
-and y are the operator's, which ``LinearOperator`` checks
-(``_check_apply`` and ``_check_out`` guard every product).
+and y are the operator's: ``LinearOperator`` checks x (``_check_apply``)
+and makes y.
 """
 
 import ctypes
@@ -153,22 +155,36 @@ def _load():
     return importlib.import_module(f"oaplib.{module}")
 
 
-def _blas_address(symbol):
-    """Address of numpy's BLAS function ``symbol``; the lookup on numpy's
-    extension module also searches the libraries it links,
-    scipy_openblas among them."""
+# numpy's extension module; a lookup on it also searches the libraries
+# it links, scipy_openblas among them
+_NUMPY = ctypes.CDLL(np._core._multiarray_umath.__file__)
+
+
+def _blas(symbol):
+    """numpy's BLAS function ``symbol``, as a ctypes function."""
     try:
-        fn = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), symbol)
+        return getattr(_NUMPY, symbol)
     except AttributeError:
-        raise ImportError(f"numpy's BLAS exports no {symbol}: the kernels "
-                          f"would not round as ndarray.dot and np.matmul "
-                          f"do") from None
-    return ffi.cast("void *", ctypes.cast(fn, ctypes.c_void_p).value)
+        raise ImportError(f"numpy's BLAS exports no {symbol}: oaplib "
+                          f"rounds as ndarray.dot and np.matmul do, and "
+                          f"holds their OpenBLAS to one thread, only "
+                          f"through numpy's own scipy_openblas") from None
+
+
+def _address(symbol):
+    """The address of ``_blas(symbol)``, as a C pointer."""
+    return ffi.cast("void *",
+                    ctypes.cast(_blas(symbol), ctypes.c_void_p).value)
 
 
 _module = _load()
 ffi, lib = _module.ffi, _module.lib
-lib.oap_set_blas(_blas_address(DDOT), _blas_address(DGEMV))
+lib.oap_set_blas(_address(DDOT), _address(DGEMV))
+# the thread count of numpy's OpenBLAS, process-wide
+get_blas_threads = _blas("scipy_openblas_get_num_threads64_")
+get_blas_threads.argtypes, get_blas_threads.restype = (), ctypes.c_int
+set_blas_threads = _blas("scipy_openblas_set_num_threads64_")
+set_blas_threads.argtypes, set_blas_threads.restype = (ctypes.c_int,), None
 
 _F64 = np.dtype(np.float64)
 _DOUBLES = ffi.typeof("double[]")
@@ -227,23 +243,19 @@ def _c_array(a, ctype, dtype, shape):
     return _from_buffer(ctype, a)
 
 
-def banded(nrows, ncols, offsets, data, offsets_t, data_t):
+def banded(nrows, ncols, offsets, data):
     """The descriptor of an nrows x ncols operator over its DIA arrays:
     int32 ``offsets`` ascending and float64 ``data`` with one row of
-    ncols slots per offset, and the same of A' (``offsets_t``, ``data_t``
-    with nrows slots), as ``CsrMatrix._diagonals`` builds them.  The
-    descriptor keeps the four arrays alive: ``ffi.gc`` holds its
-    destructor, which does nothing but refer to them, as long as the
-    returned pointer lives."""
+    ncols slots per offset, as ``CsrMatrix._diagonals`` builds them; both
+    products read them.  The descriptor keeps the two arrays alive:
+    ``ffi.gc`` holds its destructor, which does nothing but refer to
+    them, as long as the returned pointer lives."""
     d = len(offsets)
-    arrays = (offsets, data, offsets_t, data_t)
     op = ffi.gc(_descriptor(lib.OAP_BANDED, nrows, ncols),
-                lambda _, arrays=arrays: None)
+                lambda _, arrays=(offsets, data): None)
     op.n_diags = d
     op.offsets = _c_array(offsets, _INTS, np.int32, (d,))
     op.data = _c_array(data, _DOUBLES, _F64, (d, ncols))
-    op.offsets_t = _c_array(offsets_t, _INTS, np.int32, (d,))
-    op.data_t = _c_array(data_t, _DOUBLES, _F64, (d, nrows))
     return op
 
 

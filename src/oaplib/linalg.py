@@ -21,8 +21,8 @@ from its structure alone:
 * banded: when the d distinct diagonals, padding and in-band zeros
   included, read no more bytes than the CSR arrays
   (8 d max(nrows, ncols) <= 12 nnz), read-only diagonal (DIA) arrays of
-  A and of A' are built, offsets ascending, and both products stream
-  each diagonal with no index gather, 512 rows at a time;
+  A are built, offsets ascending, and both products stream each of A's
+  diagonals with no index gather, 512 output entries at a time;
 * otherwise both products read the operator's own CSR arrays (12 bytes
   per nonzero): ``A v`` row by row, and ``A' u`` by scattering A's rows,
   since A's CSR arrays are A' in CSC form.
@@ -30,8 +30,9 @@ from its structure alone:
 Each output's terms are added into +0.0 in ascending column order of
 the matrix multiplied (A's rows, for ``A' u``), as scipy's
 ``csr_matvec`` and ``csc_matvec`` add them; the DIA kernel, like
-scipy's ``dia_matvec``, adds them diagonal by diagonal in ascending
-offset order, which is the same order.  The DIA terms CSR lacks are
+scipy's ``dia_matvec`` over that matrix, adds them diagonal by diagonal
+in ascending offset order (A's diagonals descending, for ``A' u``),
+which is the same order.  The DIA terms CSR lacks are
 in-band zeros times finite entries of x, exact zeros, so the two layouts
 give the same bits.  The product contract: vectors are finite.  A DIA
 product also multiplies its in-band zero slots, so an inf or NaN in x
@@ -40,21 +41,16 @@ multiplies with the bits of ``np.matmul``: its descriptor is the
 row-major block, which the kernel hands to numpy's own ``cblas_dgemv``
 with the arguments ``np.matmul`` passes.
 
-Both operators write a product into the caller's ``out`` when one is
-given, else into a new array.  Every kernel writes every entry of its
-output, so whatever ``out`` held, the bytes are those of a fresh
-product.  An ``out`` that is not a writable C-contiguous float64 array
-of the product's length, or that overlaps the input, is refused before
-any kernel runs.
+Both operators return each product as a new array, every entry of it
+written by the kernel.
 
 The solve drivers run under ``_one_blas_thread``: numpy's OpenBLAS works
 on the calling thread for the whole solve, and the caller's thread count
 comes back on return and on raise.  The count is process-wide, so while
 any solve runs every BLAS call in the process is on one thread; the
-first solve in saves the count and the last one out restores it.  The
-switch binds numpy's private ``scipy_openblas`` thread symbols on the
-first solve, not on import, and does nothing where numpy's BLAS has
-none.
+first solve in saves the count and the last one out restores it,
+through numpy's private ``scipy_openblas`` thread symbols, which
+``oaplib._kernels`` binds on import beside ``ddot`` and ``dgemv``.
 """
 
 import contextlib
@@ -77,24 +73,6 @@ def backend_name():
     return "scipy"
 
 
-@functools.cache
-def _blas_threads():
-    """``(get, set)`` of the thread count of numpy's OpenBLAS, bound on the
-    first solve, or None where numpy's BLAS exports no such symbols.  The
-    lookup on numpy's extension module also searches the libraries it
-    links, scipy_openblas among them."""
-    import ctypes
-    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    try:
-        get = lib.scipy_openblas_get_num_threads64_
-        put = lib.scipy_openblas_set_num_threads64_
-    except AttributeError:
-        return None
-    get.argtypes, get.restype = (), ctypes.c_int
-    put.argtypes, put.restype = (ctypes.c_int,), None
-    return get, put
-
-
 class _OneBlasThread(contextlib.ContextDecorator):
     """Holds numpy's OpenBLAS to the calling thread while any solve runs,
     as a decorator of the solve drivers or a ``with`` block.
@@ -113,21 +91,17 @@ class _OneBlasThread(contextlib.ContextDecorator):
         self._saved = None
 
     def __enter__(self):
-        handle = _blas_threads()
-        if handle is not None:
-            with self._lock:
-                if self._depth == 0:
-                    self._saved = handle[0]()
-                    handle[1](1)
-                self._depth += 1
+        with self._lock:
+            if self._depth == 0:
+                self._saved = _kernels.get_blas_threads()
+                _kernels.set_blas_threads(1)
+            self._depth += 1
 
     def __exit__(self, *exc):
-        handle = _blas_threads()
-        if handle is not None:
-            with self._lock:
-                self._depth -= 1
-                if self._depth == 0:
-                    handle[1](self._saved)
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                _kernels.set_blas_threads(self._saved)
 
 
 _one_blas_thread = _OneBlasThread()
@@ -221,29 +195,20 @@ class LinearOperator:
         on the first product of either kind and kept."""
         raise NotImplementedError
 
-    def apply(self, v, out=None):
-        """A v, written into ``out`` when one is given, else into a new
-        array; returns that array.  ``out`` must be a writable
-        C-contiguous float64 array of nrows entries that shares no memory
-        with v (``_check_out``)."""
-        return self._product(0, v, self.ncols, self.nrows, "apply", out)
+    def apply(self, v):
+        """A v, as a new array."""
+        return self._product(0, v, self.ncols, self.nrows, "apply")
 
-    def apply_transpose(self, u, out=None):
-        """A' u, as ``apply`` forms A v: into ``out`` (ncols entries) when
-        one is given, else into a new array; returns that array."""
-        return self._product(1, u, self.nrows, self.ncols, "apply_transpose",
-                             out)
+    def apply_transpose(self, u):
+        """A' u, as a new array."""
+        return self._product(1, u, self.nrows, self.ncols, "apply_transpose")
 
-    # The kernel reads x and writes out unchecked: ``_check_apply`` and
-    # ``_check_out`` are its guards.
-    def _product(self, transpose, x, in_len, out_len, name, out):
-        """A x (``transpose`` 0) or A'x (1) of x (``in_len`` entries) into
-        ``out`` (``out_len``), or into a new array when it is None."""
+    # The kernel reads x unchecked: ``_check_apply`` is its guard.
+    def _product(self, transpose, x, in_len, out_len, name):
+        """A x (``transpose`` 0) or A'x (1) of x (``in_len`` entries), as a
+        new array of ``out_len`` entries."""
         x = self._check_apply(x, in_len, name)
-        if out is None:
-            out = np.empty(out_len)
-        else:
-            self._check_out(out, x, out_len, name)
+        out = np.empty(out_len)
         _kernels.product(self._operator, transpose, x, out)
         return out
 
@@ -274,25 +239,6 @@ class LinearOperator:
                 f"vector has shape {v.shape}"
             )
         return v
-
-    def _check_out(self, out, v, length, name):
-        """Refuse an ``out`` that is not a writable C-contiguous float64
-        ndarray of ``length`` entries, or that shares memory with the
-        product's input ``v``, before any kernel runs."""
-        if not isinstance(out, np.ndarray) or out.dtype != np.float64:
-            raise TypeError(f"{name}: out must be a float64 ndarray, got "
-                            f"{getattr(out, 'dtype', type(out).__name__)}")
-        if out.shape != (length,):
-            raise DimensionMismatch(
-                f"{name}: operator is {self.nrows}x{self.ncols}, "
-                f"out has shape {out.shape}")
-        flags = out.flags
-        if not flags.c_contiguous:
-            raise ValueError(f"{name}: out must be C-contiguous")
-        if not flags.writeable:
-            raise ValueError(f"{name}: out is read-only")
-        if np.may_share_memory(out, v):
-            raise ValueError(f"{name}: out overlaps the input vector")
 
 
 class CsrMatrix(LinearOperator):
@@ -409,9 +355,9 @@ class CsrMatrix(LinearOperator):
                             self.col_indices, self.values)
 
     def _diagonals(self):
-        """Read-only DIA arrays ``(offsets, data, offsets_t, data_t)`` of A
-        and A', or None when they would read more bytes per product than
-        the CSR arrays: 8 d max(nrows, ncols) > 12 nnz for d distinct
+        """Read-only DIA arrays ``(offsets, data)`` of A, which both
+        products read, or None when they would read more bytes per product
+        than the CSR arrays: 8 d max(nrows, ncols) > 12 nnz for d distinct
         diagonals.  Offsets ascend; ``data[i, c]`` holds A[c - k, c] for
         offset k = ``offsets[i]``, zero where A has no entry, as scipy's
         ``dia_matvec`` reads it."""
@@ -445,14 +391,7 @@ class CsrMatrix(LinearOperator):
         flat += self.col_indices
         data = np.zeros((d, m))
         np.put(data, flat, self.values)
-        offsets = (present - n).astype(np.int32)
-        # A' has diagonal -k of A's k, shifted to A's row index
-        data_t = np.zeros((d, n))
-        for i, k in enumerate(offsets.tolist()):
-            lo, hi = max(k, 0), min(n + k, m)  # A's columns on diagonal k
-            data_t[d - 1 - i, lo - k:hi - k] = data[i, lo:hi]
-        return (_readonly(offsets), _readonly(data),
-                _readonly(-offsets[::-1]), _readonly(data_t))
+        return _readonly((present - n).astype(np.int32)), _readonly(data)
 
     # in the class's own namespace, where the benchmark's tracer wraps them
     apply = LinearOperator.apply

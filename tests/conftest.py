@@ -165,9 +165,10 @@ def _overflow(what, k):
 def python_tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev,
                         gamma_prev, next_v, next_u, av):
     """``tridiag_step`` as Python formed it before the step became one
-    compiled call: the operator's two products into the rows, a NumPy
-    inner product and two half steps, raising where the step raises."""
-    A.apply(v[0], av[0])
+    compiled call: the operator's two products, copied into the rows, a
+    NumPy inner product and two half steps, raising where the step
+    raises."""
+    av[0][:] = A.apply(v[0])
     alpha = float(u[0].dot(av[0]))
     if not math.isfinite(alpha):
         raise _overflow("alpha", k)
@@ -176,7 +177,7 @@ def python_tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev,
                       floor, next_u[0])
     if not math.isfinite(gamma):
         raise _overflow("gamma", k)
-    A.apply_transpose(u[0], next_v[0])
+    next_v[0][:] = A.apply_transpose(u[0])
     beta = half_step(next_v[0], v[0], alpha,
                      None if gamma_prev == 0.0 else v_prev[0], gamma_prev,
                      floor, next_v[0])
@@ -188,14 +189,14 @@ def python_tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev,
 def python_bidiag_step(A, k, floor, v, u_prev, beta_prev, next_v, next_u,
                        av):
     """``bidiag_step`` as Python formed it (see ``python_tridiag_step``)."""
-    A.apply(v[0], av[0])
+    av[0][:] = A.apply(v[0])
     alpha = half_step(av[0], None if beta_prev == 0.0 else u_prev[0],
                       beta_prev, None, 0.0, floor, next_u[0])
     if not math.isfinite(alpha):
         raise _overflow("alpha", k)
     if alpha <= floor:  # no u_k, so no v_{k+1}
         return alpha, 0.0, 0.0
-    A.apply_transpose(next_u[0], next_v[0])
+    next_v[0][:] = A.apply_transpose(next_u[0])
     beta = half_step(next_v[0], v[0], alpha, None, 0.0, floor, next_v[0])
     if not math.isfinite(beta):
         raise _overflow("beta", k)
@@ -376,21 +377,34 @@ def oracle_projection(W, l):
     return W @ y, float(l @ y)
 
 
-def traced_peak(fn, *args):
-    """The most memory tracemalloc saw allocated during ``fn(*args)``,
-    above what was allocated when it began.  Tracing that was already on
-    stays on."""
+def _traced(fn, args):
+    """``fn(*args)``, and what tracemalloc saw allocated when it ended and
+    at its most, each above what was allocated when it began.  Tracing
+    that was already on stays on."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - before
+        result = fn(*args)
+        now, peak = tracemalloc.get_traced_memory()
+        return result, now - before, peak - before
     finally:
         if started:
             tracemalloc.stop()
+
+
+def traced_peak(fn, *args):
+    """The most memory tracemalloc saw allocated during ``fn(*args)``,
+    above what was allocated when it began."""
+    return _traced(fn, args)[2]
+
+
+def traced_kept(fn, *args):
+    """``fn(*args)`` and what it left allocated, its result included,
+    above what was allocated when it began."""
+    return _traced(fn, args)[:2]
 
 
 @pytest.fixture

@@ -140,6 +140,12 @@ def numpy_bidiag_step(A, k, floor, v, u_prev, beta_prev):
     return av, alpha, beta, 0.0, next_v, u
 
 
+def decades(rng, shape):
+    """Random entries over 13 decades, so that the order in which a sum
+    adds them shows in its rounding."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+
+
 def dia_operator(n_row, n_col, seed):
     """Random DIA arrays (offsets ascending, zeros in the band) of an
     n_row x n_col operator, as ``CsrMatrix._diagonals`` lays them out."""
@@ -147,12 +153,29 @@ def dia_operator(n_row, n_col, seed):
     lo, hi = -max(n_row - 1, 0), max(n_col - 1, 0)
     count = min(5, hi - lo + 1)
     offsets = np.sort(rng.choice(np.arange(lo, hi + 1), count, replace=False))
-    data = rng.standard_normal((count, n_col))
+    data = decades(rng, (count, n_col))
     data[rng.random(data.shape) < 0.1] = 0.0
     return offsets.astype(np.int32), data
 
 
-def scipy_dia_matvec(n_row, n_col, offsets, data, x):
+def transposed_dia(n_row, n_col, offsets, data):
+    """The DIA arrays of M' for the n_row x n_col M of ``offsets`` and
+    ``data``: diagonal -k of M' is M's k, shifted to M's row index, with
+    n_row slots; offsets ascending."""
+    d = len(offsets)
+    data_t = np.zeros((d, n_row))
+    for i, k in enumerate(offsets.tolist()):
+        lo, hi = max(k, 0), min(n_row + k, n_col)  # M's columns on k
+        data_t[d - 1 - i, lo - k:hi - k] = data[i, lo:hi]
+    return -offsets[::-1], data_t
+
+
+def scipy_dia_matvec(n_row, n_col, offsets, data, x, transpose=False):
+    """M x, or M'x when ``transpose``, by scipy's ``dia_matvec``, over
+    ``transposed_dia``'s arrays of M' for M'x."""
+    if transpose:
+        offsets, data = transposed_dia(n_row, n_col, offsets, data)
+        n_row, n_col = n_col, n_row
     y = np.zeros(n_row)
     scipy.sparse._sparsetools.dia_matvec(n_row, n_col, len(offsets), n_col,
                                          offsets, data, x, y)
@@ -160,14 +183,10 @@ def scipy_dia_matvec(n_row, n_col, offsets, data, x):
 
 
 def c_dia_matvec(n_row, n_col, offsets, data, x, y, transpose=False):
-    """y = M x for the n_row x n_col M of the DIA arrays ``offsets`` and
-    ``data``, through a banded descriptor's A v, or, when ``transpose``,
-    its A'u (M is then the descriptor's A'; its A has zero diagonals)."""
-    zeros = np.zeros((len(offsets), n_row))
-    if transpose:
-        op = kernels.banded(n_col, n_row, offsets, zeros, offsets, data)
-    else:
-        op = kernels.banded(n_row, n_col, offsets, data, offsets, zeros)
+    """y = M x, or M'x when ``transpose``, for the n_row x n_col M of the
+    DIA arrays ``offsets`` and ``data``, through a banded descriptor of
+    M."""
+    op = kernels.banded(n_row, n_col, offsets, data)
     kernels.product(op, int(transpose), x, y)
 
 
@@ -218,25 +237,52 @@ class TestSameBits:
     @pytest.mark.parametrize("transpose", [False, True], ids=["Av", "A'u"])
     @pytest.mark.parametrize("n", LENGTHS)
     def test_dia_matvec_matches_scipy(self, n, transpose):
+        # square, wide and tall
         for n_row, n_col in ((n, n), (n, n + 3), (n + 3, n)):
             offsets, data = dia_operator(n_row, n_col, seed=300 + n)
-            (x,) = vectors(n_col, 1, seed=400 + n)
-            y = np.full(n_row, np.nan)  # every entry is written
+            n_in, n_out = (n_row, n_col) if transpose else (n_col, n_row)
+            (x,) = vectors(n_in, 1, seed=400 + n)
+            y = np.full(n_out, np.nan)  # every entry is written
             c_dia_matvec(n_row, n_col, offsets, data, x, y, transpose)
-            assert same(y, scipy_dia_matvec(n_row, n_col, offsets, data, x))
+            assert same(y, scipy_dia_matvec(n_row, n_col, offsets, data, x,
+                                            transpose))
+
+    @pytest.mark.parametrize("n_row, n_col, offsets", [
+        (7, 6, [1, 2]),      # no diagonal reaches rows 5, 6 or column 0
+        (6, 7, [-2, -1]),    # nor row 0 or columns 5 and 6
+        (5, 5, [-4, 4]),     # corners only: rows 1-3 and columns 1-3
+        (4, 9, [0, 8]),      # columns 4-7
+    ])
+    def test_dia_matvec_of_empty_rows_and_columns(self, n_row, n_col,
+                                                  offsets):
+        # an entry that no diagonal reaches is +0.0 from both products
+        offsets = np.array(offsets, dtype=np.int32)
+        data = decades(np.random.Generator(np.random.PCG64(n_row + n_col)),
+                       (len(offsets), n_col))
+        for transpose, (n_in, n_out) in ((False, (n_col, n_row)),
+                                         (True, (n_row, n_col))):
+            (x,) = vectors(n_in, 1, seed=n_row)
+            y = np.full(n_out, np.nan)
+            c_dia_matvec(n_row, n_col, offsets, data, x, y, transpose)
+            assert same(y, scipy_dia_matvec(n_row, n_col, offsets, data, x,
+                                            transpose))
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["Av", "A'u"])
     def test_dia_matvec_across_blocks(self, transpose):
         # diagonals far enough out to start and end inside other blocks
-        # of 512 rows than their first and last entry's row
-        n = 3000
-        offsets = np.array([-1500, -513, -1, 0, 1, 511, 2999], dtype=np.int32)
-        data = np.random.Generator(np.random.PCG64(5)).standard_normal(
-            (len(offsets), n))
-        (x,) = vectors(n, 1, seed=6)
-        y = np.empty(n)
-        c_dia_matvec(n, n, offsets, data, x, y, transpose)
-        assert same(y, scipy_dia_matvec(n, n, offsets, data, x))
+        # of 512 entries than their first and last entry's; square, tall
+        # and wide
+        for n_row, n_col in ((3000, 3000), (3000, 2200), (2200, 3000)):
+            offsets = np.array([-1500, -513, -1, 0, 1, 511, n_col - 1],
+                               dtype=np.int32)
+            data = decades(np.random.Generator(np.random.PCG64(5)),
+                           (len(offsets), n_col))
+            n_in, n_out = (n_row, n_col) if transpose else (n_col, n_row)
+            (x,) = vectors(n_in, 1, seed=6)
+            y = np.full(n_out, np.nan)
+            c_dia_matvec(n_row, n_col, offsets, data, x, y, transpose)
+            assert same(y, scipy_dia_matvec(n_row, n_col, offsets, data, x,
+                                            transpose)), (n_row, n_col)
 
     OPERATORS = {
         "convdiff 9x10": lambda rng: gen_convdiff2d(9, 10).A,
@@ -725,18 +771,16 @@ class TestGuards:
         # C arrays over them would reinterpret their bytes or read past
         # their end
         offsets, data = dia_operator(6, 6, seed=9)
-        data_t = data.copy()
-        for bad in ((offsets.astype(np.int64), data, offsets, data_t),
-                    (offsets, data.astype(np.float32), offsets, data_t),
-                    (offsets[:-1], data, offsets, data_t),
-                    (offsets, data[:, :-1], offsets, data_t),
-                    (offsets, data, offsets, data_t[:-1]),
-                    (offsets.tolist(), data, offsets, data_t)):
+        for bad in ((6, offsets.astype(np.int64), data),
+                    (6, offsets, data.astype(np.float32)),
+                    (6, offsets[:-1], data),
+                    (6, offsets, data[:, :-1]),
+                    (7, offsets, data),  # 6 slots per diagonal, not 7
+                    (6, offsets.tolist(), data)):
             with pytest.raises(TypeError):
-                kernels.banded(6, 6, *bad)
+                kernels.banded(6, *bad)
         with pytest.raises(ValueError, match="contiguous"):
-            kernels.banded(6, 6, offsets, np.asfortranarray(data), offsets,
-                           data_t)
+            kernels.banded(6, 6, offsets, np.asfortranarray(data))
         A = gen_convdiff2d(3, 2).A
         csr = (A.row_offsets, A.col_indices, A.values)
         for i, bad in ((0, A.row_offsets.astype(np.int64)),
@@ -772,11 +816,14 @@ class TestGuards:
         assert same(rr, want_rr) and same(ax, want_ax) and same(res, want_res)
         assert guards_intact(ax_buf, n) and guards_intact(res_buf, n)
         offsets, data = dia_operator(n, n + 2, seed=600 + n)
-        xd = guarded(vectors(n + 2, 1, seed=700 + n)[0])[0]
-        yd, yd_buf = guarded(np.zeros(n))
-        c_dia_matvec(n, n + 2, offsets, data, xd, yd)
-        assert same(yd, scipy_dia_matvec(n, n + 2, offsets, data, xd))
-        assert guards_intact(yd_buf, n)
+        for transpose, (n_in, n_out) in ((False, (n + 2, n)),
+                                         (True, (n, n + 2))):
+            xd = guarded(vectors(n_in, 1, seed=700 + n)[0])[0]
+            yd, yd_buf = guarded(np.zeros(n_out))
+            c_dia_matvec(n, n + 2, offsets, data, xd, yd, transpose)
+            assert same(yd, scipy_dia_matvec(n, n + 2, offsets, data, xd,
+                                             transpose))
+            assert guards_intact(yd_buf, n_out)
 
 
 # --- threads --------------------------------------------------------------

@@ -11,7 +11,7 @@ from oaplib import (BlockPartition, CsrMatrix, CycleResult, DegenerateSeed,
                     gen_poisson_lshape, gen_random_dense, gen_tridiag_unsym,
                     init_from_vector, norm2, oap_cycle_bidiag,
                     oap_cycle_tridiag, roap_solve)
-from oaplib.linalg import _blas_threads
+from oaplib._kernels import get_blas_threads, set_blas_threads
 from oaplib.solvers import SQRT_EPS, orthogonality_threshold
 
 from conftest import (constructed_problem, exact_cycle, random_wellcond,
@@ -741,12 +741,9 @@ class TestRoapBudget:
 def blas():
     """numpy's OpenBLAS thread count as ``(get, set)``; the process's
     count is restored afterwards."""
-    handle = _blas_threads()
-    assert handle is not None  # the real switch runs here, not a no-op
-    get, put = handle
-    saved = get()
-    yield get, put
-    put(saved)
+    saved = get_blas_threads()
+    yield get_blas_threads, set_blas_threads
+    set_blas_threads(saved)
 
 
 def count_products(monkeypatch, A, seen, first=None):
@@ -755,19 +752,17 @@ def count_products(monkeypatch, A, seen, first=None):
     compiled call (``solvers.bidiag_step`` and ``tridiag_step``, patched
     where the cycle looks them up); the first record calls ``first()``
     before it reads the count."""
-    get = _blas_threads()[0]
-
     def record():
         if first is not None and not seen:
             first()
-        seen.append(get())
+        seen.append(get_blas_threads())
 
     for name in ("apply", "apply_transpose"):
         product = getattr(A, name)
 
-        def spy(v, out=None, product=product):
+        def spy(v, product=product):
             record()
-            return product(v, out)
+            return product(v)
 
         monkeypatch.setattr(A, name, spy)
     for name in ("bidiag_step", "tridiag_step"):

@@ -9,7 +9,8 @@ phase left allocated when it ended (``retained``, negative when it
 freed more than it kept) and the most it held above its starting point
 at any moment (``transient``).  The solve's retained memory includes
 the product layout that the first ``A'u`` builds and keeps on the
-operator: DIA arrays of A and A' for these banded operators.
+operator: A's DIA arrays, which both products read, for these banded
+operators.
 scipy.sparse is imported before tracing starts, as the benchmark
 imports it, so that its import is not charged to the first solve.
 Everything but the solve is deterministic; tracemalloc slows every
