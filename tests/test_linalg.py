@@ -806,3 +806,111 @@ def test_norm2_rounds_like_numpy_norm():
 
 def test_implementation_name_is_scipy():
     assert backend_name() == "scipy"
+
+
+# every OPERATORS entry, plus dense ones, square and rectangular
+VECTOR_OPERATORS = {name: make for name, (make, _) in OPERATORS.items()}
+VECTOR_OPERATORS.update({
+    "dense 5x5": lambda: DenseMatrix(np.arange(25.0).reshape(5, 5) % 7 - 3),
+    "dense 6x4": lambda: DenseMatrix(np.arange(24.0).reshape(6, 4) % 5 - 2),
+    "dense 4x6": lambda: DenseMatrix(np.arange(24.0).reshape(4, 6) % 5 - 2),
+})
+PRODUCTS = pytest.mark.parametrize("product", ["apply", "apply_transpose"])
+# one operator of each layout, with a rectangular banded one
+LAYOUT_OPERATORS = pytest.mark.parametrize(
+    "name", ["convdiff 7x5", "banded 40x44", "scattered 7x11", "dense 6x4"])
+
+
+def product_sizes(A, product):
+    """(input length, output length) of ``product`` on A."""
+    return (A.ncols, A.nrows) if product == "apply" else (A.nrows, A.ncols)
+
+
+def vector_form(kind, x):
+    """The float64 vector ``x``, of whole numbers, in another form that a
+    product takes and reads as exactly these numbers."""
+    if kind == "strided":
+        buf = np.full(2 * len(x), np.nan)
+        buf[::2] = x
+        return buf[::2]
+    if kind == "read-only":
+        x = x.copy()
+        x.flags.writeable = False
+        return x
+    return {"list": x.tolist, "tuple": lambda: tuple(x.tolist()),
+            "float32": lambda: x.astype(np.float32),
+            "int64": lambda: x.astype(np.int64),
+            "big-endian": lambda: x.astype(">f8")}[kind]()
+
+
+def bad_vector(kind, length):
+    """A vector that a product of input ``length`` must refuse."""
+    return {"short": lambda: np.ones(length - 1),
+            "long": lambda: np.ones(length + 1),
+            "row": lambda: np.ones((1, length)),
+            "column": lambda: np.ones((length, 1)),
+            "empty": lambda: np.ones(0),
+            "scalar": lambda: np.float64(1.0)}[kind]()
+
+
+class TestProductVector:
+    """``apply(v)`` and ``apply_transpose(u)`` take one vector and return
+    the product as a new float64 array that shares no memory with the
+    input or with an earlier product; any array-like of the right length
+    gives the bytes of its float64 copy, and a vector of the wrong shape
+    is refused, naming the product, before any kernel runs."""
+
+    @PRODUCTS
+    @pytest.mark.parametrize("name", VECTOR_OPERATORS)
+    def test_product_is_a_new_array(self, rng, name, product):
+        A = VECTOR_OPERATORS[name]()
+        n_in, n_out = product_sizes(A, product)
+        x = rng.standard_normal(n_in)
+        given = x.copy()
+        first = getattr(A, product)(x)
+        second = getattr(A, product)(x)
+        for y in (first, second):
+            assert y.dtype == np.float64 and y.shape == (n_out,)
+            assert y.flags.c_contiguous and y.flags.writeable
+            assert y.flags.owndata and not np.shares_memory(y, x)
+        assert first is not second and not np.shares_memory(first, second)
+        assert first.tobytes() == second.tobytes()
+        assert x.tobytes() == given.tobytes()
+        # a caller's write into a product changes no later one
+        want = second.copy()
+        first[:] = np.nan
+        second[:] = np.nan
+        assert getattr(A, product)(x).tobytes() == want.tobytes()
+        # and it is the product: within rounding of the dense one
+        D = A.to_dense() if product == "apply" else A.to_dense().T
+        assert np.all(np.abs(want - D @ x) <= 1e-12 * (np.abs(D) @ np.abs(x)))
+
+    @PRODUCTS
+    @pytest.mark.parametrize("kind", ["list", "tuple", "float32", "int64",
+                                      "big-endian", "strided", "read-only"])
+    @LAYOUT_OPERATORS
+    def test_any_form_gives_the_float64_products_bytes(self, name, product,
+                                                       kind):
+        A = VECTOR_OPERATORS[name]()
+        n_in, _ = product_sizes(A, product)
+        x = np.arange(n_in, dtype=np.float64) % 7 - 3
+        want = getattr(A, product)(x)
+        v = vector_form(kind, x)
+        before = np.array(v).tobytes()
+        assert getattr(A, product)(v).tobytes() == want.tobytes()
+        assert np.array(v).tobytes() == before
+
+    @PRODUCTS
+    @pytest.mark.parametrize("kind", ["short", "long", "row", "column",
+                                      "empty", "scalar"])
+    @LAYOUT_OPERATORS
+    def test_bad_vector_is_refused_before_any_kernel(self, kernels, name,
+                                                     product, kind):
+        A = VECTOR_OPERATORS[name]()
+        n_in, _ = product_sizes(A, product)
+        A._operator  # layout picked up front: a call recorded below is a product
+        kernels.calls.clear()
+        kernels.run = False  # a product that slipped through reads no memory
+        with pytest.raises(DimensionMismatch, match=f"^{product}: "):
+            getattr(A, product)(bad_vector(kind, n_in))
+        assert kernels.calls == []
