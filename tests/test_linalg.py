@@ -602,6 +602,10 @@ class TestProductLayouts:
         dia = A._diagonals()
         assert dia is None
         monkeypatch.setattr(A, "_diagonals", lambda: dia)
+        # a process's first ffi.gc (about 1.6 KB of cffi's own set-up)
+        # and first oap_product call (about 0.5 KB) are paid once, on
+        # another operator, before the measure
+        gen_convdiff2d(5, 4).A.apply_transpose(np.ones(20))
         u = np.ones(A.nrows)
         first = traced_peak(A.apply_transpose, u)
         later = traced_peak(A.apply_transpose, u)
