@@ -52,16 +52,16 @@ imports build once; then it removes the directory's other
 A failed build, or a numpy without these BLAS symbols, raises
 ImportError; there is no NumPy fallback.
 
-cffi releases the interpreter lock around each kernel call.  The steps
-and the cycle call the kernels on C pointers into the cycle's blocks:
-``rows`` makes a block and its rows' pointers with one
-``ffi.from_buffer`` per block, so the block's shape is the one length
-check of every row.  The one array from outside a block that a vector
-kernel reads, the cycle's right-hand side, goes through ``vector``,
-which checks that it is a C-contiguous float64 ndarray of the expected
-length (and, for an output, writable), once per cycle.  ``product``'s x
-and y are the operator's: ``LinearOperator`` checks x (``_check_apply``)
-and makes y.
+cffi releases the interpreter lock around each kernel call.  The
+lifetime rule: C reads and writes only the rows of a block that
+``rows`` made (one ``ffi.from_buffer`` per block, so the block's shape
+is the one length check of every row; the caller keeps each row's array
+beside its pointer) and arrays held by the object that hands them over.
+A descriptor holds the arrays its pointers address, through ``ffi.gc``,
+as long as it lives; the only other arrays that reach C are
+``product``'s x and y, which are the operator's (``LinearOperator``
+checks x and makes y), each through an ``ffi.from_buffer`` that holds
+it for the call.
 """
 
 import ctypes
@@ -76,8 +76,6 @@ import tempfile
 
 import _cffi_backend
 import numpy as np
-
-from .errors import DimensionMismatch
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_kernels.c")
@@ -189,28 +187,8 @@ set_blas_threads.argtypes, set_blas_threads.restype = (ctypes.c_int,), None
 _F64 = np.dtype(np.float64)
 _DOUBLES = ffi.typeof("double[]")
 _INTS = ffi.typeof("int32_t[]")
+_OPERATOR = ffi.typeof("oap_operator_t *")
 _from_buffer = ffi.from_buffer
-
-
-def vector(a, n, writable=False):
-    """``a`` as a C ``double[]`` of n entries, for a kernel to read (or,
-    when ``writable``, write).  Refuses anything but a C-contiguous
-    float64 ndarray of shape (n,), and a read-only one when
-    ``writable``; the result keeps ``a`` alive."""
-    try:
-        ok = a.dtype == _F64 and a.shape == (n,)
-    except AttributeError:
-        ok = False
-    if not ok:
-        raise _refusal(a, n)
-    return _from_buffer(_DOUBLES, a, writable)
-
-
-def _refusal(a, n):
-    if not isinstance(a, np.ndarray) or a.dtype != _F64:
-        return TypeError(f"expected a float64 ndarray, got "
-                         f"{getattr(a, 'dtype', type(a).__name__)}")
-    return DimensionMismatch(f"expected {n} entries, got shape {a.shape}")
 
 
 def rows(count, n):
@@ -224,9 +202,11 @@ def rows(count, n):
     return [(block[i], base + i * n) for i in range(count)]
 
 
-def _descriptor(layout, nrows, ncols):
-    """A new ``oap_operator_t`` of ``layout``, its pointers NULL."""
-    op = ffi.new("oap_operator_t *")
+def _descriptor(layout, nrows, ncols, *arrays):
+    """A new ``oap_operator_t`` of ``layout``, its pointers NULL, that
+    holds ``arrays``, the ones its pointers are to address, as long as it
+    lives: ``ffi.gc`` keeps its destructor, which refers to them."""
+    op = ffi.gc(ffi.new(_OPERATOR), lambda _, held=arrays: None)
     op.layout, op.nrows, op.ncols = layout, nrows, ncols
     return op
 
@@ -234,8 +214,7 @@ def _descriptor(layout, nrows, ncols):
 def _c_array(a, ctype, dtype, shape):
     """A C pointer into ``a``, refusing an array of another dtype or
     shape (a pointer into it would reinterpret its bytes) and, through
-    ``ffi.from_buffer``, a non-contiguous one.  The pointer does not keep
-    ``a`` alive."""
+    ``ffi.from_buffer``, a non-contiguous one."""
     if not isinstance(a, np.ndarray) or a.dtype != dtype or a.shape != shape:
         raise TypeError(f"expected a {np.dtype(dtype)} array of shape "
                         f"{shape}, got {getattr(a, 'dtype', type(a))} "
@@ -247,12 +226,9 @@ def banded(nrows, ncols, offsets, data):
     """The descriptor of an nrows x ncols operator over its DIA arrays:
     int32 ``offsets`` ascending and float64 ``data`` with one row of
     ncols slots per offset, as ``CsrMatrix._diagonals`` builds them; both
-    products read them.  The descriptor keeps the two arrays alive:
-    ``ffi.gc`` holds its destructor, which does nothing but refer to
-    them, as long as the returned pointer lives."""
+    products read them."""
     d = len(offsets)
-    op = ffi.gc(_descriptor(lib.OAP_BANDED, nrows, ncols),
-                lambda _, arrays=(offsets, data): None)
+    op = _descriptor(lib.OAP_BANDED, nrows, ncols, offsets, data)
     op.n_diags = d
     op.offsets = _c_array(offsets, _INTS, np.int32, (d,))
     op.data = _c_array(data, _DOUBLES, _F64, (d, ncols))
@@ -261,11 +237,10 @@ def banded(nrows, ncols, offsets, data):
 
 def csr(nrows, ncols, row_offsets, col_indices, values):
     """The descriptor of an nrows x ncols operator over its CSR arrays
-    (int32 indices, float64 values), which the operator has checked.  It
-    does not keep them alive: they are the operator's own, immutable
-    arrays, and the descriptor is used only through its operator."""
+    (int32 indices, float64 values), which the operator has checked."""
     nnz = len(values)
-    op = _descriptor(lib.OAP_CSR, nrows, ncols)
+    op = _descriptor(lib.OAP_CSR, nrows, ncols, row_offsets, col_indices,
+                     values)
     op.row_offsets = _c_array(row_offsets, _INTS, np.int32, (nrows + 1,))
     op.col_indices = _c_array(col_indices, _INTS, np.int32, (nnz,))
     op.values = _c_array(values, _DOUBLES, _F64, (nnz,))
@@ -274,9 +249,9 @@ def csr(nrows, ncols, row_offsets, col_indices, values):
 
 def dense(values):
     """The descriptor of a dense operator over its row-major float64
-    block ``values``, which it does not keep alive (as ``csr``)."""
+    block ``values``."""
     nrows, ncols = values.shape
-    op = _descriptor(lib.OAP_DENSE, nrows, ncols)
+    op = _descriptor(lib.OAP_DENSE, nrows, ncols, values)
     op.values = _c_array(values, _DOUBLES, _F64, (nrows, ncols))
     return op
 

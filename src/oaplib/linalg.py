@@ -13,7 +13,10 @@ before anything is narrowed.
 Every product, of either operator, is one call of the compiled
 ``oap_product`` (``oaplib._kernels``) over the operator's C descriptor,
 ``_operator``, which its first product of either kind builds, so an
-operator that sees no product builds nothing.  The reduction steps
+operator that sees no product builds nothing.  The descriptor holds the
+arrays it reads (the one lifetime rule of ``oaplib._kernels``), so an
+operator's products read the arrays it had at its first product, even
+if an attribute is reassigned later.  The reduction steps
 (``oaplib.reductions``) run their products over the same descriptor,
 inside one compiled call per step.  A ``CsrMatrix`` picks its layout
 from its structure alone:

@@ -44,13 +44,14 @@ rounding into another outcome.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateSeed, DimensionMismatch, NumericalOverflow
-from ._kernels import lib, rows, vector
+from ._kernels import lib, rows
 from .linalg import _one_blas_thread, as_vector, dot, norm2
 from .reductions import bidiag_step, breakdown_floor, tridiag_step
 
@@ -67,11 +68,17 @@ DIVERGENCE_FACTOR = 100.0
 
 def check_budget(tol, budget, name):
     """The one rule of ``roap_solve``, ``ap_solve`` and the CLI: ``tol`` > 0,
-    and the budget ``name`` None (the solver's default) or >= 0."""
+    and the budget ``name`` None (the solver's default) or a whole number
+    (one that ``operator.index`` takes, NumPy integers included) >= 0."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if budget is not None and budget < 0:
-        raise ValueError(f"{name} must be >= 0")
+    if budget is not None:
+        try:
+            whole = operator.index(budget)
+        except TypeError:
+            raise ValueError(f"{name} must be a whole number") from None
+        if whole < 0:
+            raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -186,13 +193,16 @@ def orthogonality_threshold(abs_sum, sq_sum):
     return SQRT_EPS * abs_sum / math.sqrt(sq_sum) if sq_sum > 0.0 else SQRT_EPS
 
 
-def _check_seed(A, v1):
-    """v1 as a vector of A's column count and unit Euclidean norm."""
+def _check_seed(A, v1, c1):
+    """v1 as a vector of A's column count and unit Euclidean norm;
+    raises NumericalOverflow, before any product, if c1 is not finite."""
     v1 = as_vector(v1, "v1")
     if len(v1) != A.ncols:
         raise DimensionMismatch(f"v1 has {len(v1)} entries, not {A.ncols}")
     if abs(norm2(v1) - 1.0) > 1e-12:
         raise ValueError("v1 must have unit Euclidean norm")
+    if not math.isfinite(c1):
+        raise NumericalOverflow(f"non-finite seed coefficient c1 = {c1}")
     return v1
 
 
@@ -220,8 +230,8 @@ def _cycle(A, rhs, v1, c1, two_sided):
     count the v window (v_prev, v, next_v; the bidiagonal engine needs
     no v_prev) and three x rows (x, the next x and one more, since the
     best prefix may hold an old x); of A's row count the u window (u_prev,
-    u, next_u; bidiagonal: u_{k-1} and u_k), A v_k, A x_k and the
-    residual.  The window rolls by swapping rows.
+    u, next_u; bidiagonal: u_{k-1} and u_k), A v_k, A x_k, the residual
+    and a copy of rhs.  The window rolls by swapping rows.
 
     The cycle also tracks the residual rhs - A x_k from the A v_k
     products the steps already computed (each one step late: A x_k
@@ -233,10 +243,12 @@ def _cycle(A, rhs, v1, c1, two_sided):
     floor = breakdown_floor(A)
     n, m = A.ncols, A.nrows
     v_rows = rows(6 if two_sided else 5, n)
-    u_rows = rows(len(v_rows), m)
+    u_rows = rows(len(v_rows) + 1, m)
     x, x_spare, x_other, v, next_v = v_rows[:5]
     av, ax, res, u, next_u = u_rows[:5]
     v_prev, u_prev = (v_rows[5], u_rows[5]) if two_sided else (None, None)
+    rhs_row = u_rows[-1]
+    rhs_row[0][:] = rhs
     v[0][:] = v1
     if two_sided:
         u[0][:] = v1
@@ -249,7 +261,6 @@ def _cycle(A, rhs, v1, c1, two_sided):
     # 0 + c A v rounds to c A v but for the sign of a zero, which no
     # norm sees, so A x starts at zero
     ax[0].fill(0.0)
-    rhs_c = vector(rhs, m)
     best, best_res = None, scale  # best None: the zero vector
     cause = "exhausted"
     for k in range(1, max(n - 1, 1) + 1):  # >= 1 step, so k is bound
@@ -262,7 +273,7 @@ def _cycle(A, rhs, v1, c1, two_sided):
                 A, k, floor, v, u, beta, next_v, next_u, av)
         # A x_k += c_k A v_k, res = rhs - A x_k
         res_norm = math.sqrt(lib.oap_residual_update(
-            m, ax[1], av[1], c_curr, rhs_c, res[1]))
+            m, ax[1], av[1], c_curr, rhs_row[1], res[1]))
         if res_norm < best_res:
             best, best_res = x, res_norm
         if res_norm > DIVERGENCE_FACTOR * scale:
@@ -319,12 +330,12 @@ def oap_cycle_tridiag(A, rhs, v1, c1):
     if A.nrows != A.ncols:
         raise DimensionMismatch(f"the two-sided engine needs a square "
                                 f"operator, A is {A.nrows}x{A.ncols}")
-    return _cycle(A, rhs, _check_seed(A, v1), c1, True)
+    return _cycle(A, rhs, _check_seed(A, v1, c1), c1, True)
 
 
 def oap_cycle_bidiag(A, rhs, v1, c1):
     """One projection cycle over the bidiagonal engine (no u1 needed)."""
-    return _cycle(A, rhs, _check_seed(A, v1), c1, False)
+    return _cycle(A, rhs, _check_seed(A, v1, c1), c1, False)
 
 
 @_one_blas_thread

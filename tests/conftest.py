@@ -9,18 +9,24 @@ package's steps, keeping the full bases the library never stores, and
 tests can check those updates with orthogonality taken out of the
 picture.  ``python_tridiag_step`` and ``python_bidiag_step`` are the
 steps as Python once formed them, from the operator's products and
-``half_step``: the reference of the compiled steps.
-``read_records_csv`` parses the CLI's CSV back into records.
+``half_step``: the reference of the compiled steps.  ``half_step``
+calls its kernel on ``guarded_rows``, as the steps call theirs on the
+cycle's rows.  ``read_records_csv`` parses the CLI's CSV back into
+records, and ``run_python`` runs code in a fresh interpreter.
 """
 
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import oaplib
 import oaplib._kernels as kernels
 import oaplib.reductions as reductions
 from oaplib import (CsrMatrix, DenseMatrix, NumericalOverflow,
@@ -142,20 +148,55 @@ def _reproject(A, unit, norm, cols):
     return (None if norm <= breakdown_floor(A) else unit / kept), norm
 
 
+def guarded_rows(n, *arrays, pad=8):
+    """Copies of ``arrays`` (each of n entries, or None) in rows of one
+    new block (``oaplib._kernels.rows``), as the cycle hands its vectors
+    to the kernels.  Each row has ``pad`` more entries than n, all NaN,
+    and each array's row lies between two rows of NaN, so every array
+    has at least ``pad`` NaN on each side, whatever n (0 included): a
+    kernel that reads past an array's end picks up a NaN, and one that
+    writes there changes a NaN, which ``rows_intact`` reports.  Returns
+    the block and one pair ``(row, pointer)`` per array, the row its n
+    entries, ``(None, NULL)`` for None."""
+    pairs = rows(2 * len(arrays) + 1, n + pad)
+    block = pairs[0][0].base
+    block.fill(np.nan)
+    out = []
+    for (row, ptr), a in zip(pairs[1::2], arrays):
+        if a is None:
+            row, ptr = None, kernels.ffi.NULL
+        else:
+            row = row[:n]
+            row[:] = a
+        out.append((row, ptr))
+    return block, out
+
+
+def rows_intact(block, pad=8):
+    """Whether every NaN of a ``guarded_rows`` block is still NaN: its
+    NaN rows and the last ``pad`` entries of every row."""
+    return bool(np.isnan(block[::2]).all()
+                and np.isnan(block[:, block.shape[1] - pad:]).all())
+
+
 def half_step(a, x, s, y, t, floor, out):
     """out = (a - x s) - y t, each term skipped when its vector is None
     (both when x is); then norm = ||out||, and out /= norm when norm is
     finite and above ``floor``.  Returns norm.  The compiled
-    ``oap_half_step`` on arrays, each checked by
-    ``oaplib._kernels.vector``; ``out`` may be ``a`` itself, and x and y
-    share no memory with it."""
+    ``oap_half_step`` on ``guarded_rows`` copies of the arrays, which it
+    must stay within; when ``out`` is ``a`` itself, it works in place on
+    a's row, as a step turns A'u into its next v.  x and y share no
+    memory with ``out``."""
     n = len(a)
-    out_c = kernels.vector(out, n, writable=True)
-    return kernels.lib.oap_half_step(
-        n, out_c if out is a else kernels.vector(a, n),
-        kernels.ffi.NULL if x is None else kernels.vector(x, n), s,
-        kernels.ffi.NULL if y is None else kernels.vector(y, n), t, floor,
-        out_c)
+    block, ((a_row, a_c), (_, x_c), (_, y_c), (out_row, out_c)) = \
+        guarded_rows(n, a, x, y,
+                     None if out is a else np.full(n, np.nan))
+    if out is a:
+        out_row, out_c = a_row, a_c
+    norm = kernels.lib.oap_half_step(n, a_c, x_c, s, y_c, t, floor, out_c)
+    assert rows_intact(block)
+    out[:] = out_row
+    return norm
 
 
 def _overflow(what, k):
@@ -333,6 +374,19 @@ def exact_cycle(A, rhs, v1, c1, steps, engine):
                                       betas[k], cs[-1]))
         c_prev = cs[-2]
     return np.array(cs), V, alphas, betas, gammas
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter, with the directory that holds
+    the ``oaplib`` under test as ``sys.argv[1]``, and return the
+    finished process.  faulthandler is on, so a child that crashes
+    prints the frame it crashed in; a child that exits other than 0
+    fails the test with its stderr."""
+    src = os.path.dirname(os.path.dirname(oaplib.__file__))
+    run = subprocess.run([sys.executable, "-X", "faulthandler", "-c", code,
+                          src], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, f"exit {run.returncode}:\n{run.stderr}"
+    return run
 
 
 def read_records_csv(text):

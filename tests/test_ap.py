@@ -186,6 +186,9 @@ class TestApSolve:
         ({"tol": float("nan")}, "tol must be positive"),
         ({"tol": 0.0}, "tol must be positive"),
         ({"max_sweeps": -1}, "max_sweeps must be >= 0"),
+        ({"max_sweeps": 2.5}, "max_sweeps must be a whole number"),
+        ({"max_sweeps": np.float64(1.5)}, "max_sweeps must be a whole number"),
+        ({"max_sweeps": 3.0}, "max_sweeps must be a whole number"),
     ])
     def test_rejects_bad_budget(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -194,6 +197,16 @@ class TestApSolve:
     def test_zero_max_sweeps_runs_no_sweep(self):
         x, report = ap_solve(CsrMatrix.identity(3), np.ones(3), max_sweeps=0)
         assert report.restarts == 0 and report.termination == "max-restarts"
+
+    def test_numpy_integer_max_sweeps_runs_as_the_int(self):
+        rng = np.random.default_rng(5)
+        A = DenseMatrix(rng.standard_normal((6, 6)) + 6.0 * np.eye(6))
+        b = rng.standard_normal(6)
+        partition = BlockPartition.equal_blocks(6, 2)
+        want, _ = ap_solve(A, b, partition, tol=1e-300, max_sweeps=7)
+        x, report = ap_solve(A, b, partition, tol=1e-300,
+                             max_sweeps=np.int64(7))
+        assert report.restarts == 7 and x.tobytes() == want.tobytes()
 
     def test_none_max_sweeps_is_the_default_of_5000(self):
         # check_budget documents None as the solver's default, the budget

@@ -3,16 +3,17 @@ scipy formulas they replaced, byte for byte, and their guards, build and
 import.
 
 The library calls the vector kernels on C pointers into its cycle's
-blocks; ``half_step`` (in conftest), ``dots`` and ``axpy`` call them on
-arrays, each checked by ``oaplib._kernels.vector``, for these tests.
+blocks; ``half_step`` (in conftest), ``dots``, ``axpy`` and
+``residual_update`` call them the same way, on rows of a block laid out
+by conftest's ``guarded_rows``, and check that they stay within them.
 The products run over operator descriptors: scipy's ``dia_matvec``,
 ``csr_matvec`` and ``csc_matvec`` and ``np.matmul`` are their oracles,
 and the compiled steps are checked against the Python steps of
 conftest, which call the operator's products and ``half_step``."""
 
+import gc
 import math
 import os
-import subprocess
 import sys
 import threading
 
@@ -20,20 +21,19 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-import oaplib
 import oaplib._kernels as kernels
 from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch,
                     NumericalOverflow, gen_convdiff2d, oap_cycle_bidiag, oap_cycle_tridiag,
                     roap_solve)
 from oaplib.reductions import bidiag_step, breakdown_floor, tridiag_step
 
-from conftest import (half_step, python_bidiag_step, python_tridiag_step,
-                      random_wellcond, reduction_steps, window_step)
+from conftest import (guarded_rows, half_step, python_bidiag_step,
+                      python_tridiag_step, random_sparse, random_wellcond,
+                      reduction_steps, rows_intact, run_python, window_step)
 
 # every length below 16 and 17 (the SIMD widths and their tails), paper
 # scale (convdiff 19x19) and the large tier (convdiff 200x200)
 LENGTHS = list(range(18)) + [361, 40_000]
-REFUSED = (TypeError, ValueError, DimensionMismatch)
 
 
 def same(got, want):
@@ -68,22 +68,36 @@ def guards_intact(buf, n, pad=8):
     return np.isnan(buf[:pad]).all() and np.isnan(buf[pad + n:]).all()
 
 
-# --- the kernels on arrays ------------------------------------------------
+# --- the kernels on rows --------------------------------------------------
 
 def dots(x, v):
     """``(x'x, x'v)`` in one call."""
     n = len(x)
-    d = kernels.lib.oap_dots(n, kernels.vector(x, n), kernels.vector(v, n))
+    block, ((_, x_c), (_, v_c)) = guarded_rows(n, x, v)
+    d = kernels.lib.oap_dots(n, x_c, v_c)
+    assert rows_intact(block)
     return d.xx, d.xv
 
 
 def axpy(x, c, v):
     """x + v c as a new array."""
     n = len(x)
-    out = np.empty(n)
-    kernels.lib.oap_axpy(n, kernels.vector(x, n), c, kernels.vector(v, n),
-                         kernels.vector(out, n, writable=True))
-    return out
+    block, ((_, x_c), (_, v_c), (out, out_c)) = guarded_rows(
+        n, x, v, np.full(n, np.nan))
+    kernels.lib.oap_axpy(n, x_c, c, v_c, out_c)
+    assert rows_intact(block)
+    return out.copy()
+
+
+def residual_update(ax, av, c, rhs):
+    """``(ax + av c, rhs - (ax + av c), res'res)`` in one call, as new
+    arrays and a float."""
+    n = len(ax)
+    block, ((ax, ax_c), (_, av_c), (_, rhs_c), (res, res_c)) = guarded_rows(
+        n, ax, av, rhs, np.full(n, np.nan))
+    rr = kernels.lib.oap_residual_update(n, ax_c, av_c, c, rhs_c, res_c)
+    assert rows_intact(block)
+    return ax.copy(), res.copy(), rr
 
 
 # --- the NumPy formulas the kernels replaced ------------------------------
@@ -213,11 +227,9 @@ class TestSameBits:
     def test_residual_update(self, n):
         ax, av, rhs = vectors(n, 3, seed=100 + n)
         want_ax, want_res, want_rr = numpy_residual_update(ax, av, -0.37, rhs)
-        res = np.empty(n)
-        rr = kernels.lib.oap_residual_update(
-            n, kernels.vector(ax, n, writable=True), kernels.vector(av, n),
-            -0.37, kernels.vector(rhs, n), kernels.vector(res, n, True))
-        assert same(rr, want_rr) and same(ax, want_ax) and same(res, want_res)
+        got_ax, res, rr = residual_update(ax, av, -0.37, rhs)
+        assert (same(rr, want_rr) and same(got_ax, want_ax)
+                and same(res, want_res))
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_dots_and_axpy(self, n):
@@ -656,11 +668,12 @@ def run_step(A, engine, pairs):
 
 
 class TestGuards:
-    """The kernels read and write only rows of the blocks the cycle makes
-    (``oaplib._kernels.rows``) and vectors ``oaplib._kernels.vector`` has
-    checked: a vector that is not a C-contiguous float64 array of the
-    expected length is refused, or copied into one, before any kernel
-    runs, and the kernels stay within the vectors they are given."""
+    """The vector kernels read and write only rows of the blocks the
+    cycle makes (``oaplib._kernels.rows``) and the right-hand side the
+    cycle has checked: a vector that is not a C-contiguous float64 array
+    of the expected length is refused, or copied into one, before any
+    kernel runs, and the kernels stay within the vectors they are
+    given."""
 
     @pytest.mark.parametrize("cycle", [oap_cycle_bidiag, oap_cycle_tridiag])
     @pytest.mark.parametrize("slot", ["v1", "rhs"])
@@ -720,17 +733,6 @@ class TestGuards:
         with pytest.raises(DimensionMismatch):
             run_step(A, "bidiag", swapped)
 
-    @pytest.mark.parametrize("bad", list(bad_vectors(4)) + ["read-only"])
-    def test_vector_refuses(self, bad):
-        n = 4
-        a = np.ones(n)
-        if bad == "read-only":
-            a.flags.writeable = False
-        else:
-            a = bad_vectors(n)[bad]
-        with pytest.raises(REFUSED):
-            kernels.vector(a, n, writable=True)
-
     @pytest.mark.parametrize("count, n", [(1, 1), (3, 17), (6, 361), (5, 0)])
     def test_each_row_pointer_addresses_its_row(self, count, n):
         pairs = kernels.rows(count, n)
@@ -752,20 +754,6 @@ class TestGuards:
                                   kernels.ffi.NULL, 0.0, math.inf,
                                   pairs[0][1])
         assert same(block, want)
-
-    @pytest.mark.parametrize("bad", list(bad_vectors(4)) + ["read-only"])
-    def test_half_step_refuses_before_writing(self, bad):
-        n = 12
-        a, x, y = vectors(n, 3, seed=8)
-        out, buf = guarded(np.zeros(n))
-        before = buf.tobytes()
-        if bad == "read-only":
-            out.flags.writeable = False
-        else:
-            x = bad_vectors(n)[bad]
-        with pytest.raises(REFUSED):
-            half_step(a, x, 0.5, y, 0.25, 0.0, out)
-        assert buf.tobytes() == before
 
     def test_descriptor_arrays_of_another_type_are_refused(self):
         # C arrays over them would reinterpret their bytes or read past
@@ -799,22 +787,17 @@ class TestGuards:
     def test_kernels_stay_in_bounds(self, n):
         # every vector sits between NaN guards: a read past an end would
         # put a NaN into a result, a write past one would change a guard
-        a, x, y, v = (guarded(w)[0] for w in vectors(n, 4, seed=500 + n))
-        out, out_buf = guarded(np.zeros(n))
+        # (the vector kernels' helpers check their rows' guards)
+        a, x, y, v = vectors(n, 4, seed=500 + n)
+        out = np.empty(n)
         norm = half_step(a, x, 0.5, y, 0.25, 0.0, out)
         want, want_norm = numpy_half_step(a, x, 0.5, y, 0.25, 0.0)
         assert same(norm, want_norm) and same(out, want)
-        assert guards_intact(out_buf, n)
         assert same(dots(x, v), (x.dot(x), x.dot(v)))
         assert same(axpy(x, 0.5, v), x + np.multiply(v, 0.5))
-        ax, ax_buf = guarded(a)
-        res, res_buf = guarded(np.zeros(n))
-        want_ax, want_res, want_rr = numpy_residual_update(ax, v, 0.5, y)
-        rr = kernels.lib.oap_residual_update(
-            n, kernels.vector(ax, n, True), kernels.vector(v, n), 0.5,
-            kernels.vector(y, n), kernels.vector(res, n, True))
-        assert same(rr, want_rr) and same(ax, want_ax) and same(res, want_res)
-        assert guards_intact(ax_buf, n) and guards_intact(res_buf, n)
+        for got, want in zip(residual_update(a, v, 0.5, y),
+                             numpy_residual_update(a, v, 0.5, y)):
+            assert same(got, want)
         offsets, data = dia_operator(n, n + 2, seed=600 + n)
         for transpose, (n_in, n_out) in ((False, (n + 2, n)),
                                          (True, (n, n + 2))):
@@ -912,13 +895,88 @@ def test_threads_making_an_operators_first_products_agree():
         sys.setswitchinterval(interval)
 
 
+# --- lifetime -------------------------------------------------------------
+
+def churn(sizes):
+    """Collect garbage, then allocate 20 NaN arrays of each byte size in
+    ``sizes``, so that blocks of those sizes that were freed are handed
+    out again; returns them, to be held while they count."""
+    gc.collect()
+    return [np.full(size // 8, np.nan) for size in sizes for _ in range(20)]
+
+
+def descriptor_of_dropped_arrays(layout, x, u):
+    """A descriptor of ``layout`` over new arrays that nothing else
+    refers to once this returns; returns it, the bytes of its products
+    A x and A'u taken here, and the arrays' byte sizes."""
+    n, m = len(u), len(x)
+    if layout == "banded":
+        arrays = dia_operator(n, m, seed=31)
+        op = kernels.banded(n, m, *arrays)
+    elif layout == "csr":
+        A = random_sparse(np.random.Generator(np.random.PCG64(31)), n)
+        arrays = (A.row_offsets, A.col_indices, A.values)
+        op = kernels.csr(n, m, *arrays)
+    else:
+        arrays = (dense_block(n, m, seed=31),)
+        op = kernels.dense(*arrays)
+    products = []
+    for transpose, vec, out_len in ((0, x, n), (1, u, m)):
+        y = np.empty(out_len)
+        kernels.product(op, transpose, vec, y)
+        products.append(y.tobytes())
+    return op, products, [a.nbytes for a in arrays]
+
+
+@STEP_LAYOUTS
+def test_a_descriptor_holds_its_arrays(layout):
+    # the arrays leave scope with the helper: only the descriptor still
+    # refers to them, so blocks freed in their place would show in the
+    # products' bytes
+    n = 24
+    x, u = vectors(n, 2, seed=32)
+    op, want, sizes = descriptor_of_dropped_arrays(layout, x, u)
+    held = churn(sizes)
+    for transpose, vec, bytes_before in zip((0, 1), (x, u), want):
+        y = np.empty(n)
+        kernels.product(op, transpose, vec, y)
+        assert y.tobytes() == bytes_before, (transpose, len(held))
+
+
+def test_products_read_the_arrays_of_the_first_product():
+    # reassigning an operator's arrays after its first product drops the
+    # operator's reference to them; the descriptor still holds them, so
+    # the products keep their bytes rather than read freed memory, which
+    # can crash the child
+    code = """
+import gc, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from oaplib import CsrMatrix, DenseMatrix
+from oaplib._kernels import lib
+rng = np.random.Generator(np.random.PCG64(33))
+n = 600
+scattered = np.where(rng.random((n, n)) < 0.1, rng.standard_normal((n, n)),
+                     0.0)
+x = rng.standard_normal(n)
+for A, names in ((DenseMatrix(scattered), ["values"]),
+                 (CsrMatrix.from_dense(scattered),
+                  ["values", "col_indices", "row_offsets"])):
+    first = (A.apply(x).tobytes(), A.apply_transpose(x).tobytes())
+    print(A._operator.layout, end=" ")
+    for name in names:
+        setattr(A, name, getattr(A, name).copy())
+    gc.collect()
+    held = [np.full(k, np.nan) for k in (n * n, A.values.size, n + 1)
+            for _ in range(5)]
+    print((A.apply(x).tobytes(), A.apply_transpose(x).tobytes()) == first)
+"""
+    lib = kernels.lib
+    assert run_python(code).stdout.split() == [str(lib.OAP_DENSE), "True",
+                                               str(lib.OAP_CSR), "True"]
+
+
 # --- build and import -----------------------------------------------------
-
-def run_python(code):
-    src = os.path.dirname(os.path.dirname(oaplib.__file__))
-    return subprocess.run([sys.executable, "-c", code, src], check=True,
-                          capture_output=True, text=True, timeout=120)
-
 
 def test_import_loads_no_builder():
     # the module is built (this process imported oaplib), so a fresh

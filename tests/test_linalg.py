@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 import scipy.sparse
@@ -16,7 +12,7 @@ from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch,
                     write_matrix_market)
 
 from conftest import (bincount_apply, bincount_apply_transpose,
-                      random_sparse, traced_kept, traced_peak)
+                      random_sparse, run_python, traced_kept, traced_peak)
 
 
 # the name of each product of each layout, as ``ProductSpy`` records it
@@ -757,11 +753,9 @@ class TestOwnership:
 
 
 def test_import_leaves_scipy_sparse_unloaded():
-    src = os.path.dirname(os.path.dirname(oaplib.__file__))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import oaplib; "
             "print('scipy.sparse' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src], check=True,
-                         capture_output=True, text=True, timeout=60)
+    out = run_python(code)
     assert out.stdout.strip() == "False"
 
 
@@ -769,7 +763,6 @@ def test_solves_load_no_scipy():
     # every product runs in oaplib._kernels: solves over a scattered
     # (CSR layout) operator and a dense one, both engines, import no
     # scipy module at all
-    src = os.path.dirname(os.path.dirname(oaplib.__file__))
     code = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -787,8 +780,7 @@ for op in (A, DenseMatrix(dense)):
     layouts.append(int(op._operator.layout))
 print(layouts, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-    out = subprocess.run([sys.executable, "-c", code, src], check=True,
-                         capture_output=True, text=True, timeout=120)
+    out = run_python(code)
     lib = oaplib._kernels.lib
     assert out.stdout.strip() == f"[{lib.OAP_CSR}, {lib.OAP_DENSE}] []"
 

@@ -1,5 +1,7 @@
+import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -646,6 +648,22 @@ class TestCycleSeed:
         with pytest.raises(DimensionMismatch, match="v1"):
             cycle(diag23(), np.ones(2), v1, 1.0)
 
+    @pytest.mark.parametrize("cycle", [oap_cycle_bidiag, oap_cycle_tridiag])
+    @pytest.mark.parametrize("c1", [math.nan, math.inf, -math.inf])
+    def test_non_finite_c1_refused_before_any_step(self, monkeypatch, cycle,
+                                                   c1):
+        # an infinite c1 times v1's zero entry is a NaN, with NumPy's
+        # RuntimeWarning; a NaN c1 ran a step, its two products included,
+        # before its first coefficient overflowed
+        steps = []
+        for name in ("bidiag_step", "tridiag_step"):
+            monkeypatch.setattr(solvers_mod, name, lambda *a: steps.append(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalOverflow, match="c1"):
+                cycle(diag23(), np.ones(2), np.array([0.0, 1.0]), c1)
+        assert steps == []
+
     def test_bidiagonal_u_breakdown_ends_the_cycle(self, monkeypatch):
         # v1 in the null space of A: the first step has no u_1, returns
         # None for both next vectors, and the cycle keeps x_1 = c1 v1
@@ -725,6 +743,27 @@ class TestRoapBudget:
         with pytest.raises(ValueError, match="^max_restarts must be >= 0$"):
             roap_solve(CsrMatrix.identity(3), np.ones(3), variant,
                        max_restarts=-1)
+
+    @pytest.mark.parametrize("variant", ["roap2", "roap3"])
+    @pytest.mark.parametrize("budget", [2.5, np.float64(1.5), 2.0, "2"],
+                             ids=["2.5", "float64 1.5", "2.0", "str"])
+    def test_rejects_a_budget_that_is_no_whole_number(self, variant, budget):
+        # a fractional budget would run as its ceiling (2.5: three cycles)
+        with pytest.raises(ValueError,
+                           match="^max_restarts must be a whole number$"):
+            roap_solve(CsrMatrix.identity(3), np.ones(3), variant,
+                       max_restarts=budget)
+
+    @pytest.mark.parametrize("budget", [np.int64(2), np.int32(2),
+                                        np.uint8(2)])
+    def test_numpy_integer_budget_runs_as_the_int(self, budget):
+        problem = gen_random_dense(60, seed=5)
+        want = roap_solve(problem.A, problem.b, "roap2", tol=1e-14,
+                          max_restarts=2)
+        x, report = roap_solve(problem.A, problem.b, "roap2", tol=1e-14,
+                               max_restarts=budget)
+        assert report.restarts == 2 and report == want[1]
+        assert x.tobytes() == want[0].tobytes()
 
     @pytest.mark.parametrize("variant", ["roap2", "roap3"])
     def test_zero_restarts_runs_no_cycle(self, variant):
