@@ -3,15 +3,17 @@
 The oracles here deliberately avoid the package's own recurrence code:
 reductions are re-derived with explicit full Gram-Schmidt on dense
 arrays, projections with normal equations, so agreement is meaningful.
-``full_reduction`` and ``exact_cycle`` are the exceptions: they run the
-package's steps, keeping the full bases the library never stores, and
-``exact_cycle`` its coefficient updates over re-projected bases, so
-tests can check those updates with orthogonality taken out of the
-picture.  ``python_tridiag_step`` and ``python_bidiag_step`` are the
-steps as Python once formed them, from the operator's products and
-``half_step``: the reference of the compiled steps.  ``half_step``
-calls its kernel on ``guarded_rows``, as the steps call theirs on the
-cycle's rows.  ``read_records_csv`` parses the CLI's CSV back into
+``numpy_tridiag_step`` and ``numpy_bidiag_step`` are the one reference
+of the compiled reduction steps: the operator's ``apply`` and
+``apply_transpose`` and NumPy arithmetic (``numpy_half_step``), with
+the library steps' signatures.  ``step_on_rows`` runs either kind of
+step on rows laid out as the cycle lays them; ``window_step`` and
+``reduction_steps`` run the library's steps through it.
+``full_reduction`` and ``exact_cycle`` are the exceptions to the rule:
+they run the package's steps, keeping the full bases the library never
+stores, and ``exact_cycle`` its coefficient updates over re-projected
+bases, so tests can check those updates with orthogonality taken out of
+the picture.  ``read_records_csv`` parses the CLI's CSV back into
 records, and ``run_python`` runs code in a fresh interpreter.
 """
 
@@ -27,7 +29,6 @@ import numpy as np
 import pytest
 
 import oaplib
-import oaplib._kernels as kernels
 import oaplib.reductions as reductions
 from oaplib import (CsrMatrix, DenseMatrix, NumericalOverflow,
                     c_update_bidiag, c_update_tridiag, dot, norm2)
@@ -148,137 +149,118 @@ def _reproject(A, unit, norm, cols):
     return (None if norm <= breakdown_floor(A) else unit / kept), norm
 
 
-def guarded_rows(n, *arrays, pad=8):
-    """Copies of ``arrays`` (each of n entries, or None) in rows of one
-    new block (``oaplib._kernels.rows``), as the cycle hands its vectors
-    to the kernels.  Each row has ``pad`` more entries than n, all NaN,
-    and each array's row lies between two rows of NaN, so every array
-    has at least ``pad`` NaN on each side, whatever n (0 included): a
-    kernel that reads past an array's end picks up a NaN, and one that
-    writes there changes a NaN, which ``rows_intact`` reports.  Returns
-    the block and one pair ``(row, pointer)`` per array, the row its n
-    entries, ``(None, NULL)`` for None."""
-    pairs = rows(2 * len(arrays) + 1, n + pad)
-    block = pairs[0][0].base
-    block.fill(np.nan)
-    out = []
-    for (row, ptr), a in zip(pairs[1::2], arrays):
-        if a is None:
-            row, ptr = None, kernels.ffi.NULL
+def numpy_half_step(a, x, s, y, t, floor):
+    """``(out, norm)`` as NumPy formed one half of a step: out = (a - x s)
+    - y t as a new array, a term left out when its vector is None (both
+    when x is); norm = ||out||, and out /= norm when norm is finite and
+    above ``floor``."""
+    out = a.copy() if x is None else np.subtract(a, np.multiply(x, s))
+    if y is not None:
+        np.subtract(out, np.multiply(y, t), out=out)
+    norm = math.sqrt(out.dot(out))
+    if math.isfinite(norm) and norm > floor:
+        np.divide(out, norm, out=out)
+    return out, norm
+
+
+def _finite(value, what, k):
+    """``value``, or NumericalOverflow as a step raises it."""
+    if not math.isfinite(value):
+        raise NumericalOverflow(f"non-finite {what} at step {k}", step=k)
+    return value
+
+
+def numpy_tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev,
+                       gamma_prev, next_v, next_u, av):
+    """``tridiag_step`` from the operator's products and NumPy: the
+    reference of the compiled step.  It writes A v into ``av``, then
+    u_{k+1} and v_{k+1} into their rows, each undivided at a breakdown,
+    and raises NumericalOverflow at the first non-finite alpha, gamma or
+    beta with the rows before it written."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        av[0][:] = A.apply(v[0])
+        alpha = _finite(float(u[0].dot(av[0])), "alpha", k)
+        next_u[0][:], gamma = numpy_half_step(
+            av[0], u[0], alpha, None if beta_prev == 0.0 else u_prev[0],
+            beta_prev, floor)
+        _finite(gamma, "gamma", k)
+        next_v[0][:], beta = numpy_half_step(
+            A.apply_transpose(u[0]), v[0], alpha,
+            None if gamma_prev == 0.0 else v_prev[0], gamma_prev, floor)
+        return alpha, _finite(beta, "beta", k), gamma
+
+
+def numpy_bidiag_step(A, k, floor, v, u_prev, beta_prev, next_v, next_u,
+                      av):
+    """``bidiag_step`` as ``numpy_tridiag_step`` forms the two-sided one;
+    without u_k (alpha at or below the floor) it forms no A'u and leaves
+    ``next_v`` as it was."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        av[0][:] = A.apply(v[0])
+        next_u[0][:], alpha = numpy_half_step(
+            av[0], None if beta_prev == 0.0 else u_prev[0], beta_prev, None,
+            0.0, floor)
+        if _finite(alpha, "alpha", k) <= floor:
+            return alpha, 0.0, 0.0
+        next_v[0][:], beta = numpy_half_step(
+            A.apply_transpose(next_u[0]), v[0], alpha, None, 0.0, floor)
+        return alpha, _finite(beta, "beta", k), 0.0
+
+
+def step_on_rows(A, k, floor, window, two_sided, step):
+    """``step`` k, a library step or its NumPy oracle, two-sided or
+    bidiagonal, on ``window`` = ``(v_prev, v, u_prev, u, beta_prev,
+    gamma_prev)``, arrays (None for none) and scalars: the two-sided step
+    reads all of it, the bidiagonal step v, u (u_{k-1}) and beta_prev.
+
+    The step runs as the cycle runs it, on rows of two new blocks
+    (``oaplib._kernels.rows``): v_prev, v, next_v and a spare row of A's
+    column count, u_prev, u, next_u, av and a spare row of its row count.
+    The window's arrays are copied into their rows and every other row
+    is NaN, so a step that reads a row it should not leaves a NaN in its
+    results.  Returns ``(out, before, after)``: the step's scalars
+    ``(alpha, beta, gamma)``, or ``(message, step)`` of the
+    NumericalOverflow it raised, and the bytes of every row, in that
+    order, before and after the step."""
+    v_prev, v, u_prev, u, beta, gamma = window
+    pairs = rows(4, A.ncols) + rows(5, A.nrows)
+    for (row, _), a in zip(pairs, (v_prev, v, None, None, u_prev, u, None,
+                                   None, None)):
+        row[:] = np.nan if a is None else a
+    before = [row.tobytes() for row, _ in pairs]
+    v_prev, v, next_v, _, u_prev, u, next_u, av, _ = pairs
+    try:
+        if two_sided:
+            out = step(A, k, floor, v_prev, v, u_prev, u, beta, gamma,
+                       next_v, next_u, av)
         else:
-            row = row[:n]
-            row[:] = a
-        out.append((row, ptr))
-    return block, out
-
-
-def rows_intact(block, pad=8):
-    """Whether every NaN of a ``guarded_rows`` block is still NaN: its
-    NaN rows and the last ``pad`` entries of every row."""
-    return bool(np.isnan(block[::2]).all()
-                and np.isnan(block[:, block.shape[1] - pad:]).all())
-
-
-def half_step(a, x, s, y, t, floor, out):
-    """out = (a - x s) - y t, each term skipped when its vector is None
-    (both when x is); then norm = ||out||, and out /= norm when norm is
-    finite and above ``floor``.  Returns norm.  The compiled
-    ``oap_half_step`` on ``guarded_rows`` copies of the arrays, which it
-    must stay within; when ``out`` is ``a`` itself, it works in place on
-    a's row, as a step turns A'u into its next v.  x and y share no
-    memory with ``out``."""
-    n = len(a)
-    block, ((a_row, a_c), (_, x_c), (_, y_c), (out_row, out_c)) = \
-        guarded_rows(n, a, x, y,
-                     None if out is a else np.full(n, np.nan))
-    if out is a:
-        out_row, out_c = a_row, a_c
-    norm = kernels.lib.oap_half_step(n, a_c, x_c, s, y_c, t, floor, out_c)
-    assert rows_intact(block)
-    out[:] = out_row
-    return norm
-
-
-def _overflow(what, k):
-    return NumericalOverflow(f"non-finite {what} at step {k}", step=k)
-
-
-def python_tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev,
-                        gamma_prev, next_v, next_u, av):
-    """``tridiag_step`` as Python formed it before the step became one
-    compiled call: the operator's two products, copied into the rows, a
-    NumPy inner product and two half steps, raising where the step
-    raises."""
-    av[0][:] = A.apply(v[0])
-    alpha = float(u[0].dot(av[0]))
-    if not math.isfinite(alpha):
-        raise _overflow("alpha", k)
-    gamma = half_step(av[0], u[0], alpha,
-                      None if beta_prev == 0.0 else u_prev[0], beta_prev,
-                      floor, next_u[0])
-    if not math.isfinite(gamma):
-        raise _overflow("gamma", k)
-    next_v[0][:] = A.apply_transpose(u[0])
-    beta = half_step(next_v[0], v[0], alpha,
-                     None if gamma_prev == 0.0 else v_prev[0], gamma_prev,
-                     floor, next_v[0])
-    if not math.isfinite(beta):
-        raise _overflow("beta", k)
-    return alpha, beta, gamma
-
-
-def python_bidiag_step(A, k, floor, v, u_prev, beta_prev, next_v, next_u,
-                       av):
-    """``bidiag_step`` as Python formed it (see ``python_tridiag_step``)."""
-    av[0][:] = A.apply(v[0])
-    alpha = half_step(av[0], None if beta_prev == 0.0 else u_prev[0],
-                      beta_prev, None, 0.0, floor, next_u[0])
-    if not math.isfinite(alpha):
-        raise _overflow("alpha", k)
-    if alpha <= floor:  # no u_k, so no v_{k+1}
-        return alpha, 0.0, 0.0
-    next_v[0][:] = A.apply_transpose(next_u[0])
-    beta = half_step(next_v[0], v[0], alpha, None, 0.0, floor, next_v[0])
-    if not math.isfinite(beta):
-        raise _overflow("beta", k)
-    return alpha, beta, 0.0
+            out = step(A, k, floor, v, u, beta, next_v, next_u, av)
+    except NumericalOverflow as exc:
+        out = (str(exc), exc.step)
+    return out, before, [row.tobytes() for row, _ in pairs]
 
 
 def window_step(A, k, floor, window, two_sided, step=None):
     """Step k of the library's two-sided or bidiagonal reduction (or
-    ``step``, which takes the same arguments) on ``window`` =
-    ``(v_prev, v, u_prev, u, beta_prev, gamma_prev)``, arrays and
-    scalars: the two-sided step reads all of it, the bidiagonal step v,
-    u (u_{k-1}) and beta_prev.  The library step is looked up on
-    ``oaplib.reductions`` at each call, so a test that patches it there
-    drives it.
+    ``step``, which takes the same arguments) on ``window``, as
+    ``step_on_rows`` runs it, raising what it raised.  The library step
+    is looked up on ``oaplib.reductions`` at each call, so a test that
+    patches it there drives it.
 
-    The step runs as the cycle runs it: the window's arrays are copied
-    into rows of new blocks (``oaplib._kernels.rows``), every other row
-    NaN, so a step that reads a row it should not leaves a NaN in its
-    results, and the step writes into three more rows.  Returns what it
-    wrote as one tuple of new arrays and scalars, ``(av, alpha, beta,
-    gamma, next_v, next_u)``, with None as the next vector of a side
-    whose norm is at or below ``floor`` (the bidiagonal step's u_k is
-    its next_u, and a bidiagonal step without u_k has neither)."""
-    v_prev, v, u_prev, u, beta, gamma = window
-    v_rows, u_rows = rows(3, A.ncols), rows(4, A.nrows)
-    for (row, _), a in zip(v_rows + u_rows,
-                           (v_prev, v, None, u_prev, u, None, None)):
-        row[:] = np.nan if a is None else a
-    (v_prev, v, next_v), (u_prev, u, next_u, av) = v_rows, u_rows
-    if two_sided:
-        alpha, beta, gamma = (step or reductions.tridiag_step)(
-            A, k, floor, v_prev, v, u_prev, u, beta, gamma, next_v, next_u,
-            av)
-        has_u = gamma > floor
-    else:
-        alpha, beta, gamma = (step or reductions.bidiag_step)(
-            A, k, floor, v, u, beta, next_v, next_u, av)
-        has_u = alpha > floor
-    return (av[0].copy(), alpha, beta, gamma,
-            next_v[0].copy() if beta > floor else None,
-            next_u[0].copy() if has_u else None)
+    Returns what the step wrote as one tuple of new arrays and scalars,
+    ``(av, alpha, beta, gamma, next_v, next_u)``, with None as the next
+    vector of a side whose norm is at or below ``floor`` (the bidiagonal
+    step's u_k is its next_u, and a bidiagonal step without u_k has
+    neither)."""
+    if step is None:
+        step = reductions.tridiag_step if two_sided else reductions.bidiag_step
+    out, _, after = step_on_rows(A, k, floor, window, two_sided, step)
+    if len(out) == 2:
+        raise NumericalOverflow(*out)
+    alpha, beta, gamma = out
+    av, next_v, next_u = (np.frombuffer(after[i]) for i in (7, 2, 6))
+    return (av, alpha, beta, gamma, next_v if beta > floor else None,
+            next_u if (gamma if two_sided else alpha) > floor else None)
 
 
 def reduction_steps(A, v1, u1, steps, adjust=None):

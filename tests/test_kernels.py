@@ -3,13 +3,13 @@ scipy formulas they replaced, byte for byte, and their guards, build and
 import.
 
 The library calls the vector kernels on C pointers into its cycle's
-blocks; ``half_step`` (in conftest), ``dots``, ``axpy`` and
-``residual_update`` call them the same way, on rows of a block laid out
-by conftest's ``guarded_rows``, and check that they stay within them.
-The products run over operator descriptors: scipy's ``dia_matvec``,
-``csr_matvec`` and ``csc_matvec`` and ``np.matmul`` are their oracles,
-and the compiled steps are checked against the Python steps of
-conftest, which call the operator's products and ``half_step``."""
+blocks; ``half_step``, ``dots``, ``axpy`` and ``residual_update`` call
+them the same way, on rows of a block laid out by ``guarded_rows``, and
+check that they stay within them.  The products run over operator
+descriptors: scipy's ``dia_matvec``, ``csr_matvec`` and ``csc_matvec``
+and ``np.matmul`` are their oracles.  The compiled steps are checked
+against conftest's NumPy steps, which share nothing with them but the
+operator's products, on rows laid out by conftest's ``step_on_rows``."""
 
 import gc
 import math
@@ -27,9 +27,9 @@ from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch,
                     roap_solve)
 from oaplib.reductions import bidiag_step, breakdown_floor, tridiag_step
 
-from conftest import (guarded_rows, half_step, python_bidiag_step,
-                      python_tridiag_step, random_sparse, random_wellcond,
-                      reduction_steps, rows_intact, run_python, window_step)
+from conftest import (numpy_bidiag_step, numpy_half_step, numpy_tridiag_step,
+                      random_sparse, random_wellcond, reduction_steps,
+                      run_python, step_on_rows, window_step)
 
 # every length below 16 and 17 (the SIMD widths and their tails), paper
 # scale (convdiff 19x19) and the large tier (convdiff 200x200)
@@ -70,6 +70,57 @@ def guards_intact(buf, n, pad=8):
 
 # --- the kernels on rows --------------------------------------------------
 
+def guarded_rows(n, *arrays, pad=8):
+    """Copies of ``arrays`` (each of n entries, or None) in rows of one
+    new block (``oaplib._kernels.rows``), as the cycle hands its vectors
+    to the kernels.  Each row has ``pad`` more entries than n, all NaN,
+    and each array's row lies between two rows of NaN, so every array
+    has at least ``pad`` NaN on each side, whatever n (0 included): a
+    kernel that reads past an array's end picks up a NaN, and one that
+    writes there changes a NaN, which ``rows_intact`` reports.  Returns
+    the block and one pair ``(row, pointer)`` per array, the row its n
+    entries, ``(None, NULL)`` for None."""
+    pairs = kernels.rows(2 * len(arrays) + 1, n + pad)
+    block = pairs[0][0].base
+    block.fill(np.nan)
+    out = []
+    for (row, ptr), a in zip(pairs[1::2], arrays):
+        if a is None:
+            row, ptr = None, kernels.ffi.NULL
+        else:
+            row = row[:n]
+            row[:] = a
+        out.append((row, ptr))
+    return block, out
+
+
+def rows_intact(block, pad=8):
+    """Whether every NaN of a ``guarded_rows`` block is still NaN: its
+    NaN rows and the last ``pad`` entries of every row."""
+    return bool(np.isnan(block[::2]).all()
+                and np.isnan(block[:, block.shape[1] - pad:]).all())
+
+
+def half_step(a, x, s, y, t, floor, out):
+    """out = (a - x s) - y t, each term skipped when its vector is None
+    (both when x is); then norm = ||out||, and out /= norm when norm is
+    finite and above ``floor``.  Returns norm.  The compiled
+    ``oap_half_step`` on ``guarded_rows`` copies of the arrays, which it
+    must stay within; when ``out`` is ``a`` itself, it works in place on
+    a's row, as a step turns A'u into its next v.  x and y share no
+    memory with ``out``."""
+    n = len(a)
+    block, ((a_row, a_c), (_, x_c), (_, y_c), (out_row, out_c)) = \
+        guarded_rows(n, a, x, y,
+                     None if out is a else np.full(n, np.nan))
+    if out is a:
+        out_row, out_c = a_row, a_c
+    norm = kernels.lib.oap_half_step(n, a_c, x_c, s, y_c, t, floor, out_c)
+    assert rows_intact(block)
+    out[:] = out_row
+    return norm
+
+
 def dots(x, v):
     """``(x'x, x'v)`` in one call."""
     n = len(x)
@@ -102,17 +153,6 @@ def residual_update(ax, av, c, rhs):
 
 # --- the NumPy formulas the kernels replaced ------------------------------
 
-def numpy_half_step(a, x, s, y, t, floor):
-    """(out, norm) as NumPy formed one half of a step."""
-    out = a.copy() if x is None else np.subtract(a, np.multiply(x, s))
-    if y is not None:
-        np.subtract(out, np.multiply(y, t), out=out)
-    norm = math.sqrt(out.dot(out))
-    if math.isfinite(norm) and norm > floor:
-        np.divide(out, norm, out=out)
-    return out, norm
-
-
 def numpy_residual_update(ax, av, c, rhs):
     """(ax, res, res'res) as the cycle formed them."""
     ax, res = ax.copy(), np.empty_like(rhs)
@@ -121,37 +161,31 @@ def numpy_residual_update(ax, av, c, rhs):
     return ax, res, res.dot(res)
 
 
-def numpy_tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev,
-                       gamma_prev):
-    av = A.apply(v)
-    alpha = float(u.dot(av))
-    w = np.subtract(av, np.multiply(u, alpha))
-    if beta_prev != 0.0:
-        np.subtract(w, np.multiply(u_prev, beta_prev), out=w)
-    gamma = math.sqrt(w.dot(w))
-    next_u = None if gamma <= floor else np.divide(w, gamma, out=w)
-    q = A.apply_transpose(u)
-    np.subtract(q, np.multiply(v, alpha), out=q)
-    if gamma_prev != 0.0:
-        np.subtract(q, np.multiply(v_prev, gamma_prev), out=q)
-    beta = math.sqrt(q.dot(q))
-    next_v = None if beta <= floor else np.divide(q, beta, out=q)
-    return av, alpha, beta, gamma, next_v, next_u
+def compare_steps(A, k, window, two_sided, floor=None):
+    """Step k of the library's engine and of its NumPy oracle on one
+    window, each run by ``step_on_rows``: the same scalars, or the same
+    stop, and the same bytes in every row before and after.  Returns
+    the library step's ``(out, before, after)``."""
+    if floor is None:
+        floor = breakdown_floor(A)
+    steps = ((tridiag_step, numpy_tridiag_step) if two_sided
+             else (bidiag_step, numpy_bidiag_step))
+    got, ref = (step_on_rows(A, k, floor, window, two_sided, step)
+                for step in steps)
+    assert got == ref
+    return got
 
 
-def numpy_bidiag_step(A, k, floor, v, u_prev, beta_prev):
-    av = A.apply(v)
-    w = av if beta_prev == 0.0 else np.subtract(
-        av, np.multiply(u_prev, beta_prev))
-    alpha = math.sqrt(w.dot(w))
-    if alpha <= floor:
-        return av, alpha, 0.0, 0.0, None, None
-    u = np.divide(w, alpha)
-    q = A.apply_transpose(u)
-    np.subtract(q, np.multiply(v, alpha), out=q)
-    beta = math.sqrt(q.dot(q))
-    next_v = None if beta <= floor else np.divide(q, beta, out=q)
-    return av, alpha, beta, 0.0, next_v, u
+def compared_steps(A, v1, two_sided, steps):
+    """Up to ``steps`` of the library's reduction from v1 (two-sided from
+    u1 = v1), each step passed through ``compare_steps`` on the window
+    it read; returns how many steps ran."""
+    count = 0
+    for k, window, _ in reduction_steps(A, v1, v1 if two_sided else None,
+                                        steps):
+        compare_steps(A, k, window, two_sided)
+        count += 1
+    return count
 
 
 def decades(rng, shape):
@@ -312,21 +346,7 @@ class TestSameBits:
         A = self.OPERATORS[name](rng)
         v1 = rng.standard_normal(A.ncols)
         v1 /= np.linalg.norm(v1)
-        floor = breakdown_floor(A)
-        steps = 0
-        for k, (v_prev, v, u_prev, u, beta, gamma), out in reduction_steps(
-                A, v1, v1 if two_sided else None, 60):
-            if two_sided:
-                want = numpy_tridiag_step(A, k, floor, v_prev, v, u_prev, u,
-                                          beta, gamma)
-            else:
-                want = numpy_bidiag_step(A, k, floor, v, u, beta)
-            for got, ref in zip(out, want):
-                assert (got is None) == (ref is None)
-                if ref is not None:
-                    assert same(got, ref)
-            steps += 1
-        assert steps > 10
+        assert compared_steps(A, v1, two_sided, 60) > 10
 
 
 class TestBranches:
@@ -508,51 +528,11 @@ def banded_array(n, m, seed):
 STEP_LAYOUTS = pytest.mark.parametrize("layout", ["banded", "csr", "dense"])
 
 
-def step_rows(A, window, two_sided):
-    """The window's arrays in rows of two new blocks, laid out as
-    ``TestInPlaceSteps`` lays them (v_prev, v, next_v; u_prev, u,
-    next_u, av), every row without an input NaN."""
-    v_rows, u_rows = kernels.rows(3, A.ncols), kernels.rows(4, A.nrows)
-    v_prev, v, u_prev, u = window[:4]
-    for (row, _), a in zip(v_rows + u_rows,
-                           (v_prev, v, None, u_prev, u, None, None)):
-        row[:] = np.nan if a is None else a
-    return v_rows, u_rows
-
-
-def run_steps(step, A, k, floor, window, two_sided):
-    """``step`` on the window's rows: returns its scalars, or the error
-    it raised, and the bytes of every row after it."""
-    v_rows, u_rows = step_rows(A, window, two_sided)
-    (v_prev, v, next_v), (u_prev, u, next_u, av) = v_rows, u_rows
-    beta, gamma = window[4:]
-    try:
-        if two_sided:
-            out = step(A, k, floor, v_prev, v, u_prev, u, beta, gamma,
-                       next_v, next_u, av)
-        else:
-            out = step(A, k, floor, v, u, beta, next_v, next_u, av)
-    except NumericalOverflow as exc:
-        out = (str(exc), exc.step)
-    return out, [row.tobytes() for row, _ in v_rows + u_rows]
-
-
 class TestCompiledSteps:
     """``tridiag_step`` and ``bidiag_step``, one compiled call each,
-    against the Python steps of conftest (the operator's ``apply`` and
-    ``apply_transpose`` and the compiled half step), byte for byte: the
+    against conftest's NumPy steps (the operator's ``apply`` and
+    ``apply_transpose`` and NumPy arithmetic), byte for byte: the
     scalars, every row, and where a step stops."""
-
-    @staticmethod
-    def compare(A, k, window, two_sided, floor=None):
-        if floor is None:
-            floor = breakdown_floor(A)
-        steps = ((tridiag_step, python_tridiag_step) if two_sided
-                 else (bidiag_step, python_bidiag_step))
-        got, ref = (run_steps(step, A, k, floor, window, two_sided)
-                    for step in steps)
-        assert got == ref
-        return got
 
     # the two-sided engine needs a square operator
     @pytest.mark.parametrize("shape, two_sided",
@@ -561,19 +541,14 @@ class TestCompiledSteps:
                              ids=["tridiag", "bidiag", "bidiag tall",
                                   "bidiag wide"])
     @STEP_LAYOUTS
-    def test_steps_match_the_python_steps(self, monkeypatch, layout, shape,
-                                          two_sided):
+    def test_steps_match_the_numpy_steps(self, monkeypatch, layout, shape,
+                                         two_sided):
         n, m = shape
         A = operator(banded_array(n, m, seed=n + m), layout, monkeypatch)
         rng = np.random.Generator(np.random.PCG64(19))
         v1 = rng.standard_normal(m)
         v1 /= np.linalg.norm(v1)
-        steps = 0
-        for k, window, out in reduction_steps(
-                A, v1, v1 if two_sided else None, 12):
-            self.compare(A, k, window, two_sided)
-            steps += 1
-        assert steps == 12
+        assert compared_steps(A, v1, two_sided, 12) == 12
 
     # (array, v1, step that stops, what): each stop of each engine
     STOPS = {
@@ -596,17 +571,17 @@ class TestCompiledSteps:
 
     @pytest.mark.parametrize("stop", STOPS)
     @STEP_LAYOUTS
-    def test_a_non_finite_scalar_stops_where_the_python_step_does(
+    def test_a_non_finite_scalar_stops_where_the_numpy_step_does(
             self, monkeypatch, layout, stop):
         a, v1, two_sided, what = self.STOPS[stop]
         A = operator(a, layout, monkeypatch)
         window = (None, v1, None, v1 if two_sided else None, 0.0, 0.0)
         # floor 0.0: the breakdown floor of the first operator overflows
-        (message, step), rows_after = self.compare(A, 1, window, two_sided,
-                                                   0.0)
+        (message, step), _, after = compare_steps(A, 1, window, two_sided,
+                                                  0.0)
         assert message == f"non-finite {what} at step 1" and step == 1
         # the rows after the stop are the NaN they were filled with
-        next_v = np.frombuffer(rows_after[2])
+        next_v = np.frombuffer(after[2])
         assert np.isnan(next_v).all() == (what != "beta")
 
     @STEP_LAYOUTS
@@ -619,10 +594,10 @@ class TestCompiledSteps:
                                0.0, 0.0)),
                           (2, (None, np.array([1.0, 0.0, 0.0]), None,
                                np.array([1.0, 0.0, 0.0]), 2.0, 0.0))):
-            (alpha, beta, gamma), rows_after = self.compare(A, k, window,
-                                                            False)
+            (alpha, beta, gamma), _, after = compare_steps(A, k, window,
+                                                           False)
             assert alpha == beta == gamma == 0.0
-            assert np.isnan(np.frombuffer(rows_after[2])).all()
+            assert np.isnan(np.frombuffer(after[2])).all()
 
 
 # --- guards ---------------------------------------------------------------

@@ -7,8 +7,9 @@ from oaplib import (CsrMatrix, DenseMatrix, NumericalOverflow, bidiag_step,
 from oaplib._kernels import rows
 from oaplib.reductions import breakdown_floor
 
-from conftest import (full_reduction, gram_defect, oracle_golub_kahan,
-                      oracle_two_sided, random_wellcond, reduction_steps,
+from conftest import (full_reduction, gram_defect, numpy_bidiag_step,
+                      numpy_tridiag_step, oracle_golub_kahan, oracle_two_sided,
+                      random_wellcond, reduction_steps, step_on_rows,
                       window_step)
 
 
@@ -308,57 +309,14 @@ class TestRecurrenceInvariants:
         assert np.max(np.abs(V - U)) <= 1e-10
 
 
-def fresh_tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev,
-                       gamma_prev, next_v, next_u, av):
-    """``tridiag_step`` with a new array for every intermediate result
-    (overflow checks left out), copied into the output rows at the end."""
-    v, u = v[0], u[0]
-    A_v = A.apply(v)
-    alpha = float(np.dot(u, A_v))
-    w = A_v - alpha * u
-    if beta_prev != 0.0:
-        w = w - beta_prev * u_prev[0]
-    gamma = float(np.linalg.norm(w))
-    q = A.apply_transpose(u) - alpha * v
-    if gamma_prev != 0.0:
-        q = q - gamma_prev * v_prev[0]
-    beta = float(np.linalg.norm(q))
-    av[0][:] = A_v
-    next_u[0][:] = w if gamma <= floor else w / gamma
-    next_v[0][:] = q if beta <= floor else q / beta
-    return alpha, beta, gamma
-
-
-def fresh_bidiag_step(A, k, floor, v, u_prev, beta_prev, next_v, next_u, av):
-    """``bidiag_step`` with a new array for every intermediate result,
-    copied into the output rows at the end."""
-    v = v[0]
-    A_v = A.apply(v)
-    av[0][:] = A_v
-    w = A_v if beta_prev == 0.0 else A_v - beta_prev * u_prev[0]
-    alpha = float(np.linalg.norm(w))
-    if alpha <= floor:
-        next_u[0][:] = w
-        return alpha, 0.0, 0.0
-    u = w / alpha
-    q = A.apply_transpose(u) - alpha * v
-    beta = float(np.linalg.norm(q))
-    next_u[0][:] = u
-    next_v[0][:] = q if beta <= floor else q / beta
-    return alpha, beta, 0.0
-
-
-# keyed by two_sided
-STEPS = {True: (tridiag_step, fresh_tridiag_step),
-         False: (bidiag_step, fresh_bidiag_step)}
 ENGINES = pytest.mark.parametrize("two_sided", [True, False],
                                   ids=["tridiagonal", "bidiagonal"])
 
 
 class TestInPlaceSteps:
     """The steps write their results into the three output rows they are
-    handed (next v, next u, A v) and into no other row, and round like a
-    step that allocates every intermediate."""
+    handed (next v, next u, A v) and into no other row, and round like
+    conftest's NumPy steps, which allocate every intermediate."""
 
     @staticmethod
     def operators(rng):
@@ -369,42 +327,22 @@ class TestInPlaceSteps:
         v = rng.standard_normal(n)
         return v / np.linalg.norm(v)
 
-    @staticmethod
-    def run(A, k, floor, window, two_sided, step):
-        """``step`` on ``window``'s arrays, loaded into the rows of two
-        blocks as the cycle lays them out (v_prev, v, next_v and one
-        more; u_prev, u, next_u, av and one more): returns the step's
-        scalars and every row's bytes before and after the step."""
-        v_rows, u_rows = rows(4, A.ncols), rows(5, A.nrows)
-        v_prev, v, u_prev, u, beta, gamma = window
-        for (row, _), a in zip(v_rows + u_rows,
-                               (v_prev, v, None, None, u_prev, u)):
-            row[:] = -7.0 if a is None else a  # -7.0: a row with no input
-        before = [row.tobytes() for row, _ in v_rows + u_rows]
-        (v_prev, v, next_v, _), (u_prev, u, next_u, av, _) = v_rows, u_rows
-        if two_sided:
-            out = step(A, k, floor, v_prev, v, u_prev, u, beta, gamma,
-                       next_v, next_u, av)
-        else:
-            out = step(A, k, floor, v, u, beta, next_v, next_u, av)
-        after = [row.tobytes() for row, _ in v_rows + u_rows]
-        return out, before, after
-
     @ENGINES
     def test_step_writes_only_its_output_rows_and_rounds_as_fresh(
             self, rng, two_sided):
-        step, fresh = STEPS[two_sided]
-        outputs = (2, 6, 7)  # next_v, next_u, av in v_rows + u_rows
+        step, oracle = ((tridiag_step, numpy_tridiag_step) if two_sided
+                        else (bidiag_step, numpy_bidiag_step))
+        outputs = (2, 6, 7)  # next_v, next_u, av in step_on_rows' rows
         for A in self.operators(rng):
             floor = breakdown_floor(A)
             v1 = self.unit(rng, A.ncols)
             # step 1 has no beta_prev or gamma_prev
             window = (None, v1, None, v1 if two_sided else None, 0.0, 0.0)
             for k in range(1, 6):
-                got, before, after = self.run(A, k, floor, window, two_sided,
-                                              step)
-                ref, _, ref_after = self.run(A, k, floor, window, two_sided,
-                                             fresh)
+                got, before, after = step_on_rows(A, k, floor, window,
+                                                  two_sided, step)
+                ref, _, ref_after = step_on_rows(A, k, floor, window,
+                                                 two_sided, oracle)
                 assert got == ref
                 for i, (b, a, r) in enumerate(zip(before, after, ref_after)):
                     assert a == (r if i in outputs else b), i
@@ -431,14 +369,15 @@ class TestInPlaceSteps:
 
         got = run()
         calls = {}
-        for engine, (step, fresh) in STEPS.items():
-            def counted(*args, fresh=fresh, engine=engine):
-                calls[engine] = calls.get(engine, 0) + 1
-                return fresh(*args)
+        for step, oracle in ((tridiag_step, numpy_tridiag_step),
+                             (bidiag_step, numpy_bidiag_step)):
+            def counted(*args, oracle=oracle, name=step.__name__):
+                calls[name] = calls.get(name, 0) + 1
+                return oracle(*args)
 
             monkeypatch.setattr(reductions, step.__name__, counted)
         ref = run()
-        assert calls == {True: 40, False: 40}
+        assert calls == {"tridiag_step": 40, "bidiag_step": 40}
         for *_, V, U, broke in (*got, *ref):
             assert broke is None
             assert V.shape == (A.ncols, 41)
