@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateSeed, DimensionMismatch, EmptySubspace
 from .linalg import _one_blas_thread, as_vector, norm2
 from .reductions import breakdown_floor
-from .solvers import SolveReport, check_budget
+from .solvers import TOL_DEFAULT, SolveReport, check_budget
 
 RANK_TOL = 1e-12
 
@@ -137,9 +137,10 @@ def ap_factor(A, b, partition):
     Rows are dropped, or a least-squares solve taken, as
     :func:`project_onto` would for W = [p, A_B']: the latter when the
     block has at least as many rows as A has columns.  Raises
-    DimensionMismatch as :func:`_check_cover` does.
+    NonFiniteVector for a b with NaN or inf, as :func:`ap_init` does,
+    and DimensionMismatch as :func:`_check_cover` does.
     """
-    b = np.asarray(b, dtype=np.float64)
+    b = as_vector(b, "b")
     _check_cover(A, b, partition)
     blocks = []
     for start, stop in partition.blocks():
@@ -172,7 +173,7 @@ def ap_sweep(blocks, p, c):
 
 
 @_one_blas_thread
-def ap_solve(A, b, partition=None, tol=1e-6, max_sweeps=None):
+def ap_solve(A, b, partition=None, tol=TOL_DEFAULT, max_sweeps=None):
     """Iterate sweeps until the relative residual meets ``tol``.
 
     ``partition`` defaults to a single block (direct projection), and

@@ -27,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from .errors import MatrixMarketError, NonFiniteVector
+from .errors import MatrixMarketError
 from .linalg import CsrMatrix, DenseMatrix, as_vector
 
 _BANNER = "%%MatrixMarket"
@@ -70,8 +70,6 @@ def _write_coordinate(path, m):
 
 
 def _write_array(path, values):
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteVector("refusing to write non-finite values")
     with open(path, "wb") as fh:
         fh.write(f"{_BANNER} matrix array real general\n"
                  f"{values.shape[0]} {values.shape[1]}\n".encode())

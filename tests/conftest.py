@@ -255,10 +255,10 @@ def window_step(A, k, floor, window, two_sided, step=None):
     if step is None:
         step = reductions.tridiag_step if two_sided else reductions.bidiag_step
     out, _, after = step_on_rows(A, k, floor, window, two_sided, step)
-    if len(out) == 2:
+    if len(out) == 2:  # the message and step of a NumericalOverflow
         raise NumericalOverflow(*out)
     alpha, beta, gamma = out
-    av, next_v, next_u = (np.frombuffer(after[i]) for i in (7, 2, 6))
+    av, next_v, next_u = (np.frombuffer(after[i]).copy() for i in (7, 2, 6))
     return (av, alpha, beta, gamma, next_v if beta > floor else None,
             next_u if (gamma if two_sided else alpha) > floor else None)
 

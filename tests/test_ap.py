@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from oaplib import (BlockPartition, CsrMatrix, DegenerateSeed, DenseMatrix,
-                    DimensionMismatch, EmptySubspace, ap_factor, ap_init,
-                    ap_solve, ap_sweep, gen_convdiff2d, norm2, project_onto)
+                    DimensionMismatch, EmptySubspace, NonFiniteVector,
+                    ap_factor, ap_init, ap_solve, ap_sweep, gen_convdiff2d,
+                    norm2, project_onto)
 
 from conftest import constructed_problem, oracle_projection
 
@@ -163,6 +164,20 @@ class TestApSweep:
         again, c_again = ap_sweep(blocks, p0.copy(), c0)
         assert again.tobytes() == expected
         assert c_again == c_first
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_factor_refuses_a_non_finite_rhs(self, bad):
+        # as ap_init and ap_solve do: the entry would reach its block's z
+        A = gen_convdiff2d(3, 3).A
+        b = np.ones(9)
+        b[2] = bad
+        partition = BlockPartition.equal_blocks(9, 2)
+        with pytest.raises(NonFiniteVector, match="b contains"):
+            ap_factor(A, b, partition)
+        with pytest.raises(NonFiniteVector, match="b contains"):
+            ap_init(A, b)
+        with pytest.raises(NonFiniteVector, match="b contains"):
+            ap_solve(A, b, partition)
 
 
 class TestApSolve:

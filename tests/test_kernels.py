@@ -22,9 +22,8 @@ import pytest
 import scipy.sparse
 
 import oaplib._kernels as kernels
-from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch,
-                    NumericalOverflow, gen_convdiff2d, oap_cycle_bidiag, oap_cycle_tridiag,
-                    roap_solve)
+from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch, gen_convdiff2d,
+                    oap_cycle_bidiag, oap_cycle_tridiag, roap_solve)
 from oaplib.reductions import bidiag_step, breakdown_floor, tridiag_step
 
 from conftest import (numpy_bidiag_step, numpy_half_step, numpy_tridiag_step,

@@ -197,6 +197,28 @@ class TestCsrValidation:
         A = CsrMatrix(3, 3, [0, 1, 1, 2], [0, 2], [5.0, 7.0])
         np.testing.assert_array_equal(A.apply([1.0, 1.0, 1.0]), [5.0, 0.0, 7.0])
 
+    def test_negative_dimensions(self):
+        with pytest.raises(ValueError, match="negative dimensions"):
+            CsrMatrix(-1, 2, [0], [], [])
+
+    def test_offsets_of_another_length(self):
+        with pytest.raises(ValueError, match="row_offsets length"):
+            CsrMatrix(2, 2, [0, 1], [0], [1.0])
+
+    def test_non_finite_value(self):
+        with pytest.raises(NonFiniteVector):
+            CsrMatrix(1, 1, [0, 1], [0], [np.nan])
+
+
+class TestDenseValidation:
+    def test_values_not_2d(self):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            DenseMatrix(np.ones(3))
+
+    def test_non_finite_value(self):
+        with pytest.raises(NonFiniteVector):
+            DenseMatrix([[np.nan]])
+
 
 def coo_of(A):
     """(rows, cols, values) of ``A``'s entries in row-major order."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oaplib import (CsrMatrix, DenseMatrix, MatrixMarketError,
+from oaplib import (CsrMatrix, DenseMatrix, MatrixMarketError, NonFiniteVector,
                     gen_convdiff2d, read_matrix_market, write_matrix_market)
 from oaplib import mmio
 
@@ -65,6 +65,13 @@ def test_vector_roundtrip(tmp_path, rng):
     back = read_matrix_market(path)
     assert isinstance(back, np.ndarray) and back.ndim == 1
     assert np.max(np.abs(back - v)) == 0.0
+
+
+def test_non_finite_vector_is_refused_before_the_file_is_made(tmp_path):
+    path = tmp_path / "bad.mtx"
+    with pytest.raises(NonFiniteVector):
+        write_matrix_market(path, np.array([1.0, np.inf]))
+    assert not path.exists()
 
 
 def test_array_is_column_major(tmp_path):

@@ -191,6 +191,38 @@ class TestCycleTridiag:
         assert norm2(x - x_true) <= 1e-9 * norm2(x_true)
         assert norm2(b - A.apply(x)) <= 1e-10 * norm2(b)
 
+    @pytest.mark.parametrize("make", [DenseMatrix, CsrMatrix.from_dense],
+                             ids=["dense", "csr"])
+    def test_u_side_breakdown_keeps_the_last_update(self, make):
+        # v1 = u1 = -e2 and A v1 = 2 e2 lies along u1, so gamma_1 is 0.0
+        # while beta_1 is 2.0: the cycle takes c_2 v_2, which completes
+        # the exact solution, before it stops
+        A = make(np.array([[-2.0, 0.0], [2.0, -2.0]]))
+        b = np.array([1.0, 1.0])
+        v1, c1 = init_from_vector(A, b, b)
+        res = oap_cycle_tridiag(A, b, v1, c1)
+        assert res.inner_steps == 1 and res.stop_cause == "breakdown"
+        np.testing.assert_array_equal(res.x_partial, [-0.5, -1.0])
+        _, report = roap_solve(A, b, "roap3")
+        assert report.termination == "converged"
+        assert report.stop_causes == ["breakdown"]
+
+
+class TestCycleOverflow:
+    @pytest.mark.parametrize("cycle", [oap_cycle_bidiag, oap_cycle_tridiag])
+    @pytest.mark.parametrize("make", [DenseMatrix, CsrMatrix.from_dense],
+                             ids=["dense", "csr"])
+    def test_non_finite_coefficient_raises_at_its_step(self, make, cycle):
+        # every scalar of step 1 is finite, and beta_1 = 1e-160 is above
+        # the floor, but b'u_1 = 1e150 over it overflows c_2
+        A = make(1e-150 * np.array([[1.0, 1e-10], [0.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalOverflow) as err:
+                cycle(A, np.array([1e150, 0.0]), np.array([1.0, 0.0]), 1.0)
+        assert str(err.value) == "non-finite coefficient at step 1"
+        assert err.value.step == 1
+
 
 class TestCycleBidiag:
     def test_identity(self, rng):
