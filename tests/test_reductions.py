@@ -87,17 +87,14 @@ class TestBidiagStep:
         # v_1 in the null space of A: A v_1 = 0, so there is no u_1, and
         # without u_1 no A'u_1 and no v_2: the next-v row keeps its fill
         A = DenseMatrix(np.diag([1.0, 0.0]))
-        v_rows, u_rows = rows(2, 2), rows(3, 2)
-        (v, next_v), (u_prev, next_u, av) = v_rows, u_rows
-        for row, _ in v_rows + u_rows:
-            row[:] = np.nan
-        v[0][:] = e(1, 2)
-        alpha, beta, gamma = bidiag_step(A, 1, breakdown_floor(A), v, u_prev,
-                                         0.0, next_v, next_u, av)
+        (alpha, beta, gamma), _, after = step_on_rows(
+            A, 1, breakdown_floor(A), (None, e(1, 2), None, None, 0.0, 0.0),
+            False, bidiag_step)
         assert alpha == beta == gamma == 0.0
-        assert np.isnan(next_v[0]).all()
-        np.testing.assert_array_equal(av[0], np.zeros(2))
-        np.testing.assert_array_equal(next_u[0], np.zeros(2))
+        next_v, next_u, av = (np.frombuffer(after[i]) for i in (2, 6, 7))
+        assert np.isnan(next_v).all()
+        np.testing.assert_array_equal(av, np.zeros(2))
+        np.testing.assert_array_equal(next_u, np.zeros(2))
 
     def test_upper_triangular_example_against_oracle(self):
         A = DenseMatrix([[1.0, 1.0], [0.0, 1.0]])
