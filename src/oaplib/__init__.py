@@ -35,9 +35,8 @@ from .problems import (GeneratedProblem, ProblemSpec, gen_convdiff2d,
                        gen_poisson_lshape, gen_random_dense,
                        gen_tridiag_unsym, sample_solution)
 from .reductions import bidiag_step, tridiag_step
-from .solvers import (CycleResult, SolveReport, c_update_bidiag,
-                      c_update_tridiag, init_from_vector, oap_cycle_bidiag,
-                      oap_cycle_tridiag, roap_solve)
+from .solvers import (CycleResult, SolveReport, init_from_vector,
+                      oap_cycle_bidiag, oap_cycle_tridiag, roap_solve)
 
 __version__ = "0.1.0"
 
@@ -48,7 +47,7 @@ __all__ = [
     "MatrixMarketError", "NonFiniteVector", "NumericalOverflow", "OapError",
     "ProblemSpec", "SolveReport", "ap_factor",
     "ap_init", "ap_solve", "ap_sweep", "as_vector", "backend_name",
-    "bidiag_step", "c_update_bidiag", "c_update_tridiag", "dot",
+    "bidiag_step", "dot",
     "gen_convdiff2d", "gen_poisson_lshape", "gen_random_dense",
     "gen_tridiag_unsym", "init_from_vector", "norm2", "oap_cycle_bidiag",
     "oap_cycle_tridiag", "project_onto",

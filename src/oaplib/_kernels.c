@@ -1,11 +1,11 @@
 /* Compiled kernels of oaplib: the operator products, the two reduction
-   steps built on them, and the cycle's vector work, each with the bits
-   of the NumPy and scipy formulas in the tests.
+   steps built on them, and the cycle's work between two steps, each
+   with the bits of the NumPy, scipy and Python formulas in the tests.
 
    - Built with -ffp-contract=off and without -ffast-math, so each
      product, sum, difference and quotient rounds once, as NumPy's
-     elementwise loops round it: no fused multiply-add and no
-     reassociation.
+     elementwise loops and Python's float arithmetic round it: no fused
+     multiply-add and no reassociation.
    - Every inner product goes through the cblas_ddot that numpy's
      ndarray.dot calls (``dot`` below), and a dense product through the
      cblas_dgemv that np.matmul calls, both bound by oap_set_blas before
@@ -96,49 +96,6 @@ double oap_half_step(int64_t n, const double *a, const double *x, double s,
         for (i = 0; i < n; i++)
             out[i] /= norm;
     return norm;
-}
-
-/* Entries per block of the residual update: its two loops meet in L1. */
-#define RES_BLOCK 512
-
-/* ax += av c, then res = rhs - ax; returns res'res.  Block by block, a
-   loop over ax and then one over res: one loop that writes both ran at
-   half the speed at n = 40,000 (44 against 21 us on a Xeon with
-   AVX-512). */
-double oap_residual_update(int64_t n, double *ax, const double *av, double c,
-                           const double *rhs, double *res)
-{
-    int64_t i0, i;
-
-    for (i0 = 0; i0 < n; i0 += RES_BLOCK) {
-        int64_t i1 = i0 + RES_BLOCK < n ? i0 + RES_BLOCK : n;
-
-        for (i = i0; i < i1; i++)
-            ax[i] = ax[i] + av[i] * c;
-        for (i = i0; i < i1; i++)
-            res[i] = rhs[i] - ax[i];
-    }
-    return dot(n, res, res);
-}
-
-/* x'x and x'v. */
-oap_dots_t oap_dots(int64_t n, const double *x, const double *v)
-{
-    oap_dots_t d;
-
-    d.xx = dot(n, x, x);
-    d.xv = dot(n, x, v);
-    return d;
-}
-
-/* out = x + v c. */
-void oap_axpy(int64_t n, const double *x, double c, const double *v,
-              double *out)
-{
-    int64_t i;
-
-    for (i = 0; i < n; i++)
-        out[i] = x[i] + v[i] * c;
 }
 
 /* --- products ------------------------------------------------------- */
@@ -381,4 +338,88 @@ oap_step_t oap_bidiag_step(const oap_operator_t *op, double floor,
     if (!isfinite(s.beta))
         s.stop = OAP_STOP_BETA;
     return s;
+}
+
+/* --- the cycle ------------------------------------------------------ */
+
+/* Entries per block of the residual update: its two loops meet in L1. */
+#define RES_BLOCK 512
+
+/* ax += av c, then res = rhs - ax; returns res'res.  Block by block, a
+   loop over ax and then one over res: one loop that writes both ran at
+   half the speed at n = 40,000 (44 against 21 us on a Xeon with
+   AVX-512). */
+static double residual_update(int64_t n, double *ax, const double *av,
+                              double c, const double *rhs, double *res)
+{
+    int64_t i0, i;
+
+    for (i0 = 0; i0 < n; i0 += RES_BLOCK) {
+        int64_t i1 = i0 + RES_BLOCK < n ? i0 + RES_BLOCK : n;
+
+        for (i = i0; i < i1; i++)
+            ax[i] = ax[i] + av[i] * c;
+        for (i = i0; i < i1; i++)
+            res[i] = rhs[i] - ax[i];
+    }
+    return dot(n, res, res);
+}
+
+/* out = x + v c. */
+static void axpy(int64_t n, const double *x, double c, const double *v,
+                 double *out)
+{
+    int64_t i;
+
+    for (i = 0; i < n; i++)
+        out[i] = x[i] + v[i] * c;
+}
+
+/* sqrt(eps) of a double, 2^-26: the angle test's scale */
+#define SQRT_EPS 0x1p-26
+
+/* What oaplib.solvers._cycle does after step k, in its order: A x_k and
+   the residual, the best-prefix test and the divergence guard (on
+   res_norm), the breakdown test (beta <= floor), then
+   c_{k+1} = ((b'u - alpha c_k) - gamma_{k-1} c_{k-1}) / beta, two-sided,
+   or (b'u - alpha c_k) / beta, bidiagonal, as Python evaluates each (the
+   bidiagonal one has no "- 0.0 c" term, which could flip the sign of a
+   zero); its finiteness; the angle test, |x'v| / ||x|| against
+   sqrt(eps) sum |c_j| / sqrt(sum c_j^2) (sqrt(eps) while the sum of
+   squares is 0.0, and never for the zero x); and x_next = x + v c_{k+1}.
+   The first test that holds returns its stop code, leaving x_next and
+   the coefficients as they were.  Writes only ax, res and x_next. */
+int oap_cycle_advance(oap_cycle_t *s, double alpha, double beta,
+                      double gamma_prev, const double *u, const double *x,
+                      const double *next_v, double *x_next)
+{
+    int64_t n = s->ncols;
+    double b_u, c_next, x_norm, bound;
+
+    s->res_norm = sqrt(residual_update(s->nrows, s->ax, s->av, s->c_curr,
+                                       s->rhs, s->res));
+    s->improved = s->res_norm < s->best_res;
+    if (s->improved)
+        s->best_res = s->res_norm;
+    if (s->res_norm > s->limit)
+        return OAP_CYCLE_DIVERGENCE;
+    if (beta <= s->floor)
+        return OAP_CYCLE_BREAKDOWN;
+    b_u = dot(s->nrows, s->rhs, u);
+    if (s->two_sided)
+        c_next = ((b_u - alpha * s->c_curr) - gamma_prev * s->c_prev) / beta;
+    else
+        c_next = (b_u - alpha * s->c_curr) / beta;
+    if (!isfinite(c_next))
+        return OAP_CYCLE_NONFINITE;
+    x_norm = sqrt(dot(n, x, x));
+    bound = s->c_sq > 0.0 ? SQRT_EPS * s->c_abs / sqrt(s->c_sq) : SQRT_EPS;
+    if (x_norm != 0.0 && fabs(dot(n, x, next_v)) / x_norm > bound)
+        return OAP_CYCLE_ORTHOGONALITY;
+    axpy(n, x, c_next, next_v, x_next);
+    s->c_prev = s->c_curr;
+    s->c_curr = c_next;
+    s->c_abs += fabs(c_next);
+    s->c_sq += c_next * c_next;
+    return OAP_CYCLE_GO;
 }

@@ -2,11 +2,6 @@
    file as its cdef, so it holds plain C declarations only.  Every
    vector has n entries unless its comment says otherwise. */
 
-typedef struct {
-    double xx;
-    double xv;
-} oap_dots_t;
-
 /* The layouts of an operator's products. */
 enum oap_layout { OAP_BANDED, OAP_CSR, OAP_DENSE };
 
@@ -50,14 +45,6 @@ void oap_set_blas(void *ddot, void *dgemv);
 double oap_half_step(int64_t n, const double *a, const double *x, double s,
                      const double *y, double t, double cutoff, double *out);
 
-double oap_residual_update(int64_t n, double *ax, const double *av, double c,
-                           const double *rhs, double *res);
-
-oap_dots_t oap_dots(int64_t n, const double *x, const double *v);
-
-void oap_axpy(int64_t n, const double *x, double c, const double *v,
-              double *out);
-
 /* y = A x (transpose 0; x has ncols entries, y nrows) or y = A'x
    (transpose 1; x has nrows entries, y ncols). */
 void oap_product(const oap_operator_t *op, int transpose, const double *x,
@@ -74,3 +61,47 @@ oap_step_t oap_bidiag_step(const oap_operator_t *op, double floor,
                            const double *v, const double *u_prev,
                            double beta_prev, double *next_v, double *next_u,
                            double *av);
+
+/* One projection cycle's state (oaplib.solvers._cycle), set before its
+   first step and advanced by oap_cycle_advance after each step.  The
+   rows ax, av, res and rhs, and the row of b'u, have nrows entries, the
+   x and v rows ncols; the cycle holds them, and the state, for as long
+   as it runs. */
+typedef struct {
+    /* fixed for the cycle */
+    int64_t nrows;
+    int64_t ncols;
+    int two_sided;       /* 1: the two-sided engine; 0: the bidiagonal */
+    double floor;        /* the breakdown floor */
+    double limit;        /* the divergence guard: 100 ||rhs|| */
+    double *ax;          /* A x_k, updated in place */
+    const double *av;    /* A v_k, which each step writes */
+    const double *rhs;
+    double *res;         /* rhs - A x_k */
+    /* carried from step to step */
+    double c_prev;       /* c_{k-1}; 0.0 at step 1 */
+    double c_curr;       /* c_k */
+    double c_abs;        /* sum of |c_j| over the coefficients in x */
+    double c_sq;         /* sum of c_j^2 over them */
+    double best_res;     /* the least residual norm so far, ||rhs|| at first */
+    /* set by each call */
+    double res_norm;     /* ||rhs - A x_k|| */
+    int improved;        /* 1: res_norm fell below best_res, and is it now */
+} oap_cycle_t;
+
+/* Why oap_cycle_advance stopped the cycle, or OAP_CYCLE_GO. */
+enum oap_cycle_stop {
+    OAP_CYCLE_GO,
+    OAP_CYCLE_DIVERGENCE,    /* res_norm > limit */
+    OAP_CYCLE_BREAKDOWN,     /* beta <= floor: no v_{k+1} */
+    OAP_CYCLE_NONFINITE,     /* c_{k+1} is not finite */
+    OAP_CYCLE_ORTHOGONALITY  /* x_k and v_{k+1} are not orthogonal */
+};
+
+/* After step k: u is the row of b'u (the two-sided u_k, or the
+   bidiagonal step's next_u), x holds x_k, next_v the step's v_{k+1};
+   writes x_{k+1} into x_next, which shares no memory with x or next_v.
+   gamma_prev (gamma_{k-1}) is read by the two-sided update only. */
+int oap_cycle_advance(oap_cycle_t *s, double alpha, double beta,
+                      double gamma_prev, const double *u, const double *x,
+                      const double *next_v, double *x_next);

@@ -1,6 +1,6 @@
 """Compiled kernels under the operators' products, the reduction steps
-and the cycle, with the bits of the NumPy and scipy formulas they
-replace.
+and the cycle, with the bits of the NumPy, scipy and Python formulas
+they replace.
 
 Each operator has one C descriptor, ``oap_operator_t``, which its first
 product builds (``banded``, ``csr`` or ``dense`` below) over arrays the
@@ -22,12 +22,15 @@ operator owns, and every product of it is one call of
 Over the descriptor, one call makes a whole reduction step
 (``lib.oap_tridiag_step``, ``lib.oap_bidiag_step``): A v, alpha, the
 u-side half step, A'u and the v-side half step, stopping where
-``oaplib.reductions`` documents.  The cycle's own vector work is
-``lib.oap_residual_update`` (A x += c A v, res = rhs - A x, res'res),
-``lib.oap_dots`` (x'x and x'v) and ``lib.oap_axpy`` (x + c v).  A half
-step, ``lib.oap_half_step``, forms out = (a - x s) - y t, its norm, and
-out divided by the norm when that is finite and above the breakdown
-floor.
+``oaplib.reductions`` documents.  A half step, ``lib.oap_half_step``,
+forms out = (a - x s) - y t, its norm, and out divided by the norm when
+that is finite and above the breakdown floor.  After each step one more
+call, ``lib.oap_cycle_advance``, does the rest of the cycle's work over
+a per-cycle state, ``oap_cycle_t``: A x += c A v, res = rhs - A x and
+its norm, the best-prefix test, the divergence guard, the breakdown
+test, b'u, the coefficient update and its finiteness, the angle test
+(x'x and x'v) and the next x, x + c v; it returns a stop code
+(``OAP_CYCLE_*``).
 
 The bits are NumPy's: each product and difference rounds once (the C
 source is compiled with ``-ffp-contract=off`` and without
@@ -36,7 +39,8 @@ source is compiled with ``-ffp-contract=off`` and without
 product the ``cblas_dgemv``, ``scipy_cblas_dgemv64_``, both looked up on
 numpy's extension module, as are OpenBLAS's thread count symbols
 (``get_blas_threads``, ``set_blas_threads``), which the solves use.  The
-NumPy and scipy formulas are the reference in ``tests/test_kernels.py``.
+NumPy and scipy formulas are the reference in ``tests/test_kernels.py``,
+and the cycle's Python and NumPy arithmetic, in ``tests/conftest.py``.
 
 The C source (``_kernels.c``, declared in ``_kernels.h``) is built from
 the checkout on the first import, by cffi in API mode, in a subprocess
@@ -58,10 +62,12 @@ lifetime rule: C reads and writes only the rows of a block that
 is the one length check of every row; the caller keeps each row's array
 beside its pointer) and arrays held by the object that hands them over.
 A descriptor holds the arrays its pointers address, through ``ffi.gc``,
-as long as it lives; the only other arrays that reach C are
-``product``'s x and y, which are the operator's (``LinearOperator``
-checks x and makes y), each through an ``ffi.from_buffer`` that holds
-it for the call.
+as long as it lives.  A cycle state points into the rows of the cycle
+that makes it with ``ffi.new``; the cycle holds the state and its
+blocks together until it returns, and nothing else holds the state.
+The only other arrays that reach C are ``product``'s x and y, which are
+the operator's (``LinearOperator`` checks x and makes y), each through
+an ``ffi.from_buffer`` that holds it for the call.
 """
 
 import ctypes

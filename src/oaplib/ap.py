@@ -65,13 +65,16 @@ def ap_init(A, b):
     """Initial projection (p, c): p = alpha A'b, alpha = ||b||^2/||A'b||^2.
 
     Then c = x'p = alpha b'(Ax) = alpha ||b||^2 without knowing x.
+    Raises DegenerateSeed when ||A'b|| is at most ``breakdown_floor(A)``
+    times ||b||: a floor relative to b, like the roap seed's, so that
+    scaling b by a power of two leaves the test as it was.
     """
     b = as_vector(b, "b")
     atb = A.apply_transpose(b)
     nrm2_atb = atb.dot(atb)
-    if nrm2_atb <= breakdown_floor(A) ** 2:
-        raise DegenerateSeed("A'b is numerically zero")
     bb = b.dot(b)
+    if nrm2_atb <= breakdown_floor(A) ** 2 * bb:
+        raise DegenerateSeed("A'b is numerically zero")
     alpha = bb / nrm2_atb
     return alpha * atb, alpha * bb
 

@@ -1,7 +1,10 @@
 """Linear operators (CSR sparse and row-major dense) and vector primitives.
 
-Both operator classes are immutable after construction; their arrays are
-marked read-only so concurrent read access is safe.  A caller's
+Both operator classes are immutable after construction: their arrays
+are marked read-only, so concurrent read access is safe, and the
+attributes that name them (``values``, and a ``CsrMatrix``'s
+``row_offsets`` and ``col_indices``) are read-only properties, so none
+can be pointed at another array.  A caller's
 ``values`` array is copied, never shared, so it stays the caller's and
 writable; only the library's own constructors, which drop their array,
 hand it over without the copy (``LinearOperator._adopt``).  All
@@ -14,9 +17,8 @@ Every product, of either operator, is one call of the compiled
 ``oap_product`` (``oaplib._kernels``) over the operator's C descriptor,
 ``_operator``, which its first product of either kind builds, so an
 operator that sees no product builds nothing.  The descriptor holds the
-arrays it reads (the one lifetime rule of ``oaplib._kernels``), so an
-operator's products read the arrays it had at its first product, even
-if an attribute is reassigned later.  The reduction steps
+arrays it reads (the one lifetime rule of ``oaplib._kernels``), the
+same arrays the read-only attributes return.  The reduction steps
 (``oaplib.reductions``) run their products over the same descriptor,
 inside one compiled call per step.  A ``CsrMatrix`` picks its layout
 from its structure alone:
@@ -59,6 +61,7 @@ through numpy's private ``scipy_openblas`` thread symbols, which
 import contextlib
 import functools
 import math
+import operator
 import threading
 
 import numpy as np
@@ -137,7 +140,9 @@ def norm2(v):
     """Euclidean norm of the flattened array.
 
     The same sum of squares ``np.linalg.norm`` forms, without its
-    dispatch on ``ord`` and ``axis``; the inner steps call it every step.
+    dispatch on ``ord`` and ``axis``.  The solvers call it a few times per
+    cycle or restart (the seed, ||rhs||, the restart's residual), never
+    per inner step: the steps and the cycle form their norms in C.
     """
     v = np.asarray(v, dtype=np.float64).ravel(order="K")
     return math.sqrt(v.dot(v))
@@ -146,6 +151,16 @@ def norm2(v):
 def _readonly(a):
     a.flags.writeable = False
     return a
+
+
+def _held(name):
+    """A read-only attribute over the array ``_<name>`` that construction
+    checked and stored.  The products' descriptor holds that array from
+    the first product on, so the attribute cannot be pointed at another:
+    products, norms and writers all read one A."""
+    return property(operator.attrgetter("_" + name),
+                    doc=f"``{name}``, read-only: the array construction "
+                        f"checked.")
 
 
 _INDEX_MAX = int(np.iinfo(np.int32).max)  # largest size an int32 index holds
@@ -269,9 +284,13 @@ class CsrMatrix(LinearOperator):
         self._validate(off, cols, vals)
         # every offset lies in 0..nnz and every index in 0..ncols-1 now,
         # so narrowing changes no value
-        self.row_offsets = _readonly(off.astype(np.int32))
-        self.col_indices = _readonly(cols.astype(np.int32))
-        self.values = _readonly(vals)
+        self._row_offsets = _readonly(off.astype(np.int32))
+        self._col_indices = _readonly(cols.astype(np.int32))
+        self._values = _readonly(vals)
+
+    row_offsets = _held("row_offsets")
+    col_indices = _held("col_indices")
+    values = _held("values")
 
     def _validate(self, off, cols, vals):
         if self.nrows < 0 or self.ncols < 0:
@@ -437,8 +456,10 @@ class DenseMatrix(LinearOperator):
             raise ValueError(f"dense values must be 2-D, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise NonFiniteVector("dense values contain non-finite entries")
-        self.values = _readonly(values)
+        self._values = _readonly(values)
         self.nrows, self.ncols = values.shape
+
+    values = _held("values")
 
     @functools.cached_property
     def _operator(self):

@@ -7,17 +7,21 @@ from right-hand-side inner products alone.  The cycle owns every vector
 it works on: two blocks made once per cycle, one row per vector, each
 row with a C pointer made once (``oaplib._kernels.rows``).  It keeps
 the engine's window as rows, its trailing norms and the breakdown floor
-as plain locals, and calls ``tridiag_step`` or ``bidiag_step`` once per
-step, each one compiled call over A's descriptor that makes the step's
-two products and writes into its rows, so a step allocates no array.
-Its own vector work per step is one NumPy inner product (b'u for the
-coefficient) and three compiled kernel calls on the rows' pointers
-(``oaplib._kernels``): the tracked residual's update and norm, the
-angle test's two inner products, and the next x, each with the bits of
-the NumPy formulas it replaced.  The angle between the running
-approximation and each new direction detects loss of orthogonality;
-``roap_solve`` then restarts on the residual equation (with a budget of
-one cycle it is the unrestarted OAP method).
+as plain locals, and per step makes two compiled calls
+(``oaplib._kernels``).  ``tridiag_step`` or ``bidiag_step`` makes the
+step's two products over A's descriptor and writes into its rows, so a
+step allocates no array.  ``oap_cycle_advance`` then does the cycle's
+own work over a state struct the cycle makes once and holds: the
+tracked residual's update and norm, the best-prefix test, the
+divergence guard, the breakdown test, b'u and the coefficient update,
+its finiteness, the angle test and the next x, in that order, with the
+bits of the Python and NumPy formulas it replaced (``tests/conftest.py``
+keeps them as its reference).  It returns one stop code, which the
+cycle maps to a stop cause or to ``NumericalOverflow``; the cycle keeps
+which row holds the best prefix and rolls the rows.  The angle between
+the running approximation and each new direction detects loss of
+orthogonality; ``roap_solve`` then restarts on the residual equation
+(with a budget of one cycle it is the unrestarted OAP method).
 
 A cycle takes at most n - 1 steps.  With v1 these are n orthonormal
 directions, which span the whole space, so in exact arithmetic one
@@ -29,9 +33,19 @@ The angle test restarts on lost semiorthogonality (Simon 1984), not on
 a fixed angle.  x = sum_j c_j v_j, so |cos(x, v)| is at most
 max_j |v_j'v| * ||c||_1 / ||c||_2: a basis still orthogonal to
 sqrt(eps) may show a cosine up to sqrt(k) times larger after k terms.
-The cycle therefore allows sqrt(eps) * ||c||_1 / ||c||_2 (see
-``orthogonality_threshold``), which is sqrt(eps) at k = 1 and never
-more than sqrt(k eps).
+The cycle therefore allows sqrt(eps) * ||c||_1 / ||c||_2, from the
+running sums of |c_j| and c_j^2 over the coefficients already in x:
+with k of them the ratio lies in [1, sqrt(k)], so the threshold is
+sqrt(eps) at k = 1 and never more than sqrt(k eps), and needs no cap.
+With no nonzero coefficient it is sqrt(eps), and x is zero, which
+never fails the test.
+
+Each coefficient c_{k+1} = x'v_{k+1} is exact only in exact
+arithmetic: every step commits a local error of order eps ||A|| ||x||,
+which the recurrence carries forward through the inverse of the lower
+banded (two-sided) or bidiagonal matrix with the betas on its diagonal,
+so a small beta amplifies all earlier rounding in the coefficients that
+follow it.
 
 Restarting on the residual keeps every cycle's coefficients consistent:
 the cycle solves A e = r, so its seed and inner products use r.
@@ -51,12 +65,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSeed, DimensionMismatch, NumericalOverflow
-from ._kernels import lib, rows
+from ._kernels import ffi, lib, rows
 from .linalg import _one_blas_thread, as_vector, dot, norm2
 from .reductions import bidiag_step, breakdown_floor, tridiag_step
 
 TOL_DEFAULT = 1e-6
-SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 # A cycle whose tracked residual exceeds this multiple of the seed
 # scale has lost orthogonality in a way the angle test cannot see (the
@@ -64,6 +77,12 @@ SQRT_EPS = math.sqrt(np.finfo(float).eps)
 # stays dominated by its newest terms); the cycle is cut and the best
 # evaluated prefix returned.  Legitimate cycles wander below ~10x.
 DIVERGENCE_FACTOR = 100.0
+
+_CYCLE = ffi.typeof("oap_cycle_t *")
+_advance = lib.oap_cycle_advance
+_DIVERGENCE, _NONFINITE = lib.OAP_CYCLE_DIVERGENCE, lib.OAP_CYCLE_NONFINITE
+_CAUSES = {lib.OAP_CYCLE_BREAKDOWN: "breakdown",
+           lib.OAP_CYCLE_ORTHOGONALITY: "orthogonality"}
 
 
 def check_budget(tol, budget, name):
@@ -125,13 +144,15 @@ class CycleResult(NamedTuple):
     stop_cause: str
 
 
-def _seed_norm(A, v, what):
-    """||v|| of a seed; raises NumericalOverflow if it is not finite and
-    DegenerateSeed if it is at most ``breakdown_floor(A)``."""
+def _seed_norm(A, v, what, scale):
+    """||v|| of a seed v = A'w; raises NumericalOverflow if it is not
+    finite and DegenerateSeed if it is at most ``breakdown_floor(A)``
+    times ``scale`` = ||w||: a floor relative to w, so that scaling w
+    by a power of two scales the seed and leaves the test as it was."""
     nrm = norm2(v)
     if not np.isfinite(nrm):
         raise NumericalOverflow(f"norm of {what} overflowed")
-    if nrm <= breakdown_floor(A):
+    if nrm <= breakdown_floor(A) * scale:
         raise DegenerateSeed(f"{what} is numerically zero")
     return nrm
 
@@ -151,46 +172,8 @@ def init_from_vector(A, rhs, w):
     """
     w = as_vector(w, "w")
     atw = A.apply_transpose(w)
-    t = 1.0 / _seed_norm(A, atw, "A'w")
+    t = 1.0 / _seed_norm(A, atw, "A'w", norm2(w))
     return t * atw, t * dot(as_vector(rhs, "rhs"), w)
-
-
-def c_update_tridiag(b_dot_u, alpha, beta, gamma_prev, c_curr, c_prev):
-    """Next coefficient for the tridiagonal recurrence.
-
-    Solves beta_k c_{k+1} = b'u_k - alpha_k c_k - gamma_{k-1} c_{k-1}.
-    The result equals x'v_{k+1} only in exact arithmetic.  In floating
-    point every step commits a local error of order eps ||A|| ||x||, and
-    the recurrence carries it forward through the inverse of the
-    lower-banded matrix with the betas on its diagonal and the alphas
-    and gammas below it.  A small beta therefore amplifies all earlier
-    rounding in the coefficients that follow it.
-    """
-    return (b_dot_u - alpha * c_curr - gamma_prev * c_prev) / beta
-
-
-def c_update_bidiag(b_dot_u, alpha, beta, c_curr):
-    """Next coefficient for the bidiagonal recurrence.
-
-    Solves beta_k c_{k+1} = b'u_k - alpha_k c_k.  As for
-    ``c_update_tridiag``, the result is exact only in exact arithmetic:
-    its forward error grows like eps ||A|| ||x|| times the inverse of
-    the lower-bidiagonal matrix with the betas on its diagonal and the
-    alphas below it, so a small beta amplifies earlier rounding.
-    """
-    return (b_dot_u - alpha * c_curr) / beta
-
-
-def orthogonality_threshold(abs_sum, sq_sum):
-    """The |cos| a semiorthogonal basis can show against x = sum c_j v_j:
-    sqrt(eps) * ||c||_1 / ||c||_2, from ``abs_sum`` = sum |c_j| and
-    ``sq_sum`` = sum c_j^2.
-
-    With k coefficients the ratio lies in [1, sqrt(k)], so the threshold
-    lies in [sqrt(eps), sqrt(k eps)] and needs no cap.  With no nonzero
-    coefficient x is zero, which never triggers; sqrt(eps) is returned.
-    """
-    return SQRT_EPS * abs_sum / math.sqrt(sq_sum) if sq_sum > 0.0 else SQRT_EPS
 
 
 def _check_seed(A, v1, c1):
@@ -213,17 +196,20 @@ def _cycle(A, rhs, v1, c1, two_sided):
     Starts from x_1 = c1 v1 and keeps extending while the new direction
     stays orthogonal to the running approximation and neither recurrence
     breaks down, for at most n - 1 steps: by then x has n orthonormal
-    directions, the whole space, and the cycle is "exhausted".
-    "Orthogonal" is |cos(x, v_{k+1})| within ``orthogonality_threshold``
-    of the coefficients already in x, kept as the running sums of |c_j|
-    and c_j^2; the zero x never fails the test.  The trailing norms
-    ``beta, gamma`` are locals, and the breakdown floor is taken once.
-    A step without v_{k+1} (a norm at or below the floor) stops the
-    cycle before accepting it.  The two-sided coefficient update reads
-    b'u_k from the window, the bidiagonal one b'u_k from the step (the
-    index offset of ``oaplib.reductions``); a two-sided step without
-    u_{k+1} stops the cycle after its update.  Returns the partial
-    solution as a new array.
+    directions, the whole space, and the cycle is "exhausted".  The
+    trailing norms ``beta, gamma`` are locals, and the breakdown floor
+    is taken once.  After each step one compiled call,
+    ``oap_cycle_advance``, does the rest of the step's work over a state
+    made once per cycle (``oaplib._kernels``): the tracked residual, the
+    divergence guard, the breakdown test (a step without v_{k+1}, a norm
+    at or below the floor, stops the cycle before its update), the
+    coefficient update, the angle test (|cos(x, v_{k+1})| within
+    sqrt(eps) ||c||_1 / ||c||_2 of the coefficients already in x; the
+    zero x never fails it) and the next x.  The two-sided coefficient
+    update reads b'u_k from the window, the bidiagonal one b'u_k from
+    the step (the index offset of ``oaplib.reductions``); a two-sided
+    step without u_{k+1} stops the cycle after its update.  Returns the
+    partial solution as a new array.
 
     The cycle's vectors are the rows of two blocks made once per cycle
     (``oaplib._kernels.rows``), each with its C pointer: of A's column
@@ -231,7 +217,9 @@ def _cycle(A, rhs, v1, c1, two_sided):
     no v_prev) and three x rows (x, the next x and one more, since the
     best prefix may hold an old x); of A's row count the u window (u_prev,
     u, next_u; bidiagonal: u_{k-1} and u_k), A v_k, A x_k, the residual
-    and a copy of rhs.  The window rolls by swapping rows.
+    and a copy of rhs.  The window rolls by swapping rows.  The cycle
+    holds the blocks and the state, which points into them, until it
+    returns.
 
     The cycle also tracks the residual rhs - A x_k from the A v_k
     products the steps already computed (each one step late: A x_k
@@ -255,60 +243,45 @@ def _cycle(A, rhs, v1, c1, two_sided):
     beta = gamma = 0.0
 
     np.multiply(v1, c1, out=x[0])
-    c_prev, c_curr = 0.0, c1
-    c_abs, c_sq = abs(c1), c1 * c1
     scale = norm2(rhs)
     # 0 + c A v rounds to c A v but for the sign of a zero, which no
     # norm sees, so A x starts at zero
     ax[0].fill(0.0)
-    best, best_res = None, scale  # best None: the zero vector
+    state = ffi.new(_CYCLE, {
+        "nrows": m, "ncols": n, "two_sided": two_sided, "floor": floor,
+        "limit": DIVERGENCE_FACTOR * scale, "ax": ax[1], "av": av[1],
+        "rhs": rhs_row[1], "res": res[1], "c_curr": c1, "c_abs": abs(c1),
+        "c_sq": c1 * c1, "best_res": scale})
+    best = None  # the zero vector
     cause = "exhausted"
     for k in range(1, max(n - 1, 1) + 1):  # >= 1 step, so k is bound
         if two_sided:
             alpha, beta_k, gamma_k = tridiag_step(
                 A, k, floor, v_prev, v, u_prev, u, beta, gamma,
                 next_v, next_u, av)
+            b_u = u
         else:  # u holds u_{k-1}; the step writes u_k into next_u
             alpha, beta_k, gamma_k = bidiag_step(
                 A, k, floor, v, u, beta, next_v, next_u, av)
-        # A x_k += c_k A v_k, res = rhs - A x_k
-        res_norm = math.sqrt(lib.oap_residual_update(
-            m, ax[1], av[1], c_curr, rhs_row[1], res[1]))
-        if res_norm < best_res:
-            best, best_res = x, res_norm
-        if res_norm > DIVERGENCE_FACTOR * scale:
-            return CycleResult(np.zeros(n) if best is None else best[0].copy(),
-                               k, "divergence")
-        # no v_{k+1} (a bidiagonal step without u_k has none either):
-        # nothing left to accumulate
-        if beta_k <= floor:
-            cause = "breakdown"
-            break
-        # b'u as a Python float: the updates' arithmetic then runs on
-        # floats, not NumPy scalars, with the same bits
-        if two_sided:
-            c_next = c_update_tridiag(float(rhs.dot(u[0])), alpha, beta_k,
-                                      gamma, c_curr, c_prev)
-        else:
-            c_next = c_update_bidiag(float(rhs.dot(next_u[0])), alpha,
-                                     beta_k, c_curr)
-        if not math.isfinite(c_next):
-            raise NumericalOverflow(f"non-finite coefficient at step {k}", step=k)
-        d = lib.oap_dots(n, x[1], next_v[1])  # x'x and x'v_{k+1}
-        x_norm = math.sqrt(d.xx)
-        if (x_norm != 0.0 and abs(d.xv) / x_norm
-                > orthogonality_threshold(c_abs, c_sq)):
-            cause = "orthogonality"
-            break
+            b_u = next_u
         # the next x goes into a row that holds neither x nor the best
-        lib.oap_axpy(n, x[1], c_next, next_v[1], x_spare[1])
+        stop = _advance(state, alpha, beta_k, gamma, b_u[1], x[1],
+                        next_v[1], x_spare[1])
+        if state.improved:
+            best = x
+        if stop:
+            if stop == _DIVERGENCE:
+                return CycleResult(np.zeros(n) if best is None
+                                   else best[0].copy(), k, "divergence")
+            if stop == _NONFINITE:
+                raise NumericalOverflow(
+                    f"non-finite coefficient at step {k}", step=k)
+            cause = _CAUSES[stop]
+            break
         if best is x:
             x, x_spare, x_other = x_spare, x_other, x
         else:
             x, x_spare = x_spare, x
-        c_prev, c_curr = c_curr, c_next
-        c_abs += abs(c_next)
-        c_sq += c_next * c_next
         if two_sided and gamma_k <= floor:  # u side exhausted; update stands
             cause = "breakdown"
             break

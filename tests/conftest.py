@@ -9,9 +9,13 @@ of the compiled reduction steps: the operator's ``apply`` and
 the library steps' signatures.  ``step_on_rows`` runs either kind of
 step on rows laid out as the cycle lays them; ``window_step`` and
 ``reduction_steps`` run the library's steps through it.
+``numpy_cycle_advance`` is the one reference of the compiled
+``oap_cycle_advance``, the cycle's work between two steps, from the
+Python coefficient updates (``c_update_tridiag``, ``c_update_bidiag``),
+the angle test's ``orthogonality_threshold`` and NumPy for the vectors.
 ``full_reduction`` and ``exact_cycle`` are the exceptions to the rule:
 they run the package's steps, keeping the full bases the library never
-stores, and ``exact_cycle`` its coefficient updates over re-projected
+stores, and ``exact_cycle`` the coefficient updates over re-projected
 bases, so tests can check those updates with orthogonality taken out of
 the picture.  ``read_records_csv`` parses the CLI's CSV back into
 records, and ``run_python`` runs code in a fresh interpreter.
@@ -30,9 +34,8 @@ import pytest
 
 import oaplib
 import oaplib.reductions as reductions
-from oaplib import (CsrMatrix, DenseMatrix, NumericalOverflow,
-                    c_update_bidiag, c_update_tridiag, dot, norm2)
-from oaplib._kernels import rows
+from oaplib import CsrMatrix, DenseMatrix, NumericalOverflow, dot, norm2
+from oaplib._kernels import lib, rows
 from oaplib.reductions import breakdown_floor
 from oaplib.reporting import CSV_COLUMNS, RunRecord
 
@@ -240,20 +243,83 @@ def step_on_rows(A, k, floor, window, two_sided, step):
     return out, before, [row.tobytes() for row, _ in pairs]
 
 
-def window_step(A, k, floor, window, two_sided, step=None):
-    """Step k of the library's two-sided or bidiagonal reduction (or
-    ``step``, which takes the same arguments) on ``window``, as
-    ``step_on_rows`` runs it, raising what it raised.  The library step
-    is looked up on ``oaplib.reductions`` at each call, so a test that
-    patches it there drives it.
+SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+
+def c_update_tridiag(b_dot_u, alpha, beta, gamma_prev, c_curr, c_prev):
+    """Next coefficient for the tridiagonal recurrence, as Python
+    evaluates it: solves beta_k c_{k+1} = b'u_k - alpha_k c_k -
+    gamma_{k-1} c_{k-1}."""
+    return (b_dot_u - alpha * c_curr - gamma_prev * c_prev) / beta
+
+
+def c_update_bidiag(b_dot_u, alpha, beta, c_curr):
+    """Next coefficient for the bidiagonal recurrence: solves beta_k
+    c_{k+1} = b'u_k - alpha_k c_k, with no gamma term (a "- 0.0 c" term
+    could flip the sign of a zero)."""
+    return (b_dot_u - alpha * c_curr) / beta
+
+
+def orthogonality_threshold(abs_sum, sq_sum):
+    """The |cos| a semiorthogonal basis can show against x = sum c_j v_j:
+    sqrt(eps) * ||c||_1 / ||c||_2, from ``abs_sum`` = sum |c_j| and
+    ``sq_sum`` = sum c_j^2; sqrt(eps) when ``sq_sum`` is 0.0."""
+    return SQRT_EPS * abs_sum / math.sqrt(sq_sum) if sq_sum > 0.0 else SQRT_EPS
+
+
+def numpy_cycle_advance(state, rows, alpha, beta, gamma_prev):
+    """``oap_cycle_advance`` in Python and NumPy, as ``solvers._cycle``
+    formed each part before it was compiled: the reference of the
+    kernel.  ``state`` is a dict of the kernel state's scalar fields
+    (``two_sided``, ``floor``, ``limit``, ``c_prev``, ``c_curr``,
+    ``c_abs``, ``c_sq``, ``best_res``, ``res_norm``, ``improved``),
+    updated in place; ``rows`` a dict of arrays (``ax``, ``av``,
+    ``rhs``, ``res``, ``u``, ``x``, ``next_v``, ``x_next``), of which
+    ``ax``, ``res`` and ``x_next`` are written.  Returns the stop code,
+    ``lib.OAP_CYCLE_GO`` when the cycle goes on."""
+    s, ax, res, x, v = state, rows["ax"], rows["res"], rows["x"], rows["next_v"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add(ax, np.multiply(rows["av"], s["c_curr"]), out=ax)
+        np.subtract(rows["rhs"], ax, out=res)
+        s["res_norm"] = math.sqrt(res.dot(res))
+        s["improved"] = s["res_norm"] < s["best_res"]
+        if s["improved"]:
+            s["best_res"] = s["res_norm"]
+        if s["res_norm"] > s["limit"]:
+            return lib.OAP_CYCLE_DIVERGENCE
+        if beta <= s["floor"]:
+            return lib.OAP_CYCLE_BREAKDOWN
+        b_u = float(rows["rhs"].dot(rows["u"]))
+        if s["two_sided"]:
+            c_next = c_update_tridiag(b_u, alpha, beta, gamma_prev,
+                                      s["c_curr"], s["c_prev"])
+        else:
+            c_next = c_update_bidiag(b_u, alpha, beta, s["c_curr"])
+        if not math.isfinite(c_next):
+            return lib.OAP_CYCLE_NONFINITE
+        x_norm = math.sqrt(x.dot(x))
+        if (x_norm != 0.0 and abs(x.dot(v)) / x_norm
+                > orthogonality_threshold(s["c_abs"], s["c_sq"])):
+            return lib.OAP_CYCLE_ORTHOGONALITY
+        np.add(x, np.multiply(v, c_next), out=rows["x_next"])
+    s["c_prev"], s["c_curr"] = s["c_curr"], c_next
+    s["c_abs"] += abs(c_next)
+    s["c_sq"] += c_next * c_next
+    return lib.OAP_CYCLE_GO
+
+
+def window_step(A, k, floor, window, two_sided):
+    """Step k of the library's two-sided or bidiagonal reduction on
+    ``window``, as ``step_on_rows`` runs it, raising what it raised.  The
+    library step is looked up on ``oaplib.reductions`` at each call, so a
+    test that patches it there drives it.
 
     Returns what the step wrote as one tuple of new arrays and scalars,
     ``(av, alpha, beta, gamma, next_v, next_u)``, with None as the next
     vector of a side whose norm is at or below ``floor`` (the bidiagonal
     step's u_k is its next_u, and a bidiagonal step without u_k has
     neither)."""
-    if step is None:
-        step = reductions.tridiag_step if two_sided else reductions.bidiag_step
+    step = reductions.tridiag_step if two_sided else reductions.bidiag_step
     out, _, after = step_on_rows(A, k, floor, window, two_sided, step)
     if len(out) == 2:  # the message and step of a NumericalOverflow
         raise NumericalOverflow(*out)
@@ -336,7 +402,7 @@ def exact_cycle(A, rhs, v1, c1, steps, engine):
     """A projection cycle with exact orthogonality, for checking the
     coefficient recurrences: the re-projected ``full_reduction``
     (``engine`` "tridiagonal" with u1 = v1, or "bidiagonal") followed
-    by the library's ``c_update_tridiag``/``c_update_bidiag``.
+    by ``c_update_tridiag``/``c_update_bidiag``.
 
     Returns ``(cs, V, alphas, betas, gammas)``: cs[k] is the coefficient
     of V[:, k], one per basis vector the reduction produced, and the

@@ -357,14 +357,39 @@ class TestRepresentationEquivalence:
         with pytest.raises(ValueError):
             D.values[0, 0] = 2.0
 
+    @pytest.mark.parametrize("make, names", [
+        (lambda: CsrMatrix.identity(2),
+         ["values", "col_indices", "row_offsets"]),
+        (lambda: DenseMatrix(np.eye(2)), ["values"])],
+        ids=["csr", "dense"])
+    def test_arrays_cannot_be_reassigned(self, make, names):
+        # the products' descriptor holds the arrays of the first product:
+        # a reassigned attribute would leave the norms and the writers
+        # reading another A than the products
+        A = make()
+        A.apply(np.ones(2))
+        for name in names:
+            stored = getattr(A, name)
+            with pytest.raises(AttributeError):
+                setattr(A, name, stored.copy())
+            assert getattr(A, name) is stored
+
     def test_frobenius_cached(self, rng, monkeypatch):
         A = random_sparse(rng, 10)
         want = np.linalg.norm(A.to_dense())
+        norms = []
+
+        def counted(a, *args, **kwargs):
+            norms.append(a)
+            return norm(a, *args, **kwargs)
+
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", counted)
         first = A.frobenius_norm()
         assert first == pytest.approx(want, rel=1e-14)
-        # a recomputation would read the swapped-in values and return 0
-        monkeypatch.setattr(A, "values", np.zeros_like(A.values))
+        # the second call reads the cache: no norm is computed again
         assert A.frobenius_norm() == first
+        assert len(norms) == 1 and norms[0] is A.values
 
     def test_row_extraction(self, rng):
         A = random_sparse(rng, 9)

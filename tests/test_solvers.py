@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -9,15 +10,14 @@ import pytest
 import oaplib.solvers as solvers_mod
 from oaplib import (BlockPartition, CsrMatrix, CycleResult, DegenerateSeed,
                     DenseMatrix, DimensionMismatch, NumericalOverflow, ap_solve,
-                    c_update_bidiag, c_update_tridiag, gen_convdiff2d,
-                    gen_poisson_lshape, gen_random_dense, gen_tridiag_unsym,
-                    init_from_vector, norm2, oap_cycle_bidiag,
-                    oap_cycle_tridiag, roap_solve)
+                    gen_convdiff2d, gen_poisson_lshape, gen_random_dense,
+                    gen_tridiag_unsym, init_from_vector, norm2,
+                    oap_cycle_bidiag, oap_cycle_tridiag, roap_solve)
 from oaplib._kernels import get_blas_threads, set_blas_threads
-from oaplib.solvers import SQRT_EPS, orthogonality_threshold
 
-from conftest import (constructed_problem, exact_cycle, random_wellcond,
-                      traced_peak)
+from conftest import (SQRT_EPS, c_update_bidiag, c_update_tridiag,
+                      constructed_problem, exact_cycle,
+                      orthogonality_threshold, random_wellcond, traced_peak)
 
 
 def diag23():
@@ -269,31 +269,35 @@ class TestCycleBidiag:
         """Every accepted step passed |cos(x, v_{k+1})| <= sqrt(eps)
         ||c||_1 / ||c||_2 over the coefficients already in x, and a cycle
         that stops on "orthogonality" failed that test at its last step.
-        x is replayed from each cycle's seed, the steps' new directions
-        and the coefficient updates, with the cycle's own x + v c
-        rounding, and must end as the cycle's x_partial."""
+        x is replayed from each cycle's seed and, per step, the step's
+        scalars, its new direction and the b'u row, with conftest's
+        coefficient updates and the cycle's own x + v c rounding, and
+        must end as the cycle's x_partial."""
         cycles = []
+        two_sided = variant == "roap3"
 
-        def spy(real, record):
+        def step_spy(real):
+            # next_v is 3rd from last; b'u reads u_k, which the two-sided
+            # step reads as u and the bidiagonal one writes into next_u
             def run(*args):
                 out = real(*args)
-                cycles[-1]["events"].append(record(args, out))
+                cycles[-1]["steps"].append(dict(
+                    floor=args[2], next_v=args[-3][0].copy(),
+                    u=(args[6] if two_sided else args[-2])[0].copy(),
+                    gamma_prev=args[8] if two_sided else 0.0, out=out))
                 return out
             return run
 
         def cycle_spy(real):
             def run(A, rhs, v1, c1):
-                cycles.append({"seed": (v1, c1), "events": []})
+                cycles.append({"seed": (rhs, v1, c1), "steps": []})
                 cycles[-1]["result"] = real(A, rhs, v1, c1)
                 return cycles[-1]["result"]
             return run
 
-        for name in ("bidiag_step", "tridiag_step"):  # next_v: 3rd from last
-            monkeypatch.setattr(solvers_mod, name, spy(
-                getattr(solvers_mod, name), lambda a, out: a[-3][0].copy()))
-        for name in ("c_update_bidiag", "c_update_tridiag"):
-            monkeypatch.setattr(solvers_mod, name, spy(
-                getattr(solvers_mod, name), lambda a, out: out))
+        for name in ("bidiag_step", "tridiag_step"):
+            monkeypatch.setattr(solvers_mod, name,
+                                step_spy(getattr(solvers_mod, name)))
         for name in ("oap_cycle_bidiag", "oap_cycle_tridiag"):
             monkeypatch.setattr(solvers_mod, name,
                                 cycle_spy(getattr(solvers_mod, name)))
@@ -303,25 +307,38 @@ class TestCycleBidiag:
         assert "orthogonality" in causes and "divergence" not in causes
         accepted = 0
         for cycle in cycles:
-            v1, c1 = cycle["seed"]
+            rhs, v1, c1 = cycle["seed"]
+            cause = cycle["result"].stop_cause
             x = np.multiply(v1, c1)
             abs_sum, sq_sum = abs(c1), c1 * c1
-            # a step's next v, then its coefficient when it has one
-            events = cycle["events"]
-            pairs = [(v, c) for v, c in zip(events, events[1:])
-                     if isinstance(v, np.ndarray) and isinstance(c, float)]
-            for i, (v, c) in enumerate(pairs):
+            c_prev, c_curr = 0.0, c1
+            steps = cycle["steps"]
+            for i, step in enumerate(steps):
+                last = i == len(steps) - 1
+                alpha, beta, gamma = step["out"]
+                if beta <= step["floor"]:  # no v_{k+1}: no coefficient
+                    assert last and cause == "breakdown"
+                    break
+                b_u = float(rhs.dot(step["u"]))
+                if two_sided:
+                    c = c_update_tridiag(b_u, alpha, beta, step["gamma_prev"],
+                                         c_curr, c_prev)
+                else:
+                    c = c_update_bidiag(b_u, alpha, beta, c_curr)
+                v = step["next_v"]
                 threshold = SQRT_EPS * abs_sum / np.sqrt(sq_sum)
                 x_norm = np.sqrt(x.dot(x))
                 lost = x_norm != 0.0 and abs(x.dot(v)) / x_norm > threshold
-                if i == len(pairs) - 1 and cycle["result"].stop_cause == \
-                        "orthogonality":
+                if last and cause == "orthogonality":
                     assert lost
                     break
                 assert not lost
                 x = np.add(x, np.multiply(v, c))
                 abs_sum, sq_sum = abs_sum + abs(c), sq_sum + c * c
+                c_prev, c_curr = c_curr, c
                 accepted += 1
+                if two_sided and gamma <= step["floor"]:  # update stands
+                    assert last and cause == "breakdown"
             assert x.tobytes() == cycle["result"].x_partial.tobytes()
         assert accepted > 10 * len(cycles)
 
@@ -993,3 +1010,35 @@ class TestOneBlasThread:
             outcomes.append((x.tobytes(), report.termination,
                              report.restarts, report.inner_iterations))
         assert outcomes[0] == outcomes[1]
+
+
+SCALED_PROBLEMS = {"convdiff 19x19": lambda: gen_convdiff2d(19, 19),
+                   "tridiag-unsym 600": lambda: gen_tridiag_unsym(600)}
+
+
+@functools.lru_cache(maxsize=None)
+def unscaled_solve(name, solver):
+    """The problem ``name``, and its solve under ``solver`` with the
+    solver's defaults (``ap``: one block)."""
+    problem = SCALED_PROBLEMS[name]()
+    solve = ap_solve if solver == "ap" else functools.partial(
+        roap_solve, variant=solver)
+    return problem, solve, solve(problem.A, problem.b)
+
+
+class TestPowerOfTwoScaling:
+    """Scaling b by 2^e scales every vector of a solve by 2^e exactly and
+    leaves every ratio as it was, so the solve of 2^e b returns 2^e x bit
+    for bit, with the same report.  The seed tests compare ||A'r|| with
+    the breakdown floor times ||r||, not with the floor alone, which
+    stopped these solves from a b of ~1e-6 (e = -24 on convdiff 19x19)."""
+
+    @pytest.mark.parametrize("e", [-20, -40, -60, -100, -300, 20, 100, 300])
+    @pytest.mark.parametrize("solver", ["roap2", "roap3", "ap"])
+    @pytest.mark.parametrize("name", SCALED_PROBLEMS)
+    def test_solve_of_scaled_b_is_the_scaled_solve(self, name, solver, e):
+        problem, solve, (x, report) = unscaled_solve(name, solver)
+        assert report.termination == "converged"
+        x_scaled, report_scaled = solve(problem.A, np.ldexp(problem.b, e))
+        assert x_scaled.tobytes() == np.ldexp(x, e).tobytes()
+        assert report_scaled == report

@@ -11,8 +11,9 @@ imports and per-operator set-up on first use stay out of the count.
 The count is deterministic for one interpreter and one set of
 libraries, so it compares two commits on one machine; it is not a test.
 A call of a compiled kernel counts once, whatever it does: an inner
-step is one compiled call, its two products included, so its count is
-its Python bookkeeping.  Each ``ffi.from_buffer`` call that hands an
+step is two compiled calls, the reduction step (its two products
+included) and ``oap_cycle_advance`` (the cycle's work after it), so its
+count is its Python bookkeeping.  Each ``ffi.from_buffer`` call that hands an
 array to C counts once too (about 0.2 us each; a product outside the
 steps, the seed's and the restart's, makes two): a lower count is not
 always a faster step.
