@@ -195,6 +195,15 @@ class TestRandomDense:
         p = gen_random_dense(64, seed=2)
         assert norm2(p.A.apply(p.x_true) - p.b) <= 1e-12 * norm2(p.b)
 
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_block_is_cache_aligned_with_the_streams_entries(self, n):
+        # the dense products run faster over a 32-byte aligned block; the
+        # entries are PCG64's uniform stream in row-major order
+        values = gen_random_dense(n, seed=5).A.values
+        assert values.ctypes.data % 64 == 0 and values.flags.c_contiguous
+        want = np.random.Generator(np.random.PCG64(5)).random((n, n))
+        assert values.tobytes() == want.tobytes()
+
 
 class TestSampleSolution:
     def test_exp1_midpoint_value(self):
