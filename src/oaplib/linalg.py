@@ -167,12 +167,9 @@ def aligned_empty(shape):
     """A new C-contiguous float64 array of ``shape`` whose first entry
     starts a 64-byte cache line; numpy aligns its arrays to 16 bytes
     only.  The dense products (OpenBLAS's ``dgemv``) run ~20% faster over
-    a block that starts 32-byte aligned, with the same bits: on a Xeon
-    with AVX-512, one A v plus one A'u of a 300 x 300 block took 23 us at
-    offsets 0 and 32 of a cache line and 27-39 us at 8, 16 and 48, and a
-    ``roap2`` solve of random-dense 300 took 28.6-39.4 us per step over a
-    block at 0 or 32 against 37.1-48.2 at 16 or 48 (each the least of 6
-    solves, interleaved in one process; three processes)."""
+    a block that starts 32-byte aligned, with the same bits: one A v plus
+    one A'u of a 300 x 300 block took 23 us at offsets 0 and 32 of a
+    cache line and 27-39 us at 8, 16 and 48, on a Xeon with AVX-512."""
     size = math.prod(shape)
     buf = np.empty(size + 8)
     start = (-buf.ctypes.data % 64) // 8

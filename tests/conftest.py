@@ -267,20 +267,21 @@ def orthogonality_threshold(abs_sum, sq_sum):
     return SQRT_EPS * abs_sum / math.sqrt(sq_sum) if sq_sum > 0.0 else SQRT_EPS
 
 
-def numpy_cycle_advance(state, rows, alpha, beta, gamma_prev):
+def numpy_cycle_advance(state, arrays, alpha, beta, gamma_prev):
     """``oap_cycle_advance`` in Python and NumPy, as ``solvers._cycle``
     formed each part before it was compiled: the reference of the
     kernel.  ``state`` is a dict of the kernel state's scalar fields
     (``two_sided``, ``floor``, ``limit``, ``c_prev``, ``c_curr``,
     ``c_abs``, ``c_sq``, ``best_res``, ``res_norm``, ``improved``),
-    updated in place; ``rows`` a dict of arrays (``ax``, ``av``,
+    updated in place; ``arrays`` a dict of the rows (``ax``, ``av``,
     ``rhs``, ``res``, ``u``, ``x``, ``next_v``, ``x_next``), of which
     ``ax``, ``res`` and ``x_next`` are written.  Returns the stop code,
     ``lib.OAP_CYCLE_GO`` when the cycle goes on."""
-    s, ax, res, x, v = state, rows["ax"], rows["res"], rows["x"], rows["next_v"]
+    s = state
+    ax, res, x, v = (arrays[name] for name in ("ax", "res", "x", "next_v"))
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add(ax, np.multiply(rows["av"], s["c_curr"]), out=ax)
-        np.subtract(rows["rhs"], ax, out=res)
+        np.add(ax, np.multiply(arrays["av"], s["c_curr"]), out=ax)
+        np.subtract(arrays["rhs"], ax, out=res)
         s["res_norm"] = math.sqrt(res.dot(res))
         s["improved"] = s["res_norm"] < s["best_res"]
         if s["improved"]:
@@ -289,7 +290,7 @@ def numpy_cycle_advance(state, rows, alpha, beta, gamma_prev):
             return lib.OAP_CYCLE_DIVERGENCE
         if beta <= s["floor"]:
             return lib.OAP_CYCLE_BREAKDOWN
-        b_u = float(rows["rhs"].dot(rows["u"]))
+        b_u = float(arrays["rhs"].dot(arrays["u"]))
         if s["two_sided"]:
             c_next = c_update_tridiag(b_u, alpha, beta, gamma_prev,
                                       s["c_curr"], s["c_prev"])
@@ -301,7 +302,7 @@ def numpy_cycle_advance(state, rows, alpha, beta, gamma_prev):
         if (x_norm != 0.0 and abs(x.dot(v)) / x_norm
                 > orthogonality_threshold(s["c_abs"], s["c_sq"])):
             return lib.OAP_CYCLE_ORTHOGONALITY
-        np.add(x, np.multiply(v, c_next), out=rows["x_next"])
+        np.add(x, np.multiply(v, c_next), out=arrays["x_next"])
     s["c_prev"], s["c_curr"] = s["c_curr"], c_next
     s["c_abs"] += abs(c_next)
     s["c_sq"] += c_next * c_next

@@ -6,9 +6,9 @@ The library calls the vector kernels on C pointers into its cycle's
 blocks; ``half_step`` and ``cycle_advance`` call them the same way, on
 rows of a block laid out by ``guarded_rows``, and check that they stay
 within them.  ``oap_cycle_advance``, the cycle's work between two
-steps, is checked against conftest's ``numpy_cycle_advance``.  The products run over operator
-descriptors: scipy's ``dia_matvec``, ``csr_matvec`` and ``csc_matvec``
-and ``np.matmul`` are their oracles.  The compiled steps are checked
+steps, is checked against conftest's ``numpy_cycle_advance``.  The
+products run over operator descriptors: scipy's ``dia_matvec``,
+``csr_matvec`` and ``csc_matvec`` and ``np.matmul`` are their oracles.  The compiled steps are checked
 against conftest's NumPy steps, which share nothing with them but the
 operator's products, on rows laid out by conftest's ``step_on_rows``."""
 
