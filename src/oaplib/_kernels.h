@@ -46,11 +46,43 @@ double oap_half_step(int64_t n, const double *a, const double *x, double s,
                      const double *y, double t, double cutoff, double *out);
 
 /* y = A x (transpose 0; x has ncols entries, y nrows) or y = A'x
-   (transpose 1; x has nrows entries, y ncols). */
+   (transpose 1; x has nrows entries, y ncols); a banded A of at least
+   OAP_WORKER_MIN_WORK slots forms half of y on the worker thread. */
 void oap_product(const oap_operator_t *op, int transpose, const double *x,
                  double *y);
 
-/* u-side rows and av have nrows entries, v-side rows ncols. */
+/* Products that read at least this many stored entries (DIA slots, CSR
+   nonzeros or dense entries) use the worker thread (_kernels.c).  Set
+   at the break-even measured on a 2-vCPU KVM guest (Xeon, 2 MB of L2
+   per core): us per step with the worker never -> always used.
+   - Banded, one cycle of each solver (bidiagonal; two-sided), min of 3
+     solves in each of 3 alternating processes per side: tridiag-unsym
+     20000 (60,000 slots) 111 -> 108; 134 -> 122; convdiff 120x120
+     (72,000) 84 -> 86; 94 -> 83; convdiff 140x140 (98,000) 137 -> 130;
+     163 -> 152; convdiff 200x200 (200,000) 367 -> 296; 429 -> 368.
+     Min of 5 solves, 2 processes per side: convdiff 90x90 (40,500)
+     50 -> 59; 55 -> 53.
+   - Dense, two-sided, random-dense seed 1234 solved, min of 3 solves in
+     each of 4 alternating processes per side: 200 (40,000 entries)
+     11.4 -> 11.8, 250 (62,500) 20.1 -> 16.1, 300 (90,000) 21.9 -> 17.9.
+   Below it the work saved does not pay for the job's hand-off and for
+   the vectors the other core reads and writes. */
+enum { OAP_WORKER_MIN_WORK = 60000 };
+
+/* Jobs posted to the worker thread (_kernels.c) since the process
+   started, or since the fork that made it, and how many of them the
+   posting kernel took back and ran itself because the worker had not
+   started them. */
+typedef struct {
+    int64_t posted;
+    int64_t taken_back;
+} oap_worker_counts_t;
+
+oap_worker_counts_t oap_worker_counts(void);
+
+/* u-side rows and av have nrows entries, v-side rows ncols.  The
+   two-sided step writes A'u into next_v first; on an A of at least
+   OAP_WORKER_MIN_WORK stored entries the worker thread forms it. */
 oap_step_t oap_tridiag_step(const oap_operator_t *op, double floor,
                             const double *v_prev, const double *v,
                             const double *u_prev, const double *u,

@@ -56,6 +56,21 @@ imports build once; then it removes the directory's other
 A failed build, or a numpy without these BLAS symbols, raises
 ImportError; there is no NumPy fallback.
 
+Large products share the work with one more thread, a detached worker
+that ``_kernels.c`` starts on first use (never on import): a banded
+product of at least ``lib.OAP_WORKER_MIN_WORK`` stored entries forms the
+upper half of y on the worker, and the two-sided step of an operator
+that large forms A'u there while the calling thread forms A v, alpha
+and the u side.  Every output entry is the same sum in the same order
+on either thread, so the bits are those of the sequential kernels; the
+inner products and elementwise passes stay on the calling thread.  One
+kernel at a time holds the worker's one job slot; a kernel that finds
+it taken, or runs where the thread could not be started, runs in
+sequence, and a job the worker has not started when the posting kernel
+is done with its own part is taken back and run by that kernel.
+``lib.oap_worker_counts()`` returns the jobs posted and those taken
+back.  A forked child starts a worker of its own.
+
 cffi releases the interpreter lock around each kernel call.  The
 lifetime rule: C reads and writes only the rows of a block that
 ``rows`` made (one ``ffi.from_buffer`` per block, so the block's shape
@@ -67,7 +82,10 @@ that makes it with ``ffi.new``; the cycle holds the state and its
 blocks together until it returns, and nothing else holds the state.
 The only other arrays that reach C are ``product``'s x and y, which are
 the operator's (``LinearOperator`` checks x and makes y), each through
-an ``ffi.from_buffer`` that holds it for the call.
+an ``ffi.from_buffer`` that holds it for the call.  A job posted to the
+worker thread reads and writes only arrays of the kernel call that
+posted it, and ends before that call returns, so the rule holds for the
+worker too.
 """
 
 import ctypes

@@ -22,7 +22,8 @@ import numpy as np
 from .errors import DegenerateSeed, DimensionMismatch, EmptySubspace
 from .linalg import _one_blas_thread, as_vector, norm2
 from .reductions import breakdown_floor
-from .solvers import TOL_DEFAULT, SolveReport, check_budget
+from .solvers import (TOL_DEFAULT, SolveReport, check_budget,
+                      underflow_exponent)
 
 RANK_TOL = 1e-12
 
@@ -182,7 +183,8 @@ def ap_solve(A, b, partition=None, tol=TOL_DEFAULT, max_sweeps=None):
     ``partition`` defaults to a single block (direct projection), and
     the sweep budget ``max_sweeps`` (None) to 5000 sweeps.  Returns
     ``(x, SolveReport)`` with one history entry per sweep.  A zero b
-    returns x = 0 before any block is factored.
+    returns x = 0 before any block is factored; a nonzero b whose norm
+    underflows is solved scaled by a power of two, as in ``roap_solve``.
     """
     check_budget(tol, max_sweeps, "max_sweeps")
     if max_sweeps is None:
@@ -192,6 +194,10 @@ def ap_solve(A, b, partition=None, tol=TOL_DEFAULT, max_sweeps=None):
         partition = BlockPartition.equal_blocks(A.nrows, 1)
     _check_cover(A, b, partition)
     bnorm = norm2(b)
+    e = underflow_exponent(b, bnorm)
+    if e is not None:
+        x, report = ap_solve(A, np.ldexp(b, -e), partition, tol, max_sweeps)
+        return np.ldexp(x, e), report
     if bnorm == 0.0:
         return np.zeros(A.ncols), SolveReport("converged",
                                               residual_history=[0.0])

@@ -56,6 +56,10 @@ any solve runs every BLAS call in the process is on one thread; the
 first solve in saves the count and the last one out restores it,
 through numpy's private ``scipy_openblas`` thread symbols, which
 ``oaplib._kernels`` binds on import beside ``ddot`` and ``dgemv``.
+OpenBLAS's count is all that this holds: a banded product of at least
+``OAP_WORKER_MIN_WORK`` stored entries, and the two-sided step's A'u on
+an operator that large, may run on the kernels' one worker thread
+(``oaplib._kernels``), with the same bits.
 """
 
 import contextlib

@@ -34,13 +34,18 @@ when beta > floor, and u_{k+1} (bidiagonal: u_k) when gamma (alpha) >
 floor.  A bidiagonal step whose u side breaks down returns before A'u,
 with beta 0.0, leaving ``next_v`` as it was.  A non-finite alpha, gamma
 or beta raises ``NumericalOverflow`` at once, with the rows before it
-written.  At step 1 the previous rows are not read: a zero trailing
+written.  The two-sided step forms A'u into ``next_v`` before A v, on
+every operator and whichever thread forms it, so at a non-finite alpha
+or gamma ``next_v`` holds A'u.  At step 1 the previous rows are not read: a zero trailing
 norm means they hold nothing.  No code here keeps a basis; the
 full-basis reference runs live with the tests in ``tests/conftest.py``.
 
 Each step is one compiled call (``oaplib._kernels``) over A's C
 descriptor and the rows' pointers: A v, the two-sided step's alpha, the
-u-side half step, A'u and the v-side half step, each half step forming
+u-side half step, A'u and the v-side half step (on an operator of at
+least ``OAP_WORKER_MIN_WORK`` stored entries the two-sided step's A'u
+runs on the kernels' worker thread beside the rest, and a banded
+bidiagonal step splits each product), each half step forming
 one next vector and its norm in one pass, with the bits of the step
 that called the operator's ``apply`` and ``apply_transpose`` and NumPy
 for the rest, which ``tests/conftest.py`` keeps as the reference.

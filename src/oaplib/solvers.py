@@ -54,7 +54,9 @@ the cycle solves A e = r, so its seed and inner products use r.
 the whole solve and restores the caller's count (``linalg``): a ``ddot``
 of more than 10,000 entries otherwise adds its partial sums in an order
 that depends on the thread count, and a restarted solve can turn that
-rounding into another outcome.
+rounding into another outcome.  A solve on a large operator may still
+use one more thread, the kernels' worker (``oaplib._kernels``), for
+products whose every output entry it sums as the calling thread would.
 """
 
 import math
@@ -98,6 +100,17 @@ def check_budget(tol, budget, name):
             raise ValueError(f"{name} must be a whole number") from None
         if whole < 0:
             raise ValueError(f"{name} must be >= 0")
+
+
+def underflow_exponent(b, bnorm):
+    """The e with max |b_i| in [2^(e-1), 2^e) when b is nonzero and its
+    norm ``bnorm`` underflowed to 0.0 (every |b_i| below ~1e-162), else
+    None.  A solver then solves for ``np.ldexp(b, -e)``, whose squares do
+    not underflow, and returns ``np.ldexp(x, e)``: scaling by a power of
+    two is exact."""
+    if bnorm != 0.0 or not b.any():
+        return None
+    return int(np.frexp(np.abs(b).max())[1])
 
 
 @dataclass
@@ -325,7 +338,8 @@ def roap_solve(A, b, variant="roap2", tol=TOL_DEFAULT, max_restarts=None):
     zero vector: it leaves x and r as they were, so every later cycle
     would replay it.  Before each cycle the loop checks ``tol``, then
     the budget, then stagnation, so a zero cycle that used the last
-    restart ends in ``max-restarts``.
+    restart ends in ``max-restarts``.  A nonzero b whose norm underflows
+    is solved scaled by a power of two (``underflow_exponent``).
     """
     if variant not in ("roap2", "roap3"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -337,6 +351,11 @@ def roap_solve(A, b, variant="roap2", tol=TOL_DEFAULT, max_restarts=None):
 
     report = SolveReport()
     bnorm = norm2(b)
+    e = underflow_exponent(b, bnorm)
+    if e is not None:
+        x, report = roap_solve(A, np.ldexp(b, -e), variant, tol=tol,
+                               max_restarts=max_restarts)
+        return np.ldexp(x, e), report
     if bnorm == 0.0:
         report.termination = "converged"
         report.residual_history = [0.0]

@@ -176,11 +176,13 @@ def _finite(value, what, k):
 def numpy_tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev,
                        gamma_prev, next_v, next_u, av):
     """``tridiag_step`` from the operator's products and NumPy: the
-    reference of the compiled step.  It writes A v into ``av``, then
-    u_{k+1} and v_{k+1} into their rows, each undivided at a breakdown,
-    and raises NumericalOverflow at the first non-finite alpha, gamma or
-    beta with the rows before it written."""
+    reference of the compiled step.  It writes A'u into ``next_v`` and
+    A v into ``av``, then u_{k+1} and v_{k+1} into their rows, each
+    undivided at a breakdown, and raises NumericalOverflow at the first
+    non-finite alpha, gamma or beta with the rows before it written: at
+    alpha or gamma, ``next_v`` holds A'u."""
     with np.errstate(over="ignore", invalid="ignore"):
+        next_v[0][:] = A.apply_transpose(u[0])
         av[0][:] = A.apply(v[0])
         alpha = _finite(float(u[0].dot(av[0])), "alpha", k)
         next_u[0][:], gamma = numpy_half_step(
@@ -188,7 +190,7 @@ def numpy_tridiag_step(A, k, floor, v_prev, v, u_prev, u, beta_prev,
             beta_prev, floor)
         _finite(gamma, "gamma", k)
         next_v[0][:], beta = numpy_half_step(
-            A.apply_transpose(u[0]), v[0], alpha,
+            next_v[0], v[0], alpha,
             None if gamma_prev == 0.0 else v_prev[0], gamma_prev, floor)
         return alpha, _finite(beta, "beta", k), gamma
 

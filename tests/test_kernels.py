@@ -10,20 +10,28 @@ steps, is checked against conftest's ``numpy_cycle_advance``.  The
 products run over operator descriptors: scipy's ``dia_matvec``,
 ``csr_matvec`` and ``csc_matvec`` and ``np.matmul`` are their oracles.  The compiled steps are checked
 against conftest's NumPy steps, which share nothing with them but the
-operator's products, on rows laid out by conftest's ``step_on_rows``."""
+operator's products, on rows laid out by conftest's ``step_on_rows``.
+Products and steps above ``OAP_WORKER_MIN_WORK`` run on the kernels'
+worker thread too; their tests check, through ``oap_worker_counts``,
+that jobs were posted, and that the bits are the sequential ones, under
+concurrent solves and in a forked child."""
 
 import gc
 import math
 import os
+import select
+import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse
 
 import oaplib._kernels as kernels
-from oaplib import (CsrMatrix, DenseMatrix, DimensionMismatch, gen_convdiff2d,
+from oaplib import (BlockPartition, CsrMatrix, DenseMatrix, DimensionMismatch,
+                    ap_solve, gen_convdiff2d, gen_tridiag_unsym,
                     oap_cycle_bidiag, oap_cycle_tridiag, roap_solve)
 from oaplib.reductions import bidiag_step, breakdown_floor, tridiag_step
 
@@ -34,6 +42,10 @@ from conftest import (numpy_bidiag_step, numpy_cycle_advance, numpy_half_step,
 # every length below 16 and 17 (the SIMD widths and their tails), paper
 # scale (convdiff 19x19) and the large tier (convdiff 200x200)
 LENGTHS = list(range(18)) + [361, 40_000]
+# banded products of five diagonals above the worker's threshold: an odd
+# length, and an even one that is no multiple of the 512-entry DIA
+# block, so that neither the midpoint nor the end falls on a block edge
+SPLIT_LENGTHS = [12_001, 12_290]
 
 
 def same(got, want):
@@ -322,15 +334,19 @@ class TestSameBits:
             assert same(after["x_next"], np.full(n, -0.0 if negative else 0.0))
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["Av", "A'u"])
-    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("n", LENGTHS + SPLIT_LENGTHS)
     def test_dia_matvec_matches_scipy(self, n, transpose):
-        # square, wide and tall
+        # square, wide and tall; five diagonals of n_col slots, so from
+        # SPLIT_LENGTHS on the worker thread forms half of y
         for n_row, n_col in ((n, n), (n, n + 3), (n + 3, n)):
             offsets, data = dia_operator(n_row, n_col, seed=300 + n)
             n_in, n_out = (n_row, n_col) if transpose else (n_col, n_row)
             (x,) = vectors(n_in, 1, seed=400 + n)
             y = np.full(n_out, np.nan)  # every entry is written
+            posted = kernels.lib.oap_worker_counts().posted
             c_dia_matvec(n_row, n_col, offsets, data, x, y, transpose)
+            split = data.size >= kernels.lib.OAP_WORKER_MIN_WORK
+            assert (kernels.lib.oap_worker_counts().posted > posted) == split
             assert same(y, scipy_dia_matvec(n_row, n_col, offsets, data, x,
                                             transpose))
 
@@ -402,16 +418,6 @@ class TestBranches:
         norm = half_step(a, None, 0.5, y, 0.25, 0.0, out)
         want, want_norm = numpy_half_step(a, None, 0.5, None, 0.0, 0.0)
         assert same(norm, want_norm) and same(out, want)
-
-    def test_bidiag_u_breakdown_builds_no_v(self):
-        # A v = 0: alpha is 0, at the floor, and no A'u is formed
-        A = DenseMatrix(np.diag([1.0, 0.0]))
-        av, alpha, beta, gamma, next_v, next_u = window_step(
-            A, 1, breakdown_floor(A), (None, np.array([0.0, 1.0]), None, None,
-                                       0.0, 0.0), False)
-        assert alpha == beta == gamma == 0.0
-        assert next_v is None and next_u is None
-
 
     # hand-built cycles of two rows and two columns: ax + av c_curr =
     # [2, 1] and rhs = [5, 5], so res = [3, 4] and res_norm is 5.0
@@ -615,6 +621,34 @@ def banded_array(n, m, seed):
     return a
 
 
+def above_threshold(corner, v1, layout, monkeypatch):
+    """A square operator of ``layout`` whose products read at least
+    ``OAP_WORKER_MIN_WORK`` stored entries, so that its two-sided step
+    runs A'u on the worker thread, and its v1: a band of three
+    diagonals (banded) or a full array (CSR, dense), of ones with the 2x2
+    ``corner`` and v1 = e0, or with every entry ``corner[0, 0]`` and v1
+    of equal entries when ``corner`` holds one value."""
+    work = kernels.lib.OAP_WORKER_MIN_WORK
+    n = -(-work // 3) if layout == "banded" else math.isqrt(work - 1) + 1
+    fill = corner[0, 0] if (corner == corner[0, 0]).all() else 1.0
+    if fill == 1.0:
+        v1 = np.zeros(n)
+        v1[0] = 1.0
+    else:
+        v1 = np.full(n, 1.0 / math.sqrt(n))
+    if layout != "banded":
+        a = np.full((n, n), fill)
+        a[:2, :2] = corner
+        return operator(a, layout, monkeypatch), v1
+    band = scipy.sparse.diags([fill, fill, fill], [-1, 0, 1], shape=(n, n),
+                              format="lil")
+    band[:2, :2] = corner
+    band = band.tocsr()
+    A = CsrMatrix(n, n, band.indptr, band.indices, band.data)
+    assert A._operator.layout == kernels.lib.OAP_BANDED
+    return A, v1
+
+
 STEP_LAYOUTS = pytest.mark.parametrize("layout", ["banded", "csr", "dense"])
 
 
@@ -677,35 +711,64 @@ class TestCompiledSteps:
                         np.array([1.0, 0.0]), False, "beta"),
     }
 
-    @pytest.mark.parametrize("stop", STOPS)
+    @pytest.mark.parametrize("stop", [*STOPS, "tridiag alpha, worker",
+                                      "tridiag gamma, worker"])
     @STEP_LAYOUTS
     def test_a_non_finite_scalar_stops_where_the_numpy_step_does(
             self, monkeypatch, layout, stop):
-        a, v1, two_sided, what = self.STOPS[stop]
-        A = operator(a, layout, monkeypatch)
+        name, _, worker = stop.partition(", ")
+        a, v1, two_sided, what = self.STOPS[name]
+        if worker:
+            A, v1 = above_threshold(a, v1, layout, monkeypatch)
+        else:
+            A = operator(a, layout, monkeypatch)
         window = (None, v1, None, v1 if two_sided else None, 0.0, 0.0)
+        posted = kernels.lib.oap_worker_counts().posted
         # floor 0.0: the breakdown floor of the first operator overflows
         (message, step), _, after = compare_steps(A, 1, window, two_sided,
                                                   0.0)
         assert message == f"non-finite {what} at step 1" and step == 1
-        # the rows after the stop are the NaN they were filled with
+        assert (kernels.lib.oap_worker_counts().posted > posted) == bool(worker)
+        # the two-sided step forms A'u first: at alpha and gamma next_v
+        # holds it; the bidiagonal step's next_v is the NaN it was filled
+        # with until beta
         next_v = np.frombuffer(after[2])
-        assert np.isnan(next_v).all() == (what != "beta")
+        if two_sided and what != "beta":
+            assert same(next_v, A.apply_transpose(v1))
+        else:
+            assert np.isnan(next_v).all() == (what != "beta")
 
-    @STEP_LAYOUTS
-    def test_bidiag_u_side_breakdown_leaves_next_v_untouched(
-            self, monkeypatch, layout):
-        # A v = 0 at step 1, and at step 2 A v = u_prev beta_prev exactly
-        a = np.diag([2.0, 0.0, 3.0])
+    # (array, k, window): A v_k = 0 at step 1, and at step 2
+    # A v_2 = u_1 beta_1 exactly; diag(1, 0) has too few nonzeros for
+    # the DIA layout
+    U_BREAKDOWNS = {
+        "diag(1, 0), step 1": (np.diag([1.0, 0.0]), 1, (
+            None, np.array([0.0, 1.0]), None, None, 0.0, 0.0)),
+        "diag(2, 0, 3), step 1": (np.diag([2.0, 0.0, 3.0]), 1, (
+            None, np.array([0.0, 1.0, 0.0]), None, None, 0.0, 0.0)),
+        "diag(2, 0, 3), step 2": (np.diag([2.0, 0.0, 3.0]), 2, (
+            None, np.array([1.0, 0.0, 0.0]), None, np.array([1.0, 0.0, 0.0]),
+            2.0, 0.0)),
+    }
+
+    @pytest.mark.parametrize("layout, case", [
+        (layout, case) for case in U_BREAKDOWNS
+        for layout in ("banded", "csr", "dense")
+        if layout != "banded" or case.startswith("diag(2")])
+    def test_bidiag_u_side_breakdown_builds_no_v(self, monkeypatch, layout,
+                                                 case):
+        # no u_k, so no A'u_k and no v_{k+1}: the step returns before the
+        # transpose product, and the next-v row keeps its fill
+        a, k, window = self.U_BREAKDOWNS[case]
         A = operator(a, layout, monkeypatch)
-        for k, window in ((1, (None, np.array([0.0, 1.0, 0.0]), None, None,
-                               0.0, 0.0)),
-                          (2, (None, np.array([1.0, 0.0, 0.0]), None,
-                               np.array([1.0, 0.0, 0.0]), 2.0, 0.0))):
-            (alpha, beta, gamma), _, after = compare_steps(A, k, window,
-                                                           False)
-            assert alpha == beta == gamma == 0.0
-            assert np.isnan(np.frombuffer(after[2])).all()
+        (alpha, beta, gamma), _, after = compare_steps(A, k, window, False)
+        assert alpha == beta == gamma == 0.0
+        next_v, next_u, av = (np.frombuffer(after[i]) for i in (2, 6, 7))
+        assert np.isnan(next_v).all()
+        assert same(av, A.apply(window[1]))
+        np.testing.assert_array_equal(next_u, np.zeros(len(av)))
+        assert window_step(A, k, breakdown_floor(A), window, False)[4:] == (
+            None, None)
 
 
 # --- guards ---------------------------------------------------------------
@@ -895,11 +958,18 @@ class TestGuards:
 
 # --- threads --------------------------------------------------------------
 
-def test_threads_sharing_an_operator_match_sequential_solves():
+@pytest.mark.parametrize("make, worker", [
+    (lambda: gen_convdiff2d(19, 19), False),
+    # 60,000 stored entries: the steps' products use the worker thread,
+    # which one solve at a time claims while the others run in sequence
+    (lambda: gen_tridiag_unsym(20_000), True),
+], ids=["convdiff 19x19", "tridiag-unsym 20000"])
+def test_threads_sharing_an_operator_match_sequential_solves(make, worker):
     # cffi drops the interpreter lock around each kernel; threads that
     # share one operator (and its C arrays) must not disturb each other
-    problem = gen_convdiff2d(19, 19)
+    problem = make()
     A, b = problem.A, problem.b
+    assert (3 * A.ncols >= kernels.lib.OAP_WORKER_MIN_WORK) == worker
     variants = ("roap2", "roap3")
     want = {v: roap_solve(A, b, v) for v in variants}
     results, errors = [], []
@@ -913,6 +983,7 @@ def test_threads_sharing_an_operator_match_sequential_solves():
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
+    posted = kernels.lib.oap_worker_counts().posted
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -927,6 +998,7 @@ def test_threads_sharing_an_operator_match_sequential_solves():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(results) == 8
+    assert (kernels.lib.oap_worker_counts().posted > posted) == worker
     for variant, (x, report) in results:
         x_want, report_want = want[variant]
         assert x.tobytes() == x_want.tobytes()
@@ -977,6 +1049,67 @@ def test_threads_making_an_operators_first_products_agree():
                     [(0, want[1])] * 2 + [(1, want[0])] * 2)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_forked_child_solves_with_the_parents_bits():
+    # the child of a process whose worker thread has run has no worker:
+    # its kernels start their own, which runs jobs, and its solve has the
+    # parent's bits
+    def run_by_worker():
+        counts = kernels.lib.oap_worker_counts()
+        return counts.posted - counts.taken_back
+
+    problem = gen_tridiag_unsym(20_000)
+    A, b = problem.A, problem.b
+    before = run_by_worker()
+    x, report = roap_solve(A, b, "roap3", max_restarts=1)
+    assert run_by_worker() > before
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report, and leave without pytest's exit
+        status = 1
+        try:
+            before = run_by_worker()
+            x_child, report_child = roap_solve(A, b, "roap3", max_restarts=1)
+            ok = (x_child.tobytes() == x.tobytes() and report_child == report
+                  and run_by_worker() > before)
+            os.write(write, b"same" if ok else b"different")
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    try:
+        ready, _, _ = select.select([read], [], [], 60)
+        answer = os.read(read, 16) if ready else b"timed out"
+    finally:
+        os.close(read)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert answer == b"same"
+
+
+def test_small_operators_never_post_to_the_worker():
+    # the ap baseline's and the paper suite's operators are below the
+    # threshold: their solves run every product on the calling thread
+    posted = kernels.lib.oap_worker_counts().posted
+    for nx, ny in ((9, 10), (9, 19), (19, 19)):
+        problem = gen_convdiff2d(nx, ny)
+        ap_solve(problem.A, problem.b,
+                 partition=BlockPartition.equal_blocks(problem.A.nrows, 2))
+        roap_solve(problem.A, problem.b, "roap3")
+    assert kernels.lib.oap_worker_counts().posted == posted
+
+
+def test_the_worker_blocks_between_solves():
+    # after a spin of well under a millisecond the worker waits on a
+    # condition variable, so an idle process burns no CPU time
+    problem = gen_tridiag_unsym(20_000)
+    roap_solve(problem.A, problem.b, "roap2", max_restarts=1)
+    time.sleep(0.05)
+    start = time.process_time()
+    time.sleep(0.3)
+    assert time.process_time() - start <= 0.01
 
 
 # --- lifetime -------------------------------------------------------------

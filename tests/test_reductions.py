@@ -83,19 +83,6 @@ class TestBidiagStep:
         assert beta == 0.0
         assert next_v is None
 
-    def test_u_side_breakdown_returns_before_the_transpose_product(self):
-        # v_1 in the null space of A: A v_1 = 0, so there is no u_1, and
-        # without u_1 no A'u_1 and no v_2: the next-v row keeps its fill
-        A = DenseMatrix(np.diag([1.0, 0.0]))
-        (alpha, beta, gamma), _, after = step_on_rows(
-            A, 1, breakdown_floor(A), (None, e(1, 2), None, None, 0.0, 0.0),
-            False, bidiag_step)
-        assert alpha == beta == gamma == 0.0
-        next_v, next_u, av = (np.frombuffer(after[i]) for i in (2, 6, 7))
-        assert np.isnan(next_v).all()
-        np.testing.assert_array_equal(av, np.zeros(2))
-        np.testing.assert_array_equal(next_u, np.zeros(2))
-
     def test_upper_triangular_example_against_oracle(self):
         A = DenseMatrix([[1.0, 1.0], [0.0, 1.0]])
         _, alpha, beta, _, next_v, next_u = first_step(A, e(0, 2))

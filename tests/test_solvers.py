@@ -1042,3 +1042,20 @@ class TestPowerOfTwoScaling:
         x_scaled, report_scaled = solve(problem.A, np.ldexp(problem.b, e))
         assert x_scaled.tobytes() == np.ldexp(x, e).tobytes()
         assert report_scaled == report
+
+    @pytest.mark.parametrize("solver", ["roap2", "roap3", "ap"])
+    def test_b_whose_norm_underflows_is_solved_scaled(self, solver):
+        # every |b_i| below ~1e-162: b'b underflows to 0.0, which read as
+        # a zero b and returned x = 0 labelled converged; b = 2^-664 b'
+        # with max |b'| in [1/2, 1), solved as b' and scaled back
+        A = CsrMatrix.from_dense(np.diag([2.0, 3.0]))
+        b = np.array([1e-200, 1e-200])
+        assert np.dot(b, b) == 0.0
+        solve = ap_solve if solver == "ap" else functools.partial(
+            roap_solve, variant=solver)
+        x, report = solve(A, b)
+        x_unit, report_unit = solve(A, np.ldexp(b, 664))
+        assert report_unit.termination == "converged"
+        assert x.tobytes() == np.ldexp(x_unit, -664).tobytes()
+        assert report == report_unit
+        assert np.all(x > 0.0)

@@ -19,12 +19,18 @@ steps, the seed's and the restart's, makes two): a lower count is not
 always a faster step.
 
 Then it times each case untraced, the minimum of 5 solves, and prints
-microseconds per inner step in two groups: the six stencil problems
-(banded operators, whose steps the bookkeeping bounds) and random-dense
-300 (whose steps two dense products bound), each under both solvers.
-Each group's figure is its summed minimum times over its summed inner
-steps.  Times depend on the host; compare two commits by alternating
-runs on one machine.
+microseconds per inner step in four groups: the six stencil problems
+under both solvers (banded operators, whose steps the bookkeeping
+bounds), random-dense 300 under ``roap2`` and under ``roap3`` apart
+(its steps two dense products bound, and only the two-sided step runs
+A'u on the kernels' worker thread beside A v), and convdiff 200x200
+under ``roap2`` (one cycle of 803 steps, whose banded products split
+across the calling thread and the worker).  Each group's figure is its
+summed minimum times over its summed inner steps.  Last, the jobs the
+run posted to the worker thread, and the share of them that the
+posting kernel took back because the worker had not started them.
+Times depend on the host; compare two commits by alternating runs on
+one machine.
 
     PYTHONPATH=src python tools/step_calls.py
 """
@@ -35,7 +41,8 @@ import time
 
 import numpy as np
 
-from oaplib import roap_solve
+import oaplib._kernels as kernels
+from oaplib import gen_convdiff2d, roap_solve
 from oaplib.cli import bench_problems
 
 SOLVERS = ("roap2", "roap3")
@@ -57,16 +64,23 @@ def fastest(A, b, solver):
     return best
 
 
+def warm(A):
+    """One product each way, so that the descriptor exists."""
+    A.apply(np.ones(A.ncols))
+    A.apply_transpose(np.ones(A.nrows))
+
+
 def main():
     steps = calls = 0
-    timed = {"stencil": [0.0, 0], "random-dense 300": [0.0, 0]}
+    timed = {name: [0.0, 0] for name in (
+        "stencil", "random-dense 300 roap2", "random-dense 300 roap3",
+        "convdiff 200x200 roap2")}
     for family, problem in problems():
         A = problem.A
-        A.apply(np.ones(A.ncols))
-        A.apply_transpose(np.ones(A.nrows))
-        group = timed["random-dense 300" if family == "random-dense"
-                      else "stencil"]
+        warm(A)
         for solver in SOLVERS:
+            group = timed[f"random-dense 300 {solver}"
+                          if family == "random-dense" else "stencil"]
             profile = cProfile.Profile()
             _, report = profile.runcall(roap_solve, A, problem.b, solver)
             case_steps = sum(report.inner_iterations)
@@ -77,9 +91,18 @@ def main():
     print(f"inner steps     {steps}")
     print(f"function calls  {calls}")
     print(f"calls per step  {calls / steps:.1f}")
+    large = gen_convdiff2d(200, 200)
+    warm(large.A)
+    _, report = roap_solve(large.A, large.b, "roap2")
+    timed["convdiff 200x200 roap2"] = [fastest(large.A, large.b, "roap2"),
+                                       sum(report.inner_iterations)]
     for name, (seconds, group_steps) in timed.items():
         print(f"us per step     {seconds / group_steps * 1e6:.2f}  {name} "
               f"({group_steps} steps, min of {REPEATS} solves each)")
+    counts = kernels.lib.oap_worker_counts()
+    share = counts.taken_back / counts.posted if counts.posted else 0.0
+    print(f"worker jobs     {counts.posted} posted, {counts.taken_back} "
+          f"taken back ({share:.1%})")
 
 
 if __name__ == "__main__":
