@@ -65,6 +65,12 @@ void oap_product(const oap_operator_t *op, int transpose, const double *x,
    - Dense, two-sided, random-dense seed 1234 solved, min of 3 solves in
      each of 4 alternating processes per side: 200 (40,000 entries)
      11.4 -> 11.8, 250 (62,500) 20.1 -> 16.1, 300 (90,000) 21.9 -> 17.9.
+   - CSR, two-sided, convdiff with its unknowns renumbered by a seeded
+     permutation (as tools/solve_digest.py renumbers 30x30), one roap3
+     cycle, min of 5 solves in each of 2-3 alternating processes per
+     side: 120x120 (71,520 nonzeros, 244 steps) 218-221 -> 150-156;
+     200x200 (199,200, 9 steps) 854-1045 -> 590-721.  Also below the
+     threshold: 100x100 (49,600, 5,142 steps) 148-150 -> 110-112.
    Below it the work saved does not pay for the job's hand-off and for
    the vectors the other core reads and writes. */
 enum { OAP_WORKER_MIN_WORK = 60000 };

@@ -7,7 +7,9 @@ computable from the right-hand side.  Each block is factored once per
 solve: a rank-filtered thin QR Q_B R_B = A_B' fixes z_B = Q_B'x =
 R_B^-T b_B.  A block step is then two GEMVs (q = Q_B'p and Q_B q) and a
 rank-one update along p_perp = p - Q_B q, whose inner product with x is
-c - q'z_B.  Steps pass the pair (p, c), c = x'p, and blocks are tuples.
+c - q'z_B; p_perp is dropped when ||p_perp|| <= RANK_TOL ||p||, a rule
+relative to p, so that the solve of 2^e b is 2^e times that of b.
+Steps pass the pair (p, c), c = x'p, and blocks are (Q, z, u, zz).
 
 ``ap_solve`` holds numpy's OpenBLAS to one thread, process-wide, for the
 whole solve, factors included, and restores the caller's count
@@ -135,9 +137,9 @@ def _check_cover(A, b, partition):
 def ap_factor(A, b, partition):
     """Factor each block of ``partition`` once, for every sweep of a solve.
 
-    Returns one tuple (Q, z, u, zz, fro2) per block: Q is an orthonormal
-    basis of ran(A_B') left by rank filtering, z = Q'x, u = Q z the
-    projection of x onto ran(A_B'), zz = ||z||^2 and fro2 = ||A_B||_F^2.
+    Returns one tuple (Q, z, u, zz) per block: Q is an orthonormal basis
+    of ran(A_B') left by rank filtering, z = Q'x, u = Q z the projection
+    of x onto ran(A_B') and zz = ||z||^2.
     Rows are dropped, or a least-squares solve taken, as
     :func:`project_onto` would for W = [p, A_B']: the latter when the
     block has at least as many rows as A has columns.  Raises
@@ -149,10 +151,10 @@ def ap_factor(A, b, partition):
     blocks = []
     for start, stop in partition.blocks():
         W = A.rows_dense(start, stop).T
-        fro = float(np.linalg.norm(W))
-        Q, z = _filtered_qr(W, b[start:stop], RANK_TOL * fro,
+        Q, z = _filtered_qr(W, b[start:stop],
+                            RANK_TOL * float(np.linalg.norm(W)),
                             lstsq=stop - start >= A.ncols)
-        blocks.append((Q, z, Q @ z, float(np.dot(z, z)), fro * fro))
+        blocks.append((Q, z, Q @ z, float(np.dot(z, z))))
     return blocks
 
 
@@ -160,14 +162,16 @@ def ap_sweep(blocks, p, c):
     """One pass over the factored blocks, threading (p, c) through.
 
     Each step projects x onto span{p} + ran(A_B') = ran(Q) + span{p_perp}.
-    p_perp is dropped when its norm is at most RANK_TOL times the
-    Frobenius norm of [p, A_B'], the drop rule of :func:`project_onto`.
+    p_perp is dropped when its norm is at most RANK_TOL times that of p:
+    a rule relative to p, so that scaling b by a power of two, which
+    scales p, p_perp and every block's z by it, leaves each decision as
+    it was.
     """
-    for Q, z, u, zz, fro2 in blocks:
+    for Q, z, u, zz in blocks:
         q = Q.T @ p
         perp = p - Q @ q
         perp2 = float(np.dot(perp, perp))
-        if perp2 > RANK_TOL ** 2 * (float(np.dot(p, p)) + fro2):
+        if perp2 > RANK_TOL ** 2 * float(np.dot(p, p)):
             t = (c - float(np.dot(q, z))) / perp2
             p = u + t * perp
             c = zz + t * t * perp2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oaplib.ap as ap_mod
 from oaplib import (BlockPartition, CsrMatrix, DegenerateSeed, DenseMatrix,
                     DimensionMismatch, EmptySubspace, NonFiniteVector,
                     ap_factor, ap_init, ap_solve, ap_sweep, gen_convdiff2d,
@@ -10,19 +11,18 @@ from conftest import constructed_problem, oracle_projection
 
 
 class TestApInit:
-    def test_identity(self):
-        A = CsrMatrix.identity(2)
-        p, c = ap_init(A, np.array([3.0, 4.0]))
-        np.testing.assert_allclose(p, [3.0, 4.0], rtol=1e-15)
-        assert c == pytest.approx(25.0, rel=1e-15)
-
-    def test_diagonal_hand_arithmetic(self):
-        A = CsrMatrix.from_dense(np.diag([2.0, 3.0]))
-        p, c = ap_init(A, np.array([2.0, 3.0]))  # solution (1, 1)
-        np.testing.assert_allclose(p, [52.0 / 97.0, 117.0 / 97.0],
-                                   rtol=1e-14)
-        assert c == pytest.approx(169.0 / 97.0, rel=1e-14)
-        assert c == pytest.approx(np.dot([1.0, 1.0], p), rel=1e-13)
+    @pytest.mark.parametrize("make, b, x, want_p, want_c, rtol", [
+        (lambda: CsrMatrix.identity(2), [3.0, 4.0], [3.0, 4.0], [3.0, 4.0],
+         25.0, 1e-15),
+        (lambda: CsrMatrix.from_dense(np.diag([2.0, 3.0])), [2.0, 3.0],
+         [1.0, 1.0], [52.0 / 97.0, 117.0 / 97.0], 169.0 / 97.0, 1e-14)],
+        ids=["identity", "diag(2, 3)"])
+    def test_by_hand(self, make, b, x, want_p, want_c, rtol):
+        # x is the solution; c = x'p
+        p, c = ap_init(make(), np.array(b))
+        np.testing.assert_allclose(p, want_p, rtol=rtol)
+        assert c == pytest.approx(want_c, rel=rtol)
+        assert c == pytest.approx(np.dot(x, p), rel=1e-13)
 
     def test_constructed_consistency(self, rng):
         A, b, x_true = constructed_problem(rng, 8)
@@ -30,7 +30,12 @@ class TestApInit:
         slack = 1e-12 * norm2(x_true) * norm2(p)
         assert abs(c - np.dot(x_true, p)) <= slack
 
-    def test_degenerate(self):
+    @pytest.mark.parametrize("floor", [None, 0.0],
+                             ids=["breakdown floor", "floor 0"])
+    def test_degenerate(self, monkeypatch, floor):
+        # A'b = 0: at or below the floor, so degenerate at a floor of 0.0
+        if floor is not None:
+            monkeypatch.setattr(ap_mod, "breakdown_floor", lambda A: floor)
         A = CsrMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(DegenerateSeed):
             ap_init(A, np.array([0.0, 1.0]))  # A'b = 0
@@ -86,14 +91,6 @@ class TestApSweep:
         p, c = ap_sweep(blocks, *ap_init(A, b))
         assert norm2(p - x_true) <= 1e-10 * norm2(x_true)
 
-    def test_identity_exact_after_first_sweep(self, rng):
-        A = CsrMatrix.identity(6)
-        x_true = rng.standard_normal(6)
-        for k in (1, 2, 3):
-            blocks = ap_factor(A, x_true, BlockPartition.equal_blocks(6, k))
-            p, c = ap_sweep(blocks, *ap_init(A, x_true))
-            assert norm2(p - x_true) <= 1e-12 * norm2(x_true)
-
     def test_two_blocks_strictly_reduce_error(self, rng):
         A, b, x_true = constructed_problem(rng, 4)
         p, c = ap_init(A, b)
@@ -138,18 +135,36 @@ class TestApSweep:
         assert norm2(swept_p - p) <= 1e-12 * norm2(p)
         assert swept_c == pytest.approx(c, rel=1e-12)
 
-    def test_perp_dropped_when_p_lies_in_block_row_space(self, rng):
+    @pytest.mark.parametrize("start", ["seed", "zero"])
+    def test_perp_dropped_when_p_lies_in_block_row_space(self, rng, start):
         # one block of an underdetermined system: the seed alpha A'b is
-        # already in ran(A'), so the step keeps only the block projection
+        # already in ran(A'), and p = 0 (c = 0) has no p_perp at all, so
+        # the step keeps only the block projection
         A = DenseMatrix(rng.standard_normal((4, 7)))
         b = rng.standard_normal(4)
         (blk,) = ap_factor(A, b, BlockPartition.equal_blocks(4, 1))
-        _, _, u, zz, _ = blk
-        p, c = ap_sweep([blk], *ap_init(A, b))
+        _, _, u, zz = blk
+        p, c = ap_sweep([blk], *(ap_init(A, b) if start == "seed"
+                                 else (np.zeros(7), 0.0)))
         np.testing.assert_array_equal(p, u)
         assert c == zz
         x_min = np.linalg.pinv(A.to_dense()) @ b
         assert norm2(p - x_min) <= 1e-12 * norm2(x_min)
+
+    def test_a_small_perp_is_kept(self, rng):
+        # p_perp of 1e-9 ||p|| is above the drop rule's 1e-12 ||p||: the
+        # step projects x onto ran(Q) + span{p_perp}, not onto ran(Q)
+        A = DenseMatrix(rng.standard_normal((3, 6)))
+        x = rng.standard_normal(6)
+        (blk,) = ap_factor(A, A.apply(x), BlockPartition.equal_blocks(3, 1))
+        Q, _, u, _ = blk
+        w = rng.standard_normal(6)
+        for _ in range(2):
+            w -= Q @ (Q.T @ w)
+        w /= norm2(w)
+        p = u + 1e-9 * norm2(u) * w
+        p, _ = ap_sweep([blk], p, float(np.dot(x, p)))
+        assert norm2(p - (u + np.dot(w, x) * w)) <= 1e-5 * norm2(x)
 
     def test_dropped_perp_returns_a_copy_of_the_block_projection(self, rng):
         # the drop branch hands back u, which later sweeps reuse: writing
@@ -181,14 +196,17 @@ class TestApSweep:
 
 
 class TestApSolve:
-    def test_identity_single_sweep(self, rng):
-        A = CsrMatrix.identity(5)
-        b = rng.standard_normal(5)
-        x, report = ap_solve(A, b, BlockPartition.equal_blocks(5, 2))
+    @pytest.mark.parametrize("n, k", [(5, 2), (6, 1), (6, 2), (6, 3)])
+    def test_identity_single_sweep(self, rng, n, k):
+        # the first sweep is exact on the identity, whatever the blocks
+        A = CsrMatrix.identity(n)
+        b = rng.standard_normal(n)
+        x, report = ap_solve(A, b, BlockPartition.equal_blocks(n, k))
         assert report.termination == "converged"
         assert report.restarts == 1
         assert report.stop_causes == []  # sweeps are not cycles
         np.testing.assert_allclose(x, b, rtol=1e-12)
+        assert norm2(x - b) <= 1e-12 * norm2(b)
 
     def test_diagonal_two_blocks(self):
         A = CsrMatrix.from_dense(np.diag([2.0, 3.0]))
@@ -197,51 +215,26 @@ class TestApSolve:
         assert report.termination == "converged"
         assert report.final_relres <= 1e-12
 
-    @pytest.mark.parametrize("kwargs,match", [
-        ({"tol": float("nan")}, "tol must be positive"),
-        ({"tol": 0.0}, "tol must be positive"),
-        ({"max_sweeps": -1}, "max_sweeps must be >= 0"),
-        ({"max_sweeps": 2.5}, "max_sweeps must be a whole number"),
-        ({"max_sweeps": np.float64(1.5)}, "max_sweeps must be a whole number"),
-        ({"max_sweeps": 3.0}, "max_sweeps must be a whole number"),
-    ])
-    def test_rejects_bad_budget(self, kwargs, match):
-        with pytest.raises(ValueError, match=match):
-            ap_solve(CsrMatrix.identity(3), np.ones(3), **kwargs)
-
     def test_zero_max_sweeps_runs_no_sweep(self):
         x, report = ap_solve(CsrMatrix.identity(3), np.ones(3), max_sweeps=0)
         assert report.restarts == 0 and report.termination == "max-restarts"
 
-    def test_numpy_integer_max_sweeps_runs_as_the_int(self):
+    @pytest.mark.parametrize("given, budget", [(np.int64(7), 7),
+                                               (None, 5000)])
+    def test_budget_runs_as_its_whole_number(self, given, budget):
+        # a NumPy integer runs as the int, and None as the solver's
+        # default, which check_budget documents, the budget the CLI and
+        # the benchmark run; a tol no rounded residual meets spends the
+        # whole budget
         rng = np.random.default_rng(5)
         A = DenseMatrix(rng.standard_normal((6, 6)) + 6.0 * np.eye(6))
         b = rng.standard_normal(6)
         partition = BlockPartition.equal_blocks(6, 2)
-        want, _ = ap_solve(A, b, partition, tol=1e-300, max_sweeps=7)
-        x, report = ap_solve(A, b, partition, tol=1e-300,
-                             max_sweeps=np.int64(7))
-        assert report.restarts == 7 and x.tobytes() == want.tobytes()
-
-    def test_none_max_sweeps_is_the_default_of_5000(self):
-        # check_budget documents None as the solver's default, the budget
-        # the CLI and the benchmark run; a tol no rounded residual meets
-        # spends the whole budget
-        rng = np.random.default_rng(5)
-        A = DenseMatrix(rng.standard_normal((6, 6)) + 6.0 * np.eye(6))
-        b = rng.standard_normal(6)
-        partition = BlockPartition.equal_blocks(6, 2)
-        x, report = ap_solve(A, b, partition, tol=1e-300, max_sweeps=None)
-        assert report.restarts == 5000
+        want, _ = ap_solve(A, b, partition, tol=1e-300, max_sweeps=budget)
+        x, report = ap_solve(A, b, partition, tol=1e-300, max_sweeps=given)
+        assert report.restarts == budget
         assert report.termination == "max-restarts"
-        x_5000, _ = ap_solve(A, b, partition, tol=1e-300, max_sweeps=5000)
-        assert x.tobytes() == x_5000.tobytes()
-
-    def test_zero_rhs(self):
-        A = CsrMatrix.identity(3)
-        x, report = ap_solve(A, np.zeros(3))
-        assert report.termination == "converged"
-        np.testing.assert_array_equal(x, np.zeros(3))
+        assert x.tobytes() == want.tobytes()
 
     def test_convection_diffusion_baseline(self):
         problem = gen_convdiff2d(9, 10)
@@ -271,13 +264,18 @@ class TestApSolve:
         assert report.restarts > 1
         assert calls == list(partition.blocks())
 
-    def test_zero_rhs_factors_no_block(self, monkeypatch):
-        problem = gen_convdiff2d(9, 10)
+    @pytest.mark.parametrize("make, blocks", [
+        (lambda: CsrMatrix.identity(3), None),  # the default partition
+        (lambda: gen_convdiff2d(9, 10).A, 4)],
+        ids=["identity 3", "convdiff 9x10"])
+    def test_zero_rhs_factors_no_block(self, monkeypatch, make, blocks):
+        A = make()
         calls = self._spy_rows_dense(monkeypatch)
-        x, report = ap_solve(problem.A, np.zeros(90),
-                             BlockPartition.equal_blocks(90, 4))
+        partition = (None if blocks is None
+                     else BlockPartition.equal_blocks(A.nrows, blocks))
+        x, report = ap_solve(A, np.zeros(A.nrows), partition)
         assert report.termination == "converged"
-        np.testing.assert_array_equal(x, np.zeros(90))
+        np.testing.assert_array_equal(x, np.zeros(A.nrows))
         assert calls == []
 
     @pytest.mark.parametrize("bounds", [[0, 30, 60], [0, 60, 100]],
@@ -291,13 +289,11 @@ class TestApSolve:
 
 
 class TestBlockPartition:
-    def test_equal_blocks_remainder_in_last(self):
-        part = BlockPartition.equal_blocks(10, 3)
-        assert list(part.blocks()) == [(0, 3), (3, 6), (6, 10)]
-
-    def test_single_block(self):
-        part = BlockPartition.equal_blocks(4, 1)
-        assert list(part.blocks()) == [(0, 4)]
+    @pytest.mark.parametrize("nrows, k, want", [
+        (10, 3, [(0, 3), (3, 6), (6, 10)]),  # the remainder in the last
+        (4, 1, [(0, 4)])])
+    def test_equal_blocks(self, nrows, k, want):
+        assert list(BlockPartition.equal_blocks(nrows, k).blocks()) == want
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):

@@ -350,42 +350,29 @@ class TestSameBits:
             assert same(y, scipy_dia_matvec(n_row, n_col, offsets, data, x,
                                             transpose))
 
+    @pytest.mark.parametrize("transpose", [False, True], ids=["Av", "A'u"])
     @pytest.mark.parametrize("n_row, n_col, offsets", [
+        # an entry that no diagonal reaches is +0.0 from both products
         (7, 6, [1, 2]),      # no diagonal reaches rows 5, 6 or column 0
         (6, 7, [-2, -1]),    # nor row 0 or columns 5 and 6
         (5, 5, [-4, 4]),     # corners only: rows 1-3 and columns 1-3
         (4, 9, [0, 8]),      # columns 4-7
-    ])
-    def test_dia_matvec_of_empty_rows_and_columns(self, n_row, n_col,
-                                                  offsets):
-        # an entry that no diagonal reaches is +0.0 from both products
-        offsets = np.array(offsets, dtype=np.int32)
-        data = decades(np.random.Generator(np.random.PCG64(n_row + n_col)),
-                       (len(offsets), n_col))
-        for transpose, (n_in, n_out) in ((False, (n_col, n_row)),
-                                         (True, (n_row, n_col))):
-            (x,) = vectors(n_in, 1, seed=n_row)
-            y = np.full(n_out, np.nan)
-            c_dia_matvec(n_row, n_col, offsets, data, x, y, transpose)
-            assert same(y, scipy_dia_matvec(n_row, n_col, offsets, data, x,
-                                            transpose))
-
-    @pytest.mark.parametrize("transpose", [False, True], ids=["Av", "A'u"])
-    def test_dia_matvec_across_blocks(self, transpose):
         # diagonals far enough out to start and end inside other blocks
         # of 512 entries than their first and last entry's; square, tall
         # and wide
-        for n_row, n_col in ((3000, 3000), (3000, 2200), (2200, 3000)):
-            offsets = np.array([-1500, -513, -1, 0, 1, 511, n_col - 1],
-                               dtype=np.int32)
-            data = decades(np.random.Generator(np.random.PCG64(5)),
-                           (len(offsets), n_col))
-            n_in, n_out = (n_row, n_col) if transpose else (n_col, n_row)
-            (x,) = vectors(n_in, 1, seed=6)
-            y = np.full(n_out, np.nan)
-            c_dia_matvec(n_row, n_col, offsets, data, x, y, transpose)
-            assert same(y, scipy_dia_matvec(n_row, n_col, offsets, data, x,
-                                            transpose)), (n_row, n_col)
+        *((n_row, n_col, [-1500, -513, -1, 0, 1, 511, n_col - 1])
+          for n_row, n_col in ((3000, 3000), (3000, 2200), (2200, 3000)))])
+    def test_dia_matvec_of_chosen_diagonals(self, n_row, n_col, offsets,
+                                            transpose):
+        offsets = np.array(offsets, dtype=np.int32)
+        data = decades(np.random.Generator(np.random.PCG64(n_row + n_col)),
+                       (len(offsets), n_col))
+        n_in, n_out = (n_row, n_col) if transpose else (n_col, n_row)
+        (x,) = vectors(n_in, 1, seed=n_row)
+        y = np.full(n_out, np.nan)
+        c_dia_matvec(n_row, n_col, offsets, data, x, y, transpose)
+        assert same(y, scipy_dia_matvec(n_row, n_col, offsets, data, x,
+                                        transpose))
 
 
 class TestBranches:
@@ -692,6 +679,20 @@ class TestCompiledSteps:
         v1 /= np.linalg.norm(v1)
         assert compared_steps(A, v1, two_sided, steps) >= least
 
+    @pytest.mark.parametrize("zero", ["beta_prev", "gamma_prev"])
+    def test_each_previous_row_is_read_by_its_own_norm(self, zero):
+        # u_prev enters next_u with beta_prev and v_prev enters next_v
+        # with gamma_prev: the row of the zero norm is not read (it is
+        # NaN), the other one is
+        A = gen_convdiff2d(9, 10).A
+        v_prev, v, u_prev, u = vectors(A.nrows, 4, seed=61)
+        if zero == "beta_prev":
+            window = (v_prev, v, None, u, 0.0, 0.25)
+        else:
+            window = (None, v, u_prev, u, 0.5, 0.0)
+        alpha, beta, gamma = compare_steps(A, 2, window, True)[0]
+        assert np.isfinite([alpha, beta, gamma]).all()
+
     # (array, v1, step that stops, what): each stop of each engine
     STOPS = {
         # 1.5e308 + 1.5e308 overflows in A v: alpha is inf
@@ -751,17 +752,21 @@ class TestCompiledSteps:
             2.0, 0.0)),
     }
 
+    @pytest.mark.parametrize("floor", [None, 0.0],
+                             ids=["breakdown floor", "floor 0"])
     @pytest.mark.parametrize("layout, case", [
         (layout, case) for case in U_BREAKDOWNS
         for layout in ("banded", "csr", "dense")
         if layout != "banded" or case.startswith("diag(2")])
     def test_bidiag_u_side_breakdown_builds_no_v(self, monkeypatch, layout,
-                                                 case):
+                                                 case, floor):
         # no u_k, so no A'u_k and no v_{k+1}: the step returns before the
-        # transpose product, and the next-v row keeps its fill
+        # transpose product, and the next-v row keeps its fill; alpha is
+        # 0.0, below the breakdown floor and at a floor of 0.0
         a, k, window = self.U_BREAKDOWNS[case]
         A = operator(a, layout, monkeypatch)
-        (alpha, beta, gamma), _, after = compare_steps(A, k, window, False)
+        (alpha, beta, gamma), _, after = compare_steps(A, k, window, False,
+                                                       floor)
         assert alpha == beta == gamma == 0.0
         next_v, next_u, av = (np.frombuffer(after[i]) for i in (2, 6, 7))
         assert np.isnan(next_v).all()
@@ -778,12 +783,14 @@ def bad_vectors(n):
             "int64": np.ones(n, dtype=np.int64),
             "strided": np.ones(2 * n)[::2],
             "short": np.ones(n - 1),
+            "long": np.ones(n + 1),
             "2-D": np.ones((n, 1))}
 
 
 def same_values(vec, kind):
     """``vec``'s values as the malformed array ``kind`` of ``bad_vectors``
-    (its values exact in float32 and int64), or cut short or made 2-D."""
+    (its values exact in float32 and int64), or cut short, made longer or
+    made 2-D."""
     if kind == "float32":
         return vec.astype(np.float32)
     if kind == "int64":
@@ -792,12 +799,34 @@ def same_values(vec, kind):
         buf = np.zeros(2 * len(vec))
         buf[::2] = vec
         return buf[::2]
+    if kind == "long":
+        return np.append(vec, 1.0)
     return vec[:-1] if kind == "short" else vec[:, None]
 
 
 STEP_ROWS = {"tridiag": ("v_prev", "v", "u_prev", "u", "next_v", "next_u",
                          "av"),
              "bidiag": ("v", "u_prev", "next_v", "next_u", "av")}
+
+
+# the rows of each side of a step: v-side rows have A's column count
+V_SIDE = ("v_prev", "v", "next_v")
+# (engine, output, other): an output row and another row of its side
+OVERLAPS = [(engine, output, other) for engine, names in STEP_ROWS.items()
+            for output in ("next_v", "next_u", "av") for other in names
+            if other != output and (other in V_SIDE) == (output in V_SIDE)]
+
+
+def step_rows(A, engine, seed):
+    """The rows of ``engine``'s step on the square A, named as in
+    ``STEP_ROWS``, each from its own ``rows`` block and filled with
+    seeded values."""
+    names = STEP_ROWS[engine]
+    pairs = {name: kernels.rows(1, A.nrows)[0] for name in names}
+    for (row, _), values in zip(pairs.values(),
+                                vectors(A.nrows, len(names), seed)):
+        row[:] = values
+    return pairs
 
 
 def run_step(A, engine, pairs):
@@ -824,18 +853,23 @@ class TestGuards:
     @pytest.mark.parametrize("cycle", [oap_cycle_bidiag, oap_cycle_tridiag])
     @pytest.mark.parametrize("slot", ["v1", "rhs"])
     @pytest.mark.parametrize("bad", list(bad_vectors(4)))
-    def test_cycle_runs_on_checked_copies(self, cycle, slot, bad):
+    @pytest.mark.parametrize("make", [
+        lambda: gen_convdiff2d(4, 5).A,
+        lambda: CsrMatrix.from_dense(np.diag([2.0, 3.0]))],
+        ids=["convdiff 4x5", "diag(2, 3)"])
+    def test_cycle_runs_on_checked_copies(self, make, cycle, slot, bad):
         # a vector of another dtype or layout runs as its contiguous
-        # float64 copy, with the same bits; another shape is refused
-        A = gen_convdiff2d(4, 5).A
+        # float64 copy, with the same bits; another shape is refused,
+        # naming the vector
+        A = make()
         v1 = np.zeros(A.ncols)
-        v1[3] = 1.0
+        v1[3 % A.ncols] = 1.0
         rhs = np.ones(A.nrows)
         want = cycle(A, rhs, v1, 0.5)
         args = {"v1": v1, "rhs": rhs}
         args[slot] = same_values(args[slot], bad)
-        if bad in ("short", "2-D"):
-            with pytest.raises(DimensionMismatch):
+        if bad in ("short", "long", "2-D"):
+            with pytest.raises(DimensionMismatch, match=slot):
                 cycle(A, args["rhs"], args["v1"], 0.5)
             return
         got = cycle(A, args["rhs"], args["v1"], 0.5)
@@ -852,14 +886,50 @@ class TestGuards:
         # block: the step refuses it before it writes into any row
         A = gen_convdiff2d(4, 5).A
         n = A.nrows
-        names = STEP_ROWS[engine]
-        pairs = dict(zip(names, kernels.rows(len(names), n)))
+        pairs = step_rows(A, engine, seed=11)
         pairs[slot] = kernels.rows(1, n - 1 if length == "short" else n + 1)[0]
-        for (row, _), values in zip(pairs.values(),
-                                    vectors(n + 1, len(names), seed=11)):
-            row[:] = values[:len(row)]
+        pairs[slot][0][:] = vectors(n + 1, 1, seed=12)[0][:len(pairs[slot][0])]
         before = [row.tobytes() for row, _ in pairs.values()]
         with pytest.raises(DimensionMismatch, match=f"{engine}_step"):
+            run_step(A, engine, pairs)
+        assert [row.tobytes() for row, _ in pairs.values()] == before
+
+    @pytest.mark.parametrize("output", ["next_v", "next_u", "av"])
+    @pytest.mark.parametrize("engine", list(STEP_ROWS))
+    def test_step_refuses_a_read_only_output_row(self, engine, output):
+        # the step writes each output into the row it is handed; a row it
+        # cannot write is an error before any write, not a step that
+        # reads a stale row
+        A = gen_convdiff2d(9, 10).A
+        pairs = step_rows(A, engine, seed=13)
+        pairs[output][0].flags.writeable = False
+        before = [row.tobytes() for row, _ in pairs.values()]
+        with pytest.raises(ValueError,
+                           match=f"{engine}_step: row {output} is read-only"):
+            run_step(A, engine, pairs)
+        assert [row.tobytes() for row, _ in pairs.values()] == before
+
+    @pytest.mark.parametrize("shared", ["row", "one entry"])
+    @pytest.mark.parametrize("engine, output, other", OVERLAPS)
+    def test_step_refuses_an_output_row_that_overlaps_another(
+            self, engine, output, other, shared):
+        # an output that shares memory with an input, or with another
+        # output, would be read after the step has overwritten it:
+        # refused before any write, whether the two are one row or the
+        # other row starts at the output's last entry
+        A = gen_convdiff2d(9, 10).A
+        n = A.nrows
+        pairs = step_rows(A, engine, seed=14)
+        if shared == "row":
+            pairs[output] = pairs[other]
+        else:
+            block, ptr = kernels.rows(1, 2 * n - 1)[0]
+            block[:] = vectors(2 * n - 1, 1, seed=15)[0]
+            pairs[output] = (block[:n], ptr)
+            pairs[other] = (block[n - 1:], ptr + (n - 1))
+        before = [row.tobytes() for row, _ in pairs.values()]
+        with pytest.raises(ValueError,
+                           match=f"{engine}_step: an output row overlaps"):
             run_step(A, engine, pairs)
         assert [row.tobytes() for row, _ in pairs.values()] == before
 
@@ -1248,24 +1318,19 @@ def test_build_removes_the_modules_of_older_sources(tmp_path):
         keep + [os.path.basename(path)])
 
 
-def test_failed_build_removes_nothing(tmp_path):
+@pytest.mark.parametrize("text, named", [
+    ("this is not C\n", "this"),
+    ('#include "_kernels.h"\n'
+     'double oap_missing_semicolon(void) { return 1.0 }\n',
+     "oap_missing_semicolon")], ids=["not C", "missing semicolon"])
+def test_failed_build_raises_the_compiler_message_and_removes_nothing(
+        tmp_path, text, named):
     stale = tmp_path / ("_kernels_0123456789abcdef" + kernels._SUFFIX)
     stale.write_bytes(b"stale")
     source = tmp_path / "broken.c"
-    source.write_text("this is not C\n")
-    with pytest.raises(ImportError):
-        kernels._build(str(source), "_kernels_broken", str(tmp_path))
-    assert sorted(os.listdir(tmp_path)) == ["_kernels_0123456789abcdef"
-                                            + kernels._SUFFIX, "broken.c"]
-
-
-def test_broken_source_raises_import_error_with_the_compiler_message(
-        tmp_path):
-    source = tmp_path / "broken.c"
-    source.write_text('#include "_kernels.h"\n'
-                      'double oap_missing_semicolon(void) { return 1.0 }\n')
+    source.write_text(text)
     with pytest.raises(ImportError) as err:
         kernels._build(str(source), "_kernels_broken", str(tmp_path))
     message = str(err.value)
-    assert "error" in message and "oap_missing_semicolon" in message
-    assert os.listdir(tmp_path) == ["broken.c"]  # no module, no temp dir
+    assert "error" in message and named in message
+    assert sorted(os.listdir(tmp_path)) == [stale.name, "broken.c"]

@@ -52,9 +52,19 @@ def kernels(monkeypatch):
 
 
 class TestApply:
-    def test_identity_csr(self):
-        A = CsrMatrix.identity(3)
-        np.testing.assert_array_equal(A.apply([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("make, product, x, want", [
+        (lambda: CsrMatrix.identity(3), "apply", [1.0, 2.0, 3.0],
+         [1.0, 2.0, 3.0]),
+        (lambda: CsrMatrix.identity(2), "apply_transpose", [4.0, 5.0],
+         [4.0, 5.0]),
+        # a column and a row of [[1, 1], [0, 1]] read off
+        (lambda: DenseMatrix([[1.0, 1.0], [0.0, 1.0]]), "apply", [1.0, 0.0],
+         [1.0, 0.0]),
+        (lambda: DenseMatrix([[1.0, 1.0], [0.0, 1.0]]), "apply_transpose",
+         [1.0, 0.0], [1.0, 1.0])],
+        ids=["identity 3", "identity 2 A'", "dense column", "dense row"])
+    def test_hand_products(self, make, product, x, want):
+        np.testing.assert_array_equal(getattr(make(), product)(x), want)
 
     def test_tridiag_stencil_hand_expansion(self):
         A = gen_tridiag_unsym(3).A
@@ -62,10 +72,6 @@ class TestApply:
         np.testing.assert_allclose(got, [0.9, -0.1, 1.0], atol=1e-15)
         # cross-check against the dense representation
         np.testing.assert_allclose(got, A.to_dense() @ np.ones(3), atol=1e-15)
-
-    def test_dense_column_readoff(self):
-        A = DenseMatrix([[1.0, 1.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(A.apply([1.0, 0.0]), [1.0, 0.0])
 
     def test_empty_rows_and_columns(self):
         # row 1 empty; column 0 never referenced by the transpose scatter
@@ -81,33 +87,6 @@ class TestApply:
         np.testing.assert_array_equal(A.apply_transpose([1.0, 2.0, 3.0, 4.0]),
                                       [1.0, 9.0, 2.0, 12.0, 0.0])
 
-    # the kernels read x unchecked, so no bad vector may reach them
-    @pytest.mark.parametrize("name", ["4x5, empty trailing row and column",
-                                      "banded 40x44"])
-    @pytest.mark.parametrize("bad", ["short", "long", "2-D", "empty"])
-    @pytest.mark.parametrize("product", ["apply", "apply_transpose"])
-    def test_dimension_mismatch(self, kernels, product, bad, name):
-        A = build(name)
-        n = A.ncols if product == "apply" else A.nrows
-        x = {"short": np.ones(n - 1), "long": np.ones(n + 1),
-             "2-D": np.ones((1, n)), "empty": np.ones(0)}[bad]
-        A._operator  # layout picked up front: a call recorded below is a product
-        kernels.calls.clear()
-        kernels.run = False  # a product that slipped through reads no memory
-        with pytest.raises(DimensionMismatch):
-            getattr(A, product)(x)
-        assert kernels.calls == []
-
-
-class TestApplyTranspose:
-    def test_identity(self):
-        A = CsrMatrix.identity(2)
-        np.testing.assert_array_equal(A.apply_transpose([4.0, 5.0]), [4.0, 5.0])
-
-    def test_dense_row_readoff(self):
-        A = DenseMatrix([[1.0, 1.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(A.apply_transpose([1.0, 0.0]), [1.0, 1.0])
-
     def test_adjoint_identity_random_csr(self, rng):
         A = random_sparse(rng, 8)
         bound = 1e-13
@@ -118,18 +97,16 @@ class TestApplyTranspose:
             rhs = dot(u, A.apply(v))
             assert abs(lhs - rhs) <= bound * max(abs(lhs), abs(rhs), 1.0)
 
-    def test_dimension_mismatch(self):
-        A = DenseMatrix(np.ones((3, 2)))
-        with pytest.raises(DimensionMismatch):
-            A.apply_transpose(np.ones(2))
-
 
 class TestVectorOps:
-    def test_dot_orthogonal(self):
-        assert dot([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_dot_direct(self):
-        assert dot([1.0, 2.0], [3.0, 4.0]) == 11.0
+    @pytest.mark.parametrize("value, want", [
+        (lambda: dot([1.0, 0.0], [0.0, 1.0]), 0.0),
+        (lambda: dot([1.0, 2.0], [3.0, 4.0]), 11.0),
+        (lambda: norm2([0.0, 0.0, 0.0]), 0.0),
+        (lambda: norm2([3.0, 4.0]), 5.0)],
+        ids=["dot orthogonal", "dot", "norm of zero", "norm 3-4-5"])
+    def test_by_hand(self, value, want):
+        assert value() == want
 
     def test_dot_norm_consistency(self, rng):
         v = rng.standard_normal(40)
@@ -138,12 +115,6 @@ class TestVectorOps:
     def test_dot_mismatch(self):
         with pytest.raises(DimensionMismatch):
             dot([1.0], [1.0, 2.0])
-
-    def test_norm_zero(self):
-        assert norm2([0.0, 0.0, 0.0]) == 0.0
-
-    def test_norm_pythagorean(self):
-        assert norm2([3.0, 4.0]) == 5.0
 
     def test_norm_homogeneity(self, rng):
         v = rng.standard_normal(25)
@@ -155,69 +126,51 @@ class TestVectorOps:
             as_vector([1.0, np.nan])
 
 
-class TestCsrValidation:
-    def test_bad_offsets_start(self):
-        with pytest.raises(ValueError):
-            CsrMatrix(2, 2, [1, 1, 2], [0, 1], [1.0, 1.0])
-
-    def test_decreasing_offsets(self):
-        with pytest.raises(ValueError):
-            CsrMatrix(2, 2, [0, 2, 1], [0, 1], [1.0, 1.0])
-
-    def test_column_out_of_range(self):
-        with pytest.raises(ValueError):
-            CsrMatrix(2, 2, [0, 1, 2], [0, 2], [1.0, 1.0])
-
-    def test_duplicate_columns_in_row(self):
-        with pytest.raises(ValueError):
-            CsrMatrix(1, 3, [0, 2], [1, 1], [1.0, 2.0])
-
-    def test_unsorted_columns_in_row(self):
-        with pytest.raises(ValueError):
-            CsrMatrix(1, 3, [0, 2], [2, 0], [1.0, 2.0])
-
-    def test_from_coo_duplicates(self):
-        with pytest.raises(ValueError):
-            CsrMatrix.from_coo(2, 2, [0, 0], [1, 1], [1.0, 2.0])
-
-    def test_from_coo_negative_row(self):
+class TestValidation:
+    # name -> (construction, error, message)
+    REFUSED = {
+        "offsets start": (lambda: CsrMatrix(2, 2, [1, 1, 2], [0, 1],
+                                            [1.0, 1.0]), ValueError, None),
+        "decreasing offsets": (lambda: CsrMatrix(2, 2, [0, 2, 1], [0, 1],
+                                                 [1.0, 1.0]), ValueError, None),
+        "column out of range": (lambda: CsrMatrix(2, 2, [0, 1, 2], [0, 2],
+                                                  [1.0, 1.0]), ValueError, None),
+        "duplicate columns in a row": (lambda: CsrMatrix(
+            1, 3, [0, 2], [1, 1], [1.0, 2.0]), ValueError, None),
+        "unsorted columns in a row": (lambda: CsrMatrix(
+            1, 3, [0, 2], [2, 0], [1.0, 2.0]), ValueError, None),
+        "from_coo duplicates": (lambda: CsrMatrix.from_coo(
+            2, 2, [0, 0], [1, 1], [1.0, 2.0]), ValueError, None),
         # np.add.at would wrap -2 to row 0 and place the entry in row 1
-        with pytest.raises(ValueError, match="row index out of range"):
-            CsrMatrix.from_coo(2, 2, [-2], [0], [1.0])
+        "from_coo negative row": (lambda: CsrMatrix.from_coo(
+            2, 2, [-2], [0], [1.0]), ValueError, "row index out of range"),
+        "from_coo row past the end": (lambda: CsrMatrix.from_coo(
+            2, 2, [2], [0], [1.0]), ValueError, "row index out of range"),
+        "from_coo lengths differ": (lambda: CsrMatrix.from_coo(
+            2, 2, [0, 1], [0], [1.0]), ValueError, "differ in length"),
+        "negative dimensions": (lambda: CsrMatrix(-1, 2, [0], [], []),
+                                ValueError, "negative dimensions"),
+        "offsets of another length": (lambda: CsrMatrix(2, 2, [0, 1], [0],
+                                                        [1.0]),
+                                      ValueError, "row_offsets length"),
+        "CSR non-finite value": (lambda: CsrMatrix(1, 1, [0, 1], [0],
+                                                   [np.nan]),
+                                 NonFiniteVector, None),
+        "dense values not 2-D": (lambda: DenseMatrix(np.ones(3)), ValueError,
+                                 "must be 2-D"),
+        "dense non-finite value": (lambda: DenseMatrix([[np.nan]]),
+                                   NonFiniteVector, None),
+    }
 
-    def test_from_coo_row_past_end(self):
-        with pytest.raises(ValueError, match="row index out of range"):
-            CsrMatrix.from_coo(2, 2, [2], [0], [1.0])
-
-    def test_from_coo_lengths_differ(self):
-        with pytest.raises(ValueError, match="differ in length"):
-            CsrMatrix.from_coo(2, 2, [0, 1], [0], [1.0])
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_refused(self, case):
+        make, error, message = self.REFUSED[case]
+        with pytest.raises(error, match=message):
+            make()
 
     def test_empty_rows_allowed(self):
         A = CsrMatrix(3, 3, [0, 1, 1, 2], [0, 2], [5.0, 7.0])
         np.testing.assert_array_equal(A.apply([1.0, 1.0, 1.0]), [5.0, 0.0, 7.0])
-
-    def test_negative_dimensions(self):
-        with pytest.raises(ValueError, match="negative dimensions"):
-            CsrMatrix(-1, 2, [0], [], [])
-
-    def test_offsets_of_another_length(self):
-        with pytest.raises(ValueError, match="row_offsets length"):
-            CsrMatrix(2, 2, [0, 1], [0], [1.0])
-
-    def test_non_finite_value(self):
-        with pytest.raises(NonFiniteVector):
-            CsrMatrix(1, 1, [0, 1], [0], [np.nan])
-
-
-class TestDenseValidation:
-    def test_values_not_2d(self):
-        with pytest.raises(ValueError, match="must be 2-D"):
-            DenseMatrix(np.ones(3))
-
-    def test_non_finite_value(self):
-        with pytest.raises(NonFiniteVector):
-            DenseMatrix([[np.nan]])
 
 
 def coo_of(A):
@@ -847,6 +800,15 @@ def test_norm2_rounds_like_numpy_norm():
                 == np.float64(np.linalg.norm(v)).tobytes())
 
 
+def test_aligned_empty_starts_a_cache_line():
+    # numpy aligns to 16 bytes only; each array is kept, so each has its
+    # own buffer and its own offset from a cache line
+    arrays = [oaplib.linalg.aligned_empty((k, 3)) for k in range(1, 33)]
+    assert all(a.ctypes.data % 64 == 0 and a.shape == (k, 3)
+               and a.flags.c_contiguous
+               for k, a in enumerate(arrays, 1))
+
+
 def test_implementation_name_is_scipy():
     assert backend_name() == "scipy"
 
@@ -857,11 +819,12 @@ VECTOR_OPERATORS.update({
     "dense 5x5": lambda: DenseMatrix(np.arange(25.0).reshape(5, 5) % 7 - 3),
     "dense 6x4": lambda: DenseMatrix(np.arange(24.0).reshape(6, 4) % 5 - 2),
     "dense 4x6": lambda: DenseMatrix(np.arange(24.0).reshape(4, 6) % 5 - 2),
+    "dense 3x2": lambda: DenseMatrix(np.ones((3, 2))),
 })
 PRODUCTS = pytest.mark.parametrize("product", ["apply", "apply_transpose"])
 # one operator of each layout, with a rectangular banded one
-LAYOUT_OPERATORS = pytest.mark.parametrize(
-    "name", ["convdiff 7x5", "banded 40x44", "scattered 7x11", "dense 6x4"])
+LAYOUT_NAMES = ["convdiff 7x5", "banded 40x44", "scattered 7x11", "dense 6x4"]
+LAYOUT_OPERATORS = pytest.mark.parametrize("name", LAYOUT_NAMES)
 
 
 def product_sizes(A, product):
@@ -943,10 +906,12 @@ class TestProductVector:
         assert getattr(A, product)(v).tobytes() == want.tobytes()
         assert np.array(v).tobytes() == before
 
+    # the kernels read x unchecked, so no bad vector may reach them
     @PRODUCTS
     @pytest.mark.parametrize("kind", ["short", "long", "row", "column",
                                       "empty", "scalar"])
-    @LAYOUT_OPERATORS
+    @pytest.mark.parametrize("name", [
+        *LAYOUT_NAMES, "4x5, empty trailing row and column", "dense 3x2"])
     def test_bad_vector_is_refused_before_any_kernel(self, kernels, name,
                                                      product, kind):
         A = VECTOR_OPERATORS[name]()

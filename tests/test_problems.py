@@ -93,13 +93,6 @@ class TestPoissonLShape:
 
 
 class TestTridiagUnsym:
-    def test_three_by_three_rows(self):
-        p = gen_tridiag_unsym(3)
-        np.testing.assert_allclose(
-            p.A.to_dense(),
-            [[2.0, -1.1, 0.0], [-1.0, 2.0, -1.1], [0.0, -1.0, 2.0]],
-            rtol=1e-15)
-
     def test_asymmetry_is_point_one(self):
         p = gen_tridiag_unsym(6)
         skew = p.A.to_dense() - p.A.to_dense().T
@@ -110,8 +103,11 @@ class TestTridiagUnsym:
         p = gen_tridiag_unsym(600)
         assert np.linalg.cond(p.A.to_dense()) > 1e12
 
-    def test_constructed_solution(self):
-        p = gen_tridiag_unsym(50)
+    @pytest.mark.parametrize("make", [lambda: gen_tridiag_unsym(50),
+                                      lambda: gen_random_dense(64, seed=2)],
+                             ids=["tridiag-unsym 50", "random-dense 64"])
+    def test_constructed_solution(self, make):
+        p = make()
         assert norm2(p.A.apply(p.x_true) - p.b) <= 1e-12 * norm2(p.b)
 
 
@@ -156,8 +152,8 @@ class TestEntryByEntry:
         assert len(nodes) == lshape_size(m)
         np.testing.assert_array_equal(gen_poisson_lshape(m).A.to_dense(), want)
 
-    def test_tridiag(self):
-        n = 5
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_tridiag(self, n):
         want = np.zeros((n, n))
         for i in range(n):
             want[i, i] = 2.0
@@ -175,12 +171,6 @@ class TestEntryByEntry:
 
 
 class TestRandomDense:
-    def test_deterministic_bitwise(self):
-        a = gen_random_dense(40, seed=7)
-        b = gen_random_dense(40, seed=7)
-        assert np.array_equal(a.A.values, b.A.values)
-        assert np.array_equal(a.b, b.b)
-
     def test_entries_in_unit_interval(self):
         p = gen_random_dense(300, seed=11)
         assert p.A.values.min() > 0.0
@@ -190,10 +180,6 @@ class TestRandomDense:
         p = gen_random_dense(300, seed=11)
         lu, piv = scipy.linalg.lu_factor(p.A.values)
         assert np.min(np.abs(np.diag(lu))) > 0.0
-
-    def test_constructed_solution(self):
-        p = gen_random_dense(64, seed=2)
-        assert norm2(p.A.apply(p.x_true) - p.b) <= 1e-12 * norm2(p.b)
 
     @pytest.mark.parametrize("n", [1, 7, 300])
     def test_block_is_cache_aligned_with_the_streams_entries(self, n):
@@ -206,15 +192,12 @@ class TestRandomDense:
 
 
 class TestSampleSolution:
-    def test_exp1_midpoint_value(self):
-        x = sample_solution("exp1", 3)
-        assert x[1] == pytest.approx(0.25 * np.exp(0.5), rel=1e-15)
-        assert x[1] == pytest.approx(0.41218031767503205, rel=1e-15)
-
     def test_exp1_grid_points(self):
         x = sample_solution("exp1", 3)
         t = np.array([0.25, 0.5, 0.75])
         np.testing.assert_allclose(x, t * (1 - t) * np.exp(t), rtol=1e-15)
+        # the midpoint, 0.25 e^0.5
+        assert x[1] == pytest.approx(0.41218031767503205, rel=1e-15)
 
     def test_exp3_endpoint_is_zero(self):
         x = sample_solution("exp3", 10)
@@ -240,9 +223,12 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec("hilbert").generate()
 
-    def test_generators_pure(self):
-        a = ProblemSpec("convdiff2d", nx=4, ny=5).generate()
-        b = ProblemSpec("convdiff2d", nx=4, ny=5).generate()
+    @pytest.mark.parametrize("spec", [
+        ProblemSpec("convdiff2d", nx=4, ny=5),
+        ProblemSpec("random-dense", n=40, seed=7)])
+    def test_generators_pure(self, spec):
+        # bit for bit the same problem from the same spec
+        a, b = spec.generate(), spec.generate()
         assert np.array_equal(a.A.values, b.A.values)
         assert np.array_equal(a.b, b.b)
 

@@ -4,7 +4,6 @@ import pytest
 import oaplib.reductions as reductions
 from oaplib import (CsrMatrix, DenseMatrix, NumericalOverflow, bidiag_step,
                     gen_convdiff2d, tridiag_step)
-from oaplib._kernels import rows
 from oaplib.reductions import breakdown_floor
 
 from conftest import (full_reduction, gram_defect, numpy_bidiag_step,
@@ -24,6 +23,10 @@ def first_step(A, v1, u1=None):
     bidiagonal one when u1 is None, as ``window_step`` runs it."""
     return window_step(A, 1, breakdown_floor(A), (None, v1, None, u1, 0.0, 0.0),
                        u1 is not None)
+
+
+def test_breakdown_floor_is_1e_13_times_the_frobenius_norm():
+    assert breakdown_floor(CsrMatrix.from_dense(np.diag([3.0, 4.0]))) == 5e-13
 
 
 class TestTridiagStep:
@@ -116,33 +119,32 @@ def bidiagonal(A, v1, steps, reorthogonalize=False):
     return full_reduction(A, v1, None, steps, reorthogonalize)
 
 
-class TestTwoSidedFullBasis:
-    """Many two-sided steps, their bases kept by ``full_reduction``."""
+class TestFullBasis:
+    """Many steps, their bases kept by ``full_reduction``."""
 
-    def test_orthonormal_bases_with_reorthogonalization(self, rng):
-        A = DenseMatrix(random_wellcond(rng, 20))
-        v1, u1 = e(0, 20), e(0, 20)
-        *_, V, U, broke = two_sided(A, v1, u1, 19, reorthogonalize=True)
+    @pytest.mark.parametrize("two_sided", [True, False],
+                             ids=["tridiagonal", "bidiagonal"])
+    def test_orthonormal_bases_and_banded_reduction(self, rng, two_sided):
+        # with re-projection both bases are orthonormal, and U'AV is
+        # tridiagonal (two-sided) or upper bidiagonal, its bands the
+        # recurrence's scalars
+        dense = random_wellcond(rng, 20)
+        alphas, betas, gammas, V, U, broke = full_reduction(
+            DenseMatrix(dense), e(0, 20), e(0, 20) if two_sided else None,
+            19, reorthogonalize=True)
         assert broke is None
         assert gram_defect(V) <= 1e-12
         assert gram_defect(U) <= 1e-12
-
-    def test_reduction_is_tridiagonal(self, rng):
-        dense = random_wellcond(rng, 20)
-        A = DenseMatrix(dense)
-        v1, u1 = e(0, 20), e(0, 20)
-        alphas, betas, gammas, V, U, _ = two_sided(A, v1, u1, 19,
-                                                   reorthogonalize=True)
         T = U.T @ dense @ V
-        off_band = T - np.triu(np.tril(T, 1), -1)
+        off_band = T - np.triu(np.tril(T, 1), -1 if two_sided else 0)
         assert np.max(np.abs(off_band)) <= 1e-10
-        # band entries match the recurrence scalars
-        np.testing.assert_allclose(np.diag(T)[:len(alphas)], alphas,
-                                   atol=1e-10)
-        np.testing.assert_allclose(np.diag(T, 1)[:len(betas)], betas,
-                                   atol=1e-10)
-        np.testing.assert_allclose(np.diag(T, -1)[:len(gammas)], gammas,
-                                   atol=1e-10)
+        for band, scalars in ((0, alphas), (1, betas), (-1, gammas)):
+            np.testing.assert_allclose(np.diag(T, band)[:len(scalars)],
+                                       scalars, atol=1e-10)
+
+
+class TestTwoSidedFullBasis:
+    """Many two-sided steps, their bases kept by ``full_reduction``."""
 
     def test_agrees_with_full_gram_schmidt_oracle(self, rng):
         dense = random_wellcond(rng, 15)
@@ -162,21 +164,6 @@ class TestTwoSidedFullBasis:
 
 class TestBidiagonalFullBasis:
     """Many bidiagonal steps, their bases kept by ``full_reduction``."""
-
-    def test_orthonormal_bases_with_reorthogonalization(self, rng):
-        A = DenseMatrix(random_wellcond(rng, 20))
-        *_, V, U, broke = bidiagonal(A, e(0, 20), 19, reorthogonalize=True)
-        assert broke is None
-        assert gram_defect(V) <= 1e-12
-        assert gram_defect(U) <= 1e-12
-
-    def test_reduction_is_upper_bidiagonal(self, rng):
-        dense = random_wellcond(rng, 20)
-        *_, V, U, _ = bidiagonal(DenseMatrix(dense), e(0, 20), 19,
-                                 reorthogonalize=True)
-        T = U.T @ dense @ V
-        off = T - np.triu(np.tril(T, 1))
-        assert np.max(np.abs(off)) <= 1e-10
 
     def test_rotation_matrix_unit_alphas(self, rng):
         q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
@@ -372,70 +359,3 @@ class TestInPlaceSteps:
             for M, r_M in ((V, r_V), (U, r_U)):
                 for j in range(M.shape[1]):
                     assert M[:, j].tobytes() == r_M[:, j].tobytes()
-
-    @staticmethod
-    def step_on(A, two_sided, pairs):
-        """Step 1 of the engine on the named row pairs."""
-        floor = breakdown_floor(A)
-        if two_sided:
-            return tridiag_step(A, 1, floor, pairs["v_prev"], pairs["v"],
-                                pairs["u_prev"], pairs["u"], 0.0, 0.0,
-                                pairs["next_v"], pairs["next_u"], pairs["av"])
-        return bidiag_step(A, 1, floor, pairs["v"], pairs["u_prev"], 0.0,
-                           pairs["next_v"], pairs["next_u"], pairs["av"])
-
-    def window_rows(self, rng, A):
-        v1 = self.unit(rng, A.ncols)
-        v_rows, u_rows = rows(3, A.ncols), rows(4, A.nrows)
-        v_rows[1][0][:] = u_rows[1][0][:] = v1
-        return dict(zip(("v_prev", "v", "next_v", "u_prev", "u", "next_u",
-                         "av"), v_rows + u_rows))
-
-    @ENGINES
-    @pytest.mark.parametrize("row", ["av", "next_v"])
-    def test_read_only_product_row_is_refused(self, rng, two_sided, row):
-        # the step writes each product into the row it is handed; a row
-        # it cannot write is an error before its kernel runs, not a step
-        # that reads a stale row
-        A = gen_convdiff2d(9, 10).A
-        pairs = self.window_rows(rng, A)
-        target = pairs[row]
-        target[0][:] = 0.0
-        target[0].flags.writeable = False
-        name = "tridiag_step" if two_sided else "bidiag_step"
-        with pytest.raises(ValueError, match=f"{name}: row {row} is read-only"):
-            self.step_on(A, two_sided, pairs)
-        assert not target[0].any()
-
-    @ENGINES
-    def test_read_only_next_u_is_refused_before_any_write(self, rng,
-                                                          two_sided):
-        A = gen_convdiff2d(9, 10).A
-        pairs = self.window_rows(rng, A)
-        pairs["next_u"][0].flags.writeable = False
-        before = [row.tobytes() for row, _ in pairs.values()]
-        with pytest.raises(ValueError, match="row next_u is read-only"):
-            self.step_on(A, two_sided, pairs)
-        assert [row.tobytes() for row, _ in pairs.values()] == before
-
-    @ENGINES
-    @pytest.mark.parametrize("output", ["next_v", "next_u", "av"])
-    def test_output_row_aliasing_another_row_is_refused(self, rng,
-                                                        two_sided, output):
-        # an output that is also an input, or another output, would be
-        # read after the step has overwritten it: refused before any write
-        A = gen_convdiff2d(9, 10).A
-        inputs = (("v_prev", "v", "u_prev", "u") if two_sided
-                  else ("v", "u_prev"))
-        same_side = (("v_prev", "v", "next_v") if output == "next_v"
-                     else ("u_prev", "u", "next_u", "av"))
-        others = [name for name in same_side if name != output
-                  and (name in inputs or name.startswith(("next", "av")))]
-        assert others
-        for other in others:
-            pairs = self.window_rows(rng, A)
-            pairs[output] = pairs[other]
-            before = [row.tobytes() for row, _ in pairs.values()]
-            with pytest.raises(ValueError, match="overlaps"):
-                self.step_on(A, two_sided, pairs)
-            assert [row.tobytes() for row, _ in pairs.values()] == before

@@ -25,21 +25,30 @@ def diag23():
 
 
 class TestInitFromVector:
-    def test_diagonal_hand_arithmetic(self):
-        A = diag23()
-        rhs = np.array([2.0, 3.0])  # solution (1, 1)
-        v1, c1 = init_from_vector(A, rhs, rhs)
-        np.testing.assert_allclose(v1, np.array([4.0, 9.0]) / np.sqrt(97.0),
-                                   rtol=1e-15)
-        assert c1 == pytest.approx(13.0 / np.sqrt(97.0), rel=1e-15)
-        assert c1 == pytest.approx(np.dot([1.0, 1.0], v1), rel=1e-14)
+    # case -> (A, rhs, w, solution, v1, c1, rtol): w = rhs seeds from A'b,
+    # w = e_i from row i (v1 = A_i'/||A_i||, c1 = rhs_i/||A_i||)
+    BY_HAND = {
+        "diag(2, 3)": (diag23, [2.0, 3.0], [2.0, 3.0], [1.0, 1.0],
+                       np.array([4.0, 9.0]) / np.sqrt(97.0),
+                       13.0 / np.sqrt(97.0), 1e-15),
+        "identity": (lambda: CsrMatrix.identity(6), np.arange(1.0, 7.0),
+                     np.arange(1.0, 7.0), np.arange(1.0, 7.0),
+                     np.arange(1.0, 7.0) / np.sqrt(91.0), np.sqrt(91.0),
+                     1e-15),
+        "row seed, diag(2, 3)": (diag23, [2.0, 3.0], [1.0, 0.0], [1.0, 1.0],
+                                 [1.0, 0.0], 1.0, 0.0),
+        "row seed": (lambda: DenseMatrix([[3.0, 4.0], [0.0, 1.0]]),
+                     [10.0, 1.0], [1.0, 0.0], [2.0, 1.0], [0.6, 0.8], 2.0,
+                     1e-15),
+    }
 
-    def test_identity(self, rng):
-        A = CsrMatrix.identity(6)
-        b = rng.standard_normal(6)
-        v1, c1 = init_from_vector(A, b, b)
-        np.testing.assert_allclose(v1, b / norm2(b), rtol=1e-15)
-        assert c1 == pytest.approx(norm2(b), rel=1e-15)
+    @pytest.mark.parametrize("case", BY_HAND)
+    def test_by_hand(self, case):
+        make, rhs, w, x, want_v1, want_c1, rtol = self.BY_HAND[case]
+        v1, c1 = init_from_vector(make(), np.array(rhs), w)
+        np.testing.assert_allclose(v1, want_v1, rtol=rtol, atol=0.0)
+        assert c1 == pytest.approx(want_c1, rel=rtol, abs=0.0)
+        assert c1 == pytest.approx(np.dot(x, v1), rel=1e-14)
 
     def test_constructed_solution_consistency(self, rng):
         A, b, x_true = constructed_problem(rng, 10)
@@ -47,7 +56,13 @@ class TestInitFromVector:
         v1, c1 = init_from_vector(A, b, w)
         assert abs(c1 - np.dot(x_true, v1)) <= 1e-12 * norm2(x_true)
 
-    def test_degenerate_seed(self):
+    @pytest.mark.parametrize("floor", [None, 0.0],
+                             ids=["breakdown floor", "floor 0"])
+    def test_degenerate_seed(self, monkeypatch, floor):
+        # A'w = 0: at or below the floor, so degenerate at a floor of 0.0
+        if floor is not None:
+            monkeypatch.setattr(solvers_mod, "breakdown_floor",
+                                lambda A: floor)
         A = CsrMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(DegenerateSeed):
             init_from_vector(A, np.ones(2), np.array([0.0, 1.0]))
@@ -60,52 +75,25 @@ class TestInitFromVector:
             with pytest.raises(NumericalOverflow):
                 init_from_vector(A, b, b)
 
-    def test_row_seed_diagonal(self):
-        # w = e_i seeds from row i: v1 = A_i'/||A_i||, c1 = rhs_i/||A_i||
-        v1, c1 = init_from_vector(diag23(), np.array([2.0, 3.0]), [1.0, 0.0])
-        np.testing.assert_array_equal(v1, [1.0, 0.0])
-        assert c1 == 1.0
-
-    def test_row_seed_hand_arithmetic(self):
-        A = DenseMatrix([[3.0, 4.0], [0.0, 1.0]])
-        v1, c1 = init_from_vector(A, np.array([10.0, 1.0]), [1.0, 0.0])
-        np.testing.assert_allclose(v1, [0.6, 0.8], rtol=1e-15)
-        assert c1 == pytest.approx(2.0, rel=1e-15)
-        assert c1 == pytest.approx(np.dot([2.0, 1.0], v1), rel=1e-14)
-
 
 class TestCoefficientUpdates:
-    def test_tridiag_formula_collapse(self):
-        assert c_update_tridiag(5.0, 0.0, 1.0, 0.0, 123.0, -7.0) == 5.0
+    @pytest.mark.parametrize("update, args, want", [
+        (c_update_tridiag, (5.0, 0.0, 1.0, 0.0, 123.0, -7.0), 5.0),
+        (c_update_tridiag, (7.0, 2.0, 2.0, 1.0, 1.0, 1.0), 2.0),
+        (c_update_bidiag, (3.0, 0.0, 1.0, 9.0), 3.0),
+        (c_update_bidiag, (10.0, 2.0, 4.0, 3.0), 1.0)],
+        ids=["tridiag collapse", "tridiag", "bidiag collapse", "bidiag"])
+    def test_by_hand(self, update, args, want):
+        assert update(*args) == want
 
-    def test_tridiag_direct(self):
-        assert c_update_tridiag(7.0, 2.0, 2.0, 1.0, 1.0, 1.0) == 2.0
-
-    def test_bidiag_collapse(self):
-        assert c_update_bidiag(3.0, 0.0, 1.0, 9.0) == 3.0
-
-    def test_bidiag_direct(self):
-        assert c_update_bidiag(10.0, 2.0, 4.0, 3.0) == 1.0
-
-    def test_tridiag_tracks_true_coefficients(self, rng):
+    @pytest.mark.parametrize("engine", ["tridiagonal", "bidiagonal"])
+    def test_tracks_true_coefficients(self, rng, engine):
         dense = random_wellcond(rng, 15)
         A = DenseMatrix(dense)
         x_true = rng.standard_normal(15)
         b = A.apply(x_true)
         v1, c1 = init_from_vector(A, b, b)
-        cs, V, *_ = exact_cycle(A, b, v1, c1, 10, "tridiagonal")
-        assert len(cs) == 11
-        for k, c in enumerate(cs):
-            want = float(np.dot(x_true, V[:, k]))
-            assert abs(c - want) <= 1e-10 * norm2(x_true)
-
-    def test_bidiag_tracks_true_coefficients(self, rng):
-        dense = random_wellcond(rng, 15)
-        A = DenseMatrix(dense)
-        x_true = rng.standard_normal(15)
-        b = A.apply(x_true)
-        v1, c1 = init_from_vector(A, b, b)
-        cs, V, *_ = exact_cycle(A, b, v1, c1, 10, "bidiagonal")
+        cs, V, *_ = exact_cycle(A, b, v1, c1, 10, engine)
         assert len(cs) == 11
         for k, c in enumerate(cs):
             want = float(np.dot(x_true, V[:, k]))
@@ -157,26 +145,49 @@ class TestOrthogonalityThreshold:
         assert orthogonality_threshold(0.0, 0.0) == SQRT_EPS
 
 
-class TestCycleTridiag:
-    def test_identity_solved_by_seed_projection(self, rng):
+CYCLES = pytest.mark.parametrize("cycle", [oap_cycle_bidiag,
+                                           oap_cycle_tridiag])
+
+
+class TestCycleByHand:
+    @CYCLES
+    def test_identity_solved_by_seed_projection(self, rng, cycle):
         A = CsrMatrix.identity(5)
         b = rng.standard_normal(5)
         v1, c1 = init_from_vector(A, b, b)
-        res = oap_cycle_tridiag(A, b, v1, c1)
+        res = cycle(A, b, v1, c1)
         np.testing.assert_allclose(res.x_partial, b, rtol=1e-14)
         assert res.inner_steps == 1
         assert res.stop_cause == "breakdown"
         assert norm2(b - A.apply(res.x_partial)) <= 1e-14 * norm2(b)
 
-    def test_diagonal_exact_after_one_step(self):
+    @CYCLES
+    def test_diagonal_exact_after_one_step(self, cycle):
         # n - 1 = 1 step: v1 and v2 span the whole space
         A = diag23()
         rhs = np.array([2.0, 3.0])
         v1, c1 = init_from_vector(A, rhs, rhs)
-        res = oap_cycle_tridiag(A, rhs, v1, c1)
+        res = cycle(A, rhs, v1, c1)
         np.testing.assert_allclose(res.x_partial, [1.0, 1.0], atol=1e-12)
         assert res.inner_steps == 1
         assert res.stop_cause == "exhausted"
+
+    @CYCLES
+    def test_the_sign_of_the_seed_changes_no_bit(self, cycle):
+        # from (-v1, -c1) every v_k and c_k changes sign and x does not;
+        # the angle test reads |c_k|, so the cycle stops where it did
+        problem = gen_convdiff2d(9, 10)
+        A, b = problem.A, problem.b
+        v1, c1 = init_from_vector(A, b, b)
+        want = cycle(A, b, v1, c1)
+        got = cycle(A, b, -v1, -c1)
+        assert want.stop_cause == "orthogonality"
+        assert got.x_partial.tobytes() == want.x_partial.tobytes()
+        assert (got.inner_steps, got.stop_cause) == (want.inner_steps,
+                                                     want.stop_cause)
+
+
+class TestCycleTridiag:
 
     @pytest.mark.parametrize("n", [12, 20, 30])
     def test_exact_solve_with_reorthogonalized_kernel(self, rng, n):
@@ -191,12 +202,18 @@ class TestCycleTridiag:
         assert norm2(x - x_true) <= 1e-9 * norm2(x_true)
         assert norm2(b - A.apply(x)) <= 1e-10 * norm2(b)
 
+    @pytest.mark.parametrize("floor", [None, 0.0],
+                             ids=["breakdown floor", "floor 0"])
     @pytest.mark.parametrize("make", [DenseMatrix, CsrMatrix.from_dense],
                              ids=["dense", "csr"])
-    def test_u_side_breakdown_keeps_the_last_update(self, make):
+    def test_u_side_breakdown_keeps_the_last_update(self, monkeypatch, make,
+                                                    floor):
         # v1 = u1 = -e2 and A v1 = 2 e2 lies along u1, so gamma_1 is 0.0
         # while beta_1 is 2.0: the cycle takes c_2 v_2, which completes
-        # the exact solution, before it stops
+        # the exact solution, before it stops, also at a floor of 0.0
+        if floor is not None:
+            monkeypatch.setattr(solvers_mod, "breakdown_floor",
+                                lambda A: floor)
         A = make(np.array([[-2.0, 0.0], [2.0, -2.0]]))
         b = np.array([1.0, 1.0])
         v1, c1 = init_from_vector(A, b, b)
@@ -225,24 +242,6 @@ class TestCycleOverflow:
 
 
 class TestCycleBidiag:
-    def test_identity(self, rng):
-        A = CsrMatrix.identity(5)
-        b = rng.standard_normal(5)
-        v1, c1 = init_from_vector(A, b, b)
-        res = oap_cycle_bidiag(A, b, v1, c1)
-        np.testing.assert_allclose(res.x_partial, b, rtol=1e-14)
-        assert res.inner_steps == 1
-        assert res.stop_cause == "breakdown"
-
-    def test_diagonal_exact_after_one_step(self):
-        A = diag23()
-        rhs = np.array([2.0, 3.0])
-        v1, c1 = init_from_vector(A, rhs, rhs)
-        res = oap_cycle_bidiag(A, rhs, v1, c1)
-        np.testing.assert_allclose(res.x_partial, [1.0, 1.0], atol=1e-12)
-        assert res.inner_steps == 1
-        assert res.stop_cause == "exhausted"
-
     @pytest.mark.parametrize("rhs", [[2.0, 3.0], np.array([2, 3])])
     def test_rhs_as_list_or_integer_array(self, rhs):
         A = diag23()
@@ -412,6 +411,16 @@ class TestRoap:
         # recomputed from scratch, not trusted from the report
         assert norm2(problem.b - problem.A.apply(x)) <= 1e-6 * norm2(problem.b)
 
+    @pytest.mark.parametrize("variant", ["roap2", "roap3"])
+    def test_tol_is_met_at_equality(self, variant):
+        # a solve whose tol is the relres it reached stops there
+        problem = gen_convdiff2d(9, 10)
+        _, want = roap_solve(problem.A, problem.b, variant)
+        _, report = roap_solve(problem.A, problem.b, variant,
+                               tol=want.final_relres)
+        assert report.termination == "converged"
+        assert report.restarts == want.restarts
+
     def test_convdiff_45_restarts_only_on_lost_semiorthogonality(self):
         # a fixed |cos| cut at 1e-8 restarts this solve on a basis that is
         # still semiorthogonal, and it ends in stagnation near relres 1e-3
@@ -443,13 +452,6 @@ class TestRoap:
                                max_restarts=50)
         assert report.termination == "stagnation"
         assert report.restarts < 50
-
-    def test_restart_budget(self):
-        problem = gen_random_dense(60, seed=5)
-        x, report = roap_solve(problem.A, problem.b, "roap2", tol=1e-14,
-                               max_restarts=2)
-        assert report.termination in ("max-restarts", "converged")
-        assert report.restarts <= 2
 
     @pytest.mark.parametrize("variant", ["roap2", "roap3"])
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -561,6 +563,22 @@ class TestZeroCycle:
         assert report.termination == "stagnation"
         assert report.residual_history == [1.0] * 4
 
+    def test_a_decrease_below_one_part_in_1e12_is_none(self, monkeypatch):
+        # each cycle takes 1e-14 of the residual off: relres falls, by
+        # less than the restart rule counts, so three cycles stagnate
+        calls = []
+
+        def spy(A, rhs, v1, c1):
+            calls.append(rhs)
+            return CycleResult(1e-14 * rhs, 5, "divergence")
+
+        monkeypatch.setattr(solvers_mod, "oap_cycle_bidiag", spy)
+        _, report = roap_solve(CsrMatrix.identity(6), np.ones(6), "roap2")
+        assert len(calls) == 3
+        assert report.termination == "stagnation"
+        history = report.residual_history
+        assert all(a > b for a, b in zip(history, history[1:]))
+
     def test_zero_cycle_replays_itself(self):
         # the state the default solve reaches after 61 restarts: its next
         # cycle returns the zero vector, and so does the one after it
@@ -651,7 +669,8 @@ class TestRectangularTwoSided:
 
 class TestRhsLength:
     """Every solver entry rejects a right-hand side whose length is not
-    A's row count."""
+    A's row count (the cycles': ``tests/test_kernels.py``, in
+    ``TestGuards::test_cycle_runs_on_checked_copies``)."""
 
     @pytest.mark.parametrize("variant", ["roap2", "roap3"])
     @pytest.mark.parametrize("b", [np.zeros(5), np.ones(5)], ids=["zero", "one"])
@@ -668,34 +687,22 @@ class TestRhsLength:
         with pytest.raises(DimensionMismatch):
             init_from_vector(diag23(), np.ones(3), np.ones(2))
 
-    @pytest.mark.parametrize("cycle", [oap_cycle_bidiag, oap_cycle_tridiag])
-    def test_cycles(self, cycle):
-        A = diag23()
-        v1, c1 = init_from_vector(A, np.ones(2), np.ones(2))
-        with pytest.raises(DimensionMismatch):
-            cycle(A, np.ones(3), v1, c1)
-
 
 class TestCycleSeed:
-    """Both cycle entries take a unit v1 of A's column count, checked
-    before any step, and the cycle reads the breakdown floor once."""
+    """Both cycle entries take a unit v1 of A's column count (the count:
+    ``tests/test_kernels.py``, ``TestGuards``), checked before any step,
+    and the cycle reads the breakdown floor once."""
 
+    @pytest.mark.parametrize("v1", [[1.0, 1.0], [1.0 + 1e-9, 0.0]],
+                             ids=["norm sqrt 2", "norm 1 + 1e-9"])
     @pytest.mark.parametrize("cycle", [oap_cycle_bidiag, oap_cycle_tridiag])
-    def test_non_unit_v1_refused(self, monkeypatch, cycle):
+    def test_non_unit_v1_refused(self, monkeypatch, cycle, v1):
         steps = []
         for name in ("bidiag_step", "tridiag_step"):
             monkeypatch.setattr(solvers_mod, name, lambda *a: steps.append(a))
         with pytest.raises(ValueError, match="unit Euclidean norm"):
-            cycle(diag23(), np.ones(2), np.array([1.0, 1.0]), 1.0)
+            cycle(diag23(), np.ones(2), np.array(v1), 1.0)
         assert steps == []
-
-    @pytest.mark.parametrize("cycle", [oap_cycle_bidiag, oap_cycle_tridiag])
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_wrong_length_v1_refused(self, cycle, n):
-        v1 = np.zeros(n)
-        v1[0] = 1.0
-        with pytest.raises(DimensionMismatch, match="v1"):
-            cycle(diag23(), np.ones(2), v1, 1.0)
 
     @pytest.mark.parametrize("cycle", [oap_cycle_bidiag, oap_cycle_tridiag])
     @pytest.mark.parametrize("c1", [math.nan, math.inf, -math.inf])
@@ -780,37 +787,36 @@ class TestCycleMemory:
         assert abs(peaks[500] - peaks[5]) < 8 * A.ncols
 
 
-class TestRoapBudget:
-    @pytest.mark.parametrize("variant", ["roap2", "roap3"])
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
-    def test_bad_tol(self, variant, tol):
-        with pytest.raises(ValueError, match="^tol must be positive$"):
-            roap_solve(CsrMatrix.identity(3), np.ones(3), variant, tol=tol)
+class TestBudget:
+    # (keyword, value, message); "budget" is max_restarts or max_sweeps.
+    # A fractional budget would run as its ceiling (2.5: three cycles)
+    BAD = [*(("tol", tol, "tol must be positive")
+             for tol in (0.0, -1.0, math.nan)),
+           ("budget", -1, "{} must be >= 0"),
+           *(("budget", budget, "{} must be a whole number")
+             for budget in (2.5, np.float64(1.5), 2.0, 3.0, "2"))]
 
-    @pytest.mark.parametrize("variant", ["roap2", "roap3"])
-    def test_rejects_negative_max_restarts(self, variant):
-        with pytest.raises(ValueError, match="^max_restarts must be >= 0$"):
-            roap_solve(CsrMatrix.identity(3), np.ones(3), variant,
-                       max_restarts=-1)
+    @pytest.mark.parametrize("solver", ["roap2", "roap3", "ap"])
+    @pytest.mark.parametrize("keyword, value, message", BAD, ids=[
+        "tol 0", "tol -1", "tol nan", "-1", "2.5", "float64 1.5", "2.0",
+        "3.0", "str"])
+    def test_refused(self, solver, keyword, value, message):
+        budget = "max_sweeps" if solver == "ap" else "max_restarts"
+        keyword = budget if keyword == "budget" else keyword
+        with pytest.raises(ValueError, match=f"^{message.format(budget)}$"):
+            solve_with(solver, CsrMatrix.identity(3), np.ones(3),
+                       **{keyword: value})
 
-    @pytest.mark.parametrize("variant", ["roap2", "roap3"])
-    @pytest.mark.parametrize("budget", [2.5, np.float64(1.5), 2.0, "2"],
-                             ids=["2.5", "float64 1.5", "2.0", "str"])
-    def test_rejects_a_budget_that_is_no_whole_number(self, variant, budget):
-        # a fractional budget would run as its ceiling (2.5: three cycles)
-        with pytest.raises(ValueError,
-                           match="^max_restarts must be a whole number$"):
-            roap_solve(CsrMatrix.identity(3), np.ones(3), variant,
-                       max_restarts=budget)
-
-    @pytest.mark.parametrize("budget", [np.int64(2), np.int32(2),
+    @pytest.mark.parametrize("budget", [2, np.int64(2), np.int32(2),
                                         np.uint8(2)])
-    def test_numpy_integer_budget_runs_as_the_int(self, budget):
+    def test_budget_of_two_runs_two_cycles(self, budget):
+        # a NumPy integer runs as the int
         problem = gen_random_dense(60, seed=5)
         want = roap_solve(problem.A, problem.b, "roap2", tol=1e-14,
                           max_restarts=2)
         x, report = roap_solve(problem.A, problem.b, "roap2", tol=1e-14,
                                max_restarts=budget)
+        assert report.termination == "max-restarts"
         assert report.restarts == 2 and report == want[1]
         assert x.tobytes() == want[0].tobytes()
 
@@ -1019,10 +1025,16 @@ SCALED_PROBLEMS = {"convdiff 19x19": lambda: gen_convdiff2d(19, 19),
 @functools.lru_cache(maxsize=None)
 def unscaled_solve(name, solver):
     """The problem ``name``, and its solve under ``solver`` with the
-    solver's defaults (``ap``: one block)."""
+    solver's defaults (``ap``: one block; ``ap 2 blocks``: two, the split
+    that ``oap bench`` runs)."""
     problem = SCALED_PROBLEMS[name]()
-    solve = ap_solve if solver == "ap" else functools.partial(
-        roap_solve, variant=solver)
+    if solver == "ap 2 blocks":
+        solve = functools.partial(ap_solve, partition=BlockPartition
+                                  .equal_blocks(problem.A.nrows, 2))
+    elif solver == "ap":
+        solve = ap_solve
+    else:
+        solve = functools.partial(roap_solve, variant=solver)
     return problem, solve, solve(problem.A, problem.b)
 
 
@@ -1031,10 +1043,13 @@ class TestPowerOfTwoScaling:
     leaves every ratio as it was, so the solve of 2^e b returns 2^e x bit
     for bit, with the same report.  The seed tests compare ||A'r|| with
     the breakdown floor times ||r||, not with the floor alone, which
-    stopped these solves from a b of ~1e-6 (e = -24 on convdiff 19x19)."""
+    stopped these solves from a b of ~1e-6 (e = -24 on convdiff 19x19);
+    ``ap`` drops a block step's p_perp relative to ||p||, not to ||A_B||,
+    which ended its two-block solves in max-restarts from e = -40."""
 
     @pytest.mark.parametrize("e", [-20, -40, -60, -100, -300, 20, 100, 300])
-    @pytest.mark.parametrize("solver", ["roap2", "roap3", "ap"])
+    @pytest.mark.parametrize("solver", ["roap2", "roap3", "ap",
+                                        "ap 2 blocks"])
     @pytest.mark.parametrize("name", SCALED_PROBLEMS)
     def test_solve_of_scaled_b_is_the_scaled_solve(self, name, solver, e):
         problem, solve, (x, report) = unscaled_solve(name, solver)
