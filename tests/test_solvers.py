@@ -161,11 +161,14 @@ class TestCycleByHand:
         assert res.stop_cause == "breakdown"
         assert norm2(b - A.apply(res.x_partial)) <= 1e-14 * norm2(b)
 
+    @pytest.mark.parametrize("rhs", [np.array([2.0, 3.0]), [2.0, 3.0],
+                                     np.array([2, 3])],
+                             ids=["float64", "list", "int64"])
     @CYCLES
-    def test_diagonal_exact_after_one_step(self, cycle):
-        # n - 1 = 1 step: v1 and v2 span the whole space
+    def test_diagonal_exact_after_one_step(self, cycle, rhs):
+        # n - 1 = 1 step: v1 and v2 span the whole space; a list or an
+        # integer array runs as its float64 values
         A = diag23()
-        rhs = np.array([2.0, 3.0])
         v1, c1 = init_from_vector(A, rhs, rhs)
         res = cycle(A, rhs, v1, c1)
         np.testing.assert_allclose(res.x_partial, [1.0, 1.0], atol=1e-12)
@@ -242,14 +245,6 @@ class TestCycleOverflow:
 
 
 class TestCycleBidiag:
-    @pytest.mark.parametrize("rhs", [[2.0, 3.0], np.array([2, 3])])
-    def test_rhs_as_list_or_integer_array(self, rhs):
-        A = diag23()
-        v1, c1 = init_from_vector(A, rhs, rhs)
-        for res in (oap_cycle_bidiag(A, rhs, v1, c1),
-                    oap_cycle_tridiag(A, rhs, v1, c1)):
-            np.testing.assert_allclose(res.x_partial, [1.0, 1.0], atol=1e-12)
-
     @pytest.mark.parametrize("n", [12, 20, 30])
     def test_exact_solve_with_reorthogonalized_kernel(self, rng, n):
         dense = random_wellcond(rng, n)
